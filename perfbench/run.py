@@ -2,7 +2,7 @@
 
 Run from the repository root::
 
-    python3 perfbench/run.py --workload paper_cold --seed 0 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload paper_cold --seed 0 --seconds 10 --trace 0
 
 ``--trace 0`` prints the end-to-end metrics; ``--trace 1`` re-runs the
 workload with every traced function wrapped (``spans.py``) and prints the
@@ -40,7 +40,7 @@ from workloads import (  # noqa: E402
     PROBE_REFERENCE_S,
     SERVE_CLIENTS,
     SERVE_P99_LIMIT_MS,
-    SERVE_PROBE_EVERY,
+    SERVE_RATE_HZ,
     SERVE_REQUESTS_PER_CLIENT,
     host_probe,
     replay_commands,
@@ -128,11 +128,13 @@ EXPECTED_LAYERS = {
     ),
 }
 
-#: Typical seconds of one cold pass; a run makes ``max(3, seconds / this)``
-#: passes, pass ``k`` at dataset seed ``seed + k``.  Consecutive seeds keep
-#: one unusually small or large tree (cardio's grid has 656 to 934 ADC
-#: comparators over seeds 0-9) from deciding the run's median.
-PASS_SECONDS = {"paper_cold": 10.0, "surface_cold": 5.0}
+#: Seconds of ``--seconds`` per cold pass: a run makes
+#: ``max(3, round(seconds / this))`` passes, pass ``k`` at dataset seed
+#: ``seed + k``.  Consecutive seeds keep one unusually small or large tree
+#: (cardio's grid has 656 to 934 ADC comparators over seeds 0-9) from
+#: deciding the run's median; a ``surface_cold`` pass takes 4 to 6 s
+#: across seeds, so it gets more of them.
+PASS_SECONDS = {"paper_cold": 10.0, "surface_cold": 2.5}
 
 #: A run's passes never start after this many seconds (the run must end
 #: within 180 s, and the slowest pass takes about 15 s on a slow host).
@@ -241,6 +243,7 @@ class Run:
         """Compare digests (and values) with the ones recorded for ``seed``."""
         reference = load_references().get(str(seed))
         if reference is None:
+            self.notes.append(f"no reference for seed {seed}: its digests were not compared")
             return
         for label, value in {**digests, **(extra or {})}.items():
             if label in reference:
@@ -268,14 +271,9 @@ def load_references() -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def median_of_medians(per_pass: list[list[float]]) -> float:
-    """Median over passes of each pass's median operation latency.
-
-    A pass's operations are of a few fixed kinds (two suite variants, two
-    datasets' surfaces, six commands), so the median of all of them pooled
-    would jump between kinds; the median within each pass does not.
-    """
-    return statistics.median(statistics.median(ops) for ops in per_pass)
+def mean_of_medians(per_model: list[list[float]]) -> float:
+    """Mean over the served models of each model's median."""
+    return statistics.fmean(statistics.median(values) for values in per_model)
 
 
 def host_scale(probes: list[float]) -> float:
@@ -295,8 +293,7 @@ def run_cold(run: Run) -> dict:
         seed = run.seed + offset
         result = run.child_pass(run.workload, seed=seed)
         passes.append(result)
-        n_ops = len(result["segment_s"]) // result["segments_per_op"]
-        run.record(n_ops + result["checks"], result["failures"])
+        run.record(len(result["segment_s"]) + result["checks"], result["failures"])
         extra = {}
         if "paper_error_pct" in result:
             extra["paper_error_pct"] = round(result["paper_error_pct"], 2)
@@ -306,12 +303,11 @@ def run_cold(run: Run) -> dict:
                          f"{run.seed} (mean relative error vs. the paper's Table I)")
     op_ms, walls = [], []
     for result in passes:
-        # Each segment is scaled by the probes taken just before and after it.
-        probes, per_op = result["probe_s"], result["segments_per_op"]
+        # Each segment (one operation) is scaled by the probes just before and after it.
+        probes = result["probe_s"]
         scaled = [seconds * host_scale(probes[index:index + 2])
                   for index, seconds in enumerate(result["segment_s"])]
-        op_ms.append([1e3 * sum(scaled[index:index + per_op])
-                      for index in range(0, len(scaled), per_op)])
+        op_ms.extend(1e3 * seconds for seconds in scaled)
         walls.append(sum(scaled))
     scales = [host_scale(result["probe_s"]) for result in passes]
     summary = {
@@ -324,7 +320,7 @@ def run_cold(run: Run) -> dict:
             "setup_s": statistics.median(
                 result["setup_s"] * host_scale(result["probe_s"][:1]) for result in passes),
             "peak_rss_mb": statistics.median(result["rss_mb"] for result in passes),
-            "latency_p50_ms": median_of_medians(op_ms),
+            "latency_p50_ms": statistics.median(op_ms),
         },
     }
     if run.trace:
@@ -346,7 +342,6 @@ def run_replay(run: Run) -> dict:
     probes = [host_probe()]
     since = time.perf_counter()
     while run.keep_going(len(passes), since):
-        began = time.perf_counter()
         children = []
         for label, argv in commands:
             stats_path = run.fresh_dir("cli") / "stats.json"
@@ -354,47 +349,53 @@ def run_replay(run: Run) -> dict:
             started = time.perf_counter()
             done = run.child(["cli", str(stats_path), trace, *argv])
             seconds = time.perf_counter() - started
+            # Each command is scaled by the probes just before and after it.
+            probes.append(host_probe())
+            scale = host_scale(probes[-2:])
             run.check(done.returncode == 0 and done.stdout == expected[label],
                       f"{label} exited {done.returncode} or its stdout differs from "
                       f"the cold render: {done.stderr.strip()[-500:]}")
             stats = (json.loads(stats_path.read_text(encoding="utf-8"))
                      if stats_path.exists() else dict(MISSING_CLI_STATS))
-            children.append({"label": label, "seconds": seconds, **stats})
-        passes.append({"wall_s": time.perf_counter() - began, "children": children})
-        probes.append(host_probe())
-    scales = [host_scale(probes[index:index + 2]) for index in range(len(passes))]
-    op_ms = [[1e3 * child["seconds"] * f for child in result["children"]]
-             for result, f in zip(passes, scales)]
-    walls = [result["wall_s"] * f for result, f in zip(passes, scales)]
+            children.append({"label": label, "seconds": seconds, "scale": scale, **stats})
+        passes.append({"children": children})
+    op_ms = [1e3 * child["seconds"] * child["scale"]
+             for result in passes for child in result["children"]]
+    walls = [sum(child["seconds"] * child["scale"] for child in result["children"])
+             for result in passes]
     summary = {
-        "raw_wall_s": [result["wall_s"] for result in passes],
+        "raw_wall_s": [sum(child["seconds"] for child in result["children"])
+                       for result in passes],
         "probes": probes,
         "wall_samples": walls,
         "op_ms": op_ms,
         "metrics": {
             "wall_s": statistics.median(walls),
-            "setup_s": fill["setup_s"] * host_scale(fill["probe_s"]),
+            "setup_s": sum(seconds * host_scale(fill["probe_s"][index:index + 2])
+                           for index, seconds in enumerate(fill["setup_s"])),
             "peak_rss_mb": statistics.median(
                 max(child["rss_mb"] for child in result["children"]) for result in passes),
-            "latency_p50_ms": median_of_medians(op_ms),
+            "latency_p50_ms": statistics.median(op_ms),
         },
     }
     if run.trace:
+        # Children's times are scaled here, each by its own probes.
         flat = []
         for result in passes:
             flat.append({
-                "layers": merge_tables(child["layers"] for child in result["children"]),
+                "layers": merge_tables(scale_table(child["layers"], child["scale"])
+                                       for child in result["children"]),
                 "counters": sum_counters(child["counters"] for child in result["children"]),
-                "root_s": sum(child["root_s"] for child in result["children"]),
+                "root_s": sum(child["root_s"] * child["scale"] for child in result["children"]),
             })
-        layers = traced_layers(flat, walls, scales)
-        children = [(child, f) for result, f in zip(passes, scales)
-                    for child in result["children"]]
+        layers = traced_layers(flat, walls, [1.0] * len(flat))
+        children = [child for result in passes for child in result["children"]]
         layers["cli.import_s"] = statistics.fmean(
-            child["import_s"] * f for child, f in children)
+            child["import_s"] * child["scale"] for child in children)
         for label in CLI_COMMANDS:
             layers[f"cli.{label}_s"] = statistics.fmean(
-                child["main_s"] * f for child, f in children if child["label"] == label)
+                child["main_s"] * child["scale"] for child in children
+                if child["label"] == label)
         summary["layers"] = layers
     return summary
 
@@ -403,8 +404,9 @@ def run_serve(run: Run) -> dict:
     """serve: promote, then closed-loop and open-loop phases in one child.
 
     Closed-loop passes and set-up are scaled by the probes around them;
-    open-loop latencies are reported as measured, because queueing delay
-    does not scale with host speed.
+    open-loop latencies are reported as measured, because at the fixed
+    rate they do not follow host speed.  Each closed- and open-loop figure
+    is the mean over the served models of that model's median.
     """
     result = run.child_pass("serve")
     run.record(result["attempted"], [])
@@ -414,33 +416,36 @@ def run_serve(run: Run) -> dict:
                          "a label other than tree.predict_levels")
     opened = result["open"]
     probes = result["closed_probe_s"]
-    walls = [seconds * host_scale(probes[index // SERVE_PROBE_EVERY:][:2])
-             for index, seconds in enumerate(result["closed_s"])]
+    # Pass r of every model ran between probes r and r + 1.
+    walls = [[seconds * host_scale(probes[index:index + 2]) for index, seconds in enumerate(passes)]
+             for passes in result["closed_s"]]
+    wall_s = mean_of_medians(walls)
     requests_per_pass = SERVE_CLIENTS * SERVE_REQUESTS_PER_CLIENT
     run.notes.append(
-        f"closed loop: {SERVE_CLIENTS} clients, {len(walls)} passes of {requests_per_pass} "
-        f"requests, {requests_per_pass / statistics.median(walls):.0f} req/s"
+        f"closed loop: {SERVE_CLIENTS} clients, {len(walls)} models x {len(walls[0])} passes "
+        f"of {requests_per_pass} requests, {requests_per_pass / wall_s:.0f} req/s"
     )
-    p99 = statistics.median(opened["window_p99_ms"])
+    p99 = mean_of_medians(opened["window_p99_ms"])
     run.notes.append(
-        f"open loop: {opened['requests']} requests at a fixed rate in "
-        f"{len(opened['window_p99_ms'])} windows; p99 {p99:.3f} ms "
+        f"open loop: {opened['requests']} requests at {SERVE_RATE_HZ:g} req/s in "
+        f"{len(walls)} models x {len(opened['window_p99_ms'][0])} windows; p99 {p99:.3f} ms "
         f"(limit {SERVE_P99_LIMIT_MS:g} ms: {'met' if p99 <= SERVE_P99_LIMIT_MS else 'MISSED'})"
     )
     summary = {
-        "raw_wall_s": result["closed_s"],
+        "raw_wall_s": [seconds for passes in result["closed_s"] for seconds in passes],
         "probes": probes,
-        "wall_samples": walls,
+        "wall_samples": [seconds for passes in walls for seconds in passes],
         "metrics": {
-            "wall_s": statistics.median(walls),
-            "setup_s": statistics.median(result["setup_s"])
-            * host_scale([result["probe_s"][0], probes[0]]),
+            "wall_s": wall_s,
+            "setup_s": statistics.median(
+                seconds * host_scale(result["setup_probe_s"][index:index + 2])
+                for index, seconds in enumerate(result["setup_s"])),
             "peak_rss_mb": result["rss_mb"],
-            "latency_p50_ms": statistics.median(opened["window_p50_ms"]),
+            "latency_p50_ms": mean_of_medians(opened["window_p50_ms"]),
         },
     }
     if run.trace:
-        layers = traced_layers([{**result, "root_s": 0.0}], walls, [host_scale(probes)])
+        layers = traced_layers([{**result, "root_s": 0.0}], [wall_s], [host_scale(probes)])
         layers["trace.coverage"] = result["root_s"] / result["run_s"]
         layers["serve.flushes"] = result["flushes"]
         layers["serve.mean_batch"] = result["mean_batch"]
@@ -514,7 +519,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=15.0)
+    parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     if not (SRC / "repro" / "__init__.py").is_file():
@@ -546,7 +551,7 @@ def main(argv: list[str] | None = None) -> int:
           f"{statistics.median(summary['raw_wall_s']):.4f} s at host probe {probe_ms:.2f} ms "
           f"(reference {1e3 * PROBE_REFERENCE_S:g} ms)")
     if "op_ms" in summary:
-        ops = [op for pass_ops in summary["op_ms"] for op in pass_ops]
+        ops = summary["op_ms"]
         print(f"operations: {len(ops)}, scaled latency min {min(ops):.1f} ms, "
               f"max {max(ops):.1f} ms")
     for note in run.notes:

@@ -133,12 +133,12 @@ class Tracer:
     # ------------------------------------------------------------------ #
     # patching
     # ------------------------------------------------------------------ #
-    def install(self, targets=TARGETS) -> None:
+    def install(self) -> None:
         """Wrap every binding of every target in all loaded modules."""
         if self._patches:
             raise RuntimeError("tracer already installed")
         import_targets()
-        for module_name, attr_path, span_name in targets:
+        for module_name, attr_path, span_name in TARGETS:
             owner = sys.modules[module_name]
             *owners, attr = attr_path.split(".")
             for part in owners:

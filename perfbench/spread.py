@@ -53,13 +53,12 @@ def spread(values: list[float]) -> float:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", default="0-9", help="inclusive range, e.g. 0-9")
-    parser.add_argument("--workloads", nargs="*", default=list(WORKLOADS), choices=WORKLOADS)
     parser.add_argument("--out", default=None, help="write the record here (JSON)")
     args = parser.parse_args()
     seeds = parse_seeds(args.seeds)
     bounds = {metric["name"]: metric["bound"] for metric in BENCHMARK["end_to_end"]}
     record = {"run_seconds": BENCHMARK["run_seconds"], "seeds": seeds, "workloads": {}}
-    for workload in args.workloads:
+    for workload in WORKLOADS:
         runs = [run_once(workload, seed, trace=False) for seed in seeds]
         traced = run_once(workload, seeds[0], trace=True)
         metrics = {}

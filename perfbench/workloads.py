@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
 import statistics
 import time
 from pathlib import Path
+
+import numpy as np
 
 #: The multi-sigma robustness surface of ``surface_cold`` and ``replay_warm``.
 SURFACE_DATASETS = ("cardio", "vertebral_2c")
@@ -30,17 +33,26 @@ SEARCH_DATASET = "cardio"
 SEARCH_BUDGET = 12
 SEARCH_SEED = 0
 
-#: The model ``serve`` promotes, and how it drives the scorer.
+#: The models ``serve`` promotes, and how it drives the scorer.  One run
+#: serves ``SERVE_MODELS`` models, trained at seeds ``seed`` to
+#: ``seed + SERVE_MODELS - 1``: a model's flush cost, and with it the
+#: open-loop latency, differs by up to a fifth between seeds, and the mean
+#: over consecutive seeds keeps one model from deciding a run.
 SERVE_DATASET = "cardio"
 SERVE_DEPTH = 8
 SERVE_TAU = 0.0
-SERVE_PROMOTES = 5
+SERVE_MODELS = 4
+#: Set-up promotes each model this many times as one timed group, with a
+#: host probe before the first group and after every group.
+SERVE_PROMOTES_PER_MODEL = 5
 SERVE_CLIENTS = 256
 SERVE_REQUESTS_PER_CLIENT = 64
-SERVE_RATE_HZ = 5000.0
+#: Open-loop rate.  At 5 000 req/s some seeds' models came near saturation
+#: on a slow host (one run's window p50s spread from 3.6 to 7.0 ms); at
+#: 2 000 req/s a run's window p50s stay within a few percent of each other
+#: and do not follow the host probe.
+SERVE_RATE_HZ = 2000.0
 SERVE_WINDOW_S = 1.0
-#: Closed-loop passes between two host probes.
-SERVE_PROBE_EVERY = 5
 #: Latency limit on the open-loop p99; a failed request counts as missing it.
 SERVE_P99_LIMIT_MS = 50.0
 
@@ -112,7 +124,7 @@ def paper_pass(seed: int, store_dir: str):
 
     Each variant is computed one dataset at a time (serially, exactly the
     work of one eight-dataset call), with a host probe after every dataset;
-    one operation is one variant, so eight segments.  The outputs are the
+    one operation (and segment) is one dataset of one variant.  The outputs are the
     ``table1``/``fig4``/``fig5``/``table2`` renders.  Returns the pass
     record and a ``verify()`` callable that runs the seed-independent output
     checks (after tracing stops) and returns the failures.
@@ -155,7 +167,6 @@ def paper_pass(seed: int, store_dir: str):
     return {
         "segment_s": segment_s,
         "probe_s": probes,
-        "segments_per_op": len(dataset_names()),
         "digests": {label: digest(text) for label, text in outputs.items()},
         "paper_error_pct": paper_error_pct(results[False]),
         "checks": 3,
@@ -178,10 +189,13 @@ def render_surfaces(surfaces) -> dict[str, str]:
 def surface_pass(seed: int, store_dir: str):
     """The multi-sigma robustness surface of two datasets on an empty store.
 
-    One operation (and segment, with a host probe after it) is one
-    dataset's surface: its nominal suite entry plus one Monte-Carlo unit per
-    sigma and grid point.  Returns the pass record and a ``verify()``
-    callable, as :func:`paper_pass` does.
+    Each dataset's surface is computed one sigma at a time (the first call
+    also computes its nominal suite entry; every call trains and simulates
+    one Monte-Carlo unit per grid point, exactly the units of one
+    multi-sigma call), with a host probe after every sigma.  One operation
+    (and segment) is one dataset at one sigma.  The per-sigma surfaces are
+    joined in sigma order, the cell order of a multi-sigma call.  Returns
+    the pass record and a ``verify()`` callable, as :func:`paper_pass` does.
     """
     from repro.analysis.experiments import run_benchmark_suite, run_robustness_surface
     from repro.core.store import ResultStore
@@ -190,15 +204,22 @@ def surface_pass(seed: int, store_dir: str):
     segment_s, probes = [], [host_probe()]
     surfaces = []
     for name in SURFACE_DATASETS:
-        began = time.perf_counter()
-        surfaces.append(
-            run_robustness_surface(
-                name, SURFACE_SIGMAS, n_trials=SURFACE_TRIALS, seed=seed, jobs=1,
-                store=store,
+        parts = []
+        for sigma in SURFACE_SIGMAS:
+            began = time.perf_counter()
+            parts.append(
+                run_robustness_surface(
+                    name, (sigma,), n_trials=SURFACE_TRIALS, seed=seed, jobs=1,
+                    store=store,
+                )
             )
-        )
-        segment_s.append(time.perf_counter() - began)
-        probes.append(host_probe())
+            segment_s.append(time.perf_counter() - began)
+            probes.append(host_probe())
+        surfaces.append(dataclasses.replace(
+            parts[0],
+            sigmas=tuple(sigma for part in parts for sigma in part.sigmas),
+            cells=tuple(cell for part in parts for cell in part.cells),
+        ))
     outputs = render_surfaces(surfaces)
 
     def verify() -> list[str]:
@@ -221,7 +242,6 @@ def surface_pass(seed: int, store_dir: str):
     return {
         "segment_s": segment_s,
         "probe_s": probes,
-        "segments_per_op": 1,
         "digests": {label: digest(text) for label, text in outputs.items()},
         "checks": len(surfaces),
     }, verify
@@ -241,23 +261,28 @@ def fill_store(seed: int, store_dir: str, expected_dir: str) -> dict:
     """
     from repro import cli
 
-    start = time.perf_counter()
     outputs = {}
+    seconds, probes = [], [host_probe()]
     commands = replay_commands(seed, store_dir, cache_only=False)
     for label, argv in commands + commands[-1:]:
         buffer = io.StringIO()
+        began = time.perf_counter()
         with contextlib.redirect_stdout(buffer):
             code = cli.main(argv)
+        seconds.append(time.perf_counter() - began)
+        probes.append(host_probe())
         if code != 0:
             raise RuntimeError(f"{label} exited {code} while filling the store")
         outputs[label] = buffer.getvalue()
-    seconds = time.perf_counter() - start
     expected = Path(expected_dir)
     expected.mkdir(parents=True, exist_ok=True)
     for label, text in outputs.items():
         (expected / f"{label}.txt").write_text(text, encoding="utf-8")
     return {
+        # Seconds of each command, with a host probe before the first and
+        # after every command.
         "setup_s": seconds,
+        "probe_s": probes,
         "digests": {label: digest(text) for label, text in outputs.items()},
     }
 
@@ -297,9 +322,9 @@ async def _closed_loop_pass(scorer, rows, expected) -> tuple[float, int, int]:
             failed)
 
 
-async def _open_loop(scorer, rows, expected, duration_s: float) -> dict:
-    """Requests at a fixed rate, timed from each one's scheduled send."""
-    n_requests = max(1, int(duration_s * SERVE_RATE_HZ))
+async def _open_window(scorer, rows, expected) -> dict:
+    """One window of requests at a fixed rate, timed from each one's scheduled send."""
+    n_requests = int(SERVE_WINDOW_S * SERVE_RATE_HZ)
     latencies = [SERVE_P99_LIMIT_MS * 2.0] * n_requests  # failures miss the limit
     lags = []
     failed = 0
@@ -333,23 +358,24 @@ async def _open_loop(scorer, rows, expected, duration_s: float) -> dict:
         task.add_done_callback(in_flight.discard)
     while in_flight:
         await asyncio.gather(*in_flight)
-    per_window = int(SERVE_WINDOW_S * SERVE_RATE_HZ)
-    windows = [latencies[i:i + per_window]
-               for i in range(0, n_requests - per_window + 1, per_window)] or [latencies]
     return {
         "requests": n_requests,
         "failed": failed,
-        "window_p50_ms": [percentile(w, 50) for w in windows],
-        "window_p99_ms": [percentile(w, 99) for w in windows],
+        "p50_ms": float(np.percentile(latencies, 50)),
+        "p99_ms": float(np.percentile(latencies, 99)),
         "mean_ms": statistics.fmean(latencies),
         "lag_ms": statistics.fmean(lags),
     }
 
 
 def serve_run(seed: int, workdir: str, seconds: float, tracer=None) -> dict:
-    """Promote the model, then a closed-loop phase and an open-loop phase.
+    """Promote the models, then a closed-loop phase and an open-loop phase.
 
-    A ``tracer`` is installed after the set-up, so it records serving only.
+    Both phases take turns over the models in rounds: one closed-loop pass
+    per model and a host probe, then one open-loop window per model.  The
+    closed loop runs rounds for about 40 % of ``seconds``, the open loop
+    for about 60 %.  A ``tracer`` is installed after the set-up, so it
+    records serving only.
     """
     from repro.adc.thermometer import quantize_array_to_levels
     from repro.datasets.registry import load_dataset
@@ -357,63 +383,80 @@ def serve_run(seed: int, workdir: str, seconds: float, tracer=None) -> dict:
     from repro.serve.scorer import AsyncScorer
 
     root = Path(workdir)
-    setup = []
-    for index in range(SERVE_PROMOTES):
+    models, setup, setup_probes = [], [], [host_probe()]
+    for model_seed in range(seed, seed + SERVE_MODELS):
         began = time.perf_counter()
-        artifact = promote_model(seed, str(root / f"registry{index}"), str(root / "store"))
-        setup.append(time.perf_counter() - began)
-    rows = load_dataset(SERVE_DATASET, seed=seed).X
-    expected = [int(label) for label in artifact.tree.predict_levels(
-        quantize_array_to_levels(rows, artifact.resolution_bits))]
+        for index in range(SERVE_PROMOTES_PER_MODEL):
+            artifact = promote_model(model_seed, str(root / f"registry{model_seed}-{index}"),
+                                     str(root / "store"))
+        setup.append((time.perf_counter() - began) / SERVE_PROMOTES_PER_MODEL)
+        setup_probes.append(host_probe())
+        rows = load_dataset(SERVE_DATASET, seed=model_seed).X
+        expected = [int(label) for label in artifact.tree.predict_levels(
+            quantize_array_to_levels(rows, artifact.resolution_bits))]
+        models.append((artifact, rows, expected))
     config = BatchingConfig(max_batch_size=256, max_wait_us=200.0)
+    open_rounds = max(2, round(0.6 * seconds / (SERVE_MODELS * SERVE_WINDOW_S)))
     if tracer is not None:
         tracer.install()
 
     async def drive() -> dict:
         started = time.perf_counter()
-        closed_s, closed_probes = [], [host_probe()]
-        async with AsyncScorer(artifact, config=config) as scorer:
-            _, requests, failed = await _closed_loop_pass(scorer, rows, expected)  # warm-up
-            deadline = time.perf_counter() + 0.4 * seconds
-            while len(closed_s) % SERVE_PROBE_EVERY or time.perf_counter() < deadline:
-                elapsed, n, bad = await _closed_loop_pass(scorer, rows, expected)
-                closed_s.append(elapsed)
+        requests = failed = 0
+        closed_s = [[] for _ in models]
+        closed_probes = [host_probe()]
+        async with contextlib.AsyncExitStack() as stack:
+            scorers = [await stack.enter_async_context(AsyncScorer(artifact, config=config))
+                       for artifact, _, _ in models]
+            for scorer, (_, rows, expected) in zip(scorers, models):  # warm-up
+                _, n, bad = await _closed_loop_pass(scorer, rows, expected)
                 requests += n
                 failed += bad
-                if len(closed_s) % SERVE_PROBE_EVERY == 0:
-                    closed_probes.append(host_probe())
+            deadline = time.perf_counter() + 0.4 * seconds
+            while len(closed_probes) < 3 or time.perf_counter() < deadline:
+                for passes, scorer, (_, rows, expected) in zip(closed_s, scorers, models):
+                    elapsed, n, bad = await _closed_loop_pass(scorer, rows, expected)
+                    passes.append(elapsed)
+                    requests += n
+                    failed += bad
+                closed_probes.append(host_probe())
         first_span = len(tracer.spans) if tracer is not None else 0
-        async with AsyncScorer(artifact, config=config) as scorer:
-            opened = await _open_loop(scorer, rows, expected, 0.6 * seconds)
-            stats = scorer.stats
+        windows = [[] for _ in models]
+        async with contextlib.AsyncExitStack() as stack:
+            scorers = [await stack.enter_async_context(AsyncScorer(artifact, config=config))
+                       for artifact, _, _ in models]
+            for _ in range(open_rounds):
+                for done, scorer, (_, rows, expected) in zip(windows, scorers, models):
+                    done.append(await _open_window(scorer, rows, expected))
+            stats = [scorer.stats for scorer in scorers]
+        flat = [window for done in windows for window in done]
+        flushes = sum(stat.n_flushes for stat in stats)
         flush_s = 0.0
         if tracer is not None:
             flush_s = sum(end - start for _, parent, start, end
                           in tracer.spans[first_span:] if parent < 0)
         return {
+            # Seconds per promotion of each model's set-up group.
             "setup_s": setup,
+            "setup_probe_s": setup_probes,
+            # Per model, one closed-loop pass per round; one probe before the
+            # first round and one after every round.
             "closed_s": closed_s,
-            # One probe before the first closed-loop pass and one after every
-            # SERVE_PROBE_EVERY passes.
             "closed_probe_s": closed_probes,
-            "attempted": requests + opened["requests"],
-            "failed": failed + opened["failed"],
-            "open": opened,
-            "flushes": stats.n_flushes,
-            "mean_batch": stats.mean_batch,
-            "flush_ms": 1e3 * flush_s / max(stats.n_flushes, 1),
+            "attempted": requests + sum(window["requests"] for window in flat),
+            "failed": failed + sum(window["failed"] for window in flat),
+            "open": {
+                "requests": sum(window["requests"] for window in flat),
+                "window_p50_ms": [[w["p50_ms"] for w in done] for done in windows],
+                "window_p99_ms": [[w["p99_ms"] for w in done] for done in windows],
+                "mean_ms": statistics.fmean(window["mean_ms"] for window in flat),
+                "lag_ms": statistics.fmean(window["lag_ms"] for window in flat),
+            },
+            "flushes": flushes,
+            "mean_batch": sum(stat.mean_batch * stat.n_flushes for stat in stats)
+            / max(flushes, 1),
+            "flush_ms": 1e3 * flush_s / max(flushes, 1),
             "run_s": time.perf_counter() - started,
         }
 
     return asyncio.run(drive())
-
-
-def percentile(values, q: float) -> float:
-    """Linear-interpolated percentile (numpy's default method)."""
-    ordered = sorted(values)
-    if not ordered:
-        raise ValueError("percentile of no values")
-    position = (len(ordered) - 1) * q / 100.0
-    low = int(position)
-    high = min(low + 1, len(ordered) - 1)
-    return ordered[low] + (ordered[high] - ordered[low]) * (position - low)
