@@ -54,7 +54,8 @@ def main() -> None:
     per_shard = [len(plan.shard(ShardSpec(index, 3))) for index in (1, 2, 3)]
     print(
         f"plan: {len(plan.units)} work units "
-        f"({len(SIGMAS)} sigmas x {len(DEPTHS)}x{len(TAUS)} grid + 2 suite); "
+        f"({len(SIGMAS)} sigmas x {len(DEPTHS)}x{len(TAUS)} grid + "
+        f"{len(DEPTHS)}x{len(TAUS)} points + 2 suite); "
         f"a 3-shard split takes {per_shard} units each\n"
     )
 

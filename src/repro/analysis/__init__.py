@@ -29,8 +29,6 @@ from repro.analysis.experiments import (
     run_robust_exploration,
     run_robustness_surface,
     run_variation_analysis,
-    suite_result_key,
-    variation_result_key,
 )
 from repro.analysis.export import (
     results_to_json,
@@ -61,8 +59,6 @@ __all__ = [
     "RobustnessSurface",
     "SurfaceCell",
     "default_store",
-    "suite_result_key",
-    "variation_result_key",
     "rows_to_csv",
     "results_to_json",
     "robust_exploration_to_json",

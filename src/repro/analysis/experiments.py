@@ -1,39 +1,44 @@
 """Benchmark-suite orchestration.
 
 :func:`run_benchmark_suite` runs the full co-design flow over (a subset of)
-the eight benchmarks.  Results are cached at **per-dataset** granularity on
-two levels:
+the eight benchmarks.  A benchmark's result is composed of store entries:
+one reference entry (baseline [2], its unary re-implementation and, for
+Table II, the approximate baseline [7]) plus one
+:class:`~repro.core.design.DesignPoint` entry per grid point, addressed by
+its :class:`~repro.core.design.DesignSpec` key.  Results are cached on two
+levels:
 
 1. an in-process memo, so the several benchmark files regenerating different
    tables/figures from the same underlying experiment share the *same*
    result objects within one interpreter, and
-2. a content-addressed on-disk :class:`~repro.core.store.ResultStore`
-   (key = dataset name, seed, grid, technology, code version), so separate
-   processes -- benchmark scripts, CLI invocations, CI jobs -- reuse each
-   other's work instead of repaying the full sweep.
+2. the content-addressed on-disk :class:`~repro.core.store.ResultStore`, so
+   separate processes -- benchmark scripts, CLI invocations, CI jobs,
+   search studies, the model registry -- reuse each other's work per design
+   point instead of repaying the full sweep.
 
-Because the cache key is per dataset and built from canonical names, asking
-for the same benchmarks in a different order, as a list instead of a tuple,
-or by paper abbreviation all hit the same entries.
+Because every key is built from canonical names, asking for the same
+benchmarks in a different order, as a list instead of a tuple, or by paper
+abbreviation all hit the same entries; and because both suite variants
+(Table I and Table II) share their design points, the second variant only
+computes its reference designs.
 
-Datasets that do need computing are submitted through an
-:class:`~repro.core.executor.Executor`: with ``jobs > 1`` the pending
-benchmarks fan out across worker processes, and a single pending benchmark
-instead parallelizes its depth x tau sweep.  Serial and parallel runs
-produce identical results (everything is seeded).
+Entries that do need computing -- store misses of any kind, from any
+benchmark -- are submitted through one
+:class:`~repro.core.executor.Executor` fan-out (:func:`_resolve_units`).
+Serial and parallel runs produce identical results (everything is seeded).
 
 :func:`run_variation_analysis` applies the same recipe to the Monte-Carlo
 comparator-offset robustness study: per-seed
-:class:`~repro.core.variation.VariationAnalysis` summaries are cached in the
-store and trial batches fan out through the executor (``repro.cli
+:class:`~repro.core.variation.VariationAnalysis` summaries are cached under
+:meth:`~repro.core.design.DesignSpec.variation_key` (``repro.cli
 variation``).
 
 :func:`run_robust_exploration` composes both layers into the variation-aware
 design-space exploration (``repro.cli explore``): the nominal depth x tau
-sweep comes from the suite cache, and every design point is then annotated
-with a per-point robustness summary cached under the same variation keys --
-so ``variation``, ``explore`` and the offset-aware Table II all share one
-pool of Monte-Carlo results.
+sweep comes from the suite, and every design point is then annotated with a
+per-point robustness summary cached under the same variation keys -- so
+``variation``, ``explore``, ``surface`` and the offset-aware Table II all
+share one pool of Monte-Carlo results.
 
 :func:`run_plan_shard` executes one shard of a deterministic
 :class:`~repro.core.sharding.SuitePlan` into the store (``repro.cli suite
@@ -44,16 +49,16 @@ assemble mode that renders tables from cache hits only, raising
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 
-from repro.core.codesign import CoDesignFramework, CoDesignResult
-from repro.core.executor import Executor, get_executor
+from repro.core.codesign import CoDesignFramework, CoDesignResult, select_designs
+from repro.core.design import DesignPoint, DesignSpec
+from repro.core.executor import get_executor
 from repro.core.exploration import (
     DEFAULT_DEPTHS,
     DEFAULT_TAUS,
-    DesignPoint,
     grid_points,
     select_best_design,
 )
@@ -61,36 +66,36 @@ from repro.core.sharding import (
     MissingResultsError,
     ShardSpec,
     SuitePlan,
+    WorkUnit,
     normalize_sigmas,
-    suite_result_key,
+    point_work_unit,
     suite_work_unit,
     variation_work_unit,
 )
 from repro.core.store import ResultStore
-from repro.core.variation import (
+from repro.core.variation import (  # noqa: F401 (simulate_offset_variation: public re-export)
     VariationAnalysis,
     canonical_training_knobs,
     simulate_offset_variation,
-    variation_result_key,
 )
-from repro.datasets.registry import canonical_name, dataset_names, load_dataset
+from repro.datasets.registry import canonical_name, dataset_names
 
 #: Smaller benchmarks used when a quick run is requested.
 FAST_DATASETS: tuple[str, ...] = ("balance_scale", "vertebral_3c", "vertebral_2c", "seeds")
 
-#: In-process memo (key -> result).  Guarantees that two suite runs with an
-#: equivalent configuration return the *same* result objects in one
-#: interpreter, on top of the cross-process on-disk store.  Bounded (LRU) so
-#: long-lived processes sweeping many configurations do not accumulate every
-#: result ever computed; evicted entries remain on disk.
-_MEMO: dict[str, CoDesignResult] = {}
+#: In-process memo (store keys of a benchmark's entries -> composed result).
+#: Guarantees that two suite runs with an equivalent configuration return
+#: the *same* result objects in one interpreter, on top of the
+#: cross-process on-disk store.  Bounded (LRU) so long-lived processes
+#: sweeping many configurations do not accumulate every result ever
+#: computed; evicted entries remain on disk.
+_MEMO: dict[tuple[str, ...], CoDesignResult] = {}
 
-#: Memo capacity: comfortably holds several full 8-dataset configurations
-#: (the old suite-level ``lru_cache(maxsize=8)`` held up to 8 x 8 results).
+#: Memo capacity: comfortably holds several full 8-dataset configurations.
 _MEMO_MAX_ENTRIES = 64
 
 
-def _memoize(key: str, result: CoDesignResult) -> None:
+def _memoize(key: tuple[str, ...], result: CoDesignResult) -> None:
     """Insert into the memo, evicting least-recently-used entries."""
     _MEMO.pop(key, None)
     _MEMO[key] = result
@@ -98,7 +103,7 @@ def _memoize(key: str, result: CoDesignResult) -> None:
         _MEMO.pop(next(iter(_MEMO)))
 
 
-def _memo_get(key: str) -> CoDesignResult | None:
+def _memo_get(key: tuple[str, ...]) -> CoDesignResult | None:
     """Memo lookup that refreshes the entry's recency."""
     result = _MEMO.pop(key, None)
     if result is not None:
@@ -141,35 +146,6 @@ def resolve_suite_datasets(
     return tuple(datasets)
 
 
-def _run_one_benchmark(
-    name: str,
-    seed: int,
-    include_approximate_baseline: bool,
-    depths: tuple[int, ...],
-    taus: tuple[float, ...],
-    jobs: int = 1,
-    training_sigma: float = 0.0,
-    robustness_weight: float = 1.0,
-    engine: str = "batch",
-    ppa_backend=None,
-) -> CoDesignResult:
-    """Top-level (picklable) job: run the co-design flow on one benchmark."""
-    with get_executor(jobs) as executor:
-        framework = CoDesignFramework(
-            depths=depths,
-            taus=taus,
-            seed=seed,
-            include_approximate_baseline=include_approximate_baseline,
-            executor=executor if executor.jobs > 1 else None,
-            training_sigma=training_sigma,
-            robustness_weight=robustness_weight,
-            engine=engine,
-            ppa_backend=ppa_backend,
-        )
-        dataset = load_dataset(name, seed=seed)
-        return framework.run(dataset)
-
-
 def run_benchmark_suite(
     datasets: tuple[str, ...] | None = None,
     seed: int = 0,
@@ -183,12 +159,11 @@ def run_benchmark_suite(
     use_cache: bool = True,
     training_sigma: float = 0.0,
     robustness_weight: float = 1.0,
-    shard: ShardSpec | None = None,
     cache_only: bool = False,
     engine: str = "batch",
     ppa_backend=None,
 ) -> list[CoDesignResult]:
-    """Run the co-design flow over the benchmark suite (cached per dataset).
+    """Run the co-design flow over the benchmark suite (cached per design point).
 
     Parameters
     ----------
@@ -208,9 +183,9 @@ def run_benchmark_suite(
         small benchmarks (useful for smoke tests).
     jobs:
         Worker processes to fan out over (``None``/``1``: serial, ``0``: one
-        per CPU).  Multiple pending benchmarks parallelize across datasets; a
-        single pending benchmark parallelizes its depth x tau sweep instead.
-        Results are identical either way.
+        per CPU).  Every pending entry -- reference designs and design
+        points of every requested benchmark -- is one job of a single
+        fan-out.  Results are identical either way.
     cache_dir:
         Directory of the on-disk result store (default:
         ``$REPRO_CACHE_DIR`` or ``~/.cache/repro/results``).
@@ -227,18 +202,11 @@ def run_benchmark_suite(
     robustness_weight:
         Weight of the expected-flip penalty in the trainer's split scores
         (ignored while ``training_sigma`` is 0).
-    shard:
-        When given, restrict the run to the datasets whose suite work unit
-        belongs to this shard (stable hashing via
-        :func:`~repro.core.sharding.suite_work_unit`, so membership is
-        reproducible across machines and invariant to request order).
-        Results come back for the shard's datasets only, in requested
-        order; other shards cover the rest.
     cache_only:
-        Strict assemble mode: resolve every dataset from the on-disk store
+        Strict assemble mode: resolve every entry from the on-disk store
         and *never* compute.  Raises
         :class:`~repro.core.sharding.MissingResultsError` (listing the
-        missing datasets and keys) when any entry is absent.  The
+        missing units and keys) when any entry is absent.  The
         in-process memo is bypassed, so the store genuinely holds
         everything the call returns.
     engine:
@@ -270,157 +238,161 @@ def run_benchmark_suite(
             )
         # Report-backed costs must never be cached under configuration keys.
         use_cache = False
-        store = None
     if cache_only and not use_cache:
         raise ValueError("cache_only requires use_cache=True")
-    requested = resolve_suite_datasets(datasets, fast)
-    names = [canonical_name(name) for name in requested]
-    if shard is not None:
-        names = [
-            name
-            for name in names
-            if suite_work_unit(
-                name, seed, include_approximate_baseline, depths, taus,
-                training_sigma=training_sigma,
-                robustness_weight=robustness_weight,
-            ).shard_index(shard.count) == shard.index
-        ]
-
-    if use_cache and store is None:
+    names = [canonical_name(name) for name in resolve_suite_datasets(datasets, fast)]
+    if not use_cache:
+        store = None
+    elif store is None:
         store = ResultStore(cache_dir) if cache_dir is not None else default_store()
 
-    keys = {
-        name: suite_result_key(
+    units = {
+        name: _suite_units(
             name, seed, include_approximate_baseline, depths, taus,
-            training_sigma=training_sigma, robustness_weight=robustness_weight,
+            training_sigma, robustness_weight,
         )
         for name in dict.fromkeys(names)
     }
-
-    if cache_only:
-        cached_results: dict[str, CoDesignResult] = {}
-        missing: list[tuple[str, str]] = []
-        for name, key in keys.items():
-            cached = store.get(key)
-            if cached is None:
-                missing.append((f"suite:{name}", key))
-            else:
-                cached_results[name] = cached
-        store.flush_stats()
-        if missing:
-            raise MissingResultsError(missing)
-        return [cached_results[name] for name in names]
-
+    memo_keys = {
+        name: tuple(unit.store_key for unit in name_units)
+        for name, name_units in units.items()
+    }
     resolved: dict[str, CoDesignResult] = {}
-    pending: list[str] = []
-    for name, key in keys.items():
-        memoized = _memo_get(key) if use_cache else None
-        if memoized is not None:
-            if store is not None and key not in store:
-                store.put(key, memoized)  # write-through: keep the disk store complete
-            resolved[name] = memoized
-            continue
-        if use_cache and store is not None:
-            cached = store.get(key)
-            if cached is not None:
-                _memoize(key, cached)
-                resolved[name] = cached
+    if store is not None and not cache_only:
+        for name, name_units in units.items():
+            memoized = _memo_get(memo_keys[name])
+            if memoized is None:
                 continue
-        pending.append(name)
+            # Write-through: keep the disk store complete.
+            entries = [replace(memoized, exploration=[], selected={}), *memoized.exploration]
+            for unit, entry in zip(name_units, entries):
+                if unit.store_key not in store:
+                    store.put(unit.store_key, entry)
+            resolved[name] = memoized
 
-    if pending:
-        executor: Executor = get_executor(jobs)
-        try:
-            if executor.jobs > 1 and len(pending) > 1:
-                # Fan out across datasets; each worker runs its sweep serially.
-                tasks = [
-                    (
-                        name, seed, include_approximate_baseline,
-                        tuple(depths), tuple(taus), 1,
-                        training_sigma, robustness_weight, engine, backend,
-                    )
-                    for name in pending
-                ]
-                computed = executor.map(_run_one_benchmark, tasks)
-            else:
-                # Serial across datasets; parallelize inside the sweep instead.
-                computed = [
-                    _run_one_benchmark(
-                        name,
-                        seed,
-                        include_approximate_baseline,
-                        tuple(depths),
-                        tuple(taus),
-                        jobs=executor.jobs,
-                        training_sigma=training_sigma,
-                        robustness_weight=robustness_weight,
-                        engine=engine,
-                        ppa_backend=backend,
-                    )
-                    for name in pending
-                ]
-        finally:
-            executor.close()
-        for name, result in zip(pending, computed):
-            if use_cache:
-                if store is not None:
-                    store.put(keys[name], result)
-                _memoize(keys[name], result)
-            resolved[name] = result
+    pending = [name for name in units if name not in resolved]
+    values = _resolve_units(
+        [unit for name in pending for unit in units[name]],
+        store, jobs, cache_only=cache_only, engine=engine, ppa_backend=backend,
+    )
+    for name in pending:
+        reference, *points = (values[unit.store_key] for unit in units[name])
+        resolved[name] = select_designs(reference, points)
+        if store is not None and not cache_only:
+            _memoize(memo_keys[name], resolved[name])
 
-    if use_cache and store is not None:
+    if store is not None:
         store.flush_stats()
     return [resolved[name] for name in names]
 
 
-@lru_cache(maxsize=8)
-def _variation_classifier(
-    dataset: str,
+def _suite_units(
+    name: str,
     seed: int,
-    depth: int,
-    tau: float,
-    resolution_bits: int = 4,
-    test_size: float = 0.3,
-    training_sigma: float = 0.0,
-    robustness_weight: float = 1.0,
-):
-    """Train-once memo behind the per-sigma variation sweep.
+    include_approximate_baseline: bool,
+    depths: tuple[int, ...],
+    taus: tuple[float, ...],
+    training_sigma: float,
+    robustness_weight: float,
+) -> list[WorkUnit]:
+    """One benchmark's reference unit followed by its grid's point units."""
+    return [
+        suite_work_unit(name, seed, include_approximate_baseline),
+        *(
+            point_work_unit(
+                DesignSpec(
+                    name, seed, depth, tau,
+                    training_sigma=training_sigma,
+                    robustness_weight=robustness_weight,
+                )
+            )
+            for depth, tau in grid_points(depths, taus)
+        ),
+    ]
+
+
+def _compute_unit(unit: WorkUnit, engine: str = "batch", ppa_backend=None, tree=None):
+    """Top-level (picklable) job: compute one work unit from scratch.
+
+    A ``variation`` unit simulates ``tree`` when the caller holds its point's
+    tree and retrains it otherwise -- deterministically, so a unit computed
+    on a shard that owns none of its benchmark's points is bit-identical to
+    one computed next to the suite.
+    """
+    if unit.kind == "suite":
+        framework = CoDesignFramework(
+            seed=unit.seed,
+            include_approximate_baseline=unit.params["include_approximate_baseline"],
+            ppa_backend=ppa_backend,
+        )
+        return framework.run_reference(DesignSpec(unit.dataset, unit.seed).data().dataset)
+    if unit.kind == "point":
+        return unit.spec.evaluate(engine=engine, ppa_backend=ppa_backend)
+    return unit.spec.simulate(
+        unit.params["sigma_v"],
+        unit.params["n_trials"],
+        tree if tree is not None else _variation_classifier(unit.spec),
+    )
+
+
+def _resolve_units(
+    units: list[WorkUnit],
+    store: ResultStore | None,
+    jobs: int | None,
+    cache_only: bool = False,
+    engine: str = "batch",
+    ppa_backend=None,
+    trees: dict | None = None,
+) -> dict[str, object]:
+    """Values of ``units`` by store key: store hits, then one fan-out of the rest.
+
+    Computed values are written to ``store`` (when given).  ``cache_only``
+    raises :class:`~repro.core.sharding.MissingResultsError` listing every
+    miss instead of computing.  ``trees`` maps a
+    :class:`~repro.core.design.DesignSpec` to its trained tree, sparing the
+    retraining of variation units whose point is at hand.
+    """
+    values: dict[str, object] = {}
+    pending: dict[str, WorkUnit] = {}
+    for unit in units:
+        if unit.store_key in values or unit.store_key in pending:
+            continue
+        cached = store.get(unit.store_key) if store is not None else None
+        if cached is None:
+            pending[unit.store_key] = unit
+        else:
+            values[unit.store_key] = cached
+    if pending and cache_only:
+        store.flush_stats()
+        raise MissingResultsError(
+            [(unit.label, unit.store_key) for unit in pending.values()]
+        )
+    if pending:
+        trees = trees or {}
+        tasks = [
+            (unit, engine, ppa_backend, trees.get(unit.spec))
+            for unit in pending.values()
+        ]
+        with get_executor(jobs) as executor:
+            computed = executor.map(_compute_unit, tasks)
+        for key, value in zip(pending, computed):
+            if store is not None:
+                store.put(key, value)
+            values[key] = value
+    return values
+
+
+@lru_cache(maxsize=8)
+def _variation_classifier(spec: DesignSpec):
+    """Train-once memo of the trees variation units simulate.
 
     A sigma sweep caches one :class:`VariationAnalysis` per sigma, but the
-    classifier under test depends only on the (dataset, seed, depth, tau,
-    training) configuration -- training it once per configuration keeps a
-    cold 5-sigma sweep from paying the same fit five times.  Training
-    mirrors :func:`_variation_unit_job` /
-    :meth:`~repro.core.exploration.DesignSpaceExplorer.evaluate_point`
-    exactly (same trainer arguments, same volts-normalized training sigma),
-    so the classifier under test is bit-identical to the one a sharded or
-    exploration run would have simulated.  Everything is seeded, so the
-    memo never changes results.  Callers pass *canonical* training knobs
-    (:func:`~repro.core.variation.canonical_training_knobs`), so inert
-    spellings alias one memo entry.
+    classifier under test depends only on its :class:`DesignSpec` --
+    training it once per spec keeps a cold 5-sigma sweep from paying the
+    same fit five times.  Everything is seeded, so the memo never changes
+    results.
     """
-    from repro.core.adc_aware_training import ADCAwareTrainer
-    from repro.mltrees.evaluation import train_test_split
-    from repro.mltrees.quantize import quantize_dataset
-    from repro.pdk.egfet import default_technology
-
-    technology = default_technology()
-    data = load_dataset(dataset, seed=seed)
-    X_train, X_test, y_train, y_test = train_test_split(
-        data.X, data.y, test_size=test_size, seed=seed
-    )
-    trainer = ADCAwareTrainer(
-        max_depth=depth,
-        gini_threshold=tau,
-        resolution_bits=resolution_bits,
-        seed=seed,
-        training_sigma=training_sigma / technology.vdd,
-        robustness_weight=(robustness_weight if training_sigma > 0 else 0.0),
-    )
-    tree = trainer.fit(
-        quantize_dataset(X_train, resolution_bits), y_train, data.n_classes
-    )
-    return tree, X_test, y_test
+    return spec.train()
 
 
 def run_variation_analysis(
@@ -444,43 +416,28 @@ def run_variation_analysis(
     Trains the ADC-aware tree (``depth`` x ``tau``) on the paper's 70/30
     split of ``dataset`` and Monte-Carlo-simulates its test accuracy under
     Gaussian comparator offsets.  Per-seed summaries are cached in the
-    content-addressed :class:`~repro.core.store.ResultStore` under the full
-    :func:`~repro.core.variation.variation_result_key` -- every knob the key
-    supports (``resolution_bits``, ``test_size``, ``training_sigma``,
-    ``robustness_weight``) participates, so this entry point addresses the
-    exact entries that sharded suite runs, ``explore`` and the search
-    warm-start write: nominal requests keep their historical keys, and
-    offset-aware requests share cache warmth instead of silently training a
-    nominal tree.  Trial batches fan out across ``jobs`` worker processes
-    with bit-identical results.
+    content-addressed :class:`~repro.core.store.ResultStore` under the
+    point's :meth:`~repro.core.design.DesignSpec.variation_key` -- the exact
+    entries that sharded suite runs, ``explore``, ``surface`` and search
+    studies read and write.  Trial batches fan out across ``jobs`` worker
+    processes with bit-identical results.
     """
-    from repro.pdk.egfet import default_technology
-
     if use_cache and store is None:
         store = ResultStore(cache_dir) if cache_dir is not None else default_store()
-    training_sigma, robustness_weight = canonical_training_knobs(
-        training_sigma, robustness_weight
-    )
-    key = variation_result_key(
-        dataset, seed, sigma_v, n_trials, depth, tau, resolution_bits,
+    spec = DesignSpec(
+        dataset, seed, depth, tau, resolution_bits,
         test_size=test_size,
-        training_sigma=training_sigma, robustness_weight=robustness_weight,
+        training_sigma=training_sigma,
+        robustness_weight=robustness_weight,
     )
+    key = spec.variation_key(sigma_v, n_trials)
     if use_cache and store is not None:
         cached = store.get(key)
         if cached is not None:
             store.flush_stats()
             return cached
 
-    tree, X_test, y_test = _variation_classifier(
-        canonical_name(dataset), seed, depth, tau,
-        resolution_bits=resolution_bits, test_size=test_size,
-        training_sigma=training_sigma, robustness_weight=robustness_weight,
-    )
-    analysis = simulate_offset_variation(
-        tree, X_test, y_test, sigma_v, n_trials=n_trials,
-        technology=default_technology(), seed=seed, jobs=jobs,
-    )
+    analysis = spec.simulate(sigma_v, n_trials, _variation_classifier(spec), jobs=jobs)
     if use_cache and store is not None:
         store.put(key, analysis)
         store.flush_stats()
@@ -544,22 +501,66 @@ def run_robust_exploration(
     """Variation-aware design-space exploration of one benchmark.
 
     Composes the two cache layers: the depth x tau sweep (and the baseline
-    it is measured against) comes from the per-dataset suite cache of
-    :func:`run_benchmark_suite`, and the robustness pass then attaches one
+    it is measured against) comes from :func:`run_benchmark_suite`, and the robustness pass then attaches one
     cached :class:`~repro.core.variation.VariationAnalysis` per design point
-    (the per-seed variation keys shared with ``repro.cli variation``).  Only
-    points absent from the store are Monte-Carlo-simulated, fanned out
-    across ``jobs`` worker processes with bit-identical results.
+    (the variation units shared with ``repro.cli variation`` and
+    ``surface``).  Only points absent from the store are
+    Monte-Carlo-simulated, fanned out across ``jobs`` worker processes with
+    bit-identical results.
 
     With ``training_sigma > 0`` the sweep's trees are trained offset-aware
     (split scores penalized by the analytic expected digit-flip fraction at
     that sigma); both cache layers key on the training parameters, so
     nominal and offset-aware explorations never alias.
 
-    ``cache_only`` applies the strict assemble discipline to the nominal
-    sweep (it must be a store hit); the robustness pass then also resolves
-    from the store when a sharded run precomputed its per-point units.
+    ``cache_only`` applies the strict assemble discipline: the nominal
+    sweep and every per-point analysis must be store hits.
     """
+    result, units, analyses = _robustness_pass(
+        dataset, (float(sigma_v),), n_trials, seed, depths, taus, jobs, cache_dir,
+        store, use_cache, training_sigma, robustness_weight, cache_only, engine,
+        ppa_backend,
+    )
+    points = [
+        point.with_robustness(analyses[unit.store_key])
+        for point, unit in zip(result.exploration, units)
+    ]
+    return RobustExploration(
+        dataset=result.dataset,
+        sigma_v=float(sigma_v),
+        n_trials=int(n_trials),
+        baseline_accuracy=result.baseline.accuracy,
+        points=tuple(points),
+        training_sigma=float(training_sigma),
+        robustness_weight=float(robustness_weight),
+    )
+
+
+def _robustness_pass(
+    dataset: str,
+    sigmas: tuple[float, ...],
+    n_trials: int,
+    seed: int,
+    depths: tuple[int, ...],
+    taus: tuple[float, ...],
+    jobs: int | None,
+    cache_dir: str | Path | None,
+    store: ResultStore | None,
+    use_cache: bool,
+    training_sigma: float,
+    robustness_weight: float,
+    cache_only: bool,
+    engine: str,
+    ppa_backend,
+) -> tuple[CoDesignResult, list[WorkUnit], dict[str, VariationAnalysis]]:
+    """One benchmark's nominal suite plus its variation units at ``sigmas``.
+
+    Units are sigma-major with the grid inner; misses simulate the suite's
+    own trees.  Returns the suite result, the units and their analyses by
+    store key.
+    """
+    if cache_only and not use_cache:
+        raise ValueError("cache_only requires use_cache=True")
     name = canonical_name(dataset)
     (result,) = run_benchmark_suite(
         datasets=(name,),
@@ -575,40 +576,31 @@ def run_robust_exploration(
         robustness_weight=robustness_weight,
         cache_only=cache_only,
         engine=engine,
+        # The variation units are accuracy-only, so the backend only
+        # influences the suite resolved here.
         ppa_backend=ppa_backend,
     )
-    if use_cache and store is None:
+    if not use_cache:
+        store = None
+    elif store is None:
         store = ResultStore(cache_dir) if cache_dir is not None else default_store()
-
-    data = load_dataset(name, seed=seed)
-    with get_executor(jobs) as executor:
-        framework = CoDesignFramework(
-            depths=tuple(depths),
-            taus=tuple(taus),
-            seed=seed,
-            executor=executor if executor.jobs > 1 else None,
-            training_sigma=training_sigma,
-            robustness_weight=robustness_weight,
-            ppa_backend=ppa_backend,
+    specs = [
+        DesignSpec(
+            name, seed, depth, tau,
+            training_sigma=training_sigma, robustness_weight=robustness_weight,
         )
-        points = framework.run_robustness(
-            data,
-            result.exploration,
-            sigma_v=sigma_v,
-            n_trials=n_trials,
-            store=store if use_cache else None,
-        )
-    if use_cache and store is not None:
-        store.flush_stats()
-    return RobustExploration(
-        dataset=result.dataset,
-        sigma_v=float(sigma_v),
-        n_trials=int(n_trials),
-        baseline_accuracy=result.baseline.accuracy,
-        points=tuple(points),
-        training_sigma=float(training_sigma),
-        robustness_weight=float(robustness_weight),
+        for depth, tau in grid_points(depths, taus)
+    ]
+    units = [
+        variation_work_unit(spec, sigma, n_trials) for sigma in sigmas for spec in specs
+    ]
+    analyses = _resolve_units(
+        units, store, jobs, cache_only=cache_only,
+        trees={spec: point.tree for spec, point in zip(specs, result.exploration)},
     )
+    if store is not None:
+        store.flush_stats()
+    return result, units, analyses
 
 
 # ---------------------------------------------------------------------- #
@@ -724,100 +716,35 @@ def run_robustness_surface(
     :class:`~repro.core.variation.VariationAnalysis` is resolved under the
     exact key a multi-sigma suite plan computes
     (:func:`~repro.core.sharding.variation_work_unit`), and the nominal
-    baseline comes from the per-dataset suite cache.  Points absent from the
-    store fan out through the executor as self-contained
-    :func:`_variation_unit_job` tasks -- unless ``cache_only`` is set, the
-    strict assemble discipline: *never* compute, raise
+    baseline and trees come from the suite.  Units absent from the store
+    fan out through the executor, simulating the suite's trees -- unless
+    ``cache_only`` is set, the strict assemble discipline: *never* compute,
+    raise
     :class:`~repro.core.sharding.MissingResultsError` listing every missing
     unit label and key.  On a store assembled from a multi-sigma sharded run
     the whole surface therefore renders from cache hits only, and the
     per-sigma entries it resolves are the same ones a
     ``mean_accuracy_drop`` search study probes for its warm start.
     """
-    if cache_only and not use_cache:
-        raise ValueError("cache_only requires use_cache=True")
-    name = canonical_name(dataset)
     sigma_values = normalize_sigmas(sigmas)
     if not sigma_values:
         raise ValueError("at least one sigma is required")
     training_sigma, robustness_weight = canonical_training_knobs(
         training_sigma, robustness_weight
     )
-    (result,) = run_benchmark_suite(
-        datasets=(name,),
-        seed=seed,
-        include_approximate_baseline=False,
-        depths=depths,
-        taus=taus,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        store=store,
-        use_cache=use_cache,
-        training_sigma=training_sigma,
-        robustness_weight=robustness_weight,
-        cache_only=cache_only,
-        engine=engine,
-        # The surface itself is accuracy-only (variation summaries), so the
-        # backend only influences the baseline suite entry resolved here.
-        ppa_backend=ppa_backend,
+    result, units, analyses = _robustness_pass(
+        dataset, sigma_values, n_trials, seed, depths, taus, jobs, cache_dir,
+        store, use_cache, training_sigma, robustness_weight, cache_only, engine,
+        ppa_backend,
     )
-    if use_cache and store is None:
-        store = ResultStore(cache_dir) if cache_dir is not None else default_store()
-
-    units = [
-        variation_work_unit(
-            name, seed, sigma, n_trials, depth, tau,
-            training_sigma=training_sigma, robustness_weight=robustness_weight,
-        )
-        for sigma in sigma_values
-        for depth, tau in grid_points(depths, taus)
-    ]
-    analyses: dict[str, VariationAnalysis] = {}
-    pending = []
-    for unit in units:
-        cached = store.get(unit.store_key) if use_cache and store is not None else None
-        if cached is not None:
-            analyses[unit.store_key] = cached
-        else:
-            pending.append(unit)
-    if pending and cache_only:
-        store.flush_stats()
-        raise MissingResultsError(
-            [(unit.label, unit.store_key) for unit in pending]
-        )
-    if pending:
-        tasks = [
-            (
-                unit.dataset,
-                seed,
-                unit.params["sigma_v"],
-                unit.params["n_trials"],
-                unit.params["depth"],
-                unit.params["tau"],
-                unit.params["resolution_bits"],
-                unit.params["test_size"],
-                unit.params["training_sigma"],
-                unit.params["robustness_weight"],
-            )
-            for unit in pending
-        ]
-        with get_executor(jobs) as executor:
-            computed = executor.map(_variation_unit_job, tasks)
-        for unit, analysis in zip(pending, computed):
-            if use_cache and store is not None:
-                store.put(unit.store_key, analysis)
-            analyses[unit.store_key] = analysis
-    if use_cache and store is not None:
-        store.flush_stats()
-
     cells = []
     for unit in units:
         analysis = analyses[unit.store_key]
         cells.append(
             SurfaceCell(
                 sigma_v=unit.params["sigma_v"],
-                depth=unit.params["depth"],
-                tau=unit.params["tau"],
+                depth=unit.spec.depth,
+                tau=unit.spec.tau,
                 nominal_accuracy=analysis.nominal_accuracy,
                 mean_accuracy=analysis.mean_accuracy,
                 std_accuracy=analysis.std_accuracy,
@@ -864,9 +791,9 @@ def run_search_study(
     The orchestration-level entry point behind ``repro.cli search``:
     resolves the named space (``"paper"`` or ``"wide"``, or a pre-built
     :class:`~repro.search.space.SearchSpace`), wires the study into the
-    same store/cache plumbing as the suite runners -- trials on the paper
-    grid warm-start from cached suite sweeps, robustness objectives share
-    the ``variation`` Monte-Carlo pool -- and returns the
+    same store/cache plumbing as the suite runners -- a trial resolves from
+    the design-point entry any suite sweep wrote, robustness objectives
+    share the ``variation`` Monte-Carlo pool -- and returns the
     :class:`~repro.search.study.StudyResult`.  Seeded studies are
     bit-reproducible and independent of ``jobs``.  ``cache_only`` applies
     the strict assemble discipline: a trial that would have to train
@@ -899,66 +826,12 @@ def run_search_study(
 # ---------------------------------------------------------------------- #
 # sharded execution (repro.cli suite / assemble)
 # ---------------------------------------------------------------------- #
-def _variation_unit_job(
-    dataset: str,
-    seed: int,
-    sigma_v: float,
-    n_trials: int,
-    depth: int,
-    tau: float,
-    resolution_bits: int,
-    test_size: float,
-    training_sigma: float,
-    robustness_weight: float,
-) -> VariationAnalysis:
-    """Top-level (picklable) job: compute one variation work unit from scratch.
-
-    Self-contained on purpose: the (depth, tau) tree is retrained here
-    instead of being looked up from a suite result, so a variation unit can
-    run on a shard that does *not* own the dataset's suite unit.  Training
-    is deterministic and mirrors
-    :meth:`~repro.core.exploration.DesignSpaceExplorer.evaluate_point`
-    exactly (same trainer arguments, same volts-normalized training sigma,
-    same seeded simulation), so the cached
-    :class:`~repro.core.variation.VariationAnalysis` is bit-identical to
-    what the unsharded robustness pass would have stored under the same
-    key.
-    """
-    from repro.core.adc_aware_training import ADCAwareTrainer
-    from repro.mltrees.evaluation import train_test_split
-    from repro.mltrees.quantize import quantize_dataset
-    from repro.pdk.egfet import default_technology
-
-    technology = default_technology()
-    data = load_dataset(dataset, seed=seed)
-    X_train, X_test, y_train, y_test = train_test_split(
-        data.X, data.y, test_size=test_size, seed=seed
-    )
-    trainer = ADCAwareTrainer(
-        max_depth=depth,
-        gini_threshold=tau,
-        resolution_bits=resolution_bits,
-        seed=seed,
-        training_sigma=training_sigma / technology.vdd,
-        robustness_weight=(robustness_weight if training_sigma > 0 else 0.0),
-    )
-    tree = trainer.fit(
-        quantize_dataset(X_train, resolution_bits), y_train, data.n_classes
-    )
-    return simulate_offset_variation(
-        tree, X_test, y_test, sigma_v, n_trials=n_trials,
-        technology=technology, seed=seed,
-    )
-
-
 @dataclass(frozen=True)
 class ShardRunReport:
     """What one shard run did: unit counts, reuse, and where results went."""
 
     shard: ShardSpec | None
     n_units: int
-    n_suite_units: int
-    n_variation_units: int
     reused: int
 
     @property
@@ -976,68 +849,23 @@ def run_plan_shard(
 ) -> ShardRunReport:
     """Compute one shard's work units of ``plan`` into the result store.
 
-    Suite units are grouped per ``include_approximate_baseline`` variant and
-    delegated to :func:`run_benchmark_suite` (which fans pending datasets
-    out across ``jobs`` workers and write-throughs the store); variation
-    units missing from the store fan out through the executor as
-    self-contained :func:`_variation_unit_job` tasks.  Everything lands
-    under the exact keys the unsharded entry points use, so an assemble
-    step -- or any later ``table1``/``table2``/``explore`` invocation --
-    resolves the shard's work as plain cache hits.
+    Every unit missing from the store is one job of the executor fan-out;
+    variation units simulate the trees of this shard's point units and
+    retrain the others.  Everything lands under the exact keys the unsharded
+    entry points use, so an assemble step -- or any later
+    ``table1``/``table2``/``explore``/``search`` invocation -- resolves the
+    shard's work as plain cache hits.
     """
     if store is None:
         store = ResultStore(cache_dir) if cache_dir is not None else default_store()
     units = plan.shard(shard)
-    suite_units = [unit for unit in units if unit.kind == "suite"]
-    variation_units = [unit for unit in units if unit.kind == "variation"]
     reused = sum(1 for unit in units if unit.store_key in store)
-
-    for variant in plan.include_approximate_variants:
-        group = [
-            unit
-            for unit in suite_units
-            if unit.params["include_approximate_baseline"] == variant
-        ]
-        if group:
-            run_benchmark_suite(
-                datasets=tuple(unit.dataset for unit in group),
-                seed=plan.seed,
-                include_approximate_baseline=variant,
-                depths=plan.depths,
-                taus=plan.taus,
-                jobs=jobs,
-                store=store,
-                training_sigma=plan.training_sigma,
-                robustness_weight=plan.robustness_weight,
-            )
-
-    pending = [unit for unit in variation_units if unit.store_key not in store]
-    if pending:
-        tasks = [
-            (
-                unit.dataset,
-                plan.seed,
-                unit.params["sigma_v"],
-                unit.params["n_trials"],
-                unit.params["depth"],
-                unit.params["tau"],
-                unit.params["resolution_bits"],
-                unit.params["test_size"],
-                unit.params["training_sigma"],
-                unit.params["robustness_weight"],
-            )
-            for unit in pending
-        ]
-        with get_executor(jobs) as executor:
-            analyses = executor.map(_variation_unit_job, tasks)
-        for unit, analysis in zip(pending, analyses):
-            store.put(unit.store_key, analysis)
-    store.flush_stats()
-
-    return ShardRunReport(
-        shard=shard,
-        n_units=len(units),
-        n_suite_units=len(suite_units),
-        n_variation_units=len(variation_units),
-        reused=reused,
+    designs = [unit for unit in units if unit.kind != "variation"]
+    values = _resolve_units(designs, store, jobs)
+    _resolve_units(
+        [unit for unit in units if unit.kind == "variation"], store, jobs,
+        trees={unit.spec: values[unit.store_key].tree
+               for unit in designs if unit.kind == "point"},
     )
+    store.flush_stats()
+    return ShardRunReport(shard=shard, n_units=len(units), reused=reused)

@@ -6,7 +6,7 @@ from collections.abc import Sequence
 from statistics import mean
 
 from repro.core.codesign import CoDesignResult
-from repro.core.exploration import DesignPoint
+from repro.core.design import DesignPoint
 from repro.core.power_budget import analyze_self_power
 
 

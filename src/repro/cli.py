@@ -45,7 +45,7 @@ so robustness comes from threshold placement instead of hardware margin::
 
 Budgeted multi-objective search: instead of sweeping the exhaustive
 depth x tau grid, a seeded Pareto-TPE sampler spends a fixed trial budget,
-warm-starting every trial it can from cached suite sweeps (see
+warm-starting every trial it can from cached design points (see
 ``docs/SEARCH.md``)::
 
     python -m repro.cli search --dataset seeds --budget 12
@@ -459,21 +459,6 @@ def _cmd_table2_robust(args: argparse.Namespace) -> int:
     names = resolve_suite_datasets(
         tuple(args.datasets) if args.datasets else None, args.fast
     )
-    # Warm the per-dataset suite cache in one call so the nominal sweeps fan
-    # out across datasets on the shared pool; the per-dataset robust passes
-    # below then only pay the (cached-on-rerun) Monte-Carlo fan-out.  With
-    # --no-cache there is nothing to warm, so skip the extra sweep.
-    if not args.no_cache:
-        run_benchmark_suite(
-            datasets=names,
-            seed=args.seed,
-            include_approximate_baseline=False,
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            training_sigma=args.training_sigma,
-            engine=args.engine,
-            ppa_backend=args.ppa_backend,
-        )
     renders = []
     for sigma in normalize_sigmas(tuple(args.sigma)):
         explorations = [
@@ -566,12 +551,13 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     """Compute one shard of the suite's work units into the result store."""
     plan = _plan_from_args(args)
     units = plan.shard(args.shard)
-    n_suite = sum(1 for unit in units if unit.kind == "suite")
-    n_variation = len(units) - n_suite
+    counts = ", ".join(
+        f"{sum(unit.kind == kind for unit in units)} {kind}"
+        for kind in ("suite", "point", "variation")
+    )
     print(
         f"plan: {len(plan.units)} work units over {len(plan.datasets)} "
-        f"benchmarks; shard {args.shard}: {len(units)} units "
-        f"({n_suite} suite, {n_variation} variation)"
+        f"benchmarks; shard {args.shard}: {len(units)} units ({counts})"
     )
     if args.list_units:
         for unit in units:
@@ -684,26 +670,19 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
 
 
 def _cmd_datasheet(args: argparse.Namespace) -> int:
-    from repro.core.adc_aware_training import ADCAwareTrainer
     from repro.core.datasheet import generate_datasheet
-    from repro.mltrees.evaluation import train_test_split
-    from repro.mltrees.quantize import quantize_dataset
+    from repro.core.design import DesignSpec
 
-    dataset = load_dataset(args.dataset, seed=args.seed)
-    X_train, X_test, y_train, y_test = train_test_split(
-        dataset.X, dataset.y, test_size=0.3, seed=args.seed
-    )
-    tree = ADCAwareTrainer(
-        max_depth=args.depth, gini_threshold=args.tau, seed=args.seed
-    ).fit(quantize_dataset(X_train), y_train, dataset.n_classes)
+    spec = DesignSpec(args.dataset, args.seed, args.depth, args.tau)
+    data = spec.data()
     print(
         generate_datasheet(
-            tree,
-            name=f"{dataset.name} classifier (depth {args.depth}, tau {args.tau:g})",
-            feature_names=dataset.feature_names,
-            class_names=dataset.class_names,
-            X_test=X_test,
-            y_test=y_test,
+            spec.train(),
+            name=f"{spec.dataset} classifier (depth {args.depth}, tau {args.tau:g})",
+            feature_names=data.dataset.feature_names,
+            class_names=data.dataset.class_names,
+            X_test=data.X_test,
+            y_test=data.y_test,
             ppa_backend=args.ppa_backend,
         )
     )
@@ -712,21 +691,11 @@ def _cmd_datasheet(args: argparse.Namespace) -> int:
 
 def _cosim_netlist(args: argparse.Namespace):
     """Train the requested classifier and compile its label-logic netlist."""
-    from repro.core.adc_aware_training import ADCAwareTrainer
+    from repro.core.design import DesignSpec
     from repro.core.unary_tree import UnaryDecisionTree
-    from repro.mltrees.evaluation import train_test_split
-    from repro.mltrees.quantize import quantize_dataset
 
-    dataset = load_dataset(args.dataset, seed=args.seed)
-    X_train, _, y_train, _ = train_test_split(
-        dataset.X, dataset.y, test_size=0.3, seed=args.seed
-    )
-    tree = ADCAwareTrainer(
-        max_depth=args.depth, gini_threshold=args.tau, seed=args.seed
-    ).fit(quantize_dataset(X_train), y_train, dataset.n_classes)
-    return UnaryDecisionTree(tree).to_netlist(
-        f"{args.dataset}_label_logic"
-    )
+    tree = DesignSpec(args.dataset, args.seed, args.depth, args.tau).train()
+    return UnaryDecisionTree(tree).to_netlist(f"{args.dataset}_label_logic")
 
 
 def _cmd_cosim(args: argparse.Namespace) -> int:

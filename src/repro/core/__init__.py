@@ -10,6 +10,8 @@ orchestration that ties them to the substrates:
   Section III-B from the trained tree parameters,
 * :mod:`repro.core.adc_aware_training` -- the ADC-aware training of
   Section III-C (Algorithm 1),
+* :mod:`repro.core.design` -- :class:`DesignSpec`, the one identity and
+  train/score/cost recipe of a design point,
 * :mod:`repro.core.exploration` -- the depth x tau design-space exploration
   and accuracy-loss-constrained selection used in Section IV,
 * :mod:`repro.core.codesign` -- the end-to-end :class:`CoDesignFramework`
@@ -47,13 +49,15 @@ from repro.core.sharding import (
     WorkUnit,
     normalize_sigmas,
     plan_suite_units,
+    point_work_unit,
     suite_work_unit,
     variation_work_unit,
 )
 from repro.core.unary_tree import UnaryDecisionTree
 from repro.core.bespoke_adc import build_bespoke_adcs, build_bespoke_frontend
 from repro.core.adc_aware_training import ADCAwareTrainer
-from repro.core.exploration import DesignPoint, DesignSpaceExplorer, select_best_design
+from repro.core.design import DesignPoint, DesignSpec
+from repro.core.exploration import DesignSpaceExplorer, select_best_design
 from repro.core.pareto import accuracy_area_front, accuracy_power_front, pareto_front
 from repro.core.power_budget import SelfPowerAnalysis, analyze_self_power
 from repro.core.variation import (
@@ -61,7 +65,6 @@ from repro.core.variation import (
     VariationAnalysis,
     offset_tolerance_sweep,
     simulate_offset_variation,
-    variation_result_key,
 )
 from repro.core.datasheet import generate_datasheet
 from repro.core.codesign import CoDesignFramework, CoDesignResult
@@ -81,6 +84,7 @@ __all__ = [
     "MissingResultsError",
     "normalize_sigmas",
     "plan_suite_units",
+    "point_work_unit",
     "suite_work_unit",
     "variation_work_unit",
     "HardwareReport",
@@ -93,6 +97,7 @@ __all__ = [
     "build_bespoke_frontend",
     "ADCAwareTrainer",
     "DesignPoint",
+    "DesignSpec",
     "DesignSpaceExplorer",
     "select_best_design",
     "pareto_front",
@@ -106,6 +111,5 @@ __all__ = [
     "VariationAnalysis",
     "simulate_offset_variation",
     "offset_tolerance_sweep",
-    "variation_result_key",
     "generate_datasheet",
 ]

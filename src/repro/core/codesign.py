@@ -19,19 +19,17 @@ the paper evaluates:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.baselines.balaskas import BalaskasApproximateDesign, fit_balaskas_design
 from repro.baselines.mubarik import BaselineBespokeDesign
-from repro.core.executor import Executor
+from repro.core.design import DesignPoint, proposed_hardware_report
 from repro.core.exploration import (
     DEFAULT_DEPTHS,
     DEFAULT_TAUS,
-    DesignPoint,
     DesignSpaceExplorer,
-    proposed_hardware_report,
     select_best_design,
 )
 from repro.core.metrics import ClassifierDesign, ReductionReport, compare_designs
@@ -94,6 +92,36 @@ class CoDesignResult:
         return analyze_self_power(chosen.hardware, technology)
 
 
+#: Accuracy-loss budgets of the paper's design selection (Fig. 5, Table II).
+DEFAULT_ACCURACY_LOSSES: tuple[float, ...] = (0.0, 0.01, 0.05)
+
+
+def select_designs(
+    reference: CoDesignResult,
+    exploration: list[DesignPoint],
+    accuracy_losses: tuple[float, ...] = DEFAULT_ACCURACY_LOSSES,
+) -> CoDesignResult:
+    """Complete a :meth:`CoDesignFramework.run_reference` result.
+
+    Attaches the explored points and picks the most power-efficient one for
+    every accuracy-loss budget (Fig. 5, Table II).
+    """
+    selected: dict[float, ClassifierDesign] = {}
+    for loss in accuracy_losses:
+        point = select_best_design(exploration, reference.baseline.accuracy, loss)
+        if point is None:
+            continue
+        selected[loss] = ClassifierDesign(
+            name=f"codesign (<= {loss:.0%} accuracy loss)",
+            dataset=reference.dataset,
+            accuracy=point.accuracy,
+            hardware=point.hardware,
+            depth=point.depth,
+            tau=point.tau,
+        )
+    return replace(reference, exploration=list(exploration), selected=selected)
+
+
 class CoDesignFramework:
     """Orchestrates the full paper flow for one dataset."""
 
@@ -104,11 +132,10 @@ class CoDesignFramework:
         max_baseline_depth: int = 8,
         depths: tuple[int, ...] = DEFAULT_DEPTHS,
         taus: tuple[float, ...] = DEFAULT_TAUS,
-        accuracy_losses: tuple[float, ...] = (0.0, 0.01, 0.05),
+        accuracy_losses: tuple[float, ...] = DEFAULT_ACCURACY_LOSSES,
         test_size: float = 0.3,
         seed: int = 0,
         include_approximate_baseline: bool = True,
-        executor: Executor | None = None,
         training_sigma: float = 0.0,
         robustness_weight: float = 1.0,
         engine: str = "batch",
@@ -136,11 +163,8 @@ class CoDesignFramework:
             raise ValueError("robustness_weight must be >= 0")
         self.training_sigma = training_sigma
         self.robustness_weight = robustness_weight
-        #: Execution backend for the depth x tau sweep (None: serial).  Not
-        #: part of the experiment configuration: it never changes results.
-        self.executor = executor
         #: Inference engine for the sweep's test-set scoring ("batch" or
-        #: "bitparallel").  Like the executor, pure execution tuning:
+        #: "bitparallel").  Pure execution tuning:
         #: engines are bit-identical, so results and cache keys never
         #: depend on it.
         self.engine = resolve_engine(engine)
@@ -240,49 +264,6 @@ class CoDesignFramework:
             y_test,
             n_classes=dataset.n_classes,
             dataset_name=dataset.name,
-            executor=self.executor,
-        )
-
-    def run_robustness(
-        self,
-        dataset: Dataset,
-        exploration: list[DesignPoint],
-        sigma_v: float,
-        n_trials: int = 100,
-        store=None,
-    ) -> list[DesignPoint]:
-        """Variation-aware pass: Monte-Carlo every explored design point.
-
-        Re-derives the paper's 70/30 split to recover the *analog* test
-        samples (offsets act in the continuous input domain, before
-        quantization) and fans one comparator-offset analysis per point
-        through the framework executor.  Per-point summaries are cached in
-        ``store`` under the shared variation keys.  The returned points carry
-        ``mean_accuracy_drop`` / ``worst_case_drop`` columns, ready for an
-        offset-aware :func:`~repro.core.exploration.select_best_design` with
-        a ``max_accuracy_drop`` constraint.
-        """
-        _, X_test, _, y_test = train_test_split(
-            dataset.X, dataset.y, test_size=self.test_size, seed=self.seed
-        )
-        explorer = DesignSpaceExplorer(
-            technology=self.technology,
-            resolution_bits=self.resolution_bits,
-            depths=self.depths,
-            taus=self.taus,
-            seed=self.seed,
-            training_sigma=self.training_sigma,
-            robustness_weight=self.robustness_weight,
-        )
-        return explorer.evaluate_robustness(
-            exploration,
-            X_test,
-            y_test,
-            sigma_v,
-            n_trials=n_trials,
-            executor=self.executor,
-            store=store,
-            test_size=self.test_size,
         )
 
     def run_approximate_baseline(
@@ -321,47 +302,45 @@ class CoDesignFramework:
     # ------------------------------------------------------------------ #
     # end-to-end
     # ------------------------------------------------------------------ #
-    def run(self, dataset: Dataset) -> CoDesignResult:
-        """Run the complete co-design flow on one benchmark dataset."""
-        X_train_levels, X_test_levels, y_train, y_test = self.prepare(dataset)
+    def run_reference(self, dataset: Dataset) -> CoDesignResult:
+        """The dataset's reference designs, without the exploration.
 
+        Baseline [2], its Fig. 4 unary re-implementation and (when enabled)
+        the approximate baseline [7]: everything of :meth:`run` that does
+        not depend on the depth x tau grid or the training knobs.  The
+        result has an empty ``exploration``; :func:`select_designs`
+        completes it.
+        """
+        X_train_levels, X_test_levels, y_train, y_test = self.prepare(dataset)
         baseline, unary = self.run_baseline(
             dataset, X_train_levels, y_train, X_test_levels, y_test
         )
-        exploration = self.run_exploration(
-            dataset, X_train_levels, y_train, X_test_levels, y_test
-        )
-
-        selected: dict[float, ClassifierDesign] = {}
-        for loss in self.accuracy_losses:
-            point = select_best_design(exploration, baseline.accuracy, loss)
-            if point is None:
-                continue
-            selected[loss] = ClassifierDesign(
-                name=f"codesign (<= {loss:.0%} accuracy loss)",
-                dataset=dataset.name,
-                accuracy=point.accuracy,
-                hardware=point.hardware,
-                depth=point.depth,
-                tau=point.tau,
-            )
-
         approximate = None
         if self.include_approximate_baseline:
             approximate = self.run_approximate_baseline(
                 dataset, baseline, X_train_levels, y_train, X_test_levels, y_test
             )
-
         return CoDesignResult(
             dataset=dataset.name,
             baseline=baseline,
             unary_bespoke_adc=unary,
-            exploration=exploration,
-            selected=selected,
+            exploration=[],
+            selected={},
             approximate_baseline=approximate,
             metadata={
                 "technology": self.technology,
                 "abbreviation": dataset.metadata.get("abbreviation", dataset.name[:2].upper()),
                 "seed": self.seed,
             },
+        )
+
+    def run(self, dataset: Dataset) -> CoDesignResult:
+        """Run the complete co-design flow on one benchmark dataset."""
+        X_train_levels, X_test_levels, y_train, y_test = self.prepare(dataset)
+        return select_designs(
+            self.run_reference(dataset),
+            self.run_exploration(
+                dataset, X_train_levels, y_train, X_test_levels, y_test
+            ),
+            self.accuracy_losses,
         )

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.bespoke_adc import build_bespoke_adcs
-from repro.core.exploration import proposed_hardware_report
+from repro.core.design import proposed_hardware_report
 from repro.core.power_budget import analyze_self_power
 from repro.core.unary_tree import UnaryDecisionTree
 from repro.mltrees.evaluation import accuracy_score

@@ -15,27 +15,21 @@ variation-aware extension): per-point analyses fan out through the
 keys ``repro.cli variation`` uses, and :func:`select_best_design` can then
 constrain the selection by ``max_accuracy_drop`` -- the offset-aware
 co-design of Table II.
+
+Every grid point is one :class:`~repro.core.design.DesignSpec`: the
+explorer only fixes the knobs its points share.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
 import numpy as np
 
-from repro.core.adc_aware_training import ADCAwareTrainer
-from repro.core.bespoke_adc import build_bespoke_frontend
+# DesignPoint and proposed_hardware_report stay part of this module's interface.
+from repro.core.design import DesignPoint, DesignSpec, proposed_hardware_report  # noqa: F401
 from repro.core.executor import Executor, SerialExecutor
-from repro.core.metrics import HardwareReport
 from repro.core.store import ResultStore
-from repro.core.unary_tree import UnaryDecisionTree
-from repro.core.variation import (
-    VariationAnalysis,
-    simulate_offset_variation,
-    variation_result_key,
-)
-from repro.mltrees.evaluation import evaluate_tree_accuracy, resolve_engine
-from repro.mltrees.tree import DecisionTree
+from repro.core.variation import VariationAnalysis, simulate_offset_variation
+from repro.mltrees.evaluation import resolve_engine
 from repro.pdk.egfet import EGFETTechnology, default_technology
 
 #: Default tau grid of the paper: 0 to 0.03 in increments of 0.005.
@@ -56,103 +50,6 @@ def grid_points(
     table rows and shard assignments can never disagree about order.
     """
     return tuple((depth, tau) for depth in depths for tau in taus)
-
-
-@dataclass(frozen=True)
-class DesignPoint:
-    """One evaluated point of the depth x tau design space.
-
-    ``robustness`` is ``None`` after the nominal sweep; the variation-aware
-    pass (:meth:`DesignSpaceExplorer.evaluate_robustness`) fills it with the
-    point's comparator-offset Monte-Carlo summary, which surfaces as the
-    ``mean_accuracy_drop`` / ``worst_case_drop`` columns of the analysis
-    tables.
-    """
-
-    dataset: str
-    depth: int
-    tau: float
-    accuracy: float
-    hardware: HardwareReport
-    tree: DecisionTree = field(repr=False)
-    robustness: VariationAnalysis | None = field(default=None, repr=False)
-
-    @property
-    def total_area_mm2(self) -> float:
-        """Total area of the design point."""
-        return self.hardware.total_area_mm2
-
-    @property
-    def total_power_uw(self) -> float:
-        """Total power of the design point in uW."""
-        return self.hardware.total_power_uw
-
-    @property
-    def mean_accuracy_drop(self) -> float | None:
-        """Average accuracy lost to comparator offsets (None before the pass)."""
-        return None if self.robustness is None else self.robustness.mean_accuracy_drop
-
-    @property
-    def worst_case_drop(self) -> float | None:
-        """Worst-case accuracy lost to comparator offsets (None before the pass)."""
-        return None if self.robustness is None else self.robustness.worst_case_drop
-
-    def with_robustness(self, analysis: VariationAnalysis) -> "DesignPoint":
-        """Copy of this point carrying a Monte-Carlo robustness summary."""
-        return replace(self, robustness=analysis)
-
-    @property
-    def kernel(self):
-        """The point's compiled bit-parallel inference kernel.
-
-        Compiled on first access and cached on the underlying tree (see
-        :func:`repro.core.bitkernel.compile_tree_kernel`), so every copy of
-        this point -- including the robustness-annotated ones, which share
-        the tree instance -- reuses one compilation.  This is the kernel a
-        serving layer evaluates promoted designs with.
-        """
-        from repro.core.bitkernel import compile_tree_kernel
-
-        return compile_tree_kernel(self.tree)
-
-
-def proposed_hardware_report(
-    tree: DecisionTree,
-    technology: EGFETTechnology | None = None,
-    name: str = "proposed",
-    ppa_backend=None,
-) -> HardwareReport:
-    """Hardware report of a tree implemented with the proposed architecture.
-
-    The tree is translated into the parallel unary architecture, its
-    two-level label logic is synthesized and costed, and every used input
-    receives a bespoke ADC retaining only the required unary digits.
-
-    ``ppa_backend`` selects where the *digital* costs come from (default:
-    the analytic cell-count model, bit-identical to the pre-backend code
-    path; see :mod:`repro.circuits.ppa`).  The bespoke-ADC front end is an
-    analog block outside any digital PPA flow, so its costs always come from
-    the behavioral ADC model.
-    """
-    technology = technology if technology is not None else default_technology()
-    unary = UnaryDecisionTree(tree)
-    digital = unary.digital_report(technology, ppa_backend=ppa_backend)
-    if unary.n_inputs > 0:
-        frontend = build_bespoke_frontend(unary, technology)
-        adc_area, adc_power = frontend.area_mm2, frontend.power_uw
-        n_adc_comparators = frontend.n_comparators
-    else:  # degenerate single-leaf tree: nothing to digitize
-        adc_area, adc_power, n_adc_comparators = 0.0, 0.0, 0
-    return HardwareReport(
-        name=name,
-        adc_area_mm2=adc_area,
-        adc_power_uw=adc_power,
-        digital_area_mm2=digital.area_mm2,
-        digital_power_uw=digital.power_uw,
-        n_inputs=unary.n_inputs,
-        n_tree_comparators=0,  # the unary architecture removes all tree comparators
-        n_adc_comparators=n_adc_comparators,
-    )
 
 
 class DesignSpaceExplorer:
@@ -214,6 +111,20 @@ class DesignSpaceExplorer:
         if not self.depths or not self.taus:
             raise ValueError("the exploration grid must not be empty")
 
+    def spec(self, dataset_name: str, depth: int, tau: float, test_size: float = 0.3) -> DesignSpec:
+        """The :class:`DesignSpec` of one grid point under this explorer's knobs."""
+        return DesignSpec(
+            dataset_name,
+            seed=self.seed,
+            depth=depth,
+            tau=tau,
+            resolution_bits=self.resolution_bits,
+            technology=self.technology,
+            test_size=test_size,
+            training_sigma=self.training_sigma,
+            robustness_weight=self.robustness_weight,
+        )
+
     def evaluate_point(
         self,
         X_train_levels: np.ndarray,
@@ -226,35 +137,9 @@ class DesignSpaceExplorer:
         dataset_name: str = "",
     ) -> DesignPoint:
         """Train and cost one (depth, tau) combination."""
-        trainer = ADCAwareTrainer(
-            max_depth=depth,
-            gini_threshold=tau,
-            resolution_bits=self.resolution_bits,
-            seed=self.seed,
-            # The trainer works in normalized full-scale units; the explorer
-            # speaks volts like every other sigma in the repository.
-            training_sigma=self.training_sigma / self.technology.vdd,
-            robustness_weight=(
-                self.robustness_weight if self.training_sigma > 0 else 0.0
-            ),
-        )
-        tree = trainer.fit(X_train_levels, y_train, n_classes)
-        accuracy = evaluate_tree_accuracy(
-            tree, X_test_levels, y_test, engine=self.engine
-        )
-        hardware = proposed_hardware_report(
-            tree,
-            self.technology,
-            name=f"codesign[d={depth},tau={tau:g}]",
-            ppa_backend=self.ppa_backend,
-        )
-        return DesignPoint(
-            dataset=dataset_name,
-            depth=depth,
-            tau=tau,
-            accuracy=accuracy,
-            hardware=hardware,
-            tree=tree,
+        return self.spec(dataset_name, depth, tau).evaluate_levels(
+            X_train_levels, y_train, X_test_levels, y_test, n_classes,
+            engine=self.engine, ppa_backend=self.ppa_backend,
         )
 
     def explore(
@@ -277,20 +162,11 @@ class DesignSpaceExplorer:
         """
         executor = executor if executor is not None else SerialExecutor()
         tasks = [
-            (
-                self,
-                X_train_levels,
-                y_train,
-                X_test_levels,
-                y_test,
-                n_classes,
-                depth,
-                tau,
-                dataset_name,
-            )
+            (X_train_levels, y_train, X_test_levels, y_test, n_classes, depth, tau,
+             dataset_name)
             for depth, tau in grid_points(self.depths, self.taus)
         ]
-        return executor.map(_evaluate_point_job, tasks)
+        return executor.map(self.evaluate_point, tasks)
 
     def evaluate_robustness(
         self,
@@ -341,19 +217,9 @@ class DesignSpaceExplorer:
         pending: list[int] = []
         for index, point in enumerate(points):
             if store is not None:
-                key = variation_result_key(
-                    point.dataset,
-                    self.seed,
-                    sigma_v,
-                    n_trials,
-                    point.depth,
-                    point.tau,
-                    self.resolution_bits,
-                    technology=self.technology,
-                    test_size=test_size,
-                    training_sigma=self.training_sigma,
-                    robustness_weight=self.robustness_weight,
-                )
+                key = self.spec(
+                    point.dataset, point.depth, point.tau, test_size
+                ).variation_key(sigma_v, n_trials)
                 keys[index] = key
                 cached = store.get(key)
                 if cached is not None:
@@ -375,58 +241,13 @@ class DesignSpaceExplorer:
                 for index in pending
             ]
             for index, analysis in zip(
-                pending, executor.map(_robustness_point_job, tasks)
+                pending, executor.map(simulate_offset_variation, tasks)
             ):
                 analyses[index] = analysis
                 if store is not None:
                     store.put(keys[index], analysis)
 
         return [point.with_robustness(analyses[i]) for i, point in enumerate(points)]
-
-
-def _evaluate_point_job(
-    explorer: DesignSpaceExplorer,
-    X_train_levels: np.ndarray,
-    y_train: np.ndarray,
-    X_test_levels: np.ndarray,
-    y_test: np.ndarray,
-    n_classes: int,
-    depth: int,
-    tau: float,
-    dataset_name: str,
-) -> DesignPoint:
-    """Picklable top-level job wrapper for :meth:`DesignSpaceExplorer.explore`."""
-    return explorer.evaluate_point(
-        X_train_levels,
-        y_train,
-        X_test_levels,
-        y_test,
-        n_classes,
-        depth,
-        tau,
-        dataset_name,
-    )
-
-
-def _robustness_point_job(
-    tree: DecisionTree,
-    X_test: np.ndarray,
-    y_test: np.ndarray,
-    sigma_v: float,
-    n_trials: int,
-    technology: EGFETTechnology,
-    seed: int,
-) -> VariationAnalysis:
-    """Picklable top-level job: Monte-Carlo one design point's robustness.
-
-    Trial batches are *not* fanned out further (``jobs`` stays serial inside
-    the job); the parallelism lives at the per-point level, where the grid is
-    wide enough to keep every worker busy.
-    """
-    return simulate_offset_variation(
-        tree, X_test, y_test, sigma_v, n_trials=n_trials,
-        technology=technology, seed=seed,
-    )
 
 
 def select_best_design(

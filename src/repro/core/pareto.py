@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 
-from repro.core.exploration import DesignPoint
+from repro.core.design import DesignPoint
 
 
 def dominates(a: Sequence[float], b: Sequence[float]) -> bool:

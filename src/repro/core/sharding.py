@@ -2,14 +2,18 @@
 
 A *work unit* is one store-addressable computation of the benchmark suite:
 
-* a ``suite`` unit -- the full co-design flow of one benchmark dataset at
-  one ``include_approximate_baseline`` variant (the per-dataset cache
-  granularity of :func:`repro.analysis.experiments.run_benchmark_suite`;
-  Table I and Figs. 4/5 render from the ``False`` variant, Table II from
-  ``True``), and
+* a ``suite`` unit -- the reference designs of one benchmark dataset at one
+  ``include_approximate_baseline`` variant: baseline [2], its unary
+  re-implementation and, for the ``True`` variant, the approximate baseline
+  [7] (Table I and Figs. 4/5 render from the ``False`` variant, Table II
+  from ``True``);
+* a ``point`` unit -- one trained, scored and costed design point, i.e. one
+  :class:`~repro.core.design.DesignSpec` (a suite's exploration is its 49
+  point units on the paper grid), and
 * a ``variation`` unit -- one comparator-offset Monte-Carlo summary of one
-  (dataset, depth, tau) design point at a given sigma (the per-point cache
-  granularity shared by ``repro.cli variation`` and ``explore``).
+  design point at a given sigma and trial count (the per-point cache
+  granularity shared by ``repro.cli variation``, ``explore`` and
+  ``surface``).
 
 :func:`plan_suite_units` enumerates the units of a suite configuration in a
 canonical order, and every unit assigns itself to one of ``N`` shards by
@@ -37,11 +41,9 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
+from repro.core.design import DesignSpec
 from repro.core.exploration import DEFAULT_DEPTHS, DEFAULT_TAUS, grid_points
-from repro.core.store import make_key
-from repro.core.variation import canonical_training_knobs, variation_result_key
 from repro.datasets.registry import canonical_name
-from repro.pdk.egfet import default_technology
 
 
 def normalize_sigmas(
@@ -69,80 +71,6 @@ def normalize_sigmas(
             raise ValueError(f"sigma must be >= 0, got {sigma:g}")
         values.append(sigma)
     return tuple(sorted(set(values)))
-
-
-def suite_result_key(
-    dataset: str,
-    seed: int,
-    include_approximate_baseline: bool,
-    depths: tuple[int, ...],
-    taus: tuple[float, ...],
-    training_sigma: float = 0.0,
-    robustness_weight: float = 1.0,
-) -> str:
-    """Content-address one benchmark run of the suite configuration.
-
-    The key normalizes the dataset name and the grid containers and folds in
-    the (default) technology and the code version, so equivalent requests
-    alias and stale results from older code do not.  The offset-aware
-    training knobs participate too (canonicalized: ``training_sigma == 0``
-    zeroes the weight, because the penalty is inert then), so nominal and
-    offset-aware sweeps address distinct entries while equivalent nominal
-    requests keep aliasing.
-    """
-    training_sigma, robustness_weight = canonical_training_knobs(
-        training_sigma, robustness_weight
-    )
-    return make_key(
-        dataset=canonical_name(dataset),
-        seed=seed,
-        include_approximate_baseline=bool(include_approximate_baseline),
-        depths=tuple(depths),
-        taus=tuple(taus),
-        technology=default_technology(),
-        training_sigma=float(training_sigma),
-        robustness_weight=float(robustness_weight),
-    )
-
-
-def canonical_trial_key(
-    dataset: str,
-    seed: int,
-    depth: int,
-    tau: float,
-    resolution_bits: int = 4,
-    technology=None,
-    test_size: float = 0.3,
-    training_sigma: float = 0.0,
-    robustness_weight: float = 1.0,
-) -> str:
-    """Content-address one (dataset, depth, tau, training) design point.
-
-    This is the **single** cache identity for an individually evaluated
-    design point, shared by search trials (:mod:`repro.search`) and any
-    future per-point consumer, so two code paths evaluating the same point
-    can never drift to different keys.  Normalization mirrors the suite and
-    variation keys exactly: canonical dataset name, canonical training
-    knobs (``training_sigma == 0`` zeroes the weight -- the penalty is
-    inert then, and ``robustness_weight == 0`` zeroes the sigma for the
-    same reason), the default technology when none is given, and the code
-    version folded in by :func:`~repro.core.store.make_key`.
-    """
-    training_sigma, robustness_weight = canonical_training_knobs(
-        training_sigma, robustness_weight
-    )
-    return make_key(
-        kind="design_point",
-        dataset=canonical_name(dataset),
-        seed=int(seed),
-        depth=int(depth),
-        tau=float(tau),
-        resolution_bits=int(resolution_bits),
-        technology=technology if technology is not None else default_technology(),
-        test_size=float(test_size),
-        training_sigma=float(training_sigma),
-        robustness_weight=float(robustness_weight),
-    )
 
 
 @dataclass(frozen=True)
@@ -184,18 +112,20 @@ class WorkUnit:
 
     ``identity`` is the unit's canonical, code-version-independent identity
     (primitives only) -- the sole input of the shard hash, so membership
-    survives version bumps even though ``store_key`` does not.  ``params``
-    carries everything needed to compute the unit; it does not participate
+    survives version bumps even though ``store_key`` does not.  ``spec``
+    (the design point of a ``point`` or ``variation`` unit) and ``params``
+    carry everything else needed to compute the unit; neither participates
     in equality or hashing.
     """
 
-    kind: str  #: ``"suite"`` or ``"variation"``
+    kind: str  #: ``"suite"``, ``"point"`` or ``"variation"``
     dataset: str
     seed: int
     label: str  #: human-readable name used in plans and error listings
     store_key: str  #: content address of the result in the ResultStore
     identity: tuple
-    params: dict = field(compare=False, repr=False)
+    spec: DesignSpec | None = field(default=None, compare=False, repr=False)
+    params: dict = field(default_factory=dict, compare=False, repr=False)
 
     def shard_index(self, n_shards: int) -> int:
         """Stable 1-based shard assignment of this unit among ``n_shards``.
@@ -211,87 +141,55 @@ class WorkUnit:
         return int.from_bytes(digest[:8], "big") % n_shards + 1
 
 
-def suite_work_unit(
-    dataset: str,
-    seed: int,
-    include_approximate_baseline: bool,
-    depths: tuple[int, ...],
-    taus: tuple[float, ...],
-    training_sigma: float = 0.0,
-    robustness_weight: float = 1.0,
-) -> WorkUnit:
-    """The work unit of one per-dataset suite run (one cache entry)."""
-    name = canonical_name(dataset)
-    training_sigma, robustness_weight = canonical_training_knobs(
-        training_sigma, robustness_weight
+def _spec_identity(spec: DesignSpec) -> tuple:
+    """Primitive identity of a default-technology design point."""
+    return (
+        spec.dataset, spec.seed, spec.depth, spec.tau, spec.resolution_bits,
+        spec.test_size, spec.training_sigma, spec.robustness_weight,
     )
+
+
+def suite_work_unit(
+    dataset: str, seed: int, include_approximate_baseline: bool
+) -> WorkUnit:
+    """The work unit of one benchmark's reference designs (one cache entry)."""
+    base = DesignSpec(dataset, seed)
     variant = "table2" if include_approximate_baseline else "table1"
     return WorkUnit(
         kind="suite",
-        dataset=name,
-        seed=int(seed),
-        label=f"suite:{name}[{variant}]",
-        store_key=suite_result_key(
-            name, seed, include_approximate_baseline, depths, taus,
-            training_sigma=training_sigma, robustness_weight=robustness_weight,
-        ),
-        identity=(
-            "suite", name, int(seed), bool(include_approximate_baseline),
-            tuple(depths), tuple(taus),
-            float(training_sigma), float(robustness_weight),
-        ),
-        params={
-            "include_approximate_baseline": bool(include_approximate_baseline),
-            "depths": tuple(depths),
-            "taus": tuple(taus),
-            "training_sigma": float(training_sigma),
-            "robustness_weight": float(robustness_weight),
-        },
+        dataset=base.dataset,
+        seed=base.seed,
+        label=f"suite:{base.dataset}[{variant}]",
+        store_key=base.reference_key(include_approximate_baseline),
+        identity=("suite", base.dataset, base.seed, bool(include_approximate_baseline)),
+        params={"include_approximate_baseline": bool(include_approximate_baseline)},
     )
 
 
-def variation_work_unit(
-    dataset: str,
-    seed: int,
-    sigma_v: float,
-    n_trials: int,
-    depth: int,
-    tau: float,
-    resolution_bits: int = 4,
-    test_size: float = 0.3,
-    training_sigma: float = 0.0,
-    robustness_weight: float = 1.0,
-) -> WorkUnit:
+def point_work_unit(spec: DesignSpec) -> WorkUnit:
+    """The work unit of one trained, scored and costed design point."""
+    return WorkUnit(
+        kind="point",
+        dataset=spec.dataset,
+        seed=spec.seed,
+        label=f"point:{spec.label}",
+        store_key=spec.key(),
+        identity=("point", *_spec_identity(spec)),
+        spec=spec,
+    )
+
+
+def variation_work_unit(spec: DesignSpec, sigma_v: float, n_trials: int) -> WorkUnit:
     """The work unit of one per-point offset Monte-Carlo (one cache entry)."""
-    name = canonical_name(dataset)
-    training_sigma, robustness_weight = canonical_training_knobs(
-        training_sigma, robustness_weight
-    )
     return WorkUnit(
         kind="variation",
-        dataset=name,
-        seed=int(seed),
-        label=f"variation:{name}[d={depth},tau={tau:g},sigma={sigma_v:g}]",
-        store_key=variation_result_key(
-            name, seed, sigma_v, n_trials, depth, tau, resolution_bits,
-            test_size=test_size,
-            training_sigma=training_sigma, robustness_weight=robustness_weight,
-        ),
-        identity=(
-            "variation", name, int(seed), float(sigma_v), int(n_trials),
-            int(depth), float(tau), int(resolution_bits), float(test_size),
-            float(training_sigma), float(robustness_weight),
-        ),
-        params={
-            "sigma_v": float(sigma_v),
-            "n_trials": int(n_trials),
-            "depth": int(depth),
-            "tau": float(tau),
-            "resolution_bits": int(resolution_bits),
-            "test_size": float(test_size),
-            "training_sigma": float(training_sigma),
-            "robustness_weight": float(robustness_weight),
-        },
+        dataset=spec.dataset,
+        seed=spec.seed,
+        label=f"variation:{spec.dataset}[d={spec.depth},tau={spec.tau:g},sigma={sigma_v:g}]",
+        store_key=spec.variation_key(sigma_v, n_trials),
+        identity=("variation", *_spec_identity(spec), float(sigma_v), int(n_trials)),
+        spec=spec,
+        params={"sigma_v": float(sigma_v), "n_trials": int(n_trials)},
     )
 
 
@@ -319,22 +217,14 @@ class MissingResultsError(RuntimeError):
 class SuitePlan:
     """The deterministic work-unit enumeration of one suite configuration.
 
-    Carries the configuration itself (so a shard runner can reconstruct the
-    exact :func:`~repro.analysis.experiments.run_benchmark_suite` calls) and
-    the canonical unit tuple.  Partitioning happens per unit via
-    :meth:`WorkUnit.shard_index`; :meth:`shard` filters, :meth:`missing`
-    diffs the plan against a store.
+    The canonical benchmark and sigma lists (what the assemble step renders)
+    and the canonical unit tuple; every unit carries what computing it
+    needs.  Partitioning happens per unit via :meth:`WorkUnit.shard_index`;
+    :meth:`shard` filters, :meth:`missing` diffs the plan against a store.
     """
 
     datasets: tuple[str, ...]
-    seed: int
-    depths: tuple[int, ...]
-    taus: tuple[float, ...]
-    include_approximate_variants: tuple[bool, ...]
     sigmas: tuple[float, ...]
-    n_trials: int
-    training_sigma: float
-    robustness_weight: float
     units: tuple[WorkUnit, ...]
 
     @property
@@ -370,8 +260,6 @@ def plan_suite_units(
     include_approximate_variants: tuple[bool, ...] = (False, True),
     sigma_v: float | None = None,
     n_trials: int = 100,
-    resolution_bits: int = 4,
-    test_size: float = 0.3,
     training_sigma: float = 0.0,
     robustness_weight: float = 1.0,
     sigmas: tuple[float, ...] | None = None,
@@ -379,59 +267,45 @@ def plan_suite_units(
     """Enumerate the work units of one suite configuration, in canonical order.
 
     Suite units come first (dataset-major, the ``include_approximate``
-    variants inner); with ``sigmas`` given (or the legacy single-value
-    ``sigma_v`` spelling), one variation unit per (dataset, sigma, depth,
-    tau) point follows (dataset-major, sigmas ascending, the grid in the
-    depth-major order of :func:`~repro.core.exploration.grid_points`).  The
-    sigma request is canonicalized by :func:`normalize_sigmas` before
-    enumeration, so per-unit identities -- and therefore shard membership
-    and store keys -- are invariant to sigma ordering and duplicates, and a
-    single-sigma plan is unit-for-unit identical whichever spelling made it.
-    The enumeration order is presentation only -- shard membership depends
-    on each unit's identity alone, so reordering ``datasets`` never moves a
-    unit between shards.
+    variants inner), then one point unit per (dataset, depth, tau) in the
+    depth-major order of :func:`~repro.core.exploration.grid_points`; with
+    ``sigmas`` given (or the legacy single-value ``sigma_v`` spelling), one
+    variation unit per (dataset, sigma, depth, tau) point follows
+    (dataset-major, sigmas ascending, the grid inner).  The sigma request is
+    canonicalized by :func:`normalize_sigmas` before enumeration, so
+    per-unit identities -- and therefore shard membership and store keys --
+    are invariant to sigma ordering and duplicates, and a single-sigma plan
+    is unit-for-unit identical whichever spelling made it.  The enumeration
+    order is presentation only -- shard membership depends on each unit's
+    identity alone, so reordering ``datasets`` never moves a unit between
+    shards.
     """
     # Deferred: experiments imports this module (layering: analysis -> core).
     from repro.analysis.experiments import resolve_suite_datasets
 
     requested = resolve_suite_datasets(datasets, fast)
     names = tuple(dict.fromkeys(canonical_name(name) for name in requested))
-    training_sigma, robustness_weight = canonical_training_knobs(
-        training_sigma, robustness_weight
-    )
     sigma_values = normalize_sigmas(sigmas, sigma_v)
-    units: list[WorkUnit] = []
-    for name in names:
-        for variant in include_approximate_variants:
-            units.append(
-                suite_work_unit(
-                    name, seed, variant, depths, taus,
-                    training_sigma=training_sigma,
-                    robustness_weight=robustness_weight,
-                )
+    specs = {
+        name: [
+            DesignSpec(
+                name, seed, depth, tau,
+                training_sigma=training_sigma, robustness_weight=robustness_weight,
             )
-    for name in names:
-        for sigma in sigma_values:
-            for depth, tau in grid_points(depths, taus):
-                units.append(
-                    variation_work_unit(
-                        name, seed, sigma, n_trials, depth, tau,
-                        resolution_bits=resolution_bits, test_size=test_size,
-                        training_sigma=training_sigma,
-                        robustness_weight=robustness_weight,
-                    )
-                )
-    return SuitePlan(
-        datasets=names,
-        seed=int(seed),
-        depths=tuple(depths),
-        taus=tuple(taus),
-        include_approximate_variants=tuple(
-            bool(v) for v in include_approximate_variants
-        ),
-        sigmas=sigma_values,
-        n_trials=int(n_trials),
-        training_sigma=float(training_sigma),
-        robustness_weight=float(robustness_weight),
-        units=tuple(units),
-    )
+            for depth, tau in grid_points(depths, taus)
+        ]
+        for name in names
+    }
+    units: list[WorkUnit] = [
+        suite_work_unit(name, seed, variant)
+        for name in names
+        for variant in include_approximate_variants
+    ]
+    units += [point_work_unit(spec) for name in names for spec in specs[name]]
+    units += [
+        variation_work_unit(spec, sigma, n_trials)
+        for name in names
+        for sigma in sigma_values
+        for spec in specs[name]
+    ]
+    return SuitePlan(datasets=names, sigmas=sigma_values, units=tuple(units))

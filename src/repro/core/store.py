@@ -1,9 +1,10 @@
 """Content-addressed on-disk store for experiment results.
 
-:class:`ResultStore` persists expensive experiment outputs (one
-:class:`~repro.core.codesign.CoDesignResult` per benchmark configuration)
-under a key derived from *what* was computed -- dataset name, seed, grid,
-technology, code version -- rather than *when*.  Unlike the in-process
+:class:`ResultStore` persists expensive experiment outputs (one trained
+design point, Monte-Carlo summary or set of reference designs per entry)
+under a key derived from *what* was computed -- the
+:class:`~repro.core.design.DesignSpec` fields and the code version --
+rather than *when*.  Unlike the in-process
 ``lru_cache`` it replaces, the store survives interpreter restarts and is
 shared between processes and CI jobs: a nightly run warms the cache that the
 next benchmark script reads.
@@ -35,8 +36,10 @@ from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 #: Bump when the *stored payload* layout changes incompatibly (independent of
-#: the package version, which already participates in the key).
-STORE_SCHEMA_VERSION = 1
+#: the package version, which already participates in the key).  Schema 2:
+#: suites are stored as one reference entry plus one DesignPoint entry per
+#: grid point, all keyed through :class:`repro.core.design.DesignSpec`.
+STORE_SCHEMA_VERSION = 2
 
 #: A ``*.tmp`` file younger than this is presumed to be a concurrent writer's
 #: in-flight entry (mkstemp -> os.replace window) and is never swept.

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.executor import get_executor
-from repro.core.store import make_key
 from repro.core.unary_tree import UnaryDecisionTree
 from repro.mltrees.evaluation import accuracy_score
 from repro.mltrees.split_search import normal_cdf
@@ -179,70 +178,13 @@ def canonical_training_knobs(
     The expected-flip penalty is inert unless *both* knobs are positive --
     the trainer then grows exactly the nominal tree -- so every inert
     spelling collapses to ``(0.0, 0.0)`` and nominal requests alias one
-    entry no matter how they were phrased.  Single source of truth for
-    :func:`variation_result_key` and the suite key in
-    :mod:`repro.analysis.experiments`.
+    entry no matter how they were phrased.  Applied by
+    :class:`~repro.core.design.DesignSpec`, the one cache identity of a
+    trained design point.
     """
     if training_sigma == 0.0 or robustness_weight == 0.0:
         return 0.0, 0.0
     return float(training_sigma), float(robustness_weight)
-
-
-def variation_result_key(
-    dataset: str,
-    seed: int,
-    sigma_v: float,
-    n_trials: int,
-    depth: int,
-    tau: float,
-    resolution_bits: int = 4,
-    technology: EGFETTechnology | None = None,
-    test_size: float = 0.3,
-    training_sigma: float = 0.0,
-    robustness_weight: float = 1.0,
-) -> str:
-    """Content-address one Monte-Carlo offset-variation run.
-
-    The classifier under analysis is fully determined by ``(dataset, seed,
-    depth, tau, resolution_bits, test_size, training_sigma,
-    robustness_weight)`` -- the ADC-aware tree trained on the ``test_size``
-    split (0.3, the paper's 70/30 protocol, by default), nominally or with
-    the offset-aware split-scoring penalty -- so the same key serves both
-    the per-seed summaries of ``repro.cli variation`` and the per-point
-    robustness columns of the design-space exploration: either entry point
-    warms the cache for the other.  ``technology`` (default: the calibrated
-    EGFET corner) must match the technology the simulation runs at -- its
-    supply voltage scales the offsets -- so custom-corner studies address
-    distinct entries, as do runs on non-default splits.  The training
-    parameters are canonicalized (a zero ``training_sigma`` zeroes the
-    weight too, because the penalty is inert then), so nominal requests
-    phrased either way alias one entry.  Dataset abbreviations alias their
-    canonical names; unregistered dataset names (ad-hoc studies) are keyed
-    verbatim.
-    """
-    from repro.datasets.registry import canonical_name
-
-    try:
-        dataset = canonical_name(dataset)
-    except KeyError:
-        pass
-    training_sigma, robustness_weight = canonical_training_knobs(
-        training_sigma, robustness_weight
-    )
-    return make_key(
-        kind="offset_variation",
-        dataset=dataset,
-        seed=seed,
-        sigma_v=float(sigma_v),
-        n_trials=int(n_trials),
-        depth=int(depth),
-        tau=float(tau),
-        resolution_bits=int(resolution_bits),
-        technology=technology if technology is not None else default_technology(),
-        test_size=float(test_size),
-        training_sigma=float(training_sigma),
-        robustness_weight=float(robustness_weight),
-    )
 
 
 @dataclass(frozen=True)

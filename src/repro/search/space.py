@@ -9,7 +9,7 @@ native values and the unit interval (``encode`` / ``decode``), and
 floating-point spellings of the same trial collapse to one canonical
 configuration, one :func:`SearchSpace.config_id`, and therefore one
 deterministic cache identity
-(:func:`repro.core.sharding.canonical_trial_key`).  That snap is what makes
+(:meth:`repro.core.design.DesignSpec.key`).  That snap is what makes
 trial dedup and cache warm-starts exact instead of epsilon-fuzzy.
 
 Discrete spaces (every dimension integer, categorical or step-quantized)

@@ -2,23 +2,14 @@
 
 :class:`Study` runs a :class:`~repro.search.optimizer.ParetoTPESampler`
 against one benchmark dataset for a fixed trial budget.  Each sampled
-configuration maps to **one deterministic cache identity**
-(:func:`repro.core.sharding.canonical_trial_key`), and trials resolve in
-layers before anything trains:
-
-1. the per-trial entry itself (a previous study evaluated this point);
-2. the per-dataset suite entry -- configurations on the paper grid extract
-   their :class:`~repro.core.exploration.DesignPoint` straight out of a
-   cached :class:`~repro.core.codesign.CoDesignResult` sweep and write it
-   through under the trial key (the warm-start that makes a nightly study
-   against the assembled CI store nearly free);
-3. a fresh, fully seeded training job fanned through the
-   :class:`~repro.core.executor.Executor`.
-
-Training mirrors :meth:`DesignSpaceExplorer.evaluate_point` argument for
-argument (same volts-normalized training sigma, same seeded trainer), so a
-warm-started trial and a freshly trained one are bit-identical -- which is
-what lets cache layers stack without changing results.  Batches have a
+configuration is one :class:`~repro.core.design.DesignSpec`, so a trial
+resolves from the store entry of its design point -- the very entry a suite
+sweep, a shard or an earlier study wrote (the warm-start that makes a
+nightly study against the assembled CI store nearly free) -- and otherwise
+from a fresh, fully seeded :meth:`~repro.core.design.DesignSpec.evaluate`
+fanned through the :class:`~repro.core.executor.Executor`.  Both paths run
+the same recipe, so a warm-started trial and a freshly trained one are
+bit-identical.  Batches have a
 fixed size independent of ``jobs`` and the sampler is told in trial-number
 order, so ``jobs=1`` and ``jobs=N`` produce identical study records.
 """
@@ -29,22 +20,12 @@ import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from repro.core.design import DesignPoint, DesignSpec
 from repro.core.executor import get_executor
-from repro.core.exploration import DEFAULT_DEPTHS, DEFAULT_TAUS, grid_points
-from repro.core.metrics import HardwareReport
 from repro.core.pareto import non_dominated_indices
-from repro.core.sharding import (
-    MissingResultsError,
-    canonical_trial_key,
-    suite_result_key,
-)
+from repro.core.sharding import MissingResultsError
 from repro.core.store import ResultStore
-from repro.core.variation import (
-    VariationAnalysis,
-    canonical_training_knobs,
-    simulate_offset_variation,
-    variation_result_key,
-)
+from repro.core.variation import VariationAnalysis
 from repro.pdk.egfet import default_technology
 from repro.search.optimizer import ParetoTPESampler
 from repro.search.space import SearchSpace, paper_space
@@ -203,70 +184,19 @@ def _resolve_technology(name: str):
 
 
 def _trial_job(
-    dataset: str,
-    seed: int,
-    depth: int,
-    tau: float,
-    resolution_bits: int,
-    technology_name: str,
-    test_size: float,
-    training_sigma: float,
-    robustness_weight: float,
-    need_outcome: bool,
+    spec: DesignSpec,
+    need_point: bool,
     sigma_v: float | None,
     variation_trials: int,
     ppa_backend=None,
-) -> tuple[dict | None, VariationAnalysis | None]:
-    """Top-level (picklable) job: train and measure one design point.
-
-    Self-contained and deterministic, mirroring
-    :meth:`~repro.core.exploration.DesignSpaceExplorer.evaluate_point` (and
-    the sharded ``_variation_unit_job``) exactly -- same trainer arguments,
-    same volts-normalized training sigma, same seeded split and simulation
-    -- so the payload cached under the trial key is bit-identical to the
-    suite sweep's design point at the same configuration.
-    """
-    from repro.core.adc_aware_training import ADCAwareTrainer
-    from repro.core.exploration import proposed_hardware_report
-    from repro.datasets.registry import load_dataset
-    from repro.mltrees.evaluation import evaluate_tree_accuracy, train_test_split
-    from repro.mltrees.quantize import quantize_dataset
-
-    technology = _resolve_technology(technology_name)
-    data = load_dataset(dataset, seed=seed)
-    X_train, X_test, y_train, y_test = train_test_split(
-        data.X, data.y, test_size=test_size, seed=seed
-    )
-    trainer = ADCAwareTrainer(
-        max_depth=depth,
-        gini_threshold=tau,
-        resolution_bits=resolution_bits,
-        seed=seed,
-        training_sigma=training_sigma / technology.vdd,
-        robustness_weight=(robustness_weight if training_sigma > 0 else 0.0),
-    )
-    tree = trainer.fit(
-        quantize_dataset(X_train, resolution_bits), y_train, data.n_classes
-    )
-    payload = None
-    if need_outcome:
-        accuracy = evaluate_tree_accuracy(
-            tree, quantize_dataset(X_test, resolution_bits), y_test
-        )
-        hardware = proposed_hardware_report(
-            tree,
-            technology,
-            name=f"codesign[d={depth},tau={tau:g}]",
-            ppa_backend=ppa_backend,
-        )
-        payload = {"accuracy": float(accuracy), "hardware": hardware}
+) -> tuple[DesignPoint | None, VariationAnalysis | None]:
+    """Top-level (picklable) job: evaluate and/or Monte-Carlo one design point."""
+    point = spec.evaluate(ppa_backend=ppa_backend) if need_point else None
     analysis = None
     if sigma_v is not None:
-        analysis = simulate_offset_variation(
-            tree, X_test, y_test, sigma_v, n_trials=variation_trials,
-            technology=technology, seed=seed,
-        )
-    return payload, analysis
+        tree = point.tree if point is not None else None
+        analysis = spec.simulate(sigma_v, variation_trials, tree)
+    return point, analysis
 
 
 class Study:
@@ -293,9 +223,9 @@ class Study:
     store / cache_dir / use_cache:
         Result-store wiring, same contract as the suite runners.
     cache_only:
-        Strict assemble discipline: every trial must resolve from the cache
-        layers (trial entry, suite extraction, or -- for robustness
-        objectives -- the variation pool); a trial that would have to train
+        Strict assemble discipline: every trial must resolve from the store
+        (its design point and -- for robustness objectives -- its
+        variation entry); a trial that would have to train
         raises :class:`~repro.core.sharding.MissingResultsError` listing the
         missing keys instead.  The mode CI uses to *prove* a study
         warm-started 100 % from an assembled store.
@@ -311,7 +241,7 @@ class Study:
         Source of every trial's hardware costs (default: the analytic
         cell-count model, bit-identical to before the backend interface
         existed).  A non-analytic backend changes the power/area objectives,
-        so such studies never read or write the trial/suite caches (and
+        so such studies never read or write the store (and
         refuse ``cache_only``): report-backed numbers must not alias the
         analytic entries stored under the same configuration keys.
     """
@@ -374,78 +304,16 @@ class Study:
             if sampler is not None
             else ParetoTPESampler(self.space, seed=self.seed)
         )
-        #: Per-training-knobs memo of suite lookups (key -> result or None),
-        #: so a 40-trial study loads the suite entry once, not 40 times.
-        self._suite_results: dict[str, object] = {}
 
     # ------------------------------------------------------------------ #
-    # cache resolution
+    # cache identity
     # ------------------------------------------------------------------ #
-    def trial_key(self, config: dict) -> str:
-        """The canonical cache identity of one configuration's outcome."""
+    def spec(self, config: dict) -> DesignSpec:
+        """The design point one configuration evaluates."""
         config = self.space.canonical(config)
-        return canonical_trial_key(
+        return DesignSpec(
             self.dataset,
             self.seed,
-            config["depth"],
-            config["tau"],
-            resolution_bits=config["resolution_bits"],
-            technology=_resolve_technology(config["technology"]),
-            test_size=self.test_size,
-            training_sigma=config["training_sigma"],
-            robustness_weight=config["robustness_weight"],
-        )
-
-    def _suite_point(self, config: dict):
-        """Extract the config's DesignPoint from a cached suite sweep, if any.
-
-        Only configurations on the paper protocol qualify (default
-        technology, 4-bit ADCs, the 70/30 split, (depth, tau) on the
-        default grid); both suite variants are probed, since either caches
-        the same exploration sweep.
-        """
-        if self.store is None:
-            return None
-        if (
-            config["technology"] != "default"
-            or int(config["resolution_bits"]) != 4
-            or self.test_size != 0.3
-        ):
-            return None
-        point = (int(config["depth"]), float(config["tau"]))
-        grid = grid_points(DEFAULT_DEPTHS, DEFAULT_TAUS)
-        if point not in grid:
-            return None
-        sigma, weight = canonical_training_knobs(
-            config["training_sigma"], config["robustness_weight"]
-        )
-        for include_approximate in (False, True):
-            key = suite_result_key(
-                self.dataset, self.seed, include_approximate,
-                DEFAULT_DEPTHS, DEFAULT_TAUS,
-                training_sigma=sigma, robustness_weight=weight,
-            )
-            if key not in self._suite_results:
-                # Membership probe first: a miss on the second variant must
-                # not inflate the store's miss counters on every trial.
-                self._suite_results[key] = (
-                    self.store.get(key) if key in self.store else None
-                )
-            result = self._suite_results[key]
-            if result is not None:
-                design = result.exploration[grid.index(point)]
-                return {
-                    "accuracy": float(design.accuracy),
-                    "hardware": design.hardware,
-                }
-        return None
-
-    def _variation_key(self, config: dict) -> str:
-        return variation_result_key(
-            self.dataset,
-            self.seed,
-            self.sigma_v,
-            self.variation_trials,
             config["depth"],
             config["tau"],
             config["resolution_bits"],
@@ -454,6 +322,10 @@ class Study:
             training_sigma=config["training_sigma"],
             robustness_weight=config["robustness_weight"],
         )
+
+    def trial_key(self, config: dict) -> str:
+        """The canonical cache identity of one configuration's outcome."""
+        return self.spec(config).key()
 
     # ------------------------------------------------------------------ #
     # the run loop
@@ -508,93 +380,83 @@ class Study:
         )
 
     def _evaluate_batch(self, configs, executor, first_number: int) -> list[Trial]:
-        """Resolve one ask batch: cache layers first, then fanned-out jobs."""
-        resolved: list[dict | None] = []
+        """Resolve one ask batch: store entries first, then fanned-out jobs."""
+        specs = [self.spec(config) for config in configs]
+        points: list[DesignPoint | None] = []
         analyses: list[VariationAnalysis | None] = []
-        pending: list[int] = []
-        for index, config in enumerate(configs):
-            payload = None
+        for spec in specs:
+            point = analysis = None
             if self.store is not None:
-                payload = self.store.get(self.trial_key(config))
-                if payload is None:
-                    payload = self._suite_point(config)
-                    if payload is not None:
-                        self.store.put(self.trial_key(config), payload)
-            analysis = None
-            if self.sigma_v is not None and self.store is not None:
-                analysis = self.store.get(self._variation_key(config))
-            resolved.append(payload)
+                point = self.store.get(spec.key())
+                if self.sigma_v is not None:
+                    analysis = self.store.get(
+                        spec.variation_key(self.sigma_v, self.variation_trials)
+                    )
+            points.append(point)
             analyses.append(analysis)
-            needs_variation = self.sigma_v is not None and analysis is None
-            if payload is None or needs_variation:
-                pending.append(index)
+        pending = [
+            index
+            for index in range(len(specs))
+            if points[index] is None
+            or (self.sigma_v is not None and analyses[index] is None)
+        ]
 
         if pending and self.cache_only:
             missing = []
             for index in pending:
-                config = configs[index]
-                point = f"{self.dataset}[d={config['depth']},tau={config['tau']:g}]"
-                if resolved[index] is None:
-                    missing.append((f"trial:{point}", self.trial_key(config)))
+                spec = specs[index]
+                if points[index] is None:
+                    missing.append((f"trial:{spec.label}", spec.key()))
                 if self.sigma_v is not None and analyses[index] is None:
                     missing.append(
                         (
-                            f"variation:{point}[sigma={self.sigma_v:g}]",
-                            self._variation_key(config),
+                            f"variation:{spec.label}[sigma={self.sigma_v:g}]",
+                            spec.variation_key(self.sigma_v, self.variation_trials),
                         )
                     )
             if self.store is not None:
                 self.store.flush_stats()
             raise MissingResultsError(missing)
 
-        if pending:
-            tasks = []
-            for index in pending:
-                config = configs[index]
-                tasks.append(
-                    (
-                        self.dataset,
-                        self.seed,
-                        int(config["depth"]),
-                        float(config["tau"]),
-                        int(config["resolution_bits"]),
-                        config["technology"],
-                        self.test_size,
-                        float(config["training_sigma"]),
-                        float(config["robustness_weight"]),
-                        resolved[index] is None,
-                        self.sigma_v if analyses[index] is None else None,
-                        self.variation_trials,
-                        self.ppa_backend,
+        tasks = [
+            (
+                specs[index],
+                points[index] is None,
+                self.sigma_v if analyses[index] is None else None,
+                self.variation_trials,
+                self.ppa_backend,
+            )
+            for index in pending
+        ]
+        for index, (point, analysis) in zip(pending, executor.map(_trial_job, tasks)):
+            spec = specs[index]
+            if point is not None:
+                points[index] = point
+                if self.store is not None:
+                    self.store.put(spec.key(), point)
+            if analysis is not None:
+                analyses[index] = analysis
+                if self.store is not None:
+                    self.store.put(
+                        spec.variation_key(self.sigma_v, self.variation_trials),
+                        analysis,
                     )
-                )
-            for index, (payload, analysis) in zip(
-                pending, executor.map(_trial_job, tasks)
-            ):
-                if payload is not None:
-                    resolved[index] = payload
-                    if self.store is not None:
-                        self.store.put(self.trial_key(configs[index]), payload)
-                if analysis is not None:
-                    analyses[index] = analysis
-                    if self.store is not None:
-                        self.store.put(self._variation_key(configs[index]), analysis)
 
         trained = set(pending)
         batch: list[Trial] = []
         for index, config in enumerate(configs):
-            payload = resolved[index]
-            hardware: HardwareReport = payload["hardware"]
+            point = points[index]
             analysis = analyses[index]
-            drop = None if analysis is None else float(analysis.mean_accuracy_drop)
             partial = Trial(
                 number=first_number + index,
                 config=config,
-                store_key=self.trial_key(config),
-                accuracy=float(payload["accuracy"]),
-                power_uw=float(hardware.total_power_uw),
-                area_mm2=float(hardware.total_area_mm2),
-                mean_accuracy_drop=drop,
+                store_key=specs[index].key(),
+                accuracy=float(point.accuracy),
+                power_uw=float(point.hardware.total_power_uw),
+                area_mm2=float(point.hardware.total_area_mm2),
+                mean_accuracy_drop=(
+                    None if analysis is None else float(analysis.mean_accuracy_drop)
+                ),
                 from_cache=index not in trained,
                 objectives=(),
             )

@@ -39,7 +39,7 @@ from pathlib import Path
 from repro.core.bespoke_adc import build_bespoke_frontend
 from repro.core.bitkernel import WORD_BITS, compile_tree_kernel
 from repro.core.datasheet import generate_datasheet
-from repro.core.exploration import DesignPoint
+from repro.core.design import DesignPoint
 from repro.core.metrics import HardwareReport
 from repro.core.store import code_version, content_digest
 from repro.core.unary_tree import UnaryDecisionTree
@@ -379,79 +379,39 @@ def promote_design(
     robustness_weight: float = 1.0,
     cache_dir: str | Path | None = None,
 ) -> ModelArtifact:
-    """Train-or-reuse one ``(dataset, depth, tau)`` point and promote it.
+    """Train-or-reuse one ``(dataset, depth, tau)`` design point and promote it.
 
-    The fast path is a **read-only** hit on the suite cache: when a full
-    benchmark-suite run for ``dataset`` is stored (default grid, same seed
-    and training knobs), the matching point is lifted out of its
-    ``exploration`` list without writing a byte to the cache directory (the
-    lookup store is opened with ``touch_on_get=False`` and its stats are
-    never flushed).  On a miss, exactly that one grid point is retrained
-    with the suite's split/quantization protocol -- bit-identical to what
-    the sweep would have produced -- again without touching the cache.
+    The point is a :class:`~repro.core.design.DesignSpec`; its fast path is
+    a **read-only** hit on the spec's result-store entry, written by any
+    suite sweep, shard or search study that evaluated the same point --
+    without writing a byte to the cache directory (the lookup store is
+    opened with ``touch_on_get=False`` and its stats are never flushed).
+    On a miss the point is trained with the same recipe, again without
+    touching the cache.  Every field of the request is part of the spec, so
+    the promoted tree always matches the manifest's configuration.
     """
-    from repro.core.exploration import DEFAULT_DEPTHS, DEFAULT_TAUS, DesignSpaceExplorer
-    from repro.core.sharding import suite_result_key
+    from repro.core.design import DesignSpec
     from repro.core.store import ResultStore, default_cache_dir
-    from repro.datasets.registry import canonical_name, load_dataset
-    from repro.mltrees.evaluation import train_test_split
-    from repro.mltrees.quantize import quantize_dataset
 
-    canonical = canonical_name(dataset)
-    technology = technology if technology is not None else default_technology()
-    point: DesignPoint | None = None
-
+    spec = DesignSpec(
+        dataset, seed, depth, tau, resolution_bits,
+        technology=technology if technology is not None else default_technology(),
+        training_sigma=training_sigma,
+        robustness_weight=robustness_weight,
+    )
     store = ResultStore(
         cache_dir if cache_dir is not None else default_cache_dir(),
         touch_on_get=False,
     )
-    key = suite_result_key(
-        canonical,
-        seed,
-        True,
-        DEFAULT_DEPTHS,
-        DEFAULT_TAUS,
-        training_sigma=training_sigma,
-        robustness_weight=robustness_weight,
-    )
-    cached = store.get(key)
-    if cached is not None:
-        for candidate in cached.exploration:
-            if candidate.depth == depth and abs(candidate.tau - tau) < 1e-12:
-                point = candidate
-                break
-
+    point = store.get(spec.key())
     if point is None:
-        data = load_dataset(canonical, seed=seed)
-        X_train, X_test, y_train, y_test = train_test_split(
-            data.X, data.y, test_size=0.3, seed=seed
-        )
-        explorer = DesignSpaceExplorer(
-            technology=technology,
-            resolution_bits=resolution_bits,
-            depths=(depth,),
-            taus=(tau,),
-            seed=seed,
-            training_sigma=training_sigma,
-            robustness_weight=robustness_weight,
-        )
-        point = explorer.evaluate_point(
-            quantize_dataset(X_train, resolution_bits),
-            y_train,
-            quantize_dataset(X_test, resolution_bits),
-            y_test,
-            data.n_classes,
-            depth,
-            tau,
-            dataset_name=canonical,
-        )
-
+        point = spec.evaluate()
     return registry.promote(
         point,
-        name if name is not None else f"{canonical}-d{depth}",
+        name if name is not None else f"{spec.dataset}-d{spec.depth}",
         seed=seed,
-        resolution_bits=resolution_bits,
-        technology=technology,
+        resolution_bits=spec.resolution_bits,
+        technology=spec.technology,
         training_sigma=training_sigma,
         robustness_weight=robustness_weight,
     )

@@ -68,12 +68,12 @@ class TestCacheKeyNormalization:
         kwargs = dict(seed=0, include_approximate_baseline=False, store=store, **SMALL_GRID)
 
         first = run_benchmark_suite(datasets=("vertebral_2c", "seeds"), **kwargs)
-        assert store.stats.stores == 2
+        assert store.stats.stores == 2 * (1 + 4)  # reference + grid points each
 
         # Different order, list instead of tuple, and paper abbreviations must
-        # all alias the two already-computed entries (memo identity included).
+        # all alias the already-computed entries (memo identity included).
         second = run_benchmark_suite(datasets=["SE", "V2"], **kwargs)
-        assert store.stats.stores == 2  # nothing recomputed
+        assert store.stats.stores == 2 * (1 + 4)  # nothing recomputed
         assert second[0] is first[1]
         assert second[1] is first[0]
         assert [r.dataset for r in second] == ["seeds", "vertebral_2c"]
@@ -93,7 +93,7 @@ class TestCacheKeyNormalization:
                 taus=(0.0,),
             )
         assert len(experiments._MEMO) <= 2
-        assert store.stats.stores == 3  # evicted entries remain on disk
+        assert store.stats.stores == 3 * 2  # evicted entries remain on disk
 
     def test_duplicate_requests_share_one_computation(self, tmp_path):
         store = ResultStore(cache_dir=tmp_path)
@@ -103,7 +103,7 @@ class TestCacheKeyNormalization:
             store=store,
             **SMALL_GRID,
         )
-        assert store.stats.stores == 1
+        assert store.stats.stores == 1 + 4
         assert results[0] is results[1]
 
 
@@ -139,10 +139,11 @@ class TestResultStorePersistence:
 
     def test_second_process_hits_the_on_disk_store(self, tmp_path):
         first = self._run(tmp_path / "store")
-        assert "RESULTS 4 HITS 0 MISSES 4 STORES 4" in first
+        # One reference and one design-point entry per benchmark.
+        assert "RESULTS 4 HITS 0 MISSES 8 STORES 8" in first
 
         second = self._run(tmp_path / "store")
-        assert "RESULTS 4 HITS 4 MISSES 0 STORES 0" in second
+        assert "RESULTS 4 HITS 8 MISSES 0 STORES 0" in second
 
 
 class TestSerialParallelEquivalence:
@@ -366,11 +367,11 @@ class TestRunRobustExploration:
         for point in exploration.points:
             assert point.robustness is not None
             assert len(point.robustness.accuracies) == 6
-        # 1 suite entry + one variation entry per design point
-        assert store.stats.stores == 1 + 4
+        # 1 reference + one design-point and one variation entry per point
+        assert store.stats.stores == 1 + 4 + 4
 
         again = run_robust_exploration("vertebral_2c", **kwargs)
-        assert store.stats.stores == 1 + 4  # everything reused
+        assert store.stats.stores == 1 + 4 + 4  # everything reused
         assert again.points == exploration.points
 
     def test_serial_equals_parallel(self):
@@ -430,8 +431,9 @@ class TestExploreCommand:
         assert exit_code == 0
         assert "mean drop (%)" in captured.out
         assert "selected:" in captured.out
-        # full paper grid (49 points) cached: suite entry + per-point analyses
-        assert len(ResultStore(cache_dir=tmp_path / "explore-cache")) == 1 + 49
+        # full paper grid (49 points) cached: reference entry + per-point
+        # design points and analyses
+        assert len(ResultStore(cache_dir=tmp_path / "explore-cache")) == 1 + 2 * 49
 
     def test_explore_writes_json_export(self, capsys, tmp_path):
         import json
@@ -566,15 +568,16 @@ class TestTrainingSigmaCli:
         assert main(base) == 0
         capsys.readouterr()
         nominal_entries = len(ResultStore(cache_dir=cache))
-        assert nominal_entries == 1 + 49
-        # the offset-aware run must not alias the nominal entries ...
+        assert nominal_entries == 1 + 2 * 49
+        # the offset-aware run must not alias the nominal entries (only the
+        # nominal reference designs are shared) ...
         assert main(base + ["--training-sigma", "0.02"]) == 0
         capsys.readouterr()
-        assert len(ResultStore(cache_dir=cache)) == 2 * nominal_entries
+        assert len(ResultStore(cache_dir=cache)) == 2 * nominal_entries - 1
         # ... and a rerun reuses them all
         assert main(base + ["--training-sigma", "0.02"]) == 0
         capsys.readouterr()
-        assert len(ResultStore(cache_dir=cache)) == 2 * nominal_entries
+        assert len(ResultStore(cache_dir=cache)) == 2 * nominal_entries - 1
 
     def test_table2_training_sigma_golden_output(self, capsys, tmp_path):
         assert main(
@@ -668,27 +671,16 @@ class TestResolveSuiteDatasets:
 
 
 class TestShardedSuiteApi:
-    def test_shard_filter_partitions_datasets(self, tmp_path):
-        from repro.core.sharding import ShardSpec
-
+    def test_suite_variants_share_their_design_points(self, tmp_path):
         store = ResultStore(cache_dir=tmp_path / "cache")
-        kwargs = dict(
-            datasets=("vertebral_2c", "seeds", "balance_scale"),
-            include_approximate_baseline=False,
-            store=store,
-            **SMALL_GRID,
-        )
-        full = run_benchmark_suite(**kwargs)
-        by_shard = [
-            run_benchmark_suite(shard=ShardSpec(index, 3), **kwargs)
-            for index in (1, 2, 3)
-        ]
-        names = [r.dataset for results in by_shard for r in results]
-        assert sorted(names) == sorted(r.dataset for r in full)  # disjoint cover
-        lookup = {r.dataset: r for r in full}
-        for results in by_shard:
-            for result in results:
-                assert result is lookup[result.dataset]  # memo identity: reused
+        kwargs = dict(datasets=("vertebral_2c", "seeds"), store=store, **SMALL_GRID)
+        table1 = run_benchmark_suite(include_approximate_baseline=False, **kwargs)
+        assert store.stats.stores == 2 * (1 + 4)
+        table2 = run_benchmark_suite(include_approximate_baseline=True, **kwargs)
+        assert store.stats.stores == 2 * (1 + 4) + 2  # only the references
+        for nominal, approximate in zip(table1, table2):
+            assert approximate.exploration == nominal.exploration
+            assert approximate.approximate_baseline is not None
 
     def test_cache_only_requires_use_cache(self):
         with pytest.raises(ValueError, match="cache_only"):
@@ -708,8 +700,9 @@ class TestShardedSuiteApi:
                 cache_only=True,
                 **SMALL_GRID,
             )
-        assert "suite:vertebral_2c" in str(excinfo.value)
-        assert len(excinfo.value.missing) == 1
+        assert "suite:vertebral_2c[table1]" in str(excinfo.value)
+        assert "point:vertebral_2c[d=3,tau=0.01]" in str(excinfo.value)
+        assert len(excinfo.value.missing) == 1 + 4
 
     def test_cache_only_serves_from_store_with_zero_misses(self, tmp_path):
         from repro.analysis.experiments import clear_memo
@@ -725,7 +718,7 @@ class TestShardedSuiteApi:
         reader = ResultStore(cache_dir=tmp_path / "warm")
         results = run_benchmark_suite(store=reader, cache_only=True, **kwargs)
         assert results == first
-        assert reader.stats.hits == 1
+        assert reader.stats.hits == 1 + 4
         assert reader.stats.misses == 0   # zero recomputation, zero misses
         assert reader.stats.stores == 0
 
@@ -856,7 +849,7 @@ class TestSuiteCommand:
             ["assemble", "--datasets", "vertebral_2c", "--cache-dir", str(cache)]
         ) == 1
         captured = capsys.readouterr()
-        assert "missing 1 of 2 planned units" in captured.err
+        assert "missing 1 of 51 planned units" in captured.err  # 2 suite + 49 point
         assert dropped.label in captured.err
         assert dropped.store_key in captured.err
 
@@ -966,17 +959,17 @@ class TestVariationCacheKeyBugfix:
     """Regression: ``run_variation_analysis`` used to hard-default the
     training knobs in its cache key and always train the nominal tree."""
 
-    def test_nominal_defaults_keep_the_legacy_key(self, tmp_path):
+    def test_nominal_defaults_address_the_spec_key(self, tmp_path):
         from repro.analysis.experiments import run_variation_analysis
-        from repro.core.variation import variation_result_key
+        from repro.core.design import DesignSpec
 
         store = ResultStore(cache_dir=tmp_path / "nominal")
         analysis = run_variation_analysis(
             "vertebral_2c", sigma_v=0.02, n_trials=4, seed=0, depth=3,
             tau=0.01, store=store,
         )
-        legacy_key = variation_result_key("vertebral_2c", 0, 0.02, 4, 3, 0.01)
-        assert store.get(legacy_key) == analysis
+        key = DesignSpec("vertebral_2c", 0, 3, 0.01).variation_key(0.02, 4)
+        assert store.get(key) == analysis
 
     def test_training_knobs_address_separate_entries(self, tmp_path):
         from repro.analysis.experiments import run_variation_analysis

@@ -1,0 +1,92 @@
+"""Tests for :class:`repro.core.design.DesignSpec`, a design point's identity.
+
+One spec names one trained, scored and costed design point: equal requests
+must compare and key equal however they were spelled, every field that
+changes the trained tree must change the key, and the dataset-based recipe
+must equal the array-based one the explorer runs.
+"""
+
+import dataclasses
+
+import pytest
+
+from repro.core.design import DesignSpec, split_data
+from repro.core.exploration import DesignSpaceExplorer
+from repro.pdk.egfet import default_technology
+
+
+class TestCanonicalIdentity:
+    def test_abbreviation_and_inert_knobs_alias(self):
+        spec = DesignSpec("seeds", 0, 3, 0.01)
+        assert DesignSpec("SE", 0, 3, 0.01) == spec
+        assert DesignSpec("seeds", 0, 3, 0.01, training_sigma=0.0,
+                          robustness_weight=5.0) == spec
+        assert DesignSpec("seeds", 0, 3, 0.01, training_sigma=0.04,
+                          robustness_weight=0.0) == spec
+        assert hash(DesignSpec("SE", 0, 3, 0.01)) == hash(spec)
+        assert DesignSpec("SE", 0, 3, 0.01).key() == spec.key()
+
+    def test_unregistered_dataset_names_stay_verbatim(self):
+        assert DesignSpec("blobs", 0, 2, 0.0).dataset == "blobs"
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            dict(seed=1),
+            dict(depth=4),
+            dict(tau=0.02),
+            dict(resolution_bits=6),
+            dict(test_size=0.5),
+            dict(training_sigma=0.04, robustness_weight=1.0),
+            dict(technology=dataclasses.replace(default_technology(), vdd=0.8)),
+        ],
+    )
+    def test_every_field_reaches_the_keys(self, change):
+        spec = DesignSpec("seeds", 0, 3, 0.01)
+        other = dataclasses.replace(spec, **change)
+        assert other.key() != spec.key()
+        assert other.variation_key(0.02, 10) != spec.variation_key(0.02, 10)
+
+    def test_key_kinds_do_not_collide(self):
+        spec = DesignSpec("seeds", 0, 3, 0.01)
+        keys = {spec.key(), spec.variation_key(0.02, 10),
+                spec.variation_key(0.02, 20), spec.reference_key(False),
+                spec.reference_key(True)}
+        assert len(keys) == 5
+
+    def test_reference_key_ignores_grid_point_and_training_knobs(self):
+        spec = DesignSpec("seeds", 0, 3, 0.01)
+        aware = DesignSpec("seeds", 0, 7, 0.03, training_sigma=0.04)
+        assert aware.reference_key(True) == spec.reference_key(True)
+        assert dataclasses.replace(spec, resolution_bits=6).reference_key(
+            True
+        ) != spec.reference_key(True)
+
+    def test_negative_knobs_rejected(self):
+        with pytest.raises(ValueError, match="training_sigma"):
+            DesignSpec("seeds", training_sigma=-0.01)
+        with pytest.raises(ValueError, match="robustness_weight"):
+            DesignSpec("seeds", robustness_weight=-1.0)
+
+
+class TestRecipe:
+    def test_evaluate_equals_the_explorer_on_the_same_split(self):
+        spec = DesignSpec("vertebral_2c", 0, 3, 0.01, training_sigma=0.02)
+        data = split_data("vertebral_2c", 0)
+        explorer = DesignSpaceExplorer(
+            depths=(3,), taus=(0.01,), seed=0, training_sigma=0.02
+        )
+        expected = explorer.evaluate_point(
+            data.X_train_levels, data.y_train, data.X_test_levels, data.y_test,
+            data.n_classes, 3, 0.01, dataset_name="vertebral_2c",
+        )
+        assert spec.evaluate() == expected
+        assert spec.train() == expected.tree
+
+    def test_resolution_reaches_the_trained_tree(self):
+        assert DesignSpec("seeds", 0, 3, 0.01, resolution_bits=6).train(
+        ).resolution_bits == 6
+
+    def test_simulate_with_a_given_tree_equals_retraining(self):
+        spec = DesignSpec("seeds", 0, 3, 0.01)
+        assert spec.simulate(0.02, 5, spec.train()) == spec.simulate(0.02, 5)

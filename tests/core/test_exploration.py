@@ -308,10 +308,10 @@ class TestDesignPointRobustnessColumns:
 
 class TestVariationKeyTestSize:
     def test_non_default_split_addresses_distinct_entries(self):
-        from repro.core.variation import variation_result_key
+        from repro.core.design import DesignSpec
 
-        default = variation_result_key("seeds", 0, 0.02, 10, 3, 0.01)
-        explicit = variation_result_key("seeds", 0, 0.02, 10, 3, 0.01, test_size=0.3)
-        half = variation_result_key("seeds", 0, 0.02, 10, 3, 0.01, test_size=0.5)
+        default = DesignSpec("seeds", 0, 3, 0.01).variation_key(0.02, 10)
+        explicit = DesignSpec("seeds", 0, 3, 0.01, test_size=0.3).variation_key(0.02, 10)
+        half = DesignSpec("seeds", 0, 3, 0.01, test_size=0.5).variation_key(0.02, 10)
         assert default == explicit
         assert default != half

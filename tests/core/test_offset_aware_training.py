@@ -17,7 +17,8 @@ import pytest
 
 from repro.core.adc_aware_training import ADCAwareTrainer
 from repro.core.exploration import DesignSpaceExplorer
-from repro.core.variation import simulate_offset_variation, variation_result_key
+from repro.core.design import DesignSpec
+from repro.core.variation import simulate_offset_variation
 from repro.datasets.registry import dataset_names, load_dataset
 from repro.mltrees.cart import CARTTrainer
 from repro.mltrees.evaluation import train_test_split
@@ -140,36 +141,28 @@ class TestExplorerThreading:
 
 class TestCacheKeySeparation:
     def test_variation_key_distinguishes_training_sigma(self):
-        nominal = variation_result_key("seeds", 0, 0.04, 100, 5, 0.01)
-        aware = variation_result_key(
-            "seeds", 0, 0.04, 100, 5, 0.01, training_sigma=0.04,
-            robustness_weight=1.0,
-        )
+        nominal = DesignSpec("seeds", 0, 5, 0.01).variation_key(0.04, 100)
+        aware = DesignSpec(
+            "seeds", 0, 5, 0.01, training_sigma=0.04, robustness_weight=1.0
+        ).variation_key(0.04, 100)
         assert nominal != aware
 
     def test_variation_key_canonicalizes_inert_penalties(self):
         """sigma=0 or weight=0 is nominal training: all spellings alias."""
-        nominal = variation_result_key("seeds", 0, 0.04, 100, 5, 0.01)
-        assert nominal == variation_result_key(
-            "seeds", 0, 0.04, 100, 5, 0.01, training_sigma=0.0,
-            robustness_weight=3.0,
-        )
-        assert nominal == variation_result_key(
-            "seeds", 0, 0.04, 100, 5, 0.01, training_sigma=0.05,
-            robustness_weight=0.0,
-        )
+        nominal = DesignSpec("seeds", 0, 5, 0.01).variation_key(0.04, 100)
+        assert nominal == DesignSpec(
+            "seeds", 0, 5, 0.01, training_sigma=0.0, robustness_weight=3.0
+        ).variation_key(0.04, 100)
+        assert nominal == DesignSpec(
+            "seeds", 0, 5, 0.01, training_sigma=0.05, robustness_weight=0.0
+        ).variation_key(0.04, 100)
 
-    def test_suite_key_distinguishes_training_sigma(self):
-        from repro.analysis.experiments import suite_result_key
-
-        nominal = suite_result_key("seeds", 0, False, (2, 3), (0.0,))
-        aware = suite_result_key(
-            "seeds", 0, False, (2, 3), (0.0,), training_sigma=0.04
-        )
-        inert = suite_result_key(
-            "seeds", 0, False, (2, 3), (0.0,), training_sigma=0.04,
-            robustness_weight=0.0,
-        )
+    def test_point_key_distinguishes_training_sigma(self):
+        nominal = DesignSpec("seeds", 0, 2, 0.0).key()
+        aware = DesignSpec("seeds", 0, 2, 0.0, training_sigma=0.04).key()
+        inert = DesignSpec(
+            "seeds", 0, 2, 0.0, training_sigma=0.04, robustness_weight=0.0
+        ).key()
         assert nominal != aware
         assert nominal == inert
 

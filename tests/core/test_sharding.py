@@ -13,18 +13,18 @@ import sys
 
 import pytest
 
+from repro.core.design import DesignSpec
 from repro.core.exploration import grid_points
 from repro.core.sharding import (
     MissingResultsError,
     ShardSpec,
     normalize_sigmas,
     plan_suite_units,
-    suite_result_key,
+    point_work_unit,
     suite_work_unit,
     variation_work_unit,
 )
 from repro.core.store import ResultStore
-from repro.core.variation import variation_result_key
 
 #: Tiny grid keeping planner tests instant.
 SMALL_GRID = dict(depths=(2, 3), taus=(0.0, 0.01))
@@ -56,34 +56,47 @@ class TestGridPoints:
 
 
 class TestWorkUnits:
-    def test_suite_unit_addresses_the_suite_cache_entry(self):
-        unit = suite_work_unit("vertebral_2c", 0, False, (2, 3), (0.0,))
-        assert unit.store_key == suite_result_key("vertebral_2c", 0, False, (2, 3), (0.0,))
+    def test_suite_unit_addresses_the_reference_entry(self):
+        unit = suite_work_unit("vertebral_2c", 0, False)
+        assert unit.store_key == DesignSpec("vertebral_2c", 0).reference_key(False)
+        assert unit.store_key != suite_work_unit("vertebral_2c", 0, True).store_key
         assert unit.kind == "suite"
         assert unit.label == "suite:vertebral_2c[table1]"
 
+    def test_point_unit_addresses_the_design_point_entry(self):
+        spec = DesignSpec("seeds", 0, 3, 0.01)
+        unit = point_work_unit(spec)
+        assert unit.store_key == spec.key()
+        assert unit.spec == spec
+        assert unit.kind == "point"
+        assert unit.label == "point:seeds[d=3,tau=0.01]"
+
     def test_variation_unit_addresses_the_variation_cache_entry(self):
-        unit = variation_work_unit("seeds", 0, 0.02, 5, 3, 0.01)
-        assert unit.store_key == variation_result_key("seeds", 0, 0.02, 5, 3, 0.01)
+        spec = DesignSpec("seeds", 0, 3, 0.01)
+        unit = variation_work_unit(spec, 0.02, 5)
+        assert unit.store_key == spec.variation_key(0.02, 5)
         assert unit.kind == "variation"
 
     def test_abbreviation_aliases_canonical_name(self):
-        assert suite_work_unit("V2", 0, False, (2,), (0.0,)) == suite_work_unit(
-            "vertebral_2c", 0, False, (2,), (0.0,)
+        assert suite_work_unit("V2", 0, False) == suite_work_unit(
+            "vertebral_2c", 0, False
+        )
+        assert point_work_unit(DesignSpec("V2", 0, 2, 0.0)) == point_work_unit(
+            DesignSpec("vertebral_2c", 0, 2, 0.0)
         )
 
     def test_shard_membership_survives_code_version_changes(self, monkeypatch):
         import repro
 
-        unit = suite_work_unit("seeds", 0, False, (2,), (0.0,))
+        unit = point_work_unit(DesignSpec("seeds", 0, 2, 0.0))
         monkeypatch.setattr(repro, "__version__", "99.99.99")
-        bumped = suite_work_unit("seeds", 0, False, (2,), (0.0,))
+        bumped = point_work_unit(DesignSpec("seeds", 0, 2, 0.0))
         assert bumped.store_key != unit.store_key  # new code, new cache entry
         for count in (1, 2, 3, 7):
             assert bumped.shard_index(count) == unit.shard_index(count)
 
     def test_shard_index_rejects_non_positive_counts(self):
-        unit = suite_work_unit("seeds", 0, False, (2,), (0.0,))
+        unit = suite_work_unit("seeds", 0, False)
         with pytest.raises(ValueError):
             unit.shard_index(0)
 
@@ -92,8 +105,10 @@ class TestPlanSuiteUnits:
     def test_default_plan_covers_all_benchmarks_and_variants(self):
         plan = plan_suite_units(**SMALL_GRID)
         assert len(plan.datasets) == 8
-        assert len(plan.units) == 8 * 2  # table1 + table2 variant per dataset
-        assert all(unit.kind == "suite" for unit in plan.units)
+        kinds = [unit.kind for unit in plan.units]
+        assert kinds.count("suite") == 8 * 2  # table1 + table2 variant per dataset
+        assert kinds.count("point") == 8 * len(grid_points(**SMALL_GRID))
+        assert len(kinds) == 8 * 2 + 8 * 4
 
     def test_sigma_adds_one_variation_unit_per_grid_point(self):
         plan = plan_suite_units(
@@ -102,12 +117,13 @@ class TestPlanSuiteUnits:
         kinds = [unit.kind for unit in plan.units]
         assert kinds.count("suite") == 2
         assert kinds.count("variation") == len(grid_points(**SMALL_GRID))
-        grid = [
-            (unit.params["depth"], unit.params["tau"])
-            for unit in plan.units
-            if unit.kind == "variation"
-        ]
-        assert tuple(grid) == grid_points(**SMALL_GRID)
+        for kind in ("point", "variation"):
+            grid = [
+                (unit.spec.depth, unit.spec.tau)
+                for unit in plan.units
+                if unit.kind == kind
+            ]
+            assert tuple(grid) == grid_points(**SMALL_GRID)
 
     def test_duplicates_and_abbreviations_collapse(self):
         plan = plan_suite_units(
@@ -273,7 +289,7 @@ class TestCrossProcessStability:
             )
             outputs.append(completed.stdout)
         assert outputs[0] == outputs[1]
-        assert outputs[0].count("\n") == 8 * 2 + 8 * 4
+        assert outputs[0].count("\n") == 8 * 2 + 8 * 4 + 8 * 4
 
     def test_in_process_assignment_matches_subprocess(self):
         plan = plan_suite_units(sigma_v=0.02, n_trials=5, **SMALL_GRID)

@@ -8,14 +8,10 @@ warm-starts through every cache layer, and the store's search accounting.
 """
 
 import json
-from types import SimpleNamespace
 
 import pytest
 
 from repro.analysis.experiments import run_search_study
-from repro.core.exploration import DEFAULT_DEPTHS, DEFAULT_TAUS, grid_points
-from repro.core.metrics import HardwareReport
-from repro.core.sharding import suite_result_key
 from repro.core.store import ResultStore
 from repro.search import Study, parse_objectives
 from repro.search.space import (
@@ -164,27 +160,13 @@ class TestCacheLayers:
         assert result.n_trained == 3
         assert len(ResultStore(tmp_path)) == 0
 
-    def test_on_grid_trials_extract_from_a_cached_suite_sweep(self, tmp_path):
+    def test_on_grid_trials_hit_the_suite_sweeps_design_points(self, tmp_path):
+        from repro.analysis.experiments import run_benchmark_suite
+
         store = ResultStore(tmp_path)
-        grid = grid_points(DEFAULT_DEPTHS, DEFAULT_TAUS)
-        sentinel_accuracy = 0.4242
-        hardware = HardwareReport(
-            name="sentinel", adc_area_mm2=1.0, adc_power_uw=2.0,
-            digital_area_mm2=3.0, digital_power_uw=4.0,
-            n_inputs=2, n_tree_comparators=1, n_adc_comparators=3,
-        )
-        fake_suite = SimpleNamespace(
-            exploration=[
-                SimpleNamespace(accuracy=sentinel_accuracy + i * 1e-4, hardware=hardware)
-                for i in range(len(grid))
-            ]
-        )
-        store.put(
-            suite_result_key(
-                "seeds", 0, False, DEFAULT_DEPTHS, DEFAULT_TAUS,
-                training_sigma=0.0, robustness_weight=0.0,
-            ),
-            fake_suite,
+        (suite,) = run_benchmark_suite(
+            datasets=("seeds",), include_approximate_baseline=False,
+            depths=(5,), taus=(0.01,), store=store,
         )
 
         class StubSampler:
@@ -209,15 +191,14 @@ class TestCacheLayers:
             "robustness_weight": 1.0,
         }
         study = Study("seeds", store=store, sampler=StubSampler(config))
-        result = study.run(budget=1)
-        [trial] = result.trials
-        index = grid.index((5, 0.01))
+        stores_before = store.stats.stores
+        [trial] = study.run(budget=1).trials
+        [point] = suite.exploration
         assert trial.from_cache
-        assert trial.accuracy == pytest.approx(sentinel_accuracy + index * 1e-4)
-        assert trial.power_uw == pytest.approx(hardware.total_power_uw)
-        # The extraction was written through under the trial key, so the
-        # next study hits layer 1 without touching the suite entry.
-        assert store.get(study.trial_key(config))["accuracy"] == trial.accuracy
+        assert store.stats.stores == stores_before  # nothing trained or rewritten
+        assert trial.accuracy == point.accuracy
+        assert trial.power_uw == point.hardware.total_power_uw
+        assert store.get(study.trial_key(config)) == point
 
 
 class TestCacheOnly:

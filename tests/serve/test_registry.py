@@ -204,3 +204,53 @@ class TestPromoteDesign:
         first = promote_design(registry, "vertebral_2c", 2, 0.0, **kwargs)
         again = promote_design(registry, "vertebral_2c", 2, 0.0, **kwargs)
         assert (again.version, again.digest) == (first.version, first.digest)
+
+    def test_warm_store_hit_matches_the_cold_promote(self, tmp_path):
+        """A promote served from a suite's design-point entry promotes the
+        very tree (and digest) a cold promote trains."""
+        from repro.analysis.experiments import run_benchmark_suite
+        from repro.core.store import ResultStore
+
+        cold = promote_design(
+            ModelRegistry(tmp_path / "cold"), "vertebral_2c", 3, 0.01,
+            cache_dir=tmp_path / "empty",
+        )
+        store = ResultStore(tmp_path / "warm-cache")
+        run_benchmark_suite(
+            datasets=("vertebral_2c",), include_approximate_baseline=False,
+            depths=(3,), taus=(0.01,), store=store,
+        )
+        before = sorted(p.name for p in store.cache_dir.iterdir())
+        warm = promote_design(
+            ModelRegistry(tmp_path / "warm"), "vertebral_2c", 3, 0.01,
+            cache_dir=store.cache_dir,
+        )
+        assert warm.digest == cold.digest
+        assert warm.tree == cold.tree
+        assert sorted(p.name for p in store.cache_dir.iterdir()) == before
+
+    def test_warm_store_never_serves_another_resolution(self, tmp_path):
+        """Regression: a warm suite cache used to hand a 6-bit promote the
+        suite's 4-bit tree under a manifest saying 6 bits."""
+        from repro.analysis.experiments import run_benchmark_suite
+        from repro.core.store import ResultStore
+
+        cold = promote_design(
+            ModelRegistry(tmp_path / "cold"), "vertebral_2c", 3, 0.01,
+            resolution_bits=6, cache_dir=tmp_path / "empty",
+        )
+        store = ResultStore(tmp_path / "warm-cache")
+        # The full paper grid with Table II's variant: the suite entry the
+        # old lookup read.
+        run_benchmark_suite(
+            datasets=("vertebral_2c",), include_approximate_baseline=True,
+            store=store,
+        )
+        warm = promote_design(
+            ModelRegistry(tmp_path / "warm"), "vertebral_2c", 3, 0.01,
+            resolution_bits=6, cache_dir=store.cache_dir,
+        )
+        assert warm.resolution_bits == 6
+        assert warm.tree.resolution_bits == 6
+        assert warm.digest == cold.digest
+        assert warm.tree == cold.tree
