@@ -160,7 +160,6 @@ def run_benchmark_suite(
     training_sigma: float = 0.0,
     robustness_weight: float = 1.0,
     cache_only: bool = False,
-    engine: str = "batch",
     ppa_backend=None,
 ) -> list[CoDesignResult]:
     """Run the co-design flow over the benchmark suite (cached per design point).
@@ -209,16 +208,11 @@ def run_benchmark_suite(
         missing units and keys) when any entry is absent.  The
         in-process memo is bypassed, so the store genuinely holds
         everything the call returns.
-    engine:
-        Inference engine scoring the exploration's test sets (``"batch"``
-        or ``"bitparallel"``; see :mod:`repro.core.bitkernel`).  Engines are
-        bit-identical, so -- like ``jobs`` -- this never participates in
-        cache keys and cached results are shared across engines.
     ppa_backend:
         Source of every design's digital area/power (default: the analytic
         cell-count model; anything
         :func:`~repro.circuits.ppa.resolve_ppa_backend` accepts).  Unlike
-        ``engine``, a non-analytic backend *changes results*, and its
+        ``jobs``, a non-analytic backend *changes results*, and its
         numbers are not derivable from the experiment configuration -- so
         such runs bypass the memo and the on-disk store entirely (nothing
         report-based is ever cached under a configuration key), and they
@@ -273,7 +267,7 @@ def run_benchmark_suite(
     pending = [name for name in units if name not in resolved]
     values = _resolve_units(
         [unit for name in pending for unit in units[name]],
-        store, jobs, cache_only=cache_only, engine=engine, ppa_backend=backend,
+        store, jobs, cache_only=cache_only, ppa_backend=backend,
     )
     for name in pending:
         reference, *points = (values[unit.store_key] for unit in units[name])
@@ -311,7 +305,7 @@ def _suite_units(
     ]
 
 
-def _compute_unit(unit: WorkUnit, engine: str = "batch", ppa_backend=None, tree=None):
+def _compute_unit(unit: WorkUnit, ppa_backend=None, tree=None):
     """Top-level (picklable) job: compute one work unit from scratch.
 
     A ``variation`` unit simulates ``tree`` when the caller holds its point's
@@ -327,7 +321,7 @@ def _compute_unit(unit: WorkUnit, engine: str = "batch", ppa_backend=None, tree=
         )
         return framework.run_reference(DesignSpec(unit.dataset, unit.seed).data().dataset)
     if unit.kind == "point":
-        return unit.spec.evaluate(engine=engine, ppa_backend=ppa_backend)
+        return unit.spec.evaluate(ppa_backend=ppa_backend)
     return unit.spec.simulate(
         unit.params["sigma_v"],
         unit.params["n_trials"],
@@ -340,7 +334,6 @@ def _resolve_units(
     store: ResultStore | None,
     jobs: int | None,
     cache_only: bool = False,
-    engine: str = "batch",
     ppa_backend=None,
     trees: dict | None = None,
 ) -> dict[str, object]:
@@ -370,7 +363,7 @@ def _resolve_units(
     if pending:
         trees = trees or {}
         tasks = [
-            (unit, engine, ppa_backend, trees.get(unit.spec))
+            (unit, ppa_backend, trees.get(unit.spec))
             for unit in pending.values()
         ]
         with get_executor(jobs) as executor:
@@ -495,7 +488,6 @@ def run_robust_exploration(
     training_sigma: float = 0.0,
     robustness_weight: float = 1.0,
     cache_only: bool = False,
-    engine: str = "batch",
     ppa_backend=None,
 ) -> RobustExploration:
     """Variation-aware design-space exploration of one benchmark.
@@ -518,8 +510,7 @@ def run_robust_exploration(
     """
     result, units, analyses = _robustness_pass(
         dataset, (float(sigma_v),), n_trials, seed, depths, taus, jobs, cache_dir,
-        store, use_cache, training_sigma, robustness_weight, cache_only, engine,
-        ppa_backend,
+        store, use_cache, training_sigma, robustness_weight, cache_only, ppa_backend,
     )
     points = [
         point.with_robustness(analyses[unit.store_key])
@@ -550,7 +541,6 @@ def _robustness_pass(
     training_sigma: float,
     robustness_weight: float,
     cache_only: bool,
-    engine: str,
     ppa_backend,
 ) -> tuple[CoDesignResult, list[WorkUnit], dict[str, VariationAnalysis]]:
     """One benchmark's nominal suite plus its variation units at ``sigmas``.
@@ -575,7 +565,6 @@ def _robustness_pass(
         training_sigma=training_sigma,
         robustness_weight=robustness_weight,
         cache_only=cache_only,
-        engine=engine,
         # The variation units are accuracy-only, so the backend only
         # influences the suite resolved here.
         ppa_backend=ppa_backend,
@@ -705,7 +694,6 @@ def run_robustness_surface(
     training_sigma: float = 0.0,
     robustness_weight: float = 1.0,
     cache_only: bool = False,
-    engine: str = "batch",
     ppa_backend=None,
 ) -> RobustnessSurface:
     """Map the (sigma x depth x tau) robustness surface of one benchmark.
@@ -734,8 +722,7 @@ def run_robustness_surface(
     )
     result, units, analyses = _robustness_pass(
         dataset, sigma_values, n_trials, seed, depths, taus, jobs, cache_dir,
-        store, use_cache, training_sigma, robustness_weight, cache_only, engine,
-        ppa_backend,
+        store, use_cache, training_sigma, robustness_weight, cache_only, ppa_backend,
     )
     cells = []
     for unit in units:

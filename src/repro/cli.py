@@ -271,18 +271,7 @@ def _add_suite_arguments(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="bypass the result store and recompute everything",
     )
-    _add_engine_argument(parser)
     _add_ppa_backend_argument(parser)
-
-
-def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="batch",
-        help="inference engine scoring the exploration's test sets "
-        "(bit-identical; 'bitparallel' = packed-uint64 cube kernel)",
-    )
 
 
 def _add_ppa_backend_argument(parser: argparse.ArgumentParser) -> None:
@@ -307,7 +296,6 @@ def _suite(args: argparse.Namespace, include_approximate: bool):
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
-        engine=args.engine,
         ppa_backend=args.ppa_backend,
     )
 
@@ -471,7 +459,6 @@ def _cmd_table2_robust(args: argparse.Namespace) -> int:
                 cache_dir=args.cache_dir,
                 use_cache=not args.no_cache,
                 training_sigma=args.training_sigma,
-                engine=args.engine,
                 ppa_backend=args.ppa_backend,
             )
             for name in names
@@ -788,7 +775,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
         training_sigma=args.training_sigma,
-        engine=args.engine,
         ppa_backend=args.ppa_backend,
     )
     rows = exploration_rows(exploration.points)
@@ -958,7 +944,6 @@ def _cmd_surface(args: argparse.Namespace) -> int:
                     use_cache=not args.no_cache,
                     training_sigma=args.training_sigma,
                     cache_only=args.cache_only,
-                    engine=args.engine,
                     ppa_backend=args.ppa_backend,
                 )
             )
@@ -1359,7 +1344,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("table1", _cmd_table1, "baseline bespoke decision trees (Table I)"),
         ("fig4", _cmd_fig4, "gains of unary architecture + bespoke ADCs (Fig. 4)"),
         ("fig5", _cmd_fig5, "gains of ADC-aware training (Fig. 5)"),
-        ("table2", _cmd_table2, "co-designed classifiers at <=1% loss (Table II)"),
+        ("table2", _cmd_table2, "co-designed classifiers at <=1%% loss (Table II)"),
     ]:
         sub = subparsers.add_parser(name, help=description)
         _add_suite_arguments(sub)
@@ -1470,7 +1455,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="also write the robustness-annotated grid to this JSON file",
     )
-    _add_engine_argument(explore)
     _add_ppa_backend_argument(explore)
     explore.set_defaults(handler=_cmd_explore)
 

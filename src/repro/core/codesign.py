@@ -36,7 +36,7 @@ from repro.core.metrics import ClassifierDesign, ReductionReport, compare_design
 from repro.core.power_budget import SelfPowerAnalysis, analyze_self_power
 from repro.datasets.base import Dataset
 from repro.mltrees.cart import fit_baseline_tree
-from repro.mltrees.evaluation import resolve_engine, train_test_split
+from repro.mltrees.evaluation import train_test_split
 from repro.mltrees.quantize import quantize_dataset
 from repro.pdk.egfet import EGFETTechnology, default_technology
 
@@ -138,7 +138,6 @@ class CoDesignFramework:
         include_approximate_baseline: bool = True,
         training_sigma: float = 0.0,
         robustness_weight: float = 1.0,
-        engine: str = "batch",
         ppa_backend=None,
     ):
         from repro.circuits.ppa import resolve_ppa_backend
@@ -163,11 +162,6 @@ class CoDesignFramework:
             raise ValueError("robustness_weight must be >= 0")
         self.training_sigma = training_sigma
         self.robustness_weight = robustness_weight
-        #: Inference engine for the sweep's test-set scoring ("batch" or
-        #: "bitparallel").  Pure execution tuning:
-        #: engines are bit-identical, so results and cache keys never
-        #: depend on it.
-        self.engine = resolve_engine(engine)
         #: Source of the digital area/power numbers for the unary designs
         #: (default: the analytic cell-count model, bit-identical to the
         #: pre-backend flow).  The baseline [2] comparator tree keeps the
@@ -254,7 +248,6 @@ class CoDesignFramework:
             seed=self.seed,
             training_sigma=self.training_sigma,
             robustness_weight=self.robustness_weight,
-            engine=self.engine,
             ppa_backend=self.ppa_backend,
         )
         return explorer.explore(

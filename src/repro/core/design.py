@@ -49,8 +49,8 @@ class DesignPoint:
     """One evaluated point of the depth x tau design space.
 
     ``robustness`` is ``None`` after the nominal sweep; the variation-aware
-    pass (:meth:`~repro.core.exploration.DesignSpaceExplorer.evaluate_robustness`)
-    fills it with the point's comparator-offset Monte-Carlo summary, which
+    pass (:func:`~repro.analysis.experiments.run_robust_exploration`) fills
+    it with the point's comparator-offset Monte-Carlo summary, which
     surfaces as the ``mean_accuracy_drop`` / ``worst_case_drop`` columns of
     the analysis tables.
     """
@@ -319,7 +319,6 @@ class DesignSpec:
         X_test_levels: np.ndarray,
         y_test: np.ndarray,
         n_classes: int,
-        engine: str = "batch",
         ppa_backend=None,
     ) -> DesignPoint:
         """Train, score and cost the point on pre-quantized arrays."""
@@ -328,7 +327,7 @@ class DesignSpec:
             dataset=self.dataset,
             depth=self.depth,
             tau=self.tau,
-            accuracy=evaluate_tree_accuracy(tree, X_test_levels, y_test, engine=engine),
+            accuracy=evaluate_tree_accuracy(tree, X_test_levels, y_test),
             hardware=proposed_hardware_report(
                 tree,
                 self.technology,
@@ -338,12 +337,12 @@ class DesignSpec:
             tree=tree,
         )
 
-    def evaluate(self, engine: str = "batch", ppa_backend=None) -> DesignPoint:
+    def evaluate(self, ppa_backend=None) -> DesignPoint:
         """Train, score and cost the point on its benchmark split."""
         data = self.data()
         return self.evaluate_levels(
             data.X_train_levels, data.y_train, data.X_test_levels, data.y_test,
-            data.n_classes, engine=engine, ppa_backend=ppa_backend,
+            data.n_classes, ppa_backend=ppa_backend,
         )
 
     def simulate(

@@ -5,16 +5,11 @@ The paper brute-forces the two training hyperparameters -- tree depth
 ADC-aware tree per combination, and then picks, per accuracy-loss constraint
 (0 %, 1 %, 5 %), the most hardware-efficient design that still meets the
 constraint.  :class:`DesignSpaceExplorer` reproduces that sweep and
-:func:`select_best_design` the constrained selection.
-
-On top of the nominal sweep, :meth:`DesignSpaceExplorer.evaluate_robustness`
-attaches a comparator-offset Monte-Carlo summary to every design point (the
-variation-aware extension): per-point analyses fan out through the
-:class:`~repro.core.executor.Executor` and are cached in the
-:class:`~repro.core.store.ResultStore` under the same per-seed variation
-keys ``repro.cli variation`` uses, and :func:`select_best_design` can then
-constrain the selection by ``max_accuracy_drop`` -- the offset-aware
-co-design of Table II.
+:func:`select_best_design` the constrained selection.  Given points that
+carry a comparator-offset Monte-Carlo summary (attached by
+:func:`~repro.analysis.experiments.run_robust_exploration`),
+:func:`select_best_design` can also constrain the selection by
+``max_accuracy_drop`` -- the offset-aware co-design of Table II.
 
 Every grid point is one :class:`~repro.core.design.DesignSpec`: the
 explorer only fixes the knobs its points share.
@@ -27,9 +22,7 @@ import numpy as np
 # DesignPoint and proposed_hardware_report stay part of this module's interface.
 from repro.core.design import DesignPoint, DesignSpec, proposed_hardware_report  # noqa: F401
 from repro.core.executor import Executor, SerialExecutor
-from repro.core.store import ResultStore
-from repro.core.variation import VariationAnalysis, simulate_offset_variation
-from repro.mltrees.evaluation import resolve_engine
+from repro.core.variation import simulate_offset_variation  # noqa: F401 (public re-export)
 from repro.pdk.egfet import EGFETTechnology, default_technology
 
 #: Default tau grid of the paper: 0 to 0.03 in increments of 0.005.
@@ -68,12 +61,6 @@ class DesignSpaceExplorer:
     robustness_weight:
         Weight of the expected-flip penalty in the trainer's split score
         (ignored while ``training_sigma`` is 0; default 1.0).
-    engine:
-        Inference engine used to score the test set at every grid point:
-        ``"batch"`` (default) or ``"bitparallel"`` (packed-uint64 cube
-        kernel, see :mod:`repro.core.bitkernel`).  Engines are bit-identical,
-        so this is pure execution tuning -- it is *not* part of the
-        experiment configuration or any cache key.
     ppa_backend:
         Source of every grid point's digital area/power (default: the
         analytic cell-count model; see :mod:`repro.circuits.ppa`).  Accepts
@@ -90,7 +77,6 @@ class DesignSpaceExplorer:
         seed: int = 0,
         training_sigma: float = 0.0,
         robustness_weight: float = 1.0,
-        engine: str = "batch",
         ppa_backend=None,
     ):
         from repro.circuits.ppa import resolve_ppa_backend
@@ -106,12 +92,11 @@ class DesignSpaceExplorer:
             raise ValueError("robustness_weight must be >= 0")
         self.training_sigma = training_sigma
         self.robustness_weight = robustness_weight
-        self.engine = resolve_engine(engine)
         self.ppa_backend = resolve_ppa_backend(ppa_backend)
         if not self.depths or not self.taus:
             raise ValueError("the exploration grid must not be empty")
 
-    def spec(self, dataset_name: str, depth: int, tau: float, test_size: float = 0.3) -> DesignSpec:
+    def spec(self, dataset_name: str, depth: int, tau: float) -> DesignSpec:
         """The :class:`DesignSpec` of one grid point under this explorer's knobs."""
         return DesignSpec(
             dataset_name,
@@ -120,7 +105,6 @@ class DesignSpaceExplorer:
             tau=tau,
             resolution_bits=self.resolution_bits,
             technology=self.technology,
-            test_size=test_size,
             training_sigma=self.training_sigma,
             robustness_weight=self.robustness_weight,
         )
@@ -139,7 +123,7 @@ class DesignSpaceExplorer:
         """Train and cost one (depth, tau) combination."""
         return self.spec(dataset_name, depth, tau).evaluate_levels(
             X_train_levels, y_train, X_test_levels, y_test, n_classes,
-            engine=self.engine, ppa_backend=self.ppa_backend,
+            ppa_backend=self.ppa_backend,
         )
 
     def explore(
@@ -168,87 +152,6 @@ class DesignSpaceExplorer:
         ]
         return executor.map(self.evaluate_point, tasks)
 
-    def evaluate_robustness(
-        self,
-        points: list[DesignPoint],
-        X_test: np.ndarray,
-        y_test: np.ndarray,
-        sigma_v: float,
-        n_trials: int = 100,
-        executor: Executor | None = None,
-        store: ResultStore | None = None,
-        test_size: float = 0.3,
-    ) -> list[DesignPoint]:
-        """Attach a comparator-offset Monte-Carlo summary to every point.
-
-        Parameters
-        ----------
-        points:
-            Nominal design points (any iterable order; preserved).
-        X_test, y_test:
-            *Analog* (normalized, unquantized) evaluation samples -- offsets
-            shift the comparator thresholds in the continuous input domain.
-        sigma_v:
-            Comparator offset sigma in volts.
-        n_trials:
-            Monte-Carlo trials per design point.
-        executor:
-            Backend the per-point analyses fan out through (default serial).
-            Every analysis is seeded with the explorer seed, so serial and
-            parallel runs are bit-identical.
-        store:
-            Optional :class:`ResultStore`; per-point
-            :class:`~repro.core.variation.VariationAnalysis` summaries are
-            cached under the same per-seed variation keys that ``repro.cli
-            variation`` uses, so either entry point reuses the other's work.
-        test_size:
-            Split fraction ``X_test`` was carved out with (0.3 under the
-            paper's protocol).  Only participates in the cache keys, so
-            analyses on non-default splits address distinct entries.
-
-        Returns
-        -------
-        list[DesignPoint]
-            The input points, in order, with ``robustness`` filled in.
-        """
-        executor = executor if executor is not None else SerialExecutor()
-        analyses: dict[int, VariationAnalysis] = {}
-        keys: dict[int, str] = {}
-        pending: list[int] = []
-        for index, point in enumerate(points):
-            if store is not None:
-                key = self.spec(
-                    point.dataset, point.depth, point.tau, test_size
-                ).variation_key(sigma_v, n_trials)
-                keys[index] = key
-                cached = store.get(key)
-                if cached is not None:
-                    analyses[index] = cached
-                    continue
-            pending.append(index)
-
-        if pending:
-            tasks = [
-                (
-                    points[index].tree,
-                    X_test,
-                    y_test,
-                    sigma_v,
-                    n_trials,
-                    self.technology,
-                    self.seed,
-                )
-                for index in pending
-            ]
-            for index, analysis in zip(
-                pending, executor.map(simulate_offset_variation, tasks)
-            ):
-                analyses[index] = analysis
-                if store is not None:
-                    store.put(keys[index], analysis)
-
-        return [point.with_robustness(analyses[i]) for i, point in enumerate(points)]
-
 
 def select_best_design(
     points: list[DesignPoint],
@@ -275,7 +178,8 @@ def select_best_design(
         Optional robustness constraint: maximum allowed *mean* accuracy drop
         under comparator-offset variation.  Only points that carry a
         robustness summary (see
-        :meth:`DesignSpaceExplorer.evaluate_robustness`) can satisfy it;
+        :func:`~repro.analysis.experiments.run_robust_exploration`) can
+        satisfy it;
         points without one are treated as infeasible, so a constrained
         selection never silently picks an unanalyzed design.
 

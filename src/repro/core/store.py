@@ -251,7 +251,9 @@ class ResultStore:
         """Load the entry for ``key``, counting a hit or a miss.
 
         Unreadable entries (truncated writes from killed processes, pickles
-        of incompatible classes) count as misses and are evicted.
+        of incompatible classes) count as misses and are evicted -- unless
+        the store is read-only (``touch_on_get=False``), which leaves them
+        in place.
         """
         path = self.path_for(key)
         try:
@@ -261,7 +263,8 @@ class ResultStore:
             self.stats.misses += 1
             return default
         except Exception:
-            self.invalidate(key)
+            if self.touch_on_get:
+                self.invalidate(key)
             self.stats.misses += 1
             return default
         self.stats.hits += 1

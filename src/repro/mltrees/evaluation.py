@@ -3,16 +3,15 @@
 The paper's protocol is a random 70 %/30 % train/test split on inputs
 normalized to ``[0, 1]``; this module provides the (seeded, stratified)
 splitting and the metrics used throughout the evaluation, plus the
-``engine`` dispatch that lets every evaluation call opt into the
-bit-parallel packed-uint64 kernel (:mod:`repro.core.bitkernel`) instead of
-the default ndarray batch path.
+serving-side ``engine`` dispatch between the default ndarray batch path and
+the bit-parallel packed-uint64 kernel (:mod:`repro.core.bitkernel`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-#: Prediction engines accepted by :func:`predict_levels_with_engine`:
+#: Prediction engines accepted by :func:`level_predictor`:
 #: ``"batch"`` walks the tree with vectorized index masks (the default);
 #: ``"bitparallel"`` evaluates the tree's two-level cube logic as packed
 #: uint64 bitwise ops, 64 samples per machine word.  The two are
@@ -46,23 +45,9 @@ def level_predictor(tree, engine: str = "batch"):
     return tree.predict_levels
 
 
-def predict_levels_with_engine(tree, X_levels: np.ndarray, engine: str = "batch") -> np.ndarray:
-    """Predict quantized samples through the selected inference engine.
-
-    ``tree`` is a trained :class:`~repro.mltrees.tree.DecisionTree`.  With
-    ``engine="bitparallel"`` the tree is compiled (once, cached on the tree
-    instance) into per-class packed-word cube masks and evaluated 64 samples
-    per uint64 word; predictions are bit-identical to ``tree.predict_levels``
-    either way, so switching engines never changes results.
-    """
-    return level_predictor(tree, engine)(X_levels)
-
-
-def evaluate_tree_accuracy(
-    tree, X_levels: np.ndarray, y: np.ndarray, engine: str = "batch"
-) -> float:
-    """Test accuracy of a trained tree through the selected engine."""
-    return accuracy_score(y, predict_levels_with_engine(tree, X_levels, engine=engine))
+def evaluate_tree_accuracy(tree, X_levels: np.ndarray, y: np.ndarray) -> float:
+    """Test accuracy of a trained tree on quantized samples."""
+    return accuracy_score(y, tree.predict_levels(X_levels))
 
 
 def accuracy_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:

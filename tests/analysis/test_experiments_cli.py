@@ -1,5 +1,6 @@
 """Tests for the benchmark-suite orchestration and the CLI."""
 
+import argparse
 import subprocess
 import sys
 import textwrap
@@ -176,6 +177,16 @@ class TestSerialParallelEquivalence:
         assert serial == parallel
 
 
+def _parser_nodes(parser=None, path=()):
+    """``(command path, parser)`` for the root and every nested subcommand."""
+    parser = parser if parser is not None else build_parser()
+    yield path, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _parser_nodes(sub, (*path, name))
+
+
 class TestCli:
     def test_parser_knows_all_commands(self):
         parser = build_parser()
@@ -250,6 +261,31 @@ class TestCli:
     def test_datasheet_requires_dataset(self):
         with pytest.raises(SystemExit):
             main(["datasheet"])
+
+    @pytest.mark.parametrize(
+        "command", [" ".join(("repro", *path)) for path, _ in _parser_nodes()]
+    )
+    def test_every_parser_node_renders_its_help(self, command):
+        nodes = {" ".join(("repro", *path)): parser for path, parser in _parser_nodes()}
+        assert nodes[command].format_help()
+
+    def test_help_walk_reaches_nested_subcommands(self):
+        paths = {path for path, _ in _parser_nodes()}
+        assert {("cache", "prune"), ("registry", "promote"), ("serve", "smoke")} <= paths
+
+    def test_root_help_exits_cleanly(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        assert "<=1% loss" in capsys.readouterr().out
+
+    def test_only_serve_smoke_takes_an_engine(self):
+        takes_engine = [
+            path
+            for path, parser in _parser_nodes()
+            if "--engine" in parser.format_help()
+        ]
+        assert takes_engine == [("serve", "smoke")]
 
 
 class TestRunVariationAnalysis:

@@ -13,13 +13,12 @@ from repro.adc.thermometer import (
 )
 from repro.core.adc_aware_training import ADCAwareTrainer
 from repro.core.bitkernel import CompiledTreeKernel, compile_tree_kernel
-from repro.core.exploration import DesignSpaceExplorer
+from repro.core.design import DesignSpec
 from repro.core.unary_tree import UnaryDecisionTree
 from repro.datasets.registry import load_dataset
 from repro.mltrees.cart import CARTTrainer
 from repro.mltrees.evaluation import (
     ENGINES,
-    predict_levels_with_engine,
     resolve_engine,
     train_test_split,
 )
@@ -193,38 +192,12 @@ class TestEngineDispatch:
     def test_engines_are_bit_identical(self, trained):
         tree, X_levels, _ = trained
         np.testing.assert_array_equal(
-            predict_levels_with_engine(tree, X_levels, engine="batch"),
-            predict_levels_with_engine(tree, X_levels, engine="bitparallel"),
+            compile_tree_kernel(tree).predict_levels(X_levels),
+            tree.predict_levels(X_levels),
         )
-
-    @staticmethod
-    def _explore(engine):
-        dataset = load_dataset("seeds", seed=0)
-        X_train, X_test, y_train, y_test = train_test_split(
-            dataset.X, dataset.y, test_size=0.3, seed=0
-        )
-        return DesignSpaceExplorer(
-            depths=(2, 3), taus=(0.0, 0.01), seed=0, engine=engine
-        ).explore(
-            quantize_dataset(X_train),
-            y_train,
-            quantize_dataset(X_test),
-            y_test,
-            dataset.n_classes,
-            dataset_name="seeds",
-        )
-
-    def test_explorer_results_engine_invariant(self):
-        batch = self._explore("batch")
-        packed = self._explore("bitparallel")
-        assert [p.accuracy for p in batch] == [p.accuracy for p in packed]
-
-    def test_explorer_rejects_unknown_engine(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            DesignSpaceExplorer(engine="gpu")
 
     def test_design_point_kernel_property(self):
-        point = self._explore("batch")[0]
+        point = DesignSpec("seeds", 0, 2, 0.0).evaluate()
         kernel = point.kernel
         assert kernel is compile_tree_kernel(point.tree)
         assert kernel.n_digits == len(kernel.comparators)

@@ -50,9 +50,9 @@ class TestCanonicalIdentity:
     def test_key_kinds_do_not_collide(self):
         spec = DesignSpec("seeds", 0, 3, 0.01)
         keys = {spec.key(), spec.variation_key(0.02, 10),
-                spec.variation_key(0.02, 20), spec.reference_key(False),
-                spec.reference_key(True)}
-        assert len(keys) == 5
+                spec.variation_key(0.02, 20), spec.variation_key(0.03, 10),
+                spec.reference_key(False), spec.reference_key(True)}
+        assert len(keys) == 6
 
     def test_reference_key_ignores_grid_point_and_training_knobs(self):
         spec = DesignSpec("seeds", 0, 3, 0.01)
@@ -90,3 +90,15 @@ class TestRecipe:
     def test_simulate_with_a_given_tree_equals_retraining(self):
         spec = DesignSpec("seeds", 0, 3, 0.01)
         assert spec.simulate(0.02, 5, spec.train()) == spec.simulate(0.02, 5)
+
+    def test_halving_vdd_changes_the_monte_carlo_accuracies(self):
+        """Vdd normalizes the offsets, so a low-vdd corner sees larger ones."""
+        spec = DesignSpec("seeds", 0, 3, 0.01)
+        low_vdd = dataclasses.replace(
+            spec, technology=dataclasses.replace(spec.technology, vdd=spec.technology.vdd / 2)
+        )
+        tree = spec.train()
+        nominal = spec.simulate(0.02, 8, tree)
+        corner = low_vdd.simulate(0.02, 8, tree)
+        assert corner.nominal_accuracy == nominal.nominal_accuracy
+        assert corner.accuracies != nominal.accuracies

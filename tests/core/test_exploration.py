@@ -169,124 +169,6 @@ class TestSelectBestDesign:
         )
 
 
-class TestEvaluateRobustness:
-    @pytest.fixture(scope="class")
-    def analog_split(self, small_dataset):
-        from repro.mltrees.evaluation import train_test_split
-
-        X, y = small_dataset
-        return train_test_split(X, y, test_size=0.3, seed=1)
-
-    @pytest.fixture(scope="class")
-    def explorer(self, technology):
-        return DesignSpaceExplorer(
-            technology=technology, depths=(2, 3), taus=(0.0, 0.02), seed=0
-        )
-
-    @pytest.fixture(scope="class")
-    def points(self, explorer, small_split):
-        X_train, X_test, y_train, y_test = small_split
-        return explorer.explore(X_train, y_train, X_test, y_test, 3, "small")
-
-    @pytest.fixture(scope="class")
-    def robust_points(self, explorer, points, analog_split):
-        _, X_test, _, y_test = analog_split
-        return explorer.evaluate_robustness(
-            points, X_test, y_test, sigma_v=0.03, n_trials=16
-        )
-
-    def test_every_point_gains_robustness_columns(self, points, robust_points):
-        assert len(robust_points) == len(points)
-        for nominal, robust in zip(points, robust_points):
-            assert nominal.robustness is None
-            assert nominal.mean_accuracy_drop is None
-            assert robust.robustness is not None
-            assert len(robust.robustness.accuracies) == 16
-            assert robust.robustness.sigma_v == 0.03
-            assert robust.mean_accuracy_drop == pytest.approx(
-                robust.robustness.nominal_accuracy - robust.robustness.mean_accuracy
-            )
-            assert robust.worst_case_drop >= robust.mean_accuracy_drop - 1e-12
-            # the nominal columns are untouched
-            assert robust.accuracy == nominal.accuracy
-            assert robust.hardware == nominal.hardware
-
-    def test_parallel_pass_is_bit_identical(self, explorer, points, analog_split,
-                                            robust_points):
-        from repro.core.executor import ParallelExecutor
-
-        _, X_test, _, y_test = analog_split
-        with ParallelExecutor(jobs=2) as executor:
-            parallel = explorer.evaluate_robustness(
-                points, X_test, y_test, sigma_v=0.03, n_trials=16, executor=executor
-            )
-        assert parallel == robust_points
-
-    def test_store_caches_per_point_analyses(self, explorer, points, analog_split,
-                                             robust_points, tmp_path):
-        from repro.core.store import ResultStore
-
-        _, X_test, _, y_test = analog_split
-        store = ResultStore(cache_dir=tmp_path / "robustness")
-        first = explorer.evaluate_robustness(
-            points, X_test, y_test, sigma_v=0.03, n_trials=16, store=store
-        )
-        assert store.stats.stores == len(points)
-        assert first == robust_points
-        second = explorer.evaluate_robustness(
-            points, X_test, y_test, sigma_v=0.03, n_trials=16, store=store
-        )
-        assert store.stats.stores == len(points)  # nothing recomputed
-        assert store.stats.hits >= len(points)
-        assert second == first
-
-    def test_sigma_addresses_distinct_cache_entries(self, explorer, points,
-                                                    analog_split, tmp_path):
-        from repro.core.store import ResultStore
-
-        _, X_test, _, y_test = analog_split
-        store = ResultStore(cache_dir=tmp_path / "sigma-grid")
-        explorer.evaluate_robustness(
-            points, X_test, y_test, sigma_v=0.01, n_trials=8, store=store
-        )
-        explorer.evaluate_robustness(
-            points, X_test, y_test, sigma_v=0.02, n_trials=8, store=store
-        )
-        assert len(store) == 2 * len(points)
-
-    def test_custom_technology_addresses_distinct_cache_entries(
-        self, technology, points, analog_split, tmp_path
-    ):
-        """Vdd scales the offsets, so corners must not share cache entries."""
-        import dataclasses
-
-        from repro.core.store import ResultStore
-
-        _, X_test, _, y_test = analog_split
-        store = ResultStore(cache_dir=tmp_path / "corner-grid")
-        kwargs = dict(sigma_v=0.02, n_trials=8, store=store)
-        default_explorer = DesignSpaceExplorer(
-            technology=technology, depths=(2, 3), taus=(0.0, 0.02), seed=0
-        )
-        default_points = default_explorer.evaluate_robustness(
-            points, X_test, y_test, **kwargs
-        )
-        low_vdd = dataclasses.replace(technology, vdd=technology.vdd / 2)
-        corner_explorer = DesignSpaceExplorer(
-            technology=low_vdd, depths=(2, 3), taus=(0.0, 0.02), seed=0
-        )
-        corner_points = corner_explorer.evaluate_robustness(
-            points, X_test, y_test, **kwargs
-        )
-        assert len(store) == 2 * len(points)  # no cross-corner aliasing
-        assert store.stats.hits == 0
-        # halving vdd doubles the normalized offsets: the analyses differ
-        assert any(
-            c.robustness.accuracies != d.robustness.accuracies
-            for c, d in zip(corner_points, default_points)
-        )
-
-
 class TestDesignPointRobustnessColumns:
     def test_with_robustness_returns_annotated_copy(self, small_tree, technology):
         from repro.core.exploration import DesignPoint

@@ -147,6 +147,15 @@ class TestResultStore:
         assert store.stats.misses == 1
         assert key not in store
 
+    def test_read_only_store_leaves_corrupt_entry_in_place(self, store):
+        key = make_key(n=3)
+        store.put(key, "value")
+        store.path_for(key).write_bytes(b"\x80trunc")
+        reader = ResultStore(cache_dir=store.cache_dir, touch_on_get=False)
+        assert reader.get(key, default="fallback") == "fallback"
+        assert reader.stats.misses == 1
+        assert store.path_for(key).read_bytes() == b"\x80trunc"
+
     def test_put_overwrites_atomically(self, store):
         key = make_key(n=4)
         store.put(key, "old")
