@@ -3,69 +3,41 @@
 Reproduces, for a single benchmark (cardio), the exploration of Section IV:
 every (depth, tau) combination is trained with the ADC-aware trainer, costed
 with the bespoke-ADC unary architecture, and the accuracy/power trade-off is
-reported -- including the designs that would be selected under the paper's
-0 % / 1 % / 5 % accuracy-loss constraints and the accuracy-power Pareto
-front.
+reported -- including the designs selected under the paper's 0 % / 1 % / 5 %
+accuracy-loss constraints and the accuracy-power Pareto front.
 
 Run with::
 
     python examples/design_space_exploration.py          # serial sweep
     REPRO_EXAMPLE_JOBS=4 python examples/design_space_exploration.py
 
-The sweep's 49 trainings are independent: with ``REPRO_EXAMPLE_JOBS`` set,
-they fan out over a process pool through :func:`repro.get_executor` and
-produce bit-identical points.
+The sweep is the suite run of one benchmark: its 49 trainings are
+independent, so with ``REPRO_EXAMPLE_JOBS`` set they fan out over a process
+pool and produce bit-identical points.  Every point lands in the result
+store (``$REPRO_CACHE_DIR`` or ``~/.cache/repro/results``), so a second run
+trains nothing.
 """
 
 import os
 
-from repro import DesignSpaceExplorer, get_executor, load_dataset, select_best_design
+from repro.analysis import run_benchmark_suite
 from repro.analysis.render import render_table
-from repro.mltrees.cart import fit_baseline_tree
-from repro.mltrees.evaluation import train_test_split
-from repro.mltrees.quantize import quantize_dataset
-
-
-def pareto_front(points):
-    """Points not dominated in (higher accuracy, lower power)."""
-    front = []
-    for point in points:
-        dominated = any(
-            other.accuracy >= point.accuracy
-            and other.hardware.total_power_uw < point.hardware.total_power_uw
-            for other in points
-        )
-        if not dominated:
-            front.append(point)
-    return sorted(front, key=lambda p: p.hardware.total_power_uw)
+from repro.core.pareto import accuracy_power_front
 
 
 def main() -> None:
-    dataset = load_dataset("cardio", seed=0)
-    X_train, X_test, y_train, y_test = train_test_split(
-        dataset.X, dataset.y, test_size=0.3, seed=0
-    )
-    X_train_levels = quantize_dataset(X_train)
-    X_test_levels = quantize_dataset(X_test)
-
-    baseline = fit_baseline_tree(
-        X_train_levels, y_train, X_test_levels, y_test, dataset.n_classes
-    )
-    print(f"baseline (ADC-unaware) accuracy: {baseline.test_accuracy * 100:.1f}% "
-          f"at depth {baseline.depth}")
-
-    explorer = DesignSpaceExplorer(seed=0)
     jobs = int(os.environ.get("REPRO_EXAMPLE_JOBS", "1"))
-    with get_executor(jobs) as executor:
-        points = explorer.explore(
-            X_train_levels, y_train, X_test_levels, y_test,
-            n_classes=dataset.n_classes, dataset_name=dataset.name,
-            executor=executor,
-        )
+    (result,) = run_benchmark_suite(
+        ("cardio",), include_approximate_baseline=False, jobs=jobs
+    )
+    baseline = result.baseline
+    print(f"baseline (ADC-unaware) accuracy: {baseline.accuracy * 100:.1f}% "
+          f"at depth {baseline.depth}")
+    points = result.exploration
     print(f"explored {len(points)} (depth, tau) combinations "
-          f"({executor.jobs} worker{'s' if executor.jobs > 1 else ''})\n")
+          f"({jobs} worker{'s' if jobs > 1 else ''})\n")
 
-    front = pareto_front(points)
+    front = sorted(accuracy_power_front(points), key=lambda p: p.hardware.total_power_uw)
     print("accuracy-power Pareto front:")
     print(render_table(
         ["depth", "tau", "accuracy (%)", "ADC comparators", "area (mm2)", "power (mW)"],
@@ -79,7 +51,7 @@ def main() -> None:
     print("\nselected designs per accuracy-loss constraint:")
     rows = []
     for loss in (0.0, 0.01, 0.05):
-        chosen = select_best_design(points, baseline.test_accuracy, loss)
+        chosen = result.selected.get(loss)
         if chosen is None:
             rows.append((f"<= {loss:.0%}", "-", "-", "-", "-", "-"))
             continue

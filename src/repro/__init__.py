@@ -25,7 +25,6 @@ from repro.core import (
     CoDesignFramework,
     CoDesignResult,
     DesignPoint,
-    DesignSpaceExplorer,
     Executor,
     HardwareReport,
     ParallelExecutor,
@@ -50,7 +49,6 @@ __all__ = [
     "CoDesignFramework",
     "CoDesignResult",
     "DesignPoint",
-    "DesignSpaceExplorer",
     "Executor",
     "SerialExecutor",
     "ParallelExecutor",

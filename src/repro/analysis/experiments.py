@@ -55,7 +55,7 @@ from pathlib import Path
 
 from repro.core.codesign import CoDesignFramework, CoDesignResult, select_designs
 from repro.core.design import DesignPoint, DesignSpec
-from repro.core.executor import get_executor
+from repro.core.executor import Executor, get_executor
 from repro.core.exploration import (
     DEFAULT_DEPTHS,
     DEFAULT_TAUS,
@@ -196,8 +196,8 @@ def run_benchmark_suite(
         bypassed too) and recompute everything.
     training_sigma:
         Comparator offset sigma in volts assumed by the exploration trainer
-        (0: nominal training).  See
-        :class:`~repro.core.exploration.DesignSpaceExplorer`.
+        (0: nominal training); see
+        :class:`~repro.core.design.DesignSpec`.
     robustness_weight:
         Weight of the expected-flip penalty in the trainer's split scores
         (ignored while ``training_sigma`` is 0).
@@ -265,10 +265,11 @@ def run_benchmark_suite(
             resolved[name] = memoized
 
     pending = [name for name in units if name not in resolved]
-    values = _resolve_units(
-        [unit for name in pending for unit in units[name]],
-        store, jobs, cache_only=cache_only, ppa_backend=backend,
-    )
+    with get_executor(jobs) as executor:
+        values, _ = _resolve_units(
+            [unit for name in pending for unit in units[name]],
+            store, executor, cache_only=cache_only, ppa_backend=backend,
+        )
     for name in pending:
         reference, *points = (values[unit.store_key] for unit in units[name])
         resolved[name] = select_designs(reference, points)
@@ -332,18 +333,22 @@ def _compute_unit(unit: WorkUnit, ppa_backend=None, tree=None):
 def _resolve_units(
     units: list[WorkUnit],
     store: ResultStore | None,
-    jobs: int | None,
+    executor: Executor,
     cache_only: bool = False,
     ppa_backend=None,
     trees: dict | None = None,
-) -> dict[str, object]:
-    """Values of ``units`` by store key: store hits, then one fan-out of the rest.
+) -> tuple[dict[str, object], tuple[str, ...]]:
+    """Resolve ``units`` against ``store``: the one design-point fan-out.
 
-    Computed values are written to ``store`` (when given).  ``cache_only``
-    raises :class:`~repro.core.sharding.MissingResultsError` listing every
-    miss instead of computing.  ``trees`` maps a
-    :class:`~repro.core.design.DesignSpec` to its trained tree, sparing the
-    retraining of variation units whose point is at hand.
+    Probes every unit once.  Reference and point misses are computed in one
+    ``executor.map``; variation misses follow in a second one and simulate
+    the trees of the point units among ``units`` (or of ``trees``, a
+    :class:`~repro.core.design.DesignSpec` -> tree map), retraining only
+    the points not at hand.  Computed values are written to ``store`` (when
+    given); ``cache_only`` raises
+    :class:`~repro.core.sharding.MissingResultsError` listing every miss
+    instead of computing.  Returns the values by store key and the keys
+    this call computed.
     """
     values: dict[str, object] = {}
     pending: dict[str, WorkUnit] = {}
@@ -360,19 +365,23 @@ def _resolve_units(
         raise MissingResultsError(
             [(unit.label, unit.store_key) for unit in pending.values()]
         )
-    if pending:
-        trees = trees or {}
-        tasks = [
-            (unit, ppa_backend, trees.get(unit.spec))
-            for unit in pending.values()
-        ]
-        with get_executor(jobs) as executor:
-            computed = executor.map(_compute_unit, tasks)
-        for key, value in zip(pending, computed):
+
+    def compute(batch: list[WorkUnit], trees: dict) -> None:
+        if not batch:
+            return
+        tasks = [(unit, ppa_backend, trees.get(unit.spec)) for unit in batch]
+        for unit, value in zip(batch, executor.map(_compute_unit, tasks)):
             if store is not None:
-                store.put(key, value)
-            values[key] = value
-    return values
+                store.put(unit.store_key, value)
+            values[unit.store_key] = value
+
+    compute([unit for unit in pending.values() if unit.kind != "variation"], {})
+    trees = dict(trees or {})
+    trees.update(
+        (unit.spec, values[unit.store_key].tree) for unit in units if unit.kind == "point"
+    )
+    compute([unit for unit in pending.values() if unit.kind == "variation"], trees)
+    return values, tuple(pending)
 
 
 @lru_cache(maxsize=8)
@@ -583,10 +592,11 @@ def _robustness_pass(
     units = [
         variation_work_unit(spec, sigma, n_trials) for sigma in sigmas for spec in specs
     ]
-    analyses = _resolve_units(
-        units, store, jobs, cache_only=cache_only,
-        trees={spec: point.tree for spec, point in zip(specs, result.exploration)},
-    )
+    with get_executor(jobs) as executor:
+        analyses, _ = _resolve_units(
+            units, store, executor, cache_only=cache_only,
+            trees={spec: point.tree for spec, point in zip(specs, result.exploration)},
+        )
     if store is not None:
         store.flush_stats()
     return result, units, analyses
@@ -792,8 +802,6 @@ def run_search_study(
 
     if isinstance(space, str):
         space = get_space(space)
-    if use_cache and store is None:
-        store = ResultStore(cache_dir) if cache_dir is not None else default_store()
     study = Study(
         dataset,
         space=space,
@@ -802,6 +810,7 @@ def run_search_study(
         sigma_v=sigma_v,
         variation_trials=variation_trials,
         store=store,
+        cache_dir=cache_dir,
         use_cache=use_cache,
         batch_size=batch_size,
         cache_only=cache_only,
@@ -846,13 +855,9 @@ def run_plan_shard(
     if store is None:
         store = ResultStore(cache_dir) if cache_dir is not None else default_store()
     units = plan.shard(shard)
-    reused = sum(1 for unit in units if unit.store_key in store)
-    designs = [unit for unit in units if unit.kind != "variation"]
-    values = _resolve_units(designs, store, jobs)
-    _resolve_units(
-        [unit for unit in units if unit.kind == "variation"], store, jobs,
-        trees={unit.spec: values[unit.store_key].tree
-               for unit in designs if unit.kind == "point"},
-    )
+    with get_executor(jobs) as executor:
+        _, computed = _resolve_units(units, store, executor)
     store.flush_stats()
-    return ShardRunReport(shard=shard, n_units=len(units), reused=reused)
+    return ShardRunReport(
+        shard=shard, n_units=len(units), reused=len(units) - len(computed)
+    )

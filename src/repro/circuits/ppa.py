@@ -1,7 +1,7 @@
 """Pluggable PPA (power / performance / area) estimation backends.
 
 Every hardware cost in the repository -- ``DesignPoint`` area/power, the
-explorer's sweep, search objectives, datasheets -- ultimately comes from
+suite sweep, search objectives, datasheets -- ultimately comes from
 costing a gate-level :class:`~repro.circuits.netlist.Netlist`.  This module
 puts that costing behind a small interface so two very different sources of
 numbers are interchangeable:
@@ -271,7 +271,7 @@ def resolve_ppa_backend(spec: object = None) -> PPABackend:
     Accepts ``None`` / ``"analytic"`` (the default backend), a path to a
     report JSON file (or a parsed report mapping), or an already-constructed
     backend instance, which is returned as-is.  This is the single entry
-    point the explorer, framework, suite runners and CLI use, so a plain
+    point the framework, suite runners, search studies and CLI use, so a plain
     ``--ppa-backend report.json`` string works at every layer.
     """
     if spec is None or spec == "analytic":

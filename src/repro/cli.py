@@ -204,6 +204,20 @@ def _jobs_argument(value: str) -> int:
     return jobs
 
 
+def _positive_int_argument(value: str) -> int:
+    number = int(value)
+    if number < 1:
+        raise argparse.ArgumentTypeError("must be a positive integer")
+    return number
+
+
+def _test_size_argument(value: str) -> float:
+    fraction = float(value)
+    if not 0.0 < fraction < 1.0:
+        raise argparse.ArgumentTypeError("must be a fraction strictly between 0 and 1")
+    return fraction
+
+
 def _age_days_argument(value: str) -> float:
     days = float(value)
     if days < 0:
@@ -1363,7 +1377,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
             sub.add_argument(
                 "--trials",
-                type=int,
+                type=_positive_int_argument,
                 default=100,
                 help="Monte-Carlo trials per design point (with --sigma)",
             )
@@ -1401,7 +1415,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="comparator offset sigma in volts (default: 20 mV)",
     )
     explore.add_argument(
-        "--trials", type=int, default=100, help="Monte-Carlo trials per design point"
+        "--trials",
+        type=_positive_int_argument,
+        default=100,
+        help="Monte-Carlo trials per design point",
     )
     explore.add_argument(
         "--training-sigma",
@@ -1477,9 +1494,9 @@ def build_parser() -> argparse.ArgumentParser:
         "default: 0 5m 10m 20m 40m)",
     )
     variation.add_argument(
-        "--trials", type=int, default=100, help="Monte-Carlo trials per sigma"
+        "--trials", type=_positive_int_argument, default=100, help="Monte-Carlo trials per sigma"
     )
-    variation.add_argument("--depth", type=int, default=4, help="tree depth")
+    variation.add_argument("--depth", type=_positive_int_argument, default=4, help="tree depth")
     variation.add_argument("--tau", type=float, default=0.01, help="Gini tolerance")
     variation.add_argument("--seed", type=int, default=0, help="global seed")
     variation.add_argument(
@@ -1499,13 +1516,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     variation.add_argument(
         "--resolution-bits",
-        type=int,
+        type=_positive_int_argument,
         default=4,
         help="ADC resolution of the classifier under test (default: 4)",
     )
     variation.add_argument(
         "--test-size",
-        type=float,
+        type=_test_size_argument,
         default=0.3,
         help="held-out fraction of the train/test split (default: 0.3)",
     )
@@ -1545,7 +1562,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     surface.add_argument(
         "--trials",
-        type=int,
+        type=_positive_int_argument,
         default=100,
         help="Monte-Carlo trials per (sigma, depth, tau) point",
     )
@@ -1610,7 +1627,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     search.add_argument(
         "--trials",
-        type=int,
+        type=_positive_int_argument,
         default=100,
         help="Monte-Carlo trials per design point (with --sigma)",
     )
@@ -1691,7 +1708,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument(
             "--trials",
-            type=int,
+            type=_positive_int_argument,
             default=100,
             help="Monte-Carlo trials per variation unit (with --sigma)",
         )
@@ -1824,7 +1841,7 @@ def build_parser() -> argparse.ArgumentParser:
     promote.add_argument(
         "--dataset", required=True, choices=dataset_names(), help="benchmark to use"
     )
-    promote.add_argument("--depth", type=int, required=True, help="tree depth")
+    promote.add_argument("--depth", type=_positive_int_argument, required=True, help="tree depth")
     promote.add_argument("--tau", type=float, default=0.0, help="Gini tolerance")
     promote.add_argument(
         "--name",
@@ -1891,7 +1908,7 @@ def build_parser() -> argparse.ArgumentParser:
     smoke.add_argument(
         "--dataset", required=True, choices=dataset_names(), help="benchmark to serve"
     )
-    smoke.add_argument("--depth", type=int, default=8, help="tree depth")
+    smoke.add_argument("--depth", type=_positive_int_argument, default=8, help="tree depth")
     smoke.add_argument("--tau", type=float, default=0.0, help="Gini tolerance")
     smoke.add_argument("--seed", type=int, default=0, help="global seed")
     smoke.add_argument(
@@ -1944,7 +1961,7 @@ def build_parser() -> argparse.ArgumentParser:
     datasheet.add_argument(
         "--dataset", required=True, choices=dataset_names(), help="benchmark to use"
     )
-    datasheet.add_argument("--depth", type=int, default=4, help="tree depth")
+    datasheet.add_argument("--depth", type=_positive_int_argument, default=4, help="tree depth")
     datasheet.add_argument("--tau", type=float, default=0.01, help="Gini tolerance")
     datasheet.add_argument("--seed", type=int, default=0, help="global seed")
     _add_ppa_backend_argument(datasheet)
@@ -1958,7 +1975,7 @@ def build_parser() -> argparse.ArgumentParser:
     cosim.add_argument(
         "--dataset", required=True, choices=dataset_names(), help="benchmark to use"
     )
-    cosim.add_argument("--depth", type=int, default=4, help="tree depth")
+    cosim.add_argument("--depth", type=_positive_int_argument, default=4, help="tree depth")
     cosim.add_argument("--tau", type=float, default=0.01, help="Gini tolerance")
     cosim.add_argument("--seed", type=int, default=0, help="global seed")
     cosim.add_argument(

@@ -12,8 +12,8 @@ orchestration that ties them to the substrates:
   Section III-C (Algorithm 1),
 * :mod:`repro.core.design` -- :class:`DesignSpec`, the one identity and
   train/score/cost recipe of a design point,
-* :mod:`repro.core.exploration` -- the depth x tau design-space exploration
-  and accuracy-loss-constrained selection used in Section IV,
+* :mod:`repro.core.exploration` -- the depth x tau design-space grid and
+  accuracy-loss-constrained selection used in Section IV,
 * :mod:`repro.core.codesign` -- the end-to-end :class:`CoDesignFramework`
   producing baseline, ADC-unaware-unary and fully co-designed classifiers,
 * :mod:`repro.core.power_budget` -- the self-power feasibility analysis
@@ -21,7 +21,7 @@ orchestration that ties them to the substrates:
 * :mod:`repro.core.metrics` -- hardware/accuracy report records and
   reduction arithmetic shared by the benchmarks,
 * :mod:`repro.core.executor` -- serial/process-parallel execution backends
-  the design-space sweep and the benchmark suite submit their jobs through,
+  the benchmark suite, shards and search studies submit their jobs through,
 * :mod:`repro.core.store` -- content-addressed on-disk result store shared
   across processes and CI jobs, with shard-store merge/transport,
 * :mod:`repro.core.sharding` -- deterministic work-unit planner splitting a
@@ -57,7 +57,7 @@ from repro.core.unary_tree import UnaryDecisionTree
 from repro.core.bespoke_adc import build_bespoke_adcs, build_bespoke_frontend
 from repro.core.adc_aware_training import ADCAwareTrainer
 from repro.core.design import DesignPoint, DesignSpec
-from repro.core.exploration import DesignSpaceExplorer, select_best_design
+from repro.core.exploration import select_best_design
 from repro.core.pareto import accuracy_area_front, accuracy_power_front, pareto_front
 from repro.core.power_budget import SelfPowerAnalysis, analyze_self_power
 from repro.core.variation import (
@@ -98,7 +98,6 @@ __all__ = [
     "ADCAwareTrainer",
     "DesignPoint",
     "DesignSpec",
-    "DesignSpaceExplorer",
     "select_best_design",
     "pareto_front",
     "accuracy_power_front",

@@ -31,7 +31,7 @@ semantics, and ``benchmarks/bench_inference_throughput.py`` for the measured
 gain over the broadcast path.
 
 Compiled kernels are cached on the tree instance, so repeated evaluation
-calls (the explorer grid, a scoring service) compile once per trained tree:
+calls (a promoted design, a scoring service) compile once per trained tree:
 use :func:`compile_tree_kernel` rather than constructing
 :class:`CompiledTreeKernel` directly.
 """

@@ -25,11 +25,11 @@ import numpy as np
 
 from repro.baselines.balaskas import BalaskasApproximateDesign, fit_balaskas_design
 from repro.baselines.mubarik import BaselineBespokeDesign
-from repro.core.design import DesignPoint, proposed_hardware_report
+from repro.core.design import DesignPoint, DesignSpec, proposed_hardware_report
 from repro.core.exploration import (
     DEFAULT_DEPTHS,
     DEFAULT_TAUS,
-    DesignSpaceExplorer,
+    grid_points,
     select_best_design,
 )
 from repro.core.metrics import ClassifierDesign, ReductionReport, compare_designs
@@ -147,6 +147,8 @@ class CoDesignFramework:
         self.max_baseline_depth = max_baseline_depth
         self.depths = tuple(depths)
         self.taus = tuple(taus)
+        if not self.depths or not self.taus:
+            raise ValueError("the exploration grid must not be empty")
         self.accuracy_losses = tuple(accuracy_losses)
         self.test_size = test_size
         self.seed = seed
@@ -239,25 +241,24 @@ class CoDesignFramework:
         X_test_levels: np.ndarray,
         y_test: np.ndarray,
     ) -> list[DesignPoint]:
-        """Run the ADC-aware depth x tau sweep."""
-        explorer = DesignSpaceExplorer(
-            technology=self.technology,
-            resolution_bits=self.resolution_bits,
-            depths=self.depths,
-            taus=self.taus,
-            seed=self.seed,
-            training_sigma=self.training_sigma,
-            robustness_weight=self.robustness_weight,
-            ppa_backend=self.ppa_backend,
-        )
-        return explorer.explore(
-            X_train_levels,
-            y_train,
-            X_test_levels,
-            y_test,
-            n_classes=dataset.n_classes,
-            dataset_name=dataset.name,
-        )
+        """Run the ADC-aware depth x tau sweep, one :class:`DesignSpec` per point.
+
+        In memory and serial; the cached, fanned-out sweep of the same
+        points is :func:`~repro.analysis.experiments.run_benchmark_suite`.
+        """
+        return [
+            DesignSpec(
+                dataset.name, self.seed, depth, tau, self.resolution_bits,
+                technology=self.technology,
+                test_size=self.test_size,
+                training_sigma=self.training_sigma,
+                robustness_weight=self.robustness_weight,
+            ).evaluate_levels(
+                X_train_levels, y_train, X_test_levels, y_test, dataset.n_classes,
+                ppa_backend=self.ppa_backend,
+            )
+            for depth, tau in grid_points(self.depths, self.taus)
+        ]
 
     def run_approximate_baseline(
         self,

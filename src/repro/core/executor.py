@@ -1,11 +1,15 @@
 """Experiment execution backends: serial and process-parallel job fan-out.
 
-The co-design flow is embarrassingly parallel at two levels: the depth x tau
-grid of :class:`~repro.core.exploration.DesignSpaceExplorer` (49 independent
-trainings per benchmark with the paper's grid) and the per-dataset runs of
-:func:`~repro.analysis.experiments.run_benchmark_suite` (eight independent
-benchmarks).  Both submit their jobs through the small :class:`Executor`
-abstraction defined here, so callers pick the backend once:
+The co-design flow is embarrassingly parallel: every design point of the
+depth x tau grid (49 independent trainings per benchmark with the paper's
+grid), every benchmark's reference designs and every Monte-Carlo unit is an
+independent job.  The suite, shards, surfaces and search studies submit
+them through one store fan-out
+(:func:`~repro.analysis.experiments._resolve_units`), and the Monte-Carlo
+trial batches of one unit through
+:func:`~repro.core.variation.simulate_offset_variation`; both use the small
+:class:`Executor` abstraction defined here, so callers pick the backend
+once:
 
 * :class:`SerialExecutor` -- run jobs in-process, in submission order.  The
   default everywhere; zero overhead and trivially deterministic.

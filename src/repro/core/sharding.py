@@ -46,22 +46,16 @@ from repro.core.exploration import DEFAULT_DEPTHS, DEFAULT_TAUS, grid_points
 from repro.datasets.registry import canonical_name
 
 
-def normalize_sigmas(
-    sigmas,
-    sigma_v: float | None = None,
-) -> tuple[float, ...]:
+def normalize_sigmas(sigmas) -> tuple[float, ...]:
     """Canonicalize a sigma request to a sorted, deduplicated tuple.
 
-    Accepts the plural spelling (``sigmas``, any iterable of floats), the
-    legacy singular spelling (``sigma_v``), or neither (empty tuple -- no
-    variation units planned).  Passing both is ambiguous and rejected.  The
-    canonical form is ascending and duplicate-free, so two requests naming
-    the same sigma set -- in any order, with repeats -- plan the same units.
+    Accepts any iterable of floats, a single float, or ``None`` (empty
+    tuple -- no variation units planned).  The canonical form is ascending
+    and duplicate-free, so two requests naming the same sigma set -- in any
+    order, with repeats -- plan the same units.
     """
-    if sigmas is not None and sigma_v is not None:
-        raise ValueError("pass either sigmas=... or sigma_v=..., not both")
     if sigmas is None:
-        sigmas = () if sigma_v is None else (sigma_v,)
+        sigmas = ()
     if isinstance(sigmas, (int, float)):
         sigmas = (sigmas,)
     values = []
@@ -227,11 +221,6 @@ class SuitePlan:
     sigmas: tuple[float, ...]
     units: tuple[WorkUnit, ...]
 
-    @property
-    def sigma_v(self) -> float | None:
-        """Back-compat single-sigma view: the sigma when exactly one is planned."""
-        return self.sigmas[0] if len(self.sigmas) == 1 else None
-
     def shard(self, spec: ShardSpec | None) -> tuple[WorkUnit, ...]:
         """The units assigned to ``spec`` (all units when ``spec`` is None)."""
         if spec is None:
@@ -258,34 +247,31 @@ def plan_suite_units(
     taus: tuple[float, ...] = DEFAULT_TAUS,
     fast: bool = False,
     include_approximate_variants: tuple[bool, ...] = (False, True),
-    sigma_v: float | None = None,
+    sigmas: tuple[float, ...] | None = None,
     n_trials: int = 100,
     training_sigma: float = 0.0,
     robustness_weight: float = 1.0,
-    sigmas: tuple[float, ...] | None = None,
 ) -> SuitePlan:
     """Enumerate the work units of one suite configuration, in canonical order.
 
     Suite units come first (dataset-major, the ``include_approximate``
     variants inner), then one point unit per (dataset, depth, tau) in the
     depth-major order of :func:`~repro.core.exploration.grid_points`; with
-    ``sigmas`` given (or the legacy single-value ``sigma_v`` spelling), one
-    variation unit per (dataset, sigma, depth, tau) point follows
-    (dataset-major, sigmas ascending, the grid inner).  The sigma request is
-    canonicalized by :func:`normalize_sigmas` before enumeration, so
-    per-unit identities -- and therefore shard membership and store keys --
-    are invariant to sigma ordering and duplicates, and a single-sigma plan
-    is unit-for-unit identical whichever spelling made it.  The enumeration
-    order is presentation only -- shard membership depends on each unit's
-    identity alone, so reordering ``datasets`` never moves a unit between
-    shards.
+    ``sigmas`` given, one variation unit per (dataset, sigma, depth, tau)
+    point follows (dataset-major, sigmas ascending, the grid inner).  The
+    sigma request is canonicalized by :func:`normalize_sigmas` before
+    enumeration, so per-unit identities -- and therefore shard membership
+    and store keys -- are invariant to sigma ordering and duplicates.  The
+    enumeration order is presentation only -- shard membership depends on
+    each unit's identity alone, so reordering ``datasets`` never moves a
+    unit between shards.
     """
     # Deferred: experiments imports this module (layering: analysis -> core).
     from repro.analysis.experiments import resolve_suite_datasets
 
     requested = resolve_suite_datasets(datasets, fast)
     names = tuple(dict.fromkeys(canonical_name(name) for name in requested))
-    sigma_values = normalize_sigmas(sigmas, sigma_v)
+    sigma_values = normalize_sigmas(sigmas)
     specs = {
         name: [
             DesignSpec(

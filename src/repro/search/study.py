@@ -2,11 +2,12 @@
 
 :class:`Study` runs a :class:`~repro.search.optimizer.ParetoTPESampler`
 against one benchmark dataset for a fixed trial budget.  Each sampled
-configuration is one :class:`~repro.core.design.DesignSpec`, so a trial
-resolves from the store entry of its design point -- the very entry a suite
-sweep, a shard or an earlier study wrote (the warm-start that makes a
-nightly study against the assembled CI store nearly free) -- and otherwise
-from a fresh, fully seeded :meth:`~repro.core.design.DesignSpec.evaluate`
+configuration is one :class:`~repro.core.design.DesignSpec`, so a trial is
+the spec's ``point`` work unit (plus its ``variation`` unit for robustness
+objectives), resolved by the same store fan-out the suite, shards and
+surfaces use: from the entry a suite sweep, a shard or an earlier study
+wrote (the warm-start that makes a nightly study against the assembled CI
+store nearly free), and otherwise from a fresh, fully seeded computation
 fanned through the :class:`~repro.core.executor.Executor`.  Both paths run
 the same recipe, so a warm-started trial and a freshly trained one are
 bit-identical.  Batches have a
@@ -20,12 +21,11 @@ import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from repro.core.design import DesignPoint, DesignSpec
+from repro.core.design import DesignSpec
 from repro.core.executor import get_executor
 from repro.core.pareto import non_dominated_indices
-from repro.core.sharding import MissingResultsError
+from repro.core.sharding import point_work_unit, variation_work_unit
 from repro.core.store import ResultStore
-from repro.core.variation import VariationAnalysis
 from repro.pdk.egfet import default_technology
 from repro.search.optimizer import ParetoTPESampler
 from repro.search.space import SearchSpace, paper_space
@@ -181,22 +181,6 @@ def _resolve_technology(name: str):
         raise ValueError(
             f"unknown technology {name!r}; known: {tuple(sorted(_TECHNOLOGIES))}"
         ) from None
-
-
-def _trial_job(
-    spec: DesignSpec,
-    need_point: bool,
-    sigma_v: float | None,
-    variation_trials: int,
-    ppa_backend=None,
-) -> tuple[DesignPoint | None, VariationAnalysis | None]:
-    """Top-level (picklable) job: evaluate and/or Monte-Carlo one design point."""
-    point = spec.evaluate(ppa_backend=ppa_backend) if need_point else None
-    analysis = None
-    if sigma_v is not None:
-        tree = point.tree if point is not None else None
-        analysis = spec.simulate(sigma_v, variation_trials, tree)
-    return point, analysis
 
 
 class Study:
@@ -380,84 +364,45 @@ class Study:
         )
 
     def _evaluate_batch(self, configs, executor, first_number: int) -> list[Trial]:
-        """Resolve one ask batch: store entries first, then fanned-out jobs."""
-        specs = [self.spec(config) for config in configs]
-        points: list[DesignPoint | None] = []
-        analyses: list[VariationAnalysis | None] = []
-        for spec in specs:
-            point = analysis = None
-            if self.store is not None:
-                point = self.store.get(spec.key())
-                if self.sigma_v is not None:
-                    analysis = self.store.get(
-                        spec.variation_key(self.sigma_v, self.variation_trials)
-                    )
-            points.append(point)
-            analyses.append(analysis)
-        pending = [
-            index
-            for index in range(len(specs))
-            if points[index] is None
-            or (self.sigma_v is not None and analyses[index] is None)
-        ]
+        """Resolve one ask batch through the shared store fan-out.
 
-        if pending and self.cache_only:
-            missing = []
-            for index in pending:
-                spec = specs[index]
-                if points[index] is None:
-                    missing.append((f"trial:{spec.label}", spec.key()))
-                if self.sigma_v is not None and analyses[index] is None:
-                    missing.append(
-                        (
-                            f"variation:{spec.label}[sigma={self.sigma_v:g}]",
-                            spec.variation_key(self.sigma_v, self.variation_trials),
-                        )
-                    )
-            if self.store is not None:
-                self.store.flush_stats()
-            raise MissingResultsError(missing)
+        Each trial is its point unit plus, with ``sigma_v``, its variation
+        unit; a trial is ``from_cache`` when the batch computed neither.
+        """
+        # Deferred: analysis orchestrates, search stays importable on its own.
+        from repro.analysis.experiments import _resolve_units
 
-        tasks = [
-            (
-                specs[index],
-                points[index] is None,
-                self.sigma_v if analyses[index] is None else None,
-                self.variation_trials,
-                self.ppa_backend,
-            )
-            for index in pending
-        ]
-        for index, (point, analysis) in zip(pending, executor.map(_trial_job, tasks)):
-            spec = specs[index]
-            if point is not None:
-                points[index] = point
-                if self.store is not None:
-                    self.store.put(spec.key(), point)
-            if analysis is not None:
-                analyses[index] = analysis
-                if self.store is not None:
-                    self.store.put(
-                        spec.variation_key(self.sigma_v, self.variation_trials),
-                        analysis,
-                    )
+        trial_units = []
+        for config in configs:
+            spec = self.spec(config)
+            units = [point_work_unit(spec)]
+            if self.sigma_v is not None:
+                units.append(
+                    variation_work_unit(spec, self.sigma_v, self.variation_trials)
+                )
+            trial_units.append(units)
+        values, computed = _resolve_units(
+            [unit for units in trial_units for unit in units],
+            self.store,
+            executor,
+            cache_only=self.cache_only,
+            ppa_backend=self.ppa_backend,
+        )
 
-        trained = set(pending)
         batch: list[Trial] = []
-        for index, config in enumerate(configs):
-            point = points[index]
-            analysis = analyses[index]
+        for number, (config, units) in enumerate(zip(configs, trial_units), first_number):
+            point, *analysis = (values[unit.store_key] for unit in units)
             partial = Trial(
-                number=first_number + index,
+                number=number,
                 config=config,
-                store_key=specs[index].key(),
+                store_key=units[0].store_key,
                 accuracy=float(point.accuracy),
                 power_uw=float(point.hardware.total_power_uw),
                 area_mm2=float(point.hardware.total_area_mm2),
                 mean_accuracy_drop=(
-                    None if analysis is None else float(analysis.mean_accuracy_drop)
+                    float(analysis[0].mean_accuracy_drop) if analysis else None
                 ),
-                from_cache=index not in trained,
+                from_cache=not any(unit.store_key in computed for unit in units),
                 objectives=(),
             )
             objectives = tuple(o.value(partial) for o in self.objectives)

@@ -233,6 +233,48 @@ class TestCli:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["table1", "--fast", "--jobs", "-3"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(
+                [*command, "--trials", trials]
+                for command in (
+                    ["table2", "--fast"],
+                    ["explore"],
+                    ["variation", "--dataset", "seeds"],
+                    ["surface", "--sigma", "0.02"],
+                    ["search", "--dataset", "seeds", "--budget", "1"],
+                    ["suite"],
+                    ["assemble"],
+                )
+                for trials in ("0", "-5")
+            ),
+            *(
+                [*command, "--depth", "0"]
+                for command in (
+                    ["variation", "--dataset", "seeds"],
+                    ["registry", "promote", "--dataset", "seeds"],
+                    ["serve", "smoke", "--dataset", "seeds"],
+                    ["datasheet", "--dataset", "seeds"],
+                    ["cosim", "--dataset", "seeds"],
+                )
+            ),
+            ["variation", "--dataset", "seeds", "--resolution-bits", "0"],
+            *(
+                ["variation", "--dataset", "seeds", "--test-size", size]
+                for size in ("0", "1", "1.5", "-0.3")
+            ),
+        ],
+        ids=" ".join,
+    )
+    def test_out_of_range_numbers_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "Traceback" not in err
+        assert f"argument {argv[-2]}: must be" in err
+
     def test_table1_with_jobs_and_cache_dir(self, capsys, tmp_path):
         argv = [
             "table1",
@@ -786,7 +828,7 @@ class TestRunPlanShard:
         from repro.core.sharding import ShardSpec, plan_suite_units
 
         plan = plan_suite_units(
-            datasets=("vertebral_2c", "seeds"), sigma_v=0.02, n_trials=4,
+            datasets=("vertebral_2c", "seeds"), sigmas=(0.02,), n_trials=4,
             **SMALL_GRID,
         )
         store = ResultStore(cache_dir=tmp_path / "sharded")

@@ -20,7 +20,8 @@ from repro.circuits.ppa import (
     resolve_ppa_backend,
 )
 from repro.circuits.timing import estimate_timing
-from repro.core.exploration import DesignSpaceExplorer, select_best_design
+from repro.core.design import DesignSpec
+from repro.core.exploration import select_best_design
 from repro.core.unary_tree import UnaryDecisionTree
 
 
@@ -194,15 +195,16 @@ class TestReportBackend:
         assert not backend.is_analytic
 
 
-class TestExplorerIntegration:
+class TestDesignPointIntegration:
     def _explore(self, small_split, ppa_backend):
         X_train, X_test, y_train, y_test = small_split
-        explorer = DesignSpaceExplorer(
-            depths=(2, 3), taus=(0.01,), seed=3, ppa_backend=ppa_backend
-        )
-        return explorer.explore(
-            X_train, y_train, X_test, y_test, n_classes=3, dataset_name="small"
-        )
+        return [
+            DesignSpec("small", 3, depth, 0.01).evaluate_levels(
+                X_train, y_train, X_test, y_test, n_classes=3,
+                ppa_backend=ppa_backend,
+            )
+            for depth in (2, 3)
+        ]
 
     def test_design_point_costs_bit_identical_to_seed(self, small_split):
         default = self._explore(small_split, None)

@@ -2,16 +2,19 @@
 
 One spec names one trained, scored and costed design point: equal requests
 must compare and key equal however they were spelled, every field that
-changes the trained tree must change the key, and the dataset-based recipe
-must equal the array-based one the explorer runs.
+changes the trained tree must change the key, and the in-memory grid of
+:class:`~repro.core.codesign.CoDesignFramework` must equal the cached suite
+sweep of the same points.
 """
 
 import dataclasses
 
 import pytest
 
-from repro.core.design import DesignSpec, split_data
-from repro.core.exploration import DesignSpaceExplorer
+from repro.analysis.experiments import run_benchmark_suite
+from repro.core.codesign import CoDesignFramework
+from repro.core.design import DesignSpec
+from repro.datasets.registry import load_dataset
 from repro.pdk.egfet import default_technology
 
 
@@ -70,18 +73,18 @@ class TestCanonicalIdentity:
 
 
 class TestRecipe:
-    def test_evaluate_equals_the_explorer_on_the_same_split(self):
+    def test_framework_run_equals_the_suite_on_the_same_grid(self):
+        grid = dict(depths=(2, 3), taus=(0.0, 0.02))
+        (suite,) = run_benchmark_suite(
+            ("vertebral_2c",), include_approximate_baseline=True,
+            use_cache=False, **grid,
+        )
+        assert CoDesignFramework(**grid).run(load_dataset("vertebral_2c")) == suite
+
+    def test_train_equals_the_evaluated_tree(self):
+        """Variation units that retrain must simulate the point's own tree."""
         spec = DesignSpec("vertebral_2c", 0, 3, 0.01, training_sigma=0.02)
-        data = split_data("vertebral_2c", 0)
-        explorer = DesignSpaceExplorer(
-            depths=(3,), taus=(0.01,), seed=0, training_sigma=0.02
-        )
-        expected = explorer.evaluate_point(
-            data.X_train_levels, data.y_train, data.X_test_levels, data.y_test,
-            data.n_classes, 3, 0.01, dataset_name="vertebral_2c",
-        )
-        assert spec.evaluate() == expected
-        assert spec.train() == expected.tree
+        assert spec.train() == spec.evaluate().tree
 
     def test_resolution_reaches_the_trained_tree(self):
         assert DesignSpec("seeds", 0, 3, 0.01, resolution_bits=6).train(

@@ -4,14 +4,27 @@ import dataclasses
 
 import pytest
 
+from repro.core.codesign import CoDesignFramework
+from repro.core.design import DesignSpec
 from repro.core.exploration import (
     DEFAULT_DEPTHS,
     DEFAULT_TAUS,
-    DesignSpaceExplorer,
+    grid_points,
     proposed_hardware_report,
     select_best_design,
 )
 from repro.core.variation import VariationAnalysis
+
+
+def _evaluate_grid(small_split, technology, depths, taus):
+    """The small split's design points over one grid, in grid order."""
+    X_train, X_test, y_train, y_test = small_split
+    return [
+        DesignSpec("small", 0, depth, tau, technology=technology).evaluate_levels(
+            X_train, y_train, X_test, y_test, 3
+        )
+        for depth, tau in grid_points(depths, taus)
+    ]
 
 
 def _analysis(nominal: float, mean: float, minimum: float) -> VariationAnalysis:
@@ -49,20 +62,15 @@ class TestProposedHardwareReport:
         assert proposed.total_power_uw < baseline.total_power_uw
 
 
-class TestDesignSpaceExplorer:
+class TestGridEvaluation:
     @pytest.fixture(scope="class")
     def points(self, small_split, technology):
-        X_train, X_test, y_train, y_test = small_split
-        explorer = DesignSpaceExplorer(
-            technology=technology, depths=(2, 3), taus=(0.0, 0.02), seed=0
-        )
-        return explorer.explore(X_train, y_train, X_test, y_test, 3, "small")
+        return _evaluate_grid(small_split, technology, (2, 3), (0.0, 0.02))
 
-    def test_grid_size(self, points):
-        assert len(points) == 4
-        assert {(p.depth, p.tau) for p in points} == {
+    def test_grid_is_depth_major(self, points):
+        assert [(p.depth, p.tau) for p in points] == [
             (2, 0.0), (2, 0.02), (3, 0.0), (3, 0.02)
-        }
+        ]
 
     def test_point_fields(self, points):
         for point in points:
@@ -73,32 +81,14 @@ class TestDesignSpaceExplorer:
             assert point.tree.depth <= point.depth
 
     def test_empty_grid_rejected(self, technology):
-        with pytest.raises(ValueError):
-            DesignSpaceExplorer(technology=technology, depths=(), taus=(0.0,))
-
-    def test_parallel_executor_matches_serial(self, small_split, technology, points):
-        from repro.core.executor import ParallelExecutor
-
-        X_train, X_test, y_train, y_test = small_split
-        explorer = DesignSpaceExplorer(
-            technology=technology, depths=(2, 3), taus=(0.0, 0.02), seed=0
-        )
-        with ParallelExecutor(jobs=2) as executor:
-            parallel_points = explorer.explore(
-                X_train, y_train, X_test, y_test, 3, "small", executor=executor
-            )
-        # bit-identical results in the same depth-major order
-        assert parallel_points == points
+        with pytest.raises(ValueError, match="grid must not be empty"):
+            CoDesignFramework(technology=technology, depths=(), taus=(0.0,))
 
 
 class TestSelectBestDesign:
     @pytest.fixture(scope="class")
     def points(self, small_split, technology):
-        X_train, X_test, y_train, y_test = small_split
-        explorer = DesignSpaceExplorer(
-            technology=technology, depths=(2, 3, 4), taus=(0.0, 0.03), seed=0
-        )
-        return explorer.explore(X_train, y_train, X_test, y_test, 3, "small")
+        return _evaluate_grid(small_split, technology, (2, 3, 4), (0.0, 0.03))
 
     def test_selected_point_respects_accuracy_floor(self, points):
         reference = max(point.accuracy for point in points)

@@ -4,9 +4,9 @@ Layers under test (see ``docs/TESTING.md`` for the taxonomy):
 
 * trainer semantics: the penalty steers thresholds into sparse sample
   regions, is inert unless both knobs are positive, and validates inputs;
-* explorer / framework threading: ``DesignSpaceExplorer(training_sigma=)``
-  reaches the trainer (volts, normalized by the technology's supply) and
-  the cache keys separate nominal from offset-aware runs;
+* design-point threading: ``DesignSpec(training_sigma=)`` reaches the
+  trainer (volts, normalized by the technology's supply) and the cache
+  keys separate nominal from offset-aware runs;
 * the benchmark claim (nightly): at matched depth/tau, offset-aware trees
   achieve strictly lower mean accuracy drop than nominal trees on at least
   half of the eight benchmarks.
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.adc_aware_training import ADCAwareTrainer
-from repro.core.exploration import DesignSpaceExplorer
+from repro.core.codesign import CoDesignFramework
 from repro.core.design import DesignSpec
 from repro.core.variation import simulate_offset_variation
 from repro.datasets.registry import dataset_names, load_dataset
@@ -76,67 +76,53 @@ class TestTrainerSemantics:
             trainer_cls(robustness_weight=-1.0)
 
 
-class TestExplorerThreading:
-    def test_explorer_trains_offset_aware_trees(self, small_dataset):
+class TestDesignSpecThreading:
+    @staticmethod
+    def _split(small_dataset):
         X, y = small_dataset
         X_train, X_test, y_train, y_test = train_test_split(
             X, y, test_size=0.3, seed=1
         )
-        X_train_levels = quantize_dataset(X_train)
-        X_test_levels = quantize_dataset(X_test)
-        nominal = DesignSpaceExplorer(depths=(4,), taus=(0.02,), seed=0)
-        aware = DesignSpaceExplorer(
-            depths=(4,), taus=(0.02,), seed=0, training_sigma=0.04
-        )
-        nominal_point = nominal.evaluate_point(
-            X_train_levels, y_train, X_test_levels, y_test, 3, 4, 0.02
-        )
-        aware_point = aware.evaluate_point(
-            X_train_levels, y_train, X_test_levels, y_test, 3, 4, 0.02
-        )
-        assert nominal_point.tree != aware_point.tree
+        return quantize_dataset(X_train), y_train, quantize_dataset(X_test), y_test
 
-    def test_explorer_sigma_zero_matches_plain_explorer(self, small_dataset):
-        X, y = small_dataset
-        X_train, X_test, y_train, y_test = train_test_split(
-            X, y, test_size=0.3, seed=1
+    def test_spec_trains_offset_aware_trees(self, small_dataset):
+        split = self._split(small_dataset)
+        nominal = DesignSpec("small", 0, 4, 0.02).evaluate_levels(*split, 3)
+        aware = DesignSpec(
+            "small", 0, 4, 0.02, training_sigma=0.04
+        ).evaluate_levels(*split, 3)
+        assert nominal.tree != aware.tree
+
+    def test_sigma_zero_matches_plain_spec(self, small_dataset):
+        split = self._split(small_dataset)
+        plain = DesignSpec("small", 0, 4, 0.01)
+        zeroed = DesignSpec(
+            "small", 0, 4, 0.01, training_sigma=0.0, robustness_weight=5.0
         )
-        X_train_levels = quantize_dataset(X_train)
-        X_test_levels = quantize_dataset(X_test)
-        plain = DesignSpaceExplorer(depths=(4,), taus=(0.01,), seed=0)
-        zeroed = DesignSpaceExplorer(
-            depths=(4,), taus=(0.01,), seed=0,
-            training_sigma=0.0, robustness_weight=5.0,
-        )
-        assert plain.evaluate_point(
-            X_train_levels, y_train, X_test_levels, y_test, 3, 4, 0.01
-        ).tree == zeroed.evaluate_point(
-            X_train_levels, y_train, X_test_levels, y_test, 3, 4, 0.01
+        assert plain.evaluate_levels(*split, 3).tree == zeroed.evaluate_levels(
+            *split, 3
         ).tree
 
-    def test_explorer_sigma_is_in_volts(self, technology, small_dataset):
-        """The explorer normalizes by the supply voltage before training."""
-        X, y = small_dataset
-        X_train, _, y_train, _ = train_test_split(X, y, test_size=0.3, seed=1)
-        X_train_levels = quantize_dataset(X_train)
-        explorer = DesignSpaceExplorer(
-            technology=technology, depths=(4,), taus=(0.01,), seed=0,
-            training_sigma=0.04,
+    def test_spec_sigma_is_in_volts(self, technology, small_dataset):
+        """The spec normalizes by the supply voltage before training."""
+        X_train_levels, y_train, _, _ = self._split(small_dataset)
+        spec = DesignSpec(
+            "small", 0, 4, 0.01, technology=technology, training_sigma=0.04
         )
         direct = ADCAwareTrainer(
             max_depth=4, gini_threshold=0.01, seed=0,
             training_sigma=0.04 / technology.vdd, robustness_weight=1.0,
         ).fit(X_train_levels, y_train, 3)
-        point = explorer.evaluate_point(
-            X_train_levels, y_train, quantize_dataset(X_train), y_train, 3, 4, 0.01
+        point = spec.evaluate_levels(
+            X_train_levels, y_train, X_train_levels, y_train, 3
         )
         assert point.tree == direct
 
-    def test_negative_explorer_knobs_rejected(self):
+    def test_negative_framework_knobs_rejected(self):
         with pytest.raises(ValueError, match="training_sigma"):
-            DesignSpaceExplorer(training_sigma=-0.01)
+            CoDesignFramework(training_sigma=-0.01)
         with pytest.raises(ValueError, match="robustness_weight"):
-            DesignSpaceExplorer(robustness_weight=-1.0)
+            CoDesignFramework(robustness_weight=-1.0)
 
 
 class TestCacheKeySeparation:

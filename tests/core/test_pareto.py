@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.exploration import DesignPoint, DesignSpaceExplorer
+from repro.core.design import DesignSpec
+from repro.core.exploration import DesignPoint, grid_points
 from repro.core.metrics import HardwareReport
 from repro.core.pareto import (
     accuracy_area_front,
@@ -128,10 +129,12 @@ class TestParetoFront:
 
     def test_front_of_real_exploration_is_nonempty(self, small_split, technology):
         X_train, X_test, y_train, y_test = small_split
-        explorer = DesignSpaceExplorer(
-            technology=technology, depths=(2, 3), taus=(0.0, 0.02), seed=0
-        )
-        points = explorer.explore(X_train, y_train, X_test, y_test, 3, "small")
+        points = [
+            DesignSpec("small", 0, depth, tau, technology=technology).evaluate_levels(
+                X_train, y_train, X_test, y_test, 3
+            )
+            for depth, tau in grid_points((2, 3), (0.0, 0.02))
+        ]
         front = accuracy_power_front(points)
         assert 1 <= len(front) <= len(points)
         best_accuracy = max(p.accuracy for p in points)

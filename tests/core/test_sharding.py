@@ -112,7 +112,7 @@ class TestPlanSuiteUnits:
 
     def test_sigma_adds_one_variation_unit_per_grid_point(self):
         plan = plan_suite_units(
-            datasets=("seeds",), sigma_v=0.02, n_trials=5, **SMALL_GRID
+            datasets=("seeds",), sigmas=(0.02,), n_trials=5, **SMALL_GRID
         )
         kinds = [unit.kind for unit in plan.units]
         assert kinds.count("suite") == 2
@@ -139,7 +139,7 @@ class TestPlanSuiteUnits:
 
     @pytest.mark.parametrize("n_shards", [1, 2, 3, 5])
     def test_shards_are_a_disjoint_cover(self, n_shards):
-        plan = plan_suite_units(sigma_v=0.02, n_trials=5, **SMALL_GRID)
+        plan = plan_suite_units(sigmas=(0.02,), n_trials=5, **SMALL_GRID)
         seen: list = []
         for index in range(1, n_shards + 1):
             seen.extend(plan.shard(ShardSpec(index, n_shards)))
@@ -149,10 +149,10 @@ class TestPlanSuiteUnits:
     def test_membership_invariant_under_dataset_reordering(self):
         datasets = ("whitewine", "seeds", "vertebral_2c", "balance_scale")
         forward = plan_suite_units(
-            datasets=datasets, sigma_v=0.02, n_trials=5, **SMALL_GRID
+            datasets=datasets, sigmas=(0.02,), n_trials=5, **SMALL_GRID
         )
         backward = plan_suite_units(
-            datasets=tuple(reversed(datasets)), sigma_v=0.02, n_trials=5,
+            datasets=tuple(reversed(datasets)), sigmas=(0.02,), n_trials=5,
             **SMALL_GRID,
         )
         assignment = {unit: unit.shard_index(3) for unit in forward.units}
@@ -174,11 +174,6 @@ class TestNormalizeSigmas:
     def test_scalar_and_none_forms(self):
         assert normalize_sigmas(0.02) == (0.02,)
         assert normalize_sigmas(None) == ()
-        assert normalize_sigmas(None, sigma_v=0.02) == (0.02,)
-
-    def test_both_spellings_rejected(self):
-        with pytest.raises(ValueError, match="both"):
-            normalize_sigmas((0.01,), sigma_v=0.02)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
@@ -201,23 +196,6 @@ class TestMultiSigmaPlanning:
         # sigma-ascending outer loop, grid-major inner loop
         assert sigmas == [0.01] * 4 + [0.02] * 4
 
-    def test_single_sigma_tuple_equals_legacy_scalar_spelling(self):
-        modern = plan_suite_units(
-            datasets=("seeds",), sigmas=(0.02,), n_trials=5, **SMALL_GRID
-        )
-        legacy = plan_suite_units(
-            datasets=("seeds",), sigma_v=0.02, n_trials=5, **SMALL_GRID
-        )
-        assert modern.units == legacy.units
-        assert modern.sigmas == legacy.sigmas == (0.02,)
-        assert modern.sigma_v == 0.02  # compat property
-
-    def test_both_sigma_spellings_rejected(self):
-        with pytest.raises(ValueError, match="both"):
-            plan_suite_units(
-                datasets=("seeds",), sigma_v=0.02, sigmas=(0.01,), **SMALL_GRID
-            )
-
     def test_identities_invariant_to_sigma_ordering_and_duplicates(self):
         canonical = plan_suite_units(
             datasets=("seeds",), sigmas=(0.01, 0.04), n_trials=5, **SMALL_GRID
@@ -228,7 +206,6 @@ class TestMultiSigmaPlanning:
         )
         assert shuffled.units == canonical.units
         assert shuffled.sigmas == (0.01, 0.04)
-        assert shuffled.sigma_v is None  # scalar view undefined for multi-sigma
 
     @pytest.mark.parametrize("n_shards", [1, 3, 5])
     def test_multi_sigma_shards_are_a_disjoint_cover(self, n_shards):
@@ -263,7 +240,7 @@ class TestMultiSigmaPlanning:
 class TestCrossProcessStability:
     SCRIPT = (
         "from repro.core.sharding import plan_suite_units\n"
-        "plan = plan_suite_units(sigma_v=0.02, n_trials=5,"
+        "plan = plan_suite_units(sigmas=(0.02,), n_trials=5,"
         " depths=(2, 3), taus=(0.0, 0.01))\n"
         "for unit in plan.units:\n"
         "    print(unit.label, unit.shard_index(5))\n"
@@ -292,7 +269,7 @@ class TestCrossProcessStability:
         assert outputs[0].count("\n") == 8 * 2 + 8 * 4 + 8 * 4
 
     def test_in_process_assignment_matches_subprocess(self):
-        plan = plan_suite_units(sigma_v=0.02, n_trials=5, **SMALL_GRID)
+        plan = plan_suite_units(sigmas=(0.02,), n_trials=5, **SMALL_GRID)
         expected = "".join(
             f"{unit.label} {unit.shard_index(5)}\n" for unit in plan.units
         )

@@ -163,7 +163,7 @@ class TestSearchCacheOnly:
         assert exit_code == 1
         err = capsys.readouterr().err
         assert "missing" in err
-        assert "trial:seeds" in err
+        assert "point:seeds[d=" in err
 
     def test_warm_store_passes_with_full_warm_start(self, capsys, cache_dir):
         assert run_search(cache_dir) == 0

@@ -220,7 +220,7 @@ class TestCacheOnly:
         )
         with pytest.raises(MissingResultsError) as excinfo:
             study.run(budget=3)
-        assert all(label.startswith("trial:seeds") for label, _ in
+        assert all(label.startswith("point:seeds[d=") for label, _ in
                    excinfo.value.missing)
 
     def test_warm_store_replays_without_training(self, tmp_path):
@@ -255,7 +255,32 @@ class TestCacheOnly:
         with pytest.raises(MissingResultsError) as excinfo:
             study.run(budget=3)
         labels = [label for label, _ in excinfo.value.missing]
-        assert any(label.startswith("variation:seeds") for label in labels)
+        assert labels and all(
+            label.startswith("variation:seeds[d=") and "sigma=0.02]" in label
+            for label in labels
+        )
+
+    def test_cached_point_simulates_its_cached_tree(self, tmp_path):
+        """A trial whose point is cached but whose variation entry is not
+        computes only the Monte-Carlo, bit-identical to a cold study."""
+        kwargs = dict(
+            budget=3, seed=0, space=small_space(), batch_size=3,
+            objectives=("-accuracy", "mean_accuracy_drop"),
+            sigma_v=0.02, variation_trials=4,
+        )
+        store = ResultStore(tmp_path)
+        run_search_study(
+            "seeds", store=store, budget=3, seed=0, space=small_space(),
+            batch_size=3,
+        )  # points only
+        stores_before = store.stats.stores
+        warm_points = run_search_study("seeds", store=store, **kwargs)
+        assert store.stats.stores - stores_before == 3  # variation entries only
+        cold = run_search_study("seeds", use_cache=False, **kwargs)
+        assert warm_points.n_trained == 3
+        assert [t.record() for t in warm_points.trials] == [
+            t.record() for t in cold.trials
+        ]
 
 
 class TestStudyResultShape:

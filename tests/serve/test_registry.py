@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.core.bitkernel import WORD_BITS, compile_tree_kernel
-from repro.core.exploration import DesignSpaceExplorer
+from repro.core.design import DesignSpec
 from repro.datasets.synthetic import make_classification_blobs
 from repro.mltrees.evaluation import train_test_split
 from repro.mltrees.quantize import quantize_dataset
@@ -25,7 +25,6 @@ def design_points():
         n_samples=200, n_features=4, n_classes=3, class_sep=2.0, seed=5
     )
     X_train, X_test, y_train, y_test = train_test_split(X, y, test_size=0.3, seed=0)
-    explorer = DesignSpaceExplorer(depths=(2, 3), taus=(0.0,), seed=0)
     split = (
         quantize_dataset(X_train, 4),
         y_train,
@@ -33,7 +32,7 @@ def design_points():
         y_test,
     )
     return {
-        depth: explorer.evaluate_point(*split, 3, depth, 0.0, dataset_name="blobs")
+        depth: DesignSpec("blobs", 0, depth, 0.0).evaluate_levels(*split, 3)
         for depth in (2, 3)
     }
 
