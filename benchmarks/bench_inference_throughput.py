@@ -16,11 +16,14 @@ timing, so the speedups compare equal answers.
 
 The third tier is the packed-uint64 kernel of :mod:`repro.core.bitkernel`
 (layout and semantics in ``docs/KERNELS.md``): the tree's two-level cube
-logic evaluated 64 samples per machine word.  It is measured against the
-batch path on a depth-8 classifier at 2^19 samples -- large enough that
-both sides are out of warm-up noise -- and must clear
-:data:`MIN_KERNEL_SPEEDUP` after its predictions are asserted bit-identical
-to both the unary batch oracle and ``DecisionTree.predict_levels``.
+logic evaluated 64 samples per machine word, the one evaluator of digit
+matrices.  It is measured against the ndarray label-logic oracle
+(``tests/oracles/batch_logic.py``, the batch path it replaced) on a
+depth-8 classifier at 2^19 samples -- large enough that both sides are out
+of warm-up noise -- and must clear :data:`MIN_KERNEL_SPEEDUP` after its
+predictions are asserted bit-identical to both the oracle and
+``DecisionTree.predict_levels``.  The scalar Monte-Carlo reference is
+``tests/oracles/variation.py``.
 
 Alongside the human-readable report this module emits
 ``benchmarks/results/BENCH_inference.json`` (see the ``write_bench_json``
@@ -32,15 +35,12 @@ import time
 
 import numpy as np
 
+from oracles.batch_logic import batch_oracle
+from oracles.variation import _predict_with_offsets_scalar
 from repro.analysis.render import render_table
 from repro.core.adc_aware_training import ADCAwareTrainer
-from repro.core.bitkernel import compile_tree_kernel
 from repro.core.unary_tree import UnaryDecisionTree
-from repro.core.variation import (
-    ComparatorOffsetModel,
-    _predict_with_offsets_scalar,
-    simulate_offset_variation,
-)
+from repro.core.variation import ComparatorOffsetModel, simulate_offset_variation
 from repro.datasets.registry import load_dataset
 from repro.mltrees.evaluation import accuracy_score, train_test_split
 from repro.mltrees.quantize import quantize_dataset
@@ -85,7 +85,7 @@ def _best_of(func, repeats: int = N_TIMING_REPEATS) -> float:
 
 
 def _measure_kernel(seed: int):
-    """Bit-parallel kernel vs. ndarray batch path on a depth-8 classifier."""
+    """Bit-parallel kernel vs. the ndarray batch oracle on a depth-8 classifier."""
     dataset = load_dataset(KERNEL_DATASET, seed=seed)
     X_train, X_test, y_train, _ = train_test_split(
         dataset.X, dataset.y, test_size=0.3, seed=seed
@@ -94,20 +94,21 @@ def _measure_kernel(seed: int):
         quantize_dataset(X_train), y_train, dataset.n_classes
     )
     unary = UnaryDecisionTree(tree)
-    kernel = compile_tree_kernel(tree)
+    kernel = unary.kernel
+    oracle = batch_oracle(unary)
     repeats = -(-N_KERNEL_SAMPLES // len(X_test))  # ceil division
     levels = quantize_dataset(np.tile(X_test, (repeats, 1))[:N_KERNEL_SAMPLES])
-    digits = kernel.digit_matrix_from_levels(levels)
+    digits = oracle.digits_from_levels(levels)
 
     # Bit-equivalence to the tree oracle comes before any timing is trusted:
-    # the packed kernel, the unary batch path and the plain tree walk must
-    # agree on every one of the 2^18 samples (argmax ties included).
-    batch_pred = unary.predict_digit_matrix(digits)
+    # the packed kernel, the batch oracle and the plain tree walk must
+    # agree on every one of the 2^19 samples (argmax ties included).
+    batch_pred = oracle.predict(digits)
     kernel_pred = kernel.predict_digit_matrix(digits)
     np.testing.assert_array_equal(kernel_pred, batch_pred)
     np.testing.assert_array_equal(kernel_pred, tree.predict_levels(levels))
 
-    batch_s = _best_of(lambda: unary.predict_digit_matrix(digits))
+    batch_s = _best_of(lambda: oracle.predict(digits))
     kernel_s = _best_of(lambda: kernel.predict_digit_matrix(digits))
     batch_rate = N_KERNEL_SAMPLES / batch_s
     kernel_rate = N_KERNEL_SAMPLES / kernel_s

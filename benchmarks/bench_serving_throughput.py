@@ -1,24 +1,23 @@
 """Benchmark -- micro-batched serving vs single-request scoring, with SLOs.
 
 The serving stack (:mod:`repro.serve`) amortizes per-request cost into one
-ADC conversion and one kernel call per flush.  This benchmark quantifies
-that amortization on the cardio depth-8 classifier (the PR-6 kernel
-workload) and attaches open-loop latency SLO rows for the two deployment
-scenario streams.
+ADC conversion and one packed-kernel call per flush.  This benchmark
+quantifies that amortization on the cardio depth-8 classifier and attaches
+open-loop latency SLO rows for the two deployment scenario streams.
 
 Three measurement groups:
 
 1. **Micro-batch capacity** -- a closed loop of 256 concurrent clients
    through :class:`~repro.serve.scorer.AsyncScorer` versus the
    single-request reference (``score_one``: one quantization + one 1-row
-   engine call per request, exactly a request-per-call server).  Measured
-   for both engines; micro-batched bitparallel must clear
-   :data:`MIN_SERVING_SPEEDUP` -- the packed kernel pays a near-fixed
-   per-word cost, so batching 256 requests into 4 uint64 words collapses
-   its per-request cost by two orders of magnitude.
+   kernel call per request, exactly a request-per-call server).
+   Micro-batched serving must clear :data:`MIN_SERVING_SPEEDUP` -- the
+   packed kernel pays a near-fixed per-word cost, so batching 256 requests
+   into 4 uint64 words collapses its per-request cost by two orders of
+   magnitude.
 2. **Batch-size sweep** -- the same closed loop at max_batch_size in
-   {16, 64, 256} for both engines (informational: shows where each engine's
-   flush cost stops dominating the asyncio per-request overhead).
+   {16, 64, 256} (informational: shows where the flush cost stops
+   dominating the asyncio per-request overhead).
 3. **Open-loop SLO** -- the healthcare-patch (vertebral_2c) and
    smart-packaging freshness streams replayed at a fixed rate with
    coordinated-omission-safe latency accounting; the recorded ``speedup``
@@ -55,7 +54,7 @@ REQUESTS_PER_CLIENT = 40
 N_SINGLE = 1500            # single-request reference calls
 N_TIMING_REPEATS = 3       # best-of repeats; throughput gates time the floor
 BATCH_SWEEP = (16, 64, 256)
-MIN_SERVING_SPEEDUP = 5.0  # acceptance: micro-batched bitparallel >= 5x single
+MIN_SERVING_SPEEDUP = 5.0  # acceptance: micro-batched >= 5x single-request
 
 #: Open-loop SLO scenarios: (row dataset tag, stream rate, p99 SLO).
 SLO_RATE_HZ = 2000.0
@@ -83,17 +82,16 @@ def _request_stream(seed: int) -> np.ndarray:
 
 
 def _assert_bit_identity(artifact, rows: np.ndarray, seed: int) -> None:
-    """Ragged concurrent mixes through both engines == scalar predict_levels."""
+    """A ragged concurrent mix through the scorer == scalar predict_levels."""
     rng = np.random.default_rng(seed)
     expected = artifact.tree.predict_levels(
         quantize_dataset(rows, artifact.resolution_bits)
     )
 
-    async def mixed(engine: str) -> list[int]:
+    async def mixed() -> list[int]:
         got: dict[int, int] = {}
         async with AsyncScorer(
             artifact,
-            engine=engine,
             config=BatchingConfig(max_batch_size=64, max_wait_us=100.0),
         ) as scorer:
 
@@ -112,15 +110,14 @@ def _assert_bit_identity(artifact, rows: np.ndarray, seed: int) -> None:
             await asyncio.gather(*(burst(b) for b in bursts))
         return [got[i] for i in range(len(rows))]
 
-    for engine in ("batch", "bitparallel"):
-        served = asyncio.run(mixed(engine))
-        np.testing.assert_array_equal(np.asarray(served), expected)
+    served = asyncio.run(mixed())
+    np.testing.assert_array_equal(np.asarray(served), expected)
 
 
-def _measure_single(artifact, rows: np.ndarray, engine: str) -> float:
+def _measure_single(artifact, rows: np.ndarray) -> float:
     """Requests/s of the single-request reference path (best-of repeats)."""
-    scorer = AsyncScorer(artifact, engine=engine)
-    for row in rows[:16]:  # warm-up: kernel compile, numpy caches
+    scorer = AsyncScorer(artifact)
+    for row in rows[:16]:  # warm-up: numpy caches
         scorer.score_one(row)
     best = float("inf")
     for _ in range(N_TIMING_REPEATS):
@@ -132,14 +129,13 @@ def _measure_single(artifact, rows: np.ndarray, engine: str) -> float:
 
 
 def _measure_microbatch(
-    artifact, rows: np.ndarray, engine: str, max_batch_size: int
+    artifact, rows: np.ndarray, max_batch_size: int
 ) -> tuple[float, float]:
     """(requests/s, mean batch) of the saturated closed loop (best-of)."""
 
     async def once() -> tuple[float, float]:
         async with AsyncScorer(
             artifact,
-            engine=engine,
             config=BatchingConfig(
                 max_batch_size=max_batch_size, max_wait_us=200.0
             ),
@@ -189,7 +185,7 @@ def _measure_slo(seed: int, registry_dir: str, cache_dir: str) -> list[dict]:
             )
 
         async def drive():
-            async with AsyncScorer(model, engine="bitparallel") as scorer:
+            async with AsyncScorer(model) as scorer:
                 return await run_open_loop(
                     scorer, stream, SLO_RATE_HZ, duration_s=SLO_DURATION_S
                 )
@@ -218,37 +214,30 @@ def _measure(seed: int) -> dict:
         rows = _request_stream(seed)
         _assert_bit_identity(artifact, rows, seed)
 
-        capacity = {}
+        single_rate = _measure_single(artifact, rows)
         sweep = []
-        for engine in ("batch", "bitparallel"):
-            single_rate = _measure_single(artifact, rows, engine)
-            for max_batch in BATCH_SWEEP:
-                micro_rate, mean_batch = _measure_microbatch(
-                    artifact, rows, engine, max_batch
-                )
-                sweep.append(
-                    {
-                        "engine": engine,
-                        "max_batch": max_batch,
-                        "single_rate": single_rate,
-                        "micro_rate": micro_rate,
-                        "mean_batch": mean_batch,
-                        "speedup": micro_rate / single_rate,
-                    }
-                )
-            # The headline capacity row uses the largest sweep point.
-            capacity[engine] = sweep[-1]
+        for max_batch in BATCH_SWEEP:
+            micro_rate, mean_batch = _measure_microbatch(artifact, rows, max_batch)
+            sweep.append(
+                {
+                    "max_batch": max_batch,
+                    "single_rate": single_rate,
+                    "micro_rate": micro_rate,
+                    "mean_batch": mean_batch,
+                    "speedup": micro_rate / single_rate,
+                }
+            )
         slo = _measure_slo(seed, registry_dir, cache_dir)
-    return {"capacity": capacity, "sweep": sweep, "slo": slo}
+    # The headline capacity row uses the largest sweep point.
+    return {"capacity": sweep[-1], "sweep": sweep, "slo": slo}
 
 
 def _render(measured) -> str:
     sweep_table = render_table(
-        ["engine", "max batch", "single req/s", "micro req/s", "mean batch",
-         "speedup (x)"],
+        ["max batch", "single req/s", "micro req/s", "mean batch", "speedup (x)"],
         [
-            (r["engine"], r["max_batch"], r["single_rate"], r["micro_rate"],
-             r["mean_batch"], r["speedup"])
+            (r["max_batch"], r["single_rate"], r["micro_rate"], r["mean_batch"],
+             r["speedup"])
             for r in measured["sweep"]
         ],
     )
@@ -271,15 +260,15 @@ def _render(measured) -> str:
 
 def _bench_rows(measured) -> list[dict]:
     """Rows of ``BENCH_serving.json`` (schema: benchmarks/conftest.py)."""
+    capacity = measured["capacity"]
     rows = [
         {
-            "name": f"microbatch_{engine}",
+            "name": "microbatch",
             "dataset": DATASET,
             "samples_per_sec": capacity["micro_rate"],
             "unit": "requests/s",
             "speedup": capacity["speedup"],
         }
-        for engine, capacity in sorted(measured["capacity"].items())
     ]
     rows.extend(
         {
@@ -295,18 +284,17 @@ def _bench_rows(measured) -> list[dict]:
 
 
 def test_serving_throughput(benchmark, bench_seed, write_report, write_bench_json):
-    """Micro-batched bitparallel serving is >= 5x the single-request path."""
+    """Micro-batched serving is >= 5x the single-request path."""
     measured = benchmark.pedantic(
         lambda: _measure(bench_seed), rounds=1, iterations=1
     )
     write_report("serving_throughput", _render(measured))
     write_bench_json("serving", _bench_rows(measured))
 
-    bitparallel = measured["capacity"]["bitparallel"]
-    assert bitparallel["speedup"] >= MIN_SERVING_SPEEDUP, (
-        f"micro-batched bitparallel serving only "
-        f"{bitparallel['speedup']:.1f}x over single-request scoring "
-        f"(need >= {MIN_SERVING_SPEEDUP:.0f}x)"
+    capacity = measured["capacity"]
+    assert capacity["speedup"] >= MIN_SERVING_SPEEDUP, (
+        f"micro-batched serving only {capacity['speedup']:.1f}x over "
+        f"single-request scoring (need >= {MIN_SERVING_SPEEDUP:.0f}x)"
     )
     for row in measured["slo"]:
         assert row["p99_ms"] <= SLO_P99_MS, (

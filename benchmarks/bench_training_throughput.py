@@ -9,20 +9,20 @@ depth-8 "full grid" training workload -- one conventional CART fit plus one
 ADC-aware fit per tau of the paper's grid -- on the two widest benchmarks.
 
 The legacy side runs the retained pre-refactor reference trainers
-(:mod:`repro.mltrees.legacy_split_search`), i.e. exactly the old hot loop;
+(``tests/oracles/legacy_split_search.py``), i.e. exactly the old hot loop;
 the produced trees are asserted node-for-node identical before timing is
 trusted, so the speedup compares equal answers.
 """
 
 import time
 
+from oracles.legacy_split_search import LegacyADCAwareTrainer, LegacyCARTTrainer
 from repro.analysis.render import render_table
 from repro.core.adc_aware_training import ADCAwareTrainer
 from repro.core.exploration import DEFAULT_TAUS
 from repro.datasets.registry import load_dataset
 from repro.mltrees.cart import CARTTrainer
 from repro.mltrees.evaluation import train_test_split
-from repro.mltrees.legacy_split_search import LegacyADCAwareTrainer, LegacyCARTTrainer
 from repro.mltrees.quantize import quantize_dataset
 
 DATASETS = ("cardio", "arrhythmia")

@@ -193,7 +193,6 @@ from repro.core.sharding import (
 from repro.circuits.cosim import SIMULATORS
 from repro.core.store import ResultStore
 from repro.datasets.registry import dataset_names, load_dataset
-from repro.mltrees.evaluation import ENGINES
 from repro.search.space import space_names
 
 
@@ -1291,7 +1290,6 @@ def _cmd_serve_smoke(args: argparse.Namespace) -> int:
         async def drive():
             async with AsyncScorer(
                 artifact,
-                engine=args.engine,
                 config=BatchingConfig(
                     max_batch_size=args.max_batch_size,
                     max_wait_us=args.max_wait_us,
@@ -1304,7 +1302,7 @@ def _cmd_serve_smoke(args: argparse.Namespace) -> int:
         report = asyncio.run(drive())
         after = _snapshot_dir(cache_dir)
 
-    print(f"serving {artifact.name}/v{artifact.version} [{args.engine}]:")
+    print(f"serving {artifact.name}/v{artifact.version}:")
     print(report.summary())
     failures = []
     if report.p99_ms > args.p99_slo_ms:
@@ -1324,7 +1322,6 @@ def _cmd_serve_smoke(args: argparse.Namespace) -> int:
             {
                 "model": f"{artifact.name}/v{artifact.version}",
                 "dataset": artifact.dataset,
-                "engine": args.engine,
                 "p99_slo_ms": args.p99_slo_ms,
                 "cache_writes_during_serving": int(before != after),
                 "slo_failures": failures,
@@ -1911,12 +1908,6 @@ def build_parser() -> argparse.ArgumentParser:
     smoke.add_argument("--depth", type=_positive_int_argument, default=8, help="tree depth")
     smoke.add_argument("--tau", type=float, default=0.0, help="Gini tolerance")
     smoke.add_argument("--seed", type=int, default=0, help="global seed")
-    smoke.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="bitparallel",
-        help="inference engine serving the flushes",
-    )
     smoke.add_argument(
         "--rate", type=float, default=500.0, help="open-loop request rate (req/s)"
     )

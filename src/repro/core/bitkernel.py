@@ -1,18 +1,15 @@
-"""Bit-parallel packed-uint64 inference kernels for unary decision trees.
+"""Bit-parallel packed-uint64 evaluation of a unary tree's label logic.
 
 The paper's core observation (Section III-A) is that a unary/thermometer-coded
 decision tree *is* two-level logic: every root-to-leaf path is one AND cube
-over unary digits and every class label is an OR of its cubes.  The batch
-engine of :class:`~repro.core.unary_tree.UnaryDecisionTree` already evaluates
-that logic, but as float/boolean ndarray broadcasts -- one fancy-indexed
-gather and reduction per cube over an ``(n_samples, n_digits)`` matrix.
+over unary digits and every class label is an OR of its cubes.  This module
+evaluates that logic over whole digit matrices in machine words:
 
-This module compiles the same logic down to machine words:
-
-1. **Cube extraction** -- the tree's minimized per-class
-   :class:`~repro.circuits.two_level.SumOfProducts` (the tree is the oracle;
-   the SOP is the intermediate form) becomes, per class, a list of
-   ``(positive digit columns, negated digit columns)`` index pairs.
+1. **Cube extraction** -- the minimized per-class
+   :class:`~repro.circuits.two_level.SumOfProducts` of a
+   :class:`~repro.core.unary_tree.UnaryDecisionTree` becomes, per class, a
+   list of ``(positive digit columns, negated digit columns)`` index pairs.
+   The kernel reuses the unary tree's logic, so each tree is minimized once.
 2. **Word packing** -- the digit matrix is packed column-wise into ``uint64``
    words (:func:`~repro.adc.thermometer.pack_digit_matrix`), 64 samples per
    word, LSB = lowest sample index.
@@ -21,19 +18,20 @@ This module compiles the same logic down to machine words:
    cubes does (bitwise OR); the winning label per sample is the *lowest*
    firing class, resolved first-wins in the packed domain.
 
-The result is bit-identical to
-:meth:`~repro.core.unary_tree.UnaryDecisionTree.predict_digit_matrix` /
-``predict_from_digits_batch`` -- including the ``ValueError`` raised when a
-digit assignment is inconsistent with a thermometer code -- while the hot
-loop touches ``n_samples / 64`` words per literal instead of ``n_samples``
-bools per literal.  See ``docs/KERNELS.md`` for the layout and tie-break
-semantics, and ``benchmarks/bench_inference_throughput.py`` for the measured
-gain over the broadcast path.
-
-Compiled kernels are cached on the tree instance, so repeated evaluation
-calls (a promoted design, a scoring service) compile once per trained tree:
-use :func:`compile_tree_kernel` rather than constructing
-:class:`CompiledTreeKernel` directly.
+The kernel is the one evaluator of digit matrices -- Monte-Carlo offset
+trials and bespoke front-end batches, reached through
+:meth:`UnaryDecisionTree.predict_digit_matrix
+<repro.core.unary_tree.UnaryDecisionTree.predict_digit_matrix>` and
+``predict_from_digits_batch``.  It agrees with the scalar
+:meth:`~repro.core.unary_tree.UnaryDecisionTree.predict_from_assignment` --
+including the ``ValueError`` raised when a digit assignment is inconsistent
+with a thermometer code.  :meth:`CompiledTreeKernel.predict_levels` is the
+levels entry of the unary tree and of the serving scorer
+(:class:`~repro.serve.scorer.AsyncScorer`); accuracy scoring evaluates
+quantized levels with the tree walk
+(:meth:`~repro.mltrees.tree.DecisionTree.predict_levels`).  See
+``docs/KERNELS.md`` for the layout, the tie-break semantics and the
+measurements.
 """
 
 from __future__ import annotations
@@ -42,19 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.adc.thermometer import (
-    WORD_BITS,
-    pack_digit_matrix,
-    packed_tail_mask,
-    quantize_array_to_levels,
-)
-from repro.mltrees.tree import DecisionTree
+from repro.adc.thermometer import WORD_BITS, pack_digit_matrix, packed_tail_mask
 
 _FULL_WORD = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
-
-#: Cache attribute attached to the *tree* instance (trees are shared by
-#: design points, suite results and the store; the kernel rides along).
-_CACHE_ATTR = "_compiled_bitkernel"
 
 
 @dataclass(frozen=True)
@@ -76,35 +64,28 @@ class PackedDigitBatch:
 
 
 class CompiledTreeKernel:
-    """A trained tree compiled into per-class packed-word cube masks.
+    """A unary tree's label logic compiled into per-class packed-word cube masks.
 
-    Construction extracts the minimized sum-of-products label logic from the
-    tree (via :class:`~repro.core.unary_tree.UnaryDecisionTree`, reusing
-    :class:`~repro.circuits.two_level.SumOfProducts` as the intermediate
-    form) and resolves every literal to its digit-matrix column, exactly as
-    the batch engine does -- the two paths evaluate the same cubes over the
-    same columns and therefore agree bit for bit.
+    Construction resolves every literal of the unary tree's minimized
+    sum-of-products to its digit-matrix column (the :attr:`comparators`
+    order); the tree's logic is read, never rebuilt.  Build it through
+    :attr:`UnaryDecisionTree.kernel
+    <repro.core.unary_tree.UnaryDecisionTree.kernel>`.
     """
 
-    def __init__(self, tree: DecisionTree):
-        # Local import: unary_tree imports circuit modules; keeping it out of
-        # module scope lets the ADC/thermometer layer import this module.
-        from repro.core.unary_tree import UnaryDecisionTree
-
-        self.tree = tree
-        unary = UnaryDecisionTree(tree)
+    def __init__(self, unary):
         self.n_classes = unary.n_classes
-        self.resolution_bits = unary.resolution_bits
         #: ``(feature, level)`` per digit column, in digit-matrix order.
         self.comparators = unary.comparators
         self._features = np.array([f for f, _ in self.comparators], dtype=np.intp)
         self._levels = np.array([k for _, k in self.comparators], dtype=np.int64)
         digit_index = {name: i for i, name in enumerate(unary.digit_variables())}
+        label_logic = unary.label_logic
         #: per class, per cube: (positive column indices, negated column indices)
         self.cubes: list[list[tuple[np.ndarray, np.ndarray]]] = []
         for label in range(self.n_classes):
             compiled: list[tuple[np.ndarray, np.ndarray]] = []
-            for term in unary.label_logic[label].terms:
+            for term in label_logic[label].terms:
                 positive = sorted(digit_index[lit.name] for lit in term if lit.positive)
                 negated = sorted(digit_index[lit.name] for lit in term if not lit.positive)
                 compiled.append(
@@ -137,13 +118,6 @@ class CompiledTreeKernel:
     # ------------------------------------------------------------------ #
     # packing
     # ------------------------------------------------------------------ #
-    def digit_matrix_from_levels(self, X_levels: np.ndarray) -> np.ndarray:
-        """Comparator outputs of a quantized-sample matrix (broadcast compare)."""
-        X_levels = np.asarray(X_levels)
-        if X_levels.ndim != 2:
-            raise ValueError("expected a 2-D matrix of quantized samples")
-        return X_levels[:, self._features] >= self._levels[np.newaxis, :]
-
     def pack_digit_matrix(self, digits: np.ndarray) -> PackedDigitBatch:
         """Pack an ``(n_samples, n_digits)`` digit matrix into word columns."""
         digits = np.asarray(digits, dtype=bool)
@@ -153,10 +127,6 @@ class CompiledTreeKernel:
                 f"got {digits.shape}"
             )
         return PackedDigitBatch(pack_digit_matrix(digits), digits.shape[0])
-
-    def pack_levels(self, X_levels: np.ndarray) -> PackedDigitBatch:
-        """Quantized samples straight to packed words (compare + pack)."""
-        return self.pack_digit_matrix(self.digit_matrix_from_levels(X_levels))
 
     # ------------------------------------------------------------------ #
     # evaluation
@@ -205,12 +175,13 @@ class CompiledTreeKernel:
         """Predict classes from packed words: lowest firing label per sample.
 
         Raises ``ValueError`` when any sample fires no label function
-        (inconsistent with a thermometer code), mirroring the batch engine.
+        (inconsistent with a thermometer code), mirroring
+        :meth:`~repro.core.unary_tree.UnaryDecisionTree.predict_from_assignment`.
         """
         fired = self.fired_words(batch)
         n_samples = batch.n_samples
         # First-wins in the packed domain == lowest firing label (argmax on
-        # the boolean fired matrix), the batch engine's tie-break rule.  The
+        # the boolean fired matrix), the scalar path's tie-break rule.  The
         # winning label index is assembled as binary bit-planes while still
         # packed -- log2(n_classes) word vectors instead of one scatter per
         # class -- and unpacked once at the end.
@@ -248,13 +219,15 @@ class CompiledTreeKernel:
         return self.predict_packed(self.pack_digit_matrix(digits))
 
     def predict_levels(self, X_levels: np.ndarray) -> np.ndarray:
-        """Predict classes for a matrix of quantized samples."""
-        return self.predict_packed(self.pack_levels(X_levels))
+        """Predict classes for quantized samples: broadcast compare, then evaluate.
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predict classes for raw normalized samples in ``[0, 1]``."""
-        levels = quantize_array_to_levels(np.asarray(X, dtype=float), self.resolution_bits)
-        return self.predict_levels(levels)
+        Column ``c`` of the digit matrix is ``X_levels[:, feature_c] >=
+        level_c`` for the retained comparator ``c``.
+        """
+        X_levels = np.asarray(X_levels)
+        if X_levels.ndim != 2:
+            raise ValueError("expected a 2-D matrix of quantized samples")
+        return self.predict_digit_matrix(X_levels[:, self._features] >= self._levels)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -263,18 +236,3 @@ class CompiledTreeKernel:
             f"word_bits={WORD_BITS})"
         )
 
-
-def compile_tree_kernel(tree: DecisionTree) -> CompiledTreeKernel:
-    """Compile ``tree`` into a :class:`CompiledTreeKernel`, cached per tree.
-
-    The kernel is memoized on the tree instance itself, so every consumer of
-    the same trained tree -- the design point that owns it, the engine
-    dispatch in :mod:`repro.mltrees.evaluation`, a scoring loop -- shares one
-    compilation.  Trees are structurally immutable after training, which
-    makes the instance cache safe.
-    """
-    kernel = getattr(tree, _CACHE_ATTR, None)
-    if kernel is None:
-        kernel = CompiledTreeKernel(tree)
-        setattr(tree, _CACHE_ATTR, kernel)
-    return kernel

@@ -87,20 +87,6 @@ class DesignPoint:
         """Copy of this point carrying a Monte-Carlo robustness summary."""
         return replace(self, robustness=analysis)
 
-    @property
-    def kernel(self):
-        """The point's compiled bit-parallel inference kernel.
-
-        Compiled on first access and cached on the underlying tree (see
-        :func:`repro.core.bitkernel.compile_tree_kernel`), so every copy of
-        this point -- including the robustness-annotated ones, which share
-        the tree instance -- reuses one compilation.  This is the kernel a
-        serving layer evaluates promoted designs with.
-        """
-        from repro.core.bitkernel import compile_tree_kernel
-
-        return compile_tree_kernel(self.tree)
-
 
 def proposed_hardware_report(
     tree: DecisionTree,

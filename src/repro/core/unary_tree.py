@@ -14,11 +14,16 @@ digits.  :class:`UnaryDecisionTree` performs that translation for a trained
   equivalence checking,
 * it predicts classes either from raw samples, from quantized levels, or from
   the digit dictionaries produced by a :class:`~repro.adc.frontend.BespokeFrontEnd`.
+
+Every batched prediction goes through one evaluator: the packed-uint64
+:class:`~repro.core.bitkernel.CompiledTreeKernel`, compiled from this
+tree's own minimized label logic (:attr:`UnaryDecisionTree.kernel`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +32,7 @@ from repro.circuits.area_power import AreaPowerReport, estimate_netlist
 from repro.circuits.netlist import Netlist
 from repro.circuits.synthesis import synthesize_sop
 from repro.circuits.two_level import Literal, SumOfProducts
+from repro.core.bitkernel import CompiledTreeKernel
 from repro.mltrees.export import tree_to_paths
 from repro.mltrees.tree import DecisionTree
 from repro.pdk.egfet import EGFETTechnology
@@ -47,7 +53,6 @@ class UnaryDecisionTree:
         #: per used feature, the sorted unary-digit levels the logic consumes
         self.required_digits: dict[int, tuple[int, ...]] = tree.required_levels()
         self._label_logic = self._build_label_logic()
-        self._batch_logic = self._compile_batch_logic()
 
     # ------------------------------------------------------------------ #
     # construction
@@ -70,14 +75,10 @@ class UnaryDecisionTree:
             logic[path.prediction].add_term(term)
         return {label: sop.minimized() for label, sop in logic.items()}
 
-    def _compile_batch_logic(self) -> "_BatchLabelLogic":
-        """Compile the label logic for whole-matrix evaluation."""
-        return _BatchLabelLogic(
-            comparators=self.comparators,
-            digit_index={name: i for i, name in enumerate(self.digit_variables())},
-            label_logic=self._label_logic,
-            n_classes=self.n_classes,
-        )
+    @cached_property
+    def kernel(self) -> CompiledTreeKernel:
+        """The packed-word kernel of this tree's label logic, compiled once."""
+        return CompiledTreeKernel(self)
 
     # ------------------------------------------------------------------ #
     # structure queries
@@ -176,18 +177,6 @@ class UnaryDecisionTree:
     # ------------------------------------------------------------------ #
     # batched prediction
     # ------------------------------------------------------------------ #
-    def digit_matrix_from_levels(self, X_levels: np.ndarray) -> np.ndarray:
-        """Comparator outputs of a whole quantized-sample matrix at once.
-
-        One broadcast compare replaces the per-sample dict assignment: column
-        ``c`` of the result is ``X_levels[:, feature_c] >= level_c`` for the
-        retained comparator ``c`` (column order = :attr:`comparators`).
-        """
-        X_levels = np.asarray(X_levels)
-        if X_levels.ndim != 2:
-            raise ValueError("expected a 2-D matrix of quantized samples")
-        return self._batch_logic.digits_from_levels(X_levels)
-
     def predict_digit_matrix(self, digits: np.ndarray) -> np.ndarray:
         """Predict classes from an ``(n_samples, n_unary_digits)`` digit matrix.
 
@@ -195,11 +184,11 @@ class UnaryDecisionTree:
         row fires no label function (inconsistent with a thermometer code),
         mirroring :meth:`predict_from_assignment`.
         """
-        return self._batch_logic.predict(np.asarray(digits, dtype=bool))
+        return self.kernel.predict_digit_matrix(digits)
 
     def predict_levels(self, X_levels: np.ndarray) -> np.ndarray:
         """Predict classes for a matrix of quantized samples (vectorized)."""
-        return self.predict_digit_matrix(self.digit_matrix_from_levels(X_levels))
+        return self.kernel.predict_levels(X_levels)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predict classes for raw normalized samples in ``[0, 1]``."""
@@ -272,66 +261,3 @@ class UnaryDecisionTree:
             f"unary_digits={self.n_unary_digits}, classes={self.n_classes})"
         )
 
-
-class _BatchLabelLogic:
-    """Label logic compiled into index arrays for whole-matrix evaluation.
-
-    Each product term of each label's sum-of-products becomes two column
-    index arrays (positive / negated literals) into the digit matrix, so one
-    term evaluates as ``digits[:, pos].all(1) & (~digits[:, neg]).all(1)``
-    over every sample simultaneously and a label fires where any of its
-    terms does.  The winner per row is the lowest firing label -- identical
-    to the scalar :meth:`UnaryDecisionTree.predict_from_assignment` rule.
-    """
-
-    def __init__(
-        self,
-        comparators: tuple[tuple[int, int], ...],
-        digit_index: dict[str, int],
-        label_logic: Mapping[int, SumOfProducts],
-        n_classes: int,
-    ):
-        self.features = np.array([feature for feature, _ in comparators], dtype=np.intp)
-        self.levels = np.array([level for _, level in comparators], dtype=np.int64)
-        self.n_classes = n_classes
-        #: per label, per term: (positive column indices, negated column indices)
-        self.terms: list[list[tuple[np.ndarray, np.ndarray]]] = []
-        for label in range(n_classes):
-            compiled: list[tuple[np.ndarray, np.ndarray]] = []
-            for term in label_logic[label].terms:
-                positive = [digit_index[lit.name] for lit in term if lit.positive]
-                negated = [digit_index[lit.name] for lit in term if not lit.positive]
-                compiled.append(
-                    (
-                        np.array(sorted(positive), dtype=np.intp),
-                        np.array(sorted(negated), dtype=np.intp),
-                    )
-                )
-            self.terms.append(compiled)
-
-    def digits_from_levels(self, X_levels: np.ndarray) -> np.ndarray:
-        """Broadcast compare: digit ``(f, k)`` is ``X_levels[:, f] >= k``."""
-        return X_levels[:, self.features] >= self.levels[np.newaxis, :]
-
-    def fired_matrix(self, digits: np.ndarray) -> np.ndarray:
-        """``(n_samples, n_classes)`` boolean matrix of firing label functions."""
-        n_samples = digits.shape[0]
-        fired = np.zeros((n_samples, self.n_classes), dtype=bool)
-        for label, compiled in enumerate(self.terms):
-            column = fired[:, label]
-            for positive, negated in compiled:
-                term_value = digits[:, positive].all(axis=1)
-                if negated.size:
-                    term_value &= ~digits[:, negated].any(axis=1)
-                column |= term_value
-        return fired
-
-    def predict(self, digits: np.ndarray) -> np.ndarray:
-        """Lowest firing label per row; raises when a row fires none."""
-        fired = self.fired_matrix(digits)
-        if not fired.any(axis=1).all():
-            raise ValueError(
-                "no label function fired; the digit assignment is inconsistent "
-                "with a thermometer code"
-            )
-        return np.argmax(fired, axis=1).astype(np.int64)

@@ -12,8 +12,9 @@ design needs to guarantee.
 The evaluation is fully vectorized: one ``(n_trials, n_comparators)`` offset
 matrix is broadcast against the per-comparator thresholds, so every
 Monte-Carlo trial and every sample is a single boolean-array comparison plus
-one batched label-logic pass (no per-sample Python loops).  Trial batches
-optionally fan out across worker processes through
+one pass of the packed-uint64 label-logic kernel
+(:class:`~repro.core.bitkernel.CompiledTreeKernel`; no per-sample Python
+loops).  Trial batches optionally fan out across worker processes through
 :class:`~repro.core.executor.Executor` -- results are bit-identical either
 way because all offsets are drawn up front from one seeded stream.
 """
@@ -259,36 +260,12 @@ def _predict_with_offsets(
         )
     values, nominal_thresholds = _comparator_values_and_thresholds(unary, X)
     thresholds = nominal_thresholds + offset_matrix / vdd  # (trials, comparators)
-    digits = values[np.newaxis, :, :] >= thresholds[:, np.newaxis, :]
+    # Compared comparator-major, so the (trial x sample, comparator) digit
+    # matrix is a Fortran-ordered view the kernel packs without a copy.
+    digits = values.T[:, np.newaxis, :] >= thresholds.T[:, :, np.newaxis]
     n_trials, n_samples = offset_matrix.shape[0], X.shape[0]
-    flat = digits.reshape(n_trials * n_samples, len(comparators))
+    flat = digits.reshape(len(comparators), n_trials * n_samples).T
     return unary.predict_digit_matrix(flat).reshape(n_trials, n_samples)
-
-
-def _predict_with_offsets_scalar(
-    unary: UnaryDecisionTree,
-    X: np.ndarray,
-    offsets: dict[tuple[int, int], float],
-    vdd: float,
-) -> np.ndarray:
-    """Reference implementation: the pre-vectorization per-sample loop.
-
-    One trial's offsets as a ``{(feature, level): volts}`` dict, one
-    dict-based digit assignment per sample.  Kept verbatim as the oracle the
-    scalar-vs-batch equivalence tests and the throughput benchmark compare
-    against; no production path uses it.
-    """
-    n_levels = 2 ** unary.resolution_bits
-    predictions = np.empty(len(X), dtype=np.int64)
-    for row_index, row in enumerate(X):
-        assignment: dict[str, bool] = {}
-        for feature, levels in unary.required_digits.items():
-            value = float(np.clip(row[feature], 0.0, 1.0))
-            for level in levels:
-                threshold = level / n_levels + offsets[(feature, level)] / vdd
-                assignment[f"I{feature}_u{level}"] = value >= threshold
-        predictions[row_index] = unary.predict_from_assignment(assignment)
-    return predictions
 
 
 def _trial_batch_accuracies(

@@ -2,47 +2,15 @@
 
 The paper's protocol is a random 70 %/30 % train/test split on inputs
 normalized to ``[0, 1]``; this module provides the (seeded, stratified)
-splitting and the metrics used throughout the evaluation, plus the
-serving-side ``engine`` dispatch between the default ndarray batch path and
-the bit-parallel packed-uint64 kernel (:mod:`repro.core.bitkernel`).
+splitting and the metrics used throughout the evaluation.  Accuracy scores
+quantized levels with the tree walk (:meth:`DecisionTree.predict_levels
+<repro.mltrees.tree.DecisionTree.predict_levels>`), the fastest evaluator
+on levels at every batch size (see ``docs/KERNELS.md``).
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-#: Prediction engines accepted by :func:`level_predictor`:
-#: ``"batch"`` walks the tree with vectorized index masks (the default);
-#: ``"bitparallel"`` evaluates the tree's two-level cube logic as packed
-#: uint64 bitwise ops, 64 samples per machine word.  The two are
-#: bit-identical -- the engine is an execution detail, never part of an
-#: experiment configuration or cache key.
-ENGINES: tuple[str, ...] = ("batch", "bitparallel")
-
-
-def resolve_engine(engine: str) -> str:
-    """Validate an engine name, returning it unchanged."""
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    return engine
-
-
-def level_predictor(tree, engine: str = "batch"):
-    """Resolve ``(tree, engine)`` to a levels->labels prediction callable.
-
-    Returns a function mapping an ``(n_samples, n_features)`` quantized-level
-    matrix to predicted labels.  Resolving once hoists the engine dispatch
-    (and, for ``"bitparallel"``, the kernel compilation) out of hot loops:
-    the serving scorer calls the resolved predictor once per flush with zero
-    per-call dispatch overhead.  Both engines are bit-identical.
-    """
-    resolve_engine(engine)
-    if engine == "bitparallel":
-        # Local import: the kernel lives in core (which imports mltrees).
-        from repro.core.bitkernel import compile_tree_kernel
-
-        return compile_tree_kernel(tree).predict_levels
-    return tree.predict_levels
 
 
 def evaluate_tree_accuracy(tree, X_levels: np.ndarray, y: np.ndarray) -> float:

@@ -36,7 +36,7 @@ disabled the columns are ``None`` and the enumeration is bit-identical to
 the nominal path.
 
 The pre-columnar object-building enumeration is retained verbatim in
-:mod:`repro.mltrees.legacy_split_search` as the oracle for the equivalence
+``tests/oracles/legacy_split_search.py`` as the oracle for the equivalence
 tests and the training-throughput benchmark.
 """
 

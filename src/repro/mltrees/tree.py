@@ -88,18 +88,6 @@ class DecisionTree:
 
     __hash__ = None  # structural equality makes trees unhashable (like TreeNode)
 
-    def __getstate__(self):
-        """Pickle the tree without runtime caches.
-
-        :func:`repro.core.bitkernel.compile_tree_kernel` memoizes the
-        compiled bit-parallel kernel on the tree instance; stripping it here
-        keeps store entries and executor transport lean (the kernel is cheap
-        to recompile and derives entirely from the tree structure).
-        """
-        state = dict(self.__dict__)
-        state.pop("_compiled_bitkernel", None)
-        return state
-
     # ------------------------------------------------------------------ #
     # traversal helpers
     # ------------------------------------------------------------------ #

@@ -36,8 +36,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.adc.thermometer import WORD_BITS
 from repro.core.bespoke_adc import build_bespoke_frontend
-from repro.core.bitkernel import WORD_BITS, compile_tree_kernel
 from repro.core.datasheet import generate_datasheet
 from repro.core.design import DesignPoint
 from repro.core.metrics import HardwareReport
@@ -64,7 +64,7 @@ class ModelArtifact:
 
     The heavy payload is the trained ``tree``; ``adc_config`` (the retained
     comparator levels of each bespoke ADC), the rendered ``datasheet`` and
-    ``kernel_meta`` (size metrics of the precompiled bit-parallel kernel)
+    ``kernel_meta`` (size metrics of the tree's bit-parallel kernel)
     ride along so a serving host can inspect a model without re-deriving its
     hardware view.
     """
@@ -87,11 +87,6 @@ class ModelArtifact:
     kernel_meta: dict[str, int] = field(repr=False)
     datasheet: str = field(repr=False)
     created_utc: float = 0.0
-
-    @property
-    def kernel(self):
-        """The artifact's compiled bit-parallel kernel (cached on the tree)."""
-        return compile_tree_kernel(self.tree)
 
     def manifest(self) -> dict:
         """The light JSON view stored under ``manifests/<name>/v<N>.json``."""
@@ -238,7 +233,7 @@ class ModelRegistry:
             }
         else:  # degenerate single-leaf tree: nothing to digitize
             adc_config = {}
-        kernel = compile_tree_kernel(point.tree)
+        kernel = unary.kernel
         artifact = ModelArtifact(
             name=name,
             version=self._next_version(name),

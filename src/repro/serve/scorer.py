@@ -1,14 +1,14 @@
-"""Async micro-batching scorer: single-sample requests, batched kernels.
+"""Async micro-batching scorer: single-sample requests, one kernel call per flush.
 
 :class:`AsyncScorer` is the serving front door.  Clients call
 ``await scorer.score(sample)`` with one normalized sensor sample; under the
 hood a :class:`~repro.serve.batching.MicroBatcher` accumulates concurrent
 requests, each flush stacks them into one matrix, converts it through the
 ADC front end **once** (one vectorized ``quantize_array_to_levels`` call --
-elementwise, so batching never changes a code), and dispatches a single
-engine call (batch tree walk or packed-uint64 bit-parallel kernel, resolved
-once at construction via
-:func:`repro.mltrees.evaluation.level_predictor`).  Per-request labels are
+elementwise, so batching never changes a code), and scores the levels with
+one call of the tree's packed-uint64 kernel
+(:class:`~repro.core.bitkernel.CompiledTreeKernel`, compiled once at
+construction from the tree's unary label logic).  Per-request labels are
 demultiplexed back to the callers' futures.
 
 Outputs are bit-identical to calling ``tree.predict_levels`` on each sample
@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.adc.thermometer import quantize_array_to_levels
-from repro.mltrees.evaluation import level_predictor, resolve_engine
+from repro.core.unary_tree import UnaryDecisionTree
 from repro.serve.batching import BatchingConfig, MicroBatcher
 from repro.serve.registry import ModelArtifact
 
@@ -34,9 +34,6 @@ class AsyncScorer:
     model:
         A promoted :class:`~repro.serve.registry.ModelArtifact` or a bare
         trained :class:`~repro.mltrees.tree.DecisionTree`.
-    engine:
-        ``"bitparallel"`` (default: the packed-uint64 kernel, compiled once
-        here) or ``"batch"``.  Bit-identical either way.
     config:
         Accumulate/flush policy (see
         :class:`~repro.serve.batching.BatchingConfig`).
@@ -51,7 +48,6 @@ class AsyncScorer:
     def __init__(
         self,
         model: ModelArtifact | object,
-        engine: str = "bitparallel",
         config: BatchingConfig | None = None,
     ):
         if isinstance(model, ModelArtifact):
@@ -62,11 +58,8 @@ class AsyncScorer:
             self.tree = model
             self.resolution_bits = model.resolution_bits
             self.model_name = None
-        self.engine = resolve_engine(engine)
         self.n_features = self.tree.n_features
-        # Resolve engine dispatch (and compile the bit-parallel kernel) once;
-        # flushes then pay zero per-call dispatch or compilation cost.
-        self._predict_levels = level_predictor(self.tree, self.engine)
+        self.kernel = UnaryDecisionTree(self.tree).kernel
         self._batcher = MicroBatcher(self._flush, config)
 
     # ------------------------------------------------------------------ #
@@ -84,13 +77,13 @@ class AsyncScorer:
         """Synchronous single-request reference path (no batching).
 
         Pays the full per-request cost -- one 1-row quantization and one
-        1-row engine call -- exactly what a naive request-per-call server
+        1-row kernel call -- exactly what a naive request-per-call server
         would do.  The serving benchmark measures micro-batching speedups
         against this.  Bit-identical to :meth:`score`.
         """
         row = self._as_row(sample)[np.newaxis, :]
         levels = quantize_array_to_levels(row, self.resolution_bits)
-        return int(self._predict_levels(levels)[0])
+        return int(self.kernel.predict_levels(levels)[0])
 
     def _as_row(self, sample) -> np.ndarray:
         row = np.asarray(sample, dtype=float)
@@ -106,7 +99,7 @@ class AsyncScorer:
     def _flush(self, rows: list[np.ndarray]) -> list[int]:
         X = np.stack(rows)
         levels = quantize_array_to_levels(X, self.resolution_bits)
-        labels = self._predict_levels(levels)
+        labels = self.kernel.predict_levels(levels)
         return [int(label) for label in labels]
 
     # ------------------------------------------------------------------ #
@@ -133,4 +126,4 @@ class AsyncScorer:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         target = self.model_name or type(self.tree).__name__
-        return f"AsyncScorer(model={target!r}, engine={self.engine!r})"
+        return f"AsyncScorer(model={target!r})"

@@ -321,13 +321,13 @@ class TestCli:
         assert exit_info.value.code == 0
         assert "<=1% loss" in capsys.readouterr().out
 
-    def test_only_serve_smoke_takes_an_engine(self):
+    def test_no_command_takes_an_engine(self):
         takes_engine = [
             path
             for path, parser in _parser_nodes()
             if "--engine" in parser.format_help()
         ]
-        assert takes_engine == [("serve", "smoke")]
+        assert takes_engine == []
 
 
 class TestRunVariationAnalysis:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.circuits.two_level import SumOfProducts
 from repro.datasets.synthetic import make_classification_blobs
 from repro.mltrees.cart import CARTTrainer
 from repro.mltrees.quantize import quantize_dataset
@@ -122,3 +123,17 @@ def tiny_levels_dataset():
     )
     y = np.array([0, 0, 0, 0, 1, 1, 1, 1], dtype=np.int64)
     return X_levels, y
+
+
+@pytest.fixture
+def count_minimizations(monkeypatch):
+    """Every ``SumOfProducts.minimized`` call made during the test, in order."""
+    calls = []
+    original = SumOfProducts.minimized
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(SumOfProducts, "minimized", counting)
+    return calls

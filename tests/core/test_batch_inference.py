@@ -5,8 +5,8 @@ The batch paths (matrix prediction in :class:`UnaryDecisionTree`, the
 batched netlist simulator behind the baselines) must be **bit-identical** to
 the scalar per-row/per-trial semantics they replaced.  These tests pin that
 property across every registered benchmark and several seeds, and keep a
-faithful reimplementation of the pre-vectorization Monte-Carlo loop as the
-regression reference.
+faithful reimplementation of the pre-vectorization Monte-Carlo loop
+(``tests/oracles/variation.py``) as the regression reference.
 """
 
 from __future__ import annotations
@@ -14,11 +14,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles.variation import _predict_with_offsets_scalar
 from repro.core.unary_tree import UnaryDecisionTree
 from repro.core.variation import (
     ComparatorOffsetModel,
     _predict_with_offsets,
-    _predict_with_offsets_scalar,
     simulate_offset_variation,
 )
 from repro.datasets.registry import dataset_names, load_dataset
@@ -56,13 +56,14 @@ class TestUnaryTreeBatchEquivalence:
 
     def test_digit_matrix_columns_follow_comparator_order(self, small_tree):
         unary = UnaryDecisionTree(small_tree)
-        levels = np.array([[k % 16 for k in range(small_tree.n_features)]] * 3)
-        digits = unary.digit_matrix_from_levels(levels)
-        assert digits.shape == (3, unary.n_unary_digits)
-        for column, (feature, level) in enumerate(unary.comparators):
-            np.testing.assert_array_equal(
-                digits[:, column], levels[:, feature] >= level
-            )
+        levels = np.random.default_rng(3).integers(0, 16, size=(200, small_tree.n_features))
+        digits = np.column_stack(
+            [levels[:, feature] >= level for feature, level in unary.comparators]
+        )
+        assert digits.shape == (200, unary.n_unary_digits)
+        np.testing.assert_array_equal(
+            unary.predict_levels(levels), unary.predict_digit_matrix(digits)
+        )
 
     def test_digit_matrix_prediction_matches_scalar_on_arbitrary_digits(
         self, small_tree

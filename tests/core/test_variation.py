@@ -66,6 +66,18 @@ class TestSimulateOffsetVariation:
         )
         assert first.accuracies == second.accuracies
 
+    def test_parallel_trial_batches_match_serial(self, evaluation_data, technology):
+        # Workers receive the unary tree with its compiled kernel.
+        tree, X, y = evaluation_data
+        unary = UnaryDecisionTree(tree)
+        serial = simulate_offset_variation(
+            unary, X, y, sigma_v=0.03, n_trials=6, technology=technology, seed=3
+        )
+        parallel = simulate_offset_variation(
+            unary, X, y, sigma_v=0.03, n_trials=6, technology=technology, seed=3, jobs=2
+        )
+        assert parallel == serial
+
     def test_accepts_unary_tree_directly(self, evaluation_data, technology):
         tree, X, y = evaluation_data
         unary = UnaryDecisionTree(tree)

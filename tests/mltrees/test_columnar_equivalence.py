@@ -4,7 +4,7 @@ The columnar :class:`~repro.mltrees.split_search.CandidateTable` refactor
 must not change a single trained tree: same candidate ordering, bit-identical
 Gini scores, identical RNG consumption at every tie-break.  These tests pit
 the production trainers against the retained pre-refactor reference
-(:mod:`repro.mltrees.legacy_split_search`) and require node-for-node
+(``tests/oracles/legacy_split_search.py``) and require node-for-node
 identical trees across every registered benchmark, several seeds, and
 multiple tau values (CART and ADC-aware).
 
@@ -15,15 +15,15 @@ are marked slow (the legacy trainer is the expensive side).
 import numpy as np
 import pytest
 
-from repro.core.adc_aware_training import ADCAwareTrainer
-from repro.datasets.registry import dataset_names, load_dataset
-from repro.mltrees.cart import CARTTrainer
-from repro.mltrees.evaluation import train_test_split
-from repro.mltrees.legacy_split_search import (
+from oracles.legacy_split_search import (
     LegacyADCAwareTrainer,
     LegacyCARTTrainer,
     legacy_enumerate_split_candidates,
 )
+from repro.core.adc_aware_training import ADCAwareTrainer
+from repro.datasets.registry import dataset_names, load_dataset
+from repro.mltrees.cart import CARTTrainer
+from repro.mltrees.evaluation import train_test_split
 from repro.mltrees.quantize import quantize_dataset
 from repro.mltrees.split_search import enumerate_split_candidates
 

@@ -16,7 +16,7 @@ No production path uses it.  It exists so that
   speedup against the true historical hot loop
 
 -- the same pattern as ``_predict_with_offsets_scalar`` in
-:mod:`repro.core.variation` for the inference refactor.
+:mod:`oracles.variation` for the inference refactor.
 """
 
 from __future__ import annotations

@@ -1,11 +1,13 @@
 """Tests for the model registry: promotion, versioning, content addressing."""
 
 import json
+import pickle
 
 import pytest
 
-from repro.core.bitkernel import WORD_BITS, compile_tree_kernel
+from repro.adc.thermometer import WORD_BITS
 from repro.core.design import DesignSpec
+from repro.core.unary_tree import UnaryDecisionTree
 from repro.datasets.synthetic import make_classification_blobs
 from repro.mltrees.evaluation import train_test_split
 from repro.mltrees.quantize import quantize_dataset
@@ -129,7 +131,7 @@ class TestManifest:
         assert manifest["digest"] == artifact.digest
         assert manifest["accuracy"] == point.accuracy
 
-        kernel = compile_tree_kernel(point.tree)
+        kernel = UnaryDecisionTree(point.tree).kernel
         assert manifest["kernel_meta"] == {
             "n_digits": kernel.n_digits,
             "n_cubes": kernel.n_cubes,
@@ -154,7 +156,19 @@ class TestManifest:
             assert isinstance(feature, int)
             assert all(0 <= level <= 16 for level in levels)
         assert artifact.datasheet  # rendered, human-readable
-        assert artifact.kernel.n_classes == 3  # compiled kernel reachable
+        assert artifact.kernel_meta["n_classes"] == 3
+
+    def test_promote_minimizes_each_label_once_for_adcs_and_kernel(
+        self, registry, design_points, monkeypatch, count_minimizations
+    ):
+        # The ADC config and the kernel metrics share one unary translation;
+        # the datasheet renders its own, so it is stubbed out here.
+        monkeypatch.setattr(
+            "repro.serve.registry.generate_datasheet", lambda *args, **kwargs: "sheet"
+        )
+        point = pickle.loads(pickle.dumps(design_points[3]))  # a never-compiled tree
+        registry.promote(point, "blobs-once")
+        assert len(count_minimizations) == point.tree.n_classes
 
 
 class TestLookupErrors:

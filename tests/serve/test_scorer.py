@@ -32,20 +32,16 @@ def expected_labels(tree, rows):
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("engine", ["batch", "bitparallel"])
-    def test_concurrent_burst_matches_scalar_predict_levels(
-        self, small_tree, rows, engine
-    ):
+    def test_concurrent_burst_matches_scalar_predict_levels(self, small_tree, rows):
         expected = expected_labels(small_tree, rows)
 
         async def scenario():
-            async with AsyncScorer(small_tree, engine=engine) as scorer:
+            async with AsyncScorer(small_tree) as scorer:
                 return await asyncio.gather(*(scorer.score(r) for r in rows))
 
         assert run(scenario()) == list(expected)
 
-    @pytest.mark.parametrize("engine", ["batch", "bitparallel"])
-    def test_ragged_interleaved_bursts_match(self, small_tree, rows, engine):
+    def test_ragged_interleaved_bursts_match(self, small_tree, rows):
         """Bursts of wildly different sizes, tiny batches => many flush
         boundaries cutting through the request stream; labels must not care."""
         rng = np.random.default_rng(23)
@@ -54,7 +50,7 @@ class TestBitIdentity:
         async def scenario():
             got = {}
             config = BatchingConfig(max_batch_size=16, max_wait_us=50.0)
-            async with AsyncScorer(small_tree, engine=engine, config=config) as scorer:
+            async with AsyncScorer(small_tree, config=config) as scorer:
 
                 async def burst(indices):
                     labels = await asyncio.gather(
@@ -72,12 +68,23 @@ class TestBitIdentity:
 
         assert run(scenario()) == list(expected)
 
-    def test_engines_agree_with_each_other(self, small_tree, rows):
-        async def labels(engine):
-            async with AsyncScorer(small_tree, engine=engine) as scorer:
-                return await asyncio.gather(*(scorer.score(r) for r in rows[:64]))
+    def test_flushes_use_the_kernel_not_the_tree_walk(self, small_tree, rows, monkeypatch):
+        from repro.mltrees.tree import DecisionTree
 
-        assert run(labels("batch")) == run(labels("bitparallel"))
+        expected = expected_labels(small_tree, rows[:32])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the scorer walked the tree")
+
+        monkeypatch.setattr(DecisionTree, "predict_levels", refuse)
+
+        async def scenario():
+            async with AsyncScorer(small_tree) as scorer:
+                batched = await asyncio.gather(*(scorer.score(r) for r in rows[:32]))
+                return batched, [scorer.score_one(r) for r in rows[:32]]
+
+        batched, single = run(scenario())
+        assert batched == single == list(expected)
 
     def test_score_one_matches_score(self, small_tree, rows):
         async def scenario():
@@ -169,10 +176,6 @@ class TestValidation:
                     await scorer.score(np.zeros((2, N_FEATURES)))
 
         run(scenario())
-
-    def test_rejects_unknown_engine(self, small_tree):
-        with pytest.raises(ValueError, match="engine"):
-            AsyncScorer(small_tree, engine="quantum")
 
     def test_score_one_validates_shape(self, small_tree):
         scorer = AsyncScorer(small_tree)

@@ -135,12 +135,13 @@ class TestServeSmokeCli:
         out_json = tmp_path / "smoke.json"
         assert self.smoke(registry_dir, cache_dir, "--json", str(out_json)) == 0
         out = capsys.readouterr().out
+        assert out.splitlines()[0] == f"serving {DATASET}-d2/v1:"
         assert "SLO ok" in out
         assert "0 cache writes during serving" in out
 
         payload = json.loads(out_json.read_text())
         assert payload["model"] == f"{DATASET}-d2/v1"
-        assert payload["engine"] == "bitparallel"
+        assert "engine" not in payload
         assert payload["n_errors"] == 0
         assert payload["cache_writes_during_serving"] == 0
         assert payload["slo_failures"] == []
@@ -162,7 +163,3 @@ class TestServeSmokeCli:
         assert "exceeds" in capsys.readouterr().err
         payload = json.loads(out_json.read_text())
         assert payload["slo_failures"]
-
-    def test_smoke_batch_engine(self, registry_dir, cache_dir, capsys):
-        assert self.smoke(registry_dir, cache_dir, "--engine", "batch") == 0
-        assert "[batch]" in capsys.readouterr().out
