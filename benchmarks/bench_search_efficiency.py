@@ -36,14 +36,14 @@ def _reference_point(fronts) -> tuple[float, ...]:
     return tuple(max(axis) + 0.05 * (abs(max(axis)) + 1.0) for axis in axes)
 
 
-def _grid_front(dataset: str, seed: int, jobs, cache_dir):
+def _grid_front(dataset: str, seed: int, jobs, store: ResultStore):
     """Minimize-tuples of the exhaustive sweep's design points."""
     [result] = run_benchmark_suite(
         datasets=(dataset,),
         seed=seed,
         include_approximate_baseline=False,
         jobs=jobs,
-        cache_dir=cache_dir,
+        store=store,
     )
     assert len(result.exploration) == GRID_SIZE
     return [
@@ -70,10 +70,10 @@ def _run_study(dataset: str, seed: int, store: ResultStore):
     return result, time.perf_counter() - start
 
 
-def _measure(seed: int, jobs, cache_dir, tmp_path):
+def _measure(seed: int, jobs, grid_store: ResultStore, tmp_path):
     rows = []
     for dataset in DATASETS:
-        grid_objectives = _grid_front(dataset, seed, jobs, cache_dir)
+        grid_objectives = _grid_front(dataset, seed, jobs, grid_store)
         store = ResultStore(cache_dir=tmp_path / f"search-{dataset}")
         result, elapsed_s = _run_study(dataset, seed, store)
         study_front = [trial.objectives for trial in result.front]
@@ -133,9 +133,9 @@ def test_search_efficiency(
 ):
     """>= 95% of the exhaustive hypervolume from >= 5x fewer trained trees."""
     jobs = int(os.environ["REPRO_BENCH_JOBS"]) if os.environ.get("REPRO_BENCH_JOBS") else None
-    cache_dir = os.environ.get("REPRO_BENCH_CACHE_DIR") or None
+    grid_store = ResultStore(os.environ.get("REPRO_BENCH_CACHE_DIR") or None)
     rows = benchmark.pedantic(
-        lambda: _measure(bench_seed, jobs, cache_dir, tmp_path), rounds=1, iterations=1
+        lambda: _measure(bench_seed, jobs, grid_store, tmp_path), rounds=1, iterations=1
     )
     write_report("search_efficiency", _render(rows))
     write_bench_json("search", _bench_rows(rows))

@@ -32,6 +32,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.experiments import run_benchmark_suite
+from repro.core.store import ResultStore
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -71,8 +72,9 @@ def _jobs() -> int | None:
     return int(raw) if raw else None
 
 
-def _cache_dir() -> str | None:
-    return os.environ.get("REPRO_BENCH_CACHE_DIR") or None
+def _store() -> ResultStore:
+    """``$REPRO_BENCH_CACHE_DIR``, else the default result store location."""
+    return ResultStore(os.environ.get("REPRO_BENCH_CACHE_DIR") or None)
 
 
 @pytest.fixture(scope="session")
@@ -89,7 +91,7 @@ def suite_results():
         include_approximate_baseline=False,
         fast=_fast_mode(),
         jobs=_jobs(),
-        cache_dir=_cache_dir(),
+        store=_store(),
     )
 
 
@@ -101,7 +103,7 @@ def suite_results_with_approx():
         include_approximate_baseline=True,
         fast=_fast_mode(),
         jobs=_jobs(),
-        cache_dir=_cache_dir(),
+        store=_store(),
     )
 
 

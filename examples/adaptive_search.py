@@ -19,13 +19,14 @@ Run with::
 
 Everything is seeded: rerunning prints identical numbers.  The exhaustive
 sweep caches in the default result store, so only the first run pays for
-it; the studies deliberately bypass the cache (``use_cache=False``).
+it; the studies deliberately run without a store (``store=None``).
 """
 
 import os
 
 from repro.analysis.experiments import run_benchmark_suite, run_search_study
 from repro.analysis.render import render_table
+from repro.core.store import ResultStore
 from repro.search import hypervolume
 
 DATASET = "cardio"
@@ -49,6 +50,7 @@ def main() -> None:
         seed=SEED,
         include_approximate_baseline=False,
         jobs=jobs,
+        store=ResultStore(),
     )
     grid_objectives = [
         (-point.accuracy, point.hardware.total_power_uw)
@@ -63,7 +65,7 @@ def main() -> None:
             objectives=("-accuracy", "power"),
             seed=SEED,
             jobs=jobs,
-            use_cache=False,
+            store=None,
             batch_size=3,
         )
         for budget in BUDGETS

@@ -23,12 +23,14 @@ import os
 from repro.analysis import run_benchmark_suite
 from repro.analysis.render import render_table
 from repro.core.pareto import accuracy_power_front
+from repro.core.store import ResultStore
 
 
 def main() -> None:
     jobs = int(os.environ.get("REPRO_EXAMPLE_JOBS", "1"))
     (result,) = run_benchmark_suite(
-        ("cardio",), include_approximate_baseline=False, jobs=jobs
+        ("cardio",), include_approximate_baseline=False, jobs=jobs,
+        store=ResultStore(),
     )
     baseline = result.baseline
     print(f"baseline (ADC-unaware) accuracy: {baseline.accuracy * 100:.1f}% "

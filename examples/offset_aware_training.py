@@ -25,6 +25,7 @@ with::
 
 from repro.analysis.experiments import run_robust_exploration
 from repro.analysis.render import render_table
+from repro.core.store import ResultStore
 
 DATASET = "seeds"
 SIGMA_V = 0.04          # simulated comparator offset sigma (volts)
@@ -34,12 +35,13 @@ DROP_BUDGET = 0.01
 
 
 def main() -> None:
+    store = ResultStore()  # $REPRO_CACHE_DIR or ~/.cache/repro/results
     nominal = run_robust_exploration(
-        DATASET, sigma_v=SIGMA_V, n_trials=N_TRIALS, seed=0
+        DATASET, sigma_v=SIGMA_V, n_trials=N_TRIALS, seed=0, store=store
     )
     aware = run_robust_exploration(
         DATASET, sigma_v=SIGMA_V, n_trials=N_TRIALS, seed=0,
-        training_sigma=SIGMA_V,
+        training_sigma=SIGMA_V, store=store,
     )
     print(
         f"nominal vs offset-aware training on '{DATASET}' "

@@ -22,6 +22,7 @@ so re-runs (and the CLI) reuse the work.  Run with::
 
 from repro.analysis.experiments import run_robust_exploration
 from repro.analysis.render import render_table
+from repro.core.store import ResultStore
 
 DATASET = "seeds"
 SIGMAS_V = (0.01, 0.02, 0.04)
@@ -31,8 +32,11 @@ DROP_BUDGETS = (None, 0.02, 0.01)
 
 
 def main() -> None:
+    store = ResultStore()  # $REPRO_CACHE_DIR or ~/.cache/repro/results
     explorations = [
-        run_robust_exploration(DATASET, sigma_v=sigma, n_trials=N_TRIALS, seed=0)
+        run_robust_exploration(
+            DATASET, sigma_v=sigma, n_trials=N_TRIALS, seed=0, store=store
+        )
         for sigma in SIGMAS_V
     ]
     baseline = explorations[0].baseline_accuracy

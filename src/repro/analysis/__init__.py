@@ -23,7 +23,6 @@ from repro.analysis.experiments import (
     RobustnessSurface,
     ShardRunReport,
     SurfaceCell,
-    default_store,
     run_benchmark_suite,
     run_plan_shard,
     run_robust_exploration,
@@ -58,7 +57,6 @@ __all__ = [
     "RobustExploration",
     "RobustnessSurface",
     "SurfaceCell",
-    "default_store",
     "rows_to_csv",
     "results_to_json",
     "robust_exploration_to_json",

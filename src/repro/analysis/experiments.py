@@ -5,7 +5,10 @@ the eight benchmarks.  A benchmark's result is composed of store entries:
 one reference entry (baseline [2], its unary re-implementation and, for
 Table II, the approximate baseline [7]) plus one
 :class:`~repro.core.design.DesignPoint` entry per grid point, addressed by
-its :class:`~repro.core.design.DesignSpec` key.  Results are cached on two
+its :class:`~repro.core.design.DesignSpec` key.  Every runner here takes
+one store handle, ``store: ResultStore | None``: the store it reads and
+writes, or ``None`` to compute without one (no default location is ever
+opened behind the caller's back).  With a store, results are cached on two
 levels:
 
 1. an in-process memo, so the several benchmark files regenerating different
@@ -51,7 +54,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from pathlib import Path
 
 from repro.core.codesign import CoDesignFramework, CoDesignResult, select_designs
 from repro.core.design import DesignPoint, DesignSpec
@@ -110,21 +112,6 @@ def _memo_get(key: tuple[str, ...]) -> CoDesignResult | None:
         _MEMO[key] = result
     return result
 
-#: Lazily created store shared by all callers that do not pass their own.
-_DEFAULT_STORE: ResultStore | None = None
-
-
-def default_store() -> ResultStore:
-    """The process-wide :class:`ResultStore` used when none is passed in.
-
-    Exposed so callers can inspect cache effectiveness, e.g.
-    ``default_store().stats.hits`` after a suite run.
-    """
-    global _DEFAULT_STORE
-    if _DEFAULT_STORE is None:
-        _DEFAULT_STORE = ResultStore()
-    return _DEFAULT_STORE
-
 
 def clear_memo() -> None:
     """Drop the in-process memo (the on-disk store is left untouched)."""
@@ -154,9 +141,7 @@ def run_benchmark_suite(
     taus: tuple[float, ...] = DEFAULT_TAUS,
     fast: bool = False,
     jobs: int | None = None,
-    cache_dir: str | Path | None = None,
     store: ResultStore | None = None,
-    use_cache: bool = True,
     training_sigma: float = 0.0,
     robustness_weight: float = 1.0,
     cache_only: bool = False,
@@ -185,15 +170,10 @@ def run_benchmark_suite(
         per CPU).  Every pending entry -- reference designs and design
         points of every requested benchmark -- is one job of a single
         fan-out.  Results are identical either way.
-    cache_dir:
-        Directory of the on-disk result store (default:
-        ``$REPRO_CACHE_DIR`` or ``~/.cache/repro/results``).
     store:
-        Explicit :class:`ResultStore` to use (overrides ``cache_dir``);
-        handy for inspecting hit/miss statistics.
-    use_cache:
-        When False, skip the on-disk store entirely (the in-process memo is
-        bypassed too) and recompute everything.
+        The on-disk :class:`ResultStore` to read and write.  ``None`` (the
+        default) computes everything without a store and bypasses the
+        in-process memo too.
     training_sigma:
         Comparator offset sigma in volts assumed by the exploration trainer
         (0: nominal training); see
@@ -203,7 +183,7 @@ def run_benchmark_suite(
         (ignored while ``training_sigma`` is 0).
     cache_only:
         Strict assemble mode: resolve every entry from the on-disk store
-        and *never* compute.  Raises
+        and *never* compute (requires a ``store``).  Raises
         :class:`~repro.core.sharding.MissingResultsError` (listing the
         missing units and keys) when any entry is absent.  The
         in-process memo is bypassed, so the store genuinely holds
@@ -218,27 +198,10 @@ def run_benchmark_suite(
         report-based is ever cached under a configuration key), and they
         refuse ``cache_only`` mode.
     """
-    from repro.circuits.ppa import resolve_ppa_backend
-
     if jobs is not None and jobs < 0:
         raise ValueError("jobs must be >= 0 (0 = one worker per CPU)")
-    backend = resolve_ppa_backend(ppa_backend)
-    if not getattr(backend, "is_analytic", False):
-        if cache_only:
-            raise ValueError(
-                "cache_only requires the analytic PPA backend: cached suite "
-                "entries hold analytic costs, which a report backend would "
-                "contradict"
-            )
-        # Report-backed costs must never be cached under configuration keys.
-        use_cache = False
-    if cache_only and not use_cache:
-        raise ValueError("cache_only requires use_cache=True")
+    store, backend = _backend_store(store, ppa_backend, cache_only)
     names = [canonical_name(name) for name in resolve_suite_datasets(datasets, fast)]
-    if not use_cache:
-        store = None
-    elif store is None:
-        store = ResultStore(cache_dir) if cache_dir is not None else default_store()
 
     units = {
         name: _suite_units(
@@ -279,6 +242,29 @@ def run_benchmark_suite(
     if store is not None:
         store.flush_stats()
     return [resolved[name] for name in names]
+
+
+def _backend_store(store: ResultStore | None, ppa_backend, cache_only: bool):
+    """The store a run may use with ``ppa_backend``, and the resolved backend.
+
+    The one rule every design-point runner (the suite and search studies)
+    applies: a non-analytic backend's costs are not derivable from a
+    configuration key, so such a run gets no store -- and refuses
+    ``cache_only``, as does a run given no store at all.
+    """
+    from repro.circuits.ppa import resolve_ppa_backend
+
+    backend = resolve_ppa_backend(ppa_backend)
+    if not getattr(backend, "is_analytic", False):
+        if cache_only:
+            raise ValueError(
+                "cache_only requires the analytic PPA backend: cached entries "
+                "hold analytic costs, which a report backend would contradict"
+            )
+        store = None
+    if cache_only and store is None:
+        raise ValueError("cache_only requires a store")
+    return store, backend
 
 
 def _suite_units(
@@ -405,9 +391,7 @@ def run_variation_analysis(
     depth: int = 4,
     tau: float = 0.01,
     jobs: int | None = None,
-    cache_dir: str | Path | None = None,
     store: ResultStore | None = None,
-    use_cache: bool = True,
     resolution_bits: int = 4,
     test_size: float = 0.3,
     training_sigma: float = 0.0,
@@ -421,11 +405,10 @@ def run_variation_analysis(
     content-addressed :class:`~repro.core.store.ResultStore` under the
     point's :meth:`~repro.core.design.DesignSpec.variation_key` -- the exact
     entries that sharded suite runs, ``explore``, ``surface`` and search
-    studies read and write.  Trial batches fan out across ``jobs`` worker
-    processes with bit-identical results.
+    studies read and write (``store=None`` simulates without a store).
+    Trial batches fan out across ``jobs`` worker processes with
+    bit-identical results.
     """
-    if use_cache and store is None:
-        store = ResultStore(cache_dir) if cache_dir is not None else default_store()
     spec = DesignSpec(
         dataset, seed, depth, tau, resolution_bits,
         test_size=test_size,
@@ -433,14 +416,14 @@ def run_variation_analysis(
         robustness_weight=robustness_weight,
     )
     key = spec.variation_key(sigma_v, n_trials)
-    if use_cache and store is not None:
+    if store is not None:
         cached = store.get(key)
         if cached is not None:
             store.flush_stats()
             return cached
 
     analysis = spec.simulate(sigma_v, n_trials, _variation_classifier(spec), jobs=jobs)
-    if use_cache and store is not None:
+    if store is not None:
         store.put(key, analysis)
         store.flush_stats()
     return analysis
@@ -491,9 +474,7 @@ def run_robust_exploration(
     depths: tuple[int, ...] = DEFAULT_DEPTHS,
     taus: tuple[float, ...] = DEFAULT_TAUS,
     jobs: int | None = None,
-    cache_dir: str | Path | None = None,
     store: ResultStore | None = None,
-    use_cache: bool = True,
     training_sigma: float = 0.0,
     robustness_weight: float = 1.0,
     cache_only: bool = False,
@@ -518,8 +499,8 @@ def run_robust_exploration(
     sweep and every per-point analysis must be store hits.
     """
     result, units, analyses = _robustness_pass(
-        dataset, (float(sigma_v),), n_trials, seed, depths, taus, jobs, cache_dir,
-        store, use_cache, training_sigma, robustness_weight, cache_only, ppa_backend,
+        dataset, (float(sigma_v),), n_trials, seed, depths, taus, jobs, store,
+        training_sigma, robustness_weight, cache_only, ppa_backend,
     )
     points = [
         point.with_robustness(analyses[unit.store_key])
@@ -544,9 +525,7 @@ def _robustness_pass(
     depths: tuple[int, ...],
     taus: tuple[float, ...],
     jobs: int | None,
-    cache_dir: str | Path | None,
     store: ResultStore | None,
-    use_cache: bool,
     training_sigma: float,
     robustness_weight: float,
     cache_only: bool,
@@ -556,10 +535,9 @@ def _robustness_pass(
 
     Units are sigma-major with the grid inner; misses simulate the suite's
     own trees.  Returns the suite result, the units and their analyses by
-    store key.
+    store key.  The variation units are accuracy-only, so they use ``store``
+    whatever the PPA backend; ``ppa_backend`` only reaches the suite.
     """
-    if cache_only and not use_cache:
-        raise ValueError("cache_only requires use_cache=True")
     name = canonical_name(dataset)
     (result,) = run_benchmark_suite(
         datasets=(name,),
@@ -568,20 +546,12 @@ def _robustness_pass(
         depths=depths,
         taus=taus,
         jobs=jobs,
-        cache_dir=cache_dir,
         store=store,
-        use_cache=use_cache,
         training_sigma=training_sigma,
         robustness_weight=robustness_weight,
         cache_only=cache_only,
-        # The variation units are accuracy-only, so the backend only
-        # influences the suite resolved here.
         ppa_backend=ppa_backend,
     )
-    if not use_cache:
-        store = None
-    elif store is None:
-        store = ResultStore(cache_dir) if cache_dir is not None else default_store()
     specs = [
         DesignSpec(
             name, seed, depth, tau,
@@ -698,9 +668,7 @@ def run_robustness_surface(
     depths: tuple[int, ...] = DEFAULT_DEPTHS,
     taus: tuple[float, ...] = DEFAULT_TAUS,
     jobs: int | None = None,
-    cache_dir: str | Path | None = None,
     store: ResultStore | None = None,
-    use_cache: bool = True,
     training_sigma: float = 0.0,
     robustness_weight: float = 1.0,
     cache_only: bool = False,
@@ -731,8 +699,8 @@ def run_robustness_surface(
         training_sigma, robustness_weight
     )
     result, units, analyses = _robustness_pass(
-        dataset, sigma_values, n_trials, seed, depths, taus, jobs, cache_dir,
-        store, use_cache, training_sigma, robustness_weight, cache_only, ppa_backend,
+        dataset, sigma_values, n_trials, seed, depths, taus, jobs, store,
+        training_sigma, robustness_weight, cache_only, ppa_backend,
     )
     cells = []
     for unit in units:
@@ -776,9 +744,7 @@ def run_search_study(
     sigma_v: float | None = None,
     variation_trials: int = 100,
     jobs: int | None = None,
-    cache_dir: str | Path | None = None,
     store: ResultStore | None = None,
-    use_cache: bool = True,
     batch_size: int = 4,
     cache_only: bool = False,
     ppa_backend=None,
@@ -810,8 +776,6 @@ def run_search_study(
         sigma_v=sigma_v,
         variation_trials=variation_trials,
         store=store,
-        cache_dir=cache_dir,
-        use_cache=use_cache,
         batch_size=batch_size,
         cache_only=cache_only,
         ppa_backend=ppa_backend,
@@ -840,7 +804,6 @@ def run_plan_shard(
     plan: SuitePlan,
     shard: ShardSpec | None = None,
     jobs: int | None = None,
-    cache_dir: str | Path | None = None,
     store: ResultStore | None = None,
 ) -> ShardRunReport:
     """Compute one shard's work units of ``plan`` into the result store.
@@ -850,14 +813,14 @@ def run_plan_shard(
     retrain the others.  Everything lands under the exact keys the unsharded
     entry points use, so an assemble step -- or any later
     ``table1``/``table2``/``explore``/``search`` invocation -- resolves the
-    shard's work as plain cache hits.
+    shard's work as plain cache hits (``store=None`` computes them without
+    keeping any).
     """
-    if store is None:
-        store = ResultStore(cache_dir) if cache_dir is not None else default_store()
     units = plan.shard(shard)
     with get_executor(jobs) as executor:
         _, computed = _resolve_units(units, store, executor)
-    store.flush_stats()
+    if store is not None:
+        store.flush_stats()
     return ShardRunReport(
         shard=shard, n_units=len(units), reused=len(units) - len(computed)
     )

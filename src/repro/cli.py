@@ -196,18 +196,31 @@ from repro.datasets.registry import dataset_names, load_dataset
 from repro.search.space import space_names
 
 
-def _jobs_argument(value: str) -> int:
-    jobs = int(value)
-    if jobs < 0:
-        raise argparse.ArgumentTypeError("must be >= 0 (0 = one worker per CPU)")
-    return jobs
+def _ranged(cast, message: str, strict: bool = False):
+    """An argparse ``type``: ``cast`` the value and reject it below zero.
+
+    ``strict`` rejects zero too.  Out-of-range values are usage errors
+    (``argument --flag: must be ...``, exit 2) instead of library
+    tracebacks.
+    """
+
+    def parse(value: str):
+        number = cast(value)
+        if not (number > 0 if strict else number >= 0):
+            raise argparse.ArgumentTypeError(message)
+        return number
+
+    # argparse names the type in "invalid <name> value" for malformed input.
+    parse.__name__ = cast.__name__
+    return parse
 
 
-def _positive_int_argument(value: str) -> int:
-    number = int(value)
-    if number < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return number
+_positive_int = _ranged(int, "must be a positive integer", strict=True)
+_non_negative_int = _ranged(int, "must be a non-negative integer")
+_positive_number = _ranged(float, "must be a positive number", strict=True)
+_non_negative_number = _ranged(float, "must be a non-negative number")
+_sigma = _ranged(float, "must be a non-negative sigma in volts")
+_jobs = _ranged(int, "must be >= 0 (0 = one worker per CPU)")
 
 
 def _test_size_argument(value: str) -> float:
@@ -215,27 +228,6 @@ def _test_size_argument(value: str) -> float:
     if not 0.0 < fraction < 1.0:
         raise argparse.ArgumentTypeError("must be a fraction strictly between 0 and 1")
     return fraction
-
-
-def _age_days_argument(value: str) -> float:
-    days = float(value)
-    if days < 0:
-        raise argparse.ArgumentTypeError("must be a non-negative number of days")
-    return days
-
-
-def _bytes_argument(value: str) -> int:
-    size = int(value)
-    if size < 0:
-        raise argparse.ArgumentTypeError("must be a non-negative byte count")
-    return size
-
-
-def _sigma_argument(value: str) -> float:
-    sigma = float(value)
-    if sigma < 0:
-        raise argparse.ArgumentTypeError("must be a non-negative sigma in volts")
-    return sigma
 
 
 def _shard_argument(value: str) -> ShardSpec:
@@ -252,51 +244,118 @@ def _training_label(training_sigma: float) -> str:
     return f"offset-aware training at {training_sigma * 1000:g} mV"
 
 
-def _add_suite_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--datasets",
-        nargs="*",
-        default=None,
-        choices=dataset_names(),
+_DATASETS = tuple(dataset_names())
+
+#: Flags several commands share, each declared once as its ``add_argument``
+#: keywords.  :func:`_add` puts them on a command, with that command's own
+#: keywords (a default, ``required``, a help text) on top.
+_FLAGS: dict[str, dict] = {
+    "--dataset": dict(required=True, choices=_DATASETS, help="benchmark to use"),
+    "--datasets": dict(
+        nargs="*", default=None, choices=_DATASETS,
         help="benchmarks to run (default: all eight)",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="global seed")
-    parser.add_argument(
-        "--fast",
+    ),
+    "--fast": dict(
         action="store_true",
         help="restrict the default dataset list to the four small benchmarks",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=_jobs_argument,
-        default=None,
-        help="worker processes for the suite / design-space sweep "
-        "(default: serial; 0 = one per CPU)",
-    )
-    parser.add_argument(
-        "--cache-dir",
+    ),
+    "--depth": dict(type=_positive_int, help="tree depth"),
+    "--tau": dict(type=_non_negative_number, default=0.01, help="Gini tolerance"),
+    "--seed": dict(type=_non_negative_int, default=0, help="global seed"),
+    "--sigma": dict(
+        type=_sigma, nargs="+", default=None, metavar="SIGMA",
+        help="comparator offset sigmas in volts (one or more; order and "
+        "duplicates never change the result)",
+    ),
+    "--trials": dict(
+        type=_positive_int, default=100,
+        help="Monte-Carlo trials per design point (with --sigma)",
+    ),
+    "--training-sigma": dict(
+        type=_sigma, default=0.0,
+        help="comparator offset sigma in volts the trainer assumes: split "
+        "scores carry the analytic expected digit-flip penalty at this sigma "
+        "(default: 0, nominal training)",
+    ),
+    "--robustness-weight": dict(
+        type=_non_negative_number, default=1.0,
+        help="weight of the expected-flip penalty during training "
+        "(active only with --training-sigma > 0)",
+    ),
+    "--max-accuracy-drop": dict(
+        type=_non_negative_number, default=0.01,
+        help="maximum allowed mean accuracy drop under offsets "
+        "(with --sigma; default 1%%)",
+    ),
+    "--jobs": dict(
+        type=_jobs, default=None,
+        help="worker processes (default: serial; 0 = one per CPU); results "
+        "are identical to a serial run",
+    ),
+    "--cache-dir": dict(
         default=None,
         help="directory of the on-disk result store "
         "(default: $REPRO_CACHE_DIR or ~/.cache/repro/results)",
-    )
-    parser.add_argument(
-        "--no-cache",
+    ),
+    "--no-cache": dict(
+        action="store_true", help="bypass the result store and recompute everything"
+    ),
+    "--cache-only": dict(
         action="store_true",
-        help="bypass the result store and recompute everything",
-    )
-    _add_ppa_backend_argument(parser)
-
-
-def _add_ppa_backend_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--ppa-backend",
-        default=None,
-        metavar="analytic|REPORT.json",
+        help="strict assemble mode: resolve everything from the store, never "
+        "compute (exit 1 with the missing unit keys listed)",
+    ),
+    "--ppa-backend": dict(
+        default=None, metavar="analytic|REPORT.json",
         help="source of the digital area/power numbers: 'analytic' (default, "
         "the behavioral cell-count model) or the path of an external-flow "
         "PPA report JSON (see docs/HARDWARE.md); report-backed runs bypass "
         "the result cache",
-    )
+    ),
+    "--json": dict(default=None, help="write the JSON report to this file"),
+    "--html": dict(
+        default=None, metavar="FILE", help="write the self-contained HTML dashboard here"
+    ),
+    "--registry-dir": dict(
+        default=None,
+        help="model registry directory "
+        "(default: $REPRO_REGISTRY_DIR or ~/.cache/repro/registry)",
+    ),
+}
+
+#: ``--json`` of the commands that print JSON instead of writing a file.
+_JSON_SWITCH = dict(action="store_true", default=False,
+                    help="emit machine-readable JSON instead of the human rendering")
+
+#: The flags of the suite commands (table1, fig4, fig5, table2, surface).
+_SUITE_FLAGS = (
+    "--datasets", "--seed", "--fast", "--jobs", "--cache-dir", "--no-cache",
+    "--ppa-backend",
+)
+
+
+def _add(parser: argparse.ArgumentParser, *flags: str, **own: dict) -> None:
+    """Declare the shared ``flags`` on ``parser``.
+
+    ``own`` maps a flag's dest (``max_accuracy_drop`` for
+    ``--max-accuracy-drop``) to the keywords that differ for this command.
+    """
+    for flag in flags:
+        keywords = {**_FLAGS[flag], **own.get(flag[2:].replace("-", "_"), {})}
+        parser.add_argument(flag, **keywords)
+
+
+def _store(args: argparse.Namespace) -> ResultStore | None:
+    """The result store a command uses: ``--cache-dir``, none under ``--no-cache``."""
+    if getattr(args, "no_cache", False):
+        return None
+    return ResultStore(args.cache_dir or None)
+
+
+def _write(path: str, text: str) -> None:
+    """Write one output file a command was asked for, and say so."""
+    Path(path).write_text(text, encoding="utf-8")
+    print(f"wrote {path}")
 
 
 def _suite(args: argparse.Namespace, include_approximate: bool):
@@ -307,8 +366,7 @@ def _suite(args: argparse.Namespace, include_approximate: bool):
         include_approximate_baseline=include_approximate,
         fast=args.fast,
         jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
+        store=_store(args),
         ppa_backend=args.ppa_backend,
     )
 
@@ -460,6 +518,7 @@ def _cmd_table2_robust(args: argparse.Namespace) -> int:
     names = resolve_suite_datasets(
         tuple(args.datasets) if args.datasets else None, args.fast
     )
+    store = _store(args)
     renders = []
     for sigma in normalize_sigmas(tuple(args.sigma)):
         explorations = [
@@ -469,8 +528,7 @@ def _cmd_table2_robust(args: argparse.Namespace) -> int:
                 n_trials=args.trials,
                 seed=args.seed,
                 jobs=args.jobs,
-                cache_dir=args.cache_dir,
-                use_cache=not args.no_cache,
+                store=store,
                 training_sigma=args.training_sigma,
                 ppa_backend=args.ppa_backend,
             )
@@ -563,7 +621,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         for unit in units:
             print(f"  {unit.label}  {unit.store_key[:16]}")
         return 0
-    store = ResultStore(args.cache_dir) if args.cache_dir else ResultStore()
+    store = _store(args)
     report = run_plan_shard(plan, args.shard, jobs=args.jobs, store=store)
     print(
         f"shard {args.shard}: computed {report.computed}, reused "
@@ -574,7 +632,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
 def _cmd_assemble(args: argparse.Namespace) -> int:
     """Merge shard stores and render every table from cache hits only."""
-    store = ResultStore(args.cache_dir) if args.cache_dir else ResultStore()
+    store = _store(args)
     try:
         for archive in args.from_archive or []:
             report = store.import_archive(archive)
@@ -747,10 +805,7 @@ def _cmd_cosim(args: argparse.Namespace) -> int:
                 "skipped": True,
                 "reason": message,
             }
-            Path(args.json).write_text(
-                json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-            )
-            print(f"wrote {args.json}")
+            _write(args.json, json.dumps(payload, indent=2) + "\n")
         return 0
     try:
         report = run_cosim(
@@ -771,10 +826,7 @@ def _cmd_cosim(args: argparse.Namespace) -> int:
     if args.json:
         payload = report.to_json_dict()
         payload["skipped"] = False
-        Path(args.json).write_text(
-            json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-        )
-        print(f"wrote {args.json}")
+        _write(args.json, json.dumps(payload, indent=2) + "\n")
     return 0 if report.passed else 1
 
 
@@ -785,8 +837,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         n_trials=args.trials,
         seed=args.seed,
         jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
+        store=_store(args),
         training_sigma=args.training_sigma,
         ppa_backend=args.ppa_backend,
     )
@@ -847,6 +898,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
 def _cmd_variation(args: argparse.Namespace) -> int:
     sigmas = tuple(args.sigmas) if args.sigmas else (0.0, 0.005, 0.01, 0.02, 0.04)
+    store = _store(args)
     rows = []
     for sigma_v in sigmas:
         analysis = run_variation_analysis(
@@ -857,8 +909,7 @@ def _cmd_variation(args: argparse.Namespace) -> int:
             depth=args.depth,
             tau=args.tau,
             jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            use_cache=not args.no_cache,
+            store=store,
             resolution_bits=args.resolution_bits,
             test_size=args.test_size,
             training_sigma=args.training_sigma,
@@ -943,6 +994,7 @@ def _cmd_surface(args: argparse.Namespace) -> int:
     names = resolve_suite_datasets(
         tuple(args.datasets) if args.datasets else None, args.fast
     )
+    store = _store(args)
     surfaces = []
     try:
         for name in names:
@@ -953,8 +1005,7 @@ def _cmd_surface(args: argparse.Namespace) -> int:
                     n_trials=args.trials,
                     seed=args.seed,
                     jobs=args.jobs,
-                    cache_dir=args.cache_dir,
-                    use_cache=not args.no_cache,
+                    store=store,
                     training_sigma=args.training_sigma,
                     cache_only=args.cache_only,
                     ppa_backend=args.ppa_backend,
@@ -981,11 +1032,7 @@ def _cmd_surface(args: argparse.Namespace) -> int:
     if args.html:
         from repro.search import render_surface
 
-        Path(args.html).write_text(
-            render_surface([surface.to_json_dict() for surface in surfaces]),
-            encoding="utf-8",
-        )
-        print(f"wrote {args.html}")
+        _write(args.html, render_surface([surface.to_json_dict() for surface in surfaces]))
     return 0
 
 
@@ -1005,8 +1052,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             sigma_v=args.sigma,
             variation_trials=args.trials,
             jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            use_cache=not args.no_cache,
+            store=_store(args),
             batch_size=args.batch_size,
             cache_only=args.cache_only,
             ppa_backend=args.ppa_backend,
@@ -1051,22 +1097,14 @@ def _cmd_search(args: argparse.Namespace) -> int:
         )
     )
     if args.json:
-        Path(args.json).write_text(result.to_json() + "\n", encoding="utf-8")
-        print(f"wrote {args.json}")
+        _write(args.json, result.to_json() + "\n")
     if args.html:
-        Path(args.html).write_text(
-            render_dashboard(result.to_json_dict()), encoding="utf-8"
-        )
-        print(f"wrote {args.html}")
+        _write(args.html, render_dashboard(result.to_json_dict()))
     return 0
 
 
-def _cache_store(args: argparse.Namespace) -> ResultStore:
-    return ResultStore(args.cache_dir) if args.cache_dir else ResultStore()
-
-
 def _cmd_cache_stats(args: argparse.Namespace) -> int:
-    store = _cache_store(args)
+    store = _store(args)
     disk = store.disk_stats()
     lifetime = store.lifetime_stats()
     search = store.lifetime_search_stats()
@@ -1125,14 +1163,14 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache_clear(args: argparse.Namespace) -> int:
-    store = _cache_store(args)
+    store = _store(args)
     removed = store.clear()
     print(f"removed {removed} entries from {store.cache_dir}")
     return 0
 
 
 def _cmd_cache_export(args: argparse.Namespace) -> int:
-    store = _cache_store(args)
+    store = _store(args)
     path = store.export_archive(args.output)
     disk = store.disk_stats()
     print(
@@ -1143,7 +1181,7 @@ def _cmd_cache_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache_import(args: argparse.Namespace) -> int:
-    store = _cache_store(args)
+    store = _store(args)
     for archive in args.archives:
         try:
             report = store.import_archive(archive)
@@ -1161,7 +1199,7 @@ def _cmd_cache_prune(args: argparse.Namespace) -> int:
     if args.older_than_days is None and args.max_bytes is None:
         print("cache prune: pass --older-than-days and/or --max-bytes", file=sys.stderr)
         return 2
-    store = _cache_store(args)
+    store = _store(args)
     if args.older_than_days is not None:
         removed = store.prune_older_than(args.older_than_days * 86400.0)
         print(
@@ -1348,172 +1386,71 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    fig3 = subparsers.add_parser("fig3", help="bespoke ADC area/power scaling (Fig. 3)")
-    fig3.set_defaults(handler=_cmd_fig3)
-
-    for name, handler, description in [
-        ("table1", _cmd_table1, "baseline bespoke decision trees (Table I)"),
-        ("fig4", _cmd_fig4, "gains of unary architecture + bespoke ADCs (Fig. 4)"),
-        ("fig5", _cmd_fig5, "gains of ADC-aware training (Fig. 5)"),
-        ("table2", _cmd_table2, "co-designed classifiers at <=1%% loss (Table II)"),
-    ]:
-        sub = subparsers.add_parser(name, help=description)
-        _add_suite_arguments(sub)
+    def command(name: str, handler, summary: str, *flags: str, **own: dict):
+        """One top-level command with its shared ``flags`` (see :func:`_add`)."""
+        sub = subparsers.add_parser(name, help=summary)
+        _add(sub, *flags, **own)
         sub.set_defaults(handler=handler)
-        if name == "table2":
-            # Offset-aware variant: Monte-Carlo robustness joins the selection.
-            sub.add_argument(
-                "--sigma",
-                type=_sigma_argument,
-                nargs="+",
-                default=None,
-                metavar="SIGMA",
-                help="comparator offset sigmas in volts (one or more); when "
-                "given, select designs under the robustness budget at each "
-                "sigma (offset-aware Table II)",
-            )
-            sub.add_argument(
-                "--trials",
-                type=_positive_int_argument,
-                default=100,
-                help="Monte-Carlo trials per design point (with --sigma)",
-            )
-            sub.add_argument(
-                "--max-accuracy-drop",
-                type=float,
-                default=0.01,
-                help="maximum allowed mean accuracy drop under offsets "
-                "(with --sigma; default 1%%)",
-            )
-            sub.add_argument(
-                "--training-sigma",
-                type=_sigma_argument,
-                default=0.0,
-                help="comparator offset sigma in volts the *trainer* assumes "
-                "(with --sigma): split scores carry the analytic expected "
-                "digit-flip penalty, so the selected designs are robust by "
-                "training rather than by hardware margin (default: nominal)",
-            )
+        return sub
 
-    explore = subparsers.add_parser(
-        "explore",
-        help="variation-aware design-space exploration with constrained selection",
+    command("fig3", _cmd_fig3, "bespoke ADC area/power scaling (Fig. 3)")
+    command("table1", _cmd_table1, "baseline bespoke decision trees (Table I)",
+            *_SUITE_FLAGS)
+    command("fig4", _cmd_fig4, "gains of unary architecture + bespoke ADCs (Fig. 4)",
+            *_SUITE_FLAGS)
+    command("fig5", _cmd_fig5, "gains of ADC-aware training (Fig. 5)", *_SUITE_FLAGS)
+    # With --sigma: the offset-aware variant, Monte-Carlo robustness joins
+    # the selection at each sigma.
+    command(
+        "table2", _cmd_table2, "co-designed classifiers at <=1%% loss (Table II)",
+        *_SUITE_FLAGS, "--sigma", "--trials", "--max-accuracy-drop", "--training-sigma",
     )
-    explore.add_argument(
-        "--dataset",
-        default="seeds",
-        choices=dataset_names(),
-        help="benchmark to explore (default: seeds)",
-    )
-    explore.add_argument(
-        "--sigma",
-        type=_sigma_argument,
-        default=0.02,
-        help="comparator offset sigma in volts (default: 20 mV)",
-    )
-    explore.add_argument(
-        "--trials",
-        type=_positive_int_argument,
-        default=100,
-        help="Monte-Carlo trials per design point",
-    )
-    explore.add_argument(
-        "--training-sigma",
-        type=_sigma_argument,
-        default=0.0,
-        help="comparator offset sigma in volts the *trainer* assumes; split "
-        "scores carry the analytic expected digit-flip penalty at this "
-        "sigma, steering thresholds into sparse sample regions "
-        "(default: 0, nominal Gini training)",
+
+    explore = command(
+        "explore", _cmd_explore,
+        "variation-aware design-space exploration with constrained selection",
+        "--dataset", "--sigma", "--trials", "--training-sigma",
+        dataset=dict(required=False, default="seeds",
+                     help="benchmark to explore (default: seeds)"),
+        sigma=dict(nargs=None, default=0.02,
+                   help="comparator offset sigma in volts (default: 20 mV)"),
     )
     explore.add_argument(
         "--max-accuracy-loss",
-        type=float,
+        type=_non_negative_number,
         default=0.01,
         help="nominal accuracy-loss constraint vs the baseline (default 1%%)",
     )
-    explore.add_argument(
-        "--max-accuracy-drop",
-        type=float,
+    _add(explore, "--max-accuracy-drop", max_accuracy_drop=dict(
         default=None,
-        help="maximum allowed mean accuracy drop under offsets (default: "
-        "unconstrained)",
-    )
+        help="maximum allowed mean accuracy drop under offsets "
+        "(default: unconstrained)",
+    ))
     explore.add_argument(
         "--objective",
         choices=("power", "area"),
         default="power",
         help="hardware objective of the constrained selection",
     )
-    explore.add_argument("--seed", type=int, default=0, help="global seed")
-    explore.add_argument(
-        "--jobs",
-        type=_jobs_argument,
-        default=None,
-        help="worker processes for the sweep and the per-point Monte-Carlo "
-        "(default: serial; 0 = one per CPU)",
-    )
-    explore.add_argument(
-        "--cache-dir",
-        default=None,
-        help="directory of the on-disk result store "
-        "(default: $REPRO_CACHE_DIR or ~/.cache/repro/results)",
-    )
-    explore.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the result store and recompute everything",
-    )
-    explore.add_argument(
-        "--json",
-        default=None,
-        help="also write the robustness-annotated grid to this JSON file",
-    )
-    _add_ppa_backend_argument(explore)
-    explore.set_defaults(handler=_cmd_explore)
+    _add(explore, "--seed", "--jobs", "--cache-dir", "--no-cache", "--json",
+         "--ppa-backend")
 
-    variation = subparsers.add_parser(
-        "variation",
-        help="Monte-Carlo comparator-offset robustness of a co-designed classifier",
+    variation = command(
+        "variation", _cmd_variation,
+        "Monte-Carlo comparator-offset robustness of a co-designed classifier",
+        "--dataset",
     )
     variation.add_argument(
-        "--dataset", required=True, choices=dataset_names(), help="benchmark to analyze"
+        "--sigma", "--sigmas",
+        **{**_FLAGS["--sigma"], "dest": "sigmas",
+           "help": "offset sigmas in volts, one or more (--sigmas is an alias; "
+           "default: 0 5m 10m 20m 40m)"},
     )
-    variation.add_argument(
-        "--sigma",
-        "--sigmas",
-        dest="sigmas",
-        type=_sigma_argument,
-        nargs="+",
-        default=None,
-        metavar="SIGMA",
-        help="offset sigmas in volts, one or more (--sigmas is an alias; "
-        "default: 0 5m 10m 20m 40m)",
-    )
-    variation.add_argument(
-        "--trials", type=_positive_int_argument, default=100, help="Monte-Carlo trials per sigma"
-    )
-    variation.add_argument("--depth", type=_positive_int_argument, default=4, help="tree depth")
-    variation.add_argument("--tau", type=float, default=0.01, help="Gini tolerance")
-    variation.add_argument("--seed", type=int, default=0, help="global seed")
-    variation.add_argument(
-        "--training-sigma",
-        type=_sigma_argument,
-        default=0.0,
-        help="comparator offset sigma in volts the *trainer* assumes; the "
-        "classifier under test is the offset-aware tree, cached under the "
-        "same keys sharded suite runs and explore use (default: nominal)",
-    )
-    variation.add_argument(
-        "--robustness-weight",
-        type=float,
-        default=1.0,
-        help="weight of the expected-flip penalty during training "
-        "(active only with --training-sigma > 0)",
-    )
+    _add(variation, "--trials", "--depth", "--tau", "--seed", "--training-sigma",
+         "--robustness-weight", depth=dict(default=4))
     variation.add_argument(
         "--resolution-bits",
-        type=_positive_int_argument,
+        type=_positive_int,
         default=4,
         help="ADC resolution of the classifier under test (default: 4)",
     )
@@ -1523,81 +1460,26 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.3,
         help="held-out fraction of the train/test split (default: 0.3)",
     )
-    variation.add_argument(
-        "--jobs",
-        type=_jobs_argument,
-        default=None,
-        help="worker processes for trial batches (default: serial; 0 = one per CPU)",
-    )
-    variation.add_argument(
-        "--cache-dir",
-        default=None,
-        help="directory of the on-disk result store "
-        "(default: $REPRO_CACHE_DIR or ~/.cache/repro/results)",
-    )
-    variation.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the result store and recompute the analysis",
-    )
-    variation.set_defaults(handler=_cmd_variation)
+    _add(variation, "--jobs", "--cache-dir", "--no-cache")
 
-    surface = subparsers.add_parser(
-        "surface",
-        help="map the (sigma x depth x tau) robustness surface per benchmark "
+    command(
+        "surface", _cmd_surface,
+        "map the (sigma x depth x tau) robustness surface per benchmark "
         "from the variation Monte-Carlo pool",
+        *_SUITE_FLAGS, "--sigma", "--trials", "--training-sigma", "--cache-only",
+        "--json", "--html",
+        sigma=dict(required=True),
     )
-    _add_suite_arguments(surface)
-    surface.add_argument(
-        "--sigma",
-        type=_sigma_argument,
-        nargs="+",
-        required=True,
-        metavar="SIGMA",
-        help="comparator offset sigmas in volts (one or more; canonicalized, "
-        "so order and duplicates never change the result)",
-    )
-    surface.add_argument(
-        "--trials",
-        type=_positive_int_argument,
-        default=100,
-        help="Monte-Carlo trials per (sigma, depth, tau) point",
-    )
-    surface.add_argument(
-        "--training-sigma",
-        type=_sigma_argument,
-        default=0.0,
-        help="comparator offset sigma in volts the trainer assumes "
-        "(default: nominal training)",
-    )
-    surface.add_argument(
-        "--cache-only",
-        action="store_true",
-        help="strict assemble mode: resolve every point from the store, "
-        "never compute (exit 1 with the missing unit keys listed)",
-    )
-    surface.add_argument(
-        "--json",
-        default=None,
-        help="write the machine-readable surface report here",
-    )
-    surface.add_argument(
-        "--html",
-        default=None,
-        help="write the self-contained SVG heatmap dashboard here",
-    )
-    surface.set_defaults(handler=_cmd_surface)
 
-    search = subparsers.add_parser(
-        "search",
-        help="budgeted multi-objective design-space search (Pareto-TPE + "
+    search = command(
+        "search", _cmd_search,
+        "budgeted multi-objective design-space search (Pareto-TPE + "
         "NSGA-II fronts) warm-started from the result store",
+        "--dataset",
     )
     search.add_argument(
-        "--dataset", required=True, choices=dataset_names(), help="benchmark to search"
-    )
-    search.add_argument(
-        "--budget", type=int, required=True, help="trial budget of the study"
+        "--budget", type=_non_negative_int, required=True,
+        help="trial budget of the study",
     )
     search.add_argument(
         "--objective",
@@ -1615,113 +1497,28 @@ def build_parser() -> argparse.ArgumentParser:
         default="paper",
         help="parameter space to search (default: the paper's 49-point grid)",
     )
-    search.add_argument(
-        "--sigma",
-        type=_sigma_argument,
-        default=None,
+    _add(search, "--sigma", "--trials", "--seed", sigma=dict(
+        nargs=None,
         help="comparator offset sigma in volts; required by the "
         "mean_accuracy_drop objective (shares the variation Monte-Carlo pool)",
-    )
-    search.add_argument(
-        "--trials",
-        type=_positive_int_argument,
-        default=100,
-        help="Monte-Carlo trials per design point (with --sigma)",
-    )
-    search.add_argument("--seed", type=int, default=0, help="global seed")
+    ))
     search.add_argument(
         "--batch-size",
-        type=int,
+        type=_positive_int,
         default=4,
         help="trials per ask/tell round (fixed independently of --jobs, so "
         "serial and parallel studies are identical)",
     )
-    search.add_argument(
-        "--jobs",
-        type=_jobs_argument,
-        default=None,
-        help="worker processes for unresolved trials "
-        "(default: serial; 0 = one per CPU)",
-    )
-    search.add_argument(
-        "--cache-dir",
-        default=None,
-        help="directory of the on-disk result store "
-        "(default: $REPRO_CACHE_DIR or ~/.cache/repro/results)",
-    )
-    search.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the result store and train every trial",
-    )
-    search.add_argument(
-        "--cache-only",
-        action="store_true",
-        help="strict warm-start mode: fail (exit 1, missing keys listed) if "
-        "any trial would have to train instead of resolving from the store",
-    )
-    search.add_argument(
-        "--json", default=None, help="write the JSON study record here"
-    )
-    search.add_argument(
-        "--html",
-        default=None,
-        help="write the self-contained HTML Pareto dashboard here",
-    )
-    _add_ppa_backend_argument(search)
-    search.set_defaults(handler=_cmd_search)
+    _add(search, "--jobs", "--cache-dir", "--no-cache", "--cache-only", "--json",
+         "--html", "--ppa-backend")
 
-    suite = subparsers.add_parser(
-        "suite",
-        help="compute one shard of the suite's work units into the result store",
+    plan_flags = ("--datasets", "--seed", "--fast", "--sigma", "--trials",
+                  "--training-sigma", "--cache-dir")
+    suite = command(
+        "suite", _cmd_suite,
+        "compute one shard of the suite's work units into the result store",
+        *plan_flags,
     )
-    assemble = subparsers.add_parser(
-        "assemble",
-        help="merge shard stores and render all tables from cache hits only",
-    )
-    for sub in (suite, assemble):
-        sub.add_argument(
-            "--datasets",
-            nargs="*",
-            default=None,
-            choices=dataset_names(),
-            help="benchmarks in the plan (default: all eight)",
-        )
-        sub.add_argument("--seed", type=int, default=0, help="global seed")
-        sub.add_argument(
-            "--fast",
-            action="store_true",
-            help="restrict the default dataset list to the four small benchmarks",
-        )
-        sub.add_argument(
-            "--sigma",
-            type=_sigma_argument,
-            nargs="+",
-            default=None,
-            metavar="SIGMA",
-            help="also plan one offset Monte-Carlo unit per (dataset, sigma, "
-            "depth, tau) point at these comparator sigmas in volts "
-            "(one or more values; order and duplicates never change the plan)",
-        )
-        sub.add_argument(
-            "--trials",
-            type=_positive_int_argument,
-            default=100,
-            help="Monte-Carlo trials per variation unit (with --sigma)",
-        )
-        sub.add_argument(
-            "--training-sigma",
-            type=_sigma_argument,
-            default=0.0,
-            help="comparator offset sigma in volts the trainer assumes "
-            "(default: nominal training)",
-        )
-        sub.add_argument(
-            "--cache-dir",
-            default=None,
-            help="directory of the on-disk result store "
-            "(default: $REPRO_CACHE_DIR or ~/.cache/repro/results)",
-        )
     suite.add_argument(
         "--shard",
         type=_shard_argument,
@@ -1729,19 +1526,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="K/N: compute only the units stable-hashed to shard K of N "
         "(default 1/1, the whole plan)",
     )
-    suite.add_argument(
-        "--jobs",
-        type=_jobs_argument,
-        default=None,
-        help="worker processes for this shard's units "
-        "(default: serial; 0 = one per CPU)",
-    )
+    _add(suite, "--jobs")
     suite.add_argument(
         "--list-units",
         action="store_true",
         help="print the shard's planned units and exit without computing",
     )
-    suite.set_defaults(handler=_cmd_suite)
+    assemble = command(
+        "assemble", _cmd_assemble,
+        "merge shard stores and render all tables from cache hits only",
+        *plan_flags,
+    )
     assemble.add_argument(
         "--from-archive",
         action="append",
@@ -1758,20 +1553,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="merge this shard store directory into the store first "
         "(repeatable)",
     )
-    assemble.add_argument(
-        "--max-accuracy-drop",
-        type=float,
-        default=0.01,
-        help="robustness budget of the offset-aware Table II "
-        "(with --sigma; default 1%%)",
-    )
+    _add(assemble, "--max-accuracy-drop")
     assemble.add_argument(
         "--output-dir",
         default=None,
         help="also write each rendered section to this directory "
         "(table1.txt, table2.txt, fig4.txt, fig5.txt, ...)",
     )
-    assemble.set_defaults(handler=_cmd_assemble)
 
     cache = subparsers.add_parser(
         "cache", help="inspect or maintain the on-disk result store"
@@ -1785,29 +1573,20 @@ def build_parser() -> argparse.ArgumentParser:
         ("import", _cmd_cache_import, "merge exported archives into the store"),
     ]:
         sub = cache_sub.add_parser(cache_name, help=cache_help)
-        sub.add_argument(
-            "--cache-dir",
-            default=None,
-            help="directory of the on-disk result store "
-            "(default: $REPRO_CACHE_DIR or ~/.cache/repro/results)",
-        )
+        _add(sub, "--cache-dir")
+        sub.set_defaults(handler=cache_handler)
         if cache_name == "stats":
-            sub.add_argument(
-                "--json",
-                action="store_true",
-                help="emit machine-readable JSON (for CI assertions) instead "
-                "of the human rendering",
-            )
+            _add(sub, "--json", json=_JSON_SWITCH)
         if cache_name == "prune":
             sub.add_argument(
                 "--older-than-days",
-                type=_age_days_argument,
+                type=_non_negative_number,
                 default=None,
                 help="drop entries untouched for more than this many days",
             )
             sub.add_argument(
                 "--max-bytes",
-                type=_bytes_argument,
+                type=_non_negative_int,
                 default=None,
                 help="evict least-recently-used entries until the store "
                 "fits this size budget",
@@ -1824,7 +1603,6 @@ def build_parser() -> argparse.ArgumentParser:
                 nargs="+",
                 help="archives produced by 'cache export' to merge in",
             )
-        sub.set_defaults(handler=cache_handler)
 
     registry = subparsers.add_parser(
         "registry",
@@ -1835,63 +1613,39 @@ def build_parser() -> argparse.ArgumentParser:
         "promote",
         help="promote one trained (dataset, depth, tau) design to an artifact",
     )
-    promote.add_argument(
-        "--dataset", required=True, choices=dataset_names(), help="benchmark to use"
-    )
-    promote.add_argument("--depth", type=_positive_int_argument, required=True, help="tree depth")
-    promote.add_argument("--tau", type=float, default=0.0, help="Gini tolerance")
+    _add(promote, "--dataset", "--depth", "--tau",
+         depth=dict(required=True), tau=dict(default=0.0))
     promote.add_argument(
         "--name",
         default=None,
         help="registry name of the artifact (default: <dataset>-d<depth>)",
     )
-    promote.add_argument("--seed", type=int, default=0, help="global seed")
-    promote.add_argument(
-        "--training-sigma",
-        type=_sigma_argument,
-        default=0.0,
-        help="offset-aware training sigma in volts (0 = nominal training)",
-    )
-    promote.add_argument(
-        "--robustness-weight",
-        type=float,
-        default=1.0,
-        help="weight of the expected-flip penalty during training",
-    )
-    promote.add_argument(
-        "--cache-dir",
-        default=None,
-        help="result store consulted (read-only) before retraining "
-        "(default: $REPRO_CACHE_DIR or ~/.cache/repro/results)",
-    )
+    _add(promote, "--seed", "--training-sigma", "--robustness-weight", "--cache-dir",
+         "--registry-dir", cache_dir=dict(
+             help="result store consulted (read-only) before retraining "
+             "(default: $REPRO_CACHE_DIR or ~/.cache/repro/results)",
+         ))
     promote.set_defaults(handler=_cmd_registry_promote)
     registry_list = registry_sub.add_parser(
         "list", help="list promoted models (latest version each)"
     )
-    registry_list.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON"
-    )
+    _add(registry_list, "--json", "--registry-dir", json=_JSON_SWITCH)
     registry_list.set_defaults(handler=_cmd_registry_list)
     registry_show = registry_sub.add_parser(
         "show", help="print one model's manifest (or its datasheet)"
     )
     registry_show.add_argument("name", help="registry name of the model")
     registry_show.add_argument(
-        "--version", type=int, default=None, help="version to show (default: latest)"
+        "--version", type=_positive_int, default=None,
+        help="version to show (default: latest)",
     )
     registry_show.add_argument(
         "--datasheet",
         action="store_true",
         help="print the artifact's rendered hardware datasheet instead",
     )
+    _add(registry_show, "--registry-dir")
     registry_show.set_defaults(handler=_cmd_registry_show)
-    for registry_cmd in (promote, registry_list, registry_show):
-        registry_cmd.add_argument(
-            "--registry-dir",
-            default=None,
-            help="model registry directory "
-            "(default: $REPRO_REGISTRY_DIR or ~/.cache/repro/registry)",
-        )
 
     serve = subparsers.add_parser(
         "serve", help="serving-layer utilities (load-gen SLO smoke)"
@@ -1902,73 +1656,55 @@ def build_parser() -> argparse.ArgumentParser:
         help="promote a model, drive it open-loop, assert the p99 SLO and "
         "that serving wrote zero bytes to the result store",
     )
+    _add(smoke, "--dataset", "--depth", "--tau", "--seed",
+         depth=dict(default=8), tau=dict(default=0.0))
     smoke.add_argument(
-        "--dataset", required=True, choices=dataset_names(), help="benchmark to serve"
-    )
-    smoke.add_argument("--depth", type=_positive_int_argument, default=8, help="tree depth")
-    smoke.add_argument("--tau", type=float, default=0.0, help="Gini tolerance")
-    smoke.add_argument("--seed", type=int, default=0, help="global seed")
-    smoke.add_argument(
-        "--rate", type=float, default=500.0, help="open-loop request rate (req/s)"
+        "--rate", type=_positive_number, default=500.0,
+        help="open-loop request rate (req/s)",
     )
     smoke.add_argument(
-        "--duration", type=float, default=5.0, help="run length in seconds"
+        "--duration", type=_positive_number, default=5.0, help="run length in seconds"
     )
     smoke.add_argument(
         "--p99-slo-ms",
-        type=float,
+        type=_positive_number,
         default=50.0,
         help="p99 latency SLO asserted on the run (milliseconds)",
     )
     smoke.add_argument(
-        "--max-batch-size", type=int, default=256, help="micro-batch flush size"
+        "--max-batch-size", type=_positive_int, default=256,
+        help="micro-batch flush size",
     )
     smoke.add_argument(
         "--max-wait-us",
-        type=float,
+        type=_non_negative_number,
         default=200.0,
         help="micro-batch accumulation window (microseconds)",
     )
-    smoke.add_argument(
-        "--cache-dir",
-        default=None,
-        help="result store the promote may read (watched for writes; "
-        "default: $REPRO_CACHE_DIR or ~/.cache/repro/results)",
-    )
-    smoke.add_argument(
-        "--registry-dir",
-        default=None,
-        help="model registry directory (default: a throwaway temp dir)",
-    )
-    smoke.add_argument(
-        "--json", default=None, help="write the machine-readable report here"
-    )
+    _add(smoke, "--cache-dir", "--registry-dir", "--json",
+         cache_dir=dict(
+             help="result store the promote may read (watched for writes; "
+             "default: $REPRO_CACHE_DIR or ~/.cache/repro/results)",
+         ),
+         registry_dir=dict(
+             help="model registry directory (default: a throwaway temp dir)"
+         ))
     smoke.set_defaults(handler=_cmd_serve_smoke)
 
-    datasheet = subparsers.add_parser(
-        "datasheet",
-        help="train one ADC-aware classifier and print its hardware datasheet",
+    command(
+        "datasheet", _cmd_datasheet,
+        "train one ADC-aware classifier and print its hardware datasheet",
+        "--dataset", "--depth", "--tau", "--seed", "--ppa-backend",
+        depth=dict(default=4),
     )
-    datasheet.add_argument(
-        "--dataset", required=True, choices=dataset_names(), help="benchmark to use"
-    )
-    datasheet.add_argument("--depth", type=_positive_int_argument, default=4, help="tree depth")
-    datasheet.add_argument("--tau", type=float, default=0.01, help="Gini tolerance")
-    datasheet.add_argument("--seed", type=int, default=0, help="global seed")
-    _add_ppa_backend_argument(datasheet)
-    datasheet.set_defaults(handler=_cmd_datasheet)
 
-    cosim = subparsers.add_parser(
-        "cosim",
-        help="co-simulate the exported Verilog label logic against the "
+    cosim = command(
+        "cosim", _cmd_cosim,
+        "co-simulate the exported Verilog label logic against the "
         "golden netlist model (see docs/HARDWARE.md)",
+        "--dataset", "--depth", "--tau", "--seed",
+        depth=dict(default=4),
     )
-    cosim.add_argument(
-        "--dataset", required=True, choices=dataset_names(), help="benchmark to use"
-    )
-    cosim.add_argument("--depth", type=_positive_int_argument, default=4, help="tree depth")
-    cosim.add_argument("--tau", type=float, default=0.01, help="Gini tolerance")
-    cosim.add_argument("--seed", type=int, default=0, help="global seed")
     cosim.add_argument(
         "--simulator",
         choices=("auto",) + SIMULATORS,
@@ -1979,7 +1715,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cosim.add_argument(
         "--vectors",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="random stimulus vectors when the input count exceeds the "
@@ -1992,13 +1728,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="also write dut.v and tb.v into this directory",
     )
-    cosim.add_argument(
-        "--json",
-        default=None,
-        metavar="FILE",
-        help="write the machine-readable CosimReport here",
-    )
-    cosim.set_defaults(handler=_cmd_cosim)
+    _add(cosim, "--json")
     return parser
 
 

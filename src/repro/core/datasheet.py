@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.bespoke_adc import build_bespoke_adcs
-from repro.core.design import proposed_hardware_report
+from repro.core.design import _unary_hardware_report
 from repro.core.power_budget import analyze_self_power
 from repro.core.unary_tree import UnaryDecisionTree
 from repro.mltrees.evaluation import accuracy_score
@@ -61,9 +61,7 @@ def generate_datasheet(
     technology = technology if technology is not None else default_technology()
     backend = resolve_ppa_backend(ppa_backend)
     unary = UnaryDecisionTree(tree)
-    hardware = proposed_hardware_report(
-        tree, technology, name=name, ppa_backend=backend
-    )
+    hardware = _unary_hardware_report(unary, technology, name=name, ppa_backend=backend)
     self_power = analyze_self_power(hardware, technology)
     netlist = unary.to_netlist("label_logic")
     timing = backend.timing(netlist, technology)

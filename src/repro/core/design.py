@@ -106,8 +106,21 @@ def proposed_hardware_report(
     analog block outside any digital PPA flow, so its costs always come from
     the behavioral ADC model.
     """
+    return _unary_hardware_report(UnaryDecisionTree(tree), technology, name, ppa_backend)
+
+
+def _unary_hardware_report(
+    unary: UnaryDecisionTree,
+    technology: EGFETTechnology | None = None,
+    name: str = "proposed",
+    ppa_backend=None,
+) -> HardwareReport:
+    """:func:`proposed_hardware_report` of an already translated unary tree.
+
+    Callers that keep using ``unary`` (the datasheet) reuse its minimized
+    label logic instead of translating the tree a second time.
+    """
     technology = technology if technology is not None else default_technology()
-    unary = UnaryDecisionTree(tree)
     digital = unary.digital_report(technology, ppa_backend=ppa_backend)
     if unary.n_inputs > 0:
         frontend = build_bespoke_frontend(unary, technology)

@@ -6,20 +6,20 @@ configuration is one :class:`~repro.core.design.DesignSpec`, so a trial is
 the spec's ``point`` work unit (plus its ``variation`` unit for robustness
 objectives), resolved by the same store fan-out the suite, shards and
 surfaces use: from the entry a suite sweep, a shard or an earlier study
-wrote (the warm-start that makes a nightly study against the assembled CI
-store nearly free), and otherwise from a fresh, fully seeded computation
-fanned through the :class:`~repro.core.executor.Executor`.  Both paths run
-the same recipe, so a warm-started trial and a freshly trained one are
-bit-identical.  Batches have a
-fixed size independent of ``jobs`` and the sampler is told in trial-number
-order, so ``jobs=1`` and ``jobs=N`` produce identical study records.
+wrote into the study's ``store`` (the warm-start that makes a nightly study
+against the assembled CI store nearly free), and otherwise from a fresh,
+fully seeded computation fanned through the
+:class:`~repro.core.executor.Executor`.  Without a store every trial is
+computed.  Both paths run the same recipe, so a warm-started trial and a
+freshly trained one are bit-identical.  Batches have a fixed size
+independent of ``jobs`` and the sampler is told in trial-number order, so
+``jobs=1`` and ``jobs=N`` produce identical study records.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 from repro.core.design import DesignSpec
 from repro.core.executor import get_executor
@@ -204,15 +204,17 @@ class Study:
         objective reads ``mean_accuracy_drop``.  Summaries resolve through
         the exact variation keys ``repro.cli variation`` / ``explore`` use,
         so studies share their Monte-Carlo pool.
-    store / cache_dir / use_cache:
-        Result-store wiring, same contract as the suite runners.
+    store:
+        The :class:`~repro.core.store.ResultStore` trials resolve from and
+        are written to; ``None`` (the default) trains every trial without
+        a store.
     cache_only:
         Strict assemble discipline: every trial must resolve from the store
         (its design point and -- for robustness objectives -- its
         variation entry); a trial that would have to train
         raises :class:`~repro.core.sharding.MissingResultsError` listing the
-        missing keys instead.  The mode CI uses to *prove* a study
-        warm-started 100 % from an assembled store.
+        missing keys instead (requires a ``store``).  The mode CI uses to
+        *prove* a study warm-started 100 % from an assembled store.
     batch_size:
         Trials asked (and fanned out) per ask/tell round.  Fixed
         independently of ``jobs`` -- that is what keeps serial and parallel
@@ -225,9 +227,9 @@ class Study:
         Source of every trial's hardware costs (default: the analytic
         cell-count model, bit-identical to before the backend interface
         existed).  A non-analytic backend changes the power/area objectives,
-        so such studies never read or write the store (and
-        refuse ``cache_only``): report-backed numbers must not alias the
-        analytic entries stored under the same configuration keys.
+        so such studies drop the store and refuse ``cache_only``, exactly as
+        the suite does: report-backed numbers must not alias the analytic
+        entries stored under the same configuration keys.
     """
 
     def __init__(
@@ -239,28 +241,17 @@ class Study:
         sigma_v: float | None = None,
         variation_trials: int = 100,
         store: ResultStore | None = None,
-        cache_dir: str | Path | None = None,
-        use_cache: bool = True,
         test_size: float = 0.3,
         batch_size: int = 4,
         sampler: ParetoTPESampler | None = None,
         cache_only: bool = False,
         ppa_backend=None,
     ):
-        from repro.circuits.ppa import resolve_ppa_backend
+        # Deferred: analysis orchestrates, search stays importable on its own.
+        from repro.analysis.experiments import _backend_store
         from repro.datasets.registry import canonical_name
 
-        self.ppa_backend = resolve_ppa_backend(ppa_backend)
-        if not getattr(self.ppa_backend, "is_analytic", False):
-            if cache_only:
-                raise ValueError(
-                    "cache_only requires the analytic PPA backend: cached "
-                    "trials hold analytic costs, which a report backend "
-                    "would contradict"
-                )
-            use_cache = False
-        if cache_only and not use_cache:
-            raise ValueError("cache_only requires use_cache=True")
+        self.store, self.ppa_backend = _backend_store(store, ppa_backend, cache_only)
         self.cache_only = bool(cache_only)
         self.dataset = canonical_name(dataset)
         self.space = space if space is not None else paper_space()
@@ -272,17 +263,11 @@ class Study:
             raise ValueError("batch_size must be >= 1")
         self.batch_size = int(batch_size)
         self.test_size = float(test_size)
-        self.use_cache = bool(use_cache)
         if any(o.metric == "mean_accuracy_drop" for o in self.objectives):
             if self.sigma_v is None:
                 raise ValueError(
                     "the mean_accuracy_drop objective requires sigma_v"
                 )
-        if self.use_cache and store is None:
-            from repro.analysis.experiments import default_store
-
-            store = ResultStore(cache_dir) if cache_dir is not None else default_store()
-        self.store = store if self.use_cache else None
         self.sampler = (
             sampler
             if sampler is not None

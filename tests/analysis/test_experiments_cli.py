@@ -28,9 +28,10 @@ class TestRunBenchmarkSuite:
         assert results[0].dataset == "vertebral_2c"
         assert results[0].selected
 
-    def test_results_are_cached_per_configuration(self):
+    def test_results_are_cached_per_configuration(self, tmp_path):
         kwargs = dict(
             datasets=("vertebral_2c",),
+            store=ResultStore(tmp_path),
             seed=0,
             include_approximate_baseline=False,
             depths=(2, 3),
@@ -153,7 +154,7 @@ class TestSerialParallelEquivalence:
             datasets=("vertebral_2c", "seeds"),
             seed=0,
             include_approximate_baseline=True,
-            use_cache=False,
+            store=None,
             **SMALL_GRID,
         )
         serial = run_benchmark_suite(jobs=None, **kwargs)
@@ -161,14 +162,14 @@ class TestSerialParallelEquivalence:
 
         assert len(serial) == len(parallel) == 2
         for left, right in zip(serial, parallel):
-            assert left is not right  # use_cache=False: genuinely recomputed
+            assert left is not right  # store=None: genuinely recomputed
             assert left == right  # full structural equality, trees included
 
     def test_single_dataset_parallel_sweep_equals_serial(self):
         kwargs = dict(
             datasets=("seeds",),
             include_approximate_baseline=False,
-            use_cache=False,
+            store=None,
             **SMALL_GRID,
         )
         (serial,) = run_benchmark_suite(jobs=None, **kwargs)
@@ -264,6 +265,38 @@ class TestCli:
                 ["variation", "--dataset", "seeds", "--test-size", size]
                 for size in ("0", "1", "1.5", "-0.3")
             ),
+            *(
+                ["serve", "smoke", "--dataset", "seeds", flag, value]
+                for flag, value in (
+                    ("--max-batch-size", "0"),
+                    ("--rate", "-5"),
+                    ("--rate", "0"),
+                    ("--max-wait-us", "-3"),
+                    ("--duration", "-1"),
+                    ("--p99-slo-ms", "0"),
+                )
+            ),
+            ["cosim", "--dataset", "seeds", "--vectors", "-4"],
+            ["explore", "--max-accuracy-loss", "-1"],
+            *(
+                [*command, "--max-accuracy-drop", "-0.01"]
+                for command in (["explore"], ["table2"], ["assemble"])
+            ),
+            ["search", "--dataset", "seeds", "--budget", "-1"],
+            ["search", "--dataset", "seeds", "--budget", "1", "--batch-size", "0"],
+            *(
+                [*command, "--seed", "-1"]
+                for command in (
+                    ["table1"],
+                    ["explore"],
+                    ["search", "--dataset", "seeds", "--budget", "1"],
+                    ["suite"],
+                    ["datasheet", "--dataset", "seeds"],
+                )
+            ),
+            ["datasheet", "--dataset", "seeds", "--tau", "-0.5"],
+            ["variation", "--dataset", "seeds", "--robustness-weight", "-1"],
+            ["registry", "show", "model", "--version", "0"],
         ],
         ids=" ".join,
     )
@@ -345,16 +378,14 @@ class TestRunVariationAnalysis:
         assert second.accuracies == first.accuracies
         assert store.lifetime_stats()["hits"] >= 1
 
-    def test_no_cache_bypasses_store(self, tmp_path):
+    def test_no_cache_bypasses_store(self):
         from repro.analysis.experiments import run_variation_analysis
 
-        store = ResultStore(cache_dir=tmp_path / "var-cache")
         analysis = run_variation_analysis(
-            "vertebral_2c", sigma_v=0.01, n_trials=3, depth=3,
-            store=store, use_cache=False,
+            "vertebral_2c", sigma_v=0.01, n_trials=3, depth=3, store=None,
         )
         assert len(analysis.accuracies) == 3
-        assert len(store) == 0
+        assert len(ResultStore()) == 0  # not even the default location
 
     def test_dataset_abbreviation_hits_same_entry(self, tmp_path):
         from repro.analysis.experiments import run_variation_analysis
@@ -456,7 +487,7 @@ class TestRunRobustExploration:
         from repro.analysis.experiments import run_robust_exploration
 
         kwargs = dict(
-            sigma_v=0.03, n_trials=6, seed=0, use_cache=False, **SMALL_GRID
+            sigma_v=0.03, n_trials=6, seed=0, store=None, **SMALL_GRID
         )
         serial = run_robust_exploration("vertebral_2c", jobs=None, **kwargs)
         parallel = run_robust_exploration("vertebral_2c", jobs=2, **kwargs)
@@ -676,7 +707,7 @@ class TestTrainingSigmaCli:
         from repro.analysis.experiments import run_robust_exploration
 
         kwargs = dict(
-            sigma_v=0.03, n_trials=4, seed=0, use_cache=False, **SMALL_GRID
+            sigma_v=0.03, n_trials=4, seed=0, store=None, **SMALL_GRID
         )
         nominal = run_robust_exploration("vertebral_2c", **kwargs)
         aware = run_robust_exploration(
@@ -760,10 +791,10 @@ class TestShardedSuiteApi:
             assert approximate.exploration == nominal.exploration
             assert approximate.approximate_baseline is not None
 
-    def test_cache_only_requires_use_cache(self):
-        with pytest.raises(ValueError, match="cache_only"):
+    def test_cache_only_requires_a_store(self):
+        with pytest.raises(ValueError, match="cache_only requires a store"):
             run_benchmark_suite(
-                datasets=("seeds",), use_cache=False, cache_only=True, **SMALL_GRID
+                datasets=("seeds",), store=None, cache_only=True, **SMALL_GRID
             )
 
     def test_cache_only_raises_listing_missing_units(self, tmp_path):
@@ -841,7 +872,7 @@ class TestRunPlanShard:
 
         # cache-only resolution equals a genuinely unsharded recomputation
         unsharded = run_robust_exploration(
-            "seeds", sigma_v=0.02, n_trials=4, use_cache=False, **SMALL_GRID
+            "seeds", sigma_v=0.02, n_trials=4, store=None, **SMALL_GRID
         )
         clear_memo()
         reader = ResultStore(cache_dir=tmp_path / "sharded")
@@ -1092,7 +1123,7 @@ class TestVariationCacheKeyBugfix:
         from repro.analysis.experiments import run_variation_analysis
 
         kwargs = dict(sigma_v=0.04, n_trials=4, seed=0, depth=3, tau=0.01,
-                      use_cache=False)
+                      store=None)
         nominal = run_variation_analysis("vertebral_2c", **kwargs)
         aware = run_variation_analysis(
             "vertebral_2c", training_sigma=0.04, **kwargs
@@ -1149,12 +1180,12 @@ class TestRunRobustnessSurface:
             )
         assert "suite:vertebral_2c" in str(excinfo.value)
 
-    def test_cache_only_requires_use_cache(self):
+    def test_cache_only_requires_a_store(self):
         from repro.analysis.experiments import run_robustness_surface
 
-        with pytest.raises(ValueError, match="cache_only"):
+        with pytest.raises(ValueError, match="cache_only requires a store"):
             run_robustness_surface(
-                "vertebral_2c", (0.02,), use_cache=False, cache_only=True,
+                "vertebral_2c", (0.02,), store=None, cache_only=True,
                 **SMALL_GRID,
             )
 
@@ -1227,7 +1258,7 @@ class TestRunRobustnessSurface:
         assert reader.stats.stores == 0
         # equal to a genuinely recomputed surface
         fresh = run_robustness_surface(
-            "vertebral_2c", (0.01, 0.02), n_trials=3, use_cache=False,
+            "vertebral_2c", (0.01, 0.02), n_trials=3, store=None,
             **SMALL_GRID,
         )
         assert surface == fresh

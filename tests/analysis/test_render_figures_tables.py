@@ -149,7 +149,7 @@ class TestRobustTables:
 
         result = run_robust_exploration(
             "vertebral_2c", sigma_v=0.02, n_trials=5, seed=0,
-            depths=(2, 3), taus=(0.0, 0.01), use_cache=False,
+            depths=(2, 3), taus=(0.0, 0.01), store=None,
         )
         assert isinstance(result, RobustExploration)
         return result
@@ -234,7 +234,7 @@ class TestRobustTables:
 
         surface = run_robustness_surface(
             "vertebral_2c", (0.01, 0.02), n_trials=5, seed=0,
-            depths=(2, 3), taus=(0.0, 0.01), use_cache=False,
+            depths=(2, 3), taus=(0.0, 0.01), store=None,
         )
         rows = robustness_surface_rows(surface)
         assert len(rows) == 4  # one per (depth, tau)

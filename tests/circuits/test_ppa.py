@@ -248,10 +248,10 @@ class TestCachePurityGuards:
         with pytest.raises(ValueError, match="cache_only requires the analytic"):
             Study("seeds", cache_only=True, ppa_backend=report)
 
-    def test_study_with_report_backend_bypasses_store(self):
+    def test_study_with_report_backend_bypasses_store(self, tmp_path):
+        from repro.core.store import ResultStore
         from repro.search.study import Study
 
         report = _report({"*": {"area_mm2": 1.0, "power_uw": 2.0}})
-        study = Study("seeds", ppa_backend=report)
+        study = Study("seeds", store=ResultStore(tmp_path), ppa_backend=report)
         assert study.store is None
-        assert not study.use_cache

@@ -64,6 +64,20 @@ def pytest_collection_modifyitems(config, items):
         item.add_marker(pytest.mark.fast)
 
 
+@pytest.fixture(autouse=True)
+def _isolated_default_dirs(tmp_path_factory, monkeypatch):
+    """Point the default result store and model registry at per-test temp dirs.
+
+    A test that reaches a default location (a CLI command without
+    ``--cache-dir``, a registry without ``--registry-dir``) must never read
+    another run's entries or leave files in the user's ``~/.cache/repro``.
+    """
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("repro-cache")))
+    monkeypatch.setenv(
+        "REPRO_REGISTRY_DIR", str(tmp_path_factory.mktemp("repro-registry"))
+    )
+
+
 @pytest.fixture(scope="session")
 def technology():
     """Default calibrated EGFET technology."""

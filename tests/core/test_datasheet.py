@@ -55,3 +55,32 @@ class TestGenerateDatasheet:
         )
         datasheet = generate_datasheet(tree, technology=technology)
         assert "no ADC channel required" in datasheet
+
+    def test_minimizes_each_label_once(self, small_tree, technology, count_minimizations):
+        generate_datasheet(small_tree, technology=technology)
+        assert len(count_minimizations) == small_tree.n_classes
+
+    def test_text_equals_the_separately_costed_tree(
+        self, datasheet, small_tree, small_split, technology, monkeypatch
+    ):
+        # The datasheet costs its own unary tree; costing a fresh translation
+        # through the public report, as it once did, renders the same bytes.
+        from repro.core import datasheet as module
+        from repro.core.design import proposed_hardware_report
+
+        monkeypatch.setattr(
+            module, "_unary_hardware_report",
+            lambda unary, *args, **kwargs: proposed_hardware_report(
+                unary.tree, *args, **kwargs
+            ),
+        )
+        _, X_test_levels, _, y_test = small_split
+        assert generate_datasheet(
+            small_tree,
+            name="unit-test classifier",
+            technology=technology,
+            feature_names=[f"sensor_{i}" for i in range(small_tree.n_features)],
+            class_names=["alpha", "beta", "gamma"],
+            X_test=X_test_levels / 16.0,
+            y_test=y_test,
+        ) == datasheet

@@ -77,7 +77,7 @@ class TestRecipe:
         grid = dict(depths=(2, 3), taus=(0.0, 0.02))
         (suite,) = run_benchmark_suite(
             ("vertebral_2c",), include_approximate_baseline=True,
-            use_cache=False, **grid,
+            store=None, **grid,
         )
         assert CoDesignFramework(**grid).run(load_dataset("vertebral_2c")) == suite
 

@@ -147,18 +147,17 @@ class TestCacheLayers:
         stats = ResultStore(tmp_path).lifetime_search_stats()
         assert stats == {"from_cache": 3, "trained": 3}
 
-    def test_no_cache_study_trains_everything_and_stores_nothing(self, tmp_path):
+    def test_no_cache_study_trains_everything_and_stores_nothing(self):
         result = run_search_study(
             "seeds",
             budget=3,
             seed=0,
             space=small_space(),
-            use_cache=False,
-            cache_dir=tmp_path,  # must be ignored entirely
+            store=None,
             batch_size=3,
         )
         assert result.n_trained == 3
-        assert len(ResultStore(tmp_path)) == 0
+        assert len(ResultStore()) == 0  # not even the default location
 
     def test_on_grid_trials_hit_the_suite_sweeps_design_points(self, tmp_path):
         from repro.analysis.experiments import run_benchmark_suite
@@ -204,12 +203,9 @@ class TestCacheLayers:
 class TestCacheOnly:
     """The strict assemble discipline: a --cache-only study never trains."""
 
-    def test_cache_only_requires_use_cache(self, tmp_path):
-        with pytest.raises(ValueError, match="cache_only"):
-            Study(
-                "seeds", space=small_space(), use_cache=False, cache_only=True,
-                store=ResultStore(tmp_path),
-            )
+    def test_cache_only_requires_a_store(self):
+        with pytest.raises(ValueError, match="cache_only requires a store"):
+            Study("seeds", space=small_space(), store=None, cache_only=True)
 
     def test_cold_store_raises_listing_trial_keys(self, tmp_path):
         from repro.core.sharding import MissingResultsError
@@ -276,7 +272,7 @@ class TestCacheOnly:
         stores_before = store.stats.stores
         warm_points = run_search_study("seeds", store=store, **kwargs)
         assert store.stats.stores - stores_before == 3  # variation entries only
-        cold = run_search_study("seeds", use_cache=False, **kwargs)
+        cold = run_search_study("seeds", store=None, **kwargs)
         assert warm_points.n_trained == 3
         assert [t.record() for t in warm_points.trials] == [
             t.record() for t in cold.trials
