@@ -101,7 +101,7 @@ def _measure_kernel(seed: int):
     digits = oracle.digits_from_levels(levels)
 
     # Bit-equivalence to the tree oracle comes before any timing is trusted:
-    # the packed kernel, the batch oracle and the plain tree walk must
+    # the packed kernel, the batch oracle and the tree's own gather must
     # agree on every one of the 2^19 samples (argmax ties included).
     batch_pred = oracle.predict(digits)
     kernel_pred = kernel.predict_digit_matrix(digits)

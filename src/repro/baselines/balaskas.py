@@ -20,7 +20,6 @@ The re-implementation follows that published description:
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +29,7 @@ from repro.circuits.area_power import estimate_netlist
 from repro.core.metrics import HardwareReport
 from repro.mltrees.cart import CARTTrainer
 from repro.mltrees.evaluation import accuracy_score
-from repro.mltrees.tree import DecisionTree
+from repro.mltrees.tree import LEAF, DecisionTree
 from repro.baselines.mubarik import build_comparator_tree_netlist
 from repro.pdk.egfet import EGFETTechnology, default_technology
 
@@ -41,20 +40,20 @@ def approximate_tree(tree: DecisionTree, per_feature_bits: dict[int, int]) -> De
     Reducing input ``f`` to ``b`` bits keeps only its ``b`` most significant
     bits, so a full-resolution threshold ``k`` becomes
     ``max(k >> (R - b), 1) << (R - b)`` -- the same truncation the hardware
-    comparator applies in :func:`build_comparator_tree_netlist`.
+    comparator applies in :func:`build_comparator_tree_netlist`.  One
+    transform of the ``threshold`` array; the other node arrays are shared.
     """
     resolution = tree.resolution_bits
-    clone = copy.deepcopy(tree)
-    for node in clone.decision_nodes():
-        feature = node.feature
-        assert feature is not None and node.threshold_level is not None
-        bits = int(per_feature_bits.get(feature, resolution))
-        bits = min(max(bits, 1), resolution)
-        shift = resolution - bits
-        if shift == 0:
-            continue
-        node.threshold_level = max(node.threshold_level >> shift, 1) << shift
-    return clone
+    shift_of = np.zeros(tree.n_features, dtype=np.int64)
+    for feature, bits in per_feature_bits.items():
+        if 0 <= feature < tree.n_features:
+            shift_of[feature] = resolution - min(max(int(bits), 1), resolution)
+    shift = shift_of[tree.feature]  # leaves (feature -1) are masked below
+    return tree.with_thresholds(np.where(
+        tree.feature != LEAF,
+        np.maximum(tree.threshold >> shift, 1) << shift,
+        tree.threshold,
+    ))
 
 
 @dataclass
@@ -67,6 +66,9 @@ class BalaskasApproximateDesign:
     depth: int
     technology: EGFETTechnology = field(default_factory=default_technology)
     name: str = "approximate[7]"
+    _hardware: HardwareReport | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def frontend(self) -> ConventionalFrontEnd:
         """Per-input smallest suitable conventional ADCs plus shared encoder."""
@@ -78,7 +80,12 @@ class BalaskasApproximateDesign:
         )
 
     def hardware_report(self) -> HardwareReport:
-        """Combined ADC + digital hardware report for the approximate design."""
+        """Combined ADC + digital hardware report, synthesized on first use."""
+        if self._hardware is None:
+            self._hardware = self._build_hardware_report()
+        return self._hardware
+
+    def _build_hardware_report(self) -> HardwareReport:
         netlist = build_comparator_tree_netlist(
             self.tree, name=f"{self.name}_digital"
         )

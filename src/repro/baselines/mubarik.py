@@ -21,7 +21,7 @@ from repro.circuits.netlist import Netlist
 from repro.circuits.synthesis import synthesize_constant_comparator, synthesize_sop
 from repro.circuits.two_level import Literal, SumOfProducts
 from repro.core.metrics import HardwareReport
-from repro.mltrees.tree import DecisionTree, TreeNode
+from repro.mltrees.tree import LEAF, DecisionTree
 from repro.pdk.egfet import EGFETTechnology, default_technology
 
 
@@ -33,21 +33,6 @@ def feature_bit_variable(feature: int, bit: int) -> str:
 def comparator_variable(node_id: int) -> str:
     """Variable name of the comparator output of decision node ``node_id``."""
     return f"cmp_{node_id}"
-
-
-def _node_paths(tree: DecisionTree) -> list[tuple[tuple[tuple[int, bool], ...], int]]:
-    """Root-to-leaf paths as ``((node_id, took_right), ...), predicted class``."""
-    paths: list[tuple[tuple[tuple[int, bool], ...], int]] = []
-
-    def walk(node: TreeNode, conditions: tuple[tuple[int, bool], ...]) -> None:
-        if node.is_leaf:
-            paths.append((conditions, node.prediction))
-            return
-        walk(node.left, conditions + ((node.node_id, False),))   # type: ignore[arg-type]
-        walk(node.right, conditions + ((node.node_id, True),))   # type: ignore[arg-type]
-
-    walk(tree.root, ())
-    return paths
 
 
 def build_comparator_tree_netlist(
@@ -93,18 +78,15 @@ def build_comparator_tree_netlist(
 
     # One digital comparator per decision node (this is what #Comp. counts).
     comparator_nets: dict[int, str] = {}
-    for node in tree.decision_nodes():
-        feature = node.feature
-        level = node.threshold_level
-        assert feature is not None and level is not None
-        bits = len(bit_nets[feature])
+    features, thresholds = tree.feature.tolist(), tree.threshold.tolist()
+    for node in tree.preorder():
+        feature, level = features[node], thresholds[node]
+        if feature == LEAF:
+            continue
         # Truncate the threshold onto the visible-bit grid (identity when the
         # full resolution is kept).
-        shift = resolution - bits
-        constant = level >> shift
-        if constant == 0:
-            constant = 1
-        comparator_nets[node.node_id] = synthesize_constant_comparator(
+        constant = max(level >> (resolution - len(bit_nets[feature])), 1)
+        comparator_nets[node] = synthesize_constant_comparator(
             netlist, bit_nets[feature], constant, operation=">="
         )
 
@@ -112,12 +94,12 @@ def build_comparator_tree_netlist(
     label_logic: dict[int, SumOfProducts] = {
         label: SumOfProducts() for label in range(tree.n_classes)
     }
-    for conditions, prediction in _node_paths(tree):
+    for leaf, conditions in tree.paths():
         term = [
             Literal(comparator_variable(node_id), positive=took_right)
             for node_id, took_right in conditions
         ]
-        label_logic[prediction].add_term(term)
+        label_logic[int(tree.prediction[leaf])].add_term(term)
 
     variable_nets = {
         comparator_variable(node_id): net for node_id, net in comparator_nets.items()

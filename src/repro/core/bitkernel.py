@@ -28,7 +28,7 @@ including the ``ValueError`` raised when a digit assignment is inconsistent
 with a thermometer code.  :meth:`CompiledTreeKernel.predict_levels` is the
 levels entry of the unary tree and of the serving scorer
 (:class:`~repro.serve.scorer.AsyncScorer`); accuracy scoring evaluates
-quantized levels with the tree walk
+quantized levels with the tree's array gather
 (:meth:`~repro.mltrees.tree.DecisionTree.predict_levels`).  See
 ``docs/KERNELS.md`` for the layout, the tie-break semantics and the
 measurements.

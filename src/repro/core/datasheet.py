@@ -23,7 +23,7 @@ from repro.pdk.egfet import EGFETTechnology, default_technology
 
 
 def generate_datasheet(
-    tree: DecisionTree,
+    tree: DecisionTree | UnaryDecisionTree,
     name: str = "printed classifier",
     technology: EGFETTechnology | None = None,
     feature_names: list[str] | None = None,
@@ -37,7 +37,9 @@ def generate_datasheet(
     Parameters
     ----------
     tree:
-        The trained (quantized) decision tree to implement.
+        The trained (quantized) decision tree to implement, or its
+        :class:`~repro.core.unary_tree.UnaryDecisionTree` when the caller
+        already translated it (the label logic is then not rebuilt).
     name:
         Title of the datasheet.
     technology:
@@ -60,7 +62,8 @@ def generate_datasheet(
 
     technology = technology if technology is not None else default_technology()
     backend = resolve_ppa_backend(ppa_backend)
-    unary = UnaryDecisionTree(tree)
+    unary = tree if isinstance(tree, UnaryDecisionTree) else UnaryDecisionTree(tree)
+    tree = unary.tree
     hardware = _unary_hardware_report(unary, technology, name=name, ppa_backend=backend)
     self_power = analyze_self_power(hardware, technology)
     netlist = unary.to_netlist("label_logic")

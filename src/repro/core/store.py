@@ -39,7 +39,9 @@ from pathlib import Path
 #: the package version, which already participates in the key).  Schema 2:
 #: suites are stored as one reference entry plus one DesignPoint entry per
 #: grid point, all keyed through :class:`repro.core.design.DesignSpec`.
-STORE_SCHEMA_VERSION = 2
+#: Schema 3: stored trees hold their nodes as arrays
+#: (:class:`repro.mltrees.tree.DecisionTree`), not as a linked root.
+STORE_SCHEMA_VERSION = 3
 
 #: A ``*.tmp`` file younger than this is presumed to be a concurrent writer's
 #: in-flight entry (mkstemp -> os.replace window) and is never swept.

@@ -3,9 +3,10 @@
 The paper's protocol is a random 70 %/30 % train/test split on inputs
 normalized to ``[0, 1]``; this module provides the (seeded, stratified)
 splitting and the metrics used throughout the evaluation.  Accuracy scores
-quantized levels with the tree walk (:meth:`DecisionTree.predict_levels
+quantized levels with the tree's depth-bounded gather over its node arrays
+(:meth:`DecisionTree.predict_levels
 <repro.mltrees.tree.DecisionTree.predict_levels>`), the fastest evaluator
-on levels at every batch size (see ``docs/KERNELS.md``).
+on test-set-sized batches of levels (see ``docs/KERNELS.md``).
 """
 
 from __future__ import annotations

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.mltrees.tree import DecisionTree, TreeNode
+import numpy as np
+
+from repro.mltrees.tree import LEAF, DecisionTree
 
 
 @dataclass(frozen=True)
@@ -67,27 +69,23 @@ class ComparisonSummary:
 
 
 def tree_to_paths(tree: DecisionTree) -> list[DecisionPath]:
-    """Extract every root-to-leaf decision path of ``tree``."""
-    paths: list[DecisionPath] = []
-
-    def walk(node: TreeNode, conditions: tuple[PathCondition, ...]) -> None:
-        if node.is_leaf:
-            paths.append(
-                DecisionPath(
-                    conditions=conditions,
-                    prediction=node.prediction,
-                    n_samples=node.n_samples,
-                )
-            )
-            return
-        feature = node.feature
-        level = node.threshold_level
-        assert feature is not None and level is not None
-        walk(node.left, conditions + (PathCondition(feature, level, is_ge=False),))
-        walk(node.right, conditions + (PathCondition(feature, level, is_ge=True),))
-
-    walk(tree.root, ())
-    return paths
+    """Extract every root-to-leaf decision path of ``tree``, in pre-order."""
+    feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
+    prediction, n_samples = tree.prediction.tolist(), tree.n_samples.tolist()
+    # One condition object per branch, shared by every path through it.
+    condition = {
+        (node, took_right): PathCondition(feature[node], threshold[node], is_ge=took_right)
+        for node in np.flatnonzero(tree.feature != LEAF).tolist()
+        for took_right in (False, True)
+    }
+    return [
+        DecisionPath(
+            conditions=tuple(map(condition.__getitem__, conditions)),
+            prediction=prediction[leaf],
+            n_samples=n_samples[leaf],
+        )
+        for leaf, conditions in tree.paths()
+    ]
 
 
 def comparisons_summary(tree: DecisionTree) -> ComparisonSummary:

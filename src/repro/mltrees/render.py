@@ -11,7 +11,7 @@ Two views are provided:
 
 from __future__ import annotations
 
-from repro.mltrees.tree import DecisionTree, TreeNode
+from repro.mltrees.tree import LEAF, DecisionTree
 
 
 def _feature_label(feature: int, feature_names: list[str] | None) -> str:
@@ -33,26 +33,28 @@ def render_tree_text(
 ) -> str:
     """Render ``tree`` as an indented text diagram."""
     scale = 2 ** tree.resolution_bits
+    feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
+    split = tree.feature != LEAF
+    prefix = (
+        {0: ""}
+        | dict.fromkeys(tree.left[split].tolist(), "[no ] ")
+        | dict.fromkeys(tree.right[split].tolist(), "[yes] ")
+    )
     lines: list[str] = []
-
-    def walk(node: TreeNode, indent: int, prefix: str) -> None:
-        pad = "  " * indent
-        if node.is_leaf:
+    for node in tree.preorder():
+        pad = "  " * int(tree.node_depth[node]) + prefix[node]
+        n_samples = int(tree.n_samples[node])
+        if feature[node] == LEAF:
             lines.append(
-                f"{pad}{prefix}-> {_class_label(node.prediction, class_names)} "
-                f"(n={node.n_samples}, counts={list(node.class_counts)})"
+                f"{pad}-> {_class_label(int(tree.prediction[node]), class_names)} "
+                f"(n={n_samples}, counts={tree.class_counts[node].tolist()})"
             )
-            return
-        feature = _feature_label(node.feature, feature_names)  # type: ignore[arg-type]
-        threshold = node.threshold_level / scale  # type: ignore[operator]
+            continue
+        label = _feature_label(feature[node], feature_names)
         lines.append(
-            f"{pad}{prefix}{feature} >= {threshold:.4g} "
-            f"(level {node.threshold_level}, n={node.n_samples})"
+            f"{pad}{label} >= {threshold[node] / scale:.4g} "
+            f"(level {threshold[node]}, n={n_samples})"
         )
-        walk(node.left, indent + 1, "[no ] ")   # type: ignore[arg-type]
-        walk(node.right, indent + 1, "[yes] ")  # type: ignore[arg-type]
-
-    walk(tree.root, 0, "")
     return "\n".join(lines)
 
 
@@ -64,28 +66,22 @@ def tree_to_dot(
 ) -> str:
     """Render ``tree`` as a Graphviz DOT digraph."""
     scale = 2 ** tree.resolution_bits
+    feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
     lines = [f"digraph {graph_name} {{", "  node [shape=box, fontsize=10];"]
-
-    def walk(node: TreeNode) -> None:
-        if node.is_leaf:
+    for node in tree.preorder():
+        if feature[node] == LEAF:
             label = (
-                f"{_class_label(node.prediction, class_names)}\\n"
-                f"n={node.n_samples}"
+                f"{_class_label(int(tree.prediction[node]), class_names)}\\n"
+                f"n={int(tree.n_samples[node])}"
             )
             lines.append(
-                f'  n{node.node_id} [label="{label}", style=filled, fillcolor=lightgrey];'
+                f'  n{node} [label="{label}", style=filled, fillcolor=lightgrey];'
             )
-            return
-        feature = _feature_label(node.feature, feature_names)  # type: ignore[arg-type]
-        threshold = node.threshold_level / scale  # type: ignore[operator]
-        label = f"{feature} >= {threshold:.4g}\\nlevel {node.threshold_level}"
-        lines.append(f'  n{node.node_id} [label="{label}"];')
-        assert node.left is not None and node.right is not None
-        lines.append(f'  n{node.node_id} -> n{node.left.node_id} [label="no"];')
-        lines.append(f'  n{node.node_id} -> n{node.right.node_id} [label="yes"];')
-        walk(node.left)
-        walk(node.right)
-
-    walk(tree.root)
+            continue
+        name = _feature_label(feature[node], feature_names)
+        label = f"{name} >= {threshold[node] / scale:.4g}\\nlevel {threshold[node]}"
+        lines.append(f'  n{node} [label="{label}"];')
+        lines.append(f'  n{node} -> n{int(tree.left[node])} [label="no"];')
+        lines.append(f'  n{node} -> n{int(tree.right[node])} [label="yes"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -43,7 +43,7 @@ from repro.core.design import DesignPoint
 from repro.core.metrics import HardwareReport
 from repro.core.store import code_version, content_digest
 from repro.core.unary_tree import UnaryDecisionTree
-from repro.mltrees.tree import DecisionTree
+from repro.mltrees.tree import LEAF, DecisionTree
 from repro.pdk.egfet import EGFETTechnology, default_technology
 
 #: Registry names are serving handles that land in paths and URLs.
@@ -119,8 +119,9 @@ def artifact_digest(
 ) -> str:
     """Content address of a design point's *model content*.
 
-    Hashes what defines the served function -- the tree structure (root node
-    dataclass plus shape metadata) and the configuration that trained it --
+    Hashes what defines the served function -- the tree structure (the
+    nested node form of :func:`_node_form` plus shape metadata) and the
+    configuration that trained it --
     with **no code version mixed in**: retraining the same configuration
     under a newer package that produces the same tree re-promotes to the
     same digest (idempotent), while any structural change to the tree
@@ -136,13 +137,34 @@ def artifact_digest(
         training_sigma=float(training_sigma),
         robustness_weight=float(robustness_weight),
         technology=technology,
-        tree_root=point.tree.root,
+        tree_root=_node_form(point.tree, 0),
         tree_shape=(
             point.tree.n_features,
             point.tree.n_classes,
             point.tree.resolution_bits,
         ),
     )
+
+
+def _node_form(tree: DecisionTree, node: int) -> dict:
+    """The subtree under ``node`` as nested ``TreeNode`` fields.
+
+    This is the canonical form the digest has hashed since trees were linked
+    ``TreeNode`` records, so artifact identities survive the array layout.
+    """
+    is_leaf = int(tree.feature[node]) == LEAF
+    return {
+        "__dataclass__": "TreeNode",
+        "node_id": node,
+        "prediction": int(tree.prediction[node]),
+        "n_samples": int(tree.n_samples[node]),
+        "class_counts": tree.class_counts[node].tolist(),
+        "feature": None if is_leaf else int(tree.feature[node]),
+        "threshold_level": None if is_leaf else int(tree.threshold[node]),
+        "left": None if is_leaf else _node_form(tree, int(tree.left[node])),
+        "right": None if is_leaf else _node_form(tree, int(tree.right[node])),
+        "depth": int(tree.node_depth[node]),
+    }
 
 
 class ModelRegistry:
@@ -258,7 +280,7 @@ class ModelRegistry:
                 "word_bits": int(WORD_BITS),
             },
             datasheet=generate_datasheet(
-                point.tree,
+                unary,
                 name=f"{name} ({point.dataset}, depth={point.depth}, "
                 f"tau={point.tau:g})",
                 technology=technology,

@@ -101,6 +101,33 @@ class TestFitBalaskasDesign:
         if design.depth <= reference.depth:
             assert approx.adc_power_uw <= exact.adc_power_uw + 1e-6
 
+    def test_fit_synthesizes_each_candidate_once(self, small_split, technology, monkeypatch):
+        """The fit costs each feasible candidate once, and the chosen design
+        keeps that report instead of synthesizing its netlist again."""
+        import repro.baselines.balaskas as balaskas
+
+        built = []
+        original = balaskas.build_comparator_tree_netlist
+
+        def counting(tree, *args, **kwargs):
+            built.append(tree)
+            return original(tree, *args, **kwargs)
+
+        monkeypatch.setattr(balaskas, "build_comparator_tree_netlist", counting)
+        X_train, X_test, y_train, y_test = small_split
+        reference = fit_baseline_tree(X_train, y_train, X_test, y_test, 3, max_depth=5)
+        design = fit_balaskas_design(
+            X_train, y_train, X_test, y_test, n_classes=3,
+            reference_accuracy=reference.test_accuracy,
+            reference_depth=reference.depth, technology=technology, seed=0,
+        )
+        n_built = len(built)
+        assert 1 <= n_built <= 3  # at most one per candidate depth
+        assert any(tree is design.tree for tree in built)
+        report = design.hardware_report()
+        assert len(built) == n_built
+        assert design.hardware_report() is report
+
     def test_hardware_report_consistent(self, fitted):
         _, design = fitted
         report = design.hardware_report()

@@ -137,6 +137,4 @@ class TestADCAwareTrainerBehaviour:
         tree = ADCAwareTrainer(max_depth=1, gini_threshold=0.0, seed=0).fit(
             X_levels, y, n_classes=2
         )
-        root = tree.root
-        assert root.feature == 0
-        assert root.threshold_level == 4
+        assert (tree.feature[0], tree.threshold[0]) == (0, 4)

@@ -37,11 +37,11 @@ class TestTrainerSemantics:
             aware = CARTTrainer(
                 max_depth=1, seed=seed, training_sigma=0.05, robustness_weight=1.0
             ).fit(X_levels, y, n_classes=2)
-            assert (aware.root.feature, aware.root.threshold_level) == (0, 6)
+            assert (aware.feature[0], aware.threshold[0]) == (0, 6)
         nominal_choices = {
             CARTTrainer(max_depth=1, seed=seed).fit(
                 X_levels, y, n_classes=2
-            ).root.threshold_level
+            ).threshold[0].item()
             for seed in range(10)
         }
         assert nominal_choices <= {4, 5, 6, 7, 8}

@@ -6,10 +6,16 @@ import pickle
 import tempfile
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.core.store import ResultStore, code_version, content_digest, make_key
+
+#: A pickle holding a tree in the linked-node layout of store schema 2.
+LEGACY_TREE_PAYLOAD = (
+    Path(__file__).parents[1] / "serve" / "fixtures" / "legacy_artifact_schema2.pkl"
+)
 
 
 @pytest.fixture
@@ -57,6 +63,26 @@ class TestContentDigest:
         digest = content_digest(kind="artifact", n=1)
         assert len(digest) == 64
         assert set(digest) <= set("0123456789abcdef")
+
+
+class TestSchemaVersion:
+    def test_schema2_entry_is_a_clean_miss(self, tmp_path, monkeypatch):
+        """An entry keyed by schema-2 code is never read by this code."""
+        from repro.core import store as store_module
+        from repro.core.design import DesignSpec
+
+        spec = DesignSpec("seeds", 0, 2, 0.0)
+        store = ResultStore(cache_dir=tmp_path / "cache")
+        with monkeypatch.context() as patch:
+            patch.setattr(store_module, "STORE_SCHEMA_VERSION", 2)
+            legacy_key = spec.key()
+        legacy_path = store.path_for(legacy_key)
+        legacy_path.parent.mkdir(parents=True, exist_ok=True)
+        legacy_path.write_bytes(LEGACY_TREE_PAYLOAD.read_bytes())
+        assert legacy_key != spec.key()
+        assert store.get(spec.key()) is None
+        assert (store.stats.hits, store.stats.misses) == (0, 1)
+        assert legacy_key in store
 
 
 class TestTouchOnGet:
@@ -619,6 +645,27 @@ class TestArchives:
         store = ResultStore(cache_dir=tmp_path / "store")
         with pytest.raises(ValueError, match="schema"):
             store.import_archive(path)
+
+    def test_import_refuses_schema2_archives(self, tmp_path):
+        """Archives written while trees were linked nodes (schema 2) are
+        refused with the schema error, before any entry is staged."""
+        import io
+        import tarfile
+
+        path = tmp_path / "schema2.tar.gz"
+        manifest = json.dumps(
+            {"format": "repro-result-store", "schema": 2, "n_entries": 1}
+        ).encode()
+        entry = LEGACY_TREE_PAYLOAD.read_bytes()
+        with tarfile.open(path, "w:gz") as tar:
+            for name, data in (("manifest.json", manifest), ("b" * 64 + ".pkl", entry)):
+                info = tarfile.TarInfo(name=name)
+                info.size = len(data)
+                tar.addfile(info, io.BytesIO(data))
+        store = ResultStore(cache_dir=tmp_path / "store")
+        with pytest.raises(ValueError, match="archive payload schema 2 does not match"):
+            store.import_archive(path)
+        assert len(store) == 0
 
     def test_import_ignores_traversal_and_foreign_members(self, tmp_path):
         """Only flat ``<sha256>.pkl`` members are staged: a crafted archive

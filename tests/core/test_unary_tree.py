@@ -6,6 +6,7 @@ import pytest
 from repro.circuits.verification import check_equivalence
 from repro.core.unary_tree import UnaryDecisionTree, digit_variable
 from repro.mltrees.cart import CARTTrainer
+from repro.mltrees.tree import LEAF
 
 
 class TestDigitVariable:
@@ -29,7 +30,7 @@ class TestUnaryTranslation:
     def test_label_logic_covers_all_classes(self, unary, small_tree):
         logic = unary.label_logic
         assert set(logic) == set(range(small_tree.n_classes))
-        predicted_classes = {leaf.prediction for leaf in small_tree.leaves()}
+        predicted_classes = set(small_tree.prediction[small_tree.feature == LEAF].tolist())
         for label, sop in logic.items():
             if label in predicted_classes:
                 assert not sop.is_false()

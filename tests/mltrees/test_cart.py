@@ -5,6 +5,7 @@ import pytest
 
 from repro.mltrees.cart import CARTTrainer, fit_baseline_tree
 from repro.mltrees.evaluation import accuracy_score
+from repro.mltrees.tree import LEAF
 
 
 class TestCARTTrainerBasics:
@@ -39,20 +40,20 @@ class TestCARTTrainerBasics:
         tree = CARTTrainer(max_depth=6, min_samples_leaf=10, seed=0).fit(
             X_train, y_train, 3
         )
-        assert all(leaf.n_samples >= 10 for leaf in tree.leaves())
+        assert (tree.n_samples[tree.feature == LEAF] >= 10).all()
 
     def test_pure_dataset_returns_single_leaf(self):
         X_levels = np.array([[1, 2], [3, 4], [5, 6]])
         y = np.array([1, 1, 1])
         tree = CARTTrainer(max_depth=3, seed=0).fit(X_levels, y, n_classes=2)
         assert tree.n_decision_nodes == 0
-        assert tree.root.prediction == 1
+        assert tree.prediction.tolist() == [1]
 
     def test_class_counts_recorded_on_nodes(self, tiny_levels_dataset):
         X_levels, y = tiny_levels_dataset
         tree = CARTTrainer(max_depth=2, seed=0).fit(X_levels, y)
-        assert tree.root.class_counts == (4, 4)
-        assert tree.root.n_samples == 8
+        assert tree.class_counts[0].tolist() == [4, 4]
+        assert tree.n_samples[0] == 8
 
 
 class TestCARTTrainerValidation:

@@ -43,8 +43,8 @@ class TestTreeToDot:
 
     def test_all_nodes_present(self, small_tree):
         dot = tree_to_dot(small_tree)
-        for node in small_tree.nodes():
-            assert f"n{node.node_id} " in dot or f"n{node.node_id} [" in dot
+        for node in range(small_tree.n_nodes):
+            assert f"n{node} " in dot or f"n{node} [" in dot
 
     def test_custom_graph_name_and_names(self, small_tree):
         dot = tree_to_dot(

@@ -1,9 +1,11 @@
 """Unit tests for the decision-tree data structures."""
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.mltrees.tree import DecisionTree, TreeNode
+from repro.mltrees.tree import LEAF, DecisionTree, TreeNode
 
 
 def _manual_tree() -> DecisionTree:
@@ -26,11 +28,13 @@ class TestTreeNode:
     def test_leaf_detection(self):
         leaf = TreeNode(node_id=0, prediction=1, n_samples=3, class_counts=(0, 3))
         assert leaf.is_leaf
-        assert not _manual_tree().root.is_leaf
+        assert not TreeNode(node_id=0, prediction=0, n_samples=1, class_counts=(1, 0),
+                            feature=0, threshold_level=8).is_leaf
 
     def test_threshold_value(self):
-        tree = _manual_tree()
-        assert tree.root.threshold_value(4) == pytest.approx(0.5)
+        node = TreeNode(node_id=0, prediction=0, n_samples=1, class_counts=(1, 0),
+                        feature=0, threshold_level=8)
+        assert node.threshold_value(4) == pytest.approx(0.5)
 
     def test_threshold_value_on_leaf_raises(self):
         leaf = TreeNode(node_id=0, prediction=0, n_samples=1, class_counts=(1,))
@@ -64,6 +68,61 @@ class TestDecisionTreeStructure:
             DecisionTree(root, n_features=2, n_classes=1)
         with pytest.raises(ValueError):
             DecisionTree(root, n_features=2, n_classes=2, resolution_bits=0)
+
+
+class TestArrayLayout:
+    def test_nodes_are_stored_by_node_id(self):
+        tree = _manual_tree()
+        assert tree.feature.tolist() == [0, LEAF, 1, LEAF, LEAF]
+        assert tree.threshold.tolist() == [8, 0, 4, 0, 0]
+        # leaves are their own children
+        assert tree.left.tolist() == [1, 1, 3, 3, 4]
+        assert tree.right.tolist() == [2, 1, 4, 3, 4]
+        assert tree.prediction.tolist() == [0, 0, 1, 1, 2]
+        assert tree.n_samples.tolist() == [8, 4, 4, 2, 2]
+        assert tree.class_counts.tolist() == [
+            [4, 2, 2], [4, 0, 0], [0, 2, 2], [0, 2, 0], [0, 0, 2],
+        ]
+        assert tree.node_depth.tolist() == [0, 1, 1, 2, 2]
+
+    def test_preorder_and_paths(self):
+        tree = _manual_tree()
+        assert tree.preorder() == [0, 1, 2, 3, 4]
+        assert tree.paths() == [
+            (1, ((0, False),)),
+            (3, ((0, True), (2, False))),
+            (4, ((0, True), (2, True))),
+        ]
+
+    def test_arrays_are_read_only(self):
+        tree = _manual_tree()
+        with pytest.raises(ValueError):
+            tree.threshold[0] = 3
+
+    def test_pickle_round_trip(self):
+        tree = _manual_tree()
+        clone = pickle.loads(pickle.dumps(tree))
+        assert clone == tree
+        assert not clone.feature.flags.writeable
+
+    def test_with_thresholds_replaces_only_thresholds(self):
+        tree = _manual_tree()
+        moved = tree.with_thresholds([12, 0, 4, 0, 0])
+        assert moved.comparisons() == [(0, 12), (1, 4)]
+        assert tree.comparisons() == [(0, 8), (1, 4)]
+        assert moved.feature is tree.feature
+        assert moved != tree
+        with pytest.raises(ValueError):
+            tree.with_thresholds([8, 4])
+
+    @pytest.mark.parametrize("ids", [(1, 2, 3), (0, 1, 1), (0, 1, 3)])
+    def test_node_ids_must_number_the_nodes(self, ids):
+        left = TreeNode(node_id=ids[1], prediction=0, n_samples=1, class_counts=(1, 0))
+        right = TreeNode(node_id=ids[2], prediction=1, n_samples=1, class_counts=(0, 1))
+        root = TreeNode(node_id=ids[0], prediction=0, n_samples=2, class_counts=(1, 1),
+                        feature=0, threshold_level=8, left=left, right=right)
+        with pytest.raises(ValueError, match="node id"):
+            DecisionTree(root, n_features=1, n_classes=2)
 
 
 class TestDecisionTreePrediction:

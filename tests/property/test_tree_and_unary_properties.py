@@ -18,6 +18,7 @@ from repro.core.adc_aware_training import ADCAwareTrainer
 from repro.core.bespoke_adc import build_bespoke_adcs
 from repro.core.unary_tree import UnaryDecisionTree
 from repro.mltrees.cart import CARTTrainer
+from repro.mltrees.tree import LEAF
 
 N_FEATURES = 4
 N_LEVELS = 16
@@ -56,9 +57,12 @@ class TestTrainedTreeProperties:
         predictions = tree.predict_levels(X_levels)
         assert set(predictions) <= {0, 1, 2}
         # sample counts along the tree are conserved
-        assert tree.root.n_samples == len(y)
-        for node in tree.decision_nodes():
-            assert node.n_samples == node.left.n_samples + node.right.n_samples
+        assert tree.n_samples[0] == len(y)
+        split = tree.feature != LEAF
+        assert np.array_equal(
+            tree.n_samples[split],
+            tree.n_samples[tree.left[split]] + tree.n_samples[tree.right[split]],
+        )
 
     @given(dataset_strategy(), trainer_params)
     @settings(max_examples=40, deadline=None)

@@ -2,10 +2,13 @@
 
 import json
 import pickle
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.adc.thermometer import WORD_BITS
+from repro.core.datasheet import generate_datasheet
 from repro.core.design import DesignSpec
 from repro.core.unary_tree import UnaryDecisionTree
 from repro.datasets.synthetic import make_classification_blobs
@@ -18,6 +21,16 @@ from repro.serve.registry import (
     default_registry_dir,
     promote_design,
 )
+
+
+#: A ``ModelArtifact`` of ``design_points[2]`` promoted as ``blobs-legacy``
+#: and pickled while trees were still linked ``TreeNode`` records.
+LEGACY_ARTIFACT = Path(__file__).parent / "fixtures" / "legacy_artifact_schema2.pkl"
+
+#: ``artifact_digest`` of ``design_points[2]`` (seed 0, 4 bits, default
+#: technology), recorded before trees were stored as node arrays.  A change
+#: here re-versions every promoted model.
+PINNED_DIGEST = "16b57ba92f55149378d5025727fdecfea882bd63018d53dbca6a18177c10f976"
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +71,7 @@ class TestPromotion:
         assert loaded.digest == artifact.digest
         assert loaded.version == 1
         # The served function survives the pickle roundtrip bit-identically.
-        assert loaded.tree.root == point.tree.root
+        assert loaded.tree == point.tree
 
     def test_promote_is_idempotent_on_content(self, registry, design_points):
         first = registry.promote(design_points[2], "m")
@@ -105,6 +118,12 @@ class TestDigest:
         d2 = artifact_digest(design_points[2], **kwargs)
         d3 = artifact_digest(design_points[3], **kwargs)
         assert d2 != d3
+
+    def test_digest_is_pinned(self, design_points):
+        digest = artifact_digest(
+            design_points[2], seed=0, resolution_bits=4, technology=default_technology()
+        )
+        assert digest == PINNED_DIGEST
 
     def test_digest_sensitive_to_training_knobs(self, design_points):
         technology = default_technology()
@@ -158,17 +177,50 @@ class TestManifest:
         assert artifact.datasheet  # rendered, human-readable
         assert artifact.kernel_meta["n_classes"] == 3
 
-    def test_promote_minimizes_each_label_once_for_adcs_and_kernel(
-        self, registry, design_points, monkeypatch, count_minimizations
+    def test_promote_minimizes_each_label_once(
+        self, registry, design_points, count_minimizations
     ):
-        # The ADC config and the kernel metrics share one unary translation;
-        # the datasheet renders its own, so it is stubbed out here.
-        monkeypatch.setattr(
-            "repro.serve.registry.generate_datasheet", lambda *args, **kwargs: "sheet"
-        )
+        # The ADC config, the kernel metrics and the datasheet share one
+        # unary translation.
         point = pickle.loads(pickle.dumps(design_points[3]))  # a never-compiled tree
-        registry.promote(point, "blobs-once")
+        artifact = registry.promote(point, "blobs-once")
         assert len(count_minimizations) == point.tree.n_classes
+        assert artifact.datasheet == generate_datasheet(
+            point.tree,
+            name="blobs-once (blobs, depth=3, tau=0)",
+            technology=default_technology(),
+        )
+
+
+class TestLegacyArtifacts:
+    @pytest.fixture
+    def legacy_registry(self, registry):
+        """A registry holding the legacy artifact as ``blobs-legacy`` v1."""
+        artifact = pickle.loads(LEGACY_ARTIFACT.read_bytes())
+        model = registry.model_path(artifact.digest)
+        manifest = registry.manifest_path(artifact.name, artifact.version)
+        for path in (model, manifest):
+            path.parent.mkdir(parents=True, exist_ok=True)
+        model.write_bytes(LEGACY_ARTIFACT.read_bytes())
+        manifest.write_text(json.dumps(artifact.manifest()), encoding="utf-8")
+        return registry
+
+    def test_loads_and_scores_identically(self, legacy_registry, design_points):
+        point = design_points[2]
+        loaded = legacy_registry.load("blobs-legacy")
+        assert loaded.digest == PINNED_DIGEST
+        assert loaded.tree == point.tree
+        levels = np.random.default_rng(0).integers(0, 16, size=(200, point.tree.n_features))
+        expected = point.tree.predict_levels(levels)
+        np.testing.assert_array_equal(loaded.tree.predict_levels(levels), expected)
+        np.testing.assert_array_equal(
+            UnaryDecisionTree(loaded.tree).kernel.predict_levels(levels), expected
+        )
+
+    def test_repromote_returns_the_legacy_version(self, legacy_registry, design_points):
+        again = legacy_registry.promote(design_points[2], "blobs-legacy")
+        assert (again.version, again.digest) == (1, PINNED_DIGEST)
+        assert legacy_registry.versions("blobs-legacy") == [1]
 
 
 class TestLookupErrors:
@@ -210,6 +262,16 @@ class TestPromoteDesign:
         assert 0.0 <= artifact.accuracy <= 1.0
         cache_files = [p for p in cache_dir.rglob("*") if p.is_file()]
         assert cache_files == []
+
+    def test_cold_promote_translates_the_tree_twice(self, tmp_path, count_minimizations):
+        """One translation costs the trained point, one serves the artifact:
+        its ADC config, kernel metrics and datasheet."""
+        artifact = promote_design(
+            ModelRegistry(tmp_path / "registry"), "cardio", 3, 0.0,
+            cache_dir=tmp_path / "cache",
+        )
+        assert artifact.tree.n_classes == 3
+        assert len(count_minimizations) == 2 * artifact.tree.n_classes
 
     def test_repromote_is_idempotent(self, tmp_path):
         registry = ModelRegistry(tmp_path / "registry")
