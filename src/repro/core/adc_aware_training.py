@@ -1,7 +1,9 @@
 """ADC-aware decision-tree training (Algorithm 1, Section III-C).
 
-The trainer grows a Gini decision tree like conventional CART, but the split
-selected at each node is chosen with hardware awareness.  With ``G`` the best
+Algorithm 1 is greedy Gini training with one changed step, so
+:class:`ADCAwareTrainer` is :class:`~repro.mltrees.cart.CARTTrainer` -- same
+growth loop, validation and split score -- with a hardware-aware split
+choice and a breadth-first frontier.  With ``G`` the best
 Gini score at the node and ``tau`` the tolerance hyperparameter, the
 candidate set ``S = {(Ii, C) | Gini(Ii, C) <= G + tau}`` is partitioned by the
 ADC hardware a selection would add:
@@ -25,142 +27,85 @@ reordered); larger ``tau`` trades accuracy for further hardware reduction.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.mltrees.cart import GINI_TIE_TOLERANCE
-from repro.mltrees.split_search import (
-    CandidateTable,
-    SplitCandidate,
-    class_histogram,
-    enumerate_split_candidates,
-)
-from repro.mltrees.tree import DecisionTree, TreeNode
+from repro.mltrees.cart import GINI_TIE_TOLERANCE, CARTTrainer
+from repro.mltrees.split_search import CandidateTable, SplitCandidate
+from repro.mltrees.tree import DecisionTree
 
 
 @dataclass(frozen=True)
 class SplitCostSets:
-    """Partition of the tolerance set ``S`` by induced ADC hardware cost.
+    """Partition of the tolerance set ``S`` by induced ADC hardware cost."""
 
-    Members are :class:`CandidateTable` sub-tables on the columnar path, or
-    tuples of :class:`SplitCandidate` when built from an object list; both
-    support ``len``, truth-testing and iteration, so cost-ordering logic is
-    agnostic to the representation.
-    """
-
-    zero_cost: CandidateTable | tuple[SplitCandidate, ...]
-    medium_cost: CandidateTable | tuple[SplitCandidate, ...]
-    high_cost: CandidateTable | tuple[SplitCandidate, ...]
+    zero_cost: CandidateTable
+    medium_cost: CandidateTable
+    high_cost: CandidateTable
 
 
-def _cost_masks(
-    table: CandidateTable,
-    selected_pairs: set[tuple[int, int]],
-    selected_features: set[int],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Boolean masks of the S_Z / S_M / S_H rows of a candidate table.
+def partition_by_cost(
+    candidates: CandidateTable, placed: set[tuple[int, int]]
+) -> SplitCostSets:
+    """Split ``candidates`` into the S_Z / S_M / S_H sets of Algorithm 1.
 
+    ``placed`` holds the ``(feature, threshold_level)`` pairs selected so
+    far; their features are the inputs that already have an ADC.
     Membership is tested through dense boolean lookup tables (the feature /
     level universe is tiny: ``n_features x 2**resolution_bits``), so the cost
     per node is one fancy-index gather per set rather than a sort-based
     ``isin``.
     """
-    n = len(table)
-    if selected_pairs and n:
-        pair_features = [feature for feature, _ in selected_pairs]
-        pair_levels = [level for _, level in selected_pairs]
+    n = len(candidates)
+    zero = np.zeros(n, dtype=bool)
+    on_known_input = np.zeros(n, dtype=bool)
+    if placed and n:
+        pair_features = [feature for feature, _ in placed]
+        pair_levels = [level for _, level in placed]
+        n_features = max(int(candidates.feature.max()), max(pair_features)) + 1
         lookup = np.zeros(
-            (
-                max(int(table.feature.max()), max(pair_features)) + 1,
-                max(int(table.threshold_level.max()), max(pair_levels)) + 1,
-            ),
+            (n_features, max(int(candidates.threshold_level.max()), max(pair_levels)) + 1),
             dtype=bool,
         )
         lookup[pair_features, pair_levels] = True
-        zero = lookup[table.feature, table.threshold_level]
-    else:
-        zero = np.zeros(n, dtype=bool)
-    if selected_features and n:
-        known = np.zeros(
-            max(int(table.feature.max()), max(selected_features)) + 1, dtype=bool
-        )
-        known[list(selected_features)] = True
-        on_known_input = known[table.feature]
-    else:
-        on_known_input = np.zeros(n, dtype=bool)
-    medium = on_known_input & ~zero
-    high = ~on_known_input & ~zero
-    return zero, medium, high
+        zero = lookup[candidates.feature, candidates.threshold_level]
+        known = np.zeros(n_features, dtype=bool)
+        known[pair_features] = True
+        on_known_input = known[candidates.feature]
+    return SplitCostSets(
+        candidates.select(zero),
+        candidates.select(on_known_input & ~zero),
+        candidates.select(~on_known_input & ~zero),
+    )
 
 
-def partition_by_cost(
-    candidates: CandidateTable | list[SplitCandidate],
-    selected_pairs: set[tuple[int, int]],
-    selected_features: set[int],
-) -> SplitCostSets:
-    """Split ``candidates`` into the S_Z / S_M / S_H sets of Algorithm 1.
-
-    A :class:`CandidateTable` is partitioned with vectorized membership
-    tests into three sub-tables; object-based candidate lists keep the
-    historical per-candidate scan and return tuples.
-    """
-    if isinstance(candidates, CandidateTable):
-        zero, medium, high = _cost_masks(candidates, selected_pairs, selected_features)
-        return SplitCostSets(
-            candidates.select(zero), candidates.select(medium), candidates.select(high)
-        )
-    zero_list: list[SplitCandidate] = []
-    medium_list: list[SplitCandidate] = []
-    high_list: list[SplitCandidate] = []
-    for candidate in candidates:
-        pair = (candidate.feature, candidate.threshold_level)
-        if pair in selected_pairs:
-            zero_list.append(candidate)
-        elif candidate.feature in selected_features:
-            medium_list.append(candidate)
-        else:
-            high_list.append(candidate)
-    return SplitCostSets(tuple(zero_list), tuple(medium_list), tuple(high_list))
-
-
-class ADCAwareTrainer:
+class ADCAwareTrainer(CARTTrainer):
     """Greedy Gini trainer with the ADC-aware split selection of Algorithm 1.
+
+    Growth, input validation and the split score (with its offset-aware
+    penalty) are :class:`~repro.mltrees.cart.CARTTrainer`'s; see it for
+    ``max_depth``, ``resolution_bits``, ``min_samples_leaf``,
+    ``min_samples_split``, ``seed``, ``training_sigma`` and
+    ``robustness_weight``.  This class changes how a node picks its split
+    (:meth:`_select_split`) and grows the tree breadth-first, so that the
+    set of already placed ``(feature, threshold)`` pairs -- which defines
+    the cost of future selections -- evolves in the node order of
+    Algorithm 1.  Node ids are therefore breadth-first.
 
     Parameters
     ----------
-    max_depth:
-        Maximum tree depth (the paper sweeps 2..8).
     gini_threshold:
         The tolerance ``tau`` (the paper sweeps 0..0.03 in steps of 0.005).
-    resolution_bits:
-        Input quantization (4 bits in the paper).
-    min_samples_leaf, min_samples_split:
-        Standard growth constraints.
-    seed:
-        Seed of the tie-breaking RNG.
     prefer_low_power_levels:
         Secondary objective of Algorithm 1: among equally costly new
         comparators, prefer the smallest threshold (lowest-power reference
         level).  Disabling it is the ablation of Section III-C's power
         optimization -- the comparator *count* is still minimized but not the
         position of the retained levels.
-    training_sigma:
-        Comparator input-offset sigma assumed during training, as a fraction
-        of the ADC full scale (``sigma_volts / vdd``).  With
-        ``robustness_weight > 0`` the analytic expected-flip fraction of
-        every candidate joins its split score, so the tolerance set and all
-        tie-breaks prefer thresholds that sit in sparse sample regions
-        (offset-aware training; closes the co-design loop at Algorithm 1's
-        innermost layer).
-    robustness_weight:
-        Weight of the expected-flip penalty (``score = gini + weight *
-        expected_flips``).  Active only alongside ``training_sigma > 0``
-        (which defaults to 0, so a bare trainer is nominal); at ``0`` the
-        trainer is bit-identical -- same trees, same RNG consumption -- to
-        the nominal Algorithm 1 trainer whatever the sigma.
     """
+
+    _breadth_first = True
 
     def __init__(
         self,
@@ -174,66 +119,35 @@ class ADCAwareTrainer:
         training_sigma: float = 0.0,
         robustness_weight: float = 1.0,
     ):
-        if max_depth < 1:
-            raise ValueError("max_depth must be at least 1")
+        super().__init__(
+            max_depth=max_depth,
+            resolution_bits=resolution_bits,
+            min_samples_leaf=min_samples_leaf,
+            min_samples_split=min_samples_split,
+            seed=seed,
+            training_sigma=training_sigma,
+            robustness_weight=robustness_weight,
+        )
         if gini_threshold < 0:
             raise ValueError("the Gini tolerance tau must be >= 0")
-        if resolution_bits < 1:
-            raise ValueError("resolution_bits must be at least 1")
-        if min_samples_leaf < 1 or min_samples_split < 2:
-            raise ValueError("invalid minimum sample constraints")
-        if training_sigma < 0:
-            raise ValueError("training_sigma must be >= 0")
-        if robustness_weight < 0:
-            raise ValueError("robustness_weight must be >= 0")
-        self.max_depth = max_depth
         self.gini_threshold = gini_threshold
-        self.resolution_bits = resolution_bits
-        self.min_samples_leaf = min_samples_leaf
-        self.min_samples_split = min_samples_split
-        self.seed = seed
         self.prefer_low_power_levels = prefer_low_power_levels
-        self.training_sigma = training_sigma
-        self.robustness_weight = robustness_weight
 
-    @property
-    def offset_aware(self) -> bool:
-        """Whether the expected-flip penalty participates in split scoring."""
-        return self.robustness_weight > 0 and self.training_sigma > 0
+    def fit(
+        self, X_levels: np.ndarray, y: np.ndarray, n_classes: int | None = None
+    ) -> DecisionTree:
+        """Train an ADC-aware tree on quantized features (breadth-first).
 
-    # ------------------------------------------------------------------ #
-    # Algorithm 1 split enumeration / selection (columnar)
-    # ------------------------------------------------------------------ #
-    def _node_candidates(
-        self,
-        X_levels: np.ndarray,
-        y: np.ndarray,
-        indices: np.ndarray,
-        n_classes: int,
-        n_levels: int,
-    ) -> CandidateTable:
-        """Candidate splits of one node as a columnar table."""
-        return enumerate_split_candidates(
-            X_levels, y, indices, n_classes, n_levels, self.min_samples_leaf,
-            flip_sigma=self.training_sigma if self.offset_aware else None,
-        )
-
-    def _split_scores(self, candidates: CandidateTable) -> np.ndarray:
-        """Per-candidate split score (Gini, plus the expected-flip penalty).
-
-        With ``robustness_weight == 0`` this returns the Gini column itself,
-        keeping the nominal path bit-identical to the pre-offset-aware
-        trainer.
+        Defined in this class body rather than inherited, so per-class call
+        tracing (``vars(cls)["fit"]``) counts ADC-aware fits apart from CART
+        fits; it must not call ``CARTTrainer.fit``.
         """
-        if not self.offset_aware:
-            return candidates.gini
-        return candidates.gini + self.robustness_weight * candidates.expected_flips
+        return self._grow(X_levels, y, n_classes)
 
     def _select_split(
         self,
         candidates: CandidateTable,
-        selected_pairs: set[tuple[int, int]],
-        selected_features: set[int],
+        placed: set[tuple[int, int]],
         rng: random.Random,
     ) -> SplitCandidate:
         """Algorithm 1 selection as array reductions over the candidate table.
@@ -252,7 +166,7 @@ class ADCAwareTrainer:
         tolerance_set = candidates.select(
             scores <= scores.min() + self.gini_threshold + 1e-15
         )
-        sets = partition_by_cost(tolerance_set, selected_pairs, selected_features)
+        sets = partition_by_cost(tolerance_set, placed)
 
         if sets.zero_cost:
             pool = sets.zero_cost
@@ -264,92 +178,3 @@ class ADCAwareTrainer:
         pool_scores = self._split_scores(pool)
         finalists = np.nonzero(pool_scores <= pool_scores.min() + GINI_TIE_TOLERANCE)[0]
         return pool.candidate(rng.choice(finalists.tolist()))
-
-    # ------------------------------------------------------------------ #
-    # fitting
-    # ------------------------------------------------------------------ #
-    def fit(
-        self, X_levels: np.ndarray, y: np.ndarray, n_classes: int | None = None
-    ) -> DecisionTree:
-        """Train an ADC-aware tree on quantized features.
-
-        The tree is grown breadth-first so that the global set of already
-        selected ``(feature, threshold)`` pairs -- which defines the cost of
-        future selections -- evolves in the node order of Algorithm 1.
-        """
-        X_levels = np.asarray(X_levels, dtype=np.int64)
-        y = np.asarray(y, dtype=np.int64)
-        if X_levels.ndim != 2:
-            raise ValueError("X_levels must be a 2-D matrix")
-        if len(X_levels) != len(y):
-            raise ValueError("X_levels and y must have the same number of samples")
-        if len(y) == 0:
-            raise ValueError("cannot train on an empty dataset")
-        if n_classes is None:
-            n_classes = int(y.max()) + 1
-        n_levels = 2 ** self.resolution_bits
-        if X_levels.min() < 0 or X_levels.max() >= n_levels:
-            raise ValueError(
-                f"quantized levels must lie in [0, {n_levels - 1}] for "
-                f"{self.resolution_bits}-bit inputs"
-            )
-
-        rng = random.Random(self.seed)
-        selected_pairs: set[tuple[int, int]] = set()
-        selected_features: set[int] = set()
-        node_counter = 0
-
-        def make_node(indices: np.ndarray, depth: int) -> TreeNode:
-            nonlocal node_counter
-            counts = class_histogram(y[indices], n_classes)
-            node = TreeNode(
-                node_id=node_counter,
-                prediction=int(np.argmax(counts)),
-                n_samples=int(indices.size),
-                class_counts=tuple(int(c) for c in counts),
-                depth=depth,
-            )
-            node_counter += 1
-            return node
-
-        root_indices = np.arange(len(y))
-        root = make_node(root_indices, 0)
-        queue: deque[tuple[TreeNode, np.ndarray]] = deque([(root, root_indices)])
-
-        while queue:
-            node, indices = queue.popleft()
-            counts = np.asarray(node.class_counts)
-            is_pure = int(np.count_nonzero(counts)) <= 1
-            if (
-                node.depth >= self.max_depth
-                or is_pure
-                or indices.size < self.min_samples_split
-            ):
-                continue
-            candidates = self._node_candidates(X_levels, y, indices, n_classes, n_levels)
-            if not candidates:
-                continue
-            split = self._select_split(candidates, selected_pairs, selected_features, rng)
-
-            mask = X_levels[indices, split.feature] >= split.threshold_level
-            right_indices = indices[mask]
-            left_indices = indices[~mask]
-            if left_indices.size == 0 or right_indices.size == 0:
-                continue
-
-            node.feature = split.feature
-            node.threshold_level = split.threshold_level
-            selected_pairs.add((split.feature, split.threshold_level))
-            selected_features.add(split.feature)
-
-            node.left = make_node(left_indices, node.depth + 1)
-            node.right = make_node(right_indices, node.depth + 1)
-            queue.append((node.left, left_indices))
-            queue.append((node.right, right_indices))
-
-        return DecisionTree(
-            root=root,
-            n_features=X_levels.shape[1],
-            n_classes=n_classes,
-            resolution_bits=self.resolution_bits,
-        )

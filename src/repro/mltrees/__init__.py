@@ -10,7 +10,7 @@ co-design core can reuse the same split-scoring machinery:
 * :mod:`repro.mltrees.split_search` -- vectorized enumeration of candidate
   splits (feature, quantized threshold) with their Gini scores,
 * :mod:`repro.mltrees.cart` -- the conventional (ADC-unaware) greedy trainer
-  used by the baseline [2],
+  used by the baseline [2], whose growth loop every trainer shares,
 * :mod:`repro.mltrees.quantize` -- fixed-point feature/threshold quantization,
 * :mod:`repro.mltrees.evaluation` -- accuracy, stratified splitting,
 * :mod:`repro.mltrees.export` -- comparison lists, decision paths and
@@ -22,7 +22,6 @@ from repro.mltrees.gini import gini_impurity, weighted_gini
 from repro.mltrees.split_search import (
     CandidateTable,
     SplitCandidate,
-    best_gini,
     enumerate_split_candidates,
 )
 from repro.mltrees.cart import CARTTrainer, fit_baseline_tree
@@ -43,7 +42,6 @@ __all__ = [
     "weighted_gini",
     "CandidateTable",
     "SplitCandidate",
-    "best_gini",
     "enumerate_split_candidates",
     "CARTTrainer",
     "fit_baseline_tree",

@@ -6,6 +6,10 @@ with ties broken uniformly at random -- which is exactly the behaviour the
 paper contrasts Algorithm 1 against ("ADC-unaware training would randomly
 select one combination among those with the best Gini score").
 
+Its growth loop is the only one in the package: the ADC-aware trainer of
+Algorithm 1 (:class:`repro.core.adc_aware_training.ADCAwareTrainer`) is this
+class with a different split choice and a breadth-first frontier.
+
 The baseline protocol of Section IV ("the minimum tree depth, up to 8, that
 achieves the maximum accuracy is used") is implemented by
 :func:`fit_baseline_tree`.
@@ -14,6 +18,7 @@ achieves the maximum accuracy is used") is implemented by
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +69,9 @@ class CARTTrainer:
         whatever the sigma.
     """
 
+    #: Frontier order of :meth:`_grow`: depth-first (LIFO) unless overridden.
+    _breadth_first = False
+
     def __init__(
         self,
         max_depth: int = 8,
@@ -112,16 +120,36 @@ class CARTTrainer:
         n_classes:
             Number of classes (inferred from ``y`` when omitted).
         """
+        return self._grow(X_levels, y, n_classes)
+
+    def _grow(self, X_levels: np.ndarray, y: np.ndarray, n_classes: int | None) -> DecisionTree:
+        """The growth loop every trainer shares.
+
+        Nodes wait on a frontier and take their id when popped.  The LIFO
+        frontier of this class grows, numbers and draws tie-breaks in
+        pre-order; :attr:`_breadth_first` makes it a FIFO.  Each split is
+        chosen by :meth:`_select_split`, which also sees the ``(feature,
+        threshold_level)`` pairs placed so far.
+        """
         X_levels = np.asarray(X_levels, dtype=np.int64)
         y = np.asarray(y, dtype=np.int64)
         if X_levels.ndim != 2:
             raise ValueError("X_levels must be a 2-D matrix")
+        if X_levels.shape[1] == 0:
+            raise ValueError("X_levels must have at least one feature column")
+        if y.ndim != 1:
+            raise ValueError("y must be a 1-D label vector")
         if len(X_levels) != len(y):
             raise ValueError("X_levels and y must have the same number of samples")
         if len(y) == 0:
             raise ValueError("cannot train on an empty dataset")
         if n_classes is None:
             n_classes = int(y.max()) + 1
+        if y.min() < 0 or y.max() >= n_classes:
+            raise ValueError(
+                f"class labels must lie in [0, {n_classes - 1}] for "
+                f"n_classes={n_classes}, got labels in [{y.min()}, {y.max()}]"
+            )
         n_levels = 2 ** self.resolution_bits
         if X_levels.min() < 0 or X_levels.max() >= n_levels:
             raise ValueError(
@@ -130,52 +158,59 @@ class CARTTrainer:
             )
 
         rng = random.Random(self.seed)
-        node_counter = [0]
-
-        def build(indices: np.ndarray, depth: int) -> TreeNode:
+        placed: set[tuple[int, int]] = set()
+        nodes: list[TreeNode] = []
+        # (sample indices, depth, parent, side of the parent it hangs on)
+        frontier = deque([(np.arange(len(y)), 0, None, "")])
+        pop = frontier.popleft if self._breadth_first else frontier.pop
+        while frontier:
+            indices, depth, parent, side = pop()
             counts = class_histogram(y[indices], n_classes)
-            prediction = int(np.argmax(counts))
             node = TreeNode(
-                node_id=node_counter[0],
-                prediction=prediction,
+                node_id=len(nodes),
+                prediction=int(np.argmax(counts)),
                 n_samples=int(indices.size),
                 class_counts=tuple(int(c) for c in counts),
                 depth=depth,
             )
-            node_counter[0] += 1
+            nodes.append(node)
+            if parent is not None:
+                setattr(parent, side, node)
 
             is_pure = int(np.count_nonzero(counts)) <= 1
             if depth >= self.max_depth or is_pure or indices.size < self.min_samples_split:
-                return node
-
+                continue
             candidates = self._node_candidates(X_levels, y, indices, n_classes, n_levels)
             if not candidates:
-                return node
+                continue
 
-            split = self._select_split(candidates, rng)
+            split = self._select_split(candidates, placed, rng)
             mask = X_levels[indices, split.feature] >= split.threshold_level
             right_indices = indices[mask]
             left_indices = indices[~mask]
             if left_indices.size == 0 or right_indices.size == 0:
-                return node
+                continue
 
             node.feature = split.feature
             node.threshold_level = split.threshold_level
-            node.left = build(left_indices, depth + 1)
-            node.right = build(right_indices, depth + 1)
-            return node
+            placed.add((split.feature, split.threshold_level))
+            children = [
+                (left_indices, depth + 1, node, "left"),
+                (right_indices, depth + 1, node, "right"),
+            ]
+            # a LIFO frontier pops the last push first: push the right child first
+            frontier.extend(children if self._breadth_first else reversed(children))
 
-        root = build(np.arange(len(y)), 0)
         return DecisionTree(
-            root=root,
+            root=nodes[0],
             n_features=X_levels.shape[1],
             n_classes=n_classes,
             resolution_bits=self.resolution_bits,
         )
 
     # ------------------------------------------------------------------ #
-    # split enumeration / selection policy (overridden by hardware-aware
-    # trainers and by the legacy reference trainers)
+    # split enumeration / selection policy (the selection is overridden by
+    # the ADC-aware trainer; both by the legacy reference trainers)
     # ------------------------------------------------------------------ #
     def _node_candidates(
         self,
@@ -205,13 +240,17 @@ class CARTTrainer:
         return candidates.gini + self.robustness_weight * candidates.expected_flips
 
     def _select_split(
-        self, candidates: CandidateTable, rng: random.Random
+        self,
+        candidates: CandidateTable,
+        placed: set[tuple[int, int]],
+        rng: random.Random,
     ) -> SplitCandidate:
         """Pick the best-score candidate, breaking ties uniformly at random.
 
-        Array reductions over the columnar table; ``rng`` consumption matches
-        the historical list-based scan exactly (one draw over the tied set),
-        so seeded trainings are bit-identical to the pre-columnar trainer.
+        ``placed`` (the pairs chosen at earlier nodes) plays no part in
+        conventional training.  ``rng`` consumption matches the historical
+        list-based scan exactly (one draw over the tied set), so seeded
+        trainings are bit-identical to the pre-columnar trainer.
         """
         scores = self._split_scores(candidates)
         tied = np.nonzero(scores <= scores.min() + GINI_TIE_TOLERANCE)[0]

@@ -12,10 +12,8 @@ class)`` histogram -- a single ``bincount`` over all features at once -- and
 one cumulative sum.  The result is a :class:`CandidateTable` of parallel
 ndarrays (``feature``, ``threshold_level``, ``gini``, ``n_left``,
 ``n_right``): no per-feature Python loop and no per-candidate object
-construction.  Trainers select splits with array reductions over the table;
-:class:`SplitCandidate` objects are only materialized on demand through the
-table's sequence-compatibility view (iteration, indexing, equality against
-candidate lists), which keeps object-based callers working unchanged.
+construction.  Trainers select splits with array reductions over the table
+and materialize one :class:`SplitCandidate` -- the chosen row -- per node.
 
 Offset-aware training reuses the very same histogram pass: when a
 ``flip_sigma`` is requested, :func:`enumerate_split_candidates` additionally
@@ -37,13 +35,14 @@ the nominal path.
 
 The pre-columnar object-building enumeration is retained verbatim in
 ``tests/oracles/legacy_split_search.py`` as the oracle for the equivalence
-tests and the training-throughput benchmark.
+tests and the training-throughput benchmark, together with the object-list
+helpers (table <-> list conversion, ``best_gini`` of a list) that only the
+oracle and the tests use.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -123,17 +122,15 @@ class CandidateTable:
 
     Rows are ordered by ``(feature, threshold_level)`` exactly like the
     historical candidate lists.  The parallel arrays let trainers score and
-    filter every candidate with ndarray reductions; the sequence protocol
-    (``len``, iteration, indexing, ``==`` against lists of candidates) is a
-    thin compatibility view that materializes :class:`SplitCandidate`
-    objects on demand.
+    filter every candidate with ndarray reductions; :meth:`candidate`
+    materializes the one row a trainer selects as a :class:`SplitCandidate`.
+    ``len`` counts rows and an empty table is falsy.
 
     The two robustness columns (``margin``, ``expected_flips``) are ``None``
     unless the enumeration was asked for them (``flip_sigma``); they ride
-    along through :meth:`select`, and equality -- both against other tables
-    and against legacy candidate lists -- intentionally compares only the
-    five nominal columns, so offset-aware tables still equal their nominal
-    counterparts when the split geometry is identical.
+    along through :meth:`select`, and table equality intentionally compares
+    only the five nominal columns, so offset-aware tables still equal their
+    nominal counterparts when the split geometry is identical.
     """
 
     feature: np.ndarray          #: int64, feature index per candidate
@@ -184,24 +181,6 @@ class CandidateTable:
             n_right=zero_i,
         )
 
-    @classmethod
-    def from_candidates(cls, candidates: Sequence[SplitCandidate]) -> "CandidateTable":
-        """Build a table from an object-based candidate list."""
-        if not candidates:
-            return cls.empty()
-        return cls(
-            feature=np.array([c.feature for c in candidates], dtype=np.int64),
-            threshold_level=np.array(
-                [c.threshold_level for c in candidates], dtype=np.int64
-            ),
-            gini=np.array([c.gini for c in candidates], dtype=np.float64),
-            n_left=np.array([c.n_left for c in candidates], dtype=np.int64),
-            n_right=np.array([c.n_right for c in candidates], dtype=np.int64),
-        )
-
-    # ------------------------------------------------------------------ #
-    # sequence-compatibility view (materializes objects on demand)
-    # ------------------------------------------------------------------ #
     def candidate(self, index: int) -> SplitCandidate:
         """Materialize row ``index`` as a :class:`SplitCandidate`."""
         return SplitCandidate(
@@ -212,23 +191,11 @@ class CandidateTable:
             n_right=int(self.n_right[index]),
         )
 
-    def to_list(self) -> list[SplitCandidate]:
-        """The whole table as an object-based candidate list."""
-        return [self.candidate(i) for i in range(len(self))]
-
     def __len__(self) -> int:
         return int(self.feature.shape[0])
 
     def __bool__(self) -> bool:
         return len(self) > 0
-
-    def __iter__(self) -> Iterator[SplitCandidate]:
-        return iter(self.to_list())
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self.to_list()[index]
-        return self.candidate(index)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, CandidateTable):
@@ -239,8 +206,6 @@ class CandidateTable:
                 and np.array_equal(self.n_left, other.n_left)
                 and np.array_equal(self.n_right, other.n_right)
             )
-        if isinstance(other, Sequence):
-            return len(self) == len(other) and self.to_list() == list(other)
         return NotImplemented
 
 
@@ -402,16 +367,3 @@ def _robustness_columns(
     margin = np.minimum(margin_below, margin_above) / n_levels
     return margin, expected_flips
 
-
-def best_gini(candidates: CandidateTable | Sequence[SplitCandidate]) -> float:
-    """Minimum Gini score among ``candidates`` (``inf`` when empty).
-
-    Routed through the columnar table (one C-speed reduction) when given a
-    :class:`CandidateTable`; object-based candidate lists keep working for
-    compatibility.
-    """
-    if isinstance(candidates, CandidateTable):
-        return candidates.best_gini
-    if not candidates:
-        return float("inf")
-    return min(candidate.gini for candidate in candidates)

@@ -33,9 +33,11 @@ tree); on test-set-sized batches it is about 4x faster, and on batches of
 hundreds of thousands of rows somewhat slower, since every row takes every
 step (measurements in ``docs/KERNELS.md``).
 
-The trainers build linked :class:`TreeNode` records and hand the root to
-the constructor, which flattens it once.  The node ids are the trainer's
-own numbering: pre-order for CART, breadth-first for the ADC-aware trainer.
+One grower, ``CARTTrainer._grow``, builds every trainer's tree as linked
+:class:`TreeNode` records and hands the root to the constructor, which
+flattens it once.  The node ids are the grower's numbering: a node takes
+its id when it leaves the frontier, so ids are pre-order for CART (LIFO
+frontier) and breadth-first for the ADC-aware trainer (FIFO frontier).
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles.legacy_split_search import table_from_candidates
 from repro.core.adc_aware_training import ADCAwareTrainer, partition_by_cost
 from repro.mltrees.cart import CARTTrainer
 from repro.mltrees.evaluation import accuracy_score
@@ -16,19 +17,26 @@ def _candidate(feature, level, gini=0.1):
 
 class TestPartitionByCost:
     def test_three_way_partition(self):
-        candidates = [
+        candidates = table_from_candidates([
             _candidate(0, 3),   # already selected -> zero cost
             _candidate(0, 7),   # feature known, new level -> medium cost
             _candidate(2, 1),   # new feature -> high cost
-        ]
-        sets = partition_by_cost(candidates, {(0, 3)}, {0})
-        assert [c.threshold_level for c in sets.zero_cost] == [3]
-        assert [c.threshold_level for c in sets.medium_cost] == [7]
-        assert [c.feature for c in sets.high_cost] == [2]
+        ])
+        sets = partition_by_cost(candidates, {(0, 3)})
+        assert sets.zero_cost.threshold_level.tolist() == [3]
+        assert sets.medium_cost.threshold_level.tolist() == [7]
+        assert sets.high_cost.feature.tolist() == [2]
+
+    def test_placed_pair_makes_its_input_known(self):
+        candidates = table_from_candidates([_candidate(0, 7), _candidate(1, 3)])
+        sets = partition_by_cost(candidates, {(1, 9)})
+        assert not sets.zero_cost
+        assert sets.medium_cost.feature.tolist() == [1]
+        assert sets.high_cost.feature.tolist() == [0]
 
     def test_empty_history_makes_everything_high_cost(self):
-        candidates = [_candidate(0, 3), _candidate(1, 5)]
-        sets = partition_by_cost(candidates, set(), set())
+        candidates = table_from_candidates([_candidate(0, 3), _candidate(1, 5)])
+        sets = partition_by_cost(candidates, set())
         assert not sets.zero_cost
         assert not sets.medium_cost
         assert len(sets.high_cost) == 2

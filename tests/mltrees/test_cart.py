@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.adc_aware_training import ADCAwareTrainer
 from repro.mltrees.cart import CARTTrainer, fit_baseline_tree
 from repro.mltrees.evaluation import accuracy_score
 from repro.mltrees.tree import LEAF
@@ -85,6 +86,30 @@ class TestCARTTrainerValidation:
         trainer = CARTTrainer(max_depth=2)
         with pytest.raises(ValueError):
             trainer.fit(np.zeros(4, dtype=int), np.zeros(4, dtype=int))
+
+
+@pytest.mark.parametrize("trainer_cls", [CARTTrainer, ADCAwareTrainer])
+class TestFitNamesBadInput:
+    """Both trainers share one validation block; bad input fails by name."""
+
+    X_LEVELS = np.array([[0, 3], [5, 9], [12, 1], [15, 7]])
+
+    def test_label_beyond_n_classes(self, trainer_cls):
+        with pytest.raises(ValueError, match=r"class labels must lie in \[0, 1\]"):
+            trainer_cls(max_depth=2).fit(self.X_LEVELS, [0, 1, 2, 2], n_classes=2)
+
+    @pytest.mark.parametrize("n_classes", [None, 3])
+    def test_negative_label(self, trainer_cls, n_classes):
+        with pytest.raises(ValueError, match="class labels must lie in"):
+            trainer_cls(max_depth=2).fit(self.X_LEVELS, [0, -1, 1, 2], n_classes)
+
+    def test_zero_feature_columns(self, trainer_cls):
+        with pytest.raises(ValueError, match="at least one feature column"):
+            trainer_cls(max_depth=2).fit(np.zeros((4, 0), dtype=int), [0, 1, 0, 1])
+
+    def test_2d_labels(self, trainer_cls):
+        with pytest.raises(ValueError, match="1-D label vector"):
+            trainer_cls(max_depth=2).fit(self.X_LEVELS, [[0], [1], [0], [1]])
 
 
 class TestBaselineDepthSelection:

@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
+from oracles.legacy_split_search import (
+    best_gini,
+    candidate_list,
+    table_from_candidates,
+)
 from repro.mltrees.gini import weighted_gini
 from repro.mltrees.split_search import (
     CandidateTable,
     SplitCandidate,
-    best_gini,
     class_histogram,
     enumerate_split_candidates,
     level_flip_matrix,
@@ -33,15 +37,15 @@ class TestClassHistogram:
 class TestEnumerateSplitCandidates:
     def test_empty_node(self, tiny_levels_dataset):
         X_levels, y = tiny_levels_dataset
-        assert enumerate_split_candidates(
+        assert candidate_list(enumerate_split_candidates(
             X_levels, y, np.array([], dtype=int), 2, 16
-        ) == []
+        )) == []
 
     def test_only_separating_thresholds_reported(self, tiny_levels_dataset):
         X_levels, y = tiny_levels_dataset
         indices = np.arange(len(y))
         candidates = enumerate_split_candidates(X_levels, y, indices, 2, 16)
-        for candidate in candidates:
+        for candidate in candidate_list(candidates):
             assert candidate.n_left > 0
             assert candidate.n_right > 0
             assert candidate.n_left + candidate.n_right == len(y)
@@ -51,7 +55,7 @@ class TestEnumerateSplitCandidates:
         indices = np.arange(len(y))
         candidates = enumerate_split_candidates(X_levels, y, indices, 2, 16)
         assert candidates, "the tiny dataset must produce candidates"
-        for candidate in candidates:
+        for candidate in candidate_list(candidates):
             expected = _brute_force_gini(
                 X_levels, y, indices, candidate.feature, candidate.threshold_level, 2
             )
@@ -61,7 +65,7 @@ class TestEnumerateSplitCandidates:
         X_levels, y = tiny_levels_dataset
         indices = np.arange(len(y))
         candidates = enumerate_split_candidates(X_levels, y, indices, 2, 16)
-        assert best_gini(candidates) == pytest.approx(0.0)
+        assert candidates.best_gini == pytest.approx(0.0)
 
     def test_min_samples_leaf_filters_candidates(self, tiny_levels_dataset):
         X_levels, y = tiny_levels_dataset
@@ -69,7 +73,7 @@ class TestEnumerateSplitCandidates:
         all_candidates = enumerate_split_candidates(X_levels, y, indices, 2, 16, 1)
         strict = enumerate_split_candidates(X_levels, y, indices, 2, 16, 3)
         assert len(strict) < len(all_candidates)
-        for candidate in strict:
+        for candidate in candidate_list(strict):
             assert candidate.n_left >= 3
             assert candidate.n_right >= 3
 
@@ -77,7 +81,7 @@ class TestEnumerateSplitCandidates:
         X_levels, y = tiny_levels_dataset
         subset = np.array([0, 1, 4, 5])
         candidates = enumerate_split_candidates(X_levels, y, subset, 2, 16)
-        for candidate in candidates:
+        for candidate in candidate_list(candidates):
             assert candidate.n_left + candidate.n_right == len(subset)
 
     def test_candidates_on_random_data_match_brute_force(self):
@@ -86,7 +90,7 @@ class TestEnumerateSplitCandidates:
         y = rng.integers(0, 3, size=60)
         indices = np.arange(60)
         candidates = enumerate_split_candidates(X_levels, y, indices, 3, 16)
-        for candidate in candidates[::7]:
+        for candidate in candidate_list(candidates)[::7]:
             expected = _brute_force_gini(
                 X_levels, y, indices, candidate.feature, candidate.threshold_level, 3
             )
@@ -123,37 +127,38 @@ class TestCandidateTable:
         order = np.lexsort((table.threshold_level, table.feature))
         np.testing.assert_array_equal(order, np.arange(len(table)))
 
-    def test_compat_view_materializes_candidates(self, table):
-        first = table[0]
+    def test_candidate_materializes_one_row(self, table):
+        first = table.candidate(0)
         assert isinstance(first, SplitCandidate)
         assert isinstance(first.gini, float)
         assert isinstance(first.threshold_level, int)
-        assert table.to_list()[0] == first
-        assert list(table)[:3] == table[:3]
+        assert candidate_list(table)[0] == first
+        last = table.candidate(len(table) - 1)
+        assert (last.feature, last.threshold_level) == (
+            table.feature[-1], table.threshold_level[-1]
+        )
 
-    def test_equality_against_candidate_lists(self, table):
-        assert table == table.to_list()
-        assert table == CandidateTable.from_candidates(table.to_list())
-        assert not (table == table.to_list()[:-1])
+    def test_equality_compares_rows(self, table):
+        assert table == table_from_candidates(candidate_list(table))
+        assert not (table == table.select(np.arange(len(table) - 1)))
+        assert table != candidate_list(table)  # no list view: tables only
 
     def test_select_by_mask(self, table):
         feature_zero = table.select(table.feature == 0)
         assert isinstance(feature_zero, CandidateTable)
         assert len(feature_zero) == int(np.sum(table.feature == 0))
-        assert all(candidate.feature == 0 for candidate in feature_zero)
+        assert np.all(feature_zero.feature == 0)
 
-    def test_best_gini_routed_through_table(self, table):
-        assert best_gini(table) == table.best_gini
-        assert table.best_gini == min(c.gini for c in table)
+    def test_best_gini_of_table_matches_candidate_list(self, table):
+        assert table.best_gini == best_gini(candidate_list(table))
         assert CandidateTable.empty().best_gini == float("inf")
-        assert best_gini(CandidateTable.empty()) == float("inf")
 
-    def test_empty_table_behaves_like_empty_sequence(self):
+    def test_empty_table(self):
         empty = CandidateTable.empty()
         assert len(empty) == 0
         assert not empty
-        assert empty == []
-        assert empty.to_list() == []
+        assert candidate_list(empty) == []
+        assert empty == table_from_candidates([])
 
 
 class TestRobustnessColumns:
@@ -185,7 +190,7 @@ class TestRobustnessColumns:
         self, table, tiny_levels_dataset
     ):
         X_levels, y = tiny_levels_dataset
-        for candidate, margin in zip(table, table.margin):
+        for candidate, margin in zip(candidate_list(table), table.margin):
             values = X_levels[:, candidate.feature]
             centers = (values + 0.5) / 16.0
             expected = np.min(np.abs(centers - candidate.threshold_level / 16.0))
@@ -194,7 +199,7 @@ class TestRobustnessColumns:
     def test_expected_flips_match_per_sample_sum(self, table, tiny_levels_dataset):
         X_levels, y = tiny_levels_dataset
         matrix = level_flip_matrix(16, self.SIGMA)
-        for candidate, flips in zip(table, table.expected_flips):
+        for candidate, flips in zip(candidate_list(table), table.expected_flips):
             values = X_levels[:, candidate.feature]
             expected = matrix[values, candidate.threshold_level - 1].mean()
             assert flips == pytest.approx(expected, rel=1e-12)
@@ -243,4 +248,4 @@ class TestRobustnessColumns:
         X_levels, y = tiny_levels_dataset
         nominal = enumerate_split_candidates(X_levels, y, np.arange(len(y)), 2, 16)
         assert table == nominal  # same split geometry, columns or not
-        assert table == nominal.to_list()
+        assert candidate_list(table) == candidate_list(nominal)

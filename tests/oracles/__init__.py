@@ -11,7 +11,8 @@ parent on ``sys.path``, so tests and benchmarks import them as
 * :mod:`oracles.variation` -- the per-sample Monte-Carlo loop, the
   reference of :func:`repro.core.variation._predict_with_offsets`;
 * :mod:`oracles.legacy_split_search` -- the object-based split
-  enumeration, the reference of the columnar trainers;
+  enumeration, the reference of the columnar trainers, and the two growth
+  loops the shared ``CARTTrainer._grow`` replaced;
 * :mod:`oracles.tree_walk` -- the linked-node tree, its recursive walk and
   the deep-copy ``approximate_tree``, the reference of the node-array
   :class:`~repro.mltrees.tree.DecisionTree`.
