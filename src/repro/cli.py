@@ -1171,7 +1171,11 @@ def _cmd_cache_clear(args: argparse.Namespace) -> int:
 
 def _cmd_cache_export(args: argparse.Namespace) -> int:
     store = _store(args)
-    path = store.export_archive(args.output)
+    try:
+        path = store.export_archive(args.output)
+    except (OSError, ValueError) as exc:
+        print(f"cache export: {exc}", file=sys.stderr)
+        return 2
     disk = store.disk_stats()
     print(
         f"exported {disk.n_entries} entries ({disk.total_bytes / 1e6:.2f} MB) "

@@ -15,9 +15,9 @@ container type (list vs tuple), and any change to the key fields -- including
 the code version baked in by default -- addresses fresh entries, which makes
 stale results from older code invisible rather than wrong.
 
-Values are stored as individual pickle files written atomically
-(``os.replace``), so concurrent writers on the same filesystem never expose
-partial entries.
+Values are stored as individual pickle files written through
+:func:`atomic_write` (temp file + ``os.replace``), so concurrent writers on
+the same filesystem never expose partial entries.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import tarfile
 import tempfile
 import time
 import uuid
+from contextlib import suppress
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
@@ -51,6 +52,52 @@ _TMP_GRACE_S = 3600.0
 #: the ``.pkl`` suffix -- flat, no path separators, so a crafted archive can
 #: never write outside the staging directory.
 _ARCHIVE_ENTRY_RE = re.compile(r"[0-9a-f]{64}\.pkl")
+
+#: Counter fields of ``_stats.json``: the store's own hit/miss/store totals
+#: (also recorded per merged source) and its store-local search counters.
+_OWN_FIELDS = ("hits", "misses", "stores")
+_SEARCH_FIELDS = ("from_cache", "trained")
+
+
+def atomic_write(path: str | Path, write) -> Path:
+    """Create or replace ``path`` all at once; returns it.
+
+    ``write(handle)`` streams the content into a binary temp file next to
+    ``path``, which ``os.replace`` then moves into place: readers see the
+    old file or the complete new one, never a partial write.  Parent
+    directories are created; the temp file is removed if ``write`` raises.
+    Every file the result store and the model registry write goes through
+    here.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            write(handle)
+        os.replace(tmp_name, path)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp_name)
+        raise
+    return path
+
+
+def _counters(raw, names: tuple[str, ...]) -> dict[str, int]:
+    """The ``names`` counters of the JSON object ``raw`` as ints.
+
+    A missing, malformed or wrong-typed value reads as 0 without affecting
+    its neighbours; a ``raw`` that is not an object reads as all zeros.
+    """
+    if not isinstance(raw, dict):
+        raw = {}
+    counters = {}
+    for name in names:
+        try:
+            counters[name] = int(raw.get(name, 0))
+        except (ValueError, TypeError):
+            counters[name] = 0
+    return counters
 
 
 def code_version() -> str:
@@ -223,16 +270,12 @@ class ResultStore:
             )
         self.touch_on_get = touch_on_get
         self.stats = StoreStats()
-        #: Snapshot of the counters at the last :meth:`flush_stats`, so the
-        #: flush only adds the delta accumulated since.
-        self._flushed = StoreStats()
-        #: Search-trial accounting of this instance (trials resolved from
-        #: cache vs. freshly trained), flushed alongside the hit/miss
-        #: counters.  Store-local: merges never absorb another store's
-        #: search counters, because a trial "trained here" is a property of
-        #: this store's history, not of the entries it happens to hold.
-        self._search = {"from_cache": 0, "trained": 0}
-        self._search_flushed = {"from_cache": 0, "trained": 0}
+        #: Counts not yet added to ``_stats.json``: the hit/miss/store
+        #: counters alongside :attr:`stats`, plus the search-trial accounting
+        #: (trials resolved from cache vs. freshly trained).  A successful
+        #: :meth:`flush_stats` zeroes them; ``stats.reset()`` does not touch
+        #: them, so resetting the public counters never loses a count.
+        self._pending = dict.fromkeys(_OWN_FIELDS + _SEARCH_FIELDS, 0)
 
     # ------------------------------------------------------------------ #
     # keys and paths
@@ -261,15 +304,14 @@ class ResultStore:
         try:
             with open(path, "rb") as handle:
                 value = pickle.load(handle)
-        except FileNotFoundError:
-            self.stats.misses += 1
-            return default
-        except Exception:
-            if self.touch_on_get:
+        except Exception as exc:
+            if self.touch_on_get and not isinstance(exc, FileNotFoundError):
                 self.invalidate(key)
             self.stats.misses += 1
+            self._pending["misses"] += 1
             return default
         self.stats.hits += 1
+        self._pending["hits"] += 1
         if self.touch_on_get:
             try:
                 # Mark recency so LRU eviction (prune_to_size) and age pruning
@@ -281,20 +323,12 @@ class ResultStore:
 
     def put(self, key: str, value) -> Path:
         """Persist ``value`` under ``key`` atomically; returns the entry path."""
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(key)
-        fd, tmp_name = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except FileNotFoundError:
-                pass
-            raise
+        path = atomic_write(
+            self.path_for(key),
+            lambda handle: pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL),
+        )
         self.stats.stores += 1
+        self._pending["stores"] += 1
         return path
 
     def __contains__(self, key: str) -> bool:
@@ -302,11 +336,7 @@ class ResultStore:
 
     def invalidate(self, key: str) -> bool:
         """Drop the entry for ``key``; True when something was removed."""
-        try:
-            os.unlink(self.path_for(key))
-            return True
-        except (FileNotFoundError, NotADirectoryError):
-            return False
+        return self._unlink(self.path_for(key))
 
     def clear(self) -> int:
         """Drop every entry; returns the number of removed entries.
@@ -314,51 +344,54 @@ class ResultStore:
         Also sweeps ``*.tmp`` files orphaned by writers killed between
         ``mkstemp`` and ``os.replace`` (those do not count as entries).
         """
-        removed = 0
-        if self.cache_dir.is_dir():
-            for path in self.cache_dir.glob("*.pkl"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except FileNotFoundError:
-                    pass
-            for path in self.cache_dir.glob("*.tmp"):
-                try:
-                    path.unlink()
-                except FileNotFoundError:
-                    pass
+        removed = sum(self._unlink(path) for path, _ in self._scan("*.pkl"))
+        for path, _ in self._scan("*.tmp"):
+            self._unlink(path)
         return removed
 
     def __len__(self) -> int:
+        return sum(1 for _ in self._scan("*.pkl"))
+
+    def _scan(self, pattern: str):
+        """Yield ``(path, stat)`` for the store files matching ``pattern``.
+
+        Files removed between the listing and the ``stat`` (a concurrent
+        eviction) are skipped; a missing store directory yields nothing.
+        """
         if not self.cache_dir.is_dir():
-            return 0
-        return sum(1 for _ in self.cache_dir.glob("*.pkl"))
+            return
+        for path in self.cache_dir.glob(pattern):
+            try:
+                stat = path.stat()
+            except FileNotFoundError:
+                continue
+            yield path, stat
+
+    @staticmethod
+    def _unlink(path: Path) -> bool:
+        """Remove ``path``; False when it was already gone."""
+        try:
+            path.unlink()
+            return True
+        except (FileNotFoundError, NotADirectoryError):
+            return False
 
     # ------------------------------------------------------------------ #
     # lifecycle tooling (repro.cli cache)
     # ------------------------------------------------------------------ #
     def disk_stats(self) -> StoreDiskStats:
         """Entry count, cumulative size and age range of the on-disk store."""
-        n_entries = 0
         total_bytes = 0
-        oldest: float | None = None
-        newest: float | None = None
-        if self.cache_dir.is_dir():
-            for path in self.cache_dir.glob("*.pkl"):
-                try:
-                    stat = path.stat()
-                except FileNotFoundError:  # concurrently evicted
-                    continue
-                n_entries += 1
-                total_bytes += stat.st_size
-                oldest = stat.st_mtime if oldest is None else min(oldest, stat.st_mtime)
-                newest = stat.st_mtime if newest is None else max(newest, stat.st_mtime)
+        mtimes = []
+        for _, stat in self._scan("*.pkl"):
+            total_bytes += stat.st_size
+            mtimes.append(stat.st_mtime)
         now = time.time()
         return StoreDiskStats(
-            n_entries=n_entries,
+            n_entries=len(mtimes),
             total_bytes=total_bytes,
-            oldest_age_s=None if oldest is None else max(0.0, now - oldest),
-            newest_age_s=None if newest is None else max(0.0, now - newest),
+            oldest_age_s=max(0.0, now - min(mtimes)) if mtimes else None,
+            newest_age_s=max(0.0, now - max(mtimes)) if mtimes else None,
         )
 
     def prune_older_than(self, max_age_s: float) -> int:
@@ -371,15 +404,10 @@ class ResultStore:
             raise ValueError("max_age_s must be >= 0")
         removed = 0
         cutoff = time.time() - max_age_s
-        if self.cache_dir.is_dir():
-            for pattern, counted in (("*.pkl", True), ("*.tmp", False)):
-                for path in self.cache_dir.glob(pattern):
-                    try:
-                        if path.stat().st_mtime < cutoff:
-                            path.unlink()
-                            removed += int(counted)
-                    except FileNotFoundError:
-                        continue
+        for pattern, counted in (("*.pkl", True), ("*.tmp", False)):
+            for path, stat in self._scan(pattern):
+                if stat.st_mtime < cutoff and self._unlink(path):
+                    removed += counted
         return removed
 
     def prune_to_size(self, max_bytes: int) -> int:
@@ -395,36 +423,19 @@ class ResultStore:
         """
         if max_bytes < 0:
             raise ValueError("max_bytes must be >= 0")
-        if not self.cache_dir.is_dir():
-            return 0
         tmp_cutoff = time.time() - _TMP_GRACE_S
-        for path in self.cache_dir.glob("*.tmp"):
-            try:
-                if path.stat().st_mtime < tmp_cutoff:
-                    path.unlink()
-            except FileNotFoundError:
-                pass
-        entries: list[tuple[float, int, Path]] = []
-        total_bytes = 0
-        for path in self.cache_dir.glob("*.pkl"):
-            try:
-                stat = path.stat()
-            except FileNotFoundError:  # concurrently evicted
-                continue
-            entries.append((stat.st_mtime, stat.st_size, path))
-            total_bytes += stat.st_size
-        entries.sort(key=lambda entry: (entry[0], str(entry[2])))
+        for path, stat in self._scan("*.tmp"):
+            if stat.st_mtime < tmp_cutoff:
+                self._unlink(path)
+        entries = sorted(self._scan("*.pkl"), key=lambda entry: (entry[1].st_mtime, str(entry[0])))
+        total_bytes = sum(stat.st_size for _, stat in entries)
         removed = 0
-        for _, size, path in entries:
+        for path, stat in entries:
             if total_bytes <= max_bytes:
                 break
-            try:
-                path.unlink()
-                removed += 1
-            except FileNotFoundError:
-                pass
+            removed += self._unlink(path)
             # A concurrently removed entry no longer occupies space either way.
-            total_bytes -= size
+            total_bytes -= stat.st_size
         return removed
 
     # ------------------------------------------------------------------ #
@@ -434,66 +445,69 @@ class ResultStore:
     def _stats_path(self) -> Path:
         return self.cache_dir / "_stats.json"
 
-    def _read_stats_file(self) -> dict:
-        """The raw ``_stats.json`` object ({} when absent or corrupt)."""
+    def _load_stats(self) -> dict:
+        """Parse ``_stats.json`` into ``{own, search, sources, store_id}``.
+
+        ``own`` holds this store's own hit/miss/store counters (merged
+        sources excluded), ``search`` its search-trial counters, ``sources``
+        the per-source counters :meth:`merge_from` absorbed (keyed by store
+        id) and ``store_id`` the persisted identity or ``None``.  An absent,
+        corrupt or wrong-typed file reads as an empty record; a malformed
+        counter reads as 0 (see :func:`_counters`) and a malformed source
+        record is dropped.
+        """
         try:
             with open(self._stats_path, "r", encoding="utf-8") as handle:
                 raw = json.load(handle)
-            return raw if isinstance(raw, dict) else {}
         except (OSError, ValueError):
-            return {}
+            raw = {}
+        if not isinstance(raw, dict):
+            raw = {}
+        sources = raw.get("sources")
+        store_id = raw.get("store_id")
+        return {
+            "own": _counters(raw, _OWN_FIELDS),
+            "search": _counters(raw.get("search"), _SEARCH_FIELDS),
+            "sources": {
+                str(source_id): _counters(counters, _OWN_FIELDS)
+                for source_id, counters in (sources if isinstance(sources, dict) else {}).items()
+                if isinstance(counters, dict)
+            },
+            "store_id": store_id if isinstance(store_id, str) and store_id else None,
+        }
 
-    def _read_lifetime_stats(self) -> dict[str, int]:
-        """This store's *own* persisted counters (merged sources excluded)."""
-        raw = self._read_stats_file()
-        try:
-            return {
-                field: int(raw.get(field, 0)) for field in ("hits", "misses", "stores")
-            }
-        except (ValueError, TypeError):
-            return {"hits": 0, "misses": 0, "stores": 0}
+    @staticmethod
+    def _stats_bytes(record: dict) -> bytes:
+        """The ``_stats.json`` rendering of a :meth:`_load_stats` record.
 
-    def _read_sources(self) -> dict[str, dict[str, int]]:
-        """Per-source counters absorbed by :meth:`merge_from`, keyed by store id."""
-        raw = self._read_stats_file().get("sources")
-        sources: dict[str, dict[str, int]] = {}
-        if isinstance(raw, dict):
-            for source_id, counters in raw.items():
-                if not isinstance(counters, dict):
-                    continue
-                try:
-                    sources[str(source_id)] = {
-                        field: int(counters.get(field, 0))
-                        for field in ("hits", "misses", "stores")
-                    }
-                except (ValueError, TypeError):
-                    continue
-        return sources
+        Key order: ``hits``, ``misses``, ``stores``, then ``search``,
+        ``sources`` and ``store_id`` when non-empty.
+        """
+        payload: dict = dict(record["own"])
+        if any(record["search"].values()):
+            payload["search"] = record["search"]
+        if record["sources"]:
+            payload["sources"] = record["sources"]
+        if record["store_id"]:
+            payload["store_id"] = record["store_id"]
+        return json.dumps(payload).encode("utf-8")
 
-    def _write_stats_file(self, payload: dict) -> bool:
+    def _save_stats(self, record: dict) -> bool:
         """Atomically rewrite ``_stats.json``; False when the store is read-only."""
+        data = self._stats_bytes(record)
         try:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
+            atomic_write(self._stats_path, lambda handle: handle.write(data))
         except OSError:
             return False
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle)
-            os.replace(tmp_name, self._stats_path)
-        except OSError:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            return False
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except FileNotFoundError:
-                pass
-            raise
         return True
+
+    def _stats_with_pending(self) -> dict:
+        """The persisted record plus this instance's unflushed counts."""
+        record = self._load_stats()
+        for counters in (record["own"], record["search"]):
+            for name in counters:
+                counters[name] += self._pending[name]
+        return record
 
     def _persistent_store_id(self, create: bool = False) -> str | None:
         """Stable identity of this store directory, persisted in ``_stats.json``.
@@ -505,30 +519,12 @@ class ResultStore:
         read-only store that never had one (its counters then simply cannot
         be aggregated).
         """
-        raw = self._read_stats_file()
-        store_id = raw.get("store_id")
-        if isinstance(store_id, str) and store_id:
-            return store_id
-        if not create:
-            return None
-        store_id = uuid.uuid4().hex
-        payload = dict(raw)
-        payload["store_id"] = store_id
-        if not self._write_stats_file(payload):
-            return None
-        return store_id
-
-    def _read_search_stats(self) -> dict[str, int]:
-        """This store's persisted search-trial counters ({0, 0} when absent)."""
-        raw = self._read_stats_file().get("search")
-        counters = {"from_cache": 0, "trained": 0}
-        if isinstance(raw, dict):
-            for field in counters:
-                try:
-                    counters[field] = int(raw.get(field, 0))
-                except (ValueError, TypeError):
-                    counters[field] = 0
-        return counters
+        record = self._load_stats()
+        if record["store_id"] is None and create:
+            record["store_id"] = uuid.uuid4().hex
+            if not self._save_stats(record):
+                return None
+        return record["store_id"]
 
     def record_search_stats(self, *, from_cache: int = 0, trained: int = 0) -> None:
         """Count search trials resolved from cache vs. freshly trained.
@@ -536,37 +532,24 @@ class ResultStore:
         :class:`repro.search.study.Study` calls this once per run; the
         counters persist to ``_stats.json`` on the next :meth:`flush_stats`
         and surface in ``repro.cli cache stats --json`` under ``search``,
-        which is what CI asserts warm-start hit rates against.
+        which is what CI asserts warm-start hit rates against.  They are
+        store-local: merges never absorb another store's search counters,
+        because a trial "trained here" is a property of this store's
+        history, not of the entries it happens to hold.
         """
         if from_cache < 0 or trained < 0:
             raise ValueError("search counters must be >= 0")
-        self._search["from_cache"] += int(from_cache)
-        self._search["trained"] += int(trained)
+        self._pending["from_cache"] += int(from_cache)
+        self._pending["trained"] += int(trained)
 
     def lifetime_search_stats(self) -> dict[str, int]:
-        """Lifetime search-trial counters: flushed file + unflushed deltas.
+        """Lifetime search-trial counters: flushed file + unflushed counts.
 
         Unlike :meth:`lifetime_stats`, merged source stores do not
         contribute -- the counters describe studies run *against this
         store*, not against the shards folded into it.
         """
-        totals = self._read_search_stats()
-        for field, delta in self._unflushed_search_delta().items():
-            totals[field] += max(0, delta)
-        return totals
-
-    def _unflushed_search_delta(self) -> dict[str, int]:
-        return {
-            field: self._search[field] - self._search_flushed[field]
-            for field in ("from_cache", "trained")
-        }
-
-    def _unflushed_delta(self) -> dict[str, int]:
-        return {
-            "hits": self.stats.hits - self._flushed.hits,
-            "misses": self.stats.misses - self._flushed.misses,
-            "stores": self.stats.stores - self._flushed.stores,
-        }
+        return self._stats_with_pending()["search"]
 
     def flush_stats(self) -> dict[str, int]:
         """Merge this instance's counters into the store's lifetime totals.
@@ -583,32 +566,9 @@ class ResultStore:
         failing the lookup.  Returns the merged lifetime totals (merged
         sources included).
         """
-        raw = self._read_stats_file()
-        own = self._read_lifetime_stats()
-        for field, delta in self._unflushed_delta().items():
-            own[field] += max(0, delta)
-        search = self._read_search_stats()
-        for field, delta in self._unflushed_search_delta().items():
-            search[field] += max(0, delta)
-        sources = self._read_sources()
-        totals = dict(own)
-        for counters in sources.values():
-            for field in totals:
-                totals[field] += counters[field]
-        payload: dict = dict(own)
-        if any(search.values()):
-            payload["search"] = search
-        if sources:
-            payload["sources"] = sources
-        store_id = raw.get("store_id")
-        if isinstance(store_id, str) and store_id:
-            payload["store_id"] = store_id
-        if self._write_stats_file(payload):
-            self._flushed = StoreStats(
-                self.stats.hits, self.stats.misses, self.stats.stores
-            )
-            self._search_flushed = dict(self._search)
-        return totals
+        if self._save_stats(self._stats_with_pending()):
+            self._pending = dict.fromkeys(self._pending, 0)
+        return self.lifetime_stats()
 
     def lifetime_stats(self) -> dict[str, int]:
         """Lifetime hit/miss/store totals across every process and merged shard.
@@ -616,12 +576,11 @@ class ResultStore:
         Flushed file + this instance's unflushed counters + the counters of
         every source store absorbed by :meth:`merge_from`.
         """
-        totals = self._read_lifetime_stats()
-        for field, delta in self._unflushed_delta().items():
-            totals[field] += max(0, delta)
-        for counters in self._read_sources().values():
-            for field in totals:
-                totals[field] += counters[field]
+        record = self._stats_with_pending()
+        totals = record["own"]
+        for counters in record["sources"].values():
+            for name in totals:
+                totals[name] += counters[name]
         return totals
 
     # ------------------------------------------------------------------ #
@@ -644,60 +603,34 @@ class ResultStore:
         if other_dir.resolve() == self.cache_dir.resolve():
             raise ValueError("cannot merge a result store into itself")
         merged = skipped = 0
-        if other_dir.is_dir():
-            entries = sorted(other_dir.glob("*.pkl"))
-            if entries:
-                self.cache_dir.mkdir(parents=True, exist_ok=True)
-            for path in entries:
-                dest = self.cache_dir / path.name
-                if dest.exists():
-                    skipped += 1
-                    continue
-                fd, tmp_name = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
-                try:
-                    with os.fdopen(fd, "wb") as handle:
-                        handle.write(path.read_bytes())
-                    os.replace(tmp_name, dest)
-                except BaseException:
-                    try:
-                        os.unlink(tmp_name)
-                    except FileNotFoundError:
-                        pass
-                    raise
-                merged += 1
+        for path in sorted(other_dir.glob("*.pkl")) if other_dir.is_dir() else ():
+            dest = self.cache_dir / path.name
+            if dest.exists():
+                skipped += 1
+                continue
+            atomic_write(dest, lambda handle: handle.write(path.read_bytes()))
+            merged += 1
         stats_merged = self._absorb_source_stats(other)
         return MergeReport(merged=merged, skipped=skipped, stats_merged=stats_merged)
 
     def _absorb_source_stats(self, other: "ResultStore") -> bool:
         """Record ``other``'s persisted counters under its store id (idempotent)."""
-        incoming = dict(other._read_sources())
-        own = other._read_lifetime_stats()
-        if any(own.values()):
+        source = other._load_stats()
+        incoming = source["sources"]
+        if any(source["own"].values()):
             source_id = other._persistent_store_id(create=True)
             if source_id is not None:
-                incoming[source_id] = own
-        if not incoming:
-            return False
-        my_id = self._persistent_store_id()
+                incoming[source_id] = source["own"]
+        record = self._load_stats()
         # Never record ourselves as our own source (A -> B -> A round trips).
-        if my_id is not None:
-            incoming.pop(my_id, None)
+        incoming.pop(record["store_id"], None)
         if not incoming:
             return False
-        sources = self._read_sources()
+        sources = record["sources"]
         if all(sources.get(sid) == counters for sid, counters in incoming.items()):
             return True  # already absorbed: re-merge changes nothing
         sources.update(incoming)
-        raw = self._read_stats_file()
-        payload: dict = self._read_lifetime_stats()
-        search = self._read_search_stats()
-        if any(search.values()):
-            payload["search"] = search
-        payload["sources"] = sources
-        store_id = raw.get("store_id")
-        if isinstance(store_id, str) and store_id:
-            payload["store_id"] = store_id
-        return self._write_stats_file(payload)
+        return self._save_stats(record)
 
     def export_archive(self, path: str | Path) -> Path:
         """Pack the whole store into a portable gzipped tar at ``path``.
@@ -708,13 +641,15 @@ class ResultStore:
         store into another one.  Written atomically; entry order, modes and
         timestamps are normalized so equal stores produce equal archives.
         This is the transport format shard CI jobs upload as artifacts.
+        Raises :class:`ValueError` when the store directory does not exist
+        (a mistyped ``--cache-dir``), before anything is written.
         """
-        path = Path(path)
+        if not self.cache_dir.is_dir():
+            raise ValueError(f"no result store at {str(self.cache_dir)!r} to export")
         self.flush_stats()  # persist this instance's counters for the trip
         store_id = self._persistent_store_id(create=True)
-        entries = (
-            sorted(self.cache_dir.glob("*.pkl")) if self.cache_dir.is_dir() else []
-        )
+        stats = self._stats_bytes(self._load_stats())
+        entries = sorted(self.cache_dir.glob("*.pkl"))
         manifest = {
             "format": "repro-result-store",
             "schema": STORE_SCHEMA_VERSION,
@@ -722,35 +657,21 @@ class ResultStore:
             "code_version": code_version(),
             "store_id": store_id,
         }
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                with tarfile.open(fileobj=handle, mode="w:gz") as tar:
 
-                    def add_member(name: str, data: bytes) -> None:
-                        info = tarfile.TarInfo(name=name)
-                        info.size = len(data)
-                        info.mtime = 0
-                        info.mode = 0o644
-                        tar.addfile(info, io.BytesIO(data))
+        def write(handle) -> None:
+            with tarfile.open(fileobj=handle, mode="w:gz") as tar:
+                for name, data in (
+                    ("manifest.json", json.dumps(manifest, sort_keys=True).encode("utf-8")),
+                    ("_stats.json", stats),
+                    *((entry.name, entry.read_bytes()) for entry in entries),
+                ):
+                    info = tarfile.TarInfo(name=name)
+                    info.size = len(data)
+                    info.mtime = 0
+                    info.mode = 0o644
+                    tar.addfile(info, io.BytesIO(data))
 
-                    add_member(
-                        "manifest.json",
-                        json.dumps(manifest, sort_keys=True).encode("utf-8"),
-                    )
-                    if self._stats_path.is_file():
-                        add_member("_stats.json", self._stats_path.read_bytes())
-                    for entry in entries:
-                        add_member(entry.name, entry.read_bytes())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except FileNotFoundError:
-                pass
-            raise
-        return path
+        return atomic_write(path, write)
 
     def import_archive(self, path: str | Path) -> MergeReport:
         """Unpack an :meth:`export_archive` file and merge it into this store.

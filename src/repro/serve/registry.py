@@ -21,8 +21,9 @@ On-disk layout (see ``docs/SERVING.md``)::
       models/<digest>.pkl          # pickled ModelArtifact (tree included)
       manifests/<name>/v<N>.json   # light manifest: no tree, greppable
 
-All writes are atomic (``mkstemp`` + ``os.replace``), mirroring the result
-store, so concurrent promotions never expose partial artifacts.
+All writes go through :func:`repro.core.store.atomic_write` (temp file +
+``os.replace``), like the result store's, so concurrent promotions never
+expose partial artifacts.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import json
 import os
 import pickle
 import re
-import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,7 +41,7 @@ from repro.core.bespoke_adc import build_bespoke_frontend
 from repro.core.datasheet import generate_datasheet
 from repro.core.design import DesignPoint
 from repro.core.metrics import HardwareReport
-from repro.core.store import code_version, content_digest
+from repro.core.store import atomic_write, code_version, content_digest
 from repro.core.unary_tree import UnaryDecisionTree
 from repro.mltrees.tree import LEAF, DecisionTree
 from repro.pdk.egfet import EGFETTechnology, default_technology
@@ -287,13 +287,14 @@ class ModelRegistry:
             ),
             created_utc=time.time(),
         )
-        self._write_atomic(
+        atomic_write(
             self.model_path(digest),
-            pickle.dumps(artifact, protocol=pickle.HIGHEST_PROTOCOL),
+            lambda handle: pickle.dump(artifact, handle, protocol=pickle.HIGHEST_PROTOCOL),
         )
-        self._write_atomic(
+        manifest = json.dumps(artifact.manifest(), sort_keys=True, indent=2)
+        atomic_write(
             self.manifest_path(name, artifact.version),
-            json.dumps(artifact.manifest(), sort_keys=True, indent=2).encode("utf-8"),
+            lambda handle: handle.write(manifest.encode("utf-8")),
         )
         return artifact
 
@@ -363,20 +364,6 @@ class ModelRegistry:
     def _next_version(self, name: str) -> int:
         known = self.versions(name)
         return (known[-1] + 1) if known else 1
-
-    def _write_atomic(self, path: Path, data: bytes) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except FileNotFoundError:
-                pass
-            raise
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ModelRegistry(registry_dir={str(self.registry_dir)!r})"

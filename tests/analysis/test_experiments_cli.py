@@ -1052,6 +1052,57 @@ class TestCacheExportImportCli:
         assert "not a result-store archive" in capsys.readouterr().err
 
 
+    def test_export_of_missing_store_fails_without_creating_it(self, capsys, tmp_path):
+        typo = tmp_path / "typo"
+        archive = tmp_path / "out" / "store.tar.gz"
+        assert main(
+            ["cache", "export", "--cache-dir", str(typo), "--output", str(archive)]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("cache export: ")
+        assert str(typo) in captured.err
+        assert "exported" not in captured.out
+        assert not typo.exists()
+        assert not archive.parent.exists()
+
+
+class TestArchiveTransportCounts:
+    def test_shard_archives_assemble_with_exact_lifetime_counts(self, capsys, tmp_path):
+        """Two shard stores travel as archives into a third store; its
+        lifetime counters are exactly the shards' misses/stores plus the
+        assemble hits, and re-assembling adds hits only."""
+        import json
+
+        archives = []
+        for index in (1, 2):
+            shard_dir = tmp_path / f"shard{index}"
+            assert main(
+                ["suite", "--datasets", "seeds", "--shard", f"{index}/2",
+                 "--cache-dir", str(shard_dir)]
+            ) == 0
+            archive = tmp_path / f"shard{index}.tar.gz"
+            assert main(
+                ["cache", "export", "--cache-dir", str(shard_dir),
+                 "--output", str(archive)]
+            ) == 0
+            archives += ["--from-archive", str(archive)]
+
+        merged = tmp_path / "merged"
+        lifetimes = []
+        for _ in range(2):
+            assert main(
+                ["assemble", "--datasets", "seeds", "--cache-dir", str(merged),
+                 *archives]
+            ) == 0
+            capsys.readouterr()
+            assert main(["cache", "stats", "--json", "--cache-dir", str(merged)]) == 0
+            stats = json.loads(capsys.readouterr().out)
+            assert stats["entries"]["n_entries"] == 51  # 2 suite + 49 point units
+            lifetimes.append(stats["lifetime"])
+        assert lifetimes[0] == {"hits": 100, "misses": 51, "stores": 51}
+        assert lifetimes[1] == {"hits": 200, "misses": 51, "stores": 51}
+
+
 class TestAssembleArchiveErrors:
     def test_missing_archive_diagnosed_not_traceback(self, capsys, tmp_path):
         assert main(

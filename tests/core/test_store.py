@@ -10,7 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.store import ResultStore, code_version, content_digest, make_key
+from repro.core.store import (
+    ResultStore,
+    atomic_write,
+    code_version,
+    content_digest,
+    make_key,
+)
 
 #: A pickle holding a tree in the linked-node layout of store schema 2.
 LEGACY_TREE_PAYLOAD = (
@@ -765,3 +771,82 @@ class TestSearchStats:
             "from_cache": 0,
             "trained": 1,
         }
+
+
+#: ``_stats.json`` written by the previous implementation: own counters, a
+#: ``search`` section, two merged sources (the first absorbed transitively,
+#: through the second) and a ``store_id``.
+STATS_FIXTURE = Path(__file__).parent / "fixtures" / "stats_record.json"
+#: ``repro.cli cache stats --json --cache-dir store`` on a store holding only
+#: that file, as printed by the same implementation.
+STATS_FIXTURE_GOLDEN = Path(__file__).parent / "fixtures" / "stats_record.cache_stats.json"
+
+
+class TestStatsBookkeeping:
+    def test_reset_does_not_lose_later_counts(self, store):
+        """Regression: after ``stats.reset()`` the hits counted before the
+        next flush used to be dropped from the lifetime totals."""
+        key = make_key(n=1)
+        store.put(key, "x")
+        for _ in range(5):
+            store.get(key)
+        assert store.flush_stats() == {"hits": 5, "misses": 0, "stores": 1}
+        store.stats.reset()
+        for _ in range(3):
+            store.get(key)
+        assert store.lifetime_stats()["hits"] == 8
+        assert store.flush_stats() == {"hits": 8, "misses": 0, "stores": 1}
+        assert ResultStore(cache_dir=store.cache_dir).lifetime_stats()["hits"] == 8
+        assert store.stats.hits == 3
+
+    def test_malformed_counter_zeroes_only_itself(self, store):
+        store.cache_dir.mkdir()
+        (store.cache_dir / "_stats.json").write_text(
+            json.dumps(
+                {
+                    "hits": "many",
+                    "misses": 4,
+                    "stores": 2,
+                    "search": {"from_cache": [], "trained": 3},
+                    "sources": {"a": {"hits": None, "misses": 1}, "b": "junk"},
+                }
+            )
+        )
+        assert store.lifetime_stats() == {"hits": 0, "misses": 5, "stores": 2}
+        assert store.lifetime_search_stats() == {"from_cache": 0, "trained": 3}
+
+
+class TestStatsFileFormat:
+    @pytest.fixture()
+    def fixture_store(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "store").mkdir()
+        (tmp_path / "store" / "_stats.json").write_bytes(STATS_FIXTURE.read_bytes())
+        return ResultStore(cache_dir="store")
+
+    def test_cache_stats_json_matches_golden(self, fixture_store, capsys):
+        from repro.cli import main
+
+        assert main(["cache", "stats", "--json", "--cache-dir", "store"]) == 0
+        assert capsys.readouterr().out == STATS_FIXTURE_GOLDEN.read_text()
+
+    def test_flush_with_nothing_pending_rewrites_byte_identically(self, fixture_store):
+        assert fixture_store.flush_stats() == {"hits": 5, "misses": 9, "stores": 5}
+        assert (
+            fixture_store.cache_dir / "_stats.json"
+        ).read_bytes() == STATS_FIXTURE.read_bytes()
+
+
+class TestAtomicWrite:
+    def test_failed_write_leaves_old_file_and_no_temp(self, tmp_path):
+        path = tmp_path / "deep" / "file.bin"
+        assert atomic_write(path, lambda handle: handle.write(b"old")) == path
+
+        def explode(handle):
+            handle.write(b"partial")
+            raise RuntimeError("writer died")
+
+        with pytest.raises(RuntimeError):
+            atomic_write(path, explode)
+        assert path.read_bytes() == b"old"
+        assert sorted(p.name for p in path.parent.iterdir()) == ["file.bin"]
