@@ -56,7 +56,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from repro.core.codesign import CoDesignFramework, CoDesignResult, select_designs
-from repro.core.design import DesignPoint, DesignSpec
+from repro.core.design import DesignPoint, DesignSpec, evaluate_family
 from repro.core.executor import Executor, get_executor
 from repro.core.exploration import (
     DEFAULT_DEPTHS,
@@ -292,28 +292,33 @@ def _suite_units(
     ]
 
 
-def _compute_unit(unit: WorkUnit, ppa_backend=None, tree=None):
-    """Top-level (picklable) job: compute one work unit from scratch.
+def _compute_job(units: list[WorkUnit], ppa_backend=None, tree=None) -> list:
+    """Top-level (picklable) job: compute ``units`` from scratch, in order.
 
-    A ``variation`` unit simulates ``tree`` when the caller holds its point's
-    tree and retrains it otherwise -- deterministically, so a unit computed
-    on a shard that owns none of its benchmark's points is bit-identical to
-    one computed next to the suite.
+    A job is one reference unit, one variation unit, or the point units of
+    one depth family (:func:`~repro.core.design.evaluate_family`: one fit,
+    cut at every depth).  A ``variation`` unit simulates ``tree`` when the
+    caller holds its point's tree and retrains it otherwise --
+    deterministically, so a unit computed on a shard that owns none of its
+    benchmark's points is bit-identical to one computed next to the suite.
     """
+    unit = units[0]
+    if unit.kind == "point":
+        return evaluate_family([point.spec for point in units], ppa_backend)
     if unit.kind == "suite":
         framework = CoDesignFramework(
             seed=unit.seed,
             include_approximate_baseline=unit.params["include_approximate_baseline"],
             ppa_backend=ppa_backend,
         )
-        return framework.run_reference(DesignSpec(unit.dataset, unit.seed).data().dataset)
-    if unit.kind == "point":
-        return unit.spec.evaluate(ppa_backend=ppa_backend)
-    return unit.spec.simulate(
-        unit.params["sigma_v"],
-        unit.params["n_trials"],
-        tree if tree is not None else _variation_classifier(unit.spec),
-    )
+        return [framework.run_reference(DesignSpec(unit.dataset, unit.seed).data().dataset)]
+    return [
+        unit.spec.simulate(
+            unit.params["sigma_v"],
+            unit.params["n_trials"],
+            tree if tree is not None else _variation_classifier(unit.spec),
+        )
+    ]
 
 
 def _resolve_units(
@@ -335,6 +340,16 @@ def _resolve_units(
     :class:`~repro.core.sharding.MissingResultsError` listing every miss
     instead of computing.  Returns the values by store key and the keys
     this call computed.
+
+    One job is one reference unit, one variation unit, or every point miss
+    of one depth family (specs equal but for ``depth``).  ADC-aware trees
+    grow breadth-first, so a family's depth-d tree is its deepest tree cut
+    at d (the prefix property of
+    :class:`~repro.core.adc_aware_training.ADCAwareTrainer`): the job trains
+    the deepest missing point once and cuts it for the others, and the
+    49-point grid costs seven fits.  Whatever the grouping, each point is
+    still probed, keyed, stored and sharded on its own, and its entry is
+    byte-identical to a per-point :meth:`~repro.core.design.DesignSpec.evaluate`.
     """
     values: dict[str, object] = {}
     pending: dict[str, WorkUnit] = {}
@@ -352,21 +367,26 @@ def _resolve_units(
             [(unit.label, unit.store_key) for unit in pending.values()]
         )
 
-    def compute(batch: list[WorkUnit], trees: dict) -> None:
-        if not batch:
+    def compute(jobs: list[list[WorkUnit]], trees: dict) -> None:
+        if not jobs:
             return
-        tasks = [(unit, ppa_backend, trees.get(unit.spec)) for unit in batch]
-        for unit, value in zip(batch, executor.map(_compute_unit, tasks)):
-            if store is not None:
-                store.put(unit.store_key, value)
-            values[unit.store_key] = value
+        tasks = [(job, ppa_backend, trees.get(job[0].spec)) for job in jobs]
+        for job, job_values in zip(jobs, executor.map(_compute_job, tasks)):
+            for unit, value in zip(job, job_values):
+                if store is not None:
+                    store.put(unit.store_key, value)
+                values[unit.store_key] = value
 
-    compute([unit for unit in pending.values() if unit.kind != "variation"], {})
+    jobs: dict[object, list[WorkUnit]] = {}
+    for key, unit in pending.items():
+        if unit.kind != "variation":
+            jobs.setdefault(unit.spec.family if unit.kind == "point" else key, []).append(unit)
+    compute(list(jobs.values()), {})
     trees = dict(trees or {})
     trees.update(
         (unit.spec, values[unit.store_key].tree) for unit in units if unit.kind == "point"
     )
-    compute([unit for unit in pending.values() if unit.kind == "variation"], trees)
+    compute([[unit] for unit in pending.values() if unit.kind == "variation"], trees)
     return values, tuple(pending)
 
 

@@ -93,6 +93,18 @@ class ADCAwareTrainer(CARTTrainer):
     the cost of future selections -- evolves in the node order of
     Algorithm 1.  Node ids are therefore breadth-first.
 
+    Breadth-first growth gives the trees a *prefix property*: the tree
+    grown at ``max_depth=d`` equals the tree grown at any larger
+    ``max_depth`` (same knobs) cut at ``d``
+    (:meth:`~repro.mltrees.tree.DecisionTree.truncated`).  The FIFO frontier
+    pops, numbers and splits every node shallower than ``d`` -- drawing its
+    tie-break and placing its comparator -- before it pops any depth-``d``
+    node, so the deeper growth only begins once the shallower tree's nodes,
+    ids, random draws and placed pairs are all fixed; and a depth-``d`` node
+    of the shallower tree is a leaf that draws nothing.  The sweep therefore
+    trains one tree per depth family
+    (:func:`~repro.core.design.evaluate_family`).
+
     Parameters
     ----------
     gini_threshold:

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.baselines.balaskas import BalaskasApproximateDesign, fit_balaskas_design
 from repro.baselines.mubarik import BaselineBespokeDesign
-from repro.core.design import DesignPoint, DesignSpec, proposed_hardware_report
+from repro.core.design import DesignPoint, DesignSpec, evaluate_family, proposed_hardware_report
 from repro.core.exploration import (
     DEFAULT_DEPTHS,
     DEFAULT_TAUS,
@@ -243,22 +243,27 @@ class CoDesignFramework:
     ) -> list[DesignPoint]:
         """Run the ADC-aware depth x tau sweep, one :class:`DesignSpec` per point.
 
-        In memory and serial; the cached, fanned-out sweep of the same
-        points is :func:`~repro.analysis.experiments.run_benchmark_suite`.
+        In memory and serial; each tau's depths are one depth family, trained
+        once (:func:`~repro.core.design.evaluate_family`).  The cached,
+        fanned-out sweep of the same points is
+        :func:`~repro.analysis.experiments.run_benchmark_suite`.
         """
-        return [
-            DesignSpec(
-                dataset.name, self.seed, depth, tau, self.resolution_bits,
-                technology=self.technology,
-                test_size=self.test_size,
-                training_sigma=self.training_sigma,
-                robustness_weight=self.robustness_weight,
-            ).evaluate_levels(
-                X_train_levels, y_train, X_test_levels, y_test, dataset.n_classes,
-                ppa_backend=self.ppa_backend,
-            )
-            for depth, tau in grid_points(self.depths, self.taus)
-        ]
+        arrays = (X_train_levels, y_train, X_test_levels, y_test, dataset.n_classes)
+        by_tau = {}
+        for tau in self.taus:
+            family = [
+                DesignSpec(
+                    dataset.name, self.seed, depth, tau, self.resolution_bits,
+                    technology=self.technology,
+                    test_size=self.test_size,
+                    training_sigma=self.training_sigma,
+                    robustness_weight=self.robustness_weight,
+                )
+                for depth in self.depths
+            ]
+            points = evaluate_family(family, self.ppa_backend, arrays)
+            by_tau[tau] = dict(zip(self.depths, points))
+        return [by_tau[tau][depth] for depth, tau in grid_points(self.depths, self.taus)]
 
     def run_approximate_baseline(
         self,

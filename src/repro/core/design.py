@@ -9,9 +9,12 @@ hardware cost.  It is fully determined by a few configuration fields, and
   :class:`DesignPoint` entry of the :class:`~repro.core.store.ResultStore`),
   and :meth:`DesignSpec.variation_key` derives the identity of its
   comparator-offset Monte-Carlo summary at one (sigma, trials);
-* :meth:`DesignSpec.evaluate` (or :meth:`DesignSpec.evaluate_levels` on
-  pre-quantized arrays) is the only recipe that trains, scores and costs
-  the point, :meth:`DesignSpec.train` the tree-only half of it.
+* :func:`evaluate_family` is the only recipe that trains, scores and costs
+  points: a *depth family* -- specs that differ only in ``depth`` -- costs
+  one fit, because each depth's tree is the deepest tree cut at that depth.
+  :meth:`DesignSpec.evaluate` (or :meth:`DesignSpec.evaluate_levels` on
+  pre-quantized arrays) is its one-spec case, :meth:`DesignSpec.train` the
+  tree-only half of it.
 
 The suite sweep, sharded work units, search trials, Monte-Carlo units, the
 model registry and the CLI all go through it, so two entry points asking
@@ -21,6 +24,7 @@ cache entries.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 
@@ -243,10 +247,16 @@ class DesignSpec:
             ("robustness_weight", robustness_weight),
         ):
             object.__setattr__(self, name, value)
+        self.trainer()  # rejects depth < 1, tau < 0 and resolution_bits < 1
 
     # ------------------------------------------------------------------ #
     # identity
     # ------------------------------------------------------------------ #
+    @property
+    def family(self) -> tuple:
+        """Every field but ``depth``: the specs :func:`evaluate_family` trains together."""
+        return tuple(getattr(self, f.name) for f in fields(self) if f.name != "depth")
+
     @property
     def label(self) -> str:
         """Human-readable name used in plans and error listings."""
@@ -321,28 +331,15 @@ class DesignSpec:
         ppa_backend=None,
     ) -> DesignPoint:
         """Train, score and cost the point on pre-quantized arrays."""
-        tree = self.trainer().fit(X_train_levels, y_train, n_classes)
-        return DesignPoint(
-            dataset=self.dataset,
-            depth=self.depth,
-            tau=self.tau,
-            accuracy=evaluate_tree_accuracy(tree, X_test_levels, y_test),
-            hardware=proposed_hardware_report(
-                tree,
-                self.technology,
-                name=f"codesign[d={self.depth},tau={self.tau:g}]",
-                ppa_backend=ppa_backend,
-            ),
-            tree=tree,
+        (point,) = evaluate_family(
+            [self], ppa_backend, (X_train_levels, y_train, X_test_levels, y_test, n_classes)
         )
+        return point
 
     def evaluate(self, ppa_backend=None) -> DesignPoint:
         """Train, score and cost the point on its benchmark split."""
-        data = self.data()
-        return self.evaluate_levels(
-            data.X_train_levels, data.y_train, data.X_test_levels, data.y_test,
-            data.n_classes, ppa_backend=ppa_backend,
-        )
+        (point,) = evaluate_family([self], ppa_backend)
+        return point
 
     def simulate(
         self,
@@ -368,3 +365,46 @@ class DesignSpec:
             seed=self.seed,
             jobs=jobs,
         )
+
+
+def evaluate_family(
+    specs: Sequence[DesignSpec], ppa_backend=None, arrays: tuple | None = None
+) -> list[DesignPoint]:
+    """Train, score and cost a depth family of design points with one fit.
+
+    The specs must share their :attr:`DesignSpec.family` (differ only in
+    ``depth``).  The ADC-aware trainer grows breadth-first, so a depth-d
+    tree is the deepest spec's tree cut at d
+    (:meth:`~repro.mltrees.tree.DecisionTree.truncated`): the family is
+    trained once, at its deepest spec, and every point is scored and costed
+    on its own cut.  ``arrays`` -- ``(X_train_levels, y_train,
+    X_test_levels, y_test, n_classes)`` -- replaces the specs' benchmark
+    split.  Returns the points in ``specs`` order.
+    """
+    if len({spec.family for spec in specs}) > 1:
+        raise ValueError("the specs of a depth family may differ only in depth")
+    deepest = max(specs, key=lambda spec: spec.depth)
+    if arrays is None:
+        data = deepest.data()
+        arrays = (
+            data.X_train_levels, data.y_train, data.X_test_levels, data.y_test, data.n_classes,
+        )
+    X_train_levels, y_train, X_test_levels, y_test, n_classes = arrays
+    tree = deepest.trainer().fit(X_train_levels, y_train, n_classes)
+    cuts = [tree.truncated(spec.depth) for spec in specs]
+    return [
+        DesignPoint(
+            dataset=spec.dataset,
+            depth=spec.depth,
+            tau=spec.tau,
+            accuracy=evaluate_tree_accuracy(cut, X_test_levels, y_test),
+            hardware=proposed_hardware_report(
+                cut,
+                spec.technology,
+                name=f"codesign[d={spec.depth},tau={spec.tau:g}]",
+                ppa_backend=ppa_backend,
+            ),
+            tree=cut,
+        )
+        for spec, cut in zip(specs, cuts)
+    ]

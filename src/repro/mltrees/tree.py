@@ -37,7 +37,9 @@ One grower, ``CARTTrainer._grow``, builds every trainer's tree as linked
 :class:`TreeNode` records and hands the root to the constructor, which
 flattens it once.  The node ids are the grower's numbering: a node takes
 its id when it leaves the frontier, so ids are pre-order for CART (LIFO
-frontier) and breadth-first for the ADC-aware trainer (FIFO frontier).
+frontier) and breadth-first for the ADC-aware trainer (FIFO frontier).  A
+breadth-first tree's nodes down to any depth are a prefix of its arrays,
+which is what lets :meth:`DecisionTree.truncated` cut it by slicing.
 """
 
 from __future__ import annotations
@@ -178,6 +180,36 @@ class DecisionTree:
         clone = object.__new__(DecisionTree)
         clone.__dict__.update(self.__dict__)
         clone._adopt({"threshold": threshold})
+        return clone
+
+    def truncated(self, depth: int) -> DecisionTree:
+        """This tree cut at ``depth``: its nodes down to ``depth``, the deepest made leaves.
+
+        Only a tree whose nodes at depth ``<= depth`` are the ids
+        ``0..n-1`` -- a breadth-first tree -- can be cut by slicing its
+        arrays; anything else (a pre-order CART tree) raises ``ValueError``.
+        """
+        if depth < 0:
+            raise ValueError("depth must be >= 0")
+        if depth >= self.depth:
+            return self
+        n_nodes = int(np.count_nonzero(self.node_depth <= depth))
+        if self.node_depth[:n_nodes].max() > depth:
+            raise ValueError(
+                f"the nodes at depth <= {depth} are not ids 0..{n_nodes - 1}: "
+                "only a breadth-first tree can be truncated"
+            )
+        arrays = {name: getattr(self, name)[:n_nodes].copy() for name in NODE_ARRAYS}
+        cut = np.flatnonzero(arrays["node_depth"] == depth)
+        arrays["feature"][cut], arrays["threshold"][cut] = LEAF, 0
+        arrays["left"][cut] = arrays["right"][cut] = cut
+        # Attributes in __init__'s order: a cut pickles byte for byte like the
+        # tree trained at ``depth``, so store entries do not depend on which it is.
+        clone = object.__new__(DecisionTree)
+        clone.n_features = self.n_features
+        clone.n_classes = self.n_classes
+        clone.resolution_bits = self.resolution_bits
+        clone._adopt(arrays)
         return clone
 
     def __eq__(self, other: object) -> bool:

@@ -71,6 +71,22 @@ class TestCanonicalIdentity:
         with pytest.raises(ValueError, match="robustness_weight"):
             DesignSpec("seeds", robustness_weight=-1.0)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("depth", 0, "max_depth must be at least 1"),
+            ("depth", -3, "max_depth must be at least 1"),
+            ("tau", -0.1, "the Gini tolerance tau must be >= 0"),
+            ("resolution_bits", 0, "resolution_bits must be at least 1"),
+        ],
+    )
+    def test_invalid_grid_fields_rejected_on_construction(self, field, value, message):
+        """Before anything keys, groups or trains the point, with the trainer's words."""
+        with pytest.raises(ValueError, match=message):
+            DesignSpec("seeds", **{field: value})
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(DesignSpec("seeds"), **{field: value})
+
 
 class TestRecipe:
     def test_framework_run_equals_the_suite_on_the_same_grid(self):
