@@ -40,11 +40,17 @@ def quantize_to_level(value: float, resolution_bits: int) -> int:
 
 
 def quantize_array_to_levels(values: np.ndarray, resolution_bits: int) -> np.ndarray:
-    """Vectorized version of :func:`quantize_to_level` for feature matrices."""
+    """Vectorized version of :func:`quantize_to_level` for feature matrices.
+
+    A NaN has no level (it would cast to ``INT64_MIN``) and raises
+    ``ValueError``; infinities clip like any out-of-range input.
+    """
     if resolution_bits < 1:
         raise ValueError("resolution must be at least 1 bit")
     n_levels = 2 ** resolution_bits
     clipped = np.clip(np.asarray(values, dtype=float), 0.0, 1.0)
+    if np.isnan(clipped).any():
+        raise ValueError("cannot quantize NaN samples")
     levels = np.floor(clipped * n_levels + 1e-12).astype(np.int64)
     return np.minimum(levels, n_levels - 1)
 

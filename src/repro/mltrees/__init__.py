@@ -5,7 +5,7 @@ index on inputs normalized to ``[0, 1]`` and quantized to 4 bits.  Everything
 is implemented from scratch (no scikit-learn) so the ADC-aware trainer of the
 co-design core can reuse the same split-scoring machinery:
 
-* :mod:`repro.mltrees.tree` -- tree node / tree containers and prediction,
+* :mod:`repro.mltrees.tree` -- the node-array tree container and prediction,
 * :mod:`repro.mltrees.gini` -- Gini impurity utilities,
 * :mod:`repro.mltrees.split_search` -- vectorized enumeration of candidate
   splits (feature, quantized threshold) with their Gini scores,
@@ -17,7 +17,7 @@ co-design core can reuse the same split-scoring machinery:
   per-feature required unary digits extracted from a trained tree.
 """
 
-from repro.mltrees.tree import DecisionTree, TreeNode
+from repro.mltrees.tree import DecisionTree
 from repro.mltrees.gini import gini_impurity, weighted_gini
 from repro.mltrees.split_search import (
     CandidateTable,
@@ -37,7 +37,6 @@ from repro.mltrees.render import render_tree_text, tree_to_dot
 
 __all__ = [
     "DecisionTree",
-    "TreeNode",
     "gini_impurity",
     "weighted_gini",
     "CandidateTable",

@@ -30,7 +30,7 @@ from repro.mltrees.split_search import (
     class_histogram,
     enumerate_split_candidates,
 )
-from repro.mltrees.tree import DecisionTree, TreeNode
+from repro.mltrees.tree import LEAF, DecisionTree, _from_table
 
 #: Gini scores closer than this are considered equal for tie-breaking.
 GINI_TIE_TOLERANCE = 1e-12
@@ -129,7 +129,10 @@ class CARTTrainer:
         frontier of this class grows, numbers and draws tie-breaks in
         pre-order; :attr:`_breadth_first` makes it a FIFO.  Each split is
         chosen by :meth:`_select_split`, which also sees the ``(feature,
-        threshold_level)`` pairs placed so far.
+        threshold_level)`` pairs placed so far.  A node appends its
+        node-table row (a leaf's until its split is chosen) when it takes its
+        id and writes the id into its parent's row; the table becomes the
+        tree's node arrays.
         """
         X_levels = np.asarray(X_levels, dtype=np.int64)
         y = np.asarray(y, dtype=np.int64)
@@ -159,23 +162,21 @@ class CARTTrainer:
 
         rng = random.Random(self.seed)
         placed: set[tuple[int, int]] = set()
-        nodes: list[TreeNode] = []
-        # (sample indices, depth, parent, side of the parent it hangs on)
-        frontier = deque([(np.arange(len(y)), 0, None, "")])
+        # node-table rows: feature, threshold, left, right, prediction,
+        # n_samples, node_depth, then the class counts
+        rows: list[list[int]] = []
+        # (sample indices, depth, parent row, its left (2) or right (3) column)
+        frontier = deque([(np.arange(len(y)), 0, None, 0)])
         pop = frontier.popleft if self._breadth_first else frontier.pop
         while frontier:
             indices, depth, parent, side = pop()
+            node_id = len(rows)
             counts = class_histogram(y[indices], n_classes)
-            node = TreeNode(
-                node_id=len(nodes),
-                prediction=int(np.argmax(counts)),
-                n_samples=int(indices.size),
-                class_counts=tuple(int(c) for c in counts),
-                depth=depth,
-            )
-            nodes.append(node)
+            prediction, n_samples = int(np.argmax(counts)), int(indices.size)
+            row = [LEAF, 0, node_id, node_id, prediction, n_samples, depth, *counts.tolist()]
+            rows.append(row)
             if parent is not None:
-                setattr(parent, side, node)
+                parent[side] = node_id
 
             is_pure = int(np.count_nonzero(counts)) <= 1
             if depth >= self.max_depth or is_pure or indices.size < self.min_samples_split:
@@ -191,18 +192,14 @@ class CARTTrainer:
             if left_indices.size == 0 or right_indices.size == 0:
                 continue
 
-            node.feature = split.feature
-            node.threshold_level = split.threshold_level
+            row[:2] = split.feature, split.threshold_level
             placed.add((split.feature, split.threshold_level))
-            children = [
-                (left_indices, depth + 1, node, "left"),
-                (right_indices, depth + 1, node, "right"),
-            ]
+            children = [(left_indices, depth + 1, row, 2), (right_indices, depth + 1, row, 3)]
             # a LIFO frontier pops the last push first: push the right child first
             frontier.extend(children if self._breadth_first else reversed(children))
 
         return DecisionTree(
-            root=nodes[0],
+            _from_table(np.array(rows)),
             n_features=X_levels.shape[1],
             n_classes=n_classes,
             resolution_bits=self.resolution_bits,

@@ -33,13 +33,14 @@ tree); on test-set-sized batches it is about 4x faster, and on batches of
 hundreds of thousands of rows somewhat slower, since every row takes every
 step (measurements in ``docs/KERNELS.md``).
 
-One grower, ``CARTTrainer._grow``, builds every trainer's tree as linked
-:class:`TreeNode` records and hands the root to the constructor, which
-flattens it once.  The node ids are the grower's numbering: a node takes
-its id when it leaves the frontier, so ids are pre-order for CART (LIFO
-frontier) and breadth-first for the ADC-aware trainer (FIFO frontier).  A
-breadth-first tree's nodes down to any depth are a prefix of its arrays,
-which is what lets :meth:`DecisionTree.truncated` cut it by slicing.
+One grower, ``CARTTrainer._grow``, writes every trainer's tree in this
+layout: a node appends its row of the node table when it takes its id, and
+the id goes into its parent's ``left`` or ``right`` entry.  The node ids are
+the grower's numbering: a node takes its id when it leaves the frontier, so
+ids are pre-order for CART (LIFO frontier) and breadth-first for the
+ADC-aware trainer (FIFO frontier).  A breadth-first tree's nodes down to any
+depth are a prefix of its arrays, which is what lets
+:meth:`DecisionTree.truncated` cut it by slicing.
 """
 
 from __future__ import annotations
@@ -65,13 +66,10 @@ _TABLE_COLUMNS = tuple(name for name in NODE_ARRAYS if name != "class_counts")
 
 @dataclass
 class TreeNode:
-    """One node of a tree under construction.
+    """A node of the linked trees that pickles written before the array layout hold.
 
-    The trainers grow trees as linked nodes and pass the root to
-    :class:`DecisionTree`, which flattens them into its arrays.  Decision
-    nodes carry ``feature`` and ``threshold_level``; leaves carry only the
-    majority-class ``prediction``.  Every node stores the class histogram of
-    the training samples that reached it.
+    Nothing builds these; the class exists so such pickles (schema-2
+    registry artifacts) still load.  A leaf's ``feature`` is ``None``.
     """
 
     node_id: int
@@ -84,26 +82,15 @@ class TreeNode:
     right: "TreeNode | None" = None
     depth: int = 0
 
-    @property
-    def is_leaf(self) -> bool:
-        """True when the node has no split (no children)."""
-        return self.feature is None
 
-    def threshold_value(self, resolution_bits: int) -> float:
-        """Threshold expressed on the normalized ``[0, 1]`` scale."""
-        if self.threshold_level is None:
-            raise ValueError(f"node {self.node_id} is a leaf and has no threshold")
-        return self.threshold_level / (2 ** resolution_bits)
-
-
-def _flatten(root: TreeNode) -> dict[str, np.ndarray]:
-    """The :data:`NODE_ARRAYS` of the linked tree under ``root``, by node id."""
+def _flatten(root: TreeNode) -> np.ndarray:
+    """The node table of the linked tree under ``root``, one row per node id."""
     rows: dict[int, tuple] = {}
     stack, n_nodes = [(root, 0)], 0
     while stack:
         node, depth = stack.pop()
         n_nodes += 1
-        if node.is_leaf:
+        if node.feature is None:
             split = (LEAF, 0, node.node_id, node.node_id)
         else:
             split = (node.feature, node.threshold_level, node.left.node_id, node.right.node_id)
@@ -111,7 +98,7 @@ def _flatten(root: TreeNode) -> dict[str, np.ndarray]:
         rows[node.node_id] = (*split, node.prediction, node.n_samples, depth, *node.class_counts)
     if root.node_id != 0 or sorted(rows) != list(range(n_nodes)):
         raise ValueError("node ids must number the nodes 0..n-1 with the root at 0")
-    return _from_table(np.array([rows[node_id] for node_id in range(n_nodes)], dtype=np.int64))
+    return np.array([rows[node_id] for node_id in range(n_nodes)], dtype=np.int64)
 
 
 def _from_table(table: np.ndarray) -> dict[str, np.ndarray]:
@@ -125,13 +112,13 @@ def _from_table(table: np.ndarray) -> dict[str, np.ndarray]:
 class DecisionTree:
     """A trained, quantized decision-tree classifier.
 
-    Its nodes live in the read-only :data:`NODE_ARRAYS` attributes laid out
-    in the module docstring.
+    ``nodes`` maps each of :data:`NODE_ARRAYS` to its array, laid out as in
+    the module docstring; the tree keeps them as read-only attributes.
     """
 
     def __init__(
         self,
-        root: TreeNode,
+        nodes: dict[str, np.ndarray],
         n_features: int,
         n_classes: int,
         resolution_bits: int = 4,
@@ -145,11 +132,9 @@ class DecisionTree:
         self.n_features = n_features
         self.n_classes = n_classes
         self.resolution_bits = resolution_bits
-        self._adopt(_flatten(root))
-
-    def _adopt(self, arrays: dict[str, np.ndarray]) -> None:
-        """Install node arrays read-only, so trees may share them safely."""
-        for name, array in arrays.items():
+        # Read-only, so trees may share node arrays safely.
+        for name in NODE_ARRAYS:
+            array = np.asarray(nodes[name], dtype=np.int64)
             array.flags.writeable = False
             setattr(self, name, array)
 
@@ -166,9 +151,8 @@ class DecisionTree:
     def __setstate__(self, state: dict) -> None:
         # Pickles written before the array layout hold the linked root.
         root = state.pop("root", None)
-        table = state.pop("nodes", None)
-        self.__dict__.update(state)
-        self._adopt(_flatten(root) if root is not None else _from_table(table))
+        table = _flatten(root) if root is not None else state.pop("nodes")
+        self.__init__(_from_table(table), **state)
 
     def with_thresholds(self, threshold: np.ndarray) -> DecisionTree:
         """This tree with its ``threshold`` array replaced (other arrays shared)."""
@@ -177,10 +161,8 @@ class DecisionTree:
             raise ValueError(
                 f"expected {self.threshold.shape[0]} thresholds, got shape {threshold.shape}"
             )
-        clone = object.__new__(DecisionTree)
-        clone.__dict__.update(self.__dict__)
-        clone._adopt({"threshold": threshold})
-        return clone
+        nodes = {name: getattr(self, name) for name in NODE_ARRAYS} | {"threshold": threshold}
+        return DecisionTree(nodes, self.n_features, self.n_classes, self.resolution_bits)
 
     def truncated(self, depth: int) -> DecisionTree:
         """This tree cut at ``depth``: its nodes down to ``depth``, the deepest made leaves.
@@ -199,18 +181,11 @@ class DecisionTree:
                 f"the nodes at depth <= {depth} are not ids 0..{n_nodes - 1}: "
                 "only a breadth-first tree can be truncated"
             )
-        arrays = {name: getattr(self, name)[:n_nodes].copy() for name in NODE_ARRAYS}
-        cut = np.flatnonzero(arrays["node_depth"] == depth)
-        arrays["feature"][cut], arrays["threshold"][cut] = LEAF, 0
-        arrays["left"][cut] = arrays["right"][cut] = cut
-        # Attributes in __init__'s order: a cut pickles byte for byte like the
-        # tree trained at ``depth``, so store entries do not depend on which it is.
-        clone = object.__new__(DecisionTree)
-        clone.n_features = self.n_features
-        clone.n_classes = self.n_classes
-        clone.resolution_bits = self.resolution_bits
-        clone._adopt(arrays)
-        return clone
+        nodes = {name: getattr(self, name)[:n_nodes].copy() for name in NODE_ARRAYS}
+        cut = np.flatnonzero(nodes["node_depth"] == depth)
+        nodes["feature"][cut], nodes["threshold"][cut] = LEAF, 0
+        nodes["left"][cut] = nodes["right"][cut] = cut
+        return DecisionTree(nodes, self.n_features, self.n_classes, self.resolution_bits)
 
     def __eq__(self, other: object) -> bool:
         """Structural equality: same node arrays and metadata.
@@ -329,8 +304,11 @@ class DecisionTree:
         children).
         """
         X_levels = np.asarray(X_levels)
-        if X_levels.ndim != 2:
-            raise ValueError("expected a 2-D matrix of quantized samples")
+        if X_levels.ndim != 2 or X_levels.shape[1] != self.n_features:
+            raise ValueError(
+                f"expected a 2-D matrix of quantized samples with {self.n_features} "
+                f"columns, got shape {X_levels.shape}"
+            )
         rows = np.arange(len(X_levels))
         node = np.zeros(len(X_levels), dtype=np.int64)
         for _ in range(self.depth):

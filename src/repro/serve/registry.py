@@ -147,10 +147,10 @@ def artifact_digest(
 
 
 def _node_form(tree: DecisionTree, node: int) -> dict:
-    """The subtree under ``node`` as nested ``TreeNode`` fields.
+    """The subtree under ``node`` as the nested fields of a linked node record.
 
     This is the canonical form the digest has hashed since trees were linked
-    ``TreeNode`` records, so artifact identities survive the array layout.
+    records, so artifact identities survive the array layout.
     """
     is_leaf = int(tree.feature[node]) == LEAF
     return {

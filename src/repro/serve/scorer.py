@@ -18,6 +18,8 @@ alone, regardless of how requests interleave -- property-tested in
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.adc.thermometer import quantize_array_to_levels
@@ -86,11 +88,16 @@ class AsyncScorer:
         return int(self.kernel.predict_levels(levels)[0])
 
     def _as_row(self, sample) -> np.ndarray:
+        # Checked per request, so a bad sample never fails a shared flush.
         row = np.asarray(sample, dtype=float)
         if row.shape != (self.n_features,):
             raise ValueError(
                 f"expected a ({self.n_features},) sample, got shape {row.shape}"
             )
+        # A finite sum proves every value finite (NaN and infinities propagate),
+        # so only a bad or overflowing row pays for the elementwise check.
+        if not math.isfinite(sum(row.tolist())) and not np.isfinite(row).all():
+            raise ValueError(f"sample values must be finite, got {row.tolist()}")
         return row
 
     # ------------------------------------------------------------------ #

@@ -50,6 +50,16 @@ class TestQuantization:
         )
         np.testing.assert_array_equal(levels, expected)
 
+    def test_nan_has_no_level(self):
+        """A NaN used to cast to INT64_MIN; infinities clip like any out-of-range value."""
+        with pytest.raises(ValueError, match="NaN"):
+            quantize_array_to_levels(np.array([[0.5, np.nan]]), 4)
+        with pytest.raises(ValueError):
+            quantize_to_level(float("nan"), 4)
+        np.testing.assert_array_equal(
+            quantize_array_to_levels(np.array([[-np.inf, np.inf]]), 4), [[0, 15]]
+        )
+
 
 class TestThermometerCodes:
     def test_roundtrip_all_levels(self):

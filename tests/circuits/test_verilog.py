@@ -14,7 +14,7 @@ from repro.circuits.verilog import (
     verilog_net_names,
 )
 from repro.core.unary_tree import UnaryDecisionTree
-from repro.mltrees.tree import DecisionTree, TreeNode
+from repro.mltrees.tree import LEAF, DecisionTree
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -170,18 +170,17 @@ class TestNetlistToVerilog:
 def _golden_depth2_tree() -> DecisionTree:
     """A hand-built depth-2, 3-class tree: x0 >= 8 -> class 2, else x1 >= 4
     splits class 1 from class 0."""
-    leaf0 = TreeNode(node_id=3, prediction=0, n_samples=4, class_counts=(4, 0, 0))
-    leaf1 = TreeNode(node_id=4, prediction=1, n_samples=4, class_counts=(0, 4, 0))
-    leaf2 = TreeNode(node_id=2, prediction=2, n_samples=8, class_counts=(0, 0, 8))
-    inner = TreeNode(
-        node_id=1, prediction=0, n_samples=8, class_counts=(4, 4, 0),
-        feature=1, threshold_level=4, left=leaf0, right=leaf1,
-    )
-    root = TreeNode(
-        node_id=0, prediction=2, n_samples=16, class_counts=(4, 4, 8),
-        feature=0, threshold_level=8, left=inner, right=leaf2,
-    )
-    return DecisionTree(root, n_features=2, n_classes=3, resolution_bits=4)
+    nodes = {
+        "feature": [0, 1, LEAF, LEAF, LEAF],
+        "threshold": [8, 4, 0, 0, 0],
+        "left": [1, 3, 2, 3, 4],
+        "right": [2, 4, 2, 3, 4],
+        "prediction": [2, 0, 2, 0, 1],
+        "n_samples": [16, 8, 8, 4, 4],
+        "class_counts": [[4, 4, 8], [4, 4, 0], [0, 0, 8], [4, 0, 0], [0, 4, 0]],
+        "node_depth": [0, 1, 1, 2, 2],
+    }
+    return DecisionTree(nodes, n_features=2, n_classes=3, resolution_bits=4)
 
 
 class TestGoldenExport:

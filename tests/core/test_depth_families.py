@@ -17,7 +17,8 @@ import pickle
 import numpy as np
 import pytest
 
-from oracles.tree_walk import LinkedTree, capture_roots
+from oracles.legacy_split_search import LegacyADCAwareGrowth
+from oracles.tree_walk import LinkedTree
 from repro.analysis import experiments
 from repro.analysis.experiments import (
     FAST_DATASETS,
@@ -93,7 +94,7 @@ def _cut_linked(root: TreeNode, depth: int) -> TreeNode:
     stack = [root]
     while stack:
         node = stack.pop()
-        if node.is_leaf:
+        if node.feature is None:
             continue
         if node.depth == depth:
             node.feature = node.threshold_level = node.left = node.right = None
@@ -105,11 +106,15 @@ def _cut_linked(root: TreeNode, depth: int) -> TreeNode:
 class TestTruncated:
     @pytest.fixture(scope="class")
     def bfs(self):
-        """A depth-6 breadth-first tree, its linked root and the split it saw."""
+        """A depth-6 breadth-first tree, the old loop's linked root and the split."""
         spec = DesignSpec("vertebral_3c", 0, 6, 0.01)
-        with capture_roots() as roots:
-            tree = spec.train()
-        return tree, roots[-1].root, spec.data()
+        data = spec.data()
+        linked = LegacyADCAwareGrowth.fit_linked(
+            spec.trainer(), data.X_train_levels, data.y_train, data.n_classes
+        )
+        tree = spec.train()
+        assert tree == linked.to_tree()
+        return tree, linked.root, data
 
     def test_at_or_beyond_the_depth_returns_an_equal_tree(self, bfs):
         tree, _, _ = bfs
@@ -150,14 +155,19 @@ class TestTruncated:
 
     def test_preorder_tree_with_a_deeper_left_subtree_raises(self):
         """CART numbers nodes in pre-order: its shallow nodes are no prefix."""
-        def leaf(node_id, depth):
-            return TreeNode(node_id, 0, 1, (1, 0), depth=depth)
-
-        left = TreeNode(1, 0, 2, (1, 1), feature=0, threshold_level=3,
-                        left=leaf(2, 2), right=leaf(3, 2), depth=1)
-        root = TreeNode(0, 0, 3, (2, 1), feature=1, threshold_level=5,
-                        left=left, right=leaf(4, 1))
-        tree = DecisionTree(root, n_features=2, n_classes=2)
+        tree = DecisionTree(
+            {
+                "feature": [1, 0, LEAF, LEAF, LEAF],
+                "threshold": [5, 3, 0, 0, 0],
+                "left": [1, 2, 2, 3, 4],
+                "right": [4, 3, 2, 3, 4],
+                "prediction": [0, 0, 0, 0, 0],
+                "n_samples": [3, 2, 1, 1, 1],
+                "class_counts": [[2, 1], [1, 1], [1, 0], [1, 0], [1, 0]],
+                "node_depth": [0, 1, 2, 2, 1],
+            },
+            n_features=2, n_classes=2,
+        )
         with pytest.raises(ValueError, match="breadth-first"):
             tree.truncated(1)
         assert tree.truncated(2) == tree

@@ -5,41 +5,33 @@ import pickle
 import numpy as np
 import pytest
 
+from oracles.tree_walk import LinkedTree
 from repro.mltrees.tree import LEAF, DecisionTree, TreeNode
+
+#: Node arrays of the hand-built tree: root on feature 0 >= 8, right child
+#: (node 2) on feature 1 >= 4.
+MANUAL_NODES = {
+    "feature": [0, LEAF, 1, LEAF, LEAF],
+    "threshold": [8, 0, 4, 0, 0],
+    # leaves are their own children
+    "left": [1, 1, 3, 3, 4],
+    "right": [2, 1, 4, 3, 4],
+    "prediction": [0, 0, 1, 1, 2],
+    "n_samples": [8, 4, 4, 2, 2],
+    "class_counts": [[4, 2, 2], [4, 0, 0], [0, 2, 2], [0, 2, 0], [0, 0, 2]],
+    "node_depth": [0, 1, 1, 2, 2],
+}
 
 
 def _manual_tree() -> DecisionTree:
-    """Hand-built tree: root on feature 0 >= 8, right child on feature 1 >= 4."""
-    leaf_left = TreeNode(node_id=1, prediction=0, n_samples=4, class_counts=(4, 0, 0), depth=1)
-    leaf_rl = TreeNode(node_id=3, prediction=1, n_samples=2, class_counts=(0, 2, 0), depth=2)
-    leaf_rr = TreeNode(node_id=4, prediction=2, n_samples=2, class_counts=(0, 0, 2), depth=2)
-    right = TreeNode(
-        node_id=2, prediction=1, n_samples=4, class_counts=(0, 2, 2),
-        feature=1, threshold_level=4, left=leaf_rl, right=leaf_rr, depth=1,
-    )
-    root = TreeNode(
-        node_id=0, prediction=0, n_samples=8, class_counts=(4, 2, 2),
-        feature=0, threshold_level=8, left=leaf_left, right=right, depth=0,
-    )
-    return DecisionTree(root=root, n_features=3, n_classes=3, resolution_bits=4)
+    return DecisionTree(MANUAL_NODES, n_features=3, n_classes=3, resolution_bits=4)
 
 
-class TestTreeNode:
-    def test_leaf_detection(self):
-        leaf = TreeNode(node_id=0, prediction=1, n_samples=3, class_counts=(0, 3))
-        assert leaf.is_leaf
-        assert not TreeNode(node_id=0, prediction=0, n_samples=1, class_counts=(1, 0),
-                            feature=0, threshold_level=8).is_leaf
-
-    def test_threshold_value(self):
-        node = TreeNode(node_id=0, prediction=0, n_samples=1, class_counts=(1, 0),
-                        feature=0, threshold_level=8)
-        assert node.threshold_value(4) == pytest.approx(0.5)
-
-    def test_threshold_value_on_leaf_raises(self):
-        leaf = TreeNode(node_id=0, prediction=0, n_samples=1, class_counts=(1,))
-        with pytest.raises(ValueError):
-            leaf.threshold_value(4)
+def _lone_leaf() -> dict:
+    return {
+        "feature": [LEAF], "threshold": [0], "left": [0], "right": [0],
+        "prediction": [0], "n_samples": [1], "class_counts": [[1, 0]], "node_depth": [0],
+    }
 
 
 class TestDecisionTreeStructure:
@@ -61,29 +53,40 @@ class TestDecisionTreeStructure:
         assert tree.required_levels() == {0: (8,), 1: (4,)}
 
     def test_validation_of_constructor(self):
-        root = TreeNode(node_id=0, prediction=0, n_samples=1, class_counts=(1, 0))
         with pytest.raises(ValueError):
-            DecisionTree(root, n_features=0, n_classes=2)
+            DecisionTree(_lone_leaf(), n_features=0, n_classes=2)
         with pytest.raises(ValueError):
-            DecisionTree(root, n_features=2, n_classes=1)
+            DecisionTree(_lone_leaf(), n_features=2, n_classes=1)
         with pytest.raises(ValueError):
-            DecisionTree(root, n_features=2, n_classes=2, resolution_bits=0)
+            DecisionTree(_lone_leaf(), n_features=2, n_classes=2, resolution_bits=0)
 
 
 class TestArrayLayout:
     def test_nodes_are_stored_by_node_id(self):
         tree = _manual_tree()
-        assert tree.feature.tolist() == [0, LEAF, 1, LEAF, LEAF]
-        assert tree.threshold.tolist() == [8, 0, 4, 0, 0]
-        # leaves are their own children
-        assert tree.left.tolist() == [1, 1, 3, 3, 4]
-        assert tree.right.tolist() == [2, 1, 4, 3, 4]
-        assert tree.prediction.tolist() == [0, 0, 1, 1, 2]
-        assert tree.n_samples.tolist() == [8, 4, 4, 2, 2]
-        assert tree.class_counts.tolist() == [
-            [4, 2, 2], [4, 0, 0], [0, 2, 2], [0, 2, 0], [0, 0, 2],
-        ]
-        assert tree.node_depth.tolist() == [0, 1, 1, 2, 2]
+        for name, values in MANUAL_NODES.items():
+            array = getattr(tree, name)
+            assert array.dtype == np.int64 and array.tolist() == values, name
+
+    def test_linked_pickle_state_loads_by_node_id(self):
+        """A pickle written before the array layout holds the linked root.
+
+        Its nodes' own ``depth`` fields are not read: depths come from the links.
+        """
+        leaf_left = TreeNode(node_id=1, prediction=0, n_samples=4, class_counts=(4, 0, 0))
+        leaf_rl = TreeNode(node_id=3, prediction=1, n_samples=2, class_counts=(0, 2, 0))
+        leaf_rr = TreeNode(node_id=4, prediction=2, n_samples=2, class_counts=(0, 0, 2))
+        right = TreeNode(
+            node_id=2, prediction=1, n_samples=4, class_counts=(0, 2, 2),
+            feature=1, threshold_level=4, left=leaf_rl, right=leaf_rr,
+        )
+        root = TreeNode(
+            node_id=0, prediction=0, n_samples=8, class_counts=(4, 2, 2),
+            feature=0, threshold_level=8, left=leaf_left, right=right,
+        )
+        loaded = LinkedTree(root, n_features=3, n_classes=3).to_tree()
+        assert loaded == _manual_tree()
+        assert pickle.dumps(loaded) == pickle.dumps(_manual_tree())
 
     def test_preorder_and_paths(self):
         tree = _manual_tree()
@@ -117,12 +120,13 @@ class TestArrayLayout:
 
     @pytest.mark.parametrize("ids", [(1, 2, 3), (0, 1, 1), (0, 1, 3)])
     def test_node_ids_must_number_the_nodes(self, ids):
+        """A linked pickle state whose ids are not 0..n-1 does not load."""
         left = TreeNode(node_id=ids[1], prediction=0, n_samples=1, class_counts=(1, 0))
         right = TreeNode(node_id=ids[2], prediction=1, n_samples=1, class_counts=(0, 1))
         root = TreeNode(node_id=ids[0], prediction=0, n_samples=2, class_counts=(1, 1),
                         feature=0, threshold_level=8, left=left, right=right)
         with pytest.raises(ValueError, match="node id"):
-            DecisionTree(root, n_features=1, n_classes=2)
+            LinkedTree(root, n_features=1, n_classes=2).to_tree()
 
 
 class TestDecisionTreePrediction:
@@ -150,6 +154,20 @@ class TestDecisionTreePrediction:
         tree = _manual_tree()
         with pytest.raises(ValueError):
             tree.predict_levels(np.array([1, 2, 3]))
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_predict_levels_requires_one_column_per_feature(self, width):
+        """Too few columns used to fail with a bare IndexError, too many passed."""
+        tree = _manual_tree()
+        with pytest.raises(ValueError, match=rf"with 3 columns, got shape \(5, {width}\)"):
+            tree.predict_levels(np.zeros((5, width), dtype=np.int64))
+        with pytest.raises(ValueError, match="3 columns"):
+            tree.predict_one_level([9] * width)
+
+    def test_predict_rejects_nan_samples(self):
+        tree = _manual_tree()
+        with pytest.raises(ValueError, match="NaN"):
+            tree.predict(np.array([[0.9, np.nan, 0.0]]))
 
     def test_trained_tree_consistency(self, small_tree, small_split):
         """Raw-feature prediction equals quantized-level prediction."""

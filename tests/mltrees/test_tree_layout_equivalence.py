@@ -1,15 +1,16 @@
 """Tree layout equivalence: node arrays vs the linked-node oracle.
 
-:class:`~repro.mltrees.tree.DecisionTree` flattens the trainers' linked
-:class:`~repro.mltrees.tree.TreeNode` graphs into parallel node arrays,
-predicts with a depth-bounded gather and approximates baseline [7]'s trees
-with one transform of the ``threshold`` array.  These tests pit all three
-against the retained linked-node implementation (``tests/oracles/
-tree_walk.py``):
+The trainers write :class:`~repro.mltrees.tree.DecisionTree`'s parallel
+node arrays as they grow; the tree predicts with a depth-bounded gather and
+approximates baseline [7]'s trees with one transform of the ``threshold``
+array.  These tests pit all three against the retained linked-node
+implementation (``tests/oracles/tree_walk.py``) and the linked trees the
+retained growth loops build (``tests/oracles/legacy_split_search.py``):
 
-* node for node, the arrays hold exactly what each trainer built, under the
-  trainer's own numbering (CART pre-order, ADC-aware breadth-first), across
-  every registered benchmark, several seeds and several tau values;
+* node for node, each trainer's arrays hold exactly the linked tree its old
+  loop grows, under the trainer's own numbering (CART pre-order, ADC-aware
+  breadth-first), across every registered benchmark, several seeds and
+  several tau values;
 * the gather predicts what the recursive walk predicts, on random levels,
   for a lone leaf, an empty batch and a depth-10 tree;
 * ``approximate_tree`` equals the deep-copy version for every per-feature
@@ -24,7 +25,8 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles.tree_walk import LinkedTree, capture_roots, linked_approximate_tree
+from oracles.legacy_split_search import LegacyADCAwareGrowth, LegacyCARTGrowth
+from oracles.tree_walk import LinkedTree, linked_approximate_tree
 from repro.baselines.balaskas import approximate_tree
 from repro.core.adc_aware_training import ADCAwareTrainer
 from repro.datasets.registry import dataset_names, load_dataset
@@ -67,7 +69,7 @@ def _assert_same_nodes(tree, linked: LinkedTree) -> None:
     assert tree.n_nodes == len(nodes)
     for node in nodes:
         index = node.node_id
-        if node.is_leaf:
+        if node.feature is None:
             assert (tree.feature[index], tree.threshold[index]) == (LEAF, 0)
             assert tree.left[index] == tree.right[index] == index
         else:
@@ -83,18 +85,19 @@ def _assert_same_nodes(tree, linked: LinkedTree) -> None:
     assert tree.comparisons() == linked.comparisons()
 
 
-def _assert_trainers_flatten_faithfully(name: str, quantized_split) -> None:
+def _assert_trainers_grow_the_linked_trees(name: str, quantized_split) -> None:
     X_train, y_train, X_test, n_classes = quantized_split(name)
     for seed in SEEDS:
-        with capture_roots() as linked:
-            cart = CARTTrainer(max_depth=DEPTH, seed=seed).fit(X_train, y_train, n_classes)
-            aware = [
-                ADCAwareTrainer(max_depth=DEPTH, gini_threshold=tau, seed=seed).fit(
-                    X_train, y_train, n_classes
-                )
-                for tau in TAUS
-            ]
-        assert len(linked) == 1 + len(TAUS)
+        trainers = [(CARTTrainer(max_depth=DEPTH, seed=seed), LegacyCARTGrowth)]
+        trainers += [
+            (ADCAwareTrainer(max_depth=DEPTH, gini_threshold=tau, seed=seed), LegacyADCAwareGrowth)
+            for tau in TAUS
+        ]
+        cart, *aware = [trainer.fit(X_train, y_train, n_classes) for trainer, _ in trainers]
+        linked = [
+            old_loop.fit_linked(trainer, X_train, y_train, n_classes)
+            for trainer, old_loop in trainers
+        ]
         for tree, link in zip([cart, *aware], linked):
             _assert_same_nodes(tree, link)
             np.testing.assert_array_equal(
@@ -107,14 +110,14 @@ def _assert_trainers_flatten_faithfully(name: str, quantized_split) -> None:
 
 
 @pytest.mark.parametrize("name", SMALL_DATASETS)
-def test_trainers_flatten_faithfully_small(name, quantized_split):
-    _assert_trainers_flatten_faithfully(name, quantized_split)
+def test_trainers_grow_the_linked_trees_small(name, quantized_split):
+    _assert_trainers_grow_the_linked_trees(name, quantized_split)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", LARGE_DATASETS)
-def test_trainers_flatten_faithfully_large(name, quantized_split):
-    _assert_trainers_flatten_faithfully(name, quantized_split)
+def test_trainers_grow_the_linked_trees_large(name, quantized_split):
+    _assert_trainers_grow_the_linked_trees(name, quantized_split)
 
 
 # ---------------------------------------------------------------------- #
@@ -188,10 +191,11 @@ def test_empty_batch(depth):
 # ---------------------------------------------------------------------- #
 def test_approximate_tree_matches_oracle_for_every_bit_assignment(quantized_split):
     X_train, y_train, X_test, n_classes = quantized_split("seeds")
-    with capture_roots() as linked:
-        # Four inputs keep the exhaustive sweep at 4**4 assignments.
-        tree = CARTTrainer(max_depth=5, seed=0).fit(X_train[:, :4], y_train, n_classes)
-    (link,) = linked
+    # Four inputs keep the exhaustive sweep at 4**4 assignments.
+    trainer = CARTTrainer(max_depth=5, seed=0)
+    tree = trainer.fit(X_train[:, :4], y_train, n_classes)
+    link = LegacyCARTGrowth.fit_linked(trainer, X_train[:, :4], y_train, n_classes)
+    _assert_same_nodes(tree, link)
     features = tree.used_features()
     assert len(features) >= 3
     for assignment in itertools.product(range(1, 5), repeat=len(features)):

@@ -16,17 +16,22 @@ It further keeps the two tree-growth loops that the shared
 trainer (:class:`LegacyCARTGrowth`) and the breadth-first queue loop of the
 ADC-aware trainer (:class:`LegacyADCAwareGrowth`), copied verbatim except
 that the split choice goes through the three-argument hook
-``_select_split(candidates, placed, rng)``.  Each loop is a ``fit`` that
-drives its trainer's ``_node_candidates`` / ``_select_split`` hooks, so
-``LegacyCARTGrowth.fit(trainer, ...)`` grows a production trainer's tree
-the old way.
+``_select_split(candidates, placed, rng)`` and that the loop returns the
+linked :class:`~oracles.tree_walk.LinkedTree` it built.  Each loop is a
+``fit_linked`` that drives its trainer's ``_node_candidates`` /
+``_select_split`` hooks, so ``LegacyCARTGrowth.fit_linked(trainer, ...)``
+grows a production trainer's tree the old way, as linked nodes; ``fit``
+converts that tree through the legacy pickle-state path
+(:meth:`~oracles.tree_walk.LinkedTree.to_tree`).
 
 No production path uses it.  It exists so that
 
 * the trainer-equivalence tests can assert that the columnar trainers
   produce node-for-node identical trees (same RNG stream, same tie-breaks),
 * the growth-equivalence tests can assert that the shared loop grows, numbers
-  and draws exactly like the two loops it replaced, and
+  and draws exactly like the two loops it replaced,
+* the layout-equivalence and depth-family tests can compare the production
+  node arrays with the linked nodes the old loops build, and
 * ``benchmarks/bench_training_throughput.py`` can measure the columnar
   speedup against the true historical hot loop
 
@@ -43,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from oracles.tree_walk import LinkedTree
 from repro.core.adc_aware_training import ADCAwareTrainer
 from repro.mltrees.cart import CARTTrainer, GINI_TIE_TOLERANCE
 from repro.mltrees.split_search import (
@@ -175,6 +181,12 @@ class LegacyCARTGrowth:
     """The CART trainer's recursive growth loop: pre-order ids and draws."""
 
     def fit(self, X_levels: np.ndarray, y: np.ndarray, n_classes: int | None = None) -> DecisionTree:
+        """The array-layout tree of :meth:`fit_linked`."""
+        return LegacyCARTGrowth.fit_linked(self, X_levels, y, n_classes).to_tree()
+
+    def fit_linked(
+        self, X_levels: np.ndarray, y: np.ndarray, n_classes: int | None = None
+    ) -> LinkedTree:
         """Train a tree on quantized features.
 
         Parameters
@@ -240,7 +252,7 @@ class LegacyCARTGrowth:
             return node
 
         root = build(np.arange(len(y)), 0)
-        return DecisionTree(
+        return LinkedTree(
             root=root,
             n_features=X_levels.shape[1],
             n_classes=n_classes,
@@ -254,6 +266,12 @@ class LegacyADCAwareGrowth:
     def fit(
         self, X_levels: np.ndarray, y: np.ndarray, n_classes: int | None = None
     ) -> DecisionTree:
+        """The array-layout tree of :meth:`fit_linked`."""
+        return LegacyADCAwareGrowth.fit_linked(self, X_levels, y, n_classes).to_tree()
+
+    def fit_linked(
+        self, X_levels: np.ndarray, y: np.ndarray, n_classes: int | None = None
+    ) -> LinkedTree:
         """Train an ADC-aware tree on quantized features.
 
         The tree is grown breadth-first so that the global set of already
@@ -330,7 +348,7 @@ class LegacyADCAwareGrowth:
             queue.append((node.left, left_indices))
             queue.append((node.right, right_indices))
 
-        return DecisionTree(
+        return LinkedTree(
             root=root,
             n_features=X_levels.shape[1],
             n_classes=n_classes,

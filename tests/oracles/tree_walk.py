@@ -5,19 +5,20 @@ parallel arrays, it held the trainer's linked
 :class:`~repro.mltrees.tree.TreeNode` root, predicted batches with a
 recursive walk that split the row indices at every node, and baseline [7]
 approximated a tree by deep-copying that node graph and rewriting each
-threshold.  This module keeps those three pieces verbatim:
+threshold.  This module keeps those pieces verbatim:
 
 * :class:`LinkedTree` -- traversal, structure queries and both predictors
-  of the linked layout;
-* :func:`linked_approximate_tree` -- the deep-copy ``approximate_tree``;
-* :func:`capture_roots` -- a context manager recording the linked root
-  each trainer hands to the ``DecisionTree`` constructor, so the tests can
-  check the flattening against what the trainer actually built.
+  of the linked layout, plus :meth:`LinkedTree.to_tree`, which loads the
+  linked root the way a pickle written before the array layout loads;
+* :func:`linked_approximate_tree` -- the deep-copy ``approximate_tree``.
+
+The linked trees the trainers used to build come from the retained growth
+loops in :mod:`oracles.legacy_split_search` (``fit_linked``).  A node is a
+leaf when its ``feature`` is ``None``.
 """
 
 from __future__ import annotations
 
-import contextlib
 import copy
 
 import numpy as np
@@ -42,20 +43,20 @@ class LinkedTree:
         while stack:
             node = stack.pop()
             result.append(node)
-            if not node.is_leaf:
+            if node.feature is not None:
                 stack.append(node.right)
                 stack.append(node.left)
         return result
 
     def decision_nodes(self) -> list[TreeNode]:
         """All internal (splitting) nodes."""
-        return [node for node in self.nodes() if not node.is_leaf]
+        return [node for node in self.nodes() if node.feature is not None]
 
     @property
     def depth(self) -> int:
         """Depth of the tree (a lone leaf has depth 0)."""
         def walk(node: TreeNode) -> int:
-            if node.is_leaf:
+            if node.feature is None:
                 return 0
             return 1 + max(walk(node.left), walk(node.right))
 
@@ -68,7 +69,7 @@ class LinkedTree:
     def predict_one_level(self, levels) -> int:
         """Predict the class of a single sample given as quantized levels."""
         node = self.root
-        while not node.is_leaf:
+        while node.feature is not None:
             if levels[node.feature] >= node.threshold_level:
                 node = node.right
             else:
@@ -85,7 +86,7 @@ class LinkedTree:
         def walk(node: TreeNode, indices: np.ndarray) -> None:
             if indices.size == 0:
                 return
-            if node.is_leaf:
+            if node.feature is None:
                 predictions[indices] = node.prediction
                 return
             mask = X_levels[indices, node.feature] >= node.threshold_level
@@ -96,8 +97,20 @@ class LinkedTree:
         return predictions
 
     def to_tree(self) -> DecisionTree:
-        """The array-layout tree of this linked tree."""
-        return DecisionTree(self.root, self.n_features, self.n_classes, self.resolution_bits)
+        """The array-layout tree of this linked tree, loaded as a pre-array pickle.
+
+        Unpickling calls ``__setstate__`` on a bare instance with the old
+        ``__dict__``; its legacy ``root`` branch is the only flattening of a
+        linked tree there is.
+        """
+        tree = DecisionTree.__new__(DecisionTree)
+        tree.__setstate__({
+            "root": self.root,
+            "n_features": self.n_features,
+            "n_classes": self.n_classes,
+            "resolution_bits": self.resolution_bits,
+        })
+        return tree
 
 
 def linked_approximate_tree(tree: LinkedTree, per_feature_bits: dict[int, int]) -> LinkedTree:
@@ -115,23 +128,3 @@ def linked_approximate_tree(tree: LinkedTree, per_feature_bits: dict[int, int]) 
         node.threshold_level = max(node.threshold_level >> shift, 1) << shift
     return clone
 
-
-@contextlib.contextmanager
-def capture_roots():
-    """Record every ``DecisionTree`` built inside the block as a :class:`LinkedTree`.
-
-    Yields the list the linked trees are appended to, in construction order.
-    """
-    captured: list[LinkedTree] = []
-    original = DecisionTree.__init__
-
-    def spy(self, root, n_features, n_classes, resolution_bits=4):
-        captured.append(LinkedTree(copy.deepcopy(root), n_features, n_classes,
-                                   resolution_bits))
-        original(self, root, n_features, n_classes, resolution_bits)
-
-    DecisionTree.__init__ = spy
-    try:
-        yield captured
-    finally:
-        DecisionTree.__init__ = original

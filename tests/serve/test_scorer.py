@@ -181,3 +181,36 @@ class TestValidation:
         scorer = AsyncScorer(small_tree)
         with pytest.raises(ValueError, match="sample"):
             scorer.score_one(np.zeros(N_FEATURES - 1))
+
+    def test_non_finite_sample_fails_alone(self, small_tree, rows):
+        """A NaN or infinite request raises; the requests beside it in the flush
+        still get their labels.  A NaN used to quantize to INT64_MIN and score."""
+        expected = expected_labels(small_tree, rows[:2])
+        nan_row, inf_row = rows[2].copy(), rows[3].copy()
+        nan_row[1], inf_row[4] = np.nan, np.inf
+
+        async def scenario():
+            config = BatchingConfig(max_batch_size=64, max_wait_us=50_000.0)
+            async with AsyncScorer(small_tree, config=config) as scorer:
+                results = await asyncio.gather(
+                    scorer.score(rows[0]), scorer.score(nan_row),
+                    scorer.score(rows[1]), scorer.score(inf_row),
+                    return_exceptions=True,
+                )
+                return results, scorer.stats
+
+        (first, nan_error, second, inf_error), stats = run(scenario())
+        assert [first, second] == list(expected)
+        for error in (nan_error, inf_error):
+            assert isinstance(error, ValueError) and "finite" in str(error)
+        assert (stats.n_requests, stats.n_flushes) == (2, 1)
+
+    def test_score_one_rejects_non_finite_samples(self, small_tree, rows):
+        scorer = AsyncScorer(small_tree)
+        sample = rows[0].copy()
+        sample[0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            scorer.score_one(sample)
+        # Finite values whose sum overflows are valid: they clip to full scale.
+        huge = np.full(N_FEATURES, 1e308)
+        assert scorer.score_one(huge) == scorer.score_one(np.ones(N_FEATURES))
