@@ -12,10 +12,17 @@ the trained-tree count is honest, not a warm-start artifact.  The exhaustive
 side reuses the ordinary suite sweep (cached across nightly runs).  Rows
 land in ``BENCH_search.json``; ``speedup`` is the trained-tree ratio
 (grid / study), gated by ``benchmarks/baselines.json``.
+
+The ``sampler_ask`` row times the sampler alone: the array-scoring
+:class:`ParetoTPESampler` against the scalar scorer it replaced
+(``tests/oracles/tpe_scalar.py``), both fed the same tells in one process
+on the paper space; ``speedup`` is the ratio of their total ``ask`` time.
 """
 
 import os
 import time
+
+from oracles.tpe_scalar import ScalarTPESampler
 
 from repro.analysis.experiments import run_benchmark_suite
 from repro.analysis.render import render_table
@@ -28,6 +35,8 @@ BATCH_SIZE = 3
 GRID_SIZE = 49  # |depths 2..8| x |taus 0..0.03 step 0.005|
 MIN_HV_RATIO = 0.95
 MIN_SPEEDUP = 5.0
+ASK_TRIALS = 32
+ASK_BATCH = 4
 
 
 def _reference_point(fronts) -> tuple[float, ...]:
@@ -96,6 +105,41 @@ def _measure(seed: int, jobs, grid_store: ResultStore, tmp_path):
     return rows
 
 
+def _synthetic_objectives(config) -> tuple[float, float]:
+    """A deterministic depth/tau trade-off standing in for a trained tree."""
+    depth, tau = config["depth"], config["tau"]
+    return (8.0 - depth) + 30.0 * tau, depth * depth * (1.0 - 10.0 * tau)
+
+
+def _time_asks(sampler_type):
+    """Config ids and total ``ask`` seconds of one synthetic paper study."""
+    space = paper_space()
+    sampler = sampler_type(space, seed=0)
+    ids, elapsed_s = [], 0.0
+    while len(ids) < ASK_TRIALS:
+        start = time.perf_counter()
+        batch = sampler.ask(ASK_BATCH)
+        elapsed_s += time.perf_counter() - start
+        for config in batch:
+            ids.append(space.config_id(config))
+            sampler.tell(config, _synthetic_objectives(config))
+    return ids, elapsed_s
+
+
+def _sampler_ask_row() -> dict:
+    """Array-scored ``ask`` vs the scalar oracle on the same tells."""
+    ids, fast_s = _time_asks(ParetoTPESampler)
+    oracle_ids, oracle_s = _time_asks(ScalarTPESampler)
+    assert ids == oracle_ids, "array and scalar samplers diverged"
+    return {
+        "name": "sampler_ask",
+        "dataset": "paper",
+        "samples_per_sec": len(ids) / fast_s,
+        "unit": "trials/s",
+        "speedup": oracle_s / fast_s,
+    }
+
+
 def _render(rows) -> str:
     table = render_table(
         ["dataset", "grid trees", "study trees", "speedup (x)",
@@ -137,8 +181,14 @@ def test_search_efficiency(
     rows = benchmark.pedantic(
         lambda: _measure(bench_seed, jobs, grid_store, tmp_path), rounds=1, iterations=1
     )
-    write_report("search_efficiency", _render(rows))
-    write_bench_json("search", _bench_rows(rows))
+    ask_row = _sampler_ask_row()
+    write_report(
+        "search_efficiency",
+        _render(rows)
+        + f"\nsampler ask, paper space ({ASK_TRIALS} trials): "
+        f"{ask_row['speedup']:.1f}x the scalar scorer",
+    )
+    write_bench_json("search", _bench_rows(rows) + [ask_row])
     for r in rows:
         assert r["speedup"] >= MIN_SPEEDUP, (
             f"{r['dataset']}: trained {r['trained_trees']} trees, only "

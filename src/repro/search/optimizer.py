@@ -200,6 +200,16 @@ class ParetoTPESampler:
         self._categorical = [
             isinstance(dim, CategoricalDimension) for dim in space.dimensions
         ]
+        self._numeric_axes = [a for a, cat in enumerate(self._categorical) if not cat]
+        self._categorical_axes = [a for a, cat in enumerate(self._categorical) if cat]
+        #: Choice counts of the categorical axes; their choices are numbered
+        #: consecutively ("bins"), axis after axis.
+        n_choices = [space.dimensions[a].n_choices for a in self._categorical_axes]
+        self._n_choices = np.array(n_choices, dtype=float)[:, None]
+        self._bin_offsets = np.cumsum([0] + n_choices[:-1], dtype=np.intp)[:, None]
+        self._bin_n_choices = np.repeat(n_choices, n_choices)
+        #: (observation count, good vectors, good tables, bad tables).
+        self._split = None
 
     # ------------------------------------------------------------------ #
     # ask / tell
@@ -256,60 +266,98 @@ class ParetoTPESampler:
         return None if self.space.config_id(config) in self._suggested else config
 
     def _model_proposal(self) -> dict:
-        """One TPE-style proposal: perturb an elite, keep the best ratio."""
-        vectors = [vec for vec, _ in self._observations]
-        objectives = [obj for _, obj in self._observations]
-        order = pareto_rank_order(objectives)
-        n_good = max(1, math.ceil(self.gamma * len(order)))
-        good = [vectors[i] for i in order[:n_good]]
-        bad = [vectors[i] for i in order[n_good:]] or good
-        best_vector = None
-        best_score = -math.inf
+        """One TPE-style proposal: perturb elites, keep the best ratio.
+
+        The draws are scalar and in a fixed order (elite index, then one
+        draw per axis, candidate by candidate) -- the seed's stream.  The
+        scores are one array computation; ``argmax`` keeps the first of
+        equal scores.
+        """
+        good = self._elite_split()[0]
+        candidates = []
         for _ in range(self.n_candidates):
             base = good[int(self._rng.integers(len(good)))]
-            candidate = self._perturb(base)
-            score = self._log_density(candidate, good) - self._log_density(
-                candidate, bad
-            )
-            if score > best_score:
-                best_score = score
-                best_vector = candidate
-        return self.space.decode(best_vector)
+            candidates.append(self._perturb(base))
+        scores = self._scores(candidates)
+        return self.space.decode(candidates[int(np.argmax(scores))])
 
     def _perturb(self, base) -> tuple[float, ...]:
+        random, normal, bandwidth = self._rng.random, self._rng.normal, self.bandwidth
         out = []
-        for axis, u in enumerate(base):
-            if self._categorical[axis]:
+        for categorical, u in zip(self._categorical, base):
+            if categorical:
                 # Keep the elite's choice most of the time, else resample.
-                if float(self._rng.random()) < 0.75:
-                    out.append(u)
-                else:
-                    out.append(float(self._rng.random()))
+                out.append(u if random() < 0.75 else random())
             else:
-                value = u + float(self._rng.normal(0.0, self.bandwidth))
-                out.append(min(1.0, max(0.0, value)))
+                out.append(min(1.0, max(0.0, u + normal(0.0, bandwidth))))
         return tuple(out)
 
-    def _log_density(self, vector, sample) -> float:
-        """Log Parzen-window density of ``vector`` under ``sample``.
+    def _elite_split(self):
+        """``(good vectors, good tables, bad tables)`` of the observations.
+
+        The elite ("good") split is the first ``gamma`` share in NSGA-II
+        order; the rest is "bad" (or the good set again when nothing is
+        left).  Observations only grow, so the split is recomputed only
+        when a tell has changed their count and is shared by every retry
+        in between.
+        """
+        n_observed = len(self._observations)
+        if self._split is None or self._split[0] != n_observed:
+            vectors = [vec for vec, _ in self._observations]
+            order = pareto_rank_order([obj for _, obj in self._observations])
+            n_good = max(1, math.ceil(self.gamma * n_observed))
+            good = [vectors[i] for i in order[:n_good]]
+            bad = [vectors[i] for i in order[n_good:]] or good
+            self._split = (n_observed, good, self._tables(good), self._tables(bad))
+        return self._split[1:]
+
+    def _bins(self, values) -> np.ndarray:
+        """Choice bin of every categorical row of ``values`` (axis x point).
+
+        The bin :meth:`CategoricalDimension.decode` picks, numbered across
+        axes.  Choices are unique, so equal bins mean equal choices.
+        """
+        index = np.clip(values[self._categorical_axes] * self._n_choices, 0.0, self._n_choices - 1)
+        return index.astype(np.intp) + self._bin_offsets
+
+    def _tables(self, sample):
+        """``(numeric columns, log choice frequency per bin)`` of ``sample``.
+
+        A categorical axis scores a candidate by the add-one-smoothed
+        frequency of its choice in the sample, which depends on the choice
+        alone: its log is taken once per bin here.
+        """
+        values = np.array(sample, dtype=float).T
+        counts = np.bincount(self._bins(values).ravel(), minlength=len(self._bin_n_choices))
+        frequencies = (counts + 1.0) / (len(sample) + self._bin_n_choices)
+        return values[self._numeric_axes], np.array(list(map(math.log, frequencies.tolist())))
+
+    def _scores(self, candidates) -> np.ndarray:
+        """Log density ratio ``log l(x) - log g(x)`` of every candidate."""
+        _, good, bad = self._elite_split()
+        values = np.array(candidates, dtype=float).T
+        numeric, bins = values[self._numeric_axes], self._bins(values)
+        return self._log_densities(numeric, bins, good) - self._log_densities(numeric, bins, bad)
+
+    def _log_densities(self, numeric, bins, tables) -> np.ndarray:
+        """Log Parzen-window density of each candidate under one sample.
 
         Numeric axes use Gaussian kernels at :attr:`bandwidth`; categorical
-        axes use the add-one-smoothed match frequency of the decoded
-        choice.  Axes are treated independently (the classic TPE
-        factorization).
+        axes use the add-one-smoothed match frequency of the choice.  Axes
+        are treated independently (the classic TPE factorization) and
+        their log terms add up in axis order.  The kernels form one
+        ``(axis, candidate, sample)`` array with the sample axis last and
+        contiguous, so each mean sums in the same order as a 1-D mean over
+        the sample, and ``math.log`` takes each density.
         """
-        total = 0.0
-        for axis, value in enumerate(vector):
-            column = [point[axis] for point in sample]
-            if self._categorical[axis]:
-                dim = self.space.dimensions[axis]
-                choice = dim.decode(value)
-                matches = sum(1 for u in column if dim.decode(u) == choice)
-                total += math.log(
-                    (matches + 1.0) / (len(column) + dim.n_choices)
-                )
-            else:
-                deviations = (np.asarray(column) - value) / self.bandwidth
-                kernels = np.exp(-0.5 * deviations**2)
-                total += math.log(float(kernels.mean()) + 1e-12)
+        sample_numeric, log_frequencies = tables
+        deviations = (sample_numeric[:, None, :] - numeric[:, :, None]) / self.bandwidth
+        kernels = np.exp(-0.5 * deviations**2).mean(axis=-1) + 1e-12
+        terms = np.empty((len(self._categorical), bins.shape[1]))
+        for axis, row in zip(self._numeric_axes, kernels.tolist()):
+            terms[axis] = list(map(math.log, row))
+        terms[self._categorical_axes] = log_frequencies[bins]
+        total = np.zeros(bins.shape[1])
+        for row in terms:
+            total += row
         return total

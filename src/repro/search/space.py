@@ -193,8 +193,10 @@ class CategoricalDimension:
         return self.choices[index]
 
     def canonical(self, value):
+        # The stored choice, not the caller's spelling: 4.0 and 4 are one
+        # choice, so they must render one config_id.
         if value in self.choices:
-            return value
+            return self.choices[self.choices.index(value)]
         raise ValueError(f"{self.name}: {value!r} not among choices {self.choices!r}")
 
     def describe(self) -> dict:

@@ -15,5 +15,8 @@ parent on ``sys.path``, so tests and benchmarks import them as
   loops the shared ``CARTTrainer._grow`` replaced;
 * :mod:`oracles.tree_walk` -- the linked-node tree, its recursive walk and
   the deep-copy ``approximate_tree``, the reference of the node-array
-  :class:`~repro.mltrees.tree.DecisionTree`.
+  :class:`~repro.mltrees.tree.DecisionTree`;
+* :mod:`oracles.tpe_scalar` -- the per-candidate, per-axis Parzen scorer,
+  the reference of :class:`~repro.search.optimizer.ParetoTPESampler`'s
+  array scorer.
 """

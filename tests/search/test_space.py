@@ -98,6 +98,19 @@ class TestCategoricalDimension:
         with pytest.raises(ValueError, match="choices"):
             CategoricalDimension("tech", ("default",)).canonical("exotic")
 
+    def test_canonical_returns_the_stored_choice_not_the_spelling(self):
+        dim = CategoricalDimension("bits", (3, 4, 5))
+        assert type(dim.canonical(4.0)) is int
+        assert type(CategoricalDimension("w", (0.5, 1.0)).canonical(1)) is float
+
+    def test_int_and_float_spellings_share_one_config_id(self):
+        space = paper_space()
+        ints = {"depth": 3, "tau": 0.01, "resolution_bits": 4.0,
+                "technology": "default", "training_sigma": 0, "robustness_weight": 1}
+        floats = {"depth": 3, "tau": 0.01, "resolution_bits": 4,
+                  "technology": "default", "training_sigma": 0.0, "robustness_weight": 1.0}
+        assert space.config_id(ints) == space.config_id(floats)
+
     def test_duplicate_choices_rejected(self):
         with pytest.raises(ValueError, match="unique"):
             CategoricalDimension("bits", (4, 4))
