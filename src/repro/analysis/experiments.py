@@ -81,6 +81,7 @@ from repro.core.variation import (  # noqa: F401 (simulate_offset_variation: pub
     simulate_offset_variation,
 )
 from repro.datasets.registry import canonical_name, dataset_names
+from repro.mltrees.split_search import shared_split_tables
 
 #: Smaller benchmarks used when a quick run is requested.
 FAST_DATASETS: tuple[str, ...] = ("balance_scale", "vertebral_3c", "vertebral_2c", "seeds")
@@ -301,6 +302,9 @@ def _compute_job(units: list[WorkUnit], ppa_backend=None, tree=None) -> list:
     caller holds its point's tree and retrains it otherwise --
     deterministically, so a unit computed on a shard that owns none of its
     benchmark's points is bit-identical to one computed next to the suite.
+    A reference job runs in a
+    :func:`~repro.mltrees.split_search.shared_split_tables` scope, so a
+    worker shares node tables between its baseline fits.
     """
     unit = units[0]
     if unit.kind == "point":
@@ -311,7 +315,8 @@ def _compute_job(units: list[WorkUnit], ppa_backend=None, tree=None) -> list:
             include_approximate_baseline=unit.params["include_approximate_baseline"],
             ppa_backend=ppa_backend,
         )
-        return [framework.run_reference(DesignSpec(unit.dataset, unit.seed).data().dataset)]
+        with shared_split_tables():
+            return [framework.run_reference(DesignSpec(unit.dataset, unit.seed).data().dataset)]
     return [
         unit.spec.simulate(
             unit.params["sigma_v"],
@@ -350,6 +355,11 @@ def _resolve_units(
     49-point grid costs seven fits.  Whatever the grouping, each point is
     still probed, keyed, stored and sharded on its own, and its entry is
     byte-identical to a per-point :meth:`~repro.core.design.DesignSpec.evaluate`.
+
+    The reference and point jobs run in one
+    :func:`~repro.mltrees.split_search.shared_split_tables` scope: baseline
+    [2]'s depth sweep, baseline [7] and the tau families enumerate each
+    shared node once.  The Monte-Carlo phase runs outside it.
     """
     values: dict[str, object] = {}
     pending: dict[str, WorkUnit] = {}
@@ -381,7 +391,8 @@ def _resolve_units(
     for key, unit in pending.items():
         if unit.kind != "variation":
             jobs.setdefault(unit.spec.family if unit.kind == "point" else key, []).append(unit)
-    compute(list(jobs.values()), {})
+    with shared_split_tables():
+        compute(list(jobs.values()), {})
     trees = dict(trees or {})
     trees.update(
         (unit.spec, values[unit.store_key].tree) for unit in units if unit.kind == "point"

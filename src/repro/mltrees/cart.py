@@ -27,8 +27,9 @@ from repro.mltrees.evaluation import accuracy_score
 from repro.mltrees.split_search import (
     CandidateTable,
     SplitCandidate,
+    bind_training_set,
     class_histogram,
-    enumerate_split_candidates,
+    shared_candidates,
 )
 from repro.mltrees.tree import LEAF, DecisionTree, _from_table
 
@@ -132,7 +133,9 @@ class CARTTrainer:
         threshold_level)`` pairs placed so far.  A node appends its
         node-table row (a leaf's until its split is chosen) when it takes its
         id and writes the id into its parent's row; the table becomes the
-        tree's node arrays.
+        tree's node arrays.  Inside a
+        :func:`~repro.mltrees.split_search.shared_split_tables` scope the
+        fit binds its training set once and nodes come from the shared memo.
         """
         X_levels = np.asarray(X_levels, dtype=np.int64)
         y = np.asarray(y, dtype=np.int64)
@@ -160,6 +163,7 @@ class CARTTrainer:
                 f"for {self.resolution_bits}-bit inputs"
             )
 
+        data_key = bind_training_set(X_levels, y, n_classes, n_levels)
         rng = random.Random(self.seed)
         placed: set[tuple[int, int]] = set()
         # node-table rows: feature, threshold, left, right, prediction,
@@ -181,7 +185,9 @@ class CARTTrainer:
             is_pure = int(np.count_nonzero(counts)) <= 1
             if depth >= self.max_depth or is_pure or indices.size < self.min_samples_split:
                 continue
-            candidates = self._node_candidates(X_levels, y, indices, n_classes, n_levels)
+            candidates = self._node_candidates(
+                X_levels, y, indices, n_classes, n_levels, data_key
+            )
             if not candidates:
                 continue
 
@@ -216,10 +222,16 @@ class CARTTrainer:
         indices: np.ndarray,
         n_classes: int,
         n_levels: int,
+        data_key: bytes | None = None,
     ) -> CandidateTable:
-        """Candidate splits of one node as a columnar table."""
-        return enumerate_split_candidates(
-            X_levels, y, indices, n_classes, n_levels, self.min_samples_leaf,
+        """Candidate splits of one node as a columnar table.
+
+        ``data_key`` is the fit's :func:`~repro.mltrees.split_search.bind_training_set`
+        key; without it (as in a loop other than :meth:`_grow`) the node is
+        enumerated afresh.
+        """
+        return shared_candidates(
+            data_key, X_levels, y, indices, n_classes, n_levels, self.min_samples_leaf,
             flip_sigma=self.training_sigma if self.offset_aware else None,
         )
 
@@ -281,6 +293,8 @@ def fit_baseline_tree(
     the shallowest tree whose test accuracy equals the best observed test
     accuracy (less hardware for the same quality).
     """
+    if max_depth < 1:
+        raise ValueError("max_depth must be at least 1")
     accuracy_by_depth: dict[int, float] = {}
     trees: dict[int, DecisionTree] = {}
     for depth in range(1, max_depth + 1):

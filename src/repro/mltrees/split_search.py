@@ -33,6 +33,21 @@ score (see ``robustness_weight`` on the trainers); with the feature
 disabled the columns are ``None`` and the enumeration is bit-identical to
 the nominal path.
 
+Trees trained on one training set share most of their nodes: baseline
+[2]'s depth sweep refits CART at depths 1..8, baseline [7] refits it from
+the reference depth up, and the ADC-aware tau families start from the same
+root.  Inside a :func:`shared_split_tables` scope each node's table is
+therefore computed once and shared.  The memo's key is the digest of the
+training set (``X_levels``, ``y``, their shape, ``n_classes`` and
+``n_levels``, taken once per fit by :func:`bind_training_set`), the digest
+of the node's int64 index bytes, ``min_samples_leaf`` and ``flip_sigma``.
+Shared tables are read-only.  The memo is cleared when a fit binds another
+training set and when the outermost scope exits, it holds at most
+:data:`SHARED_TABLES_MAX_ENTRIES` tables (least recently used first out),
+and it is per thread and empty in a forked child.  Enumeration is
+deterministic, so a shared table is the table a fresh enumeration would
+return: trees and RNG draws do not depend on the scope.
+
 The pre-columnar object-building enumeration is retained verbatim in
 ``tests/oracles/legacy_split_search.py`` as the oracle for the equivalence
 tests and the training-throughput benchmark, together with the object-list
@@ -42,7 +57,12 @@ oracle and the tests use.
 
 from __future__ import annotations
 
+import hashlib
 import math
+import os
+import threading
+from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -238,7 +258,8 @@ def enumerate_split_candidates(
     y:
         Full label vector, integer classes in ``[0, n_classes - 1]``.
     indices:
-        Row indices of the samples that reached the node.
+        Row indices of the samples that reached the node (an integer
+        array; anything else, a boolean mask included, is a ``TypeError``).
     n_classes:
         Number of classes in the task.
     n_levels:
@@ -264,6 +285,11 @@ def enumerate_split_candidates(
         children are non-empty.
     """
     indices = np.asarray(indices)
+    if indices.dtype.kind not in "iu":
+        # A boolean mask would index fine but count every sample as the node.
+        raise TypeError(
+            f"indices must be an integer array of row indices, got dtype {indices.dtype}"
+        )
     if indices.size == 0:
         return CandidateTable.empty()
     y_node = y[indices]
@@ -367,3 +393,100 @@ def _robustness_columns(
     margin = np.minimum(margin_below, margin_above) / n_levels
     return margin, expected_flips
 
+
+#: Capacity of the :func:`shared_split_tables` memo, in tables.
+SHARED_TABLES_MAX_ENTRIES = 256
+
+
+class _SharedTables(threading.local):
+    """Per-thread state of the :func:`shared_split_tables` memo."""
+
+    def __init__(self) -> None:
+        self.depth = 0                        # open scopes
+        self.data_key: bytes | None = None    # digest of the bound training set
+        self.tables: OrderedDict[tuple, CandidateTable] = OrderedDict()
+
+
+_SHARED = _SharedTables()
+# a forked worker starts with no scope open and no tables
+os.register_at_fork(after_in_child=_SHARED.__init__)
+
+
+@contextmanager
+def shared_split_tables():
+    """Share node candidate tables between the fits made inside the scope.
+
+    Nested scopes share the outer memo; it is emptied when the outermost
+    scope exits.  Trees do not change, only how often nodes are enumerated.
+    """
+    _SHARED.depth += 1
+    try:
+        yield
+    finally:
+        _SHARED.depth -= 1
+        if _SHARED.depth == 0:
+            _SHARED.tables.clear()
+            _SHARED.data_key = None
+
+
+def bind_training_set(
+    X_levels: np.ndarray, y: np.ndarray, n_classes: int, n_levels: int
+) -> bytes | None:
+    """Bind the memo to a fit's training set; its key for :func:`shared_candidates`.
+
+    Returns ``None`` outside a :func:`shared_split_tables` scope.  Binding
+    another training set than the memo holds clears it.  The levels must lie
+    in ``[0, n_levels)`` and the labels in ``[0, n_classes)`` (the trainer
+    checks both first): the digest reads them in the narrowest dtype that
+    holds those ranges.
+    """
+    if not _SHARED.depth:
+        return None
+    digest = hashlib.sha256(repr((X_levels.shape, n_classes, n_levels)).encode())
+    digest.update(np.ascontiguousarray(X_levels, np.min_scalar_type(n_levels - 1)))
+    digest.update(np.ascontiguousarray(y, np.min_scalar_type(n_classes - 1)))
+    data_key = digest.digest()
+    if data_key != _SHARED.data_key:
+        _SHARED.tables.clear()
+        _SHARED.data_key = data_key
+    return data_key
+
+
+def shared_candidates(
+    data_key: bytes | None,
+    X_levels: np.ndarray,
+    y: np.ndarray,
+    indices: np.ndarray,
+    n_classes: int,
+    n_levels: int,
+    min_samples_leaf: int = 1,
+    flip_sigma: float | None = None,
+) -> CandidateTable:
+    """:func:`enumerate_split_candidates`, through the memo when ``data_key`` is bound.
+
+    ``data_key`` is what :func:`bind_training_set` returned for this
+    training set; with ``None``, once the memo is bound to another training
+    set, or for indices that are not int64, this is a plain enumeration.
+    """
+    node = np.asarray(indices)
+    if data_key is None or data_key != _SHARED.data_key or node.dtype != np.int64:
+        return enumerate_split_candidates(
+            X_levels, y, node, n_classes, n_levels, min_samples_leaf, flip_sigma
+        )
+    key = (hashlib.sha256(np.ascontiguousarray(node)).digest(), min_samples_leaf, flip_sigma)
+    tables = _SHARED.tables
+    table = tables.get(key)
+    if table is not None:
+        tables.move_to_end(key)
+        return table
+    table = enumerate_split_candidates(
+        X_levels, y, node, n_classes, n_levels, min_samples_leaf, flip_sigma
+    )
+    for column in (table.feature, table.threshold_level, table.gini, table.n_left,
+                   table.n_right, table.margin, table.expected_flips):
+        if column is not None:
+            column.setflags(write=False)
+    tables[key] = table
+    if len(tables) > SHARED_TABLES_MAX_ENTRIES:
+        tables.popitem(last=False)
+    return table

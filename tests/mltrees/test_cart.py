@@ -124,6 +124,11 @@ class TestBaselineDepthSelection:
         ]
         assert result.depth == min(shallower_with_best)
 
+    def test_zero_max_depth_rejected(self, small_split):
+        X_train, X_test, y_train, y_test = small_split
+        with pytest.raises(ValueError, match="max_depth must be at least 1"):
+            fit_baseline_tree(X_train, y_train, X_test, y_test, 3, max_depth=0)
+
     def test_accuracy_by_depth_covers_requested_range(self, small_split):
         X_train, X_test, y_train, y_test = small_split
         result = fit_baseline_tree(X_train, y_train, X_test, y_test, 3, max_depth=4)

@@ -41,6 +41,21 @@ class TestEnumerateSplitCandidates:
             X_levels, y, np.array([], dtype=int), 2, 16
         )) == []
 
+    def test_boolean_mask_rejected(self):
+        # A mask of 20 of 50 rows once indexed fine but divided every Gini
+        # by all 50 samples (first score 0.18 instead of 0.45).
+        rng = np.random.default_rng(0)
+        X_levels = rng.integers(0, 16, size=(50, 3))
+        y = rng.integers(0, 2, size=50)
+        mask = np.zeros(50, dtype=bool)
+        mask[rng.choice(50, size=20, replace=False)] = True
+        with pytest.raises(TypeError, match="integer array of row indices"):
+            enumerate_split_candidates(X_levels, y, mask, 2, 16)
+        with pytest.raises(TypeError, match="integer array of row indices"):
+            enumerate_split_candidates(X_levels, y, np.nonzero(mask)[0] * 1.0, 2, 16)
+        table = enumerate_split_candidates(X_levels, y, np.nonzero(mask)[0], 2, 16)
+        assert set((table.n_left + table.n_right).tolist()) == {20}
+
     def test_only_separating_thresholds_reported(self, tiny_levels_dataset):
         X_levels, y = tiny_levels_dataset
         indices = np.arange(len(y))
