@@ -25,20 +25,36 @@ predictions are asserted bit-identical to both the oracle and
 ``DecisionTree.predict_levels``.  The scalar Monte-Carlo reference is
 ``tests/oracles/variation.py``.
 
+The ``surface_cells`` row times the Monte-Carlo half of a cold robustness
+surface: every one of cardio's 49 depth x tau grid trees, freshly unpickled
+per call as a store-backed run receives it, simulated at three offset
+sigmas.  The reference is the per-call path of
+``tests/oracles/variation.py`` (a new translation per call, one offset row
+drawn and one ``accuracy_score`` per trial); the fast path is
+``simulate_offset_variation``, which translates each distinct tree once
+(starting from an empty translation memo, as a fresh process does), draws
+all offsets in one call and scores every trial in one array pass.  Both
+return identical accuracies, asserted on every timed pair; the row records
+the best of :data:`SURFACE_PAIRS` alternating pairs.
+
 Alongside the human-readable report this module emits
 ``benchmarks/results/BENCH_inference.json`` (see the ``write_bench_json``
 fixture), the machine-readable trajectory record gated by
 ``benchmarks/check_regression.py``.
 """
 
+import pickle
 import time
 
 import numpy as np
 
 from oracles.batch_logic import batch_oracle
-from oracles.variation import _predict_with_offsets_scalar
+from oracles.variation import _predict_with_offsets_scalar, simulate_per_trial
 from repro.analysis.render import render_table
+from repro.core import unary_tree
 from repro.core.adc_aware_training import ADCAwareTrainer
+from repro.core.design import DesignSpec, split_data
+from repro.core.exploration import DEFAULT_DEPTHS, DEFAULT_TAUS
 from repro.core.unary_tree import UnaryDecisionTree
 from repro.core.variation import ComparatorOffsetModel, simulate_offset_variation
 from repro.datasets.registry import load_dataset
@@ -58,6 +74,11 @@ KERNEL_DEPTH = 8
 N_KERNEL_SAMPLES = 1 << 19
 N_TIMING_REPEATS = 7       # best-of repeats; throughput gates time the floor
 MIN_KERNEL_SPEEDUP = 10.0
+
+SURFACE_DATASET = "cardio"
+SURFACE_SIGMAS = (0.01, 0.02, 0.04)
+SURFACE_TRIALS = 100
+SURFACE_PAIRS = 5
 
 
 def _fit(seed: int):
@@ -242,3 +263,88 @@ def test_batch_inference_throughput(benchmark, bench_seed, write_report, write_b
         f"{kernel_row['workload']}: only {kernel_row['speedup']:.1f}x over the "
         f"batch path (need >= {MIN_KERNEL_SPEEDUP:.0f}x)"
     )
+
+
+def _grid_tree_pickles(seed: int) -> list[bytes]:
+    """Pickles of the benchmark's depth x tau grid trees, one family per tau."""
+    pickles = []
+    for tau in DEFAULT_TAUS:
+        deepest = DesignSpec(SURFACE_DATASET, seed, max(DEFAULT_DEPTHS), tau).train()
+        pickles += [pickle.dumps(deepest.truncated(depth)) for depth in DEFAULT_DEPTHS]
+    return pickles
+
+
+def _measure_surface_cells(seed: int) -> dict:
+    """Per-call reference vs. memoized Monte-Carlo over one benchmark's grid."""
+    pickles = _grid_tree_pickles(seed)
+    data = split_data(SURFACE_DATASET, seed)
+    technology = default_technology()
+    n_cells = len(pickles) * len(SURFACE_SIGMAS)
+
+    def reference():
+        return [
+            simulate_per_trial(
+                pickle.loads(blob), data.X_test, data.y_test, sigma, SURFACE_TRIALS,
+                technology.vdd, seed,
+            )
+            for sigma in SURFACE_SIGMAS
+            for blob in pickles
+        ]
+
+    def fast():
+        results = []
+        for sigma in SURFACE_SIGMAS:
+            for blob in pickles:
+                analysis = simulate_offset_variation(
+                    pickle.loads(blob), data.X_test, data.y_test, sigma,
+                    n_trials=SURFACE_TRIALS, technology=technology, seed=seed,
+                )
+                results.append((analysis.nominal_accuracy, analysis.accuracies))
+        return results
+
+    ref_s, fast_s = [], []
+    for _ in range(SURFACE_PAIRS):
+        start = time.perf_counter()
+        expected = reference()
+        ref_s.append(time.perf_counter() - start)
+        unary_tree._translations.clear()  # a cold process: every tree translates once
+        start = time.perf_counter()
+        measured = fast()
+        fast_s.append(time.perf_counter() - start)
+        assert measured == expected, "the memoized Monte-Carlo changed an accuracy"
+    return {
+        "workload": (
+            f"{n_cells} surface cells ({SURFACE_DATASET}, {len(SURFACE_SIGMAS)} "
+            f"sigmas, {SURFACE_TRIALS} trials)"
+        ),
+        "ref_s": min(ref_s),
+        "fast_s": min(fast_s),
+        "ref_rate": n_cells / min(ref_s),
+        "fast_rate": n_cells / min(fast_s),
+        "unit": "cells/s",
+        "speedup": min(ref_s) / min(fast_s),
+    }
+
+
+def test_surface_cells_throughput(bench_seed, write_report, write_bench_json):
+    """The memoized Monte-Carlo beats the per-call path on a grid's cells."""
+    row = _measure_surface_cells(bench_seed)
+    write_report(
+        "surface_cells",
+        f"Monte-Carlo over {SURFACE_DATASET}'s grid: per-call path -> one "
+        f"translation per tree (best of {SURFACE_PAIRS} pairs)\n"
+        + render_table(
+            ["workload", "reference (s)", "fast (s)", "reference rate", "fast rate",
+             "unit", "speedup (x)"],
+            [(row["workload"], row["ref_s"], row["fast_s"], row["ref_rate"],
+              row["fast_rate"], row["unit"], row["speedup"])],
+        ),
+    )
+    write_bench_json("variation", [{
+        "name": "surface_cells",
+        "dataset": SURFACE_DATASET,
+        "samples_per_sec": row["fast_rate"],
+        "unit": row["unit"],
+        "speedup": row["speedup"],
+    }])
+    assert row["speedup"] > 1.0, f"{row['workload']}: no faster than the per-call path"

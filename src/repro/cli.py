@@ -164,6 +164,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -196,17 +197,19 @@ from repro.datasets.registry import dataset_names, load_dataset
 from repro.search.space import space_names
 
 
-def _ranged(cast, message: str, strict: bool = False):
+def _ranged(cast, message: str, strict: bool = False, finite: bool = False):
     """An argparse ``type``: ``cast`` the value and reject it below zero.
 
-    ``strict`` rejects zero too.  Out-of-range values are usage errors
-    (``argument --flag: must be ...``, exit 2) instead of library
-    tracebacks.
+    ``strict`` rejects zero too, and ``finite`` rejects infinity and NaN.
+    Out-of-range values are usage errors (``argument --flag: must be ...``,
+    exit 2) instead of library tracebacks.
     """
 
     def parse(value: str):
         number = cast(value)
-        if not (number > 0 if strict else number >= 0):
+        if not (number > 0 if strict else number >= 0) or (
+            finite and not math.isfinite(number)
+        ):
             raise argparse.ArgumentTypeError(message)
         return number
 
@@ -219,7 +222,7 @@ _positive_int = _ranged(int, "must be a positive integer", strict=True)
 _non_negative_int = _ranged(int, "must be a non-negative integer")
 _positive_number = _ranged(float, "must be a positive number", strict=True)
 _non_negative_number = _ranged(float, "must be a non-negative number")
-_sigma = _ranged(float, "must be a non-negative sigma in volts")
+_sigma = _ranged(float, "must be a finite, non-negative sigma in volts", finite=True)
 _jobs = _ranged(int, "must be >= 0 (0 = one worker per CPU)")
 
 

@@ -24,6 +24,7 @@ cache entries.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
@@ -34,7 +35,7 @@ from repro.core.adc_aware_training import ADCAwareTrainer
 from repro.core.bespoke_adc import build_bespoke_frontend
 from repro.core.metrics import HardwareReport
 from repro.core.store import content_digest, make_key
-from repro.core.unary_tree import UnaryDecisionTree
+from repro.core.unary_tree import UnaryDecisionTree, translate
 from repro.core.variation import (
     VariationAnalysis,
     canonical_training_knobs,
@@ -110,7 +111,7 @@ def proposed_hardware_report(
     analog block outside any digital PPA flow, so its costs always come from
     the behavioral ADC model.
     """
-    return _unary_hardware_report(UnaryDecisionTree(tree), technology, name, ppa_backend)
+    return _unary_hardware_report(translate(tree), technology, name, ppa_backend)
 
 
 def _unary_hardware_report(
@@ -273,6 +274,8 @@ class DesignSpec:
 
     def variation_key(self, sigma_v: float, n_trials: int) -> str:
         """Store key of the point's offset Monte-Carlo summary."""
+        if not (math.isfinite(sigma_v) and sigma_v >= 0):
+            raise ValueError(f"sigma_v must be a finite number >= 0, got {sigma_v!r}")
         return make_key(
             kind="offset_variation",
             **self._key_fields(),

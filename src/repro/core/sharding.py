@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 from repro.core.design import DesignSpec
@@ -61,6 +62,8 @@ def normalize_sigmas(sigmas) -> tuple[float, ...]:
     values = []
     for sigma in sigmas:
         sigma = float(sigma)
+        if not math.isfinite(sigma):
+            raise ValueError(f"sigma must be finite, got {sigma:g}")
         if sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {sigma:g}")
         values.append(sigma)

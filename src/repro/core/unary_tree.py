@@ -18,10 +18,16 @@ digits.  :class:`UnaryDecisionTree` performs that translation for a trained
 Every batched prediction goes through one evaluator: the packed-uint64
 :class:`~repro.core.bitkernel.CompiledTreeKernel`, compiled from this
 tree's own minimized label logic (:attr:`UnaryDecisionTree.kernel`).
+
+:func:`translate` shares one translation among equal trees: the Monte-Carlo
+analysis and the hardware report of a tree, and every freshly unpickled copy
+of it, reuse one minimized label logic and one compiled kernel.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from collections.abc import Mapping
 from functools import cached_property
 
@@ -36,6 +42,16 @@ from repro.core.bitkernel import CompiledTreeKernel
 from repro.mltrees.export import tree_to_paths
 from repro.mltrees.tree import DecisionTree
 from repro.pdk.egfet import EGFETTechnology
+
+
+#: Translations :func:`translate` keeps: one benchmark's 49-point depth x
+#: tau grid of distinct trees, with room to spare.  Each entry holds a tree's
+#: minimized label logic (a depth-8 tree's takes a few hundred KB).
+TRANSLATIONS_MAX_ENTRIES = 64
+
+#: ``DecisionTree.digest() -> UnaryDecisionTree``, least recently used first.
+_translations: OrderedDict[str, UnaryDecisionTree] = OrderedDict()
+_translations_lock = threading.Lock()
 
 
 def digit_variable(feature: int, level: int) -> str:
@@ -261,3 +277,29 @@ class UnaryDecisionTree:
             f"unary_digits={self.n_unary_digits}, classes={self.n_classes})"
         )
 
+
+def translate(tree: DecisionTree | UnaryDecisionTree) -> UnaryDecisionTree:
+    """The unary translation of ``tree``, shared by every equal tree.
+
+    Translations are memoized by :meth:`DecisionTree.digest`, the tree's
+    content, so an equal copy (a tree unpickled from a store entry, the same
+    tree grown for another tau) reuses the first one's label logic and
+    kernel; a tree that differs in any node array misses.  The memo keeps
+    the :data:`TRANSLATIONS_MAX_ENTRIES` most recently used translations.  A
+    :class:`UnaryDecisionTree` is returned as is.
+    """
+    if isinstance(tree, UnaryDecisionTree):
+        return tree
+    key = tree.digest()
+    with _translations_lock:
+        unary = _translations.get(key)
+        if unary is not None:
+            _translations.move_to_end(key)
+            return unary
+    # Translated outside the lock; a thread that raced ahead keeps its copy.
+    unary = UnaryDecisionTree(tree)
+    with _translations_lock:
+        unary = _translations.setdefault(key, unary)
+        while len(_translations) > TRANSLATIONS_MAX_ENTRIES:
+            _translations.popitem(last=False)
+    return unary

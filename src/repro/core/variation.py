@@ -9,24 +9,28 @@ classification accuracy -- the variability extension the paper leaves to
 future work, useful for deciding how much offset the printed comparator
 design needs to guarantee.
 
-The evaluation is fully vectorized: one ``(n_trials, n_comparators)`` offset
-matrix is broadcast against the per-comparator thresholds, so every
-Monte-Carlo trial and every sample is a single boolean-array comparison plus
-one pass of the packed-uint64 label-logic kernel
-(:class:`~repro.core.bitkernel.CompiledTreeKernel`; no per-sample Python
-loops).  Trial batches optionally fan out across worker processes through
-:class:`~repro.core.executor.Executor` -- results are bit-identical either
-way because all offsets are drawn up front from one seeded stream.
+The evaluation is fully vectorized, with no per-trial or per-sample Python
+loops.  A simulation translates its tree through
+:func:`~repro.core.unary_tree.translate`, so equal trees (every freshly
+unpickled copy of a grid tree, at every sigma) share one translation and one
+compiled kernel.  It draws the ``(n_trials, n_comparators)`` offset matrix in
+one call, broadcasts it against the per-comparator thresholds, evaluates
+every trial and sample in one pass of the packed-uint64 label-logic kernel
+(:class:`~repro.core.bitkernel.CompiledTreeKernel`) and scores all trials in
+one array pass.  Trial batches optionally fan out across worker processes
+through :class:`~repro.core.executor.Executor` -- results are bit-identical
+either way because all offsets are drawn up front from one seeded stream.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.executor import get_executor
-from repro.core.unary_tree import UnaryDecisionTree
+from repro.core.unary_tree import UnaryDecisionTree, translate
 from repro.mltrees.evaluation import accuracy_score
 from repro.mltrees.split_search import normal_cdf
 from repro.mltrees.tree import DecisionTree
@@ -49,11 +53,15 @@ class ComparatorOffsetModel:
     mean_v: float = 0.0
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.sigma_v) and math.isfinite(self.mean_v)):
+            raise ValueError(
+                f"offset sigma and mean must be finite, got {self.sigma_v!r} and {self.mean_v!r}"
+            )
         if self.sigma_v < 0:
             raise ValueError("offset sigma must be >= 0")
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw ``size`` comparator offsets in volts."""
+    def sample(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
+        """Draw comparator offsets in volts, an array of shape ``size``."""
         if self.sigma_v == 0:
             return np.full(size, self.mean_v)
         return rng.normal(self.mean_v, self.sigma_v, size=size)
@@ -63,13 +71,14 @@ class ComparatorOffsetModel:
     ) -> np.ndarray:
         """Draw an ``(n_trials, size)`` offset matrix, one row per trial.
 
-        Rows are drawn sequentially with :meth:`sample` so the random stream
-        is consumed exactly as the historical per-trial loop consumed it:
+        One draw fills the matrix row by row, consuming the random stream
+        exactly as ``n_trials`` successive :meth:`sample` calls would:
         ``sample_matrix(rng, t, c)[i]`` equals the ``i``-th of ``t``
-        successive ``sample(rng, c)`` calls, which keeps seeded analyses
-        bit-identical to the pre-vectorization implementation.
+        successive ``sample(rng, c)`` calls, and the generator is left in
+        the same state, which keeps seeded analyses bit-identical to the
+        per-trial implementation.
         """
-        return np.stack([self.sample(rng, size) for _ in range(n_trials)])
+        return self.sample(rng, (n_trials, size))
 
     def flip_probability(self, margins: np.ndarray, vdd: float = 1.0) -> np.ndarray:
         """Analytic probability that a comparator digit flips, per margin.
@@ -140,7 +149,7 @@ def analytic_flip_probabilities(
     Returns an ``(n_samples, n_comparators)`` float matrix.
     """
     technology = technology if technology is not None else default_technology()
-    unary = model if isinstance(model, UnaryDecisionTree) else UnaryDecisionTree(model)
+    unary = translate(model)
     X = np.asarray(X, dtype=float)
     if not unary.comparators:
         return np.zeros((X.shape[0], 0))
@@ -274,10 +283,15 @@ def _trial_batch_accuracies(
     y: np.ndarray,
     offset_batch: np.ndarray,
     vdd: float,
-) -> list[float]:
-    """Top-level (picklable) executor job: accuracies of one trial batch."""
+) -> np.ndarray:
+    """Top-level (picklable) executor job: accuracies of one trial batch.
+
+    Every trial is scored in one pass.  A trial's accuracy is its count of
+    correct labels divided by ``y.size``, the same float
+    :func:`~repro.mltrees.evaluation.accuracy_score` returns for that row.
+    """
     predictions = _predict_with_offsets(unary, X, offset_batch, vdd)
-    return [accuracy_score(y, row) for row in predictions]
+    return np.count_nonzero(predictions == y, axis=1) / y.size
 
 
 def simulate_offset_variation(
@@ -315,7 +329,7 @@ def simulate_offset_variation(
     if n_trials < 1:
         raise ValueError("at least one Monte-Carlo trial is required")
     technology = technology if technology is not None else default_technology()
-    unary = model if isinstance(model, UnaryDecisionTree) else UnaryDecisionTree(model)
+    unary = translate(model)
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
 
@@ -323,6 +337,7 @@ def simulate_offset_variation(
     rng = np.random.default_rng(seed)
     comparators = unary.comparators
 
+    # Also rejects an empty or mis-shaped label vector before any trial runs.
     nominal = accuracy_score(y, unary.predict(X))
     if not comparators:
         # A single-leaf tree has no comparators and is immune to offsets.
@@ -345,21 +360,16 @@ def simulate_offset_variation(
                 for batch in batches
                 if batch.shape[0]
             ]
-            accuracies = [
-                accuracy
-                for batch_accuracies in executor.map(_trial_batch_accuracies, tasks)
-                for accuracy in batch_accuracies
-            ]
+            accuracies = np.concatenate(executor.map(_trial_batch_accuracies, tasks))
         else:
             accuracies = _trial_batch_accuracies(unary, X, y, offsets, technology.vdd)
 
-    accuracies_array = np.asarray(accuracies)
     return VariationAnalysis(
         nominal_accuracy=nominal,
-        mean_accuracy=float(accuracies_array.mean()),
-        std_accuracy=float(accuracies_array.std()),
-        min_accuracy=float(accuracies_array.min()),
-        accuracies=tuple(float(a) for a in accuracies),
+        mean_accuracy=float(accuracies.mean()),
+        std_accuracy=float(accuracies.std()),
+        min_accuracy=float(accuracies.min()),
+        accuracies=tuple(accuracies.tolist()),
         sigma_v=sigma_v,
     )
 

@@ -45,6 +45,7 @@ depth are a prefix of its arrays, which is what lets
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,6 +208,22 @@ class DecisionTree:
         )
 
     __hash__ = None  # structural equality makes trees unhashable
+
+    def digest(self) -> str:
+        """sha256 of the tree's content: its metadata and every node array as int64.
+
+        Equal trees (``==``) digest equal, whichever objects hold them.
+        Computed on each call and never stored on the tree, so it cannot
+        change the tree's pickle.
+        """
+        digest = hashlib.sha256(
+            repr((self.n_features, self.n_classes, self.resolution_bits)).encode()
+        )
+        for name in NODE_ARRAYS:
+            array = np.ascontiguousarray(getattr(self, name), dtype=np.int64)
+            digest.update(repr(array.shape).encode())
+            digest.update(array.tobytes())
+        return digest.hexdigest()
 
     # ------------------------------------------------------------------ #
     # shape

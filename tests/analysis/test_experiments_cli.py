@@ -308,6 +308,33 @@ class TestCli:
         assert "usage:" in err and "Traceback" not in err
         assert f"argument {argv[-2]}: must be" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(
+                [*command, "--sigma", value]
+                for command in (
+                    ["variation", "--dataset", "seeds"],
+                    ["table2", "--fast"],
+                    ["explore"],
+                    ["surface"],
+                    ["suite"],
+                    ["assemble"],
+                )
+                for value in ("inf", "nan")
+            ),
+            ["explore", "--training-sigma", "inf"],
+            ["table2", "--training-sigma", "nan"],
+        ],
+        ids=" ".join,
+    )
+    def test_non_finite_sigmas_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-2]}" in err and "must be a finite" in err
+
     def test_table1_with_jobs_and_cache_dir(self, capsys, tmp_path):
         argv = [
             "table1",

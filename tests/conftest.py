@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.circuits.two_level import SumOfProducts
+from repro.core import unary_tree
 from repro.datasets.synthetic import make_classification_blobs
 from repro.mltrees.cart import CARTTrainer
 from repro.mltrees.quantize import quantize_dataset
@@ -141,7 +142,12 @@ def tiny_levels_dataset():
 
 @pytest.fixture
 def count_minimizations(monkeypatch):
-    """Every ``SumOfProducts.minimized`` call made during the test, in order."""
+    """Every ``SumOfProducts.minimized`` call made during the test, in order.
+
+    The process-wide translation memo starts empty, so a count never depends
+    on which trees earlier tests translated.
+    """
+    unary_tree._translations.clear()
     calls = []
     original = SumOfProducts.minimized
 

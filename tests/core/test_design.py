@@ -57,6 +57,11 @@ class TestCanonicalIdentity:
                 spec.reference_key(False), spec.reference_key(True)}
         assert len(keys) == 6
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.01])
+    def test_variation_key_rejects_an_invalid_sigma(self, sigma):
+        with pytest.raises(ValueError, match="finite"):
+            DesignSpec("seeds", 0, 3, 0.01).variation_key(sigma, 10)
+
     def test_reference_key_ignores_grid_point_and_training_knobs(self):
         spec = DesignSpec("seeds", 0, 3, 0.01)
         aware = DesignSpec("seeds", 0, 7, 0.03, training_sigma=0.04)

@@ -179,6 +179,11 @@ class TestNormalizeSigmas:
         with pytest.raises(ValueError, match=">= 0"):
             normalize_sigmas((0.01, -0.02))
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, sigma):
+        with pytest.raises(ValueError, match="finite"):
+            normalize_sigmas((0.01, sigma))
+
 
 class TestMultiSigmaPlanning:
     def test_one_variation_unit_per_dataset_sigma_grid_point(self):

@@ -1,10 +1,17 @@
 """Unit tests for the parallel unary decision-tree architecture."""
 
+import pickle
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.circuits.verification import check_equivalence
-from repro.core.unary_tree import UnaryDecisionTree, digit_variable
+from repro.core import unary_tree
+from repro.core.design import DesignSpec, proposed_hardware_report
+from repro.core.unary_tree import UnaryDecisionTree, digit_variable, translate
+from repro.core.variation import simulate_offset_variation
 from repro.mltrees.cart import CARTTrainer
 from repro.mltrees.tree import LEAF
 
@@ -134,3 +141,111 @@ class TestUnaryHardware:
         assert unary.n_inputs == 0
         assert unary.label_logic[1].is_true()
         assert unary.predict_levels(X_levels).tolist() == [1, 1]
+
+
+class TestTranslationMemo:
+    """:func:`translate` shares one translation among equal trees."""
+
+    @pytest.fixture
+    def empty_memo(self):
+        unary_tree._translations.clear()
+        yield unary_tree._translations
+        unary_tree._translations.clear()
+
+    def test_equal_unpickled_copies_minimize_each_label_once(
+        self, small_tree, small_split, technology, count_minimizations
+    ):
+        # Every Monte-Carlo call and hardware report of a store-backed run
+        # receives a freshly unpickled copy of the grid tree.
+        _, X_test_levels, _, y_test = small_split
+
+        def copy():
+            return pickle.loads(pickle.dumps(small_tree))
+
+        for sigma in (0.01, 0.02, 0.04):
+            simulate_offset_variation(copy(), X_test_levels / 16.0, y_test, sigma, n_trials=5)
+        proposed_hardware_report(copy(), technology)
+        assert len(count_minimizations) == small_tree.n_classes
+
+    def test_the_key_is_the_tree_content(self, small_tree, empty_memo):
+        unary = translate(small_tree)
+        assert translate(pickle.loads(pickle.dumps(small_tree))) is unary
+        assert translate(unary) is unary
+        assert len(empty_memo) == 1
+
+    def test_a_rethresholded_copy_misses(self, small_tree, empty_memo):
+        decision = np.flatnonzero(small_tree.feature != LEAF)
+        threshold = small_tree.threshold.copy()
+        threshold[decision[0]] = threshold[decision[0]] % 15 + 1  # another level in 1..15
+        other = small_tree.with_thresholds(threshold)
+        assert other.digest() != small_tree.digest()
+        unary, other_unary = translate(small_tree), translate(other)
+        assert other_unary is not unary and other_unary.tree is other
+        assert other_unary.required_digits == other.required_levels()
+        levels = np.random.default_rng(0).integers(0, 16, size=(300, small_tree.n_features))
+        np.testing.assert_array_equal(
+            other_unary.predict_levels(levels), other.predict_levels(levels)
+        )
+
+    def test_the_memo_never_exceeds_its_bound(self, small_tree, empty_memo):
+        decision = np.flatnonzero(small_tree.feature != LEAF)
+        rng = np.random.default_rng(1)
+        trees = []
+        for _ in range(unary_tree.TRANSLATIONS_MAX_ENTRIES + 6):
+            threshold = small_tree.threshold.copy()
+            threshold[decision] = rng.integers(1, 16, size=decision.size)
+            trees.append(small_tree.with_thresholds(threshold))
+            translate(trees[-1])
+            assert len(empty_memo) <= unary_tree.TRANSLATIONS_MAX_ENTRIES
+        assert len({tree.digest() for tree in trees}) == len(trees)
+        assert len(empty_memo) == unary_tree.TRANSLATIONS_MAX_ENTRIES
+        # Least recently used goes first: a hit refreshes an entry.
+        survivor = trees[-unary_tree.TRANSLATIONS_MAX_ENTRIES]
+        translate(survivor)
+        translate(trees[0])
+        assert survivor.digest() in empty_memo
+        assert trees[-unary_tree.TRANSLATIONS_MAX_ENTRIES + 1].digest() not in empty_memo
+
+    def test_threads_share_one_translation_per_tree(self, small_tree, empty_memo):
+        decision = np.flatnonzero(small_tree.feature != LEAF)
+        blobs = []
+        for level in range(1, 7):
+            threshold = small_tree.threshold.copy()
+            threshold[decision[0]] = level
+            blobs.append(pickle.dumps(small_tree.with_thresholds(threshold)))
+        seen: list[tuple[int, int]] = []  # (tree index, id of its translation)
+
+        def worker(order):
+            for index in order:
+                seen.append((index, id(translate(pickle.loads(blobs[index])))))
+
+        rng = np.random.default_rng(2)
+        threads = [
+            threading.Thread(target=worker, args=(rng.permutation(len(blobs) * 3) % len(blobs),))
+            for _ in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 8 * 3 * len(blobs)
+        assert len({translation for _, translation in seen}) == len(blobs)
+        assert len(set(seen)) == len(blobs)
+        assert len(empty_memo) == len(blobs)
+
+    def test_translating_leaves_pickles_unchanged(self):
+        # Design points go into store entries and trees into registry
+        # artifacts; the digest and translation never ride along.
+        point = pickle.loads(pickle.dumps(DesignSpec("seeds", 0, 3, 0.01).evaluate()))
+        before = pickle.dumps(point)
+        tree_before = pickle.dumps(point.tree)
+        translate(point.tree)
+        point.tree.digest()
+        assert pickle.dumps(point) == before
+        assert pickle.dumps(point.tree) == tree_before

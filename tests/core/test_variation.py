@@ -28,6 +28,12 @@ class TestComparatorOffsetModel:
         with pytest.raises(ValueError):
             ComparatorOffsetModel(sigma_v=-0.01)
 
+    @pytest.mark.parametrize("field", ["sigma_v", "mean_v"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_parameters_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            ComparatorOffsetModel(**{"sigma_v": 0.01, field: value})
+
 
 class TestSimulateOffsetVariation:
     @pytest.fixture(scope="class")
@@ -101,6 +107,19 @@ class TestSimulateOffsetVariation:
         tree, X, y = evaluation_data
         with pytest.raises(ValueError):
             simulate_offset_variation(tree, X, y, sigma_v=0.01, n_trials=0)
+
+    def test_empty_labels_rejected(self, evaluation_data):
+        tree, X, y = evaluation_data
+        with pytest.raises(ValueError, match="empty label"):
+            simulate_offset_variation(tree, X[:0], y[:0], sigma_v=0.02, n_trials=3)
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_sigma_rejected(self, evaluation_data, sigma):
+        # An infinite sigma used to "simulate" to a mean accuracy far below
+        # nominal instead of failing.
+        tree, X, y = evaluation_data
+        with pytest.raises(ValueError, match="finite"):
+            simulate_offset_variation(tree, X, y, sigma_v=sigma, n_trials=3)
 
 
 class TestOffsetToleranceSweep:

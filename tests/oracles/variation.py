@@ -1,9 +1,13 @@
-"""The per-sample Monte-Carlo loop, kept as the reference of the offset path.
+"""Reference implementations of the Monte-Carlo offset path.
 
 :func:`_predict_with_offsets_scalar` is the pre-vectorization
 implementation of :func:`repro.core.variation._predict_with_offsets`: one
 dict-based digit assignment per sample, evaluated through the scalar
 :meth:`~repro.core.unary_tree.UnaryDecisionTree.predict_from_assignment`.
+
+:func:`simulate_per_trial` is :func:`repro.core.variation.simulate_offset_variation`
+as it was before the translation memo: a fresh translation per call, one
+offset row drawn per trial and one ``accuracy_score`` per trial.
 """
 
 from __future__ import annotations
@@ -11,6 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.unary_tree import UnaryDecisionTree
+from repro.core.variation import ComparatorOffsetModel, _predict_with_offsets
+from repro.mltrees.evaluation import accuracy_score
+from repro.mltrees.tree import DecisionTree
 
 
 def _predict_with_offsets_scalar(
@@ -37,3 +44,25 @@ def _predict_with_offsets_scalar(
                 assignment[f"I{feature}_u{level}"] = value >= threshold
         predictions[row_index] = unary.predict_from_assignment(assignment)
     return predictions
+
+
+def simulate_per_trial(
+    tree: DecisionTree,
+    X: np.ndarray,
+    y: np.ndarray,
+    sigma_v: float,
+    n_trials: int,
+    vdd: float,
+    seed: int = 0,
+) -> tuple[float, tuple[float, ...]]:
+    """``(nominal accuracy, per-trial accuracies)``, one trial at a time."""
+    unary = UnaryDecisionTree(tree)
+    X, y = np.asarray(X, dtype=float), np.asarray(y)
+    nominal = accuracy_score(y, unary.predict(X))
+    if not unary.comparators:
+        return nominal, (nominal,) * n_trials
+    model = ComparatorOffsetModel(sigma_v=sigma_v)
+    rng = np.random.default_rng(seed)
+    offsets = np.stack([model.sample(rng, len(unary.comparators)) for _ in range(n_trials)])
+    predictions = _predict_with_offsets(unary, X, offsets, vdd)
+    return nominal, tuple(accuracy_score(y, row) for row in predictions)
