@@ -14,16 +14,23 @@ hot loops; the batch numbers use ``predict_levels`` and
 ``simulate_offset_variation``.  Both pairs are asserted bit-identical before
 timing, so the speedups compare equal answers.
 
-The third tier is the packed-uint64 kernel of :mod:`repro.core.bitkernel`
+The third tier is the bit-parallel kernel of :mod:`repro.core.bitkernel`
 (layout and semantics in ``docs/KERNELS.md``): the tree's two-level cube
-logic evaluated 64 samples per machine word, the one evaluator of digit
-matrices.  It is measured against the ndarray label-logic oracle
+logic evaluated one bit per sample, the one evaluator of digit matrices;
+at this size it runs on ``uint64`` words, 64 samples per machine word.  It
+is measured against the ndarray label-logic oracle
 (``tests/oracles/batch_logic.py``, the batch path it replaced) on a
 depth-8 classifier at 2^19 samples -- large enough that both sides are out
 of warm-up noise -- and must clear :data:`MIN_KERNEL_SPEEDUP` after its
 predictions are asserted bit-identical to both the oracle and
 ``DecisionTree.predict_levels``.  The scalar Monte-Carlo reference is
 ``tests/oracles/variation.py``.
+
+The ``kernel_small_batch`` row times the kernel where the scorer uses it:
+``predict_levels`` on batches of 1, 4, 16 and 64 rows of the same depth-8
+classifier, which run on Python ``int`` bitsets, against the all-words
+evaluator they replaced (``tests/oracles/packed_kernel.py``), after asserting
+equal labels on every batch.
 
 The ``surface_cells`` row times the Monte-Carlo half of a cold robustness
 surface: every one of cardio's 49 depth x tau grid trees, freshly unpickled
@@ -49,6 +56,7 @@ import time
 import numpy as np
 
 from oracles.batch_logic import batch_oracle
+from oracles.packed_kernel import PackedWordKernel
 from oracles.variation import _predict_with_offsets_scalar, simulate_per_trial
 from repro.analysis.render import render_table
 from repro.core import unary_tree
@@ -74,6 +82,8 @@ KERNEL_DEPTH = 8
 N_KERNEL_SAMPLES = 1 << 19
 N_TIMING_REPEATS = 7       # best-of repeats; throughput gates time the floor
 MIN_KERNEL_SPEEDUP = 10.0
+SMALL_BATCHES = (1, 4, 16, 64)  # serving-sized flushes, int-bitset path
+N_SMALL_PASSES = 50        # passes over SMALL_BATCHES per timing
 
 SURFACE_DATASET = "cardio"
 SURFACE_SIGMAS = (0.01, 0.02, 0.04)
@@ -105,8 +115,40 @@ def _best_of(func, repeats: int = N_TIMING_REPEATS) -> float:
     return best
 
 
-def _measure_kernel(seed: int):
-    """Bit-parallel kernel vs. the ndarray batch oracle on a depth-8 classifier."""
+def _measure_small_batches(kernel, X_levels) -> dict:
+    """Serving-sized ``predict_levels`` calls vs. the all-words kernel."""
+    oracle = PackedWordKernel(kernel)
+    batches = [X_levels[:size] for size in SMALL_BATCHES]
+    for batch in batches:
+        np.testing.assert_array_equal(
+            kernel.predict_levels(batch), oracle.predict_levels(batch)
+        )
+
+    def passes(predict):
+        for _ in range(N_SMALL_PASSES):
+            for batch in batches:
+                predict(batch)
+
+    words_s = _best_of(lambda: passes(oracle.predict_levels))
+    kernel_s = _best_of(lambda: passes(kernel.predict_levels))
+    n_rows = N_SMALL_PASSES * sum(SMALL_BATCHES)
+    return {
+        "workload": (
+            f"kernel batches of {'/'.join(map(str, SMALL_BATCHES))} rows "
+            f"({KERNEL_DATASET} d={KERNEL_DEPTH})"
+        ),
+        "ref_s": words_s,
+        "fast_s": kernel_s,
+        "ref_rate": n_rows / words_s,
+        "fast_rate": n_rows / kernel_s,
+        "unit": "samples/s",
+        "speedup": words_s / kernel_s,
+    }
+
+
+def _measure_kernel(seed: int) -> list[dict]:
+    """Bit-parallel kernel vs. the ndarray batch oracle on a depth-8 classifier,
+    and on serving-sized batches vs. the all-words kernel it replaced."""
     dataset = load_dataset(KERNEL_DATASET, seed=seed)
     X_train, X_test, y_train, _ = train_test_split(
         dataset.X, dataset.y, test_size=0.3, seed=seed
@@ -133,7 +175,7 @@ def _measure_kernel(seed: int):
     kernel_s = _best_of(lambda: kernel.predict_digit_matrix(digits))
     batch_rate = N_KERNEL_SAMPLES / batch_s
     kernel_rate = N_KERNEL_SAMPLES / kernel_s
-    return {
+    large = {
         "workload": (
             f"bit-parallel kernel {N_KERNEL_SAMPLES} samples "
             f"({KERNEL_DATASET} d={KERNEL_DEPTH})"
@@ -145,6 +187,7 @@ def _measure_kernel(seed: int):
         "unit": "samples/s",
         "speedup": kernel_rate / batch_rate,
     }
+    return [large, _measure_small_batches(kernel, quantize_dataset(X_test))]
 
 
 def _measure(seed: int):
@@ -210,7 +253,7 @@ def _measure(seed: int):
             "unit": "trials/s",
             "speedup": batch_mc_rate / scalar_mc_rate,
         },
-        _measure_kernel(seed),
+        *_measure_kernel(seed),
     ]
 
 
@@ -231,8 +274,10 @@ def _render(rows) -> str:
     )
 
 
-_BENCH_ROW_NAMES = ("batch_predict", "batch_monte_carlo", "bitparallel_kernel")
-_BENCH_DATASETS = (DATASET, DATASET, KERNEL_DATASET)
+_BENCH_ROW_NAMES = (
+    "batch_predict", "batch_monte_carlo", "bitparallel_kernel", "kernel_small_batch",
+)
+_BENCH_DATASETS = (DATASET, DATASET, KERNEL_DATASET, KERNEL_DATASET)
 
 
 def _bench_rows(rows) -> list[dict]:
@@ -250,18 +295,22 @@ def _bench_rows(rows) -> list[dict]:
 
 
 def test_batch_inference_throughput(benchmark, bench_seed, write_report, write_bench_json):
-    """Batch is >= 10x over scalar; the packed kernel >= 10x over batch."""
+    """Batch is >= 10x over scalar; the packed kernel >= 10x over batch;
+    serving-sized batches beat the all-words kernel."""
     rows = benchmark.pedantic(lambda: _measure(bench_seed), rounds=1, iterations=1)
     write_report("inference_throughput", _render(rows))
     write_bench_json("inference", _bench_rows(rows))
-    for row in rows[:-1]:
+    predict_row, monte_carlo_row, kernel_row, small_row = rows
+    for row in (predict_row, monte_carlo_row):
         assert row["speedup"] >= MIN_SPEEDUP, (
             f"{row['workload']}: only {row['speedup']:.1f}x over the scalar loop"
         )
-    kernel_row = rows[-1]
     assert kernel_row["speedup"] >= MIN_KERNEL_SPEEDUP, (
         f"{kernel_row['workload']}: only {kernel_row['speedup']:.1f}x over the "
         f"batch path (need >= {MIN_KERNEL_SPEEDUP:.0f}x)"
+    )
+    assert small_row["speedup"] > 1.0, (
+        f"{small_row['workload']}: no faster than the all-words kernel"
     )
 
 

@@ -11,10 +11,11 @@ Three measurement groups:
    through :class:`~repro.serve.scorer.AsyncScorer` versus the
    single-request reference (``score_one``: one quantization + one 1-row
    kernel call per request, exactly a request-per-call server).
-   Micro-batched serving must clear :data:`MIN_SERVING_SPEEDUP` -- the
-   packed kernel pays a near-fixed per-word cost, so batching 256 requests
-   into 4 uint64 words collapses its per-request cost by two orders of
-   magnitude.
+   Micro-batched serving must clear :data:`MIN_SERVING_SPEEDUP`.  A flush
+   pays one quantization, one kernel call and the asyncio wake-ups once for
+   the whole batch; on int bitsets the kernel call itself costs about
+   0.1 ms for one row and not much more for 256, so the gain is now mostly
+   the shared fixed cost per request rather than the kernel's.
 2. **Batch-size sweep** -- the same closed loop at max_batch_size in
    {16, 64, 256} (informational: shows where the flush cost stops
    dominating the asyncio per-request overhead).

@@ -220,8 +220,8 @@ def _ranged(cast, message: str, strict: bool = False, finite: bool = False):
 
 _positive_int = _ranged(int, "must be a positive integer", strict=True)
 _non_negative_int = _ranged(int, "must be a non-negative integer")
-_positive_number = _ranged(float, "must be a positive number", strict=True)
-_non_negative_number = _ranged(float, "must be a non-negative number")
+_positive_number = _ranged(float, "must be a finite, positive number", strict=True, finite=True)
+_non_negative_number = _ranged(float, "must be a finite, non-negative number", finite=True)
 _sigma = _ranged(float, "must be a finite, non-negative sigma in volts", finite=True)
 _jobs = _ranged(int, "must be >= 0 (0 = one worker per CPU)")
 

@@ -16,7 +16,7 @@ import numpy as np
 from repro.core.bespoke_adc import build_bespoke_adcs
 from repro.core.design import _unary_hardware_report
 from repro.core.power_budget import analyze_self_power
-from repro.core.unary_tree import UnaryDecisionTree
+from repro.core.unary_tree import UnaryDecisionTree, translate
 from repro.mltrees.evaluation import accuracy_score
 from repro.mltrees.tree import DecisionTree
 from repro.pdk.egfet import EGFETTechnology, default_technology
@@ -38,8 +38,9 @@ def generate_datasheet(
     ----------
     tree:
         The trained (quantized) decision tree to implement, or its
-        :class:`~repro.core.unary_tree.UnaryDecisionTree` when the caller
-        already translated it (the label logic is then not rebuilt).
+        :class:`~repro.core.unary_tree.UnaryDecisionTree`.  A bare tree is
+        translated through :func:`~repro.core.unary_tree.translate`, so a
+        tree translated before (costed, promoted) is not minimized again.
     name:
         Title of the datasheet.
     technology:
@@ -62,7 +63,7 @@ def generate_datasheet(
 
     technology = technology if technology is not None else default_technology()
     backend = resolve_ppa_backend(ppa_backend)
-    unary = tree if isinstance(tree, UnaryDecisionTree) else UnaryDecisionTree(tree)
+    unary = translate(tree)
     tree = unary.tree
     hardware = _unary_hardware_report(unary, technology, name=name, ppa_backend=backend)
     self_power = analyze_self_power(hardware, technology)

@@ -226,6 +226,11 @@ class DesignSpec:
     robustness_weight: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("tau", "test_size", "training_sigma", "robustness_weight"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if not 0.0 < self.test_size < 1.0:
+            raise ValueError("test_size must lie strictly between 0 and 1")
         if self.training_sigma < 0:
             raise ValueError("training_sigma must be >= 0")
         if self.robustness_weight < 0:

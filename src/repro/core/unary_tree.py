@@ -15,7 +15,7 @@ digits.  :class:`UnaryDecisionTree` performs that translation for a trained
 * it predicts classes either from raw samples, from quantized levels, or from
   the digit dictionaries produced by a :class:`~repro.adc.frontend.BespokeFrontEnd`.
 
-Every batched prediction goes through one evaluator: the packed-uint64
+Every batched prediction goes through one evaluator: the bit-parallel
 :class:`~repro.core.bitkernel.CompiledTreeKernel`, compiled from this
 tree's own minimized label logic (:attr:`UnaryDecisionTree.kernel`).
 

@@ -15,7 +15,7 @@ loops.  A simulation translates its tree through
 unpickled copy of a grid tree, at every sigma) share one translation and one
 compiled kernel.  It draws the ``(n_trials, n_comparators)`` offset matrix in
 one call, broadcasts it against the per-comparator thresholds, evaluates
-every trial and sample in one pass of the packed-uint64 label-logic kernel
+every trial and sample in one pass of the bit-parallel label-logic kernel
 (:class:`~repro.core.bitkernel.CompiledTreeKernel`) and scores all trials in
 one array pass.  Trial batches optionally fan out across worker processes
 through :class:`~repro.core.executor.Executor` -- results are bit-identical

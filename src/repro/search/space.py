@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 #: Floats are rounded to this many digits when canonicalized, so encode /
@@ -44,6 +45,8 @@ class IntDimension:
     high: int
 
     def __post_init__(self):
+        if not all(isinstance(bound, numbers.Integral) for bound in (self.low, self.high)):
+            raise ValueError(f"{self.name}: low and high must be integers")
         if self.low > self.high:
             raise ValueError(f"{self.name}: low must be <= high")
 
@@ -90,6 +93,8 @@ class FloatDimension:
     log: bool = False
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.low, self.high, self.step or 0.0))):
+            raise ValueError(f"{self.name}: low, high and step must be finite")
         if self.low > self.high:
             raise ValueError(f"{self.name}: low must be <= high")
         if self.log:

@@ -9,8 +9,8 @@ Three layers turn cached experiment outputs into a serving stack:
 * :mod:`repro.serve.batching` / :mod:`repro.serve.scorer` -- an asyncio
   micro-batching scorer that accumulates concurrent single-sample requests,
   converts each flush through the ADC front end once, and dispatches one
-  bit-parallel kernel call per batch; results are bit-identical to scalar
-  ``predict_levels``.
+  bit-parallel kernel call per batch (on Python ``int`` bitsets at serving
+  sizes); results are bit-identical to scalar ``predict_levels``.
 * :mod:`repro.serve.loadgen` -- open- and closed-loop load generation with
   coordinated-omission-safe latency percentiles, feeding the SLO rows of
   ``benchmarks/bench_serving_throughput.py``.

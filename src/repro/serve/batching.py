@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import asyncio
 import inspect
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Awaitable, Callable, Sequence, Union
@@ -47,9 +48,9 @@ class BatchingConfig:
     Attributes
     ----------
     max_batch_size:
-        Flush as soon as this many items have accumulated.  64 is one packed
-        uint64 word of the bit-parallel kernel; multiples of 64 waste no
-        lanes.
+        Flush as soon as this many items have accumulated.  The kernel
+        evaluates batches of serving size on bitsets exactly as wide as the
+        batch, so no size wastes lanes.
     max_wait_us:
         Flush an incomplete batch once its *first* item has waited this many
         microseconds -- the latency bound a lone request pays at low load.
@@ -63,6 +64,9 @@ class BatchingConfig:
     max_queue_size: int = 4096
 
     def __post_init__(self) -> None:
+        for name in ("max_batch_size", "max_wait_us", "max_queue_size"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
         if self.max_wait_us < 0:

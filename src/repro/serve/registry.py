@@ -42,7 +42,7 @@ from repro.core.datasheet import generate_datasheet
 from repro.core.design import DesignPoint
 from repro.core.metrics import HardwareReport
 from repro.core.store import atomic_write, code_version, content_digest
-from repro.core.unary_tree import UnaryDecisionTree
+from repro.core.unary_tree import translate
 from repro.mltrees.tree import LEAF, DecisionTree
 from repro.pdk.egfet import EGFETTechnology, default_technology
 
@@ -246,7 +246,7 @@ class ModelRegistry:
             if manifest.get("digest") == digest:
                 return self.load(name, version)
 
-        unary = UnaryDecisionTree(point.tree)
+        unary = translate(point.tree)
         if unary.n_inputs > 0:
             frontend = build_bespoke_frontend(unary, technology)
             adc_config = {

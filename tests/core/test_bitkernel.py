@@ -1,4 +1,4 @@
-"""Unit tests for the bit-parallel packed-uint64 tree kernel.
+"""Unit tests for the bit-parallel tree kernel.
 
 The kernel is checked against two references that share none of its
 evaluation code: the ndarray label-logic evaluator kept in

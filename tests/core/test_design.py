@@ -8,6 +8,7 @@ sweep of the same points.
 """
 
 import dataclasses
+import math
 
 import pytest
 
@@ -92,6 +93,31 @@ class TestCanonicalIdentity:
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(DesignSpec("seeds"), **{field: value})
 
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            dict(tau=math.nan),
+            dict(tau=math.inf),
+            dict(test_size=1.5),
+            dict(test_size=math.nan),
+            dict(test_size=0.0),
+            dict(test_size=1.0),
+            dict(test_size=-0.2),
+            dict(training_sigma=math.inf),
+            dict(training_sigma=math.nan),
+            dict(robustness_weight=math.nan),
+            dict(robustness_weight=math.inf),
+        ],
+        ids=repr,
+    )
+    def test_non_finite_knobs_and_test_sizes_outside_0_1_rejected(self, knobs):
+        """Before any cache key holds them or any trainer sees them."""
+        (name,) = knobs
+        with pytest.raises(ValueError, match=name):
+            DesignSpec("seeds", **knobs)
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(DesignSpec("seeds"), **knobs)
 
 class TestRecipe:
     def test_framework_run_equals_the_suite_on_the_same_grid(self):

@@ -8,6 +8,8 @@ parent on ``sys.path``, so tests and benchmarks import them as
 
 * :mod:`oracles.batch_logic` -- the ndarray label-logic evaluator, the
   reference of :class:`~repro.core.bitkernel.CompiledTreeKernel`;
+* :mod:`oracles.packed_kernel` -- the all-words evaluator of that kernel,
+  the reference of its int-bitset and word paths;
 * :mod:`oracles.variation` -- the per-sample Monte-Carlo loop, the
   reference of :func:`repro.core.variation._predict_with_offsets`;
 * :mod:`oracles.legacy_split_search` -- the object-based split

@@ -1,6 +1,6 @@
 """Property-based equivalence of the bit-parallel kernel (hypothesis).
 
-The packed-uint64 kernel behind ``UnaryDecisionTree.predict_digit_matrix`` /
+The bit-parallel kernel behind ``UnaryDecisionTree.predict_digit_matrix`` /
 ``predict_from_digits_batch`` must be *bit-identical* to two references
 that share none of its evaluation code -- the ndarray label-logic
 evaluator in ``tests/oracles/batch_logic.py`` and the scalar
@@ -118,11 +118,9 @@ class TestKernelEquivalenceProperties:
         rng = np.random.default_rng(rnd)
         rows = rng.integers(0, len(X_levels), size=n_samples)
         digits = batch_oracle(unary).digits_from_levels(X_levels[rows])
-        packed = kernel.pack_digit_matrix(digits)
-        assert packed.words.shape == (kernel.n_digits, -(-n_samples // 64))
+        packed = pack_digit_matrix(digits)
+        assert packed.shape == (kernel.n_digits, -(-n_samples // 64))
+        np.testing.assert_array_equal(unpack_digit_matrix(packed, n_samples), digits)
         np.testing.assert_array_equal(
-            unpack_digit_matrix(packed.words, n_samples), digits
-        )
-        np.testing.assert_array_equal(
-            packed.words, pack_digit_matrix(np.ascontiguousarray(digits))
+            packed, pack_digit_matrix(np.ascontiguousarray(digits))
         )

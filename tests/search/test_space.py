@@ -39,6 +39,11 @@ class TestIntDimension:
         with pytest.raises(ValueError, match="low"):
             IntDimension("d", 5, 2)
 
+    @pytest.mark.parametrize("bounds", [(1, float("inf")), (float("nan"), 3), (1.5, 3)])
+    def test_non_integer_bounds_rejected(self, bounds):
+        with pytest.raises(ValueError, match="must be integers"):
+            IntDimension("d", *bounds)
+
 
 class TestFloatDimension:
     def test_step_grid_snaps_fuzzy_spellings(self):
@@ -76,6 +81,21 @@ class TestFloatDimension:
     def test_nonpositive_step_rejected(self):
         with pytest.raises(ValueError, match="step"):
             FloatDimension("x", 0.0, 1.0, step=0.0)
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            dict(low=0.0, high=float("inf")),
+            dict(low=float("-inf"), high=0.0),
+            dict(low=float("nan"), high=1.0),
+            dict(low=0.0, high=1.0, step=float("nan")),
+            dict(low=0.0, high=1.0, step=float("inf")),
+        ],
+        ids=repr,
+    )
+    def test_non_finite_bounds_rejected(self, bounds):
+        with pytest.raises(ValueError, match="must be finite"):
+            FloatDimension("x", **bounds)
 
     def test_canonical_rejects_far_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):

@@ -1,6 +1,7 @@
 """Unit tests for the micro-batcher's accumulate/flush/shutdown mechanics."""
 
 import asyncio
+import math
 
 import pytest
 
@@ -23,6 +24,13 @@ class TestBatchingConfig:
             BatchingConfig(max_wait_us=-1.0)
         with pytest.raises(ValueError, match="max_queue_size"):
             BatchingConfig(max_queue_size=-1)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("knob", ["max_batch_size", "max_wait_us", "max_queue_size"])
+    def test_rejects_non_finite_knobs(self, knob, value):
+        # max_wait_us=inf would hold a lone request forever.
+        with pytest.raises(ValueError, match=f"{knob} must be finite"):
+            BatchingConfig(**{knob: value})
 
     def test_defaults(self):
         config = BatchingConfig()

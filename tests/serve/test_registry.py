@@ -263,15 +263,15 @@ class TestPromoteDesign:
         cache_files = [p for p in cache_dir.rglob("*") if p.is_file()]
         assert cache_files == []
 
-    def test_cold_promote_translates_the_tree_twice(self, tmp_path, count_minimizations):
-        """One translation costs the trained point, one serves the artifact:
-        its ADC config, kernel metrics and datasheet."""
+    def test_cold_promote_translates_the_tree_once(self, tmp_path, count_minimizations):
+        """The translation that costs the trained point also serves the
+        artifact: its ADC config, kernel metrics and datasheet."""
         artifact = promote_design(
             ModelRegistry(tmp_path / "registry"), "cardio", 3, 0.0,
             cache_dir=tmp_path / "cache",
         )
         assert artifact.tree.n_classes == 3
-        assert len(count_minimizations) == 2 * artifact.tree.n_classes
+        assert len(count_minimizations) == artifact.tree.n_classes
 
     def test_repromote_is_idempotent(self, tmp_path):
         registry = ModelRegistry(tmp_path / "registry")
