@@ -3,8 +3,12 @@
 The EGFET cost model shipped with the library is calibrated against the
 paper's published numbers, but every constant lives in
 :class:`repro.pdk.EGFETTechnology`, so a user can re-run the whole co-design
-under a different process assumption.  This example studies two questions on
-the seeds benchmark:
+under a different process assumption: a :class:`repro.core.DesignSpec`
+carries the technology, :func:`repro.core.reference_designs` builds the
+baselines under it, :func:`repro.core.design.evaluate_family` trains and
+costs the depth x tau exploration one tau family at a time, and
+:func:`repro.core.select_designs` picks the design per accuracy-loss budget.
+This example studies two questions on the seeds benchmark:
 
 1. how do the co-design gains change if the comparator power scales more or
    less steeply with the reference level (the property the ADC-aware training
@@ -19,21 +23,28 @@ Run with::
 
 from dataclasses import replace
 
-from repro import CoDesignFramework, default_technology, load_dataset
+from repro import default_technology, reference_designs, select_designs
 from repro.analysis.render import render_table
+from repro.core.design import DesignSpec, evaluate_family
+from repro.core.exploration import DEFAULT_DEPTHS, DEFAULT_TAUS, grid_points
 from repro.pdk.comparator import AnalogComparatorModel
 from repro.pdk.harvester import PrintedEnergyHarvester
 
 
-def run_with(technology, dataset):
-    framework = CoDesignFramework(
-        technology=technology, seed=0, include_approximate_baseline=False
+def run_with(technology):
+    """The seeds co-design flow with every design costed under ``technology``."""
+    base = DesignSpec("seeds", seed=0, technology=technology)
+    points = {}
+    for tau in DEFAULT_TAUS:
+        family = [replace(base, depth=depth, tau=tau) for depth in DEFAULT_DEPTHS]
+        points.update(((p.depth, p.tau), p) for p in evaluate_family(family))
+    exploration = [points[grid] for grid in grid_points(DEFAULT_DEPTHS, DEFAULT_TAUS)]
+    return select_designs(
+        reference_designs(base, include_approximate_baseline=False), exploration
     )
-    return framework.run(dataset)
 
 
 def main() -> None:
-    dataset = load_dataset("seeds", seed=0)
     nominal = default_technology()
 
     # ------------------------------------------------------------------ #
@@ -47,7 +58,7 @@ def main() -> None:
             power_per_level_uw=nominal.comparator.power_per_level_uw * slope_scale,
         )
         technology = replace(nominal, comparator=comparator)
-        result = run_with(technology, dataset)
+        result = run_with(technology)
         chosen = result.selected[0.01]
         table2 = result.table2_reduction(0.01)
         slope_rows.append(
@@ -68,7 +79,7 @@ def main() -> None:
         technology = replace(
             nominal, harvester=PrintedEnergyHarvester(budget_mw=budget)
         )
-        result = run_with(technology, dataset)
+        result = run_with(technology)
         baseline_ok = result.baseline.hardware.total_power_mw <= budget
         analysis = result.self_power(0.01)
         harvester_rows.append(

@@ -12,7 +12,8 @@ Run with::
     python examples/healthcare_patch_posture.py
 """
 
-from repro import CoDesignFramework, load_dataset
+from repro import load_dataset
+from repro.analysis.experiments import run_benchmark_suite
 from repro.analysis.render import render_table
 
 
@@ -22,8 +23,9 @@ def main() -> None:
           f"{dataset.n_features} biomechanical attributes, "
           f"{dataset.n_classes} classes {dataset.class_names}")
 
-    framework = CoDesignFramework(seed=0, include_approximate_baseline=True)
-    result = framework.run(dataset)
+    (result,) = run_benchmark_suite(
+        (dataset.name,), seed=0, include_approximate_baseline=True, store=None
+    )
 
     rows = []
     baseline = result.baseline

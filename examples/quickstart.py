@@ -3,8 +3,9 @@
 This walks the shortest path through the library:
 
 1. load a benchmark dataset (the synthetic stand-in for UCI ``seeds``),
-2. run the full co-design framework (baseline [2], parallel unary
-   architecture with bespoke ADCs, ADC-aware training + exploration),
+2. run the full co-design flow on it (baseline [2], parallel unary
+   architecture with bespoke ADCs, ADC-aware training + exploration) --
+   the benchmark suite runner, here without a result store,
 3. print the accuracy, area, power and self-power verdict of each step.
 
 Run with::
@@ -12,7 +13,8 @@ Run with::
     python examples/quickstart.py
 """
 
-from repro import CoDesignFramework, load_dataset
+from repro import load_dataset
+from repro.analysis.experiments import run_benchmark_suite
 
 
 def main() -> None:
@@ -20,8 +22,9 @@ def main() -> None:
     print(f"dataset: {dataset.name} -- {dataset.n_samples} samples, "
           f"{dataset.n_features} features, {dataset.n_classes} classes")
 
-    framework = CoDesignFramework(seed=0, include_approximate_baseline=False)
-    result = framework.run(dataset)
+    (result,) = run_benchmark_suite(
+        (dataset.name,), seed=0, include_approximate_baseline=False, store=None
+    )
 
     baseline = result.baseline
     print("\n[1] Baseline bespoke decision tree [2] (conventional flash ADCs)")

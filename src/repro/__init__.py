@@ -5,9 +5,13 @@ Bespoke ADC and Decision Tree Co-Design" (DATE 2024).
 
 Public API highlights
 ---------------------
-* :class:`repro.core.CoDesignFramework` -- end-to-end flow: baseline [2],
-  parallel unary architecture with bespoke ADCs, ADC-aware training and the
-  accuracy-constrained design-space exploration.
+* :func:`repro.analysis.experiments.run_benchmark_suite` -- end-to-end flow:
+  baseline [2], parallel unary architecture with bespoke ADCs, ADC-aware
+  training and the accuracy-constrained design-space exploration, per
+  benchmark (``store=None`` runs it without a result store).
+* :func:`repro.core.reference_designs` and :func:`repro.core.select_designs`
+  -- the flow's reference designs and its design selection, for a
+  :class:`repro.core.DesignSpec` of your own (e.g. another technology).
 * :class:`repro.core.ADCAwareTrainer` -- Algorithm 1 of the paper.
 * :class:`repro.core.UnaryDecisionTree` -- the parallel unary decision-tree
   architecture (Section III-A).
@@ -22,7 +26,6 @@ Public API highlights
 from repro.core import (
     ADCAwareTrainer,
     ClassifierDesign,
-    CoDesignFramework,
     CoDesignResult,
     DesignPoint,
     Executor,
@@ -36,7 +39,9 @@ from repro.core import (
     build_bespoke_adcs,
     build_bespoke_frontend,
     get_executor,
+    reference_designs,
     select_best_design,
+    select_designs,
 )
 from repro.datasets import Dataset, dataset_names, load_dataset
 from repro.pdk import EGFETTechnology, default_technology
@@ -46,7 +51,6 @@ __version__ = "1.8.0"
 __all__ = [
     "ADCAwareTrainer",
     "ClassifierDesign",
-    "CoDesignFramework",
     "CoDesignResult",
     "DesignPoint",
     "Executor",
@@ -61,6 +65,8 @@ __all__ = [
     "build_bespoke_adcs",
     "build_bespoke_frontend",
     "select_best_design",
+    "reference_designs",
+    "select_designs",
     "Dataset",
     "dataset_names",
     "load_dataset",

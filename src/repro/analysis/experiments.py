@@ -55,24 +55,17 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from repro.core.codesign import CoDesignFramework, CoDesignResult, select_designs
+from repro.core.codesign import CoDesignResult, reference_designs, select_designs
 from repro.core.design import DesignPoint, DesignSpec, evaluate_family
 from repro.core.executor import Executor, get_executor
-from repro.core.exploration import (
-    DEFAULT_DEPTHS,
-    DEFAULT_TAUS,
-    grid_points,
-    select_best_design,
-)
+from repro.core.exploration import DEFAULT_DEPTHS, DEFAULT_TAUS, select_best_design
 from repro.core.sharding import (
     MissingResultsError,
     ShardSpec,
     SuitePlan,
     WorkUnit,
     normalize_sigmas,
-    point_work_unit,
-    suite_work_unit,
-    variation_work_unit,
+    plan_suite_units,
 )
 from repro.core.store import ResultStore
 from repro.core.variation import (  # noqa: F401 (simulate_offset_variation: public re-export)
@@ -205,10 +198,11 @@ def run_benchmark_suite(
     names = [canonical_name(name) for name in resolve_suite_datasets(datasets, fast)]
 
     units = {
-        name: _suite_units(
-            name, seed, include_approximate_baseline, depths, taus,
-            training_sigma, robustness_weight,
-        )
+        name: plan_suite_units(
+            (name,), seed, depths, taus,
+            include_approximate_variants=(include_approximate_baseline,),
+            training_sigma=training_sigma, robustness_weight=robustness_weight,
+        ).units
         for name in dict.fromkeys(names)
     }
     memo_keys = {
@@ -268,31 +262,6 @@ def _backend_store(store: ResultStore | None, ppa_backend, cache_only: bool):
     return store, backend
 
 
-def _suite_units(
-    name: str,
-    seed: int,
-    include_approximate_baseline: bool,
-    depths: tuple[int, ...],
-    taus: tuple[float, ...],
-    training_sigma: float,
-    robustness_weight: float,
-) -> list[WorkUnit]:
-    """One benchmark's reference unit followed by its grid's point units."""
-    return [
-        suite_work_unit(name, seed, include_approximate_baseline),
-        *(
-            point_work_unit(
-                DesignSpec(
-                    name, seed, depth, tau,
-                    training_sigma=training_sigma,
-                    robustness_weight=robustness_weight,
-                )
-            )
-            for depth, tau in grid_points(depths, taus)
-        ),
-    ]
-
-
 def _compute_job(units: list[WorkUnit], ppa_backend=None, tree=None) -> list:
     """Top-level (picklable) job: compute ``units`` from scratch, in order.
 
@@ -310,13 +279,14 @@ def _compute_job(units: list[WorkUnit], ppa_backend=None, tree=None) -> list:
     if unit.kind == "point":
         return evaluate_family([point.spec for point in units], ppa_backend)
     if unit.kind == "suite":
-        framework = CoDesignFramework(
-            seed=unit.seed,
-            include_approximate_baseline=unit.params["include_approximate_baseline"],
-            ppa_backend=ppa_backend,
-        )
         with shared_split_tables():
-            return [framework.run_reference(DesignSpec(unit.dataset, unit.seed).data().dataset)]
+            return [
+                reference_designs(
+                    DesignSpec(unit.dataset, unit.seed),
+                    unit.params["include_approximate_baseline"],
+                    ppa_backend,
+                )
+            ]
     return [
         unit.spec.simulate(
             unit.params["sigma_v"],
@@ -564,14 +534,20 @@ def _robustness_pass(
 ) -> tuple[CoDesignResult, list[WorkUnit], dict[str, VariationAnalysis]]:
     """One benchmark's nominal suite plus its variation units at ``sigmas``.
 
-    Units are sigma-major with the grid inner; misses simulate the suite's
-    own trees.  Returns the suite result, the units and their analyses by
-    store key.  The variation units are accuracy-only, so they use ``store``
-    whatever the PPA backend; ``ppa_backend`` only reaches the suite.
+    The units are the variation units of the benchmark's
+    :func:`~repro.core.sharding.plan_suite_units` plan: sigma-major with the
+    grid inner.  Misses simulate the suite's own trees.  Returns the suite
+    result, the units and their analyses by store key.  The variation units
+    are accuracy-only, so they use ``store`` whatever the PPA backend;
+    ``ppa_backend`` only reaches the suite.
     """
-    name = canonical_name(dataset)
+    plan = plan_suite_units(
+        (dataset,), seed, depths, taus, include_approximate_variants=(),
+        sigmas=sigmas, n_trials=n_trials,
+        training_sigma=training_sigma, robustness_weight=robustness_weight,
+    )
     (result,) = run_benchmark_suite(
-        datasets=(name,),
+        datasets=plan.datasets,
         seed=seed,
         include_approximate_baseline=False,
         depths=depths,
@@ -583,20 +559,12 @@ def _robustness_pass(
         cache_only=cache_only,
         ppa_backend=ppa_backend,
     )
-    specs = [
-        DesignSpec(
-            name, seed, depth, tau,
-            training_sigma=training_sigma, robustness_weight=robustness_weight,
-        )
-        for depth, tau in grid_points(depths, taus)
-    ]
-    units = [
-        variation_work_unit(spec, sigma, n_trials) for sigma in sigmas for spec in specs
-    ]
+    points = [unit for unit in plan.units if unit.kind == "point"]
+    units = [unit for unit in plan.units if unit.kind == "variation"]
     with get_executor(jobs) as executor:
         analyses, _ = _resolve_units(
             units, store, executor, cache_only=cache_only,
-            trees={spec: point.tree for spec, point in zip(specs, result.exploration)},
+            trees={unit.spec: point.tree for unit, point in zip(points, result.exploration)},
         )
     if store is not None:
         store.flush_stats()

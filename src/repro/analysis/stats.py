@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.codesign import CoDesignFramework
+from repro.analysis.experiments import run_benchmark_suite
+from repro.core.codesign import select_designs
 from repro.core.exploration import DEFAULT_DEPTHS, DEFAULT_TAUS
-from repro.datasets.registry import load_dataset
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,6 @@ def run_multi_seed(
     accuracy_loss: float = 0.01,
     depths: tuple[int, ...] = DEFAULT_DEPTHS,
     taus: tuple[float, ...] = DEFAULT_TAUS,
-    technology=None,
 ) -> MultiSeedSummary:
     """Run the co-design flow for several seeds and aggregate the key metrics.
 
@@ -83,15 +82,11 @@ def run_multi_seed(
     self_powered: list[bool] = []
 
     for seed in seeds:
-        framework = CoDesignFramework(
-            technology=technology,
-            depths=depths,
-            taus=taus,
-            accuracy_losses=(accuracy_loss,),
-            seed=seed,
-            include_approximate_baseline=False,
+        (result,) = run_benchmark_suite(
+            (dataset_name,), seed=seed, include_approximate_baseline=False,
+            depths=depths, taus=taus, store=None,
         )
-        result = framework.run(load_dataset(dataset_name, seed=seed))
+        result = select_designs(result, result.exploration, (accuracy_loss,))
         chosen = result.selected.get(accuracy_loss)
         if chosen is None:
             # No feasible point for this seed: fall back to the unary design

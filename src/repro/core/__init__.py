@@ -14,8 +14,10 @@ orchestration that ties them to the substrates:
   train/score/cost recipe of a design point,
 * :mod:`repro.core.exploration` -- the depth x tau design-space grid and
   accuracy-loss-constrained selection used in Section IV,
-* :mod:`repro.core.codesign` -- the end-to-end :class:`CoDesignFramework`
-  producing baseline, ADC-unaware-unary and fully co-designed classifiers,
+* :mod:`repro.core.codesign` -- :func:`reference_designs` (baseline [2],
+  its ADC-unaware unary re-implementation, approximate [7]) and
+  :func:`select_designs`, which complete a benchmark's
+  :class:`CoDesignResult`,
 * :mod:`repro.core.power_budget` -- the self-power feasibility analysis
   against printed energy harvesters,
 * :mod:`repro.core.metrics` -- hardware/accuracy report records and
@@ -67,7 +69,7 @@ from repro.core.variation import (
     simulate_offset_variation,
 )
 from repro.core.datasheet import generate_datasheet
-from repro.core.codesign import CoDesignFramework, CoDesignResult
+from repro.core.codesign import CoDesignResult, reference_designs, select_designs
 
 __all__ = [
     "Executor",
@@ -104,8 +106,9 @@ __all__ = [
     "accuracy_area_front",
     "SelfPowerAnalysis",
     "analyze_self_power",
-    "CoDesignFramework",
     "CoDesignResult",
+    "reference_designs",
+    "select_designs",
     "ComparatorOffsetModel",
     "VariationAnalysis",
     "simulate_offset_variation",

@@ -6,9 +6,8 @@ ADC-aware tree per combination, and then picks, per accuracy-loss constraint
 (0 %, 1 %, 5 %), the most hardware-efficient design that still meets the
 constraint.  This module holds the grid (:func:`grid_points`) and the
 constrained selection (:func:`select_best_design`); every grid point is one
-:class:`~repro.core.design.DesignSpec`, trained by the suite's store fan-out
-(:func:`~repro.analysis.experiments.run_benchmark_suite`) or in memory by
-:meth:`~repro.core.codesign.CoDesignFramework.run_exploration`.  Given
+:class:`~repro.core.design.DesignSpec`, trained by the suite's fan-out
+(:func:`~repro.analysis.experiments.run_benchmark_suite`).  Given
 points that carry a comparator-offset Monte-Carlo summary (attached by
 :func:`~repro.analysis.experiments.run_robust_exploration`),
 :func:`select_best_design` can also constrain the selection by
@@ -16,6 +15,8 @@ points that carry a comparator-offset Monte-Carlo summary (attached by
 """
 
 from __future__ import annotations
+
+import math
 
 # DesignPoint and proposed_hardware_report stay part of this module's interface.
 from repro.core.design import DesignPoint, proposed_hardware_report  # noqa: F401
@@ -75,10 +76,17 @@ def select_best_design(
     -------
     DesignPoint | None
         The selected point, or ``None`` when no point satisfies the
-        constraints.
+        constraints.  A budget that is negative or not finite is a
+        ``ValueError``, not an empty selection.
     """
     if objective not in {"power", "area"}:
         raise ValueError("objective must be 'power' or 'area'")
+    for name, budget in (
+        ("max_accuracy_loss", max_accuracy_loss),
+        ("max_accuracy_drop", max_accuracy_drop),
+    ):
+        if budget is not None and not (math.isfinite(budget) and budget >= 0):
+            raise ValueError(f"{name} must be a finite number >= 0, got {budget!r}")
     floor = reference_accuracy - max_accuracy_loss
     feasible = [point for point in points if point.accuracy >= floor - 1e-12]
     if max_accuracy_drop is not None:

@@ -267,8 +267,11 @@ def plan_suite_units(
     and store keys -- are invariant to sigma ordering and duplicates.  The
     enumeration order is presentation only -- shard membership depends on
     each unit's identity alone, so reordering ``datasets`` never moves a
-    unit between shards.
+    unit between shards.  An empty ``depths`` or ``taus`` is a
+    ``ValueError``: a suite without an exploration has nothing to select.
     """
+    if not depths or not taus:
+        raise ValueError("the exploration grid must not be empty")
     # Deferred: experiments imports this module (layering: analysis -> core).
     from repro.analysis.experiments import resolve_suite_datasets
 

@@ -9,8 +9,11 @@ and approximate baseline decision-tree accuracy (see DESIGN.md, Section 2).
 Balance-Scale is special: the original dataset is a complete factorial of a
 known deterministic rule, so it is regenerated *exactly*.
 
-Real UCI CSV files can be substituted at any time through
-:func:`repro.datasets.registry.load_csv`.
+Real UCI CSV files load through :func:`repro.datasets.registry.load_csv`
+into a :class:`~repro.datasets.base.Dataset` for the trainers and hardware
+models; the co-design flow (:func:`repro.analysis.experiments.run_benchmark_suite`
+and every design point's :class:`~repro.core.design.DesignSpec`) runs on the
+registered benchmarks only, since a registered name is what keys its results.
 """
 
 from repro.datasets.base import Dataset

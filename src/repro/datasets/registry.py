@@ -105,9 +105,11 @@ def load_csv(
 ) -> Dataset:
     """Load a real dataset from a numeric CSV file.
 
-    This is the hook for substituting the synthetic stand-ins with the actual
-    UCI data when it is available: features are min-max normalized to
-    ``[0, 1]`` and labels are remapped to ``0 .. n_classes - 1``.
+    This is the hook for working with the actual UCI data when it is
+    available: features are min-max normalized to ``[0, 1]`` and labels are
+    remapped to ``0 .. n_classes - 1``.  The result feeds the trainers and
+    hardware models directly; the co-design flow runs on registered
+    benchmarks only.
 
     Parameters
     ----------

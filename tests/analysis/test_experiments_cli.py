@@ -550,8 +550,8 @@ class TestRunRobustExploration:
         assert unconstrained is not None
         constrained = exploration.select(max_accuracy_loss=0.05, max_accuracy_drop=1.0)
         assert constrained is not None  # every drop is <= 100%
-        impossible = exploration.select(max_accuracy_loss=0.05, max_accuracy_drop=-1.0)
-        assert impossible is None
+        with pytest.raises(ValueError, match="max_accuracy_drop"):
+            exploration.select(max_accuracy_loss=0.05, max_accuracy_drop=-1.0)
 
 
 class TestExploreCommand:

@@ -5,20 +5,19 @@ import json
 
 import pytest
 
+from repro.analysis.experiments import run_benchmark_suite
 from repro.analysis.export import results_to_json, rows_to_csv
 from repro.analysis.stats import MetricStatistics, run_multi_seed
 from repro.analysis.tables import table1_rows
-from repro.core.codesign import CoDesignFramework
-from repro.datasets.registry import load_dataset
 
 
 @pytest.fixture(scope="module")
-def single_result(technology):
-    framework = CoDesignFramework(
-        technology=technology, max_baseline_depth=4, depths=(2, 3, 4),
-        taus=(0.0, 0.01), seed=0, include_approximate_baseline=False,
+def single_result():
+    (result,) = run_benchmark_suite(
+        ("vertebral_2c",), seed=0, include_approximate_baseline=False,
+        depths=(2, 3, 4), taus=(0.0, 0.01), store=None,
     )
-    return framework.run(load_dataset("vertebral_2c", seed=0))
+    return result
 
 
 class TestRowsToCsv:
@@ -94,3 +93,10 @@ class TestRunMultiSeed:
     def test_empty_seed_list_rejected(self):
         with pytest.raises(ValueError):
             run_multi_seed("seeds", seeds=())
+
+    @pytest.mark.parametrize("loss", [float("nan"), -0.01], ids=repr)
+    def test_invalid_loss_budget_rejected(self, loss):
+        """Not reported as a co-design that silently fell back to the unary design."""
+        with pytest.raises(ValueError, match="max_accuracy_loss"):
+            run_multi_seed("seeds", seeds=(0,), accuracy_loss=loss,
+                           depths=(2,), taus=(0.0,))

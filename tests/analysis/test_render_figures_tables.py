@@ -2,35 +2,19 @@
 
 import pytest
 
+from repro.analysis.experiments import run_benchmark_suite
 from repro.analysis.figures import fig3_series, fig4_series, fig5_series
 from repro.analysis.render import render_table
 from repro.analysis.tables import table1_rows, table1_summary, table2_rows, table2_summary
-from repro.core.codesign import CoDesignFramework
-from repro.datasets.base import Dataset
-from repro.datasets.synthetic import make_classification_blobs
 
 
 @pytest.fixture(scope="module")
-def suite_results(technology):
-    """Two tiny co-design runs standing in for the benchmark suite."""
-    framework = CoDesignFramework(
-        technology=technology, max_baseline_depth=3, depths=(2, 3), taus=(0.0, 0.02),
-        seed=0, include_approximate_baseline=True,
+def suite_results():
+    """Two small benchmarks on a tiny grid, standing in for the full suite."""
+    return run_benchmark_suite(
+        ("seeds", "vertebral_2c"), seed=0, include_approximate_baseline=True,
+        depths=(2, 3), taus=(0.0, 0.02), store=None,
     )
-    results = []
-    for index, name in enumerate(["alpha", "beta"]):
-        X, y = make_classification_blobs(
-            260, 5, 3, class_sep=2.0, noise_scale=1.0, label_noise=0.05,
-            clusters_per_class=2, seed=30 + index,
-        )
-        dataset = Dataset(
-            name=name, X=X, y=y,
-            feature_names=[f"f{i}" for i in range(5)],
-            class_names=["x", "y", "z"],
-            metadata={"abbreviation": name[:2].upper()},
-        )
-        results.append(framework.run(dataset))
-    return results
 
 
 class TestRenderTable:
@@ -197,11 +181,20 @@ class TestRobustTables:
         assert summary["n_feasible"] == 1
         assert summary["average_power_mw"] == pytest.approx(row["power_mw"])
 
+    @staticmethod
+    def _unanalyzed(exploration):
+        """The exploration without robustness summaries: infeasible under any drop budget."""
+        import dataclasses
+
+        return dataclasses.replace(exploration, points=tuple(
+            dataclasses.replace(point, robustness=None) for point in exploration.points
+        ))
+
     def test_table2_robust_rows_report_infeasible_benchmarks(self, exploration):
         from repro.analysis.tables import table2_robust_rows, table2_robust_summary
 
         rows = table2_robust_rows(
-            [exploration], accuracy_loss=0.05, max_accuracy_drop=-1.0
+            [self._unanalyzed(exploration)], accuracy_loss=0.05, max_accuracy_drop=1.0
         )
         assert rows[0]["feasible"] is False
         assert rows[0]["power_mw"] is None
@@ -219,8 +212,8 @@ class TestRobustTables:
         from repro.cli import _render_table2_robust
 
         text = _render_table2_robust(
-            [exploration], sigma=0.02, trials=5,
-            training_sigma=0.0, max_accuracy_drop=-1.0,
+            [self._unanalyzed(exploration)], sigma=0.02, trials=5,
+            training_sigma=0.0, max_accuracy_drop=1.0,
         )
         assert "averages: n/a (no feasible designs)" in text
         assert "0/1 benchmarks feasible" in text

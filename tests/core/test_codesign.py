@@ -1,51 +1,33 @@
-"""Unit/integration tests for the end-to-end co-design framework."""
+"""Tests for one benchmark's co-design flow: reference designs and selection.
+
+The flow runs on small registered benchmarks: the reference designs train on
+:meth:`~repro.core.design.DesignSpec.data`'s split, which only resolves
+registered benchmark names.
+"""
+
+import dataclasses
 
 import pytest
 
-from repro.core.codesign import CoDesignFramework, CoDesignResult
-from repro.datasets.base import Dataset
-from repro.datasets.synthetic import make_classification_blobs
+from repro.analysis.experiments import run_benchmark_suite
+from repro.core.codesign import CoDesignResult, reference_designs, select_designs
+from repro.core.design import DesignSpec
+
+GRID = dict(depths=(2, 3, 4), taus=(0.0, 0.01, 0.03))
 
 
 @pytest.fixture(scope="module")
-def small_benchmark():
-    """A small but non-trivial benchmark dataset for the framework."""
-    X, y = make_classification_blobs(
-        n_samples=300, n_features=6, n_classes=3, class_sep=1.8,
-        noise_scale=1.0, label_noise=0.05, clusters_per_class=2, seed=21,
+def result():
+    (result,) = run_benchmark_suite(
+        ("seeds",), seed=0, include_approximate_baseline=True, store=None, **GRID
     )
-    return Dataset(
-        name="toy_bench",
-        X=X,
-        y=y,
-        feature_names=[f"f{i}" for i in range(6)],
-        class_names=["a", "b", "c"],
-        metadata={"abbreviation": "TB"},
-    )
-
-
-@pytest.fixture(scope="module")
-def framework(technology):
-    return CoDesignFramework(
-        technology=technology,
-        max_baseline_depth=4,
-        depths=(2, 3, 4),
-        taus=(0.0, 0.01, 0.03),
-        accuracy_losses=(0.0, 0.01, 0.05),
-        seed=0,
-        include_approximate_baseline=True,
-    )
-
-
-@pytest.fixture(scope="module")
-def result(framework, small_benchmark):
-    return framework.run(small_benchmark)
+    return result
 
 
 class TestCoDesignRun:
     def test_result_structure(self, result):
         assert isinstance(result, CoDesignResult)
-        assert result.dataset == "toy_bench"
+        assert result.dataset == "seeds"
         assert result.baseline.hardware.n_tree_comparators > 0
         assert result.unary_bespoke_adc.hardware.n_tree_comparators == 0
         assert len(result.exploration) == 9
@@ -94,40 +76,71 @@ class TestCoDesignRun:
         assert result.self_power(0.42) is None
 
     def test_metadata_carries_technology_and_abbreviation(self, result, technology):
-        assert result.metadata["technology"] is technology
-        assert result.metadata["abbreviation"] == "TB"
+        assert result.metadata["technology"] == technology
+        assert result.metadata["abbreviation"] == "SE"
 
 
-class TestFrameworkConfiguration:
-    def test_prepare_quantizes_and_splits(self, framework, small_benchmark):
-        X_train, X_test, y_train, y_test = framework.prepare(small_benchmark)
-        assert X_train.max() <= 15 and X_train.min() >= 0
-        assert len(X_train) + len(X_test) == small_benchmark.n_samples
-        assert len(y_test) == len(X_test)
+class TestReferenceDesigns:
+    def test_equal_the_suite_result_without_its_exploration(self, result):
+        reference = reference_designs(DesignSpec("seeds", 0), True)
+        assert reference == dataclasses.replace(result, exploration=[], selected={})
+        assert select_designs(reference, result.exploration) == result
 
-    def test_approximate_baseline_can_be_skipped(self, technology, small_benchmark):
-        framework = CoDesignFramework(
-            technology=technology, depths=(2,), taus=(0.0,), seed=0,
-            include_approximate_baseline=False,
+    def test_ignore_the_grid_point_and_training_knobs(self):
+        aware = DesignSpec("SE", 0, 7, 0.03, training_sigma=0.04)
+        assert reference_designs(aware, False) == reference_designs(
+            DesignSpec("seeds", 0), False
         )
-        result = framework.run(small_benchmark)
+
+    def test_cost_every_design_under_the_spec_technology(self, technology):
+        steep = dataclasses.replace(
+            technology,
+            comparator=dataclasses.replace(
+                technology.comparator,
+                power_per_level_uw=2 * technology.comparator.power_per_level_uw,
+            ),
+        )
+        nominal = reference_designs(DesignSpec("seeds", 0), True)
+        custom = reference_designs(DesignSpec("seeds", 0, technology=steep), True)
+        assert custom.metadata["technology"] is steep
+        for name in ("baseline", "unary_bespoke_adc", "approximate_baseline"):
+            assert getattr(custom, name).accuracy == getattr(nominal, name).accuracy
+            assert (
+                getattr(custom, name).hardware.adc_power_uw
+                > getattr(nominal, name).hardware.adc_power_uw
+            )
+
+    def test_approximate_baseline_can_be_skipped(self):
+        reference = reference_designs(DesignSpec("seeds", 0), False)
+        assert reference.approximate_baseline is None
+        assert reference.exploration == [] and reference.selected == {}
+        (result,) = run_benchmark_suite(
+            ("seeds",), include_approximate_baseline=False,
+            depths=(2,), taus=(0.0,), store=None,
+        )
         assert result.approximate_baseline is None
         assert result.table2_reduction_vs_approximate(0.01) is None
 
-    def test_runs_are_reproducible(self, technology, small_benchmark):
+
+class TestFlowConfiguration:
+    def test_spec_data_quantizes_and_splits(self):
+        data = DesignSpec("seeds", 0).data()
+        for levels in (data.X_train_levels, data.X_test_levels):
+            assert levels.max() <= 15 and levels.min() >= 0
+        assert len(data.X_train_levels) + len(data.X_test_levels) == (
+            data.dataset.n_samples
+        )
+        assert len(data.y_test) == len(data.X_test_levels)
+        assert len(data.y_train) == len(data.X_train_levels)
+
+    def test_runs_are_reproducible(self):
         def run_once():
-            framework = CoDesignFramework(
-                technology=technology, depths=(2, 3), taus=(0.0, 0.02), seed=7,
-                include_approximate_baseline=False,
+            (result,) = run_benchmark_suite(
+                ("vertebral_2c",), seed=7, include_approximate_baseline=False,
+                depths=(2, 3), taus=(0.0, 0.02), store=None,
             )
-            return framework.run(small_benchmark)
+            return result
 
         first, second = run_once(), run_once()
-        assert first.baseline.accuracy == pytest.approx(second.baseline.accuracy)
-        assert first.baseline.hardware.total_area_mm2 == pytest.approx(
-            second.baseline.hardware.total_area_mm2
-        )
-        for loss in first.selected:
-            assert first.selected[loss].hardware.total_power_uw == pytest.approx(
-                second.selected[loss].hardware.total_power_uw
-            )
+        assert first is not second
+        assert first == second

@@ -1,10 +1,8 @@
 """Tests for :class:`repro.core.design.DesignSpec`, a design point's identity.
 
 One spec names one trained, scored and costed design point: equal requests
-must compare and key equal however they were spelled, every field that
-changes the trained tree must change the key, and the in-memory grid of
-:class:`~repro.core.codesign.CoDesignFramework` must equal the cached suite
-sweep of the same points.
+must compare and key equal however they were spelled, and every field that
+changes the trained tree must change the key.
 """
 
 import dataclasses
@@ -12,10 +10,7 @@ import math
 
 import pytest
 
-from repro.analysis.experiments import run_benchmark_suite
-from repro.core.codesign import CoDesignFramework
 from repro.core.design import DesignSpec
-from repro.datasets.registry import load_dataset
 from repro.pdk.egfet import default_technology
 
 
@@ -120,14 +115,6 @@ class TestCanonicalIdentity:
             dataclasses.replace(DesignSpec("seeds"), **knobs)
 
 class TestRecipe:
-    def test_framework_run_equals_the_suite_on_the_same_grid(self):
-        grid = dict(depths=(2, 3), taus=(0.0, 0.02))
-        (suite,) = run_benchmark_suite(
-            ("vertebral_2c",), include_approximate_baseline=True,
-            store=None, **grid,
-        )
-        assert CoDesignFramework(**grid).run(load_dataset("vertebral_2c")) == suite
-
     def test_train_equals_the_evaluated_tree(self):
         """Variation units that retrain must simulate the point's own tree."""
         spec = DesignSpec("vertebral_2c", 0, 3, 0.01, training_sigma=0.02)

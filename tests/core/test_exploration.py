@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.core.codesign import CoDesignFramework
+from repro.analysis import experiments
 from repro.core.design import DesignSpec
 from repro.core.exploration import (
     DEFAULT_DEPTHS,
@@ -13,6 +13,7 @@ from repro.core.exploration import (
     proposed_hardware_report,
     select_best_design,
 )
+from repro.core.sharding import plan_suite_units
 from repro.core.variation import VariationAnalysis
 
 
@@ -80,9 +81,18 @@ class TestGridEvaluation:
             assert point.total_power_uw == point.hardware.total_power_uw
             assert point.tree.depth <= point.depth
 
-    def test_empty_grid_rejected(self, technology):
+    @pytest.mark.parametrize("grid", [dict(depths=()), dict(taus=())], ids=repr)
+    def test_empty_grid_rejected(self, grid, monkeypatch):
+        """By the planner, so the suite, shard and assemble paths all reject it."""
         with pytest.raises(ValueError, match="grid must not be empty"):
-            CoDesignFramework(technology=technology, depths=(), taus=(0.0,))
+            plan_suite_units(("seeds",), **grid)
+
+        def no_training(*args):
+            raise AssertionError("a job ran before the grid was checked")
+
+        monkeypatch.setattr(experiments, "_compute_job", no_training)
+        with pytest.raises(ValueError, match="grid must not be empty"):
+            experiments.run_benchmark_suite(("seeds",), **grid)
 
 
 class TestSelectBestDesign:
@@ -123,6 +133,13 @@ class TestSelectBestDesign:
     def test_invalid_objective_rejected(self, points):
         with pytest.raises(ValueError):
             select_best_design(points, 0.5, 0.01, objective="delay")
+
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf"), -0.01], ids=repr)
+    @pytest.mark.parametrize("name", ["max_accuracy_loss", "max_accuracy_drop"])
+    def test_invalid_budget_rejected_not_an_empty_selection(self, points, name, budget):
+        budgets = {"max_accuracy_loss": 0.01, "max_accuracy_drop": None, name: budget}
+        with pytest.raises(ValueError, match=f"{name} must be a finite number >= 0"):
+            select_best_design(points, 0.9, **budgets)
 
     def test_unanalyzed_points_infeasible_under_drop_constraint(self, points):
         reference = min(point.accuracy for point in points)

@@ -15,8 +15,8 @@ Layers under test (see ``docs/TESTING.md`` for the taxonomy):
 import numpy as np
 import pytest
 
+from repro.analysis import experiments
 from repro.core.adc_aware_training import ADCAwareTrainer
-from repro.core.codesign import CoDesignFramework
 from repro.core.design import DesignSpec
 from repro.core.variation import simulate_offset_variation
 from repro.datasets.registry import dataset_names, load_dataset
@@ -118,11 +118,15 @@ class TestDesignSpecThreading:
         )
         assert point.tree == direct
 
-    def test_negative_framework_knobs_rejected(self):
+    def test_negative_suite_knobs_rejected_before_any_training(self, monkeypatch):
+        def no_training(*args):
+            raise AssertionError("a job ran before the knobs were checked")
+
+        monkeypatch.setattr(experiments, "_compute_job", no_training)
         with pytest.raises(ValueError, match="training_sigma"):
-            CoDesignFramework(training_sigma=-0.01)
+            experiments.run_benchmark_suite(("seeds",), training_sigma=-0.01)
         with pytest.raises(ValueError, match="robustness_weight"):
-            CoDesignFramework(robustness_weight=-1.0)
+            experiments.run_benchmark_suite(("seeds",), robustness_weight=-1.0)
 
 
 class TestCacheKeySeparation:

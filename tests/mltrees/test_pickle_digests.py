@@ -1,11 +1,16 @@
-"""Pinned pickle bytes of trained trees and one design point.
+"""Pinned pickle bytes of trained trees, one design point and reference entries.
 
 Store entries and registry artifacts are pickles, so a change to how a
 :class:`~repro.mltrees.tree.DecisionTree` is built -- its attribute order,
 its node table, the dtype that table narrows to -- changes every entry's
 bytes even when the tree is the same.  These digests were recorded from the
 trees as they were before the grower wrote node rows directly; any
-refactor of tree construction must leave them unchanged.
+refactor of tree construction must leave them unchanged.  The ``suite``
+unit digests -- a benchmark's reference designs, the store entry of
+:func:`~repro.core.sharding.suite_work_unit` -- were recorded while the
+reference designs were still built by an in-memory framework class that
+split and quantized the benchmark a second time; building them on the
+spec's split must leave them unchanged.
 
 The bytes include numpy's array reduction (its module path moved in numpy
 2), so the pins hold for numpy 2.x only.
@@ -17,7 +22,9 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.analysis.experiments import _compute_job
 from repro.core.design import DesignSpec
+from repro.core.sharding import suite_work_unit
 from repro.mltrees.cart import CARTTrainer
 
 pytestmark = pytest.mark.skipif(
@@ -47,6 +54,18 @@ PINNED = {
     ),
     ("seeds", "design_point_depth4"): (
         "1cffcb41c8f7289a056efc428e66eeffcd37dbd63ac843e359c03042700d7d00"
+    ),
+    ("seeds", "suite_table1"): (
+        "5bc3d145562b247ae1d76b00ea5668a6360dbbfb2a41355deec4d591d3b0404c"
+    ),
+    ("seeds", "suite_table2"): (
+        "4882379fe6cfa12465dc1130a0b235d55a885c3b407ee8745879b26bb8dde75e"
+    ),
+    ("cardio", "suite_table1"): (
+        "e9b2da582f49267c65fe2fa857c7747f675a492379728efdaf6aae55e647b79d"
+    ),
+    ("cardio", "suite_table2"): (
+        "21d066d0a2bf5ffd5247fe17d03d5a43a35184b7d9a09f9d1f8fc6ebd4bf9c94"
     ),
 }
 
@@ -80,3 +99,12 @@ def test_tree_pickles_are_pinned(dataset):
 def test_design_point_pickle_is_pinned():
     point = DesignSpec("seeds", seed=0, depth=4, tau=0.01).evaluate()
     assert _digest(point) == PINNED["seeds", "design_point_depth4"]
+
+
+@pytest.mark.parametrize("dataset", ["seeds", "cardio"])
+@pytest.mark.parametrize("include_approximate_baseline", [False, True])
+def test_suite_unit_pickles_are_pinned(dataset, include_approximate_baseline):
+    unit = suite_work_unit(dataset, 0, include_approximate_baseline)
+    (reference,) = _compute_job([unit])
+    variant = "suite_table2" if include_approximate_baseline else "suite_table1"
+    assert _digest(reference) == PINNED[dataset, variant]

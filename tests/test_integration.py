@@ -9,10 +9,10 @@ functional equivalence -> hardware costing -> self-power analysis.
 import numpy as np
 import pytest
 
+from repro.analysis.experiments import run_benchmark_suite
 from repro.baselines.mubarik import BaselineBespokeDesign
 from repro.core.adc_aware_training import ADCAwareTrainer
 from repro.core.bespoke_adc import build_bespoke_frontend
-from repro.core.codesign import CoDesignFramework
 from repro.core.exploration import proposed_hardware_report
 from repro.core.power_budget import analyze_self_power
 from repro.core.unary_tree import UnaryDecisionTree
@@ -91,15 +91,15 @@ class TestFullStackOnSeeds:
         # Table II headline: the co-designed classifier is self-powered.
         assert analysis.is_self_powered
 
-    def test_codesign_framework_on_real_benchmark(self, technology):
-        framework = CoDesignFramework(
-            technology=technology,
-            depths=(2, 3, 4, 5),
-            taus=(0.0, 0.01, 0.03),
+    def test_codesign_flow_on_real_benchmark(self):
+        (result,) = run_benchmark_suite(
+            ("vertebral_3c",),
             seed=0,
             include_approximate_baseline=True,
+            depths=(2, 3, 4, 5),
+            taus=(0.0, 0.01, 0.03),
+            store=None,
         )
-        result = framework.run(load_dataset("vertebral_3c", seed=0))
 
         assert result.baseline.hardware.total_power_mw > 2.0
         fig4 = result.fig4_reduction()

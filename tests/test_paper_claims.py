@@ -9,8 +9,8 @@ import pytest
 
 from repro.adc.bespoke import BespokeADC
 from repro.adc.flash import FlashADC
+from repro.analysis.experiments import run_benchmark_suite
 from repro.baselines.mubarik import BaselineBespokeDesign
-from repro.core.codesign import CoDesignFramework
 from repro.core.exploration import proposed_hardware_report
 from repro.core.power_budget import analyze_self_power
 from repro.core.unary_tree import UnaryDecisionTree
@@ -27,15 +27,13 @@ def technology():
 
 
 @pytest.fixture(scope="module")
-def codesign_results(technology):
+def codesign_results():
     """Full co-design runs on the three small benchmarks."""
-    framework = CoDesignFramework(
-        technology=technology, seed=0, include_approximate_baseline=False
+    names = ("balance_scale", "vertebral_3c", "seeds")
+    results = run_benchmark_suite(
+        names, seed=0, include_approximate_baseline=False, store=None
     )
-    return {
-        name: framework.run(load_dataset(name, seed=0))
-        for name in ("balance_scale", "vertebral_3c", "seeds")
-    }
+    return dict(zip(names, results))
 
 
 class TestSectionIIIAClaims:
