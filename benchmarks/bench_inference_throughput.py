@@ -8,10 +8,10 @@ both paths on the same trained classifier -- 1k-sample prediction and a
 1k-trial offset Monte-Carlo -- and records samples/sec, trials/sec and the
 resulting speedup so the gain stays visible in the BENCH trajectory.
 
-The scalar reference paths are the *retained* per-row APIs
-(``predict_one_level`` / ``predict_from_assignment``), i.e. exactly the old
-hot loops; the batch numbers use ``predict_levels`` and
-``simulate_offset_variation``.  Both pairs are asserted bit-identical before
+The scalar reference paths are the per-row rule kept in
+``tests/oracles/unary_scalar.py`` (``predict_one_level`` /
+``predict_from_assignment``), i.e. exactly the old hot loops; the batch
+numbers use ``predict_levels`` and ``simulate_offset_variation``.  Both pairs are asserted bit-identical before
 timing, so the speedups compare equal answers.
 
 The third tier is the bit-parallel kernel of :mod:`repro.core.bitkernel`
@@ -57,6 +57,7 @@ import numpy as np
 
 from oracles.batch_logic import batch_oracle
 from oracles.packed_kernel import PackedWordKernel
+from oracles.unary_scalar import predict_one_level
 from oracles.variation import _predict_with_offsets_scalar, simulate_per_trial
 from repro.analysis.render import render_table
 from repro.core import unary_tree
@@ -198,7 +199,7 @@ def _measure(seed: int):
     # -- 1k-sample prediction ------------------------------------------- #
     start = time.perf_counter()
     scalar_pred = np.array(
-        [unary.predict_one_level(row) for row in levels_big], dtype=np.int64
+        [predict_one_level(unary, row) for row in levels_big], dtype=np.int64
     )
     scalar_pred_s = time.perf_counter() - start
 

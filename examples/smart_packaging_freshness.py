@@ -94,7 +94,8 @@ def main() -> None:
 
     # --- verify the netlist against the software model -------------------- #
     def reference(assignment):
-        label = unary.predict_from_assignment(assignment)
+        digits = np.array([[assignment[name] for name in unary.digit_variables()]])
+        label = unary.predict_digit_matrix(digits)[0]
         return {unary.class_output(c): (c == label) for c in range(unary.n_classes)}
 
     equivalence = check_equivalence(netlist, reference, n_random_vectors=500, seed=1)
@@ -109,7 +110,8 @@ def main() -> None:
     for index in sample_indices:
         reading = X_test[index]
         digits = frontend.convert(reading)
-        label = unary.predict_from_digits(digits)
+        row = np.array([[digits[feature][level] for feature, level in unary.comparators]])
+        label = unary.predict_digit_matrix(row)[0]
         truth = CLASS_NAMES[y_test[index]]
         print(f"  reading {np.round(reading, 2)} -> {CLASS_NAMES[label]:8s} "
               f"(ground truth: {truth})")

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.analysis.experiments import run_benchmark_suite
 from repro.core.codesign import select_designs
-from repro.core.exploration import DEFAULT_DEPTHS, DEFAULT_TAUS
+from repro.core.exploration import DEFAULT_DEPTHS, DEFAULT_TAUS, select_best_design
 
 
 @dataclass(frozen=True)
@@ -72,6 +72,9 @@ def run_multi_seed(
     """
     if not seeds:
         raise ValueError("at least one seed is required")
+    # Selection over no points only validates the budget: a negative or
+    # non-finite one is rejected before any seed trains.
+    select_best_design([], 0.0, accuracy_loss)
 
     baseline_accuracy: list[float] = []
     codesign_accuracy: list[float] = []

@@ -19,7 +19,7 @@ from repro.circuits.area_power import AreaPowerReport, estimate_netlist
 from repro.circuits.logic_sim import CompiledNetlist
 from repro.circuits.netlist import Netlist
 from repro.circuits.synthesis import synthesize_constant_comparator, synthesize_sop
-from repro.circuits.two_level import Literal, SumOfProducts
+from repro.circuits.two_level import tree_label_logic
 from repro.core.metrics import HardwareReport
 from repro.mltrees.tree import LEAF, DecisionTree
 from repro.pdk.egfet import EGFETTechnology, default_technology
@@ -91,19 +91,16 @@ def build_comparator_tree_netlist(
         )
 
     # Two-level label logic over the comparator outputs.
-    label_logic: dict[int, SumOfProducts] = {
-        label: SumOfProducts() for label in range(tree.n_classes)
-    }
-    for leaf, conditions in tree.paths():
-        term = [
-            Literal(comparator_variable(node_id), positive=took_right)
-            for node_id, took_right in conditions
-        ]
-        label_logic[int(tree.prediction[leaf])].add_term(term)
-
     variable_nets = {
-        comparator_variable(node_id): net for node_id, net in comparator_nets.items()
+        comparator_variable(node): net for node, net in comparator_nets.items()
     }
+    label_logic = tree_label_logic(
+        tree,
+        [
+            None if feature == LEAF else comparator_variable(node)
+            for node, feature in enumerate(features)
+        ],
+    )
     inverted: dict[str, str] = {}
     for label in range(tree.n_classes):
         sop = label_logic[label].minimized()

@@ -9,12 +9,11 @@ reference library cells by *name* and the actual area/power lookup happens in
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Gate:
-    """One instantiated cell.
+class Gate(NamedTuple):
+    """One instantiated cell (an immutable record).
 
     Attributes
     ----------
@@ -48,7 +47,7 @@ class Netlist:
 
     def __init__(self, name: str):
         self.name = name
-        self._inputs: list[str] = []
+        self._inputs: dict[str, None] = {}  # insertion-ordered set
         self._outputs: list[str] = []
         self._gates: list[Gate] = []
         self._drivers: dict[str, Gate] = {}
@@ -62,8 +61,7 @@ class Netlist:
         """Declare ``net`` as a primary input and return its name."""
         if net in self._drivers:
             raise NetlistError(f"net {net!r} is already driven by a gate")
-        if net not in self._inputs:
-            self._inputs.append(net)
+        self._inputs[net] = None
         return net
 
     def add_output(self, net: str) -> str:
@@ -92,15 +90,18 @@ class Netlist:
         If ``output`` is omitted a fresh internal net is created.  Gate
         instance names are generated automatically unless provided.
         """
-        output_net = output if output is not None else self.new_net()
-        if output_net in self._drivers:
-            raise NetlistError(f"net {output_net!r} already has a driver")
-        if output_net in self._inputs:
-            raise NetlistError(f"net {output_net!r} is a primary input")
+        if output is None:
+            output_net = self.new_net()  # fresh: neither driven nor an input
+        elif output in self._drivers:
+            raise NetlistError(f"net {output!r} already has a driver")
+        elif output in self._inputs:
+            raise NetlistError(f"net {output!r} is a primary input")
+        else:
+            output_net = output
         gate_name = name if name is not None else f"g{len(self._gates)}"
         if gate_name in self._gate_names:
             raise NetlistError(f"gate name {gate_name!r} already used")
-        gate = Gate(name=gate_name, cell=cell, inputs=tuple(inputs), output=output_net)
+        gate = Gate(gate_name, cell, tuple(inputs), output_net)
         self._gates.append(gate)
         self._gate_names.add(gate_name)
         self._drivers[output_net] = gate
@@ -157,19 +158,29 @@ class Netlist:
         """Check structural sanity.
 
         Raises :class:`NetlistError` when a gate input or a primary output is
-        undriven, or when the gate graph contains a combinational cycle.
+        undriven, or when the gate graph contains a combinational cycle.  A
+        netlist whose gates read only primary inputs and the outputs of
+        earlier gates (what every builder in this package appends) is acyclic
+        by construction and is checked in one pass over the gates; any other
+        gets the full driver check and Kahn's cycle check.
         """
-        driven = set(self._inputs) | set(self._drivers)
+        driven = set(self._inputs)
+        in_order = True
         for gate in self._gates:
-            for net in gate.inputs:
-                if net not in driven:
-                    raise NetlistError(
-                        f"gate {gate.name!r} input net {net!r} has no driver"
-                    )
+            in_order = in_order and driven.issuperset(gate.inputs)
+            driven.add(gate.output)
+        if not in_order:
+            for gate in self._gates:
+                for net in gate.inputs:
+                    if net not in driven:
+                        raise NetlistError(
+                            f"gate {gate.name!r} input net {net!r} has no driver"
+                        )
         for net in self._outputs:
             if net not in driven:
                 raise NetlistError(f"primary output {net!r} has no driver")
-        self.topological_order()  # raises on cycles
+        if not in_order:
+            self.topological_order()  # raises on cycles
 
     def topological_order(self) -> list[Gate]:
         """Return gates in a valid evaluation order.

@@ -26,18 +26,14 @@ def _reduce_tree(netlist: Netlist, nets: Sequence[str], kind: str) -> str:
         raise ValueError("cannot reduce an empty net list")
     level = list(nets)
     cell_for = and_cell_for if kind == "and" else or_cell_for
-    while len(level) > 1:
-        next_level: list[str] = []
-        index = 0
-        while index < len(level):
-            group = level[index:index + 4]
-            index += 4
-            if len(group) == 1:
-                next_level.append(group[0])
-            else:
-                next_level.append(netlist.add_gate(cell_for(len(group)), group))
-        level = next_level
-    return level[0]
+    while len(level) > 4:
+        level = [
+            group[0] if len(group) == 1 else netlist.add_gate(cell_for(len(group)), group)
+            for group in [level[index:index + 4] for index in range(0, len(level), 4)]
+        ]
+    if len(level) == 1:
+        return level[0]
+    return netlist.add_gate(cell_for(len(level)), level)
 
 
 def synthesize_and_tree(netlist: Netlist, nets: Sequence[str]) -> str:
@@ -148,6 +144,10 @@ def synthesize_sop(
 ) -> str:
     """Map a :class:`SumOfProducts` onto AND/OR/INV cells.
 
+    Walks the cubes in :attr:`~SumOfProducts.terms` order, each cube's
+    literals in string order: one AND tree per cube, one OR tree over them,
+    and one ``INV`` per negated variable, at its first use.
+
     Parameters
     ----------
     netlist:
@@ -174,15 +174,15 @@ def synthesize_sop(
         inverted_nets = {}
 
     term_nets: list[str] = []
-    for term in sop.terms:
+    for literals in sop.literal_lists():
         literal_nets: list[str] = []
-        for literal in sorted(term, key=str):
-            source = variable_nets[literal.name]
-            if literal.positive:
-                literal_nets.append(source)
-            else:
-                if literal.name not in inverted_nets:
-                    inverted_nets[literal.name] = netlist.add_gate("INV", [source])
-                literal_nets.append(inverted_nets[literal.name])
+        for name, positive in literals:
+            if positive:
+                literal_nets.append(variable_nets[name])
+                continue
+            inverted = inverted_nets.get(name)
+            if inverted is None:
+                inverted = inverted_nets[name] = netlist.add_gate("INV", [variable_nets[name]])
+            literal_nets.append(inverted)
         term_nets.append(synthesize_and_tree(netlist, literal_nets))
     return synthesize_or_tree(netlist, term_nets)

@@ -8,7 +8,8 @@ evaluates that logic over whole digit matrices, one bit per sample:
 1. **Cube extraction** -- the minimized per-class
    :class:`~repro.circuits.two_level.SumOfProducts` of a
    :class:`~repro.core.unary_tree.UnaryDecisionTree` becomes, per class, a
-   list of ``(positive digit columns, negated digit columns)`` index pairs.
+   list of ``(positive digit columns, negated digit columns)`` index pairs,
+   read off each term's ``(name, positive)`` literals.
    The kernel reuses the unary tree's logic, so each tree is minimized once.
 2. **Packing** -- each digit column becomes one bitset with bit ``s``
    holding sample ``s``.  Batches of up to :data:`INT_BITSET_MAX_SAMPLES`
@@ -26,11 +27,12 @@ The kernel is the one evaluator of digit matrices -- Monte-Carlo offset
 trials and bespoke front-end batches, reached through
 :meth:`UnaryDecisionTree.predict_digit_matrix
 <repro.core.unary_tree.UnaryDecisionTree.predict_digit_matrix>` and
-``predict_from_digits_batch``.  It agrees with the scalar
-:meth:`~repro.core.unary_tree.UnaryDecisionTree.predict_from_assignment` --
-including the ``ValueError`` raised when a digit assignment is inconsistent
-with a thermometer code.  :meth:`CompiledTreeKernel.predict_levels` is the
-levels entry of the unary tree and of the serving scorer
+``predict_from_digits_batch``.  It agrees with the scalar rule of evaluating
+every label's sum-of-products on one digit assignment (kept in
+``tests/oracles/unary_scalar.py``) -- including the ``ValueError`` raised
+when a digit assignment is inconsistent with a thermometer code.
+:meth:`CompiledTreeKernel.predict_levels` is the levels entry of the unary
+tree and of the serving scorer
 (:class:`~repro.serve.scorer.AsyncScorer`), whose flushes of a few rows run
 on the int bitsets; accuracy scoring evaluates quantized levels with the
 tree's array gather (:meth:`~repro.mltrees.tree.DecisionTree.predict_levels`).
@@ -75,10 +77,10 @@ class CompiledTreeKernel:
         self.cubes: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = [
             [
                 (
-                    tuple(sorted(digit_index[lit.name] for lit in term if lit.positive)),
-                    tuple(sorted(digit_index[lit.name] for lit in term if not lit.positive)),
+                    tuple(sorted(digit_index[name] for name, positive in term if positive)),
+                    tuple(sorted(digit_index[name] for name, positive in term if not positive)),
                 )
-                for term in label_logic[label].terms
+                for term in label_logic[label].literal_lists()
             ]
             for label in range(self.n_classes)
         ]
@@ -146,8 +148,7 @@ class CompiledTreeKernel:
         """Predict classes for an ``(n_samples, n_digits)`` digit matrix.
 
         Raises ``ValueError`` when any sample fires no label function
-        (inconsistent with a thermometer code), mirroring
-        :meth:`~repro.core.unary_tree.UnaryDecisionTree.predict_from_assignment`.
+        (inconsistent with a thermometer code).
         """
         digits = np.asarray(digits, dtype=bool)
         if digits.ndim != 2 or digits.shape[1] != self.n_digits:

@@ -12,8 +12,9 @@ digits.  :class:`UnaryDecisionTree` performs that translation for a trained
 * it builds the minimized sum-of-products label logic,
 * it synthesizes the label logic into a gate-level netlist for costing and
   equivalence checking,
-* it predicts classes either from raw samples, from quantized levels, or from
-  the digit dictionaries produced by a :class:`~repro.adc.frontend.BespokeFrontEnd`.
+* it predicts classes from raw samples, from quantized levels, from digit
+  matrices, or from the digit vectors produced by a
+  :class:`~repro.adc.frontend.BespokeFrontEnd`.
 
 Every batched prediction goes through one evaluator: the bit-parallel
 :class:`~repro.core.bitkernel.CompiledTreeKernel`, compiled from this
@@ -37,10 +38,9 @@ from repro.adc.thermometer import quantize_array_to_levels
 from repro.circuits.area_power import AreaPowerReport, estimate_netlist
 from repro.circuits.netlist import Netlist
 from repro.circuits.synthesis import synthesize_sop
-from repro.circuits.two_level import Literal, SumOfProducts
+from repro.circuits.two_level import SumOfProducts, tree_label_logic
 from repro.core.bitkernel import CompiledTreeKernel
-from repro.mltrees.export import tree_to_paths
-from repro.mltrees.tree import DecisionTree
+from repro.mltrees.tree import LEAF, DecisionTree
 from repro.pdk.egfet import EGFETTechnology
 
 
@@ -80,15 +80,11 @@ class UnaryDecisionTree:
         condition ``x >= k`` maps to the positive literal ``I_f[k]`` and the
         left-branch condition ``x < k`` to its complement (Fig. 2b).
         """
-        logic: dict[int, SumOfProducts] = {
-            label: SumOfProducts() for label in range(self.n_classes)
-        }
-        for path in tree_to_paths(self.tree):
-            term = [
-                Literal(digit_variable(cond.feature, cond.level), positive=cond.is_ge)
-                for cond in path.conditions
-            ]
-            logic[path.prediction].add_term(term)
+        node_variables = [
+            None if feature == LEAF else digit_variable(feature, level)
+            for feature, level in zip(self.tree.feature.tolist(), self.tree.threshold.tolist())
+        ]
+        logic = tree_label_logic(self.tree, node_variables)
         return {label: sop.minimized() for label, sop in logic.items()}
 
     @cached_property
@@ -147,58 +143,12 @@ class UnaryDecisionTree:
     # ------------------------------------------------------------------ #
     # prediction
     # ------------------------------------------------------------------ #
-    def _digits_from_levels(self, levels) -> dict[str, bool]:
-        """Expand quantized levels into the digit-variable assignment."""
-        assignment: dict[str, bool] = {}
-        for feature, required in self.required_digits.items():
-            value = int(levels[feature])
-            for level in required:
-                assignment[digit_variable(feature, level)] = value >= level
-        return assignment
-
-    def predict_one_level(self, levels) -> int:
-        """Predict the class of one quantized sample through the unary logic."""
-        assignment = self._digits_from_levels(levels)
-        return self.predict_from_assignment(assignment)
-
-    def predict_from_assignment(self, assignment: Mapping[str, bool]) -> int:
-        """Predict from a digit-variable truth assignment.
-
-        Exactly one label function evaluates true for any assignment that is
-        consistent with a thermometer code; if several are true (possible
-        only for inconsistent assignments), the lowest label wins, and if
-        none is true a ``ValueError`` is raised.
-        """
-        winners = [
-            label
-            for label, sop in self._label_logic.items()
-            if sop.evaluate(assignment)
-        ]
-        if not winners:
-            raise ValueError(
-                "no label function fired; the digit assignment is inconsistent "
-                "with a thermometer code"
-            )
-        return min(winners)
-
-    def predict_from_digits(self, digits: Mapping[int, Mapping[int, int]]) -> int:
-        """Predict from the per-feature digit dictionaries of a bespoke front end."""
-        assignment = {
-            digit_variable(feature, level): bool(bit)
-            for feature, per_level in digits.items()
-            for level, bit in per_level.items()
-        }
-        return self.predict_from_assignment(assignment)
-
-    # ------------------------------------------------------------------ #
-    # batched prediction
-    # ------------------------------------------------------------------ #
     def predict_digit_matrix(self, digits: np.ndarray) -> np.ndarray:
         """Predict classes from an ``(n_samples, n_unary_digits)`` digit matrix.
 
         Columns follow :attr:`comparators`.  Raises ``ValueError`` when any
-        row fires no label function (inconsistent with a thermometer code),
-        mirroring :meth:`predict_from_assignment`.
+        row fires no label function (inconsistent with a thermometer code);
+        when several fire, the lowest label wins.
         """
         return self.kernel.predict_digit_matrix(digits)
 
@@ -216,8 +166,7 @@ class UnaryDecisionTree:
     ) -> np.ndarray:
         """Predict from per-feature digit *vectors* of a bespoke front end.
 
-        Batch counterpart of :meth:`predict_from_digits`: every
-        ``digits[feature][level]`` holds one value per sample (the output of
+        Every ``digits[feature][level]`` holds one value per sample (the output of
         :meth:`~repro.adc.frontend.BespokeFrontEnd.convert_batch`).
         """
         columns = [

@@ -13,8 +13,8 @@ co-design core can reuse the same split-scoring machinery:
   used by the baseline [2], whose growth loop every trainer shares,
 * :mod:`repro.mltrees.quantize` -- fixed-point feature/threshold quantization,
 * :mod:`repro.mltrees.evaluation` -- accuracy, stratified splitting,
-* :mod:`repro.mltrees.export` -- comparison lists, decision paths and
-  per-feature required unary digits extracted from a trained tree.
+* :mod:`repro.mltrees.export` -- comparison counts and per-feature required
+  unary digits extracted from a trained tree.
 """
 
 from repro.mltrees.tree import DecisionTree
@@ -27,12 +27,7 @@ from repro.mltrees.split_search import (
 from repro.mltrees.cart import CARTTrainer, fit_baseline_tree
 from repro.mltrees.quantize import quantize_dataset, level_to_value
 from repro.mltrees.evaluation import accuracy_score, confusion_matrix, train_test_split
-from repro.mltrees.export import (
-    ComparisonSummary,
-    DecisionPath,
-    comparisons_summary,
-    tree_to_paths,
-)
+from repro.mltrees.export import ComparisonSummary, comparisons_summary
 from repro.mltrees.render import render_tree_text, tree_to_dot
 
 __all__ = [
@@ -50,9 +45,7 @@ __all__ = [
     "confusion_matrix",
     "train_test_split",
     "ComparisonSummary",
-    "DecisionPath",
     "comparisons_summary",
-    "tree_to_paths",
     "render_tree_text",
     "tree_to_dot",
 ]

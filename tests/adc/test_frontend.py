@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles.unary_scalar import predict_from_digits
 from repro.adc.bespoke import BespokeADC
 from repro.adc.frontend import BespokeFrontEnd, ConventionalFrontEnd
 
@@ -155,6 +156,6 @@ class TestBatchConversion:
         digits = bespoke.convert_batch(X)
         batch = unary.predict_from_digits_batch(digits)
         scalar = np.array(
-            [unary.predict_from_digits(bespoke.convert(sample)) for sample in X]
+            [predict_from_digits(unary, bespoke.convert(sample)) for sample in X]
         )
         np.testing.assert_array_equal(batch, scalar)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.analysis.experiments import run_benchmark_suite
 from repro.analysis.export import results_to_json, rows_to_csv
+from repro.analysis import stats
 from repro.analysis.stats import MetricStatistics, run_multi_seed
 from repro.analysis.tables import table1_rows
 
@@ -100,3 +101,13 @@ class TestRunMultiSeed:
         with pytest.raises(ValueError, match="max_accuracy_loss"):
             run_multi_seed("seeds", seeds=(0,), accuracy_loss=loss,
                            depths=(2,), taus=(0.0,))
+
+    @pytest.mark.parametrize("loss", [float("nan"), float("inf"), -0.01], ids=repr)
+    def test_invalid_loss_budget_rejected_before_training(self, loss, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            stats, "run_benchmark_suite", lambda *args, **kwargs: calls.append(args)
+        )
+        with pytest.raises(ValueError, match="max_accuracy_loss must be a finite number"):
+            run_multi_seed("seeds", seeds=(0, 1), accuracy_loss=loss)
+        assert calls == []

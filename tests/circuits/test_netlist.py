@@ -112,3 +112,27 @@ class TestValidationAndOrdering:
         netlist.add_gate("INV", ["a"], output="b")
         with pytest.raises(NetlistError, match="cycle"):
             netlist.topological_order()
+
+    def test_validate_rejects_a_cycle(self):
+        netlist = Netlist("cycle")
+        netlist.add_gate("INV", ["b"], output="a")
+        netlist.add_gate("INV", ["a"], output="b")
+        with pytest.raises(NetlistError, match="cycle"):
+            netlist.validate()
+
+    def test_validate_accepts_gates_out_of_order(self):
+        # A gate may read the output of a gate added after it; only the
+        # one-pass in-order check falls through to the full check.
+        netlist = Netlist("late_driver")
+        a = netlist.add_input("a")
+        netlist.add_gate("INV", ["n_late"], output="y")
+        netlist.add_gate("BUF", [a], output="n_late")
+        netlist.add_output("y")
+        netlist.validate()
+
+    def test_validate_names_the_first_undriven_input_out_of_order(self):
+        netlist = Netlist("late_and_undriven")
+        netlist.add_gate("INV", ["n_late"], output="y")
+        netlist.add_gate("BUF", ["ghost"], output="n_late")
+        with pytest.raises(NetlistError, match="'ghost' has no driver"):
+            netlist.validate()

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles.unary_scalar import predict_from_assignment, predict_one_level
 from oracles.variation import _predict_with_offsets_scalar
 from repro.core.unary_tree import UnaryDecisionTree
 from repro.core.variation import (
@@ -50,7 +51,7 @@ class TestUnaryTreeBatchEquivalence:
         levels = quantize_dataset(X_test)
         batch = unary.predict_levels(levels)
         scalar = np.array(
-            [unary.predict_one_level(row) for row in levels], dtype=np.int64
+            [predict_one_level(unary, row) for row in levels], dtype=np.int64
         )
         np.testing.assert_array_equal(batch, scalar)
 
@@ -76,7 +77,7 @@ class TestUnaryTreeBatchEquivalence:
         for row in rows:
             assignment = dict(zip(names, (bool(bit) for bit in row)))
             try:
-                scalar = unary.predict_from_assignment(assignment)
+                scalar = predict_from_assignment(unary, assignment)
             except ValueError:
                 with pytest.raises(ValueError, match="no label function fired"):
                     unary.predict_digit_matrix(row[np.newaxis, :])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles.unary_scalar import predict_from_digits
 from repro.core.bespoke_adc import build_bespoke_adcs, build_bespoke_frontend
 from repro.core.unary_tree import UnaryDecisionTree
 from repro.mltrees.cart import CARTTrainer
@@ -61,7 +62,7 @@ class TestBuildBespokeFrontend:
         expected = small_tree.predict(X)
         for row, expected_label in zip(X, expected):
             digits = frontend.convert(row)
-            assert unary.predict_from_digits(digits) == expected_label
+            assert predict_from_digits(unary, digits) == expected_label
 
     def test_single_leaf_tree_rejected(self, technology):
         X_levels = np.array([[1, 2], [3, 4]])

@@ -3,7 +3,7 @@
 The kernel is checked against two references that share none of its
 evaluation code: the ndarray label-logic evaluator kept in
 ``tests/oracles/batch_logic.py`` and the scalar
-:meth:`UnaryDecisionTree.predict_from_assignment`.
+``predict_from_assignment`` kept in ``tests/oracles/unary_scalar.py``.
 """
 
 import pickle
@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from oracles.batch_logic import batch_oracle
+from oracles.unary_scalar import predict_from_assignment
 from repro.adc.thermometer import (
     WORD_BITS,
     pack_digit_matrix,
@@ -90,7 +91,7 @@ def _scalar_or_error(unary, digits: np.ndarray) -> list:
     out = []
     for row in digits:
         try:
-            out.append(unary.predict_from_assignment(dict(zip(names, map(bool, row)))))
+            out.append(predict_from_assignment(unary, dict(zip(names, map(bool, row)))))
         except ValueError:
             out.append(ValueError)
     return out

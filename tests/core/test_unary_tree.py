@@ -7,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 
+from oracles.unary_scalar import digits_from_levels, predict_from_assignment, predict_from_digits
 from repro.circuits.verification import check_equivalence
 from repro.core import unary_tree
 from repro.core.design import DesignSpec, proposed_hardware_report
@@ -54,7 +55,7 @@ class TestUnaryTranslation:
         rng = np.random.default_rng(3)
         X_levels = rng.integers(0, 16, size=(100, small_tree.n_features))
         for row in X_levels:
-            assignment = unary._digits_from_levels(row)
+            assignment = digits_from_levels(unary, row)
             fired = [
                 label for label, sop in unary.label_logic.items()
                 if sop.evaluate(assignment)
@@ -92,14 +93,14 @@ class TestUnaryPrediction:
             feature: {level: int(levels[feature] >= level) for level in required}
             for feature, required in unary.required_digits.items()
         }
-        assert unary.predict_from_digits(digits) == small_tree.predict_one_level(levels)
+        assert predict_from_digits(unary, digits) == small_tree.predict_one_level(levels)
 
     def test_inconsistent_assignment_raises(self, small_tree):
         unary = UnaryDecisionTree(small_tree)
         assignment = {variable: False for variable in unary.digit_variables()}
         # Forcing every digit false is still consistent (level 0), so flip the
         # logic: an all-false assignment must fire exactly one label, never zero.
-        assert isinstance(unary.predict_from_assignment(assignment), int)
+        assert isinstance(predict_from_assignment(unary, assignment), int)
 
 
 class TestUnaryHardware:
@@ -108,7 +109,7 @@ class TestUnaryHardware:
         netlist = unary.to_netlist()
 
         def reference(assignment):
-            label = unary.predict_from_assignment(assignment)
+            label = predict_from_assignment(unary, assignment)
             return {
                 unary.class_output(c): (c == label) for c in range(unary.n_classes)
             }

@@ -1,8 +1,14 @@
-"""Unit tests for decision-path and comparison-summary export."""
+"""Unit tests for decision-path extraction and the comparison summary.
+
+``tree_to_paths`` is the reference path extraction kept in
+``tests/oracles/two_level_reference.py``; production builds label logic
+from :meth:`DecisionTree.paths` directly.
+"""
 
 import numpy as np
 
-from repro.mltrees.export import comparisons_summary, tree_to_paths
+from oracles.two_level_reference import tree_to_paths
+from repro.mltrees.export import comparisons_summary
 from repro.mltrees.cart import CARTTrainer
 
 

@@ -20,5 +20,11 @@ parent on ``sys.path``, so tests and benchmarks import them as
   :class:`~repro.mltrees.tree.DecisionTree`;
 * :mod:`oracles.tpe_scalar` -- the per-candidate, per-axis Parzen scorer,
   the reference of :class:`~repro.search.optimizer.ParetoTPESampler`'s
-  array scorer.
+  array scorer;
+* :mod:`oracles.two_level_reference` -- the ``Literal``/``frozenset``
+  sum-of-products, its pair-scan minimizer, ``tree_to_paths`` and the
+  netlists built from them, the reference of the integer cubes of
+  :mod:`repro.circuits.two_level`;
+* :mod:`oracles.unary_scalar` -- the one-sample predictors of a unary tree,
+  the scalar reference of :class:`~repro.core.bitkernel.CompiledTreeKernel`.
 """

@@ -3,7 +3,7 @@
 :func:`_predict_with_offsets_scalar` is the pre-vectorization
 implementation of :func:`repro.core.variation._predict_with_offsets`: one
 dict-based digit assignment per sample, evaluated through the scalar
-:meth:`~repro.core.unary_tree.UnaryDecisionTree.predict_from_assignment`.
+:func:`oracles.unary_scalar.predict_from_assignment`.
 
 :func:`simulate_per_trial` is :func:`repro.core.variation.simulate_offset_variation`
 as it was before the translation memo: a fresh translation per call, one
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from oracles.unary_scalar import predict_from_assignment
 from repro.core.unary_tree import UnaryDecisionTree
 from repro.core.variation import ComparatorOffsetModel, _predict_with_offsets
 from repro.mltrees.evaluation import accuracy_score
@@ -42,7 +43,7 @@ def _predict_with_offsets_scalar(
             for level in levels:
                 threshold = level / n_levels + offsets[(feature, level)] / vdd
                 assignment[f"I{feature}_u{level}"] = value >= threshold
-        predictions[row_index] = unary.predict_from_assignment(assignment)
+        predictions[row_index] = predict_from_assignment(unary, assignment)
     return predictions
 
 

@@ -4,7 +4,7 @@ The bit-parallel kernel behind ``UnaryDecisionTree.predict_digit_matrix`` /
 ``predict_from_digits_batch`` must be *bit-identical* to two references
 that share none of its evaluation code -- the ndarray label-logic
 evaluator in ``tests/oracles/batch_logic.py`` and the scalar
-``predict_from_assignment`` -- for every trained tree and every digit
+``oracles.unary_scalar.predict_from_assignment`` -- for every trained tree and every digit
 batch, including ragged batch sizes that do not fill a 64-bit word and
 digit rows no thermometer code produces.  Hypothesis drives dataset x seed x
 depth combinations over all eight paper benchmarks (trained trees are
@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles.batch_logic import batch_oracle
+from oracles.unary_scalar import predict_from_assignment
 from repro.adc.thermometer import pack_digit_matrix, unpack_digit_matrix
 from repro.core.adc_aware_training import ADCAwareTrainer
 from repro.core.unary_tree import UnaryDecisionTree
@@ -97,7 +98,7 @@ class TestKernelEquivalenceProperties:
         for row in rows:
             batch = row[np.newaxis, :]
             try:
-                scalar = unary.predict_from_assignment(dict(zip(names, map(bool, row))))
+                scalar = predict_from_assignment(unary, dict(zip(names, map(bool, row))))
             except ValueError:
                 with pytest.raises(ValueError, match="no label function fired"):
                     unary.predict_digit_matrix(batch)

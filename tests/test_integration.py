@@ -9,6 +9,7 @@ functional equivalence -> hardware costing -> self-power analysis.
 import numpy as np
 import pytest
 
+from oracles.unary_scalar import predict_from_digits
 from repro.analysis.experiments import run_benchmark_suite
 from repro.baselines.mubarik import BaselineBespokeDesign
 from repro.core.adc_aware_training import ADCAwareTrainer
@@ -74,7 +75,7 @@ class TestFullStackOnSeeds:
         expected = fit.tree.predict_levels(X_test[:30])
         raw = X_test[:30] / 16.0
         for row, label in zip(raw, expected):
-            assert unary.predict_from_digits(frontend.convert(row)) == label
+            assert predict_from_digits(unary, frontend.convert(row)) == label
 
     def test_adc_aware_training_end_to_end(self, seeds_split, technology):
         dataset, X_train, X_test, y_train, y_test = seeds_split
