@@ -13,20 +13,28 @@ The legacy side runs the retained pre-refactor reference trainers
 the produced trees are asserted node-for-node identical before timing is
 trusted, so the speedup compares equal answers.
 
-The ``shared_split_tables`` row times one benchmark's training protocol --
-baseline [2]'s depth sweep, baseline [7]'s refits from the reference depth
-up and the seven depth-8 tau families -- outside and inside a
+The ``shared_split_tables`` row times one benchmark's reference CART fits
+-- baseline [2]'s depth sweep and baseline [7]'s refits from the reference
+depth up -- outside and inside a
 :func:`~repro.mltrees.split_search.shared_split_tables` scope, after
-asserting that both grow the same trees.
+asserting that both grow the same trees.  (ADC-aware fits enumerate whole
+tree levels and do not use the memo, so they are not part of the row.)
+
+The ``level_batched_growth`` row times the 56 depth-8 tau fits of one paper
+pass (seed 0: eight benchmarks x seven tau) with the level-batched
+ADC-aware trainer against the per-node trainer it replaced
+(``tests/oracles/per_node_training.py``), after asserting equal trees.
 """
 
 import time
 
 from oracles.legacy_split_search import LegacyADCAwareTrainer, LegacyCARTTrainer
+from oracles.per_node_training import PerNodeADCAwareTrainer
 from repro.analysis.render import render_table
 from repro.core.adc_aware_training import ADCAwareTrainer
+from repro.core.design import DesignSpec
 from repro.core.exploration import DEFAULT_TAUS
-from repro.datasets.registry import load_dataset
+from repro.datasets.registry import dataset_names, load_dataset
 from repro.mltrees.cart import CARTTrainer, fit_baseline_tree
 from repro.mltrees.evaluation import train_test_split
 from repro.mltrees.quantize import quantize_dataset
@@ -40,6 +48,8 @@ MIN_SPEEDUP = 5.0
 SHARED_DATASET = "cardio"
 SHARED_REPEATS = 7
 APPROXIMATE_EXTRA_DEPTH = 2
+#: Timed pairs of the level-batched growth row (best of).
+LEVEL_REPEATS = 3
 
 
 def _training_data(name: str, seed: int):
@@ -111,15 +121,11 @@ def _measure(seed: int):
 
 
 def _protocol_fits(X_levels, y, n_classes, reference_depth: int, seed: int):
-    """Baseline [2] depths 1..8, baseline [7] refits and the tau families."""
+    """Baseline [2] depths 1..8 and baseline [7]'s refits."""
     approximate = range(reference_depth, min(DEPTH, reference_depth + APPROXIMATE_EXTRA_DEPTH) + 1)
-    trees = [
+    return [
         CARTTrainer(max_depth=depth, seed=seed).fit(X_levels, y, n_classes)
         for depth in (*range(1, DEPTH + 1), *approximate)
-    ]
-    return trees + [
-        ADCAwareTrainer(max_depth=DEPTH, gini_threshold=tau, seed=seed).fit(X_levels, y, n_classes)
-        for tau in DEFAULT_TAUS
     ]
 
 
@@ -156,6 +162,41 @@ def _measure_shared(seed: int) -> dict:
     }
 
 
+def _tau_fits(trainer_cls, splits, seed: int):
+    """The depth-8 tau family fits of one paper pass."""
+    return [
+        trainer_cls(max_depth=DEPTH, gini_threshold=tau, seed=seed).fit(*split)
+        for split in splits
+        for tau in DEFAULT_TAUS
+    ]
+
+
+def _measure_level_batched(seed: int) -> dict:
+    """The level-batched row: 56 tau fits, per-node trainer vs level grower."""
+    splits = []
+    for name in dataset_names():
+        data = DesignSpec(name, seed).data()
+        splits.append((data.X_train_levels, data.y_train, data.n_classes))
+    per_node_s, level_s = [], []
+    for _ in range(LEVEL_REPEATS):
+        start = time.perf_counter()
+        per_node = _tau_fits(PerNodeADCAwareTrainer, splits, seed)
+        per_node_s.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        batched = _tau_fits(ADCAwareTrainer, splits, seed)
+        level_s.append(time.perf_counter() - start)
+        assert batched == per_node, "level-batched growth changed a tree"
+    per_node_best, level_best = min(per_node_s), min(level_s)
+    return {
+        "dataset": "TOTAL",
+        "n_fits": len(batched),
+        "per_node_s": per_node_best,
+        "level_s": level_best,
+        "rate": len(batched) / level_best,
+        "speedup": per_node_best / level_best,
+    }
+
+
 def _render(rows) -> str:
     table = render_table(
         ["dataset", "fits", "legacy (s)", "columnar (s)",
@@ -180,12 +221,23 @@ def _render_shared(row) -> str:
           row["rate"], row["speedup"])],
     )
     return (
-        "Shared split tables (baseline [2] sweep, baseline [7] refits and "
-        f"{len(DEFAULT_TAUS)} tau families; best of {SHARED_REPEATS} pairs)\n" + table
+        "Shared split tables (baseline [2] sweep and baseline [7] refits; "
+        f"best of {SHARED_REPEATS} pairs)\n" + table
     )
 
 
-def _bench_rows(rows, shared) -> list[dict]:
+def _render_level(row) -> str:
+    table = render_table(
+        ["fits", "per-node (s)", "level-batched (s)", "fits/s", "speedup (x)"],
+        [(row["n_fits"], row["per_node_s"], row["level_s"], row["rate"], row["speedup"])],
+    )
+    return (
+        f"Level-batched ADC-aware growth (depth-{DEPTH} tau fits of one paper pass; "
+        f"best of {LEVEL_REPEATS} pairs)\n" + table
+    )
+
+
+def _bench_rows(rows, shared, level) -> list[dict]:
     """Rows of ``BENCH_training.json`` (schema: benchmarks/conftest.py)."""
     return [
         {
@@ -203,7 +255,14 @@ def _bench_rows(rows, shared) -> list[dict]:
             "samples_per_sec": shared["rate"],
             "unit": "fits/s",
             "speedup": shared["speedup"],
-        }
+        },
+        {
+            "name": "level_batched_growth",
+            "dataset": level["dataset"],
+            "samples_per_sec": level["rate"],
+            "unit": "fits/s",
+            "speedup": level["speedup"],
+        },
     ]
 
 
@@ -211,8 +270,12 @@ def test_training_throughput(benchmark, bench_seed, write_report, write_bench_js
     """Depth-8 full-grid training is >= 5x faster than the legacy loop."""
     rows = benchmark.pedantic(lambda: _measure(bench_seed), rounds=1, iterations=1)
     shared = _measure_shared(bench_seed)
-    write_report("training_throughput", _render(rows) + "\n\n" + _render_shared(shared))
-    write_bench_json("training", _bench_rows(rows, shared))
+    level = _measure_level_batched(bench_seed)
+    write_report(
+        "training_throughput",
+        _render(rows) + "\n\n" + _render_shared(shared) + "\n\n" + _render_level(level),
+    )
+    write_bench_json("training", _bench_rows(rows, shared, level))
     total = rows[-1]
     assert total["speedup"] >= MIN_SPEEDUP, (
         f"full-grid training: only {total['speedup']:.1f}x over the legacy "

@@ -262,18 +262,19 @@ def _backend_store(store: ResultStore | None, ppa_backend, cache_only: bool):
     return store, backend
 
 
-def _compute_job(units: list[WorkUnit], ppa_backend=None, tree=None) -> list:
+def _compute_job(units: list[WorkUnit], ppa_backend=None, held=None) -> list:
     """Top-level (picklable) job: compute ``units`` from scratch, in order.
 
     A job is one reference unit, one variation unit, or the point units of
     one depth family (:func:`~repro.core.design.evaluate_family`: one fit,
-    cut at every depth).  A ``variation`` unit simulates ``tree`` when the
-    caller holds its point's tree and retrains it otherwise --
-    deterministically, so a unit computed on a shard that owns none of its
-    benchmark's points is bit-identical to one computed next to the suite.
-    A reference job runs in a
-    :func:`~repro.mltrees.split_search.shared_split_tables` scope, so a
-    worker shares node tables between its baseline fits.
+    cut at every depth).  ``held`` is a variation unit's tree, which it
+    simulates (retraining it otherwise -- deterministically, so a unit
+    computed on a shard that owns none of its benchmark's points is
+    bit-identical to one computed next to the suite), or a Table II
+    reference unit's Table I twin (see
+    :func:`~repro.core.codesign.reference_designs`).  A reference job runs
+    in a :func:`~repro.mltrees.split_search.shared_split_tables` scope, so
+    its CART fits share node tables.
     """
     unit = units[0]
     if unit.kind == "point":
@@ -285,13 +286,14 @@ def _compute_job(units: list[WorkUnit], ppa_backend=None, tree=None) -> list:
                     DesignSpec(unit.dataset, unit.seed),
                     unit.params["include_approximate_baseline"],
                     ppa_backend,
+                    twin=held,
                 )
             ]
     return [
         unit.spec.simulate(
             unit.params["sigma_v"],
             unit.params["n_trials"],
-            tree if tree is not None else _variation_classifier(unit.spec),
+            held if held is not None else _variation_classifier(unit.spec),
         )
     ]
 
@@ -306,12 +308,15 @@ def _resolve_units(
 ) -> tuple[dict[str, object], tuple[str, ...]]:
     """Resolve ``units`` against ``store``: the one design-point fan-out.
 
-    Probes every unit once.  Reference and point misses are computed in one
-    ``executor.map``; variation misses follow in a second one and simulate
-    the trees of the point units among ``units`` (or of ``trees``, a
-    :class:`~repro.core.design.DesignSpec` -> tree map), retraining only
-    the points not at hand.  Computed values are written to ``store`` (when
-    given); ``cache_only`` raises
+    Probes every unit once.  Point and Table I reference misses are
+    computed in one ``executor.map``; Table II reference and variation
+    misses follow in a second one.  A variation job simulates the tree of
+    its point unit among ``units`` (or of ``trees``, a
+    :class:`~repro.core.design.DesignSpec` -> tree map), retraining only the
+    points not at hand.  A Table II reference job extends its twin -- the
+    benchmark's Table I reference, from this call's values or else, when
+    ``key in store``, from the store -- with baseline [7] alone.  Computed
+    values are written to ``store`` (when given); ``cache_only`` raises
     :class:`~repro.core.sharding.MissingResultsError` listing every miss
     instead of computing.  Returns the values by store key and the keys
     this call computed.
@@ -325,11 +330,6 @@ def _resolve_units(
     49-point grid costs seven fits.  Whatever the grouping, each point is
     still probed, keyed, stored and sharded on its own, and its entry is
     byte-identical to a per-point :meth:`~repro.core.design.DesignSpec.evaluate`.
-
-    The reference and point jobs run in one
-    :func:`~repro.mltrees.split_search.shared_split_tables` scope: baseline
-    [2]'s depth sweep, baseline [7] and the tau families enumerate each
-    shared node once.  The Monte-Carlo phase runs outside it.
     """
     values: dict[str, object] = {}
     pending: dict[str, WorkUnit] = {}
@@ -347,27 +347,40 @@ def _resolve_units(
             [(unit.label, unit.store_key) for unit in pending.values()]
         )
 
-    def compute(jobs: list[list[WorkUnit]], trees: dict) -> None:
+    def compute(jobs: list[list[WorkUnit]], held) -> None:
         if not jobs:
             return
-        tasks = [(job, ppa_backend, trees.get(job[0].spec)) for job in jobs]
+        tasks = [(job, ppa_backend, held(job[0])) for job in jobs]
         for job, job_values in zip(jobs, executor.map(_compute_job, tasks)):
             for unit, value in zip(job, job_values):
                 if store is not None:
                     store.put(unit.store_key, value)
                 values[unit.store_key] = value
 
-    jobs: dict[object, list[WorkUnit]] = {}
+    def twin(unit: WorkUnit) -> CoDesignResult | None:
+        key = DesignSpec(unit.dataset, unit.seed).reference_key(False)
+        if key in values:
+            return values[key]
+        return store.get(key) if store is not None and key in store else None
+
+    first: dict[object, list[WorkUnit]] = {}
+    second: list[WorkUnit] = []
     for key, unit in pending.items():
-        if unit.kind != "variation":
-            jobs.setdefault(unit.spec.family if unit.kind == "point" else key, []).append(unit)
-    with shared_split_tables():
-        compute(list(jobs.values()), {})
+        if unit.kind == "point":
+            first.setdefault(unit.spec.family, []).append(unit)
+        elif unit.kind == "suite" and not unit.params["include_approximate_baseline"]:
+            first[key] = [unit]
+        else:
+            second.append(unit)
+    compute(list(first.values()), lambda unit: None)
     trees = dict(trees or {})
     trees.update(
         (unit.spec, values[unit.store_key].tree) for unit in units if unit.kind == "point"
     )
-    compute([[unit] for unit in pending.values() if unit.kind == "variation"], trees)
+    compute(
+        [[unit] for unit in second],
+        lambda unit: twin(unit) if unit.kind == "suite" else trees.get(unit.spec),
+    )
     return values, tuple(pending)
 
 

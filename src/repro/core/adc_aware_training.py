@@ -2,8 +2,8 @@
 
 Algorithm 1 is greedy Gini training with one changed step, so
 :class:`ADCAwareTrainer` is :class:`~repro.mltrees.cart.CARTTrainer` -- same
-growth loop, validation and split score -- with a hardware-aware split
-choice and a breadth-first frontier.  With ``G`` the best
+hyperparameters, validation and split score -- with a hardware-aware split
+choice, grown breadth-first one tree level at a time.  With ``G`` the best
 Gini score at the node and ``tau`` the tolerance hyperparameter, the
 candidate set ``S = {(Ii, C) | Gini(Ii, C) <= G + tau}`` is partitioned by the
 ADC hardware a selection would add:
@@ -27,82 +27,38 @@ reordered); larger ``tau`` trades accuracy for further hardware reduction.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.mltrees.cart import GINI_TIE_TOLERANCE, CARTTrainer
-from repro.mltrees.split_search import CandidateTable, SplitCandidate
-from repro.mltrees.tree import DecisionTree
-
-
-@dataclass(frozen=True)
-class SplitCostSets:
-    """Partition of the tolerance set ``S`` by induced ADC hardware cost."""
-
-    zero_cost: CandidateTable
-    medium_cost: CandidateTable
-    high_cost: CandidateTable
-
-
-def partition_by_cost(
-    candidates: CandidateTable, placed: set[tuple[int, int]]
-) -> SplitCostSets:
-    """Split ``candidates`` into the S_Z / S_M / S_H sets of Algorithm 1.
-
-    ``placed`` holds the ``(feature, threshold_level)`` pairs selected so
-    far; their features are the inputs that already have an ADC.
-    Membership is tested through dense boolean lookup tables (the feature /
-    level universe is tiny: ``n_features x 2**resolution_bits``), so the cost
-    per node is one fancy-index gather per set rather than a sort-based
-    ``isin``.
-    """
-    n = len(candidates)
-    zero = np.zeros(n, dtype=bool)
-    on_known_input = np.zeros(n, dtype=bool)
-    if placed and n:
-        pair_features = [feature for feature, _ in placed]
-        pair_levels = [level for _, level in placed]
-        n_features = max(int(candidates.feature.max()), max(pair_features)) + 1
-        lookup = np.zeros(
-            (n_features, max(int(candidates.threshold_level.max()), max(pair_levels)) + 1),
-            dtype=bool,
-        )
-        lookup[pair_features, pair_levels] = True
-        zero = lookup[candidates.feature, candidates.threshold_level]
-        known = np.zeros(n_features, dtype=bool)
-        known[pair_features] = True
-        on_known_input = known[candidates.feature]
-    return SplitCostSets(
-        candidates.select(zero),
-        candidates.select(on_known_input & ~zero),
-        candidates.select(~on_known_input & ~zero),
-    )
+from repro.mltrees.split_search import NodeBatch, class_histogram, split_node_batch
+from repro.mltrees.tree import LEAF, DecisionTree, _from_table
 
 
 class ADCAwareTrainer(CARTTrainer):
     """Greedy Gini trainer with the ADC-aware split selection of Algorithm 1.
 
-    Growth, input validation and the split score (with its offset-aware
-    penalty) are :class:`~repro.mltrees.cart.CARTTrainer`'s; see it for
+    Input validation and the split score (with its offset-aware penalty)
+    are :class:`~repro.mltrees.cart.CARTTrainer`'s; see it for
     ``max_depth``, ``resolution_bits``, ``min_samples_leaf``,
     ``min_samples_split``, ``seed``, ``training_sigma`` and
-    ``robustness_weight``.  This class changes how a node picks its split
-    (:meth:`_select_split`) and grows the tree breadth-first, so that the
-    set of already placed ``(feature, threshold)`` pairs -- which defines
-    the cost of future selections -- evolves in the node order of
-    Algorithm 1.  Node ids are therefore breadth-first.
+    ``robustness_weight``.  The tree grows breadth-first, so that the set
+    of already placed ``(feature, threshold)`` pairs -- which defines the
+    cost of future selections -- evolves in the node order of Algorithm 1,
+    and node ids are breadth-first.
 
-    Breadth-first growth gives the trees a *prefix property*: the tree
-    grown at ``max_depth=d`` equals the tree grown at any larger
-    ``max_depth`` (same knobs) cut at ``d``
-    (:meth:`~repro.mltrees.tree.DecisionTree.truncated`).  The FIFO frontier
-    pops, numbers and splits every node shallower than ``d`` -- drawing its
-    tie-break and placing its comparator -- before it pops any depth-``d``
-    node, so the deeper growth only begins once the shallower tree's nodes,
-    ids, random draws and placed pairs are all fixed; and a depth-``d`` node
-    of the shallower tree is a leaf that draws nothing.  The sweep therefore
-    trains one tree per depth family
+    It grows one level at a time: one
+    :func:`~repro.mltrees.split_search.split_node_batch` call enumerates
+    every splittable node of a depth, then each node of the level, in id
+    order, chooses its split, draws its tie-break and places its
+    comparator.  This gives the trees a *prefix property*: the tree grown
+    at ``max_depth=d`` equals the tree grown at any larger ``max_depth``
+    (same knobs) cut at ``d``
+    (:meth:`~repro.mltrees.tree.DecisionTree.truncated`), because every
+    level shallower than ``d`` -- its nodes, ids, random draws and placed
+    pairs -- is fixed before level ``d`` is reached, and a depth-``d`` node
+    of the shallower tree is a leaf that draws nothing.  The sweep
+    therefore trains one tree per depth family
     (:func:`~repro.core.design.evaluate_family`).
 
     Parameters
@@ -116,8 +72,6 @@ class ADCAwareTrainer(CARTTrainer):
         optimization -- the comparator *count* is still minimized but not the
         position of the retained levels.
     """
-
-    _breadth_first = True
 
     def __init__(
         self,
@@ -148,45 +102,125 @@ class ADCAwareTrainer(CARTTrainer):
     def fit(
         self, X_levels: np.ndarray, y: np.ndarray, n_classes: int | None = None
     ) -> DecisionTree:
-        """Train an ADC-aware tree on quantized features (breadth-first).
+        """Train an ADC-aware tree on quantized features, one level at a time.
+
+        Each level appends one block of node-table rows.  A node is a leaf
+        at ``max_depth``, when pure, below ``min_samples_split`` samples or
+        without a valid split; a split's children take its left/right class
+        counts, and ``node_of`` maps each sample still in play to its node
+        of the level.
 
         Defined in this class body rather than inherited, so per-class call
         tracing (``vars(cls)["fit"]``) counts ADC-aware fits apart from CART
         fits; it must not call ``CARTTrainer.fit``.
         """
-        return self._grow(X_levels, y, n_classes)
+        X_levels, y, n_classes, n_levels = self._checked_inputs(X_levels, y, n_classes)
+        rng = random.Random(self.seed)
+        placed = np.zeros((X_levels.shape[1], n_levels), dtype=bool)
+        known = np.zeros(X_levels.shape[1], dtype=bool)
+        flip_sigma = self.training_sigma if self.offset_aware else None
+        samples = np.arange(len(y))
+        node_of = np.zeros(len(y), dtype=np.int64)
+        counts = class_histogram(y, n_classes)[np.newaxis, :]
+        levels: list[np.ndarray] = []
+        first_id = 0
+        for depth in range(self.max_depth + 1):
+            n_nodes = len(counts)
+            ids = first_id + np.arange(n_nodes)
+            n_samples = counts.sum(axis=1)
+            # node-table rows: feature, threshold, left, right, prediction,
+            # n_samples, node_depth, then the class counts
+            table = np.column_stack([
+                np.full(n_nodes, LEAF), np.zeros(n_nodes, dtype=np.int64), ids, ids,
+                counts.argmax(axis=1), n_samples, np.full(n_nodes, depth), counts,
+            ])
+            levels.append(table)
+            first_id += n_nodes
+            open_nodes = np.flatnonzero(
+                (np.count_nonzero(counts, axis=1) > 1) & (n_samples >= self.min_samples_split)
+            )
+            if depth == self.max_depth or open_nodes.size == 0:
+                break
 
-    def _select_split(
-        self,
-        candidates: CandidateTable,
-        placed: set[tuple[int, int]],
-        rng: random.Random,
-    ) -> SplitCandidate:
-        """Algorithm 1 selection as array reductions over the candidate table.
+            # one batch: the samples of the open nodes, renumbered 0..n_open-1
+            slot = np.full(n_nodes, -1)
+            slot[open_nodes] = np.arange(open_nodes.size)
+            in_open = slot[node_of] >= 0
+            samples, node_of = samples[in_open], slot[node_of[in_open]]
+            batch = split_node_batch(
+                X_levels[samples], y[samples], node_of, open_nodes.size,
+                n_classes, n_levels, self.min_samples_leaf, flip_sigma,
+            )
+            chosen = self._choose_splits(batch, placed, known, rng)
 
-        Every filter (tolerance set, cost partition, low-power level, score
-        ties) preserves the table's (feature, threshold) order and the final
-        tie-break draws once over the finalist set, so the RNG stream -- and
-        therefore the grown tree -- is bit-identical to the historical
-        object-list implementation whenever the expected-flip penalty is
-        inactive.  When it is active, the same structure applies to the
-        penalized score ``gini + robustness_weight * expected_flips``: the
-        tolerance set and every tie-break then prefer thresholds in sparse
-        sample regions.
-        """
-        scores = self._split_scores(candidates)
-        tolerance_set = candidates.select(
-            scores <= scores.min() + self.gini_threshold + 1e-15
+            split = chosen >= 0
+            rows = chosen[split]
+            left_ids = first_id + 2 * np.arange(rows.size)
+            table[open_nodes[split], :4] = np.column_stack(
+                [batch.feature[rows], batch.threshold_level[rows], left_ids, left_ids + 1]
+            )
+            # children, in id order: each split node's left then right child
+            child = np.full(open_nodes.size, -1)
+            child[split] = 2 * np.arange(rows.size)
+            in_split = child[node_of] >= 0
+            samples, node_of = samples[in_split], node_of[in_split]
+            row_of = chosen[node_of]
+            node_of = child[node_of] + (
+                X_levels[samples, batch.feature[row_of]] >= batch.threshold_level[row_of]
+            )
+            counts = np.stack(
+                [batch.left_counts[rows], batch.right_counts[rows]], axis=1
+            ).reshape(-1, n_classes)
+
+        return DecisionTree(
+            _from_table(np.concatenate(levels)),
+            n_features=X_levels.shape[1],
+            n_classes=n_classes,
+            resolution_bits=self.resolution_bits,
         )
-        sets = partition_by_cost(tolerance_set, placed)
 
-        if sets.zero_cost:
-            pool = sets.zero_cost
-        else:
-            pool = sets.medium_cost if sets.medium_cost else sets.high_cost
-            if self.prefer_low_power_levels:
-                # Secondary objective: smallest threshold => lowest-power comparator.
-                pool = pool.select(pool.threshold_level == pool.threshold_level.min())
-        pool_scores = self._split_scores(pool)
-        finalists = np.nonzero(pool_scores <= pool_scores.min() + GINI_TIE_TOLERANCE)[0]
-        return pool.candidate(rng.choice(finalists.tolist()))
+    def _choose_splits(
+        self,
+        batch: NodeBatch,
+        placed: np.ndarray,
+        known: np.ndarray,
+        rng: random.Random,
+    ) -> np.ndarray:
+        """Algorithm 1's split choice for every node of a level, in id order.
+
+        Returns the chosen row of ``batch`` per node (``-1``: no valid
+        split).  ``placed[feature, level]`` marks the pairs selected so far
+        and ``known[feature]`` the inputs that already have an ADC; each
+        placed split updates both before the next node chooses.  Every
+        filter keeps the rows in ``(feature, threshold)`` order, and the
+        finalists share one ``rng.choice``.  The score is the penalized one
+        when the expected-flip penalty is active.
+        """
+        bounds, scores = batch.bounds, self._split_scores(batch)
+        sizes = np.diff(bounds)
+        nonempty = np.flatnonzero(sizes)
+        best = np.repeat(np.minimum.reduceat(scores, bounds[nonempty]), sizes[nonempty])
+        tolerance = np.flatnonzero(scores <= best + self.gini_threshold + 1e-15)
+        tolerance_bounds = np.searchsorted(tolerance, bounds)
+        feature, level = batch.feature, batch.threshold_level
+        chosen = np.full(len(bounds) - 1, -1)
+        for i in nonempty.tolist():
+            pool = tolerance[tolerance_bounds[i]:tolerance_bounds[i + 1]]
+            if pool.size > 1:
+                zero = placed[feature[pool], level[pool]]
+                if zero.any():
+                    pool = pool[zero]
+                else:
+                    on_known = known[feature[pool]]
+                    if on_known.any():
+                        pool = pool[on_known]
+                    if self.prefer_low_power_levels:
+                        # smallest threshold => lowest-power comparator
+                        pool = pool[level[pool] == level[pool].min()]
+                pool_scores = scores[pool]
+                pool = pool[pool_scores <= pool_scores.min() + GINI_TIE_TOLERANCE]
+            row = int(pool[rng.choice(range(pool.size))])
+            chosen[i] = row
+            placed[feature[row], level[row]] = True
+            known[feature[row]] = True
+        return chosen

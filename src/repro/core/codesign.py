@@ -118,7 +118,10 @@ def select_designs(
 
 
 def reference_designs(
-    spec: DesignSpec, include_approximate_baseline: bool, ppa_backend=None
+    spec: DesignSpec,
+    include_approximate_baseline: bool,
+    ppa_backend=None,
+    twin: CoDesignResult | None = None,
 ) -> CoDesignResult:
     """Baseline [2], its unary re-implementation and optionally [7], on ``spec``'s split.
 
@@ -127,46 +130,54 @@ def reference_designs(
     (:meth:`DesignSpec.reference_key`).  ``ppa_backend`` costs the unary
     design's digital logic; the baseline [2] comparator tree, the reference
     the reductions are measured against, keeps the analytic model.  The
-    approximate baseline [7] gets Table II's 1 % loss budget.  The result's
-    ``exploration`` is empty; :func:`select_designs` completes it.
+    approximate baseline [7] gets Table II's 1 % loss budget.  ``twin`` is
+    ``reference_designs(spec, False, ppa_backend)`` when the caller already
+    holds it: the Table II reference is then that result plus [7], fitted
+    from its baseline's accuracy and depth.  The result's ``exploration``
+    is empty; :func:`select_designs` completes it.
     """
     data = spec.data()
-    name, technology = data.dataset.name, spec.technology
+    technology = spec.technology
     levels = (data.X_train_levels, data.y_train, data.X_test_levels, data.y_test)
     knobs = dict(n_classes=data.n_classes, resolution_bits=spec.resolution_bits, seed=spec.seed)
-    fit = fit_baseline_tree(*levels, **knobs)
-    baseline = ClassifierDesign(
-        "baseline[2]", name, fit.test_accuracy,
-        BaselineBespokeDesign(fit.tree, technology, name=f"baseline[2] {name}").hardware_report(),
-        depth=fit.depth,
-    )
-    unary = ClassifierDesign(
-        "unary+bespokeADC (ADC-unaware model)", name, fit.test_accuracy,
-        proposed_hardware_report(
-            fit.tree, technology, name=f"unary+bespokeADC {name}", ppa_backend=ppa_backend
-        ),
-        depth=fit.depth,
-    )
-    approximate = None
-    if include_approximate_baseline:
-        design = fit_balaskas_design(
-            *levels, reference_accuracy=fit.test_accuracy, reference_depth=fit.depth,
-            max_accuracy_loss=0.01, technology=technology, **knobs,
+    if twin is None:
+        name = data.dataset.name
+        fit = fit_baseline_tree(*levels, **knobs)
+        baseline = ClassifierDesign(
+            "baseline[2]", name, fit.test_accuracy,
+            BaselineBespokeDesign(fit.tree, technology, name=f"baseline[2] {name}").hardware_report(),
+            depth=fit.depth,
         )
-        approximate = ClassifierDesign(
-            "approximate[7]", name, design.accuracy, design.hardware_report(),
-            depth=design.depth, extra={"per_feature_bits": design.per_feature_bits},
+        unary = ClassifierDesign(
+            "unary+bespokeADC (ADC-unaware model)", name, fit.test_accuracy,
+            proposed_hardware_report(
+                fit.tree, technology, name=f"unary+bespokeADC {name}", ppa_backend=ppa_backend
+            ),
+            depth=fit.depth,
         )
-    return CoDesignResult(
-        dataset=name,
-        baseline=baseline,
-        unary_bespoke_adc=unary,
-        exploration=[],
-        selected={},
-        approximate_baseline=approximate,
-        metadata={
-            "technology": technology,
-            "abbreviation": data.dataset.metadata.get("abbreviation", name[:2].upper()),
-            "seed": spec.seed,
-        },
+        twin = CoDesignResult(
+            dataset=name,
+            baseline=baseline,
+            unary_bespoke_adc=unary,
+            exploration=[],
+            selected={},
+            metadata={
+                "technology": technology,
+                "abbreviation": data.dataset.metadata.get("abbreviation", name[:2].upper()),
+                "seed": spec.seed,
+            },
+        )
+    if not include_approximate_baseline:
+        return twin
+    design = fit_balaskas_design(
+        *levels, reference_accuracy=twin.baseline.accuracy,
+        reference_depth=twin.baseline.depth, max_accuracy_loss=0.01,
+        technology=technology, **knobs,
     )
+    # the twin's own name string: a stored twin's strings are not the
+    # dataset's, and pickle writes a shared string once
+    approximate = ClassifierDesign(
+        "approximate[7]", twin.dataset, design.accuracy, design.hardware_report(),
+        depth=design.depth, extra={"per_feature_bits": design.per_feature_bits},
+    )
+    return replace(twin, approximate_baseline=approximate)

@@ -12,9 +12,8 @@ hardware cost.  It is fully determined by a few configuration fields, and
 * :func:`evaluate_family` is the only recipe that trains, scores and costs
   points: a *depth family* -- specs that differ only in ``depth`` -- costs
   one fit, because each depth's tree is the deepest tree cut at that depth.
-  :meth:`DesignSpec.evaluate` (or :meth:`DesignSpec.evaluate_levels` on
-  pre-quantized arrays) is its one-spec case, :meth:`DesignSpec.train` the
-  tree-only half of it.
+  :meth:`DesignSpec.evaluate` is its one-spec case, :meth:`DesignSpec.train`
+  the tree-only half of it.
 
 The suite sweep, sharded work units, search trials, Monte-Carlo units, the
 model registry and the CLI all go through it, so two entry points asking
@@ -329,21 +328,6 @@ class DesignSpec:
         data = self.data()
         return self.trainer().fit(data.X_train_levels, data.y_train, data.n_classes)
 
-    def evaluate_levels(
-        self,
-        X_train_levels: np.ndarray,
-        y_train: np.ndarray,
-        X_test_levels: np.ndarray,
-        y_test: np.ndarray,
-        n_classes: int,
-        ppa_backend=None,
-    ) -> DesignPoint:
-        """Train, score and cost the point on pre-quantized arrays."""
-        (point,) = evaluate_family(
-            [self], ppa_backend, (X_train_levels, y_train, X_test_levels, y_test, n_classes)
-        )
-        return point
-
     def evaluate(self, ppa_backend=None) -> DesignPoint:
         """Train, score and cost the point on its benchmark split."""
         (point,) = evaluate_family([self], ppa_backend)
@@ -375,9 +359,7 @@ class DesignSpec:
         )
 
 
-def evaluate_family(
-    specs: Sequence[DesignSpec], ppa_backend=None, arrays: tuple | None = None
-) -> list[DesignPoint]:
+def evaluate_family(specs: Sequence[DesignSpec], ppa_backend=None) -> list[DesignPoint]:
     """Train, score and cost a depth family of design points with one fit.
 
     The specs must share their :attr:`DesignSpec.family` (differ only in
@@ -385,27 +367,20 @@ def evaluate_family(
     tree is the deepest spec's tree cut at d
     (:meth:`~repro.mltrees.tree.DecisionTree.truncated`): the family is
     trained once, at its deepest spec, and every point is scored and costed
-    on its own cut.  ``arrays`` -- ``(X_train_levels, y_train,
-    X_test_levels, y_test, n_classes)`` -- replaces the specs' benchmark
-    split.  Returns the points in ``specs`` order.
+    on its own cut.  Returns the points in ``specs`` order.
     """
     if len({spec.family for spec in specs}) > 1:
         raise ValueError("the specs of a depth family may differ only in depth")
     deepest = max(specs, key=lambda spec: spec.depth)
-    if arrays is None:
-        data = deepest.data()
-        arrays = (
-            data.X_train_levels, data.y_train, data.X_test_levels, data.y_test, data.n_classes,
-        )
-    X_train_levels, y_train, X_test_levels, y_test, n_classes = arrays
-    tree = deepest.trainer().fit(X_train_levels, y_train, n_classes)
+    data = deepest.data()
+    tree = deepest.train()
     cuts = [tree.truncated(spec.depth) for spec in specs]
     return [
         DesignPoint(
             dataset=spec.dataset,
             depth=spec.depth,
             tau=spec.tau,
-            accuracy=evaluate_tree_accuracy(cut, X_test_levels, y_test),
+            accuracy=evaluate_tree_accuracy(cut, data.X_test_levels, data.y_test),
             hardware=proposed_hardware_report(
                 cut,
                 spec.technology,

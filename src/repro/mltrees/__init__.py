@@ -10,7 +10,7 @@ co-design core can reuse the same split-scoring machinery:
 * :mod:`repro.mltrees.split_search` -- vectorized enumeration of candidate
   splits (feature, quantized threshold) with their Gini scores,
 * :mod:`repro.mltrees.cart` -- the conventional (ADC-unaware) greedy trainer
-  used by the baseline [2], whose growth loop every trainer shares,
+  used by the baseline [2], subclassed by the ADC-aware trainer,
 * :mod:`repro.mltrees.quantize` -- fixed-point feature/threshold quantization,
 * :mod:`repro.mltrees.evaluation` -- accuracy, stratified splitting,
 * :mod:`repro.mltrees.export` -- comparison counts and per-feature required

@@ -6,9 +6,10 @@ with ties broken uniformly at random -- which is exactly the behaviour the
 paper contrasts Algorithm 1 against ("ADC-unaware training would randomly
 select one combination among those with the best Gini score").
 
-Its growth loop is the only one in the package: the ADC-aware trainer of
-Algorithm 1 (:class:`repro.core.adc_aware_training.ADCAwareTrainer`) is this
-class with a different split choice and a breadth-first frontier.
+The ADC-aware trainer of Algorithm 1
+(:class:`repro.core.adc_aware_training.ADCAwareTrainer`) subclasses it for
+the hyperparameters, the input checks and the split score, but grows its
+tree level by level with its own split choice.
 
 The baseline protocol of Section IV ("the minimum tree depth, up to 8, that
 achieves the maximum accuracy is used") is implemented by
@@ -18,7 +19,6 @@ achieves the maximum accuracy is used") is implemented by
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,9 +70,6 @@ class CARTTrainer:
         whatever the sigma.
     """
 
-    #: Frontier order of :meth:`_grow`: depth-first (LIFO) unless overridden.
-    _breadth_first = False
-
     def __init__(
         self,
         max_depth: int = 8,
@@ -109,34 +106,10 @@ class CARTTrainer:
     # ------------------------------------------------------------------ #
     # fitting
     # ------------------------------------------------------------------ #
-    def fit(self, X_levels: np.ndarray, y: np.ndarray, n_classes: int | None = None) -> DecisionTree:
-        """Train a tree on quantized features.
-
-        Parameters
-        ----------
-        X_levels:
-            Quantized feature matrix (integer levels).
-        y:
-            Integer class labels in ``[0, n_classes - 1]``.
-        n_classes:
-            Number of classes (inferred from ``y`` when omitted).
-        """
-        return self._grow(X_levels, y, n_classes)
-
-    def _grow(self, X_levels: np.ndarray, y: np.ndarray, n_classes: int | None) -> DecisionTree:
-        """The growth loop every trainer shares.
-
-        Nodes wait on a frontier and take their id when popped.  The LIFO
-        frontier of this class grows, numbers and draws tie-breaks in
-        pre-order; :attr:`_breadth_first` makes it a FIFO.  Each split is
-        chosen by :meth:`_select_split`, which also sees the ``(feature,
-        threshold_level)`` pairs placed so far.  A node appends its
-        node-table row (a leaf's until its split is chosen) when it takes its
-        id and writes the id into its parent's row; the table becomes the
-        tree's node arrays.  Inside a
-        :func:`~repro.mltrees.split_search.shared_split_tables` scope the
-        fit binds its training set once and nodes come from the shared memo.
-        """
+    def _checked_inputs(
+        self, X_levels: np.ndarray, y: np.ndarray, n_classes: int | None
+    ) -> tuple[np.ndarray, np.ndarray, int, int]:
+        """A fit's ``(X_levels, y, n_classes, n_levels)``; ``ValueError`` if malformed."""
         X_levels = np.asarray(X_levels, dtype=np.int64)
         y = np.asarray(y, dtype=np.int64)
         if X_levels.ndim != 2:
@@ -162,18 +135,32 @@ class CARTTrainer:
                 f"quantized levels must lie in [0, {n_levels - 1}] "
                 f"for {self.resolution_bits}-bit inputs"
             )
+        return X_levels, y, n_classes, n_levels
 
+    def fit(self, X_levels: np.ndarray, y: np.ndarray, n_classes: int | None = None) -> DecisionTree:
+        """Train a tree on quantized features, depth-first.
+
+        ``y`` holds labels in ``[0, n_classes)`` (``n_classes`` is inferred
+        from ``y`` when omitted).  Nodes wait on a LIFO frontier and take
+        their id when popped, so the tree grows, numbers and draws
+        tie-breaks in pre-order.  Each split is chosen by
+        :meth:`_select_split`.  A node appends its node-table row (a leaf's
+        until its split is chosen) when it takes its id and writes the id
+        into its parent's row; the table becomes the tree's node arrays.
+        Inside a :func:`~repro.mltrees.split_search.shared_split_tables`
+        scope the fit binds its training set once and nodes come from the
+        shared memo.
+        """
+        X_levels, y, n_classes, n_levels = self._checked_inputs(X_levels, y, n_classes)
         data_key = bind_training_set(X_levels, y, n_classes, n_levels)
         rng = random.Random(self.seed)
-        placed: set[tuple[int, int]] = set()
         # node-table rows: feature, threshold, left, right, prediction,
         # n_samples, node_depth, then the class counts
         rows: list[list[int]] = []
         # (sample indices, depth, parent row, its left (2) or right (3) column)
-        frontier = deque([(np.arange(len(y)), 0, None, 0)])
-        pop = frontier.popleft if self._breadth_first else frontier.pop
+        frontier = [(np.arange(len(y)), 0, None, 0)]
         while frontier:
-            indices, depth, parent, side = pop()
+            indices, depth, parent, side = frontier.pop()
             node_id = len(rows)
             counts = class_histogram(y[indices], n_classes)
             prediction, n_samples = int(np.argmax(counts)), int(indices.size)
@@ -191,7 +178,7 @@ class CARTTrainer:
             if not candidates:
                 continue
 
-            split = self._select_split(candidates, placed, rng)
+            split = self._select_split(candidates, (), rng)
             mask = X_levels[indices, split.feature] >= split.threshold_level
             right_indices = indices[mask]
             left_indices = indices[~mask]
@@ -199,10 +186,9 @@ class CARTTrainer:
                 continue
 
             row[:2] = split.feature, split.threshold_level
-            placed.add((split.feature, split.threshold_level))
-            children = [(left_indices, depth + 1, row, 2), (right_indices, depth + 1, row, 3)]
             # a LIFO frontier pops the last push first: push the right child first
-            frontier.extend(children if self._breadth_first else reversed(children))
+            frontier.append((right_indices, depth + 1, row, 3))
+            frontier.append((left_indices, depth + 1, row, 2))
 
         return DecisionTree(
             _from_table(np.array(rows)),
@@ -212,8 +198,8 @@ class CARTTrainer:
         )
 
     # ------------------------------------------------------------------ #
-    # split enumeration / selection policy (the selection is overridden by
-    # the ADC-aware trainer; both by the legacy reference trainers)
+    # split enumeration / selection policy (both overridden by the legacy
+    # reference trainers)
     # ------------------------------------------------------------------ #
     def _node_candidates(
         self,
@@ -227,7 +213,7 @@ class CARTTrainer:
         """Candidate splits of one node as a columnar table.
 
         ``data_key`` is the fit's :func:`~repro.mltrees.split_search.bind_training_set`
-        key; without it (as in a loop other than :meth:`_grow`) the node is
+        key; without it (as in a loop other than :meth:`fit`) the node is
         enumerated afresh.
         """
         return shared_candidates(

@@ -7,52 +7,41 @@ tolerance set ``S = {(Ii, C) | Gini(Ii, C) <= G + tau}`` from them.
 
 Because the inputs are quantized to ``2**resolution_bits`` levels, each
 feature has at most ``2**resolution_bits - 1`` distinct thresholds, so the
-whole candidate set of a node is computed from one ``(feature, level,
-class)`` histogram -- a single ``bincount`` over all features at once -- and
-one cumulative sum.  The result is a :class:`CandidateTable` of parallel
-ndarrays (``feature``, ``threshold_level``, ``gini``, ``n_left``,
-``n_right``): no per-feature Python loop and no per-candidate object
-construction.  Trainers select splits with array reductions over the table
-and materialize one :class:`SplitCandidate` -- the chosen row -- per node.
+candidate sets of a whole batch of nodes come from one ``(node, feature,
+level, class)`` histogram -- a single ``bincount`` -- and one cumulative
+sum (:func:`split_node_batch`), with the Gini score computed only on the
+valid rows: no per-feature Python loop and no per-candidate object.  The
+ADC-aware trainer enumerates each tree level in one batch; CART, which
+grows depth-first, enumerates one node at a time through
+:func:`enumerate_split_candidates`, the kernel on a batch of one that
+returns a :class:`CandidateTable`.
 
-Offset-aware training reuses the very same histogram pass: when a
-``flip_sigma`` is requested, :func:`enumerate_split_candidates` additionally
-fills two robustness columns per candidate --
+Offset-aware training reuses the same histogram pass: with a
+``flip_sigma``, the kernel also fills ``expected_flips`` -- the expected
+fraction of the node's samples whose comparator digit flips under a
+Gaussian input offset of ``flip_sigma`` (a fraction of full scale), one
+matrix product of the level histogram with :func:`level_flip_matrix`.
+Trainers fold it into the split score (``robustness_weight``); without it
+the column is ``None`` and the enumeration is the nominal one.
 
-* ``margin``: normalized distance from the comparator threshold to the
-  nearest sample in the node (a threshold in a dense sample region has a
-  tiny margin and is fragile under comparator input offsets), and
-* ``expected_flips``: the expected fraction of the node's samples whose
-  comparator digit flips under a Gaussian input offset of ``flip_sigma``
-  (as a fraction of full scale), computed analytically from the per-level
-  sample counts and the Gaussian CDF of the cell-center margins
-
--- one matrix product over the already-computed level histogram, no extra
-pass over the samples.  Trainers fold ``expected_flips`` into the split
-score (see ``robustness_weight`` on the trainers); with the feature
-disabled the columns are ``None`` and the enumeration is bit-identical to
-the nominal path.
-
-Trees trained on one training set share most of their nodes: baseline
-[2]'s depth sweep refits CART at depths 1..8, baseline [7] refits it from
-the reference depth up, and the ADC-aware tau families start from the same
-root.  Inside a :func:`shared_split_tables` scope each node's table is
-therefore computed once and shared.  The memo's key is the digest of the
-training set (``X_levels``, ``y``, their shape, ``n_classes`` and
-``n_levels``, taken once per fit by :func:`bind_training_set`), the digest
-of the node's int64 index bytes, ``min_samples_leaf`` and ``flip_sigma``.
-Shared tables are read-only.  The memo is cleared when a fit binds another
+CART trees trained on one training set share most of their nodes:
+baseline [2]'s depth sweep refits CART at depths 1..8 and baseline [7]
+refits it from the reference depth up.  Inside a
+:func:`shared_split_tables` scope each CART node's table is therefore
+computed once and shared.  The memo's key is the digest of the training
+set (taken once per fit by :func:`bind_training_set`), the digest of the
+node's int64 index bytes, ``min_samples_leaf`` and ``flip_sigma``.  Shared
+tables are read-only.  The memo is cleared when a fit binds another
 training set and when the outermost scope exits, it holds at most
 :data:`SHARED_TABLES_MAX_ENTRIES` tables (least recently used first out),
 and it is per thread and empty in a forked child.  Enumeration is
-deterministic, so a shared table is the table a fresh enumeration would
-return: trees and RNG draws do not depend on the scope.
+deterministic, so trees and RNG draws do not depend on the scope.
 
 The pre-columnar object-building enumeration is retained verbatim in
 ``tests/oracles/legacy_split_search.py`` as the oracle for the equivalence
 tests and the training-throughput benchmark, together with the object-list
-helpers (table <-> list conversion, ``best_gini`` of a list) that only the
-oracle and the tests use.
+helpers (table <-> list conversion, row selection, ``best_gini`` of a list)
+that only the oracles and the tests use.
 """
 
 from __future__ import annotations
@@ -65,6 +54,7 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,11 +136,11 @@ class CandidateTable:
     materializes the one row a trainer selects as a :class:`SplitCandidate`.
     ``len`` counts rows and an empty table is falsy.
 
-    The two robustness columns (``margin``, ``expected_flips``) are ``None``
-    unless the enumeration was asked for them (``flip_sigma``); they ride
-    along through :meth:`select`, and table equality intentionally compares
-    only the five nominal columns, so offset-aware tables still equal their
-    nominal counterparts when the split geometry is identical.
+    The robustness column ``expected_flips`` is ``None`` unless the
+    enumeration was asked for it (``flip_sigma``), and table equality
+    intentionally compares only the five nominal columns, so offset-aware
+    tables still equal their nominal counterparts when the split geometry
+    is identical.
     """
 
     feature: np.ndarray          #: int64, feature index per candidate
@@ -158,36 +148,9 @@ class CandidateTable:
     gini: np.ndarray             #: float64, weighted Gini of the split
     n_left: np.ndarray           #: int64, samples sent to the left child
     n_right: np.ndarray          #: int64, samples sent to the right child
-    #: float64 or None: normalized distance from the threshold to the
-    #: nearest sample of the node (see ``flip_sigma``)
-    margin: np.ndarray | None = field(default=None)
     #: float64 or None: expected fraction of node samples whose digit flips
     #: under a Gaussian offset of the requested sigma
     expected_flips: np.ndarray | None = field(default=None)
-
-    # ------------------------------------------------------------------ #
-    # columnar operations (the fast path used by the trainers)
-    # ------------------------------------------------------------------ #
-    @property
-    def best_gini(self) -> float:
-        """Minimum Gini score in the table (``inf`` when empty)."""
-        if self.gini.size == 0:
-            return float("inf")
-        return float(self.gini.min())
-
-    def select(self, which: np.ndarray) -> "CandidateTable":
-        """Sub-table of the rows picked by a boolean mask or index array."""
-        return CandidateTable(
-            feature=self.feature[which],
-            threshold_level=self.threshold_level[which],
-            gini=self.gini[which],
-            n_left=self.n_left[which],
-            n_right=self.n_right[which],
-            margin=None if self.margin is None else self.margin[which],
-            expected_flips=(
-                None if self.expected_flips is None else self.expected_flips[which]
-            ),
-        )
 
     @classmethod
     def empty(cls) -> "CandidateTable":
@@ -245,10 +208,7 @@ def enumerate_split_candidates(
 ) -> CandidateTable:
     """Enumerate every valid split of the node containing ``indices``.
 
-    One vectorized pass over **all** features: a single ``bincount`` builds
-    the ``(feature, level, class)`` histogram of the node, one cumulative sum
-    along the level axis yields every left/right class-count pair, and the
-    weighted Gini of all candidates falls out as one broadcast expression.
+    :func:`split_node_batch` on a batch of one node.
 
     Parameters
     ----------
@@ -268,13 +228,9 @@ def enumerate_split_candidates(
         A split is only valid when both children receive at least this many
         samples.
     flip_sigma:
-        When not ``None``, also fill the ``margin`` and ``expected_flips``
-        robustness columns: the comparator offset sigma as a fraction of the
-        ADC full scale (``sigma_volts / vdd``).  The columns fall out of the
-        same level histogram (one matrix product against the cached
-        :func:`level_flip_matrix`), so requesting them does not add a pass
-        over the samples.  ``None`` (the default) leaves the columns unset
-        and the enumeration bit-identical to the nominal path.
+        When not ``None``, the comparator offset sigma as a fraction of the
+        ADC full scale (``sigma_volts / vdd``): also fill the
+        ``expected_flips`` column.
 
     Returns
     -------
@@ -290,108 +246,123 @@ def enumerate_split_candidates(
         raise TypeError(
             f"indices must be an integer array of row indices, got dtype {indices.dtype}"
         )
-    if indices.size == 0:
+    batch = split_node_batch(
+        X_levels[indices], y[indices], None, 1,
+        n_classes, n_levels, min_samples_leaf, flip_sigma,
+    )
+    if batch.feature.size == 0:
         return CandidateTable.empty()
-    y_node = y[indices]
-    n_node = indices.size
-    n_features = X_levels.shape[1]
-    n_thresholds = n_levels - 1  # k = 1 .. n_levels - 1
+    return CandidateTable(
+        feature=batch.feature,
+        threshold_level=batch.threshold_level,
+        gini=batch.gini,
+        n_left=batch.n_left,
+        n_right=batch.n_right,
+        expected_flips=batch.expected_flips,
+    )
 
-    # hist[feature, level, class] via one flat bincount over all features
-    values = X_levels[indices]  # (n_node, n_features)
-    if int(values.max()) >= n_levels:
-        # An out-of-range level would land in the *next* feature's histogram
-        # block and silently corrupt its Gini scores; fail loudly instead
-        # (negative levels already make bincount raise).
+
+class NodeBatch(NamedTuple):
+    """The valid splits of a batch of nodes, as parallel columns.
+
+    Rows are ordered by ``(node, feature, threshold_level)``; node ``i``
+    owns rows ``bounds[i]:bounds[i + 1]``.  The columns of one node's rows
+    are that node's :class:`CandidateTable`.  ``left_counts`` and
+    ``right_counts`` are the ``(rows, n_classes)`` class histograms of the
+    two children of each split.
+    """
+
+    bounds: np.ndarray           #: int64, ``n_nodes + 1`` row offsets
+    feature: np.ndarray
+    threshold_level: np.ndarray
+    gini: np.ndarray
+    n_left: np.ndarray
+    n_right: np.ndarray
+    expected_flips: np.ndarray | None
+    left_counts: np.ndarray
+    right_counts: np.ndarray
+
+
+def split_node_batch(
+    X_rows: np.ndarray,
+    y_rows: np.ndarray,
+    node_of_row: np.ndarray | None,
+    n_nodes: int,
+    n_classes: int,
+    n_levels: int,
+    min_samples_leaf: int = 1,
+    flip_sigma: float | None = None,
+) -> NodeBatch:
+    """Every valid split of ``n_nodes`` nodes from one histogram pass.
+
+    ``X_rows`` / ``y_rows`` are the samples of the batch and
+    ``node_of_row`` the node (``0 .. n_nodes - 1``) each belongs to
+    (``None`` for a batch of one node).  One ``bincount`` builds the
+    ``(node, feature, level, class)`` histogram and one cumulative sum along
+    the level axis yields the left child of every threshold ``k`` (the
+    samples with level ``< k``).  The weighted Gini -- and the expected
+    flips, with ``flip_sigma`` -- are computed only on the valid rows,
+    gathered as ``(rows, n_classes)`` count rows; each element goes through
+    the same floating-point operations as in a one-node enumeration, so a
+    node's scores do not depend on its batch.
+    """
+    n_features = X_rows.shape[1]
+    if X_rows.size and not 0 <= int(X_rows.min()) <= int(X_rows.max()) < n_levels:
+        # An out-of-range level would land in a neighbouring feature's
+        # histogram block and silently corrupt its Gini scores.
         raise ValueError(
             f"quantized levels must lie in [0, {n_levels - 1}], "
-            f"got {int(values.max())}"
+            f"got [{int(X_rows.min())}, {int(X_rows.max())}]"
         )
+    n_thresholds = n_levels - 1
+    block = n_features * n_levels * n_classes
     feature_base = np.arange(n_features, dtype=np.int64) * (n_levels * n_classes)
-    codes = feature_base[np.newaxis, :] + values * n_classes + y_node[:, np.newaxis]
-    hist = np.bincount(
-        codes.ravel(), minlength=n_features * n_levels * n_classes
-    ).reshape(n_features, n_levels, n_classes)
+    labels = y_rows if node_of_row is None else node_of_row * block + y_rows
+    codes = labels[:, np.newaxis] + (feature_base[np.newaxis, :] + X_rows * n_classes)
+    hist = np.bincount(codes.ravel(), minlength=n_nodes * block).reshape(
+        n_nodes, n_features, n_levels, n_classes
+    )
+    # row ``cell * n_levels + level`` of the flattened cumulative counts
+    # (cell = node * n_features + feature) counts the samples below level + 1
+    cumulative = np.cumsum(hist, axis=2).reshape(-1, n_classes)
+    level_counts = hist.sum(axis=3)                               # (N, F, L)
+    below = np.cumsum(level_counts, axis=2)
+    n_left_all = below[:, :, :-1]
+    n_right_all = below[:, :, -1:] - n_left_all
+    valid = (n_left_all >= min_samples_leaf) & (n_right_all >= min_samples_leaf)
+    flat = np.flatnonzero(valid)                                  # (K,)
+    cell, position = np.divmod(flat, n_thresholds)
+    row = cell * n_levels + position
+    total_row = cell * n_levels + n_thresholds
+    n_left = below.ravel()[row]
+    n_node = below.ravel()[total_row]
+    n_right = n_node - n_left
+    left = cumulative[row]                                        # (K, C)
+    right = cumulative[total_row] - left
+    # valid rows have n_left, n_right >= 1
+    gini_left = 1.0 - ((left / n_left[:, np.newaxis]) ** 2).sum(axis=1)
+    gini_right = 1.0 - ((right / n_right[:, np.newaxis]) ** 2).sum(axis=1)
+    gini = (n_left * gini_left + n_right * gini_right) / n_node
 
-    # left child of threshold k = samples with level < k
-    cumulative = np.cumsum(hist, axis=1)                    # (F, L, C)
-    total_counts = cumulative[:, -1, :]                     # (F, C)
-    left_counts = cumulative[:, :-1, :]                     # (F, T, C)
-    right_counts = total_counts[:, np.newaxis, :] - left_counts
-    n_left = left_counts.sum(axis=2)                        # (F, T)
-    n_right = right_counts.sum(axis=2)
-
-    valid = (n_left >= min_samples_leaf) & (n_right >= min_samples_leaf)
-    rows = np.nonzero(valid.ravel())[0]
-    if rows.size == 0:
-        return CandidateTable.empty()
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gini_left = 1.0 - np.sum(
-            (left_counts / np.maximum(n_left, 1)[:, :, np.newaxis]) ** 2, axis=2
-        )
-        gini_right = 1.0 - np.sum(
-            (right_counts / np.maximum(n_right, 1)[:, :, np.newaxis]) ** 2, axis=2
-        )
-    weighted = (n_left * gini_left + n_right * gini_right) / n_node
-
-    margin = expected_flips = None
+    expected_flips = None
     if flip_sigma is not None:
-        level_counts = hist.sum(axis=2)                     # (F, L)
-        margin_fl, flips_fl = _robustness_columns(
-            level_counts, n_node, n_levels, float(flip_sigma)
-        )
-        margin = margin_fl.ravel()[rows]
-        expected_flips = flips_fl.ravel()[rows]
+        # expected_flips[f, k - 1] = sum over levels of count * P(flip | level,
+        # k, sigma) / node size: one matrix product per node
+        flips = level_counts @ level_flip_matrix(n_levels, float(flip_sigma))
+        flips = flips / np.maximum(below[:, :1, -1:], 1)          # (N, F, T)
+        expected_flips = flips.reshape(-1)[flat]
 
-    return CandidateTable(
-        feature=rows // n_thresholds,
-        threshold_level=rows % n_thresholds + 1,
-        gini=weighted.ravel()[rows],
-        n_left=n_left.ravel()[rows],
-        n_right=n_right.ravel()[rows],
-        margin=margin,
+    return NodeBatch(
+        bounds=np.searchsorted(cell, np.arange(n_nodes + 1) * n_features),
+        feature=cell % n_features,
+        threshold_level=position + 1,
+        gini=gini,
+        n_left=n_left,
+        n_right=n_right,
         expected_flips=expected_flips,
+        left_counts=left,
+        right_counts=right,
     )
-
-
-def _robustness_columns(
-    level_counts: np.ndarray, n_node: int, n_levels: int, sigma: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Margin and expected-flip matrices of one node, shape ``(F, T)``.
-
-    ``level_counts[feature, level]`` are the node's per-level sample counts
-    (the class axis of the histogram already summed out).
-
-    * ``expected_flips[f, k - 1]`` = sum over levels of ``count *
-      P(flip | level, k, sigma)`` divided by the node size -- one matrix
-      product against the cached :func:`level_flip_matrix`.
-    * ``margin[f, k - 1]`` = normalized distance from threshold ``k`` to the
-      nearest *occupied* level's cell center, found with two running
-      extrema over the occupancy mask (no per-threshold scan).  Thresholds
-      with an empty side get ``inf`` on that side; such rows never describe
-      a valid split (one child would be empty), so callers only ever see
-      finite margins.
-    """
-    flip_matrix = level_flip_matrix(n_levels, sigma)        # (L, T)
-    expected_flips = (level_counts @ flip_matrix) / n_node  # (F, T)
-
-    level_index = np.arange(n_levels, dtype=float)
-    occupied = level_counts > 0
-    # highest occupied level <= l  /  lowest occupied level >= l
-    below = np.maximum.accumulate(
-        np.where(occupied, level_index, -np.inf), axis=1
-    )
-    above = np.minimum.accumulate(
-        np.where(occupied, level_index, np.inf)[:, ::-1], axis=1
-    )[:, ::-1]
-    thresholds = np.arange(1, n_levels, dtype=float)
-    # distance from threshold k to the cell centers of the nearest occupied
-    # level strictly below (level <= k - 1) and at-or-above (level >= k)
-    margin_below = thresholds[np.newaxis, :] - (below[:, :-1] + 0.5)
-    margin_above = (above[:, 1:] + 0.5) - thresholds[np.newaxis, :]
-    margin = np.minimum(margin_below, margin_above) / n_levels
-    return margin, expected_flips
 
 
 #: Capacity of the :func:`shared_split_tables` memo, in tables.
@@ -483,7 +454,7 @@ def shared_candidates(
         X_levels, y, node, n_classes, n_levels, min_samples_leaf, flip_sigma
     )
     for column in (table.feature, table.threshold_level, table.gini, table.n_left,
-                   table.n_right, table.margin, table.expected_flips):
+                   table.n_right, table.expected_flips):
         if column is not None:
             column.setflags(write=False)
     tables[key] = table

@@ -33,12 +33,11 @@ tree); on test-set-sized batches it is about 4x faster, and on batches of
 hundreds of thousands of rows somewhat slower, since every row takes every
 step (measurements in ``docs/KERNELS.md``).
 
-One grower, ``CARTTrainer._grow``, writes every trainer's tree in this
-layout: a node appends its row of the node table when it takes its id, and
-the id goes into its parent's ``left`` or ``right`` entry.  The node ids are
-the grower's numbering: a node takes its id when it leaves the frontier, so
-ids are pre-order for CART (LIFO frontier) and breadth-first for the
-ADC-aware trainer (FIFO frontier).  A breadth-first tree's nodes down to any
+Both trainers write their trees in this layout.  CART's depth-first loop
+appends a node's row of the node table when the node takes its id and
+writes the id into its parent's ``left`` or ``right`` entry, so its ids are
+pre-order.  The ADC-aware trainer appends one block of rows per tree level,
+so its ids are breadth-first.  A breadth-first tree's nodes down to any
 depth are a prefix of its arrays, which is what lets
 :meth:`DecisionTree.truncated` cut it by slicing.
 """

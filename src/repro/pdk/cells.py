@@ -76,6 +76,9 @@ def _cell(name: str, n_inputs: int, gate_equivalents: float) -> Cell:
 class CellLibrary:
     """A named collection of :class:`Cell` objects with lookup helpers."""
 
+    #: Cached :meth:`__hash__`; not pickled (string hashes differ per process).
+    _hash: int | None = None
+
     def __init__(self, name: str, cells: list[Cell]):
         self.name = name
         self._cells: dict[str, Cell] = {}
@@ -85,6 +88,7 @@ class CellLibrary:
     def add(self, cell: Cell) -> None:
         """Register ``cell``, replacing any previous cell of the same name."""
         self._cells[cell.name] = cell
+        self._hash = None
 
     def __contains__(self, name: str) -> bool:
         return name in self._cells
@@ -138,9 +142,16 @@ class CellLibrary:
         Kept (rather than dropping to unhashable) because the frozen
         ``EGFETTechnology`` dataclass embeds the library and must stay
         hashable.  Mutating a library after using it as a hash key is the
-        caller's foot-gun, same as any hashable-by-value container.
+        caller's foot-gun, same as any hashable-by-value container.  The
+        hash is computed once and recomputed after :meth:`add` (technology
+        lookups hash the library on every design-point key).
         """
-        return hash((self.name, frozenset(self._cells.items())))
+        if self._hash is None:
+            self._hash = hash((self.name, frozenset(self._cells.items())))
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        return {key: value for key, value in vars(self).items() if key != "_hash"}
 
     def canonical_form(self) -> dict:
         """Primitive rendering used by the result store's cache keys.

@@ -20,7 +20,7 @@ from repro.circuits.ppa import (
     resolve_ppa_backend,
 )
 from repro.circuits.timing import estimate_timing
-from repro.core.design import DesignSpec
+from repro.core.design import DesignSpec, evaluate_family
 from repro.core.exploration import select_best_design
 from repro.core.unary_tree import UnaryDecisionTree
 
@@ -196,28 +196,23 @@ class TestReportBackend:
 
 
 class TestDesignPointIntegration:
-    def _explore(self, small_split, ppa_backend):
-        X_train, X_test, y_train, y_test = small_split
-        return [
-            DesignSpec("small", 3, depth, 0.01).evaluate_levels(
-                X_train, y_train, X_test, y_test, n_classes=3,
-                ppa_backend=ppa_backend,
-            )
-            for depth in (2, 3)
-        ]
+    def _explore(self, ppa_backend):
+        return evaluate_family(
+            [DesignSpec("seeds", 3, depth, 0.01) for depth in (2, 3)], ppa_backend
+        )
 
-    def test_design_point_costs_bit_identical_to_seed(self, small_split):
-        default = self._explore(small_split, None)
-        explicit = self._explore(small_split, AnalyticPPABackend())
+    def test_design_point_costs_bit_identical_to_seed(self):
+        default = self._explore(None)
+        explicit = self._explore(AnalyticPPABackend())
         for a, b in zip(default, explicit):
             assert a.hardware == b.hardware
             assert a.accuracy == b.accuracy
             assert (a.total_area_mm2, a.total_power_uw) == \
                 (b.total_area_mm2, b.total_power_uw)
 
-    def test_report_costs_flow_into_selection(self, small_split):
+    def test_report_costs_flow_into_selection(self):
         report = _report({"*": {"area_mm2": 123.0, "power_uw": 456.0}})
-        points = self._explore(small_split, report)
+        points = self._explore(report)
         for point in points:
             assert point.hardware.digital_area_mm2 == 123.0
             assert point.hardware.digital_power_uw == 456.0

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from oracles.legacy_split_search import table_from_candidates
-from repro.core.adc_aware_training import ADCAwareTrainer, partition_by_cost
+from oracles.per_node_training import partition_by_cost
+from repro.core.adc_aware_training import ADCAwareTrainer
 from repro.mltrees.cart import CARTTrainer
 from repro.mltrees.evaluation import accuracy_score
 from repro.mltrees.split_search import SplitCandidate

@@ -6,12 +6,17 @@ registered benchmark names.
 """
 
 import dataclasses
+import pickle
 
 import pytest
 
-from repro.analysis.experiments import run_benchmark_suite
+from repro.analysis.experiments import _resolve_units, clear_memo, run_benchmark_suite
+from repro.core import codesign
 from repro.core.codesign import CoDesignResult, reference_designs, select_designs
 from repro.core.design import DesignSpec
+from repro.core.executor import SerialExecutor
+from repro.core.sharding import suite_work_unit
+from repro.core.store import ResultStore
 
 GRID = dict(depths=(2, 3, 4), taus=(0.0, 0.01, 0.03))
 
@@ -120,6 +125,60 @@ class TestReferenceDesigns:
         )
         assert result.approximate_baseline is None
         assert result.table2_reduction_vs_approximate(0.01) is None
+
+
+class TestTableIITwin:
+    """A Table II reference extends its stored Table I twin with [7] only."""
+
+    @pytest.mark.parametrize("dataset", ["seeds", "vertebral_2c"])
+    def test_store_loaded_twin_pickles_like_a_computed_reference(self, dataset, tmp_path):
+        spec = DesignSpec(dataset, 0)
+        store = ResultStore(tmp_path)
+        store.put(spec.reference_key(False), reference_designs(spec, False))
+        twin = store.get(spec.reference_key(False))
+        assert pickle.dumps(reference_designs(spec, True, twin=twin)) == pickle.dumps(
+            reference_designs(spec, True)
+        )
+
+    def test_suite_fits_only_baseline_7_from_a_stored_twin(self, tmp_path, monkeypatch):
+        spec = DesignSpec("seeds", 0)
+        fresh = ResultStore(tmp_path / "fresh")
+        run_benchmark_suite(("seeds",), store=fresh, depths=(2,), taus=(0.0,))
+        store = ResultStore(tmp_path / "twin")
+        run_benchmark_suite(
+            ("seeds",), store=store, include_approximate_baseline=False,
+            depths=(2,), taus=(0.0,),
+        )
+        clear_memo()
+
+        def no_baseline_sweep(*args, **kwargs):
+            raise AssertionError("baseline [2] was refitted next to its twin")
+
+        monkeypatch.setattr(codesign, "fit_baseline_tree", no_baseline_sweep)
+        misses = store.stats.misses
+        run_benchmark_suite(("seeds",), store=store, depths=(2,), taus=(0.0,))
+        assert store.stats.misses == misses + 1, "only the Table II reference misses"
+        key = spec.reference_key(True)
+        assert store.path_for(key).read_bytes() == fresh.path_for(key).read_bytes()
+
+    def test_twin_from_the_same_call(self, monkeypatch):
+        """Both variants in one fan-out: the Table II job extends the Table I value."""
+        calls = []
+        original = codesign.fit_baseline_tree
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(codesign, "fit_baseline_tree", counting)
+        units = [suite_work_unit("seeds", 0, variant) for variant in (True, False)]
+        values, computed = _resolve_units(units, None, SerialExecutor())
+        assert len(calls) == 1 and len(computed) == 2
+        table1, table2 = (values[unit.store_key] for unit in reversed(units))
+        assert pickle.dumps(table2) == pickle.dumps(
+            reference_designs(DesignSpec("seeds", 0), True)
+        )
+        assert dataclasses.replace(table2, approximate_baseline=None) == table1
 
 
 class TestFlowConfiguration:

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from oracles.legacy_split_search import LegacyADCAwareGrowth
+from oracles.per_node_training import per_node
 from oracles.tree_walk import LinkedTree
 from repro.analysis import experiments
 from repro.analysis.experiments import (
@@ -110,7 +111,7 @@ class TestTruncated:
         spec = DesignSpec("vertebral_3c", 0, 6, 0.01)
         data = spec.data()
         linked = LegacyADCAwareGrowth.fit_linked(
-            spec.trainer(), data.X_train_levels, data.y_train, data.n_classes
+            per_node(spec.trainer()), data.X_train_levels, data.y_train, data.n_classes
         )
         tree = spec.train()
         assert tree == linked.to_tree()

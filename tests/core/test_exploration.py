@@ -17,13 +17,10 @@ from repro.core.sharding import plan_suite_units
 from repro.core.variation import VariationAnalysis
 
 
-def _evaluate_grid(small_split, technology, depths, taus):
-    """The small split's design points over one grid, in grid order."""
-    X_train, X_test, y_train, y_test = small_split
+def _evaluate_grid(technology, depths, taus):
+    """The seeds benchmark's design points over one grid, in grid order."""
     return [
-        DesignSpec("small", 0, depth, tau, technology=technology).evaluate_levels(
-            X_train, y_train, X_test, y_test, 3
-        )
+        DesignSpec("seeds", 0, depth, tau, technology=technology).evaluate()
         for depth, tau in grid_points(depths, taus)
     ]
 
@@ -65,8 +62,8 @@ class TestProposedHardwareReport:
 
 class TestGridEvaluation:
     @pytest.fixture(scope="class")
-    def points(self, small_split, technology):
-        return _evaluate_grid(small_split, technology, (2, 3), (0.0, 0.02))
+    def points(self, technology):
+        return _evaluate_grid(technology, (2, 3), (0.0, 0.02))
 
     def test_grid_is_depth_major(self, points):
         assert [(p.depth, p.tau) for p in points] == [
@@ -76,7 +73,7 @@ class TestGridEvaluation:
     def test_point_fields(self, points):
         for point in points:
             assert 0.0 <= point.accuracy <= 1.0
-            assert point.dataset == "small"
+            assert point.dataset == "seeds"
             assert point.total_area_mm2 == point.hardware.total_area_mm2
             assert point.total_power_uw == point.hardware.total_power_uw
             assert point.tree.depth <= point.depth
@@ -97,8 +94,8 @@ class TestGridEvaluation:
 
 class TestSelectBestDesign:
     @pytest.fixture(scope="class")
-    def points(self, small_split, technology):
-        return _evaluate_grid(small_split, technology, (2, 3, 4), (0.0, 0.03))
+    def points(self, technology):
+        return _evaluate_grid(technology, (2, 3, 4), (0.0, 0.03))
 
     def test_selected_point_respects_accuracy_floor(self, points):
         reference = max(point.accuracy for point in points)

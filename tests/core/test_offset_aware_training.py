@@ -77,46 +77,29 @@ class TestTrainerSemantics:
 
 
 class TestDesignSpecThreading:
-    @staticmethod
-    def _split(small_dataset):
-        X, y = small_dataset
-        X_train, X_test, y_train, y_test = train_test_split(
-            X, y, test_size=0.3, seed=1
-        )
-        return quantize_dataset(X_train), y_train, quantize_dataset(X_test), y_test
-
-    def test_spec_trains_offset_aware_trees(self, small_dataset):
-        split = self._split(small_dataset)
-        nominal = DesignSpec("small", 0, 4, 0.02).evaluate_levels(*split, 3)
-        aware = DesignSpec(
-            "small", 0, 4, 0.02, training_sigma=0.04
-        ).evaluate_levels(*split, 3)
+    def test_spec_trains_offset_aware_trees(self):
+        nominal = DesignSpec("seeds", 0, 4, 0.02).evaluate()
+        aware = DesignSpec("seeds", 0, 4, 0.02, training_sigma=0.04).evaluate()
         assert nominal.tree != aware.tree
 
-    def test_sigma_zero_matches_plain_spec(self, small_dataset):
-        split = self._split(small_dataset)
-        plain = DesignSpec("small", 0, 4, 0.01)
+    def test_sigma_zero_matches_plain_spec(self):
+        plain = DesignSpec("seeds", 0, 4, 0.01)
         zeroed = DesignSpec(
-            "small", 0, 4, 0.01, training_sigma=0.0, robustness_weight=5.0
+            "seeds", 0, 4, 0.01, training_sigma=0.0, robustness_weight=5.0
         )
-        assert plain.evaluate_levels(*split, 3).tree == zeroed.evaluate_levels(
-            *split, 3
-        ).tree
+        assert plain.evaluate().tree == zeroed.evaluate().tree
 
-    def test_spec_sigma_is_in_volts(self, technology, small_dataset):
+    def test_spec_sigma_is_in_volts(self, technology):
         """The spec normalizes by the supply voltage before training."""
-        X_train_levels, y_train, _, _ = self._split(small_dataset)
         spec = DesignSpec(
-            "small", 0, 4, 0.01, technology=technology, training_sigma=0.04
+            "seeds", 0, 4, 0.01, technology=technology, training_sigma=0.04
         )
+        data = spec.data()
         direct = ADCAwareTrainer(
             max_depth=4, gini_threshold=0.01, seed=0,
             training_sigma=0.04 / technology.vdd, robustness_weight=1.0,
-        ).fit(X_train_levels, y_train, 3)
-        point = spec.evaluate_levels(
-            X_train_levels, y_train, X_train_levels, y_train, 3
-        )
-        assert point.tree == direct
+        ).fit(data.X_train_levels, data.y_train, data.n_classes)
+        assert spec.evaluate().tree == direct
 
     def test_negative_suite_knobs_rejected_before_any_training(self, monkeypatch):
         def no_training(*args):

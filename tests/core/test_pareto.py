@@ -127,12 +127,9 @@ class TestParetoFront:
         assert (3, 20) in front and (2, 5) in front and (0, 1) in front
         assert (1, 10) not in front
 
-    def test_front_of_real_exploration_is_nonempty(self, small_split, technology):
-        X_train, X_test, y_train, y_test = small_split
+    def test_front_of_real_exploration_is_nonempty(self, technology):
         points = [
-            DesignSpec("small", 0, depth, tau, technology=technology).evaluate_levels(
-                X_train, y_train, X_test, y_test, 3
-            )
+            DesignSpec("seeds", 0, depth, tau, technology=technology).evaluate()
             for depth, tau in grid_points((2, 3), (0.0, 0.02))
         ]
         front = accuracy_power_front(points)

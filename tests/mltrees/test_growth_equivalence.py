@@ -1,16 +1,19 @@
-"""Tree growth: the shared loop vs the two loops it replaced.
+"""Tree growth: the production loops vs the loops they replaced.
 
-Every trainer grows its tree with ``CARTTrainer._grow``: a LIFO frontier
-for CART, a FIFO frontier for the ADC-aware trainer, node ids given when a
-node is popped.  Before, CART grew recursively and the ADC-aware trainer
-ran its own breadth-first queue.  Both old loops are retained verbatim in
-``tests/oracles/legacy_split_search.py`` (:class:`LegacyCARTGrowth`,
-:class:`LegacyADCAwareGrowth`).  These tests drive each old loop with the
-*production* trainer's own hooks (columnar ``_node_candidates``, production
-``_select_split``) and require the production ``fit`` to return the same
-tree: same node ids, same splits, same RNG draws -- across every registered
-benchmark, seeds 0/1, several tau values, the low-power ablation, a leaf
-size constraint and offset-aware training.
+CART grows with ``CARTTrainer.fit``, a LIFO frontier with node ids given
+when a node is popped.  Before, CART grew recursively.  The ADC-aware
+trainer grows one level at a time; before, it ran its own breadth-first
+queue, and later the shared loop's FIFO frontier one node at a time.  The
+old loops are retained in ``tests/oracles/legacy_split_search.py``
+(:class:`LegacyCARTGrowth`, :class:`LegacyADCAwareGrowth`) and the
+per-node trainer in ``tests/oracles/per_node_training.py``.  These tests
+drive each old loop with the hooks of a production-equivalent trainer
+(CART's own columnar ``_node_candidates`` / ``_select_split``; for the
+ADC-aware trainer, which has no per-node hooks, the per-node trainer's)
+and require the production ``fit`` to return the same tree: same node ids,
+same splits, same RNG draws -- across every registered benchmark, seeds
+0/1, several tau values, the low-power ablation, a leaf size constraint and
+offset-aware training.
 
 The four small benchmarks run in the fast tier-1 gate; the four large ones
 are marked slow.
@@ -19,6 +22,7 @@ are marked slow.
 import pytest
 
 from oracles.legacy_split_search import LegacyADCAwareGrowth, LegacyCARTGrowth
+from oracles.per_node_training import per_node
 from repro.core.adc_aware_training import ADCAwareTrainer
 from repro.datasets.registry import dataset_names, load_dataset
 from repro.mltrees.cart import CARTTrainer
@@ -71,10 +75,10 @@ def quantized_split():
 def _assert_same_growth(name: str, quantized_split) -> None:
     X_levels, y, n_classes = quantized_split(name)
     for trainer_cls, old_loop, kwargs in _configurations():
-        grown = trainer_cls(max_depth=DEPTH, **kwargs).fit(X_levels, y, n_classes)
-        oracle = old_loop.fit(
-            trainer_cls(max_depth=DEPTH, **kwargs), X_levels, y, n_classes
-        )
+        trainer = trainer_cls(max_depth=DEPTH, **kwargs)
+        grown = trainer.fit(X_levels, y, n_classes)
+        hooks = per_node(trainer) if old_loop is LegacyADCAwareGrowth else trainer
+        oracle = old_loop.fit(hooks, X_levels, y, n_classes)
         assert grown == oracle, f"{trainer_cls.__name__}{kwargs} differs on {name}"
 
 

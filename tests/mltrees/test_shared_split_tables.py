@@ -1,7 +1,8 @@
 """The shared candidate-table memo: same trees, fewer enumerations.
 
 Inside a :func:`~repro.mltrees.split_search.shared_split_tables` scope every
-fit on one training set shares its nodes' candidate tables.  These tests pin
+CART fit on one training set shares its nodes' candidate tables; ADC-aware
+fits enumerate each tree level in one batch and never read the memo.  These tests pin
 that nothing observable changes -- node arrays, the final tie-break RNG
 state, the legacy-oracle equivalence, rendered tables -- while the number
 of enumerations drops, and they pin the memo's lifetime: read-only tables,
@@ -39,9 +40,6 @@ CONFIGURATIONS = (
     (CARTTrainer, {}),
     (CARTTrainer, {"min_samples_leaf": 3}),
     (CARTTrainer, {"training_sigma": 0.04}),
-    (ADCAwareTrainer, {"gini_threshold": 0.01}),
-    (ADCAwareTrainer, {"gini_threshold": 0.03, "min_samples_leaf": 3}),
-    (ADCAwareTrainer, {"gini_threshold": 0.01, "training_sigma": 0.04}),
 )
 DEPTHS = (1, 2, 3, 5, 8)
 
@@ -118,7 +116,7 @@ def test_shared_tables_are_read_only(seeds_split):
         table = shared_candidates(key, X_levels, y, indices, n_classes, 16, 1, 0.04)
         assert shared_candidates(key, X_levels, y, indices, n_classes, 16, 1, 0.04) is table
         for column in (table.feature, table.threshold_level, table.gini, table.n_left,
-                       table.n_right, table.margin, table.expected_flips):
+                       table.n_right, table.expected_flips):
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = 0
 
@@ -144,13 +142,22 @@ def test_memo_cleared_on_exit_and_on_new_training_set(seeds_split):
     assert split_search._SHARED.data_key is None
 
 
+def test_adc_aware_fits_do_not_enumerate_nodes(seeds_split, enumerations):
+    X_levels, y, n_classes = seeds_split
+    with shared_split_tables():
+        for kwargs in ({"gini_threshold": 0.01}, {"training_sigma": 0.04}):
+            ADCAwareTrainer(max_depth=8, **kwargs).fit(X_levels, y, n_classes)
+        assert not split_search._SHARED.tables
+    assert enumerations[0] == 0
+
+
 def test_nested_scopes_share_one_memo(seeds_split, enumerations):
     X_levels, y, n_classes = seeds_split
     with shared_split_tables():
-        tree = ADCAwareTrainer(max_depth=4, gini_threshold=0.01).fit(X_levels, y, n_classes)
+        tree = CARTTrainer(max_depth=4).fit(X_levels, y, n_classes)
         fitted = enumerations[0]
         with shared_split_tables():
-            again = ADCAwareTrainer(max_depth=4, gini_threshold=0.01).fit(X_levels, y, n_classes)
+            again = CARTTrainer(max_depth=4).fit(X_levels, y, n_classes)
         assert enumerations[0] == fitted
         assert again == tree
         assert split_search._SHARED.tables, "the inner exit keeps the outer memo"

@@ -6,8 +6,10 @@ import pytest
 from oracles.legacy_split_search import (
     best_gini,
     candidate_list,
+    select_rows,
     table_from_candidates,
 )
+from oracles.per_node_training import node_margins
 from repro.mltrees.gini import weighted_gini
 from repro.mltrees.split_search import (
     CandidateTable,
@@ -80,7 +82,7 @@ class TestEnumerateSplitCandidates:
         X_levels, y = tiny_levels_dataset
         indices = np.arange(len(y))
         candidates = enumerate_split_candidates(X_levels, y, indices, 2, 16)
-        assert candidates.best_gini == pytest.approx(0.0)
+        assert candidates.gini.min() == pytest.approx(0.0)
 
     def test_min_samples_leaf_filters_candidates(self, tiny_levels_dataset):
         X_levels, y = tiny_levels_dataset
@@ -120,6 +122,13 @@ class TestEnumerateSplitCandidates:
             # levels up to 14 do not fit 8 quantization levels
             enumerate_split_candidates(X_levels, y, np.arange(len(y)), 2, 8)
 
+    def test_negative_levels_rejected(self):
+        # a negative level of feature 1 would count in feature 0's histogram
+        X_levels = np.array([[0, -1], [1, 2], [3, 5], [2, 7]])
+        y = np.array([0, 1, 0, 1])
+        with pytest.raises(ValueError, match="quantized levels"):
+            enumerate_split_candidates(X_levels, y, np.arange(4), 2, 16)
+
 
 class TestCandidateTable:
     @pytest.fixture(scope="class")
@@ -155,18 +164,18 @@ class TestCandidateTable:
 
     def test_equality_compares_rows(self, table):
         assert table == table_from_candidates(candidate_list(table))
-        assert not (table == table.select(np.arange(len(table) - 1)))
+        assert not (table == select_rows(table, np.arange(len(table) - 1)))
         assert table != candidate_list(table)  # no list view: tables only
 
     def test_select_by_mask(self, table):
-        feature_zero = table.select(table.feature == 0)
+        feature_zero = select_rows(table, table.feature == 0)
         assert isinstance(feature_zero, CandidateTable)
         assert len(feature_zero) == int(np.sum(table.feature == 0))
         assert np.all(feature_zero.feature == 0)
 
     def test_best_gini_of_table_matches_candidate_list(self, table):
-        assert table.best_gini == best_gini(candidate_list(table))
-        assert CandidateTable.empty().best_gini == float("inf")
+        assert table.gini.min() == best_gini(candidate_list(table))
+        assert best_gini(candidate_list(CandidateTable.empty())) == float("inf")
 
     def test_empty_table(self):
         empty = CandidateTable.empty()
@@ -177,7 +186,9 @@ class TestCandidateTable:
 
 
 class TestRobustnessColumns:
-    """The margin / expected-flip columns behind offset-aware training."""
+    """The expected-flip column behind offset-aware training, and the margin
+    reference (``oracles.per_node_training.node_margins``) it is checked
+    against."""
 
     SIGMA = 0.04
 
@@ -188,28 +199,32 @@ class TestRobustnessColumns:
             X_levels, y, np.arange(len(y)), 2, 16, flip_sigma=self.SIGMA
         )
 
+    @pytest.fixture(scope="class")
+    def margin(self, table, tiny_levels_dataset):
+        X_levels, y = tiny_levels_dataset
+        return node_margins(X_levels, np.arange(len(y)), table, 16)
+
     def test_columns_absent_unless_requested(self, tiny_levels_dataset):
         X_levels, y = tiny_levels_dataset
         nominal = enumerate_split_candidates(X_levels, y, np.arange(len(y)), 2, 16)
-        assert nominal.margin is None
         assert nominal.expected_flips is None
 
-    def test_columns_present_and_aligned(self, table):
-        assert table.margin is not None and table.expected_flips is not None
-        assert table.margin.shape == table.expected_flips.shape == (len(table),)
-        assert np.all(np.isfinite(table.margin))
-        assert np.all(table.margin > 0)
+    def test_columns_present_and_aligned(self, table, margin):
+        assert table.expected_flips is not None
+        assert margin.shape == table.expected_flips.shape == (len(table),)
+        assert np.all(np.isfinite(margin))
+        assert np.all(margin > 0)
         assert np.all((table.expected_flips >= 0) & (table.expected_flips <= 0.5))
 
     def test_margin_is_distance_to_nearest_occupied_level(
-        self, table, tiny_levels_dataset
+        self, table, margin, tiny_levels_dataset
     ):
         X_levels, y = tiny_levels_dataset
-        for candidate, margin in zip(candidate_list(table), table.margin):
+        for candidate, value in zip(candidate_list(table), margin):
             values = X_levels[:, candidate.feature]
             centers = (values + 0.5) / 16.0
             expected = np.min(np.abs(centers - candidate.threshold_level / 16.0))
-            assert margin == pytest.approx(expected)
+            assert value == pytest.approx(expected)
 
     def test_expected_flips_match_per_sample_sum(self, table, tiny_levels_dataset):
         X_levels, y = tiny_levels_dataset
@@ -219,15 +234,13 @@ class TestRobustnessColumns:
             expected = matrix[values, candidate.threshold_level - 1].mean()
             assert flips == pytest.approx(expected, rel=1e-12)
 
-    def test_zero_sigma_zeroes_the_flips_but_keeps_margins(
-        self, tiny_levels_dataset, table
-    ):
+    def test_zero_sigma_zeroes_the_flips(self, tiny_levels_dataset, table):
         X_levels, y = tiny_levels_dataset
         frozen = enumerate_split_candidates(
             X_levels, y, np.arange(len(y)), 2, 16, flip_sigma=0.0
         )
         assert not frozen.expected_flips.any()
-        np.testing.assert_allclose(frozen.margin, table.margin)
+        assert frozen == table
 
     def test_larger_sigma_means_more_expected_flips(self, tiny_levels_dataset, table):
         X_levels, y = tiny_levels_dataset
@@ -237,7 +250,7 @@ class TestRobustnessColumns:
         assert np.all(wider.expected_flips >= table.expected_flips)
         assert wider.expected_flips.sum() > table.expected_flips.sum()
 
-    def test_thresholds_far_from_samples_flip_less(self, table):
+    def test_thresholds_far_from_samples_flip_less(self, table, margin):
         """expected_flips falls as the margin grows (per feature, same node).
 
         Thresholds sharing a nearest-sample margin may differ in how *many*
@@ -246,18 +259,16 @@ class TestRobustnessColumns:
         worst of the group below it.
         """
         for feature in np.unique(table.feature):
-            sub = table.select(table.feature == feature)
-            margins = np.unique(sub.margin)
-            worst_by_margin = [
-                sub.expected_flips[sub.margin == margin].max() for margin in margins
-            ]
+            rows = table.feature == feature
+            flips, margins = table.expected_flips[rows], margin[rows]
+            worst_by_margin = [flips[margins == value].max() for value in np.unique(margins)]
             assert np.all(np.diff(worst_by_margin) <= 1e-12)
 
     def test_select_carries_the_columns(self, table):
-        sub = table.select(table.margin >= np.median(table.margin))
-        assert sub.margin is not None and sub.expected_flips is not None
+        sub = select_rows(table, table.expected_flips <= np.median(table.expected_flips))
+        assert sub.expected_flips is not None
         assert len(sub) > 0
-        assert np.all(sub.margin >= np.median(table.margin))
+        assert np.all(sub.expected_flips <= np.median(table.expected_flips))
 
     def test_equality_ignores_robustness_columns(self, table, tiny_levels_dataset):
         X_levels, y = tiny_levels_dataset

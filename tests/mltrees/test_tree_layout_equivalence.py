@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from oracles.legacy_split_search import LegacyADCAwareGrowth, LegacyCARTGrowth
+from oracles.per_node_training import per_node
 from oracles.tree_walk import LinkedTree, linked_approximate_tree
 from repro.baselines.balaskas import approximate_tree
 from repro.core.adc_aware_training import ADCAwareTrainer
@@ -94,9 +95,10 @@ def _assert_trainers_grow_the_linked_trees(name: str, quantized_split) -> None:
             for tau in TAUS
         ]
         cart, *aware = [trainer.fit(X_train, y_train, n_classes) for trainer, _ in trainers]
-        linked = [
-            old_loop.fit_linked(trainer, X_train, y_train, n_classes)
-            for trainer, old_loop in trainers
+        linked = [LegacyCARTGrowth.fit_linked(trainers[0][0], X_train, y_train, n_classes)]
+        linked += [
+            old_loop.fit_linked(per_node(trainer), X_train, y_train, n_classes)
+            for trainer, old_loop in trainers[1:]
         ]
         for tree, link in zip([cart, *aware], linked):
             _assert_same_nodes(tree, link)

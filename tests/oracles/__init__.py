@@ -14,7 +14,11 @@ parent on ``sys.path``, so tests and benchmarks import them as
   reference of :func:`repro.core.variation._predict_with_offsets`;
 * :mod:`oracles.legacy_split_search` -- the object-based split
   enumeration, the reference of the columnar trainers, and the two growth
-  loops the shared ``CARTTrainer._grow`` replaced;
+  loops the production trainers replaced;
+* :mod:`oracles.per_node_training` -- the per-node ADC-aware trainer (FIFO
+  loop, cost partition, table-based split choice), the reference of the
+  level-batched :class:`~repro.core.adc_aware_training.ADCAwareTrainer`,
+  and the dropped ``margin`` column;
 * :mod:`oracles.tree_walk` -- the linked-node tree, its recursive walk and
   the deep-copy ``approximate_tree``, the reference of the node-array
   :class:`~repro.mltrees.tree.DecisionTree`;

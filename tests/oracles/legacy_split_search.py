@@ -8,11 +8,12 @@ per (feature, threshold) pair, and interpreter-speed ``min``/list-comp scans
 during selection.  It also keeps the object-list helpers that left the
 production modules with them: the list branch of ``partition_by_cost``
 (:func:`legacy_partition_by_cost`), the table <-> list conversions
-(:func:`table_from_candidates`, :func:`candidate_list`) and
-:func:`best_gini` over a candidate list.
+(:func:`table_from_candidates`, :func:`candidate_list`),
+:func:`best_gini` over a candidate list and the table row selection
+(:func:`select_rows`).
 
-It further keeps the two tree-growth loops that the shared
-``CARTTrainer._grow`` replaced: the recursive pre-order loop of the CART
+It further keeps the two tree-growth loops the production trainers
+replaced: the recursive pre-order loop of the CART
 trainer (:class:`LegacyCARTGrowth`) and the breadth-first queue loop of the
 ADC-aware trainer (:class:`LegacyADCAwareGrowth`), copied verbatim except
 that the split choice goes through the three-argument hook
@@ -20,16 +21,17 @@ that the split choice goes through the three-argument hook
 linked :class:`~oracles.tree_walk.LinkedTree` it built.  Each loop is a
 ``fit_linked`` that drives its trainer's ``_node_candidates`` /
 ``_select_split`` hooks, so ``LegacyCARTGrowth.fit_linked(trainer, ...)``
-grows a production trainer's tree the old way, as linked nodes; ``fit``
-converts that tree through the legacy pickle-state path
+grows a production CART tree the old way, as linked nodes (an ADC-aware
+tree through the hooks of :func:`oracles.per_node_training.per_node`);
+``fit`` converts that tree through the legacy pickle-state path
 (:meth:`~oracles.tree_walk.LinkedTree.to_tree`).
 
 No production path uses it.  It exists so that
 
 * the trainer-equivalence tests can assert that the columnar trainers
   produce node-for-node identical trees (same RNG stream, same tie-breaks),
-* the growth-equivalence tests can assert that the shared loop grows, numbers
-  and draws exactly like the two loops it replaced,
+* the growth-equivalence tests can assert that the production loops grow,
+  number and draw exactly like the two loops they replaced,
 * the layout-equivalence and depth-family tests can compare the production
   node arrays with the linked nodes the old loops build, and
 * ``benchmarks/bench_training_throughput.py`` can measure the columnar
@@ -138,6 +140,20 @@ def table_from_candidates(candidates: Sequence[SplitCandidate]) -> CandidateTabl
         gini=np.array([c.gini for c in candidates], dtype=np.float64),
         n_left=np.array([c.n_left for c in candidates], dtype=np.int64),
         n_right=np.array([c.n_right for c in candidates], dtype=np.int64),
+    )
+
+
+def select_rows(table: CandidateTable, which: np.ndarray) -> CandidateTable:
+    """Sub-table of the rows picked by a boolean mask or index array."""
+    return CandidateTable(
+        feature=table.feature[which],
+        threshold_level=table.threshold_level[which],
+        gini=table.gini[which],
+        n_left=table.n_left[which],
+        n_right=table.n_right[which],
+        expected_flips=(
+            None if table.expected_flips is None else table.expected_flips[which]
+        ),
     )
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the EGFET standard-cell library."""
 
+import pickle
+
 import pytest
 
 from repro.pdk.cells import (
@@ -87,6 +89,25 @@ class TestLibraryValueSemantics:
         first = CellLibrary("lib", [Cell("A", 1, 1.0, 0.1, 1.0)])
         second = CellLibrary("lib", [Cell("A", 1, 2.0, 0.2, 2.0)])
         assert first != second
+
+    def test_add_after_hashing_changes_the_hash_and_keeps_equality(self):
+        first = CellLibrary("lib", [Cell("A", 1, 1.0, 0.1, 1.0)])
+        second = CellLibrary("lib", [Cell("A", 1, 1.0, 0.1, 1.0)])
+        before = hash(first)
+        for library in (first, second):
+            library.add(Cell("B", 2, 1.0, 0.1, 1.0))
+        assert hash(first) != before
+        assert first == second
+        assert hash(first) == hash(second)
+        first.add(Cell("B", 2, 2.0, 0.2, 2.0))
+        assert first != second
+
+    def test_cached_hash_is_not_pickled(self):
+        library = egfet_cell_library()
+        state = pickle.dumps(library)
+        hash(library)
+        assert pickle.dumps(library) == state
+        assert hash(pickle.loads(state)) == hash(library)
 
     def test_technology_embedding_a_library_stays_hashable(self):
         from repro.pdk.egfet import default_technology

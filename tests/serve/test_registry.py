@@ -9,10 +9,10 @@ import pytest
 
 from repro.adc.thermometer import WORD_BITS
 from repro.core.datasheet import generate_datasheet
-from repro.core.design import DesignSpec
+from repro.core.design import DesignPoint, DesignSpec, proposed_hardware_report
 from repro.core.unary_tree import UnaryDecisionTree
 from repro.datasets.synthetic import make_classification_blobs
-from repro.mltrees.evaluation import train_test_split
+from repro.mltrees.evaluation import evaluate_tree_accuracy, train_test_split
 from repro.mltrees.quantize import quantize_dataset
 from repro.pdk.egfet import default_technology
 from repro.serve.registry import (
@@ -23,11 +23,11 @@ from repro.serve.registry import (
 )
 
 
-#: A ``ModelArtifact`` of ``design_points[2]`` promoted as ``blobs-legacy``
+#: A ``ModelArtifact`` of ``blobs_point`` promoted as ``blobs-legacy``
 #: and pickled while trees were still linked ``TreeNode`` records.
 LEGACY_ARTIFACT = Path(__file__).parent / "fixtures" / "legacy_artifact_schema2.pkl"
 
-#: ``artifact_digest`` of ``design_points[2]`` (seed 0, 4 bits, default
+#: ``artifact_digest`` of ``blobs_point`` (seed 0, 4 bits, default
 #: technology), recorded before trees were stored as node arrays.  A change
 #: here re-versions every promoted model.
 PINNED_DIGEST = "16b57ba92f55149378d5025727fdecfea882bd63018d53dbca6a18177c10f976"
@@ -36,20 +36,29 @@ PINNED_DIGEST = "16b57ba92f55149378d5025727fdecfea882bd63018d53dbca6a18177c10f97
 @pytest.fixture(scope="module")
 def design_points():
     """Two small trained design points with different content (depth 2 vs 3)."""
+    return {depth: DesignSpec("seeds", 0, depth, 0.0).evaluate() for depth in (2, 3)}
+
+
+@pytest.fixture(scope="module")
+def blobs_point():
+    """The depth-2 design point ``LEGACY_ARTIFACT`` and ``PINNED_DIGEST`` hold.
+
+    It was trained on an ad-hoc blob split that no registered benchmark
+    reproduces, so it is trained, scored and costed here the way
+    :func:`~repro.core.design.evaluate_family` does it on a benchmark.
+    """
     X, y = make_classification_blobs(
         n_samples=200, n_features=4, n_classes=3, class_sep=2.0, seed=5
     )
     X_train, X_test, y_train, y_test = train_test_split(X, y, test_size=0.3, seed=0)
-    split = (
-        quantize_dataset(X_train, 4),
-        y_train,
-        quantize_dataset(X_test, 4),
-        y_test,
+    spec = DesignSpec("blobs", 0, 2, 0.0)
+    tree = spec.trainer().fit(quantize_dataset(X_train, 4), y_train, 3)
+    return DesignPoint(
+        dataset="blobs", depth=2, tau=0.0,
+        accuracy=evaluate_tree_accuracy(tree, quantize_dataset(X_test, 4), y_test),
+        hardware=proposed_hardware_report(tree, spec.technology, name="codesign[d=2,tau=0]"),
+        tree=tree,
     )
-    return {
-        depth: DesignSpec("blobs", 0, depth, 0.0).evaluate_levels(*split, 3)
-        for depth in (2, 3)
-    }
 
 
 @pytest.fixture
@@ -60,14 +69,14 @@ def registry(tmp_path):
 class TestPromotion:
     def test_promote_load_roundtrip(self, registry, design_points):
         point = design_points[2]
-        artifact = registry.promote(point, "blobs-posture")
-        assert artifact.name == "blobs-posture"
+        artifact = registry.promote(point, "seeds-posture")
+        assert artifact.name == "seeds-posture"
         assert artifact.version == 1
-        assert artifact.dataset == "blobs"
+        assert artifact.dataset == "seeds"
         assert artifact.depth == 2
         assert artifact.accuracy == point.accuracy
 
-        loaded = registry.load("blobs-posture")
+        loaded = registry.load("seeds-posture")
         assert loaded.digest == artifact.digest
         assert loaded.version == 1
         # The served function survives the pickle roundtrip bit-identically.
@@ -119,9 +128,9 @@ class TestDigest:
         d3 = artifact_digest(design_points[3], **kwargs)
         assert d2 != d3
 
-    def test_digest_is_pinned(self, design_points):
+    def test_digest_is_pinned(self, blobs_point):
         digest = artifact_digest(
-            design_points[2], seed=0, resolution_bits=4, technology=default_technology()
+            blobs_point, seed=0, resolution_bits=4, technology=default_technology()
         )
         assert digest == PINNED_DIGEST
 
@@ -143,9 +152,9 @@ class TestDigest:
 class TestManifest:
     def test_manifest_fields_and_kernel_meta(self, registry, design_points):
         point = design_points[3]
-        artifact = registry.promote(point, "blobs-d3")
-        manifest = registry.manifest("blobs-d3")
-        assert manifest["name"] == "blobs-d3"
+        artifact = registry.promote(point, "seeds-d3")
+        manifest = registry.manifest("seeds-d3")
+        assert manifest["name"] == "seeds-d3"
         assert manifest["version"] == 1
         assert manifest["digest"] == artifact.digest
         assert manifest["accuracy"] == point.accuracy
@@ -183,11 +192,11 @@ class TestManifest:
         # The ADC config, the kernel metrics and the datasheet share one
         # unary translation.
         point = pickle.loads(pickle.dumps(design_points[3]))  # a never-compiled tree
-        artifact = registry.promote(point, "blobs-once")
+        artifact = registry.promote(point, "seeds-once")
         assert len(count_minimizations) == point.tree.n_classes
         assert artifact.datasheet == generate_datasheet(
             point.tree,
-            name="blobs-once (blobs, depth=3, tau=0)",
+            name="seeds-once (seeds, depth=3, tau=0)",
             technology=default_technology(),
         )
 
@@ -205,8 +214,8 @@ class TestLegacyArtifacts:
         manifest.write_text(json.dumps(artifact.manifest()), encoding="utf-8")
         return registry
 
-    def test_loads_and_scores_identically(self, legacy_registry, design_points):
-        point = design_points[2]
+    def test_loads_and_scores_identically(self, legacy_registry, blobs_point):
+        point = blobs_point
         loaded = legacy_registry.load("blobs-legacy")
         assert loaded.digest == PINNED_DIGEST
         assert loaded.tree == point.tree
@@ -217,8 +226,8 @@ class TestLegacyArtifacts:
             UnaryDecisionTree(loaded.tree).kernel.predict_levels(levels), expected
         )
 
-    def test_repromote_returns_the_legacy_version(self, legacy_registry, design_points):
-        again = legacy_registry.promote(design_points[2], "blobs-legacy")
+    def test_repromote_returns_the_legacy_version(self, legacy_registry, blobs_point):
+        again = legacy_registry.promote(blobs_point, "blobs-legacy")
         assert (again.version, again.digest) == (1, PINNED_DIGEST)
         assert legacy_registry.versions("blobs-legacy") == [1]
 
