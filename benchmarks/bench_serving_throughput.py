@@ -5,7 +5,7 @@ ADC conversion and one packed-kernel call per flush.  This benchmark
 quantifies that amortization on the cardio depth-8 classifier and attaches
 open-loop latency SLO rows for the two deployment scenario streams.
 
-Three measurement groups:
+Four measurement groups:
 
 1. **Micro-batch capacity** -- a closed loop of 256 concurrent clients
    through :class:`~repro.serve.scorer.AsyncScorer` versus the
@@ -23,6 +23,10 @@ Three measurement groups:
    smart-packaging freshness streams replayed at a fixed rate with
    coordinated-omission-safe latency accounting; the recorded ``speedup``
    is the *SLO headroom* ``p99_slo / p99`` (>= 1 means the SLO holds).
+4. **Lone-request window** -- sequential single requests through
+   ``AsyncScorer`` at ``max_wait_us=200``; the recorded ``speedup`` is
+   ``1 ms / median latency``.  The event loop's timers tick in whole
+   milliseconds, so a window rounded up to one tick reads below 1.
 
 Bit-identity of the scorer against ``tree.predict_levels`` over a ragged
 concurrent request mix is asserted before any timing is trusted.  Emits
@@ -61,6 +65,12 @@ MIN_SERVING_SPEEDUP = 5.0  # acceptance: micro-batched >= 5x single-request
 SLO_RATE_HZ = 2000.0
 SLO_DURATION_S = 1.5
 SLO_P99_MS = 50.0
+
+#: Lone-request window: sequential requests, the wait they are configured to
+#: pay, and the event-loop timer tick their median must stay well under.
+N_LONE = 200
+LONE_WAIT_US = 200.0
+TIMER_TICK_MS = 1.0
 
 
 def _promote(seed: int, registry_dir: str, cache_dir: str):
@@ -207,6 +217,24 @@ def _measure_slo(seed: int, registry_dir: str, cache_dir: str) -> list[dict]:
     return rows_out
 
 
+def _measure_lone_window(artifact, rows: np.ndarray) -> dict:
+    """Median latency of sequential lone requests, one window each."""
+
+    async def drive() -> list[float]:
+        config = BatchingConfig(max_wait_us=LONE_WAIT_US)
+        async with AsyncScorer(artifact, config=config) as scorer:
+            await scorer.score(rows[0])  # starts the worker
+            latencies = []
+            for i in range(N_LONE):
+                start = time.perf_counter()
+                await scorer.score(rows[i % len(rows)])
+                latencies.append(time.perf_counter() - start)
+        return latencies
+
+    p50_ms = float(np.median(asyncio.run(drive()))) * 1e3
+    return {"p50_ms": p50_ms, "headroom": TIMER_TICK_MS / p50_ms}
+
+
 def _measure(seed: int) -> dict:
     with tempfile.TemporaryDirectory() as scratch:
         registry_dir = f"{scratch}/registry"
@@ -229,8 +257,9 @@ def _measure(seed: int) -> dict:
                 }
             )
         slo = _measure_slo(seed, registry_dir, cache_dir)
+        lone = _measure_lone_window(artifact, rows)
     # The headline capacity row uses the largest sweep point.
-    return {"capacity": sweep[-1], "sweep": sweep, "slo": slo}
+    return {"capacity": sweep[-1], "sweep": sweep, "slo": slo, "lone": lone}
 
 
 def _render(measured) -> str:
@@ -250,12 +279,16 @@ def _render(measured) -> str:
             for r in measured["slo"]
         ],
     )
+    lone = measured["lone"]
     return (
         f"Serving throughput on {DATASET} depth {DEPTH}: micro-batched "
         f"AsyncScorer ({N_CLIENTS} closed-loop clients) vs single-request "
         f"scoring\n{sweep_table}\n\nOpen-loop SLO "
         f"({SLO_RATE_HZ:.0f} req/s, coordinated-omission-safe "
-        f"percentiles)\n{slo_table}"
+        f"percentiles)\n{slo_table}\n\nLone request at max_wait_us="
+        f"{LONE_WAIT_US:g}: median {lone['p50_ms']:.3f} ms over {N_LONE} "
+        f"requests, headroom vs the {TIMER_TICK_MS:g} ms timer tick "
+        f"{lone['headroom']:.2f}x"
     )
 
 
@@ -280,6 +313,15 @@ def _bench_rows(measured) -> list[dict]:
             "speedup": r["headroom"],
         }
         for r in measured["slo"]
+    )
+    rows.append(
+        {
+            "name": "lone_request_window",
+            "dataset": DATASET,
+            "samples_per_sec": 1e3 / measured["lone"]["p50_ms"],
+            "unit": "requests/s",
+            "speedup": measured["lone"]["headroom"],
+        }
     )
     return rows
 

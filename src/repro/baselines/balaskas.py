@@ -109,16 +109,17 @@ def _greedy_precision_scaling(
     y_test: np.ndarray,
     accuracy_floor: float,
     resolution_bits: int,
+    accuracy: float,
 ) -> tuple[dict[int, int], float]:
     """Greedily reduce per-input precision while staying above ``accuracy_floor``.
 
-    Returns the accepted per-feature bit widths and the accuracy of the final
+    ``accuracy`` is the full-precision tree's test accuracy, the search's
+    starting point: at full precision :func:`approximate_tree` keeps every
+    threshold (split levels are >= 1), so it is not scored again.  Returns
+    the accepted per-feature bit widths and the accuracy of the final
     approximated tree.
     """
     bits = {feature: resolution_bits for feature in tree.used_features()}
-    accuracy = accuracy_score(
-        y_test, approximate_tree(tree, bits).predict_levels(X_test_levels)
-    )
     improved = True
     while improved:
         improved = False
@@ -193,7 +194,8 @@ def fit_balaskas_design(
         exact_accuracy = accuracy_score(y_test, tree.predict_levels(X_test_levels))
 
         bits, accuracy = _greedy_precision_scaling(
-            tree, X_test_levels, y_test, accuracy_floor, resolution_bits
+            tree, X_test_levels, y_test, accuracy_floor, resolution_bits,
+            exact_accuracy,
         )
         design = BalaskasApproximateDesign(
             tree=approximate_tree(tree, bits),

@@ -27,6 +27,7 @@ from __future__ import annotations
 import asyncio
 import inspect
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Any, Awaitable, Callable, Sequence, Union
@@ -35,6 +36,13 @@ FlushFn = Callable[[list], Union[Sequence, Awaitable[Sequence]]]
 
 #: Queue sentinel instructing the worker to drain and exit.
 _CLOSE = object()
+
+#: The event loop hands each timer wait to its selector in whole
+#: milliseconds, rounded up (``math.ceil(timeout * 1e3)`` in
+#: ``selectors``), so a timer can overshoot by up to this much: a 200 us
+#: ``wait_for`` sleeps a full millisecond.  The worker arms a timer only for
+#: the part of a window beyond this and yields through the rest.
+_TIMER_GRANULARITY_S = 1e-3
 
 
 class ScorerClosedError(RuntimeError):
@@ -54,6 +62,9 @@ class BatchingConfig:
     max_wait_us:
         Flush an incomplete batch once its *first* item has waited this many
         microseconds -- the latency bound a lone request pays at low load.
+        The window ends when configured, not on the event loop's millisecond
+        timer grid: the worker yields through the final millisecond, which
+        keeps the loop thread busy for at most 1 ms per open batch.
     max_queue_size:
         Bound of the submission queue (backpressure threshold).  0 means
         unbounded.
@@ -67,6 +78,11 @@ class BatchingConfig:
         for name in ("max_batch_size", "max_wait_us", "max_queue_size"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        for name in ("max_batch_size", "max_queue_size"):
+            value = getattr(self, name)
+            # A fractional size would round up at the comparison; True is 1.
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
         if self.max_wait_us < 0:
@@ -219,12 +235,18 @@ class MicroBatcher:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         break
+                    if remaining <= _TIMER_GRANULARITY_S:
+                        # Inside the last millisecond a timer would overshoot
+                        # the deadline: yield to the producers and look again.
+                        await asyncio.sleep(0)
+                        continue
                     try:
                         item, future = await asyncio.wait_for(
-                            self._queue.get(), timeout=remaining
+                            self._queue.get(),
+                            timeout=remaining - _TIMER_GRANULARITY_S,
                         )
                     except asyncio.TimeoutError:
-                        break
+                        continue
                 if item is _CLOSE:
                     draining = True
                     kind = "drain"

@@ -155,19 +155,22 @@ async def run_open_loop(
             return
         latencies.append(time.perf_counter() - scheduled)
 
+    # Only in-flight requests stay referenced: holding every finished task
+    # until the end would grow the heap, and the collector's pauses, with
+    # the length of the run.
+    loop = asyncio.get_running_loop()
+    in_flight: set[asyncio.Task] = set()
     start = time.perf_counter()
-    tasks = []
     for i in range(n_requests):
         scheduled = start + i * interval
         delay = scheduled - time.perf_counter()
         if delay > 0:
             await asyncio.sleep(delay)
-        tasks.append(
-            asyncio.get_running_loop().create_task(
-                fire(rows[i % len(rows)], scheduled)
-            )
-        )
-    await asyncio.gather(*tasks)
+        task = loop.create_task(fire(rows[i % len(rows)], scheduled))
+        in_flight.add(task)
+        task.add_done_callback(in_flight.discard)
+    while in_flight:
+        await asyncio.gather(*in_flight)
     elapsed = time.perf_counter() - start
     return _report(latencies, errors, elapsed, rate_hz, scorer.stats)
 

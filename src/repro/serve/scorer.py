@@ -72,8 +72,10 @@ class AsyncScorer:
     async def score(self, sample) -> int:
         """Score one normalized ``(n_features,)`` sample; returns its label.
 
-        Suspends until the servicing flush completes (bounded by
-        ``max_wait_us`` at low load, by backpressure at overload).
+        Suspends until the servicing flush completes: at low load a lone
+        request waits about ``max_wait_us`` (not rounded up to the event
+        loop's millisecond timer grid) plus one flush; at overload,
+        backpressure bounds it.
         """
         return await self._batcher.submit(self._as_row(sample))
 

@@ -128,6 +128,47 @@ class TestFitBalaskasDesign:
         assert len(built) == n_built
         assert design.hardware_report() is report
 
+    def test_fit_scores_each_full_precision_tree_once(
+        self, small_split, technology, monkeypatch
+    ):
+        """The greedy search starts from the exact accuracy: no full-precision
+        approximation is scored, and each candidate tree is scored once."""
+        import repro.baselines.balaskas as balaskas
+        from repro.mltrees.tree import DecisionTree
+
+        approximated, full_precision, predicted = [], [], []
+        original_approximate = balaskas.approximate_tree
+        original_predict = DecisionTree.predict_levels
+
+        def counting_approximate(tree, bits):
+            result = original_approximate(tree, bits)
+            approximated.append(result)
+            if all(b == tree.resolution_bits for b in bits.values()):
+                full_precision.append(result)
+            return result
+
+        def counting_predict(tree, X_levels):
+            predicted.append(tree)
+            return original_predict(tree, X_levels)
+
+        monkeypatch.setattr(balaskas, "approximate_tree", counting_approximate)
+        monkeypatch.setattr(DecisionTree, "predict_levels", counting_predict)
+        X_train, X_test, y_train, y_test = small_split
+        fit_balaskas_design(
+            X_train, y_train, X_test, y_test, n_classes=3,
+            reference_accuracy=0.9, reference_depth=3,
+            technology=technology, seed=0,
+        )
+        assert not any(
+            tree is full for tree in predicted for full in full_precision
+        )
+        candidates = [
+            tree for tree in predicted
+            if not any(tree is approx for approx in approximated)
+        ]
+        assert len(candidates) == 3  # depths 3, 4 and 5, scored once each
+        assert len(predicted) > len(candidates)  # the trials
+
     def test_hardware_report_consistent(self, fitted):
         _, design = fitted
         report = design.hardware_report()

@@ -2,9 +2,14 @@
 
 import asyncio
 import math
+import statistics
+import time
+import types
 
+import numpy as np
 import pytest
 
+from repro.serve import batching
 from repro.serve.batching import (
     BatchingConfig,
     MicroBatcher,
@@ -31,6 +36,17 @@ class TestBatchingConfig:
         # max_wait_us=inf would hold a lone request forever.
         with pytest.raises(ValueError, match=f"{knob} must be finite"):
             BatchingConfig(**{knob: value})
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, False])
+    @pytest.mark.parametrize("knob", ["max_batch_size", "max_queue_size"])
+    def test_rejects_non_integer_sizes(self, knob, value):
+        # 2.5 would flush at 3 items and True would mean a batch of 1.
+        with pytest.raises(ValueError, match=f"{knob} must be an integer"):
+            BatchingConfig(**{knob: value})
+
+    def test_accepts_numpy_integer_sizes(self):
+        config = BatchingConfig(max_batch_size=np.int64(8), max_queue_size=np.int32(0))
+        assert config.max_batch_size == 8
 
     def test_defaults(self):
         config = BatchingConfig()
@@ -110,6 +126,165 @@ class TestFlushTriggers:
         # With a zero wait window, multi-item batches can only have formed
         # from the backlog drain.
         assert stats.max_batch > 1
+
+
+class _FakeClock:
+    """Stands in for ``time.monotonic`` inside the batcher only."""
+
+    def __init__(self):
+        self.now = 100.0
+
+    def monotonic(self) -> float:
+        return self.now
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    fake = _FakeClock()
+    monkeypatch.setattr(
+        batching, "time", types.SimpleNamespace(monotonic=fake.monotonic)
+    )
+    return fake
+
+
+@pytest.fixture
+def timers(monkeypatch, clock):
+    """Record every timer the worker arms; each fires at once, by hand.
+
+    A fired timer advances the fake clock past its timeout, as the event
+    loop's rounded-up timers do.
+    """
+    armed = []
+
+    async def fake_wait_for(awaitable, timeout):
+        armed.append(timeout)
+        awaitable.close()
+        clock.now += timeout + 50e-6
+        raise asyncio.TimeoutError
+
+    monkeypatch.setattr(asyncio, "wait_for", fake_wait_for)
+    return armed
+
+
+async def _spin(passes: int = 50) -> None:
+    """Run ``passes`` event-loop iterations without touching any clock."""
+    for _ in range(passes):
+        await asyncio.sleep(0)
+
+
+def _recording_batcher(flushed: list, max_wait_us: float) -> MicroBatcher:
+    return MicroBatcher(
+        lambda items: flushed.append(list(items)) or items,
+        BatchingConfig(max_batch_size=64, max_wait_us=max_wait_us),
+    )
+
+
+class TestBatchWindow:
+    """The window ends at its deadline, measured on the batcher's clock."""
+
+    def test_batch_never_flushes_before_its_deadline(self, clock, timers):
+        flushed = []
+
+        async def scenario():
+            batcher = _recording_batcher(flushed, 500.0)
+            pending = asyncio.ensure_future(batcher.submit("a"))
+            await _spin()
+            clock.now += 499e-6
+            await _spin()
+            early = list(flushed)
+            clock.now += 2e-6
+            result = await pending
+            await batcher.close()
+            return early, result, batcher.stats
+
+        early, result, stats = run(scenario())
+        assert early == []
+        assert result == "a"
+        assert flushed == [["a"]]
+        assert stats.n_timeout_flushes == 1
+        assert timers == []  # a sub-millisecond window arms no timer
+
+    def test_item_arriving_while_yielding_joins_the_open_batch(self, clock, timers):
+        flushed = []
+
+        async def scenario():
+            batcher = _recording_batcher(flushed, 200.0)
+            first = asyncio.ensure_future(batcher.submit("a"))
+            await _spin()  # the worker is now yielding inside the window
+            second = asyncio.ensure_future(batcher.submit("b"))
+            await _spin()
+            assert flushed == []
+            clock.now += 201e-6
+            results = await asyncio.gather(first, second)
+            await batcher.close()
+            return results, batcher.stats
+
+        results, stats = run(scenario())
+        assert results == ["a", "b"]
+        assert flushed == [["a", "b"]]
+        assert stats.n_flushes == stats.n_timeout_flushes == 1
+        assert timers == []
+
+    def test_zero_window_flushes_at_once(self, clock, timers):
+        flushed = []
+
+        async def scenario():
+            batcher = _recording_batcher(flushed, 0.0)
+            pending = asyncio.ensure_future(batcher.submit("a"))
+            await _spin(10)  # the clock never moves
+            done = pending.done()
+            await batcher.close()
+            return done, batcher.stats
+
+        done, stats = run(scenario())
+        assert done
+        assert flushed == [["a"]]
+        assert stats.n_timeout_flushes == 1
+        assert timers == []
+
+    def test_long_window_arms_one_timer_then_yields(self, clock, timers):
+        flushed = []
+
+        async def scenario():
+            batcher = _recording_batcher(flushed, 3000.0)
+            pending = asyncio.ensure_future(batcher.submit("a"))
+            await _spin()
+            # One timer covers the window up to its last millisecond; the
+            # worker then yields instead of arming another.
+            armed = list(timers)
+            waiting = not flushed
+            await _spin()
+            clock.now += 1e-3
+            result = await pending
+            await batcher.close()
+            return armed, waiting, result
+
+        armed, waiting, result = run(scenario())
+        assert armed == [pytest.approx(2e-3)]
+        assert waiting
+        assert timers == armed
+        assert result == "a"
+        assert flushed == [["a"]]
+
+
+class TestWindowLatency:
+    def test_lone_request_pays_the_window_not_a_timer_tick(self):
+        """A 200 us window must not round up to the loop's 1 ms timer."""
+
+        async def scenario():
+            batcher = MicroBatcher(
+                lambda items: list(items), BatchingConfig(max_wait_us=200.0)
+            )
+            await batcher.submit(0)  # start the worker
+            latencies = []
+            for i in range(60):
+                start = time.perf_counter()
+                await batcher.submit(i)
+                latencies.append(time.perf_counter() - start)
+            await batcher.close()
+            return statistics.median(latencies)
+
+        assert run(scenario()) < 0.8e-3
 
 
 class TestMidFlushArrival:

@@ -1,10 +1,12 @@
 """Tests for the open/closed-loop load generators and their reports."""
 
 import asyncio
+import weakref
 
 import numpy as np
 import pytest
 
+from repro.serve.batching import BatcherStats
 from repro.serve.loadgen import LoadReport, run_closed_loop, run_open_loop
 from repro.serve.scorer import AsyncScorer
 
@@ -65,6 +67,43 @@ class TestOpenLoop:
         # With 400 requests scheduled inside 2ms, the last request's
         # latency must include its queueing delay, so max >= p50.
         assert report.max_ms >= report.p50_ms
+
+    def test_finished_requests_are_not_held(self, rows):
+        """A finished request's task is released while the run goes on."""
+
+        def finished(ref) -> bool:
+            task = ref()
+            return task is not None and task.done()
+
+        class StubScorer:
+            def __init__(self):
+                self.stats = BatcherStats()
+                self.tasks = []
+                self.max_held = 0
+
+            async def score(self, row):
+                index = len(self.tasks)
+                self.tasks.append(weakref.ref(asyncio.current_task()))
+                done = []
+                if index % 250 == 0:
+                    done = [ref for ref in self.tasks if finished(ref)]
+                await asyncio.sleep(0)
+                # One loop pass later, the done callbacks of every task that
+                # had finished have run: only a held reference keeps it alive.
+                held = sum(ref() is not None for ref in done)
+                self.max_held = max(self.max_held, held)
+                if index % 100 == 0:
+                    raise RuntimeError("stub failure")
+                return 0
+
+        scorer = StubScorer()
+        report = run(
+            run_open_loop(scorer, rows, rate_hz=20_000.0, n_requests=5000)
+        )
+        assert report.n_requests + report.n_errors == 5000
+        assert report.n_errors == 50
+        assert len(scorer.tasks) == 5000
+        assert scorer.max_held == 0
 
     def test_validation_errors(self, small_tree, rows):
         async def with_scorer(coro_fn):
