@@ -23,54 +23,26 @@ Public API highlights
 * :mod:`repro.analysis` -- regeneration of every table/figure of the paper.
 """
 
-from repro.core import (
-    ADCAwareTrainer,
-    ClassifierDesign,
-    CoDesignResult,
-    DesignPoint,
-    Executor,
-    HardwareReport,
-    ParallelExecutor,
-    ResultStore,
-    SelfPowerAnalysis,
-    SerialExecutor,
-    UnaryDecisionTree,
-    analyze_self_power,
-    build_bespoke_adcs,
-    build_bespoke_frontend,
-    get_executor,
-    reference_designs,
-    select_best_design,
-    select_designs,
-)
-from repro.datasets import Dataset, dataset_names, load_dataset
-from repro.pdk import EGFETTechnology, default_technology
+from repro._lazy import lazy_exports
 
 __version__ = "1.8.0"
 
-__all__ = [
-    "ADCAwareTrainer",
-    "ClassifierDesign",
-    "CoDesignResult",
-    "DesignPoint",
-    "Executor",
-    "SerialExecutor",
-    "ParallelExecutor",
-    "get_executor",
-    "ResultStore",
-    "HardwareReport",
-    "SelfPowerAnalysis",
-    "UnaryDecisionTree",
-    "analyze_self_power",
-    "build_bespoke_adcs",
-    "build_bespoke_frontend",
-    "select_best_design",
-    "reference_designs",
-    "select_designs",
-    "Dataset",
-    "dataset_names",
-    "load_dataset",
-    "EGFETTechnology",
-    "default_technology",
-    "__version__",
-]
+#: Each submodule and the public names it defines.
+_EXPORTS = {
+    "repro.core.adc_aware_training": ("ADCAwareTrainer",),
+    "repro.core.bespoke_adc": ("build_bespoke_adcs", "build_bespoke_frontend"),
+    "repro.core.codesign": ("CoDesignResult", "reference_designs", "select_designs"),
+    "repro.core.design": ("DesignPoint",),
+    "repro.core.executor": ("Executor", "ParallelExecutor", "SerialExecutor", "get_executor"),
+    "repro.core.exploration": ("select_best_design",),
+    "repro.core.metrics": ("ClassifierDesign", "HardwareReport"),
+    "repro.core.power_budget": ("SelfPowerAnalysis", "analyze_self_power"),
+    "repro.core.store": ("ResultStore",),
+    "repro.core.unary_tree": ("UnaryDecisionTree",),
+    "repro.datasets.base": ("Dataset",),
+    "repro.datasets.registry": ("dataset_names", "load_dataset"),
+    "repro.pdk.egfet": ("EGFETTechnology", "default_technology"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__.append("__version__")

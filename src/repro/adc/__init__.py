@@ -14,31 +14,18 @@ comparators.  This package models:
   (:mod:`repro.adc.frontend`).
 """
 
-from repro.adc.thermometer import (
-    from_thermometer,
-    is_valid_thermometer,
-    level_to_binary,
-    quantize_to_level,
-    to_thermometer,
-    unary_digit,
-)
-from repro.adc.encoder import PriorityEncoder
-from repro.adc.flash import ADCConversion, FlashADC
-from repro.adc.bespoke import BespokeADC
-from repro.adc.frontend import BespokeFrontEnd, ConventionalFrontEnd, FrontEndReport
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "quantize_to_level",
-    "to_thermometer",
-    "from_thermometer",
-    "is_valid_thermometer",
-    "unary_digit",
-    "level_to_binary",
-    "PriorityEncoder",
-    "FlashADC",
-    "ADCConversion",
-    "BespokeADC",
-    "ConventionalFrontEnd",
-    "BespokeFrontEnd",
-    "FrontEndReport",
-]
+#: Each submodule and the public names it defines.
+_EXPORTS = {
+    "repro.adc.thermometer": (
+        "from_thermometer", "is_valid_thermometer", "level_to_binary", "quantize_to_level",
+        "to_thermometer", "unary_digit",
+    ),
+    "repro.adc.encoder": ("PriorityEncoder",),
+    "repro.adc.flash": ("ADCConversion", "FlashADC"),
+    "repro.adc.bespoke": ("BespokeADC",),
+    "repro.adc.frontend": ("BespokeFrontEnd", "ConventionalFrontEnd", "FrontEndReport"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -8,59 +8,26 @@
   benchmarks and the CLI).
 """
 
-from repro.analysis.render import render_table
-from repro.analysis.figures import fig3_series, fig4_series, fig5_series
-from repro.analysis.tables import (
-    exploration_rows,
-    robustness_surface_rows,
-    robustness_surface_summary,
-    table1_rows,
-    table2_robust_rows,
-    table2_rows,
-)
-from repro.analysis.experiments import (
-    RobustExploration,
-    RobustnessSurface,
-    ShardRunReport,
-    SurfaceCell,
-    run_benchmark_suite,
-    run_plan_shard,
-    run_robust_exploration,
-    run_robustness_surface,
-    run_variation_analysis,
-)
-from repro.analysis.export import (
-    results_to_json,
-    robust_exploration_to_json,
-    robustness_surface_to_json,
-    rows_to_csv,
-)
-from repro.analysis.stats import MultiSeedSummary, run_multi_seed
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "render_table",
-    "fig3_series",
-    "fig4_series",
-    "fig5_series",
-    "table1_rows",
-    "table2_rows",
-    "table2_robust_rows",
-    "exploration_rows",
-    "run_benchmark_suite",
-    "run_variation_analysis",
-    "run_robust_exploration",
-    "run_robustness_surface",
-    "robustness_surface_rows",
-    "robustness_surface_summary",
-    "run_plan_shard",
-    "ShardRunReport",
-    "RobustExploration",
-    "RobustnessSurface",
-    "SurfaceCell",
-    "rows_to_csv",
-    "results_to_json",
-    "robust_exploration_to_json",
-    "robustness_surface_to_json",
-    "run_multi_seed",
-    "MultiSeedSummary",
-]
+#: Each submodule and the public names it defines.
+_EXPORTS = {
+    "repro.analysis.render": ("render_table",),
+    "repro.analysis.figures": ("fig3_series", "fig4_series", "fig5_series"),
+    "repro.analysis.tables": (
+        "exploration_rows", "robustness_surface_rows", "robustness_surface_summary", "table1_rows",
+        "table2_robust_rows", "table2_rows",
+    ),
+    "repro.analysis.experiments": (
+        "RobustExploration", "RobustnessSurface", "ShardRunReport", "SurfaceCell",
+        "run_benchmark_suite", "run_plan_shard", "run_robust_exploration",
+        "run_robustness_surface", "run_variation_analysis",
+    ),
+    "repro.analysis.export": (
+        "results_to_json", "robust_exploration_to_json", "robustness_surface_to_json",
+        "rows_to_csv",
+    ),
+    "repro.analysis.stats": ("MultiSeedSummary", "run_multi_seed"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -74,7 +74,6 @@ from repro.core.variation import (  # noqa: F401 (simulate_offset_variation: pub
     simulate_offset_variation,
 )
 from repro.datasets.registry import canonical_name, dataset_names
-from repro.mltrees.split_search import shared_split_tables
 
 #: Smaller benchmarks used when a quick run is requested.
 FAST_DATASETS: tuple[str, ...] = ("balance_scale", "vertebral_3c", "vertebral_2c", "seeds")
@@ -245,12 +244,15 @@ def _backend_store(store: ResultStore | None, ppa_backend, cache_only: bool):
     The one rule every design-point runner (the suite and search studies)
     applies: a non-analytic backend's costs are not derivable from a
     configuration key, so such a run gets no store -- and refuses
-    ``cache_only``, as does a run given no store at all.
+    ``cache_only``, as does a run given no store at all.  The default
+    backend stays ``None`` (see :func:`_compute_job`).
     """
-    from repro.circuits.ppa import resolve_ppa_backend
+    backend = None
+    if ppa_backend not in (None, "analytic"):
+        from repro.circuits.ppa import resolve_ppa_backend
 
-    backend = resolve_ppa_backend(ppa_backend)
-    if not getattr(backend, "is_analytic", False):
+        backend = resolve_ppa_backend(ppa_backend)
+    if backend is not None and not getattr(backend, "is_analytic", False):
         if cache_only:
             raise ValueError(
                 "cache_only requires the analytic PPA backend: cached entries "
@@ -274,12 +276,19 @@ def _compute_job(units: list[WorkUnit], ppa_backend=None, held=None) -> list:
     reference unit's Table I twin (see
     :func:`~repro.core.codesign.reference_designs`).  A reference job runs
     in a :func:`~repro.mltrees.split_search.shared_split_tables` scope, so
-    its CART fits share node tables.
+    its CART fits share node tables.  The default backend (``None``) is
+    resolved here, where a miss computes, so a store replay never imports
+    the circuits.
     """
+    from repro.circuits.ppa import resolve_ppa_backend
+
+    ppa_backend = resolve_ppa_backend(ppa_backend)
     unit = units[0]
     if unit.kind == "point":
         return evaluate_family([point.spec for point in units], ppa_backend)
     if unit.kind == "suite":
+        from repro.mltrees.split_search import shared_split_tables
+
         with shared_split_tables():
             return [
                 reference_designs(

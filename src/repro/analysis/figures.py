@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from statistics import mean
 
-from repro.adc.bespoke import BespokeADC
-from repro.adc.flash import FlashADC
 from repro.core.codesign import CoDesignResult
 from repro.pdk.egfet import EGFETTechnology, default_technology
 
@@ -27,6 +25,9 @@ def fig3_series(
     plots the windows in sequential order to showcase the power behaviour).
     The conventional ADC of the same resolution is included for reference.
     """
+    from repro.adc.bespoke import BespokeADC
+    from repro.adc.flash import FlashADC
+
     technology = technology if technology is not None else default_technology()
     n_taps = 2 ** resolution_bits - 1
     points = []

@@ -13,12 +13,12 @@
   accuracy loss.
 """
 
-from repro.baselines.mubarik import BaselineBespokeDesign, build_comparator_tree_netlist
-from repro.baselines.balaskas import BalaskasApproximateDesign, fit_balaskas_design
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BaselineBespokeDesign",
-    "build_comparator_tree_netlist",
-    "BalaskasApproximateDesign",
-    "fit_balaskas_design",
-]
+#: Each submodule and the public names it defines.
+_EXPORTS = {
+    "repro.baselines.mubarik": ("BaselineBespokeDesign", "build_comparator_tree_netlist"),
+    "repro.baselines.balaskas": ("BalaskasApproximateDesign", "fit_balaskas_design"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

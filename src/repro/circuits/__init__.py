@@ -28,85 +28,33 @@ behavioral EGFET cell library:
 See ``docs/HARDWARE.md`` for the end-to-end hardware flow.
 """
 
-from repro.circuits.netlist import Gate, Netlist
-from repro.circuits.logic_sim import (
-    CompiledNetlist,
-    evaluate_netlist,
-    evaluate_netlist_batch,
-    evaluate_outputs,
-    evaluate_outputs_batch,
-)
-from repro.circuits.two_level import Literal, SumOfProducts
-from repro.circuits.synthesis import (
-    synthesize_and_tree,
-    synthesize_or_tree,
-    synthesize_constant_comparator,
-    synthesize_sop,
-)
-from repro.circuits.area_power import AreaPowerReport, estimate_netlist
-from repro.circuits.verification import EquivalenceResult, check_equivalence
-from repro.circuits.verilog import (
-    netlist_to_verilog,
-    sanitize_identifier,
-    verilog_net_names,
-)
-from repro.circuits.testbench import generate_verilog_testbench
-from repro.circuits.timing import TimingReport, estimate_timing
-from repro.circuits.cosim import (
-    CosimError,
-    CosimReport,
-    SimulatorNotFoundError,
-    available_simulators,
-    find_simulator,
-    run_cosim,
-    testbench_vectors,
-    write_cosim_sources,
-)
-from repro.circuits.ppa import (
-    AnalyticPPABackend,
-    PPABackend,
-    PPAReportError,
-    ReportPPABackend,
-    load_ppa_report,
-    resolve_ppa_backend,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Gate",
-    "Netlist",
-    "CompiledNetlist",
-    "evaluate_netlist",
-    "evaluate_netlist_batch",
-    "evaluate_outputs",
-    "evaluate_outputs_batch",
-    "Literal",
-    "SumOfProducts",
-    "synthesize_and_tree",
-    "synthesize_or_tree",
-    "synthesize_constant_comparator",
-    "synthesize_sop",
-    "AreaPowerReport",
-    "estimate_netlist",
-    "EquivalenceResult",
-    "check_equivalence",
-    "netlist_to_verilog",
-    "sanitize_identifier",
-    "verilog_net_names",
-    "generate_verilog_testbench",
-    "TimingReport",
-    "estimate_timing",
-    "CosimError",
-    "CosimReport",
-    "SimulatorNotFoundError",
-    "available_simulators",
-    "find_simulator",
-    "run_cosim",
-    "testbench_vectors",
-    "write_cosim_sources",
-    "AnalyticPPABackend",
-    "PPABackend",
-    "PPAReportError",
-    "ReportPPABackend",
-    "load_ppa_report",
-    "resolve_ppa_backend",
-]
+#: Each submodule and the public names it defines.
+_EXPORTS = {
+    "repro.circuits.netlist": ("Gate", "Netlist"),
+    "repro.circuits.logic_sim": (
+        "CompiledNetlist", "evaluate_netlist", "evaluate_netlist_batch", "evaluate_outputs",
+        "evaluate_outputs_batch",
+    ),
+    "repro.circuits.two_level": ("Literal", "SumOfProducts"),
+    "repro.circuits.synthesis": (
+        "synthesize_and_tree", "synthesize_or_tree", "synthesize_constant_comparator",
+        "synthesize_sop",
+    ),
+    "repro.circuits.area_power": ("AreaPowerReport", "estimate_netlist"),
+    "repro.circuits.verification": ("EquivalenceResult", "check_equivalence"),
+    "repro.circuits.verilog": ("netlist_to_verilog", "sanitize_identifier", "verilog_net_names"),
+    "repro.circuits.testbench": ("generate_verilog_testbench",),
+    "repro.circuits.timing": ("TimingReport", "estimate_timing"),
+    "repro.circuits.cosim": (
+        "CosimError", "CosimReport", "SimulatorNotFoundError", "available_simulators",
+        "find_simulator", "run_cosim", "testbench_vectors", "write_cosim_sources",
+    ),
+    "repro.circuits.ppa": (
+        "AnalyticPPABackend", "PPABackend", "PPAReportError", "ReportPPABackend",
+        "load_ppa_report", "resolve_ppa_backend",
+    ),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,163 +1,9 @@
 """Command-line interface: regenerate the paper's tables and figures.
 
-Examples
---------
-Regenerate Table I on the small benchmarks only::
-
-    python -m repro.cli table1 --fast
-
-Regenerate Fig. 3 (bespoke ADC scaling)::
-
-    python -m repro.cli fig3
-
-Run the full Table II comparison on two named benchmarks::
-
-    python -m repro.cli table2 --datasets seeds vertebral_2c
-
-Monte-Carlo comparator-offset robustness of a co-designed classifier
-(vectorized across trials; ``--jobs`` fans trial batches over worker
-processes with bit-identical results)::
-
-    python -m repro.cli variation --dataset seeds --trials 1000 --jobs 4
-    python -m repro.cli variation --dataset V3 --sigmas 0 0.01 0.02 0.04
-
-Variation-aware design-space exploration: Monte-Carlo every (depth, tau)
-point at an offset sigma and select the most power-efficient design under a
-joint accuracy-loss / mean-accuracy-drop constraint (per-point robustness
-summaries are cached in the result store under the same keys ``variation``
-uses)::
-
-    python -m repro.cli explore --sigma 0.04 --max-accuracy-drop 0.01
-    python -m repro.cli explore --dataset cardio --sigma 0.02 --trials 500 --jobs 4
-
-The offset-aware Table II variant re-selects every benchmark's co-design
-under the robustness budget::
-
-    python -m repro.cli table2 --sigma 0.04 --max-accuracy-drop 0.01
-
-Offset-aware *training* (``--training-sigma``): the exploration trees are
-trained with the analytic expected digit-flip penalty in their split scores,
-so robustness comes from threshold placement instead of hardware margin::
-
-    python -m repro.cli explore --sigma 0.04 --training-sigma 0.04
-    python -m repro.cli table2 --sigma 0.04 --training-sigma 0.04 \
-        --max-accuracy-drop 0.01
-
-Budgeted multi-objective search: instead of sweeping the exhaustive
-depth x tau grid, a seeded Pareto-TPE sampler spends a fixed trial budget,
-warm-starting every trial it can from cached design points (see
-``docs/SEARCH.md``)::
-
-    python -m repro.cli search --dataset seeds --budget 12
-    python -m repro.cli search --dataset cardio --budget 16 \
-        --objective=-accuracy --objective area \
-        --json study.json --html pareto.html
-    python -m repro.cli search --dataset seeds --budget 12 --space wide \
-        --sigma 0.02 --objective=-accuracy --objective power \
-        --objective mean_accuracy_drop
-
-Sharded suite execution: the work-unit planner splits the suite's
-(dataset, variant) and per-(depth, tau) Monte-Carlo units across N shards
-by stable hashing, each shard computes only its units into its own store,
-and ``assemble`` merges the shard stores and renders every table from cache
-hits *only* (non-zero exit listing the missing keys when a shard never
-ran).  Local three-way example::
-
-    python -m repro.cli suite --shard 1/3 --cache-dir shard1 --sigma 0.04
-    python -m repro.cli suite --shard 2/3 --cache-dir shard2 --sigma 0.04
-    python -m repro.cli suite --shard 3/3 --cache-dir shard3 --sigma 0.04
-    python -m repro.cli assemble --cache-dir merged --sigma 0.04 \
-        --from-store shard1 --from-store shard2 --from-store shard3 \
-        --output-dir artifacts
-
-On CI the shard stores travel as artifacts instead (``cache export`` /
-``assemble --from-archive``); see ``docs/SHARDING.md``.
-
-Multi-sigma robustness surface: ``--sigma`` takes one or more values on
-``suite``/``assemble``/``table2``/``surface`` (one variation unit per
-(dataset, depth, tau, sigma); unit identities are unchanged, so a multi-
-sigma plan is the union of the per-sigma plans), and ``surface`` maps the
-full (sigma x depth x tau) cube from the variation pool -- strictly from
-cache hits with ``--cache-only``::
-
-    python -m repro.cli suite --shard 1/3 --cache-dir shard1 \
-        --sigma 0.01 0.02 0.04 --trials 200
-    python -m repro.cli assemble --cache-dir merged \
-        --sigma 0.01 0.02 0.04 --trials 200 --from-store shard1 ...
-    python -m repro.cli surface --sigma 0.01 0.02 0.04 --trials 200 \
-        --cache-dir merged --cache-only \
-        --json surface.json --html surface.html
-
-RTL co-simulation and pluggable PPA (see ``docs/HARDWARE.md``): ``cosim``
-trains a classifier, exports its label logic plus a self-checking testbench
-whose expected outputs come from the Python golden model, and runs the pair
-under an installed open-source Verilog simulator (iverilog or Verilator;
-generation-only on machines without one).  ``--ppa-backend`` on the suite,
-``explore``, ``search`` and ``datasheet`` commands swaps the analytic
-area/power estimators for an external flow's measured PPA report (such runs
-bypass the result cache)::
-
-    python -m repro.cli cosim --dataset seeds --depth 4 --json cosim.json
-    python -m repro.cli cosim --dataset cardio --emit rtl/ --simulator iverilog
-    python -m repro.cli explore --dataset seeds --sigma 0.02 \
-        --ppa-backend reports/seeds_ppa.json
-    python -m repro.cli datasheet --dataset seeds --ppa-backend report.json
-
-Inspect or maintain the on-disk result store::
-
-    python -m repro.cli cache stats
-    python -m repro.cli cache stats --json     # machine-readable (CI)
-    python -m repro.cli cache prune --older-than-days 14
-    python -m repro.cli cache prune --max-bytes 500000000
-    python -m repro.cli cache export --output store.tar.gz
-    python -m repro.cli cache import store.tar.gz
-    python -m repro.cli cache clear
-
-Parallelism and caching
------------------------
-The suite commands (``table1``, ``fig4``, ``fig5``, ``table2``) accept
-``--jobs`` and ``--cache-dir``:
-
-* ``--jobs N`` fans the independent work units -- the per-benchmark runs
-  and, for a single benchmark, the depth x tau design points -- out over
-  ``N`` worker processes (``0`` = one per CPU).  Results are bit-identical
-  to a serial run::
-
-      python -m repro.cli table2 --jobs 8
-
-* ``--cache-dir DIR`` points the content-addressed on-disk result store at
-  ``DIR`` (default: ``$REPRO_CACHE_DIR`` or ``~/.cache/repro/results``).
-  Results are keyed by dataset, seed, grid, technology and code version, so
-  any later invocation -- same process or not -- reuses them::
-
-      python -m repro.cli table1 --cache-dir .repro-cache
-      python -m repro.cli table2 --cache-dir .repro-cache   # reuses the sweep
-
-  ``--no-cache`` forces a full recomputation.
-
-Running the CI checks locally
------------------------------
-The GitHub Actions pipeline (``.github/workflows/ci.yml``) runs, on every
-push/PR::
-
-    ruff check src tests benchmarks examples      # lint job
-    PYTHONPATH=src python -m pytest -q -m "not slow" \
-        --cov=repro --cov-fail-under=80           # tier-1 gate (coverage floor)
-
-and nightly a matrix of shard jobs feeding an assemble job via artifacts,
-plus the nightly-marked Monte-Carlo validation tests::
-
-    PYTHONPATH=src python -m repro.cli suite --shard K/3 --jobs 4 \
-        --sigma 0.04 --trials 200 --cache-dir .repro-cache   # per shard job
-    PYTHONPATH=src python -m repro.cli cache export \
-        --cache-dir .repro-cache --output shard-K.tar.gz
-    PYTHONPATH=src python -m repro.cli assemble --sigma 0.04 --trials 200 \
-        --cache-dir .repro-assembled --from-archive shard-1.tar.gz ... \
-        --output-dir artifacts                               # assemble job
-    PYTHONPATH=src python -m pytest -q -m nightly --run-nightly
-
-See ``docs/TESTING.md`` for the test-layer taxonomy (unit / property /
-oracle-equivalence / golden CLI) and the marker conventions.
+``python -m repro.cli --help`` lists the commands; the command cookbook is in
+``docs/README.md``.  A command imports its own subsystem when it runs, so a
+table replayed from the result store never loads the trainers, the circuits,
+search or serving.
 """
 
 from __future__ import annotations
@@ -191,10 +37,14 @@ from repro.core.sharding import (
     normalize_sigmas,
     plan_suite_units,
 )
-from repro.circuits.cosim import SIMULATORS
 from repro.core.store import ResultStore
 from repro.datasets.registry import dataset_names, load_dataset
-from repro.search.space import space_names
+
+#: ``search --space`` and ``cosim --simulator`` choices, named here so that
+#: building the parser imports neither ``repro.search`` nor ``repro.circuits``
+#: (a test holds them equal to ``space_names()`` and ``cosim.SIMULATORS``).
+_SPACES = ("paper", "wide")
+_SIMULATORS = ("iverilog", "verilator")
 
 
 def _ranged(cast, message: str, strict: bool = False, finite: bool = False):
@@ -763,6 +613,7 @@ def _cmd_cosim(args: argparse.Namespace) -> int:
     """RTL co-simulation of the exported label logic vs the golden model."""
     from repro.circuits.cosim import (
         DEFAULT_RANDOM_VECTORS,
+        SIMULATORS,
         CosimError,
         find_simulator,
         run_cosim,
@@ -1042,7 +893,6 @@ def _cmd_surface(args: argparse.Namespace) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     """Budgeted multi-objective search (see ``docs/SEARCH.md``)."""
     from repro.analysis.experiments import run_search_study
-    from repro.search import render_dashboard
 
     objectives = tuple(args.objective) if args.objective else ("-accuracy", "power")
     try:
@@ -1102,6 +952,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if args.json:
         _write(args.json, result.to_json() + "\n")
     if args.html:
+        from repro.search.dashboard import render_dashboard
+
         _write(args.html, render_dashboard(result.to_json_dict()))
     return 0
 
@@ -1500,7 +1352,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     search.add_argument(
         "--space",
-        choices=space_names(),
+        choices=_SPACES,
         default="paper",
         help="parameter space to search (default: the paper's 49-point grid)",
     )
@@ -1714,7 +1566,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cosim.add_argument(
         "--simulator",
-        choices=("auto",) + SIMULATORS,
+        choices=("auto",) + _SIMULATORS,
         default="auto",
         help="Verilog simulator to run under ('auto' picks the first "
         "installed one and degrades to generation-only when none is found; "

@@ -30,88 +30,33 @@ orchestration that ties them to the substrates:
   suite run across machines/CI jobs by stable hashing.
 """
 
-from repro.core.metrics import (
-    ClassifierDesign,
-    HardwareReport,
-    ReductionReport,
-    reduction_factor,
-    reduction_percent,
-)
-from repro.core.executor import (
-    Executor,
-    ParallelExecutor,
-    SerialExecutor,
-    get_executor,
-)
-from repro.core.store import MergeReport, ResultStore, StoreStats, make_key
-from repro.core.sharding import (
-    MissingResultsError,
-    ShardSpec,
-    SuitePlan,
-    WorkUnit,
-    normalize_sigmas,
-    plan_suite_units,
-    point_work_unit,
-    suite_work_unit,
-    variation_work_unit,
-)
-from repro.core.unary_tree import UnaryDecisionTree
-from repro.core.bespoke_adc import build_bespoke_adcs, build_bespoke_frontend
-from repro.core.adc_aware_training import ADCAwareTrainer
-from repro.core.design import DesignPoint, DesignSpec
-from repro.core.exploration import select_best_design
-from repro.core.pareto import accuracy_area_front, accuracy_power_front, pareto_front
-from repro.core.power_budget import SelfPowerAnalysis, analyze_self_power
-from repro.core.variation import (
-    ComparatorOffsetModel,
-    VariationAnalysis,
-    offset_tolerance_sweep,
-    simulate_offset_variation,
-)
-from repro.core.datasheet import generate_datasheet
-from repro.core.codesign import CoDesignResult, reference_designs, select_designs
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Executor",
-    "SerialExecutor",
-    "ParallelExecutor",
-    "get_executor",
-    "ResultStore",
-    "StoreStats",
-    "MergeReport",
-    "make_key",
-    "ShardSpec",
-    "WorkUnit",
-    "SuitePlan",
-    "MissingResultsError",
-    "normalize_sigmas",
-    "plan_suite_units",
-    "point_work_unit",
-    "suite_work_unit",
-    "variation_work_unit",
-    "HardwareReport",
-    "ClassifierDesign",
-    "ReductionReport",
-    "reduction_factor",
-    "reduction_percent",
-    "UnaryDecisionTree",
-    "build_bespoke_adcs",
-    "build_bespoke_frontend",
-    "ADCAwareTrainer",
-    "DesignPoint",
-    "DesignSpec",
-    "select_best_design",
-    "pareto_front",
-    "accuracy_power_front",
-    "accuracy_area_front",
-    "SelfPowerAnalysis",
-    "analyze_self_power",
-    "CoDesignResult",
-    "reference_designs",
-    "select_designs",
-    "ComparatorOffsetModel",
-    "VariationAnalysis",
-    "simulate_offset_variation",
-    "offset_tolerance_sweep",
-    "generate_datasheet",
-]
+#: Each submodule and the public names it defines.
+_EXPORTS = {
+    "repro.core.metrics": (
+        "ClassifierDesign", "HardwareReport", "ReductionReport", "reduction_factor",
+        "reduction_percent",
+    ),
+    "repro.core.executor": ("Executor", "ParallelExecutor", "SerialExecutor", "get_executor"),
+    "repro.core.store": ("MergeReport", "ResultStore", "StoreStats", "make_key"),
+    "repro.core.sharding": (
+        "MissingResultsError", "ShardSpec", "SuitePlan", "WorkUnit", "normalize_sigmas",
+        "plan_suite_units", "point_work_unit", "suite_work_unit", "variation_work_unit",
+    ),
+    "repro.core.unary_tree": ("UnaryDecisionTree",),
+    "repro.core.bespoke_adc": ("build_bespoke_adcs", "build_bespoke_frontend"),
+    "repro.core.adc_aware_training": ("ADCAwareTrainer",),
+    "repro.core.design": ("DesignPoint", "DesignSpec"),
+    "repro.core.exploration": ("select_best_design",),
+    "repro.core.pareto": ("accuracy_area_front", "accuracy_power_front", "pareto_front"),
+    "repro.core.power_budget": ("SelfPowerAnalysis", "analyze_self_power"),
+    "repro.core.variation": (
+        "ComparatorOffsetModel", "VariationAnalysis", "offset_tolerance_sweep",
+        "simulate_offset_variation",
+    ),
+    "repro.core.datasheet": ("generate_datasheet",),
+    "repro.core.codesign": ("CoDesignResult", "reference_designs", "select_designs"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -27,13 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.baselines.balaskas import fit_balaskas_design
-from repro.baselines.mubarik import BaselineBespokeDesign
 from repro.core.design import DesignPoint, DesignSpec, proposed_hardware_report
 from repro.core.exploration import select_best_design
 from repro.core.metrics import ClassifierDesign, ReductionReport, compare_designs
 from repro.core.power_budget import SelfPowerAnalysis, analyze_self_power
-from repro.mltrees.cart import fit_baseline_tree
 
 
 @dataclass
@@ -136,6 +133,10 @@ def reference_designs(
     from its baseline's accuracy and depth.  The result's ``exploration``
     is empty; :func:`select_designs` completes it.
     """
+    from repro.baselines.balaskas import fit_balaskas_design
+    from repro.baselines.mubarik import BaselineBespokeDesign
+    from repro.mltrees.cart import fit_baseline_tree
+
     data = spec.data()
     technology = spec.technology
     levels = (data.X_train_levels, data.y_train, data.X_test_levels, data.y_test)

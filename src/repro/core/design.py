@@ -27,25 +27,25 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from repro.core.adc_aware_training import ADCAwareTrainer
-from repro.core.bespoke_adc import build_bespoke_frontend
 from repro.core.metrics import HardwareReport
 from repro.core.store import content_digest, make_key
-from repro.core.unary_tree import UnaryDecisionTree, translate
 from repro.core.variation import (
     VariationAnalysis,
     canonical_training_knobs,
     simulate_offset_variation,
 )
-from repro.datasets.base import Dataset
 from repro.datasets.registry import canonical_name, load_dataset
-from repro.mltrees.evaluation import evaluate_tree_accuracy, train_test_split
-from repro.mltrees.quantize import quantize_dataset
-from repro.mltrees.tree import DecisionTree
 from repro.pdk.egfet import EGFETTechnology, default_technology
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.core.adc_aware_training import ADCAwareTrainer
+    from repro.core.unary_tree import UnaryDecisionTree
+    from repro.datasets.base import Dataset
+    from repro.mltrees.tree import DecisionTree
 
 
 @dataclass(frozen=True)
@@ -110,6 +110,8 @@ def proposed_hardware_report(
     analog block outside any digital PPA flow, so its costs always come from
     the behavioral ADC model.
     """
+    from repro.core.unary_tree import translate
+
     return _unary_hardware_report(translate(tree), technology, name, ppa_backend)
 
 
@@ -124,6 +126,8 @@ def _unary_hardware_report(
     Callers that keep using ``unary`` (the datasheet) reuse its minimized
     label logic instead of translating the tree a second time.
     """
+    from repro.core.bespoke_adc import build_bespoke_frontend
+
     technology = technology if technology is not None else default_technology()
     digital = unary.digital_report(technology, ppa_backend=ppa_backend)
     if unary.n_inputs > 0:
@@ -171,6 +175,9 @@ def split_data(
     points of the paper grid load and quantize the data once.  Sweeps visit
     benchmarks one after another, so one entry suffices.
     """
+    from repro.mltrees.evaluation import train_test_split
+    from repro.mltrees.quantize import quantize_dataset
+
     data = load_dataset(dataset, seed=seed)
     X_train, X_test, y_train, y_test = train_test_split(
         data.X, data.y, test_size=test_size, seed=seed
@@ -252,7 +259,13 @@ class DesignSpec:
             ("robustness_weight", robustness_weight),
         ):
             object.__setattr__(self, name, value)
-        self.trainer()  # rejects depth < 1, tau < 0 and resolution_bits < 1
+        # The trainer's own checks, in its words, without importing it.
+        if self.depth < 1:
+            raise ValueError("max_depth must be at least 1")
+        if self.resolution_bits < 1:
+            raise ValueError("resolution_bits must be at least 1")
+        if self.tau < 0:
+            raise ValueError("the Gini tolerance tau must be >= 0")
 
     # ------------------------------------------------------------------ #
     # identity
@@ -310,6 +323,8 @@ class DesignSpec:
     # ------------------------------------------------------------------ #
     def trainer(self) -> ADCAwareTrainer:
         """The ADC-aware trainer of this point."""
+        from repro.core.adc_aware_training import ADCAwareTrainer
+
         return ADCAwareTrainer(
             max_depth=self.depth,
             gini_threshold=self.tau,
@@ -371,6 +386,8 @@ def evaluate_family(specs: Sequence[DesignSpec], ppa_backend=None) -> list[Desig
     """
     if len({spec.family for spec in specs}) > 1:
         raise ValueError("the specs of a depth family may differ only in depth")
+    from repro.mltrees.evaluation import evaluate_tree_accuracy
+
     deepest = max(specs, key=lambda spec: spec.depth)
     data = deepest.data()
     tree = deepest.train()

@@ -28,10 +28,8 @@ import json
 import os
 import pickle
 import re
-import tarfile
 import tempfile
 import time
-import uuid
 from contextlib import suppress
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
@@ -521,6 +519,8 @@ class ResultStore:
         """
         record = self._load_stats()
         if record["store_id"] is None and create:
+            import uuid  # only store transport needs it, not a replay
+
             record["store_id"] = uuid.uuid4().hex
             if not self._save_stats(record):
                 return None
@@ -644,6 +644,8 @@ class ResultStore:
         Raises :class:`ValueError` when the store directory does not exist
         (a mistyped ``--cache-dir``), before anything is written.
         """
+        import tarfile  # only store transport needs it, not a replay
+
         if not self.cache_dir.is_dir():
             raise ValueError(f"no result store at {str(self.cache_dir)!r} to export")
         self.flush_stats()  # persist this instance's counters for the trip
@@ -683,6 +685,8 @@ class ResultStore:
         escape the staging directory nor inject foreign files.  Idempotent
         like the merge it wraps.
         """
+        import tarfile
+
         path = Path(path)
         try:
             tar = tarfile.open(path, mode="r:gz")

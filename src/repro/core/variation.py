@@ -26,15 +26,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.executor import get_executor
-from repro.core.unary_tree import UnaryDecisionTree, translate
-from repro.mltrees.evaluation import accuracy_score
-from repro.mltrees.split_search import normal_cdf
-from repro.mltrees.tree import DecisionTree
 from repro.pdk.egfet import EGFETTechnology, default_technology
+
+if TYPE_CHECKING:
+    from repro.core.unary_tree import UnaryDecisionTree
+    from repro.mltrees.tree import DecisionTree
 
 
 @dataclass(frozen=True)
@@ -112,6 +113,8 @@ class ComparatorOffsetModel:
         np.ndarray
             Flip probabilities, same shape as ``margins``.
         """
+        from repro.mltrees.split_search import normal_cdf
+
         if vdd <= 0:
             raise ValueError("vdd must be positive")
         margins = np.asarray(margins, dtype=float)
@@ -148,6 +151,8 @@ def analytic_flip_probabilities(
 
     Returns an ``(n_samples, n_comparators)`` float matrix.
     """
+    from repro.core.unary_tree import translate
+
     technology = technology if technology is not None else default_technology()
     unary = translate(model)
     X = np.asarray(X, dtype=float)
@@ -326,6 +331,9 @@ def simulate_offset_variation(
         process, ``0``: one per CPU).  All offsets are drawn up front, so
         parallel runs are bit-identical to serial ones.
     """
+    from repro.core.unary_tree import translate
+    from repro.mltrees.evaluation import accuracy_score
+
     if n_trials < 1:
         raise ValueError("at least one Monte-Carlo trial is required")
     technology = technology if technology is not None else default_technology()

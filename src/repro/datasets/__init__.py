@@ -16,29 +16,16 @@ and every design point's :class:`~repro.core.design.DesignSpec`) runs on the
 registered benchmarks only, since a registered name is what keys its results.
 """
 
-from repro.datasets.base import Dataset
-from repro.datasets.normalize import MinMaxNormalizer, normalize_unit_range
-from repro.datasets.registry import (
-    DATASET_ABBREVIATIONS,
-    dataset_names,
-    load_csv,
-    load_dataset,
-    paper_reference,
-)
-from repro.datasets.synthetic import (
-    make_classification_blobs,
-    make_ordinal_dataset,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Dataset",
-    "MinMaxNormalizer",
-    "normalize_unit_range",
-    "DATASET_ABBREVIATIONS",
-    "dataset_names",
-    "load_dataset",
-    "load_csv",
-    "paper_reference",
-    "make_classification_blobs",
-    "make_ordinal_dataset",
-]
+#: Each submodule and the public names it defines.
+_EXPORTS = {
+    "repro.datasets.base": ("Dataset",),
+    "repro.datasets.normalize": ("MinMaxNormalizer", "normalize_unit_range"),
+    "repro.datasets.registry": (
+        "DATASET_ABBREVIATIONS", "dataset_names", "load_csv", "load_dataset", "paper_reference",
+    ),
+    "repro.datasets.synthetic": ("make_classification_blobs", "make_ordinal_dataset"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

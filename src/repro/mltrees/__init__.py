@@ -17,35 +17,20 @@ co-design core can reuse the same split-scoring machinery:
   unary digits extracted from a trained tree.
 """
 
-from repro.mltrees.tree import DecisionTree
-from repro.mltrees.gini import gini_impurity, weighted_gini
-from repro.mltrees.split_search import (
-    CandidateTable,
-    SplitCandidate,
-    enumerate_split_candidates,
-)
-from repro.mltrees.cart import CARTTrainer, fit_baseline_tree
-from repro.mltrees.quantize import quantize_dataset, level_to_value
-from repro.mltrees.evaluation import accuracy_score, confusion_matrix, train_test_split
-from repro.mltrees.export import ComparisonSummary, comparisons_summary
-from repro.mltrees.render import render_tree_text, tree_to_dot
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DecisionTree",
-    "gini_impurity",
-    "weighted_gini",
-    "CandidateTable",
-    "SplitCandidate",
-    "enumerate_split_candidates",
-    "CARTTrainer",
-    "fit_baseline_tree",
-    "quantize_dataset",
-    "level_to_value",
-    "accuracy_score",
-    "confusion_matrix",
-    "train_test_split",
-    "ComparisonSummary",
-    "comparisons_summary",
-    "render_tree_text",
-    "tree_to_dot",
-]
+#: Each submodule and the public names it defines.
+_EXPORTS = {
+    "repro.mltrees.tree": ("DecisionTree",),
+    "repro.mltrees.gini": ("gini_impurity", "weighted_gini"),
+    "repro.mltrees.split_search": (
+        "CandidateTable", "SplitCandidate", "enumerate_split_candidates",
+    ),
+    "repro.mltrees.cart": ("CARTTrainer", "fit_baseline_tree"),
+    "repro.mltrees.quantize": ("quantize_dataset", "level_to_value"),
+    "repro.mltrees.evaluation": ("accuracy_score", "confusion_matrix", "train_test_split"),
+    "repro.mltrees.export": ("ComparisonSummary", "comparisons_summary"),
+    "repro.mltrees.render": ("render_tree_text", "tree_to_dot"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

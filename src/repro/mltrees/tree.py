@@ -49,8 +49,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.adc.thermometer import quantize_array_to_levels
-
 #: ``feature`` value of a leaf.
 LEAF = -1
 
@@ -334,6 +332,8 @@ class DecisionTree:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predict classes for raw, normalized samples in ``[0, 1]``."""
+        from repro.adc.thermometer import quantize_array_to_levels
+
         levels = quantize_array_to_levels(np.asarray(X, dtype=float), self.resolution_bits)
         return self.predict_levels(levels)
 

@@ -23,22 +23,16 @@ All constants carry the paper reference they were calibrated against so that
 users can swap in their own measured values.
 """
 
-from repro.pdk.cells import Cell, CellLibrary, egfet_cell_library
-from repro.pdk.comparator import AnalogComparatorModel
-from repro.pdk.resistor_ladder import ResistorLadder
-from repro.pdk.harvester import PrintedEnergyHarvester
-from repro.pdk.sensors import PrintedSensor, SensorSuite
-from repro.pdk.egfet import EGFETTechnology, default_technology
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Cell",
-    "CellLibrary",
-    "egfet_cell_library",
-    "AnalogComparatorModel",
-    "ResistorLadder",
-    "PrintedEnergyHarvester",
-    "PrintedSensor",
-    "SensorSuite",
-    "EGFETTechnology",
-    "default_technology",
-]
+#: Each submodule and the public names it defines.
+_EXPORTS = {
+    "repro.pdk.cells": ("Cell", "CellLibrary", "egfet_cell_library"),
+    "repro.pdk.comparator": ("AnalogComparatorModel",),
+    "repro.pdk.resistor_ladder": ("ResistorLadder",),
+    "repro.pdk.harvester": ("PrintedEnergyHarvester",),
+    "repro.pdk.sensors": ("PrintedSensor", "SensorSuite"),
+    "repro.pdk.egfet": ("EGFETTechnology", "default_technology"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

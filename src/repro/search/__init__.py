@@ -9,42 +9,19 @@ trials through the :class:`~repro.core.executor.Executor` and extracts
 fronts with :mod:`repro.core.pareto`.  See ``docs/SEARCH.md``.
 """
 
-from repro.search.dashboard import render_dashboard, render_surface
-from repro.search.optimizer import (
-    ParetoTPESampler,
-    crowding_distance,
-    hypervolume,
-    non_dominated_sort,
-)
-from repro.search.space import (
-    CategoricalDimension,
-    FloatDimension,
-    IntDimension,
-    SearchSpace,
-    get_space,
-    paper_space,
-    space_names,
-    wide_space,
-)
-from repro.search.study import Study, StudyResult, Trial, parse_objectives
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CategoricalDimension",
-    "FloatDimension",
-    "IntDimension",
-    "SearchSpace",
-    "get_space",
-    "paper_space",
-    "space_names",
-    "wide_space",
-    "ParetoTPESampler",
-    "crowding_distance",
-    "hypervolume",
-    "non_dominated_sort",
-    "Study",
-    "StudyResult",
-    "Trial",
-    "parse_objectives",
-    "render_dashboard",
-    "render_surface",
-]
+#: Each submodule and the public names it defines.
+_EXPORTS = {
+    "repro.search.dashboard": ("render_dashboard", "render_surface"),
+    "repro.search.optimizer": (
+        "ParetoTPESampler", "crowding_distance", "hypervolume", "non_dominated_sort",
+    ),
+    "repro.search.space": (
+        "CategoricalDimension", "FloatDimension", "IntDimension", "SearchSpace", "get_space",
+        "paper_space", "space_names", "wide_space",
+    ),
+    "repro.search.study": ("Study", "StudyResult", "Trial", "parse_objectives"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -18,32 +18,18 @@ Three layers turn cached experiment outputs into a serving stack:
 See ``docs/SERVING.md`` for the end-to-end methodology.
 """
 
-from repro.serve.batching import (
-    BatcherStats,
-    BatchingConfig,
-    MicroBatcher,
-    ScorerClosedError,
-)
-from repro.serve.loadgen import LoadReport, run_closed_loop, run_open_loop
-from repro.serve.registry import (
-    ModelArtifact,
-    ModelRegistry,
-    default_registry_dir,
-    promote_design,
-)
-from repro.serve.scorer import AsyncScorer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AsyncScorer",
-    "BatcherStats",
-    "BatchingConfig",
-    "LoadReport",
-    "MicroBatcher",
-    "ModelArtifact",
-    "ModelRegistry",
-    "ScorerClosedError",
-    "default_registry_dir",
-    "promote_design",
-    "run_closed_loop",
-    "run_open_loop",
-]
+#: Each submodule and the public names it defines.
+_EXPORTS = {
+    "repro.serve.batching": (
+        "BatcherStats", "BatchingConfig", "MicroBatcher", "ScorerClosedError",
+    ),
+    "repro.serve.loadgen": ("LoadReport", "run_closed_loop", "run_open_loop"),
+    "repro.serve.registry": (
+        "ModelArtifact", "ModelRegistry", "default_registry_dir", "promote_design",
+    ),
+    "repro.serve.scorer": ("AsyncScorer",),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

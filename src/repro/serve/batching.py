@@ -40,8 +40,9 @@ _CLOSE = object()
 #: The event loop hands each timer wait to its selector in whole
 #: milliseconds, rounded up (``math.ceil(timeout * 1e3)`` in
 #: ``selectors``), so a timer can overshoot by up to this much: a 200 us
-#: ``wait_for`` sleeps a full millisecond.  The worker arms a timer only for
-#: the part of a window beyond this and yields through the rest.
+#: ``wait_for`` sleeps a full millisecond.  The worker (and the open-loop
+#: load generator) arms a timer only for the part of a wait beyond this and
+#: yields through the rest.
 _TIMER_GRANULARITY_S = 1e-3
 
 
@@ -76,8 +77,11 @@ class BatchingConfig:
 
     def __post_init__(self) -> None:
         for name in ("max_batch_size", "max_wait_us", "max_queue_size"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         for name in ("max_batch_size", "max_queue_size"):
             value = getattr(self, name)
             # A fractional size would round up at the comparison; True is 1.

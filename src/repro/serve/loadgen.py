@@ -21,12 +21,13 @@ throughput and the scorer's flush accounting -- the rows of
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.serve.batching import BatcherStats
+from repro.serve.batching import _TIMER_GRANULARITY_S, BatcherStats
 from repro.serve.scorer import AsyncScorer
 
 
@@ -130,13 +131,17 @@ async def run_open_loop(
     ``i % len(rows)`` (a fleet of sensors cycling through the captured
     stream); its latency runs from that scheduled instant to completion,
     so queueing delay from a scorer that cannot keep up is charged to the
-    requests instead of being omitted.
+    requests instead of being omitted.  Requests leave when they are due, not
+    on the event loop's millisecond timer grid: a timer covers a wait only up
+    to its last millisecond, and the generator yields through the rest.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or not len(rows):
         raise ValueError("rows must be a non-empty (n_samples, n_features) matrix")
-    if rate_hz <= 0:
-        raise ValueError("rate_hz must be > 0")
+    if not (math.isfinite(rate_hz) and rate_hz > 0):
+        raise ValueError(f"rate_hz must be a finite number > 0, got {rate_hz!r}")
+    if duration_s is not None and not (math.isfinite(duration_s) and duration_s > 0):
+        raise ValueError(f"duration_s must be a finite number > 0, got {duration_s!r}")
     if (duration_s is None) == (n_requests is None):
         raise ValueError("bound the run with exactly one of duration_s / n_requests")
     if n_requests is None:
@@ -164,8 +169,9 @@ async def run_open_loop(
     for i in range(n_requests):
         scheduled = start + i * interval
         delay = scheduled - time.perf_counter()
-        if delay > 0:
-            await asyncio.sleep(delay)
+        while delay > 0:
+            await asyncio.sleep(max(0.0, delay - _TIMER_GRANULARITY_S))
+            delay = scheduled - time.perf_counter()
         task = loop.create_task(fire(rows[i % len(rows)], scheduled))
         in_flight.add(task)
         task.add_done_callback(in_flight.discard)

@@ -11,7 +11,7 @@ import pickle
 import pytest
 
 from repro.analysis.experiments import _resolve_units, clear_memo, run_benchmark_suite
-from repro.core import codesign
+from repro.mltrees import cart
 from repro.core.codesign import CoDesignResult, reference_designs, select_designs
 from repro.core.design import DesignSpec
 from repro.core.executor import SerialExecutor
@@ -154,7 +154,7 @@ class TestTableIITwin:
         def no_baseline_sweep(*args, **kwargs):
             raise AssertionError("baseline [2] was refitted next to its twin")
 
-        monkeypatch.setattr(codesign, "fit_baseline_tree", no_baseline_sweep)
+        monkeypatch.setattr(cart, "fit_baseline_tree", no_baseline_sweep)
         misses = store.stats.misses
         run_benchmark_suite(("seeds",), store=store, depths=(2,), taus=(0.0,))
         assert store.stats.misses == misses + 1, "only the Table II reference misses"
@@ -164,13 +164,13 @@ class TestTableIITwin:
     def test_twin_from_the_same_call(self, monkeypatch):
         """Both variants in one fan-out: the Table II job extends the Table I value."""
         calls = []
-        original = codesign.fit_baseline_tree
+        original = cart.fit_baseline_tree
 
         def counting(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(codesign, "fit_baseline_tree", counting)
+        monkeypatch.setattr(cart, "fit_baseline_tree", counting)
         units = [suite_work_unit("seeds", 0, variant) for variant in (True, False)]
         values, computed = _resolve_units(units, None, SerialExecutor())
         assert len(calls) == 1 and len(computed) == 2

@@ -218,7 +218,7 @@ def test_table2_suite_enumerates_less_and_renders_the_same(monkeypatch, enumerat
         return result
 
     with monkeypatch.context() as unscoped:
-        unscoped.setattr(experiments, "shared_split_tables", contextlib.nullcontext)
+        unscoped.setattr(split_search, "shared_split_tables", contextlib.nullcontext)
         fresh = run()
     fresh_calls = enumerations[0]
     shared = run()

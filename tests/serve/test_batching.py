@@ -37,6 +37,13 @@ class TestBatchingConfig:
         with pytest.raises(ValueError, match=f"{knob} must be finite"):
             BatchingConfig(**{knob: value})
 
+    @pytest.mark.parametrize("value", ["4", None, [4]])
+    @pytest.mark.parametrize("knob", ["max_batch_size", "max_wait_us", "max_queue_size"])
+    def test_rejects_non_numeric_knobs_naming_the_field(self, knob, value):
+        # Not a bare TypeError from math.isfinite: the error says which knob.
+        with pytest.raises(ValueError, match=f"{knob} must be a number"):
+            BatchingConfig(**{knob: value})
+
     @pytest.mark.parametrize("value", [2.5, 3.0, True, False])
     @pytest.mark.parametrize("knob", ["max_batch_size", "max_queue_size"])
     def test_rejects_non_integer_sizes(self, knob, value):

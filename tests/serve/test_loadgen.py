@@ -1,11 +1,13 @@
 """Tests for the open/closed-loop load generators and their reports."""
 
 import asyncio
+import math
 import weakref
 
 import numpy as np
 import pytest
 
+from repro.serve import loadgen
 from repro.serve.batching import BatcherStats
 from repro.serve.loadgen import LoadReport, run_closed_loop, run_open_loop
 from repro.serve.scorer import AsyncScorer
@@ -120,8 +122,12 @@ class TestOpenLoop:
                     )
                 )
             )
-        with pytest.raises(ValueError, match="rate_hz"):
-            run(with_scorer(lambda s: run_open_loop(s, rows, 0.0, n_requests=5)))
+        for rate in (0.0, -5.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="rate_hz"):
+                run(with_scorer(lambda s: run_open_loop(s, rows, rate, n_requests=5)))
+        for duration in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="duration_s"):
+                run(with_scorer(lambda s: run_open_loop(s, rows, 100.0, duration_s=duration)))
         with pytest.raises(ValueError, match="non-empty"):
             run(
                 with_scorer(
@@ -130,6 +136,29 @@ class TestOpenLoop:
                     )
                 )
             )
+
+    def test_paces_past_the_millisecond_timer_grid(self, rows, monkeypatch):
+        """At 2 000 req/s requests are 0.5 ms apart, below the event loop's
+        1 ms timer resolution: a timer that short would fire up to a whole
+        millisecond late, so the generator yields instead of arming one."""
+        sleeps = []
+        real_sleep = asyncio.sleep
+
+        async def recording_sleep(delay, *args, **kwargs):
+            sleeps.append(delay)
+            return await real_sleep(delay, *args, **kwargs)
+
+        class StubScorer:
+            stats = BatcherStats()
+
+            async def score(self, row):
+                return 0
+
+        monkeypatch.setattr(loadgen.asyncio, "sleep", recording_sleep)
+        report = run(run_open_loop(StubScorer(), rows, rate_hz=2000.0, n_requests=200))
+        assert report.n_requests == 200
+        positive = [delay for delay in sleeps if delay > 0]
+        assert all(delay >= 1e-3 for delay in positive), positive
 
 
 class TestClosedLoop:
