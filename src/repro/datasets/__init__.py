@@ -2,12 +2,13 @@
 
 The paper evaluates on eight UCI datasets (WhiteWine, Cardio, Arrhythmia,
 Balance-Scale, Vertebral-3C, Seeds, Vertebral-2C, Pendigits) with inputs
-normalized to ``[0, 1]`` and a random 70/30 split.  This environment has no
-network access, so each benchmark is replaced by a deterministic synthetic
+normalized to ``[0, 1]`` and a random 70/30 split.  The UCI files are not
+shipped, so each benchmark is replaced by a deterministic synthetic
 generator matched to the original's feature count, class count, sample count
-and approximate baseline decision-tree accuracy (see DESIGN.md, Section 2).
-Balance-Scale is special: the original dataset is a complete factorial of a
-known deterministic rule, so it is regenerated *exactly*.
+and approximate baseline decision-tree accuracy (one row of
+:mod:`repro.datasets.synthetic`'s recipe table each; docs/README.md maps the
+package).  Balance-Scale is special: the original dataset is a complete
+factorial of a known deterministic rule, so it is regenerated *exactly*.
 
 Real UCI CSV files load through :func:`repro.datasets.registry.load_csv`
 into a :class:`~repro.datasets.base.Dataset` for the trainers and hardware
@@ -25,7 +26,9 @@ _EXPORTS = {
     "repro.datasets.registry": (
         "DATASET_ABBREVIATIONS", "dataset_names", "load_csv", "load_dataset", "paper_reference",
     ),
-    "repro.datasets.synthetic": ("make_classification_blobs", "make_ordinal_dataset"),
+    "repro.datasets.synthetic": (
+        "make_balance_scale", "make_classification_blobs", "make_ordinal_dataset",
+    ),
 }
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

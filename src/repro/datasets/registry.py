@@ -1,14 +1,15 @@
 """Dataset registry: the eight paper benchmarks plus CSV loading.
 
 The registry maps canonical dataset names (and the two-letter abbreviations
-used in the paper's figures: WW, CA, AR, BS, V3, SE, V2, PD) to their loader
-functions, and records the paper-reported baseline accuracy for reference in
-EXPERIMENTS.md.
+used in the paper's figures: WW, CA, AR, BS, V3, SE, V2, PD) to the values
+the paper's Table I reports for them; perfbench's ``paper_error_pct`` (see
+perfbench/README.md) measures the reproduced Table I against those values.
+How each benchmark is generated lives in
+:data:`repro.datasets.synthetic.RECIPES`.
 """
 
 from __future__ import annotations
 
-import importlib
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -16,62 +17,43 @@ import numpy as np
 if TYPE_CHECKING:
     from repro.datasets.base import Dataset
 
-#: Loader module and function per canonical dataset name, in the paper's
-#: Table I order.  A loader is imported when its benchmark is first loaded,
-#: so naming and keying benchmarks (every store replay) imports none.
-_LOADERS: dict[str, tuple[str, str]] = {
-    "whitewine": ("repro.datasets.whitewine", "load_whitewine"),
-    "cardio": ("repro.datasets.cardio", "load_cardio"),
-    "arrhythmia": ("repro.datasets.arrhythmia", "load_arrhythmia"),
-    "balance_scale": ("repro.datasets.balance_scale", "load_balance_scale"),
-    "vertebral_3c": ("repro.datasets.vertebral", "load_vertebral_3c"),
-    "seeds": ("repro.datasets.seeds", "load_seeds"),
-    "vertebral_2c": ("repro.datasets.vertebral", "load_vertebral_2c"),
-    "pendigits": ("repro.datasets.pendigits", "load_pendigits"),
+#: Per canonical name, in the paper's Table I order: the two-letter
+#: abbreviation of Figs. 4/5, and the baseline accuracy and hardware Table I
+#: reports.
+_BENCHMARKS: dict[str, tuple[str, dict[str, float]]] = {
+    "whitewine": ("WW", {"accuracy": 0.528, "comparators": 207, "inputs": 11,
+                         "total_area_mm2": 261.3, "total_power_mw": 14.6}),
+    "cardio": ("CA", {"accuracy": 0.906, "comparators": 85, "inputs": 19,
+                      "total_area_mm2": 114.4, "total_power_mw": 12.5}),
+    "arrhythmia": ("AR", {"accuracy": 0.627, "comparators": 39, "inputs": 21,
+                          "total_area_mm2": 79.9, "total_power_mw": 12.0}),
+    "balance_scale": ("BS", {"accuracy": 0.777, "comparators": 15, "inputs": 4,
+                             "total_area_mm2": 30.6, "total_power_mw": 2.9}),
+    "vertebral_3c": ("V3", {"accuracy": 0.860, "comparators": 7, "inputs": 5,
+                            "total_area_mm2": 16.8, "total_power_mw": 2.8}),
+    "seeds": ("SE", {"accuracy": 0.905, "comparators": 23, "inputs": 5,
+                     "total_area_mm2": 27.3, "total_power_mw": 3.2}),
+    "vertebral_2c": ("V2", {"accuracy": 0.871, "comparators": 7, "inputs": 5,
+                            "total_area_mm2": 16.4, "total_power_mw": 2.8}),
+    "pendigits": ("PD", {"accuracy": 0.950, "comparators": 215, "inputs": 16,
+                         "total_area_mm2": 268.7, "total_power_mw": 17.2}),
 }
 
 #: Two-letter abbreviations used in Figs. 4/5 of the paper.
 DATASET_ABBREVIATIONS: dict[str, str] = {
-    "whitewine": "WW",
-    "cardio": "CA",
-    "arrhythmia": "AR",
-    "balance_scale": "BS",
-    "vertebral_3c": "V3",
-    "seeds": "SE",
-    "vertebral_2c": "V2",
-    "pendigits": "PD",
-}
-
-#: Baseline accuracy (Table I) and hardware the paper reports, for reference.
-_PAPER_REFERENCE: dict[str, dict[str, float]] = {
-    "whitewine": {"accuracy": 0.528, "comparators": 207, "inputs": 11,
-                  "total_area_mm2": 261.3, "total_power_mw": 14.6},
-    "cardio": {"accuracy": 0.906, "comparators": 85, "inputs": 19,
-               "total_area_mm2": 114.4, "total_power_mw": 12.5},
-    "arrhythmia": {"accuracy": 0.627, "comparators": 39, "inputs": 21,
-                   "total_area_mm2": 79.9, "total_power_mw": 12.0},
-    "balance_scale": {"accuracy": 0.777, "comparators": 15, "inputs": 4,
-                      "total_area_mm2": 30.6, "total_power_mw": 2.9},
-    "vertebral_3c": {"accuracy": 0.860, "comparators": 7, "inputs": 5,
-                     "total_area_mm2": 16.8, "total_power_mw": 2.8},
-    "seeds": {"accuracy": 0.905, "comparators": 23, "inputs": 5,
-              "total_area_mm2": 27.3, "total_power_mw": 3.2},
-    "vertebral_2c": {"accuracy": 0.871, "comparators": 7, "inputs": 5,
-                     "total_area_mm2": 16.4, "total_power_mw": 2.8},
-    "pendigits": {"accuracy": 0.950, "comparators": 215, "inputs": 16,
-                  "total_area_mm2": 268.7, "total_power_mw": 17.2},
+    name: abbreviation for name, (abbreviation, _) in _BENCHMARKS.items()
 }
 
 
 def dataset_names() -> list[str]:
     """Canonical names of the eight benchmarks, in the paper's order."""
-    return list(_LOADERS)
+    return list(_BENCHMARKS)
 
 
 def canonical_name(name: str) -> str:
     """Resolve a dataset name or abbreviation to its canonical name."""
     lowered = name.strip().lower()
-    if lowered in _LOADERS:
+    if lowered in _BENCHMARKS:
         return lowered
     for canonical, abbreviation in DATASET_ABBREVIATIONS.items():
         if lowered == abbreviation.lower():
@@ -83,14 +65,36 @@ def canonical_name(name: str) -> str:
 
 
 def load_dataset(name: str, seed: int = 0) -> Dataset:
-    """Load one of the eight benchmarks by name or paper abbreviation."""
-    module, loader = _LOADERS[canonical_name(name)]
-    return getattr(importlib.import_module(module), loader)(seed)
+    """Load one of the eight benchmarks by name or paper abbreviation.
+
+    The recipes are imported on the first load, so naming and keying
+    benchmarks (every store replay) imports none.
+    """
+    from repro.datasets.base import Dataset
+    from repro.datasets.synthetic import RECIPES
+
+    name = canonical_name(name)
+    abbreviation, reference = _BENCHMARKS[name]
+    recipe = RECIPES[name]
+    X, y = recipe.generate(seed)
+    return Dataset(
+        name=name,
+        X=X,
+        y=y,
+        feature_names=list(recipe.feature_names),
+        class_names=list(recipe.class_names),
+        description=recipe.description,
+        metadata={
+            "abbreviation": abbreviation,
+            "paper_baseline_accuracy": reference["accuracy"],
+            "synthetic_standin": recipe.synthetic_standin,
+        },
+    )
 
 
 def paper_reference(name: str) -> dict[str, float]:
     """Paper-reported Table I values for the named benchmark."""
-    return dict(_PAPER_REFERENCE[canonical_name(name)])
+    return dict(_BENCHMARKS[canonical_name(name)][1])
 
 
 def load_csv(

@@ -12,9 +12,7 @@ co-design core can reuse the same split-scoring machinery:
 * :mod:`repro.mltrees.cart` -- the conventional (ADC-unaware) greedy trainer
   used by the baseline [2], subclassed by the ADC-aware trainer,
 * :mod:`repro.mltrees.quantize` -- fixed-point feature/threshold quantization,
-* :mod:`repro.mltrees.evaluation` -- accuracy, stratified splitting,
-* :mod:`repro.mltrees.export` -- comparison counts and per-feature required
-  unary digits extracted from a trained tree.
+* :mod:`repro.mltrees.evaluation` -- accuracy, stratified splitting.
 """
 
 from repro._lazy import lazy_exports
@@ -29,7 +27,6 @@ _EXPORTS = {
     "repro.mltrees.cart": ("CARTTrainer", "fit_baseline_tree"),
     "repro.mltrees.quantize": ("quantize_dataset", "level_to_value"),
     "repro.mltrees.evaluation": ("accuracy_score", "confusion_matrix", "train_test_split"),
-    "repro.mltrees.export": ("ComparisonSummary", "comparisons_summary"),
     "repro.mltrees.render": ("render_tree_text", "tree_to_dot"),
 }
 

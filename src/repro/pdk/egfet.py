@@ -8,7 +8,9 @@ ADC models, the circuit synthesis, the baselines, and the co-design core, so
 sensitivity studies (e.g. a more optimistic comparator) only need to swap
 the technology object.
 
-Calibration targets (see DESIGN.md, Section 6):
+Calibration targets, from the paper (docs/HARDWARE.md describes the flow
+they cost; ``tests/adc/test_flash.py`` and ``tests/adc/test_bespoke.py``
+pin the ADC ones):
 
 * conventional 4-bit flash ADC (15 comparators + ladder + priority encoder):
   ~11 mm2 and ~0.83 mW (Section III-B of the paper);

@@ -5,8 +5,8 @@ Once the result store holds a benchmark, ``table1``, ``fig4``, ``fig5``,
 records and render them.  Each runs here as a fresh process against a store
 filled in-process; its stdout must equal the cold render byte for byte, and
 it must not have imported the trainers, the split search, the unary
-translation, the circuits, the baselines or the serving stack (the table and
-figure commands not even the search).  Recipes are imported where they run,
+translation, the circuits, the baselines, the serving stack or the dataset
+recipes (the table and figure commands not even the search).  Recipes are imported where they run,
 so a stray module-level import in a record module fails this test.
 """
 
@@ -37,6 +37,8 @@ NEVER = (
     "repro.baselines",
     "repro.circuits",
     "repro.serve",
+    "repro.datasets.synthetic",
+    "repro.datasets.base",
 )
 
 #: Runs ``repro.cli.main`` on argv, then reports the loaded ``repro`` modules.

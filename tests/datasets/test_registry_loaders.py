@@ -1,9 +1,11 @@
 """Unit tests for the dataset registry and the eight benchmark loaders."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
-from repro.datasets.balance_scale import load_balance_scale
 from repro.datasets.registry import (
     DATASET_ABBREVIATIONS,
     dataset_names,
@@ -22,6 +24,41 @@ EXPECTED_SHAPES = {
     "vertebral_2c": (310, 6, 2),
     "pendigits": (7494, 16, 10),
 }
+
+#: sha256 of each benchmark as generated, per (name, seed): see ``dataset_digest``.
+#: A change here changes every result computed from that benchmark.
+DATASET_DIGESTS = {
+    ("whitewine", 0): "37d3ae36f5403f79618dc2b12bdf0f65fc00be49a1e29cd233b2806886bd85ad",
+    ("whitewine", 1): "6c5db98ffc7c8861c0df49805fef9f433628634e1cb8e266ad1c8b5178af59a5",
+    ("cardio", 0): "efc042bac2e0aeef7670fef6c7b820789c096f0e2ff2f33a736a745783294b16",
+    ("cardio", 1): "8298fa9b596f432bfe4323b1c1e6aa65ae09f3ccfcbe75e033f8339b31f8be17",
+    ("arrhythmia", 0): "5aa41e19982d3545ba4d3be5f72081b624802ec56f48a978aeb2155bc6703a99",
+    ("arrhythmia", 1): "c1bc2f23df5d5feb5305b98f420659f83e6dc38008db3788561ecdd528d68a07",
+    ("balance_scale", 0): "946d23ea2e906ed1077a8c599aabb3fae191f382173160d6f92b49cb911b888e",
+    ("balance_scale", 1): "946d23ea2e906ed1077a8c599aabb3fae191f382173160d6f92b49cb911b888e",
+    ("vertebral_3c", 0): "ee11590a8ac34d039da84e0aeb01fc78a200dbc8aee9b5a3e2ddfeeecd223f70",
+    ("vertebral_3c", 1): "64abc1d32a34db1fd12a33e00fee2e746b9f7385aa17d37efbc96c002c5da3e1",
+    ("seeds", 0): "ab4d90285fdced964c5b40c0302a90de4efdd69bd12861a34081ca2cbd5bdab4",
+    ("seeds", 1): "c4c8236b4ceceae3485ba20e6d4b016c328636a9c3a0bb781d8e09ce1c8696c7",
+    ("vertebral_2c", 0): "cd61a97dbea11db7a848389d97b954041e82132f4ad83f320be0bbb016749b60",
+    ("vertebral_2c", 1): "4d4f7ed3383975cd0f5f8e8661cb293acfc416b16df075a068be1b44a34a5070",
+    ("pendigits", 0): "be8450439f0712432f01349c20a133e56e06b1bc4f7d406d60371fac96be02ab",
+    ("pendigits", 1): "980aeb5f86fad0343d7fb9c9af8061defb53e5c7a3f82a26dd4ca00f145160dd",
+}
+
+
+def dataset_digest(dataset) -> str:
+    """sha256 over the ``X``/``y`` dtypes, shapes and bytes, names, description and metadata."""
+    digest = hashlib.sha256()
+    for array in (dataset.X, dataset.y):
+        digest.update(f"{array.dtype.str}{array.shape}".encode())
+        digest.update(array.tobytes())
+    text = json.dumps(
+        [dataset.name, dataset.feature_names, dataset.class_names,
+         dataset.description, dataset.metadata],
+    )
+    digest.update(text.encode())
+    return digest.hexdigest()
 
 
 class TestRegistry:
@@ -71,6 +108,10 @@ class TestLoaders:
         np.testing.assert_array_equal(first.X, second.X)
         np.testing.assert_array_equal(first.y, second.y)
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_content_is_pinned(self, name, seed):
+        assert dataset_digest(load_dataset(name, seed)) == DATASET_DIGESTS[name, seed]
+
     def test_metadata_present(self, name):
         dataset = load_dataset(name)
         assert dataset.metadata["abbreviation"] == DATASET_ABBREVIATIONS[name]
@@ -79,12 +120,12 @@ class TestLoaders:
 
 class TestBalanceScaleExactness:
     def test_balance_scale_is_complete_factorial(self):
-        dataset = load_balance_scale()
+        dataset = load_dataset("balance_scale")
         distinct_rows = {tuple(row) for row in dataset.X}
         assert len(distinct_rows) == 625
 
     def test_balance_scale_rule(self):
-        dataset = load_balance_scale()
+        dataset = load_dataset("balance_scale")
         raw = dataset.X * 4.0 + 1.0  # undo normalization back to 1..5
         lw, ld, rw, rd = raw.T
         left_torque = lw * ld
@@ -96,7 +137,7 @@ class TestBalanceScaleExactness:
 
     def test_class_distribution_matches_uci(self):
         """The real dataset has 288 'L', 49 'B', 288 'R'."""
-        dataset = load_balance_scale()
+        dataset = load_dataset("balance_scale")
         np.testing.assert_array_equal(dataset.class_distribution(), [288, 49, 288])
 
 

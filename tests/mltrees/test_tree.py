@@ -52,6 +52,17 @@ class TestDecisionTreeStructure:
         tree = _manual_tree()
         assert tree.required_levels() == {0: (8,), 1: (4,)}
 
+    def test_trained_tree_comparison_views_agree(self, small_tree):
+        comparisons = small_tree.comparisons()
+        assert len(comparisons) == small_tree.n_decision_nodes
+        assert small_tree.unique_comparisons() == sorted(set(comparisons))
+        assert list(small_tree.required_levels()) == small_tree.used_features()
+
+    def test_required_levels_cover_all_comparisons(self, small_tree):
+        required = small_tree.required_levels()
+        for feature, level in small_tree.unique_comparisons():
+            assert level in required[feature]
+
     def test_validation_of_constructor(self):
         with pytest.raises(ValueError):
             DecisionTree(_lone_leaf(), n_features=0, n_classes=2)

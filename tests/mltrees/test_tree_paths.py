@@ -1,4 +1,4 @@
-"""Unit tests for decision-path extraction and the comparison summary.
+"""Unit tests for decision-path extraction.
 
 ``tree_to_paths`` is the reference path extraction kept in
 ``tests/oracles/two_level_reference.py``; production builds label logic
@@ -8,7 +8,6 @@ from :meth:`DecisionTree.paths` directly.
 import numpy as np
 
 from oracles.two_level_reference import tree_to_paths
-from repro.mltrees.export import comparisons_summary
 from repro.mltrees.cart import CARTTrainer
 
 
@@ -67,16 +66,3 @@ class TestTreeToPaths:
             text = str(path.conditions[0])
             assert "I" in text and (">=" in text or "<" in text)
 
-
-class TestComparisonsSummary:
-    def test_summary_consistent_with_tree(self, small_tree):
-        summary = comparisons_summary(small_tree)
-        assert summary.n_decision_nodes == small_tree.n_decision_nodes
-        assert summary.n_unique_pairs <= summary.n_decision_nodes
-        assert summary.used_features == tuple(small_tree.used_features())
-        assert summary.required_levels == small_tree.required_levels()
-
-    def test_required_levels_cover_all_comparisons(self, small_tree):
-        summary = comparisons_summary(small_tree)
-        for feature, level in small_tree.unique_comparisons():
-            assert level in summary.required_levels[feature]

@@ -6,7 +6,8 @@ the longest module prefix and walking the rest with ``getattr``.  A class's
 dataclass fields, annotated attributes and the ``self.<name>`` attributes
 its ``__init__`` assigns count as resolvable even though the class object
 does not carry them.  Relative targets (``:class:`DesignSpec```) are left to
-the reader; a deleted or renamed name behind a full path fails here.
+the reader; a deleted or renamed name behind a full path fails here.  So does
+a docstring naming a ``*.md`` path that is not a file of the repository.
 """
 
 import ast
@@ -19,10 +20,14 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 #: A role and its content, which may wrap lines (``Title <target>`` form).
 _ROLE = re.compile(r":(?:func|meth|class|attr|mod):`([^`]+)`")
+
+#: A Markdown file path, read relative to the repository root.
+_MARKDOWN = re.compile(r"[\w./-]+\.md\b")
 
 
 def reference_targets(text: str) -> list[str]:
@@ -96,6 +101,25 @@ def test_every_repro_reference_in_src_resolves():
     assert len(references) > 200  # the scan itself still finds the references
     broken = [f"{path}: {target}" for path, target in references if not resolves(target)]
     assert broken == []
+
+
+def _docstrings(path: Path) -> list[str]:
+    """The module, class and function docstrings of one source file."""
+    kinds = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    nodes = ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+    return [doc for node in nodes if isinstance(node, kinds) and (doc := ast.get_docstring(node))]
+
+
+def test_every_markdown_path_in_a_src_docstring_exists():
+    named = [
+        (str(path.relative_to(SRC)), markdown)
+        for path in sorted(SRC.rglob("*.py"))
+        for doc in _docstrings(path)
+        for markdown in _MARKDOWN.findall(doc)
+    ]
+    assert len(named) > 10  # the scan itself still finds the paths
+    missing = [f"{path}: {markdown}" for path, markdown in named if not (ROOT / markdown).is_file()]
+    assert missing == []
 
 
 class TestResolver:
