@@ -10,7 +10,7 @@ Two layers live here:
 
 * the original two-objective ``(maximize, minimize)`` helpers the analysis
   tables grew up on (:func:`pareto_front` and the accuracy-vs-cost
-  convenience fronts), and
+  convenience fronts), built on the primitives below, and
 * the general **minimize-tuple** primitives (:func:`dominates`,
   :func:`non_dominated_indices`) the budgeted multi-objective search
   (:mod:`repro.search`) extracts its fronts with: every objective tuple is
@@ -67,31 +67,14 @@ def pareto_front(
 ) -> list:
     """Return the items not dominated under (maximize, minimize) objectives.
 
-    An item is dominated when another item is at least as good on both
-    objectives and strictly better on at least one.  The returned front is
-    sorted by the minimized objective (ascending).
+    Dominance is :func:`non_dominated_indices` over ``(-maximize, minimize)``.
+    The returned front is sorted by the minimized objective (ascending), and
+    items with the same rounded objective pair appear once.
     """
-    front = []
-    for item in items:
-        dominated = False
-        for other in items:
-            if other is item:
-                continue
-            at_least_as_good = (
-                maximize(other) >= maximize(item) and minimize(other) <= minimize(item)
-            )
-            strictly_better = (
-                maximize(other) > maximize(item) or minimize(other) < minimize(item)
-            )
-            if at_least_as_good and strictly_better:
-                dominated = True
-                break
-        if not dominated:
-            front.append(item)
-    # Deduplicate identical objective pairs while preserving determinism.
+    front = non_dominated_indices([(-maximize(item), minimize(item)) for item in items])
     seen: set[tuple[float, float]] = set()
     unique = []
-    for item in sorted(front, key=lambda it: (minimize(it), -maximize(it))):
+    for item in sorted((items[i] for i in front), key=lambda it: (minimize(it), -maximize(it))):
         key = (round(minimize(item), 12), round(maximize(item), 12))
         if key not in seen:
             seen.add(key)

@@ -45,7 +45,6 @@ depth are a prefix of its arrays, which is what lets
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,43 +59,6 @@ NODE_ARRAYS = (
 
 #: Columns of a node table: the 1-D arrays, then one column per class count.
 _TABLE_COLUMNS = tuple(name for name in NODE_ARRAYS if name != "class_counts")
-
-
-@dataclass
-class TreeNode:
-    """A node of the linked trees that pickles written before the array layout hold.
-
-    Nothing builds these; the class exists so such pickles (schema-2
-    registry artifacts) still load.  A leaf's ``feature`` is ``None``.
-    """
-
-    node_id: int
-    prediction: int
-    n_samples: int
-    class_counts: tuple[int, ...]
-    feature: int | None = None
-    threshold_level: int | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    depth: int = 0
-
-
-def _flatten(root: TreeNode) -> np.ndarray:
-    """The node table of the linked tree under ``root``, one row per node id."""
-    rows: dict[int, tuple] = {}
-    stack, n_nodes = [(root, 0)], 0
-    while stack:
-        node, depth = stack.pop()
-        n_nodes += 1
-        if node.feature is None:
-            split = (LEAF, 0, node.node_id, node.node_id)
-        else:
-            split = (node.feature, node.threshold_level, node.left.node_id, node.right.node_id)
-            stack += [(node.right, depth + 1), (node.left, depth + 1)]
-        rows[node.node_id] = (*split, node.prediction, node.n_samples, depth, *node.class_counts)
-    if root.node_id != 0 or sorted(rows) != list(range(n_nodes)):
-        raise ValueError("node ids must number the nodes 0..n-1 with the root at 0")
-    return np.array([rows[node_id] for node_id in range(n_nodes)], dtype=np.int64)
 
 
 def _from_table(table: np.ndarray) -> dict[str, np.ndarray]:
@@ -147,10 +109,7 @@ class DecisionTree:
         return state
 
     def __setstate__(self, state: dict) -> None:
-        # Pickles written before the array layout hold the linked root.
-        root = state.pop("root", None)
-        table = _flatten(root) if root is not None else state.pop("nodes")
-        self.__init__(_from_table(table), **state)
+        self.__init__(_from_table(state.pop("nodes")), **state)
 
     def with_thresholds(self, threshold: np.ndarray) -> DecisionTree:
         """This tree with its ``threshold`` array replaced (other arrays shared)."""

@@ -2,10 +2,10 @@
 
 Three layers turn cached experiment outputs into a serving stack:
 
-* :mod:`repro.serve.registry` -- promote a trained
-  :class:`~repro.core.exploration.DesignPoint` into a named, versioned,
+* :mod:`repro.serve.registry` -- :func:`~repro.serve.registry.promote_design`
+  turns one :class:`~repro.core.design.DesignSpec` into a named, versioned,
   content-addressed model artifact (tree + ADC config + datasheet +
-  compiled-kernel metadata).
+  compiled-kernel metadata) whose configuration all comes from the spec.
 * :mod:`repro.serve.batching` / :mod:`repro.serve.scorer` -- an asyncio
   micro-batching scorer that accumulates concurrent single-sample requests,
   converts each flush through the ADC front end once, and dispatches one

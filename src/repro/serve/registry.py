@@ -3,13 +3,15 @@
 The :class:`~repro.core.store.ResultStore` content-addresses every trained
 design, but its entries are keyed by *experiment configuration* (including
 the code version) and expire with upgrades.  A served model needs the
-opposite: a stable, human-addressable identity.  :class:`ModelRegistry`
-provides it by promoting a :class:`~repro.core.exploration.DesignPoint` to a
-**named, versioned, content-addressed artifact**:
+opposite: a stable, human-addressable identity.  :func:`promote_design`,
+the registry's only writer, turns one :class:`~repro.core.design.DesignSpec`
+into a **named, versioned, content-addressed artifact** whose
+configuration, tree and label all come from that spec, and
+:class:`ModelRegistry` stores, lists and loads the artifacts:
 
-* the artifact *digest* is :func:`repro.core.store.content_digest` over the
-  model's defining content (dataset, split seed, depth, tau, resolution,
-  training knobs, technology, and the tree structure itself) -- no code
+* the artifact *digest* (:func:`artifact_digest`) is
+  :func:`repro.core.store.content_digest` over the spec's key fields and
+  the tree's :meth:`~repro.mltrees.tree.DecisionTree.digest` -- no code
   version mixed in, so the identity survives package upgrades;
 * the *name/version* pair is the serving handle: promoting new content under
   an existing name allocates the next version, while re-promoting identical
@@ -39,11 +41,17 @@ from pathlib import Path
 from repro.adc.thermometer import WORD_BITS
 from repro.core.bespoke_adc import build_bespoke_frontend
 from repro.core.datasheet import generate_datasheet
-from repro.core.design import DesignPoint
+from repro.core.design import DesignSpec
 from repro.core.metrics import HardwareReport
-from repro.core.store import atomic_write, code_version, content_digest
+from repro.core.store import (
+    ResultStore,
+    atomic_write,
+    code_version,
+    content_digest,
+    default_cache_dir,
+)
 from repro.core.unary_tree import translate
-from repro.mltrees.tree import LEAF, DecisionTree
+from repro.mltrees.tree import DecisionTree
 from repro.pdk.egfet import EGFETTechnology, default_technology
 
 #: Registry names are serving handles that land in paths and URLs.
@@ -108,63 +116,18 @@ class ModelArtifact:
         }
 
 
-def artifact_digest(
-    point: DesignPoint,
-    *,
-    seed: int,
-    resolution_bits: int,
-    technology: EGFETTechnology,
-    training_sigma: float = 0.0,
-    robustness_weight: float = 1.0,
-) -> str:
-    """Content address of a design point's *model content*.
+def artifact_digest(spec: DesignSpec, tree: DecisionTree) -> str:
+    """Content address of a promoted model: the spec that trained it and its tree.
 
-    Hashes what defines the served function -- the tree structure (the
-    nested node form of :func:`_node_form` plus shape metadata) and the
-    configuration that trained it --
-    with **no code version mixed in**: retraining the same configuration
-    under a newer package that produces the same tree re-promotes to the
-    same digest (idempotent), while any structural change to the tree
-    allocates a new version.
+    Hashes the spec's key fields (the fields its store key hashes, with the
+    technology's digest) and :meth:`DecisionTree.digest`, with **no code
+    version mixed in**: retraining the same spec under a newer package that
+    produces the same tree re-promotes to the same digest (idempotent),
+    while any change to the tree allocates a new version.
     """
     return content_digest(
-        kind="repro-model-artifact",
-        dataset=point.dataset,
-        depth=point.depth,
-        tau=point.tau,
-        seed=seed,
-        resolution_bits=resolution_bits,
-        training_sigma=float(training_sigma),
-        robustness_weight=float(robustness_weight),
-        technology=technology,
-        tree_root=_node_form(point.tree, 0),
-        tree_shape=(
-            point.tree.n_features,
-            point.tree.n_classes,
-            point.tree.resolution_bits,
-        ),
+        kind="repro-model-artifact", spec=spec._key_fields(), tree=tree.digest()
     )
-
-
-def _node_form(tree: DecisionTree, node: int) -> dict:
-    """The subtree under ``node`` as the nested fields of a linked node record.
-
-    This is the canonical form the digest has hashed since trees were linked
-    records, so artifact identities survive the array layout.
-    """
-    is_leaf = int(tree.feature[node]) == LEAF
-    return {
-        "__dataclass__": "TreeNode",
-        "node_id": node,
-        "prediction": int(tree.prediction[node]),
-        "n_samples": int(tree.n_samples[node]),
-        "class_counts": tree.class_counts[node].tolist(),
-        "feature": None if is_leaf else int(tree.feature[node]),
-        "threshold_level": None if is_leaf else int(tree.threshold[node]),
-        "left": None if is_leaf else _node_form(tree, int(tree.left[node])),
-        "right": None if is_leaf else _node_form(tree, int(tree.right[node])),
-        "depth": int(tree.node_depth[node]),
-    }
 
 
 class ModelRegistry:
@@ -173,7 +136,8 @@ class ModelRegistry:
     Examples
     --------
     >>> registry = ModelRegistry("/tmp/repro-registry")   # doctest: +SKIP
-    >>> artifact = registry.promote(point, "cardio-posture")  # doctest: +SKIP
+    >>> artifact = promote_design(registry, "cardio", 4, 0.01,
+    ...                           name="cardio-posture")  # doctest: +SKIP
     >>> registry.load("cardio-posture").version           # doctest: +SKIP
     1
     """
@@ -205,98 +169,6 @@ class ModelRegistry:
     def manifest_path(self, name: str, version: int) -> Path:
         """Path of the manifest of ``name`` at ``version``."""
         return self.manifests_dir / name / f"v{version}.json"
-
-    # ------------------------------------------------------------------ #
-    # promotion
-    # ------------------------------------------------------------------ #
-    def promote(
-        self,
-        point: DesignPoint,
-        name: str,
-        *,
-        seed: int = 0,
-        resolution_bits: int = 4,
-        technology: EGFETTechnology | None = None,
-        training_sigma: float = 0.0,
-        robustness_weight: float = 1.0,
-    ) -> ModelArtifact:
-        """Promote a trained design point to a named, versioned artifact.
-
-        Idempotent on content: when ``name`` already has a version with the
-        same content digest, that existing artifact is returned untouched.
-        Otherwise the next version of ``name`` is allocated and both the
-        pickled artifact and its manifest are written atomically.
-        """
-        if not _NAME_RE.fullmatch(name):
-            raise ValueError(
-                f"invalid model name {name!r}: want lowercase "
-                "[a-z0-9._-], max 64 chars, leading alphanumeric"
-            )
-        technology = technology if technology is not None else default_technology()
-        digest = artifact_digest(
-            point,
-            seed=seed,
-            resolution_bits=resolution_bits,
-            technology=technology,
-            training_sigma=training_sigma,
-            robustness_weight=robustness_weight,
-        )
-        for version in self.versions(name):
-            manifest = self._read_manifest(name, version)
-            if manifest.get("digest") == digest:
-                return self.load(name, version)
-
-        unary = translate(point.tree)
-        if unary.n_inputs > 0:
-            frontend = build_bespoke_frontend(unary, technology)
-            adc_config = {
-                int(feature): tuple(adc.retained_levels)
-                for feature, adc in sorted(frontend.adcs.items())
-            }
-        else:  # degenerate single-leaf tree: nothing to digitize
-            adc_config = {}
-        kernel = unary.kernel
-        artifact = ModelArtifact(
-            name=name,
-            version=self._next_version(name),
-            digest=digest,
-            dataset=point.dataset,
-            depth=point.depth,
-            tau=point.tau,
-            seed=seed,
-            resolution_bits=resolution_bits,
-            accuracy=point.accuracy,
-            training_sigma=float(training_sigma),
-            robustness_weight=float(robustness_weight),
-            tree=point.tree,
-            technology=technology,
-            hardware=point.hardware,
-            adc_config=adc_config,
-            kernel_meta={
-                "n_digits": int(kernel.n_digits),
-                "n_cubes": int(kernel.n_cubes),
-                "n_literals": int(kernel.n_literals),
-                "n_classes": int(kernel.n_classes),
-                "word_bits": int(WORD_BITS),
-            },
-            datasheet=generate_datasheet(
-                unary,
-                name=f"{name} ({point.dataset}, depth={point.depth}, "
-                f"tau={point.tau:g})",
-                technology=technology,
-            ),
-            created_utc=time.time(),
-        )
-        atomic_write(
-            self.model_path(digest),
-            lambda handle: pickle.dump(artifact, handle, protocol=pickle.HIGHEST_PROTOCOL),
-        )
-        manifest = json.dumps(artifact.manifest(), sort_keys=True, indent=2)
-        atomic_write(
-            self.manifest_path(name, artifact.version),
-            lambda handle: handle.write(manifest.encode("utf-8")),
-        )
-        return artifact
 
     # ------------------------------------------------------------------ #
     # lookup
@@ -344,15 +216,23 @@ class ModelRegistry:
     def load(self, name: str, version: int | None = None) -> ModelArtifact:
         """Load the full artifact of ``name`` at ``version`` (default latest)."""
         manifest = self.manifest(name, version)
+        label = f"{manifest['name']}/v{manifest['version']}"
         path = self.model_path(manifest["digest"])
         try:
             with open(path, "rb") as handle:
-                return pickle.load(handle)
+                artifact = pickle.load(handle)
         except FileNotFoundError as exc:
-            raise KeyError(
-                f"manifest {manifest['name']}/v{manifest['version']} points at "
-                f"missing artifact {path.name}"
-            ) from exc
+            raise KeyError(f"manifest {label} points at missing artifact {path.name}") from exc
+        except (pickle.UnpicklingError, EOFError, AttributeError, ImportError,
+                IndexError, TypeError, ValueError) as exc:
+            # Truncated, foreign, or holding a tree layout this code no longer
+            # reads (the linked trees of schema-2 artifacts).
+            reason = f"{type(exc).__name__}: {exc}"
+        else:
+            if isinstance(artifact, ModelArtifact):
+                return artifact
+            reason = f"it holds a {type(artifact).__name__}"
+        raise KeyError(f"artifact {path} of {label} cannot be loaded ({reason}); re-promote it")
 
     # ------------------------------------------------------------------ #
     # internals
@@ -361,9 +241,17 @@ class ModelRegistry:
         with open(self.manifest_path(name, version), "r", encoding="utf-8") as handle:
             return json.load(handle)
 
-    def _next_version(self, name: str) -> int:
-        known = self.versions(name)
-        return (known[-1] + 1) if known else 1
+    def _write(self, artifact: ModelArtifact) -> None:
+        """Write ``artifact`` and its manifest, each atomically."""
+        atomic_write(
+            self.model_path(artifact.digest),
+            lambda handle: pickle.dump(artifact, handle, protocol=pickle.HIGHEST_PROTOCOL),
+        )
+        manifest = json.dumps(artifact.manifest(), sort_keys=True, indent=2)
+        atomic_write(
+            self.manifest_path(artifact.name, artifact.version),
+            lambda handle: handle.write(manifest.encode("utf-8")),
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ModelRegistry(registry_dir={str(self.registry_dir)!r})"
@@ -385,24 +273,32 @@ def promote_design(
 ) -> ModelArtifact:
     """Train-or-reuse one ``(dataset, depth, tau)`` design point and promote it.
 
-    The point is a :class:`~repro.core.design.DesignSpec`; its fast path is
-    a **read-only** hit on the spec's result-store entry, written by any
-    suite sweep, shard or search study that evaluated the same point --
-    without writing a byte to the cache directory (the lookup store is
-    opened with ``touch_on_get=False`` and its stats are never flushed).
-    On a miss the point is trained with the same recipe, again without
-    touching the cache.  Every field of the request is part of the spec, so
-    the promoted tree always matches the manifest's configuration.
-    """
-    from repro.core.design import DesignSpec
-    from repro.core.store import ResultStore, default_cache_dir
+    The request is one :class:`~repro.core.design.DesignSpec`.  Its point
+    comes from a **read-only** hit on the spec's result-store entry, written
+    by any suite sweep, shard or search study that evaluated the same spec
+    (the lookup store is opened with ``touch_on_get=False`` and its stats are
+    never flushed), or else from :meth:`DesignSpec.evaluate`, again without
+    touching the cache.  Every configuration field of the artifact is read
+    from the spec, so the promoted tree always matches its manifest.
 
+    Idempotent on content: when ``name`` (default ``<dataset>-d<depth>``)
+    already has a version with the same :func:`artifact_digest`, that
+    artifact is returned untouched, or written again under that version if
+    its model file cannot be loaded.  Otherwise the next version of ``name``
+    is allocated and the artifact and its manifest are written atomically.
+    """
     spec = DesignSpec(
         dataset, seed, depth, tau, resolution_bits,
         technology=technology if technology is not None else default_technology(),
         training_sigma=training_sigma,
         robustness_weight=robustness_weight,
     )
+    name = name if name is not None else f"{spec.dataset}-d{spec.depth}"
+    if not _NAME_RE.fullmatch(name):
+        raise ValueError(
+            f"invalid model name {name!r}: want lowercase "
+            "[a-z0-9._-], max 64 chars, leading alphanumeric"
+        )
     store = ResultStore(
         cache_dir if cache_dir is not None else default_cache_dir(),
         touch_on_get=False,
@@ -410,12 +306,56 @@ def promote_design(
     point = store.get(spec.key())
     if point is None:
         point = spec.evaluate()
-    return registry.promote(
-        point,
-        name if name is not None else f"{spec.dataset}-d{spec.depth}",
-        seed=seed,
+    digest = artifact_digest(spec, point.tree)
+    versions = registry.versions(name)
+    same = [v for v in versions if registry._read_manifest(name, v).get("digest") == digest]
+    if same:
+        try:
+            return registry.load(name, same[0])
+        except KeyError:  # its model file is missing or unreadable: write it again
+            version = same[0]
+    else:
+        version = versions[-1] + 1 if versions else 1
+
+    unary = translate(point.tree)
+    if unary.n_inputs > 0:
+        frontend = build_bespoke_frontend(unary, spec.technology)
+        adc_config = {
+            int(feature): tuple(adc.retained_levels)
+            for feature, adc in sorted(frontend.adcs.items())
+        }
+    else:  # degenerate single-leaf tree: nothing to digitize
+        adc_config = {}
+    kernel = unary.kernel
+    artifact = ModelArtifact(
+        name=name,
+        version=version,
+        digest=digest,
+        dataset=spec.dataset,
+        depth=spec.depth,
+        tau=spec.tau,
+        seed=spec.seed,
         resolution_bits=spec.resolution_bits,
+        accuracy=point.accuracy,
+        training_sigma=spec.training_sigma,
+        robustness_weight=spec.robustness_weight,
+        tree=point.tree,
         technology=spec.technology,
-        training_sigma=training_sigma,
-        robustness_weight=robustness_weight,
+        hardware=point.hardware,
+        adc_config=adc_config,
+        kernel_meta={
+            "n_digits": int(kernel.n_digits),
+            "n_cubes": int(kernel.n_cubes),
+            "n_literals": int(kernel.n_literals),
+            "n_classes": int(kernel.n_classes),
+            "word_bits": int(WORD_BITS),
+        },
+        datasheet=generate_datasheet(
+            unary,
+            name=f"{name} ({spec.dataset}, depth={spec.depth}, tau={spec.tau:g})",
+            technology=spec.technology,
+        ),
+        created_utc=time.time(),
     )
+    registry._write(artifact)
+    return artifact

@@ -19,7 +19,7 @@ import pytest
 
 from oracles.legacy_split_search import LegacyADCAwareGrowth
 from oracles.per_node_training import per_node
-from oracles.tree_walk import LinkedTree
+from oracles.tree_walk import LinkedTree, TreeNode
 from repro.analysis import experiments
 from repro.analysis.experiments import (
     FAST_DATASETS,
@@ -35,7 +35,7 @@ from repro.core.exploration import DEFAULT_DEPTHS, DEFAULT_TAUS
 from repro.core.sharding import ShardSpec, plan_suite_units, point_work_unit
 from repro.core.store import ResultStore
 from repro.datasets.registry import dataset_names
-from repro.mltrees.tree import LEAF, DecisionTree, TreeNode
+from repro.mltrees.tree import LEAF, DecisionTree
 
 #: Training knobs (sigma volts, robustness weight): nominal and two offset-aware pairs.
 KNOBS = ((0.0, 1.0), (0.02, 1.0), (0.04, 0.5))

@@ -5,8 +5,8 @@ import pickle
 import numpy as np
 import pytest
 
-from oracles.tree_walk import LinkedTree
-from repro.mltrees.tree import LEAF, DecisionTree, TreeNode
+from oracles.tree_walk import LinkedTree, TreeNode
+from repro.mltrees.tree import LEAF, DecisionTree
 
 #: Node arrays of the hand-built tree: root on feature 0 >= 8, right child
 #: (node 2) on feature 1 >= 4.
@@ -80,7 +80,7 @@ class TestArrayLayout:
             assert array.dtype == np.int64 and array.tolist() == values, name
 
     def test_linked_pickle_state_loads_by_node_id(self):
-        """A pickle written before the array layout holds the linked root.
+        """The linked oracle flattens to the array layout by node id.
 
         Its nodes' own ``depth`` fields are not read: depths come from the links.
         """
@@ -131,7 +131,7 @@ class TestArrayLayout:
 
     @pytest.mark.parametrize("ids", [(1, 2, 3), (0, 1, 1), (0, 1, 3)])
     def test_node_ids_must_number_the_nodes(self, ids):
-        """A linked pickle state whose ids are not 0..n-1 does not load."""
+        """A linked tree whose ids are not 0..n-1 does not flatten."""
         left = TreeNode(node_id=ids[1], prediction=0, n_samples=1, class_counts=(1, 0))
         right = TreeNode(node_id=ids[2], prediction=1, n_samples=1, class_counts=(0, 1))
         root = TreeNode(node_id=ids[0], prediction=0, n_samples=2, class_counts=(1, 1),

@@ -27,14 +27,14 @@ import pytest
 
 from oracles.legacy_split_search import LegacyADCAwareGrowth, LegacyCARTGrowth
 from oracles.per_node_training import per_node
-from oracles.tree_walk import LinkedTree, linked_approximate_tree
+from oracles.tree_walk import LinkedTree, TreeNode, linked_approximate_tree
 from repro.baselines.balaskas import approximate_tree
 from repro.core.adc_aware_training import ADCAwareTrainer
 from repro.datasets.registry import dataset_names, load_dataset
 from repro.mltrees.cart import CARTTrainer
 from repro.mltrees.evaluation import train_test_split
 from repro.mltrees.quantize import quantize_dataset
-from repro.mltrees.tree import LEAF, TreeNode
+from repro.mltrees.tree import LEAF
 
 SMALL_DATASETS = ("balance_scale", "vertebral_3c", "vertebral_2c", "seeds")
 LARGE_DATASETS = tuple(sorted(set(dataset_names()) - set(SMALL_DATASETS)))

@@ -23,7 +23,7 @@ linked :class:`~oracles.tree_walk.LinkedTree` it built.  Each loop is a
 ``_select_split`` hooks, so ``LegacyCARTGrowth.fit_linked(trainer, ...)``
 grows a production CART tree the old way, as linked nodes (an ADC-aware
 tree through the hooks of :func:`oracles.per_node_training.per_node`);
-``fit`` converts that tree through the legacy pickle-state path
+``fit`` flattens that tree into the array layout
 (:meth:`~oracles.tree_walk.LinkedTree.to_tree`).
 
 No production path uses it.  It exists so that
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from oracles.tree_walk import LinkedTree
+from oracles.tree_walk import LinkedTree, TreeNode
 from repro.core.adc_aware_training import ADCAwareTrainer
 from repro.mltrees.cart import CARTTrainer, GINI_TIE_TOLERANCE
 from repro.mltrees.split_search import (
@@ -58,7 +58,7 @@ from repro.mltrees.split_search import (
     SplitCandidate,
     class_histogram,
 )
-from repro.mltrees.tree import DecisionTree, TreeNode
+from repro.mltrees.tree import DecisionTree
 
 
 def legacy_enumerate_split_candidates(

@@ -1,15 +1,15 @@
 """Linked-node decision trees, retained as the oracle of the array layout.
 
 Before :class:`~repro.mltrees.tree.DecisionTree` stored its nodes as
-parallel arrays, it held the trainer's linked
-:class:`~repro.mltrees.tree.TreeNode` root, predicted batches with a
-recursive walk that split the row indices at every node, and baseline [7]
-approximated a tree by deep-copying that node graph and rewriting each
-threshold.  This module keeps those pieces verbatim:
+parallel arrays, it held the trainer's linked :class:`TreeNode` root,
+predicted batches with a recursive walk that split the row indices at every
+node, and baseline [7] approximated a tree by deep-copying that node graph
+and rewriting each threshold.  This module keeps those pieces verbatim:
 
+* :class:`TreeNode` -- the linked node record;
 * :class:`LinkedTree` -- traversal, structure queries and both predictors
-  of the linked layout, plus :meth:`LinkedTree.to_tree`, which loads the
-  linked root the way a pickle written before the array layout loads;
+  of the linked layout, plus :meth:`LinkedTree.to_tree`, which flattens the
+  linked root into the array layout by node id;
 * :func:`linked_approximate_tree` -- the deep-copy ``approximate_tree``.
 
 The linked trees the trainers used to build come from the retained growth
@@ -20,10 +20,26 @@ leaf when its ``feature`` is ``None``.
 from __future__ import annotations
 
 import copy
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.mltrees.tree import DecisionTree, TreeNode
+from repro.mltrees.tree import LEAF, DecisionTree
+
+
+@dataclass
+class TreeNode:
+    """A node of a linked tree; a leaf's ``feature`` is ``None``."""
+
+    node_id: int
+    prediction: int
+    n_samples: int
+    class_counts: tuple[int, ...]
+    feature: int | None = None
+    threshold_level: int | None = None
+    left: "TreeNode | None" = None
+    right: "TreeNode | None" = None
+    depth: int = 0
 
 
 class LinkedTree:
@@ -97,20 +113,33 @@ class LinkedTree:
         return predictions
 
     def to_tree(self) -> DecisionTree:
-        """The array-layout tree of this linked tree, loaded as a pre-array pickle.
+        """The array-layout tree of this linked tree, one row per node id.
 
-        Unpickling calls ``__setstate__`` on a bare instance with the old
-        ``__dict__``; its legacy ``root`` branch is the only flattening of a
-        linked tree there is.
+        Node depths come from the links; the nodes' own ``depth`` fields are
+        not read.
         """
-        tree = DecisionTree.__new__(DecisionTree)
-        tree.__setstate__({
-            "root": self.root,
-            "n_features": self.n_features,
-            "n_classes": self.n_classes,
-            "resolution_bits": self.resolution_bits,
-        })
-        return tree
+        rows: dict[int, tuple] = {}
+        stack, n_nodes = [(self.root, 0)], 0
+        while stack:
+            node, depth = stack.pop()
+            n_nodes += 1
+            if node.feature is None:
+                split = (LEAF, 0, node.node_id, node.node_id)
+            else:
+                split = (node.feature, node.threshold_level,
+                         node.left.node_id, node.right.node_id)
+                stack += [(node.right, depth + 1), (node.left, depth + 1)]
+            rows[node.node_id] = (*split, node.prediction, node.n_samples, depth,
+                                  node.class_counts)
+        if self.root.node_id != 0 or sorted(rows) != list(range(n_nodes)):
+            raise ValueError("node ids must number the nodes 0..n-1 with the root at 0")
+        columns = zip(*(rows[node_id] for node_id in range(n_nodes)))
+        names = ("feature", "threshold", "left", "right",
+                 "prediction", "n_samples", "node_depth", "class_counts")
+        return DecisionTree(
+            {name: list(column) for name, column in zip(names, columns)},
+            self.n_features, self.n_classes, self.resolution_bits,
+        )
 
 
 def linked_approximate_tree(tree: LinkedTree, per_feature_bits: dict[int, int]) -> LinkedTree:

@@ -1,18 +1,18 @@
 """Tests for the model registry: promotion, versioning, content addressing."""
 
+import asyncio
 import json
 import pickle
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.adc.thermometer import WORD_BITS
 from repro.core.datasheet import generate_datasheet
-from repro.core.design import DesignPoint, DesignSpec, proposed_hardware_report
+from repro.core.design import DesignSpec
+from repro.core.store import ResultStore
 from repro.core.unary_tree import UnaryDecisionTree
-from repro.datasets.synthetic import make_classification_blobs
-from repro.mltrees.evaluation import evaluate_tree_accuracy, train_test_split
+from repro.datasets.registry import load_dataset
 from repro.mltrees.quantize import quantize_dataset
 from repro.pdk.egfet import default_technology
 from repro.serve.registry import (
@@ -21,44 +21,35 @@ from repro.serve.registry import (
     default_registry_dir,
     promote_design,
 )
+from repro.serve.scorer import AsyncScorer
 
 
-#: A ``ModelArtifact`` of ``blobs_point`` promoted as ``blobs-legacy``
-#: and pickled while trees were still linked ``TreeNode`` records.
+#: A ``ModelArtifact`` pickled while trees were still linked ``TreeNode``
+#: records (registry schema 2).  This code cannot read it.
 LEGACY_ARTIFACT = Path(__file__).parent / "fixtures" / "legacy_artifact_schema2.pkl"
 
-#: ``artifact_digest`` of ``blobs_point`` (seed 0, 4 bits, default
-#: technology), recorded before trees were stored as node arrays.  A change
-#: here re-versions every promoted model.
-PINNED_DIGEST = "16b57ba92f55149378d5025727fdecfea882bd63018d53dbca6a18177c10f976"
+#: ``artifact_digest`` of ``DesignSpec("seeds", 0, 2, 0.0)`` and its trained
+#: tree.  A change here re-versions every promoted model.
+PINNED_DIGEST = "bf03b3bcfe44147692808bf6f40c9381be4664fb9a4a9b4a1fd11a3f5b3dc3b7"
+
+
+def seeds_spec(depth: int, **knobs) -> DesignSpec:
+    return DesignSpec("seeds", 0, depth, 0.0, **knobs)
 
 
 @pytest.fixture(scope="module")
 def design_points():
     """Two small trained design points with different content (depth 2 vs 3)."""
-    return {depth: DesignSpec("seeds", 0, depth, 0.0).evaluate() for depth in (2, 3)}
+    return {depth: seeds_spec(depth).evaluate() for depth in (2, 3)}
 
 
 @pytest.fixture(scope="module")
-def blobs_point():
-    """The depth-2 design point ``LEGACY_ARTIFACT`` and ``PINNED_DIGEST`` hold.
-
-    It was trained on an ad-hoc blob split that no registered benchmark
-    reproduces, so it is trained, scored and costed here the way
-    :func:`~repro.core.design.evaluate_family` does it on a benchmark.
-    """
-    X, y = make_classification_blobs(
-        n_samples=200, n_features=4, n_classes=3, class_sep=2.0, seed=5
-    )
-    X_train, X_test, y_train, y_test = train_test_split(X, y, test_size=0.3, seed=0)
-    spec = DesignSpec("blobs", 0, 2, 0.0)
-    tree = spec.trainer().fit(quantize_dataset(X_train, 4), y_train, 3)
-    return DesignPoint(
-        dataset="blobs", depth=2, tau=0.0,
-        accuracy=evaluate_tree_accuracy(tree, quantize_dataset(X_test, 4), y_test),
-        hardware=proposed_hardware_report(tree, spec.technology, name="codesign[d=2,tau=0]"),
-        tree=tree,
-    )
+def cache_dir(tmp_path_factory, design_points):
+    """A result store holding both design points, so promotions hit it."""
+    store = ResultStore(tmp_path_factory.mktemp("cache"))
+    for depth, point in design_points.items():
+        store.put(seeds_spec(depth).key(), point)
+    return store.cache_dir
 
 
 @pytest.fixture
@@ -66,10 +57,22 @@ def registry(tmp_path):
     return ModelRegistry(tmp_path / "registry")
 
 
+@pytest.fixture
+def promote(registry, cache_dir):
+    """Promote the seeds point of ``depth`` under ``name`` from the store."""
+
+    def promote(depth, name, **kwargs):
+        return promote_design(
+            registry, "seeds", depth, 0.0, name=name, cache_dir=cache_dir, **kwargs
+        )
+
+    return promote
+
+
 class TestPromotion:
-    def test_promote_load_roundtrip(self, registry, design_points):
+    def test_promote_load_roundtrip(self, registry, promote, design_points):
         point = design_points[2]
-        artifact = registry.promote(point, "seeds-posture")
+        artifact = promote(2, "seeds-posture")
         assert artifact.name == "seeds-posture"
         assert artifact.version == 1
         assert artifact.dataset == "seeds"
@@ -82,15 +85,15 @@ class TestPromotion:
         # The served function survives the pickle roundtrip bit-identically.
         assert loaded.tree == point.tree
 
-    def test_promote_is_idempotent_on_content(self, registry, design_points):
-        first = registry.promote(design_points[2], "m")
-        again = registry.promote(design_points[2], "m")
+    def test_promote_is_idempotent_on_content(self, registry, promote):
+        first = promote(2, "m")
+        again = promote(2, "m")
         assert (again.version, again.digest) == (first.version, first.digest)
         assert registry.versions("m") == [1]
 
-    def test_new_content_allocates_next_version(self, registry, design_points):
-        v1 = registry.promote(design_points[2], "m")
-        v2 = registry.promote(design_points[3], "m")
+    def test_new_content_allocates_next_version(self, registry, promote):
+        v1 = promote(2, "m")
+        v2 = promote(3, "m")
         assert (v1.version, v2.version) == (1, 2)
         assert v1.digest != v2.digest
         assert registry.versions("m") == [1, 2]
@@ -99,60 +102,89 @@ class TestPromotion:
         # ... while pinned loads still reach the old artifact.
         assert registry.load("m", 1).digest == v1.digest
 
-    def test_same_content_under_two_names(self, registry, design_points):
-        a = registry.promote(design_points[2], "name-a")
-        b = registry.promote(design_points[2], "name-b")
+    def test_same_content_under_two_names(self, registry, promote):
+        a = promote(2, "name-a")
+        b = promote(2, "name-b")
         assert a.digest == b.digest
         assert sorted(registry.list_models()) == ["name-a", "name-b"]
 
     @pytest.mark.parametrize(
         "bad_name", ["", "UPPER", "-leading-dash", ".hidden", "with space", "a" * 65]
     )
-    def test_invalid_names_rejected(self, registry, design_points, bad_name):
+    def test_invalid_names_rejected(self, registry, promote, bad_name):
         with pytest.raises(ValueError, match="invalid model name"):
-            registry.promote(design_points[2], bad_name)
+            promote(2, bad_name)
+        assert registry.list_models() == []
 
 
 class TestDigest:
     def test_digest_is_deterministic(self, design_points):
-        technology = default_technology()
-        kwargs = dict(seed=0, resolution_bits=4, technology=technology)
-        assert artifact_digest(design_points[2], **kwargs) == artifact_digest(
-            design_points[2], **kwargs
-        )
+        tree = design_points[2].tree
+        assert artifact_digest(seeds_spec(2), tree) == artifact_digest(seeds_spec(2), tree)
 
     def test_digest_separates_content(self, design_points):
-        technology = default_technology()
-        kwargs = dict(seed=0, resolution_bits=4, technology=technology)
-        d2 = artifact_digest(design_points[2], **kwargs)
-        d3 = artifact_digest(design_points[3], **kwargs)
+        d2 = artifact_digest(seeds_spec(2), design_points[2].tree)
+        d3 = artifact_digest(seeds_spec(3), design_points[3].tree)
         assert d2 != d3
 
-    def test_digest_is_pinned(self, blobs_point):
-        digest = artifact_digest(
-            blobs_point, seed=0, resolution_bits=4, technology=default_technology()
-        )
-        assert digest == PINNED_DIGEST
+    def test_digest_is_pinned(self, design_points):
+        assert artifact_digest(seeds_spec(2), design_points[2].tree) == PINNED_DIGEST
 
     def test_digest_sensitive_to_training_knobs(self, design_points):
-        technology = default_technology()
-        base = artifact_digest(
-            design_points[2], seed=0, resolution_bits=4, technology=technology
-        )
-        shifted = artifact_digest(
-            design_points[2],
-            seed=0,
-            resolution_bits=4,
-            technology=technology,
-            training_sigma=0.04,
-        )
+        tree = design_points[2].tree
+        base = artifact_digest(seeds_spec(2), tree)
+        shifted = artifact_digest(seeds_spec(2, training_sigma=0.04), tree)
         assert base != shifted
+
+    def test_digest_sensitive_to_the_tree(self, design_points):
+        tree = design_points[2].tree
+        moved = tree.with_thresholds(tree.threshold + 1)
+        assert artifact_digest(seeds_spec(2), tree) != artifact_digest(seeds_spec(2), moved)
+
+
+class TestServedLabel:
+    """An artifact's configuration, tree and served labels come from one spec."""
+
+    def test_three_bit_promotion_agrees_everywhere(self, registry, tmp_path):
+        artifact = promote_design(
+            registry, "seeds", 4, 0.0, resolution_bits=3, seed=1,
+            cache_dir=tmp_path / "cache",
+        )
+        manifest = registry.manifest(artifact.name)
+        assert artifact.resolution_bits == manifest["resolution_bits"] == 3
+        assert artifact.tree.resolution_bits == 3
+        assert artifact.seed == manifest["seed"] == 1
+
+        rows = load_dataset("seeds", seed=1).X
+        expected = artifact.tree.predict_levels(quantize_dataset(rows, 3))
+
+        async def scenario():
+            async with AsyncScorer(registry.load(artifact.name)) as scorer:
+                return await asyncio.gather(*(scorer.score(row) for row in rows))
+
+        assert asyncio.run(scenario()) == expected.tolist()
+
+    def test_store_hit_and_cold_promotion_share_the_digest(self, tmp_path):
+        spec = DesignSpec("seeds", 1, 4, 0.0, 3)
+        store = ResultStore(tmp_path / "warm")
+        store.put(spec.key(), spec.evaluate())
+        kwargs = dict(seed=1, resolution_bits=3)
+        cold = promote_design(
+            ModelRegistry(tmp_path / "cold-reg"), "seeds", 4, 0.0,
+            cache_dir=tmp_path / "empty", **kwargs,
+        )
+        warm = promote_design(
+            ModelRegistry(tmp_path / "warm-reg"), "seeds", 4, 0.0,
+            cache_dir=store.cache_dir, **kwargs,
+        )
+        assert warm.digest == cold.digest == artifact_digest(spec, cold.tree)
+        assert warm.tree == cold.tree
 
 
 class TestManifest:
-    def test_manifest_fields_and_kernel_meta(self, registry, design_points):
+    def test_manifest_fields_and_kernel_meta(self, registry, promote, design_points):
         point = design_points[3]
-        artifact = registry.promote(point, "seeds-d3")
+        artifact = promote(3, "seeds-d3")
         manifest = registry.manifest("seeds-d3")
         assert manifest["name"] == "seeds-d3"
         assert manifest["version"] == 1
@@ -168,8 +200,8 @@ class TestManifest:
             "word_bits": WORD_BITS,
         }
 
-    def test_manifest_is_light_json_on_disk(self, registry, design_points):
-        artifact = registry.promote(design_points[2], "m")
+    def test_manifest_is_light_json_on_disk(self, registry, promote):
+        artifact = promote(2, "m")
         path = registry.manifest_path("m", 1)
         on_disk = json.loads(path.read_text())
         assert on_disk["digest"] == artifact.digest
@@ -177,8 +209,8 @@ class TestManifest:
         # Small enough to grep through thousands of manifests.
         assert path.stat().st_size < 4096
 
-    def test_artifact_bundles_serving_extras(self, registry, design_points):
-        artifact = registry.promote(design_points[2], "m")
+    def test_artifact_bundles_serving_extras(self, promote):
+        artifact = promote(2, "m")
         # Bespoke ADC config: per-feature retained comparator levels.
         for feature, levels in artifact.adc_config.items():
             assert isinstance(feature, int)
@@ -186,50 +218,62 @@ class TestManifest:
         assert artifact.datasheet  # rendered, human-readable
         assert artifact.kernel_meta["n_classes"] == 3
 
-    def test_promote_minimizes_each_label_once(
-        self, registry, design_points, count_minimizations
-    ):
-        # The ADC config, the kernel metrics and the datasheet share one
-        # unary translation.
-        point = pickle.loads(pickle.dumps(design_points[3]))  # a never-compiled tree
-        artifact = registry.promote(point, "seeds-once")
-        assert len(count_minimizations) == point.tree.n_classes
+    def test_promote_minimizes_each_label_once(self, promote, count_minimizations):
+        # A store hit unpickles a never-compiled tree; the ADC config, the
+        # kernel metrics and the datasheet share its one unary translation.
+        artifact = promote(3, "seeds-once")
+        assert len(count_minimizations) == artifact.tree.n_classes
         assert artifact.datasheet == generate_datasheet(
-            point.tree,
+            artifact.tree,
             name="seeds-once (seeds, depth=3, tau=0)",
             technology=default_technology(),
         )
 
 
-class TestLegacyArtifacts:
-    @pytest.fixture
-    def legacy_registry(self, registry):
-        """A registry holding the legacy artifact as ``blobs-legacy`` v1."""
-        artifact = pickle.loads(LEGACY_ARTIFACT.read_bytes())
-        model = registry.model_path(artifact.digest)
-        manifest = registry.manifest_path(artifact.name, artifact.version)
+class TestUnreadableArtifacts:
+    """A model file the registry cannot load fails with a named ``KeyError``."""
+
+    def _plant(self, registry, payload: bytes):
+        """``payload`` as the model file of ``planted`` v1."""
+        digest = "f" * 64
+        model = registry.model_path(digest)
+        manifest = registry.manifest_path("planted", 1)
         for path in (model, manifest):
             path.parent.mkdir(parents=True, exist_ok=True)
-        model.write_bytes(LEGACY_ARTIFACT.read_bytes())
-        manifest.write_text(json.dumps(artifact.manifest()), encoding="utf-8")
-        return registry
-
-    def test_loads_and_scores_identically(self, legacy_registry, blobs_point):
-        point = blobs_point
-        loaded = legacy_registry.load("blobs-legacy")
-        assert loaded.digest == PINNED_DIGEST
-        assert loaded.tree == point.tree
-        levels = np.random.default_rng(0).integers(0, 16, size=(200, point.tree.n_features))
-        expected = point.tree.predict_levels(levels)
-        np.testing.assert_array_equal(loaded.tree.predict_levels(levels), expected)
-        np.testing.assert_array_equal(
-            UnaryDecisionTree(loaded.tree).kernel.predict_levels(levels), expected
+        model.write_bytes(payload)
+        manifest.write_text(
+            json.dumps({"name": "planted", "version": 1, "digest": digest}),
+            encoding="utf-8",
         )
+        return model
 
-    def test_repromote_returns_the_legacy_version(self, legacy_registry, blobs_point):
-        again = legacy_registry.promote(blobs_point, "blobs-legacy")
-        assert (again.version, again.digest) == (1, PINNED_DIGEST)
-        assert legacy_registry.versions("blobs-legacy") == [1]
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            pytest.param(LEGACY_ARTIFACT.read_bytes(), id="schema2-linked-tree"),
+            pytest.param(LEGACY_ARTIFACT.read_bytes()[:200], id="truncated"),
+            pytest.param(b"", id="empty"),
+            pytest.param(b"not a pickle", id="garbage"),
+            pytest.param(pickle.dumps({"name": "planted"}), id="foreign-pickle"),
+        ],
+    )
+    def test_load_names_the_file_and_says_re_promote(self, registry, payload):
+        model = self._plant(registry, payload)
+        with pytest.raises(KeyError, match="re-promote") as raised:
+            registry.load("planted")
+        assert model.name in raised.value.args[0]
+        assert "planted/v1" in raised.value.args[0]
+
+    def test_re_promoting_rewrites_an_unreadable_model_file(self, registry, promote):
+        first = promote(2, "m")
+        model = registry.model_path(first.digest)
+        model.write_bytes(model.read_bytes()[:100])
+        with pytest.raises(KeyError, match="re-promote"):
+            registry.load("m")
+        again = promote(2, "m")
+        assert (again.version, again.digest) == (first.version, first.digest)
+        assert registry.versions("m") == [1]
+        assert registry.load("m").tree == first.tree
 
 
 class TestLookupErrors:
@@ -241,8 +285,8 @@ class TestLookupErrors:
         assert registry.versions("ghost") == []
         assert registry.list_models() == []
 
-    def test_unknown_version_raises_keyerror(self, registry, design_points):
-        registry.promote(design_points[2], "m")
+    def test_unknown_version_raises_keyerror(self, registry, promote):
+        promote(2, "m")
         with pytest.raises(KeyError, match="version"):
             registry.load("m", 7)
 

@@ -1,12 +1,17 @@
 """Golden tests for the ``registry`` and ``serve smoke`` CLI commands."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from repro.serve.registry import ModelRegistry
 
 DATASET = "vertebral_2c"  # smallest real benchmark: fast to train shallow
+
+#: A registry artifact of linked ``TreeNode`` trees, which this code cannot read.
+LEGACY_ARTIFACT = Path(__file__).parent / "fixtures" / "legacy_artifact_schema2.pkl"
 
 
 @pytest.fixture
@@ -105,6 +110,21 @@ class TestRegistryCli:
             main(["registry", "show", "ghost", "--registry-dir", registry_dir]) == 2
         )
         assert "ghost" in capsys.readouterr().err
+
+    def test_show_datasheet_of_a_schema2_artifact_exits_2(
+        self, registry_dir, cache_dir, capsys
+    ):
+        """A model file this code cannot read is a usage error, not a traceback."""
+        promote(registry_dir, cache_dir)
+        registry = ModelRegistry(registry_dir)
+        model = registry.model_path(registry.manifest(f"{DATASET}-d2")["digest"])
+        model.write_bytes(LEGACY_ARTIFACT.read_bytes())
+        capsys.readouterr()
+        argv = ["registry", "show", f"{DATASET}-d2", "--datasheet", "--registry-dir", registry_dir]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("registry show: ")
+        assert model.name in err and "re-promote" in err
 
 
 class TestServeSmokeCli:
