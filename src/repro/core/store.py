@@ -40,7 +40,9 @@ from pathlib import Path
 #: grid point, all keyed through :class:`repro.core.design.DesignSpec`.
 #: Schema 3: stored trees hold their nodes as arrays
 #: (:class:`repro.mltrees.tree.DecisionTree`), not as a linked root.
-STORE_SCHEMA_VERSION = 3
+#: Schema 4: a stored tree's node table is a plain ``(dtype.str, shape,
+#: bytes)`` triple, not a numpy array, so a replay unpickles it without numpy.
+STORE_SCHEMA_VERSION = 4
 
 #: A ``*.tmp`` file younger than this is presumed to be a concurrent writer's
 #: in-flight entry (mkstemp -> os.replace window) and is never swept.

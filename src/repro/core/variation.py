@@ -28,12 +28,12 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.core.executor import get_executor
 from repro.pdk.egfet import EGFETTechnology, default_technology
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from repro.core.unary_tree import UnaryDecisionTree
     from repro.mltrees.tree import DecisionTree
 
@@ -63,6 +63,8 @@ class ComparatorOffsetModel:
 
     def sample(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
         """Draw comparator offsets in volts, an array of shape ``size``."""
+        import numpy as np
+
         if self.sigma_v == 0:
             return np.full(size, self.mean_v)
         return rng.normal(self.mean_v, self.sigma_v, size=size)
@@ -113,6 +115,8 @@ class ComparatorOffsetModel:
         np.ndarray
             Flip probabilities, same shape as ``margins``.
         """
+        import numpy as np
+
         from repro.mltrees.split_search import normal_cdf
 
         if vdd <= 0:
@@ -151,6 +155,8 @@ def analytic_flip_probabilities(
 
     Returns an ``(n_samples, n_comparators)`` float matrix.
     """
+    import numpy as np
+
     from repro.core.unary_tree import translate
 
     technology = technology if technology is not None else default_technology()
@@ -178,6 +184,8 @@ def _comparator_values_and_thresholds(
     gather of the clipped inputs and the ``(n_comparators,)`` nominal
     normalized thresholds.
     """
+    import numpy as np
+
     comparators = unary.comparators
     features = np.array([feature for feature, _ in comparators], dtype=np.intp)
     levels = np.array([level for _, level in comparators], dtype=float)
@@ -264,6 +272,8 @@ def _predict_with_offsets(
     np.ndarray
         ``(n_trials, n_samples)`` predicted class labels.
     """
+    import numpy as np
+
     X = np.asarray(X, dtype=float)
     offset_matrix = np.atleast_2d(np.asarray(offset_matrix, dtype=float))
     comparators = unary.comparators
@@ -295,6 +305,8 @@ def _trial_batch_accuracies(
     correct labels divided by ``y.size``, the same float
     :func:`~repro.mltrees.evaluation.accuracy_score` returns for that row.
     """
+    import numpy as np
+
     predictions = _predict_with_offsets(unary, X, offset_batch, vdd)
     return np.count_nonzero(predictions == y, axis=1) / y.size
 
@@ -331,6 +343,8 @@ def simulate_offset_variation(
         process, ``0``: one per CPU).  All offsets are drawn up front, so
         parallel runs are bit-identical to serial ones.
     """
+    import numpy as np
+
     from repro.core.unary_tree import translate
     from repro.mltrees.evaluation import accuracy_score
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 if TYPE_CHECKING:
     from repro.datasets.base import Dataset
 
@@ -123,6 +121,8 @@ def load_csv(
     delimiter, skip_header:
         Passed to :func:`numpy.genfromtxt`.
     """
+    import numpy as np
+
     from repro.datasets.base import Dataset
     from repro.datasets.normalize import normalize_unit_range
 

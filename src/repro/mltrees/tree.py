@@ -40,13 +40,26 @@ pre-order.  The ADC-aware trainer appends one block of rows per tree level,
 so its ids are breadth-first.  A breadth-first tree's nodes down to any
 depth are a prefix of its arrays, which is what lets
 :meth:`DecisionTree.truncated` cut it by slicing.
+
+Pickling
+--------
+A tree pickles its metadata and one *packed node table*: the plain triple
+``(dtype.str, shape, bytes)`` of the ``(n_nodes, 7 + n_classes)`` table,
+narrowed to the smallest signed integer type that holds it.  The bytes name
+no numpy class, so unpickling a tree -- every store replay unpickles
+hundreds -- imports no numpy.  ``__setstate__`` checks the triple and keeps
+it packed; the first access to a node array decodes all of them, and a
+still-packed tree pickles the same triple back.  numpy is imported in the
+methods that compute.
 """
 
 from __future__ import annotations
 
 import hashlib
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 #: ``feature`` value of a leaf.
 LEAF = -1
@@ -60,13 +73,48 @@ NODE_ARRAYS = (
 #: Columns of a node table: the 1-D arrays, then one column per class count.
 _TABLE_COLUMNS = tuple(name for name in NODE_ARRAYS if name != "class_counts")
 
+#: Byte width of each ``dtype.str`` a packed node table may have: the signed
+#: integer types ``numpy.min_scalar_type`` narrows a table to.
+_PACKED_ITEMSIZE = {"|i1": 1, "<i2": 2, "<i4": 4, "<i8": 8, ">i2": 2, ">i4": 4, ">i8": 8}
+
 
 def _from_table(table: np.ndarray) -> dict[str, np.ndarray]:
     """Split an ``(n_nodes, 7 + n_classes)`` node table into the node arrays."""
+    import numpy as np
+
     columns = np.array(table.T, dtype=np.int64)
     arrays = dict(zip(_TABLE_COLUMNS, columns))
     arrays["class_counts"] = np.ascontiguousarray(columns[len(_TABLE_COLUMNS):].T)
     return arrays
+
+
+def _checked_packed(packed, n_classes: int) -> tuple[str, tuple[int, int], bytes]:
+    """``packed`` if it is a node table triple this code can decode.
+
+    Checked without numpy, so a malformed pickle fails while it is loaded,
+    not at its first array access.
+    """
+    if type(packed) is not tuple or len(packed) != 3:
+        raise TypeError(
+            "a pickled tree's nodes must be a (dtype.str, shape, bytes) triple, "
+            f"got a {type(packed).__name__}"
+        )
+    dtype, shape, data = packed
+    if dtype not in _PACKED_ITEMSIZE:
+        raise TypeError(f"node table dtype {dtype!r} is not a signed integer type")
+    if (
+        type(shape) is not tuple
+        or [type(n) for n in shape] != [int, int]
+        or shape[0] < 1
+        or shape[1] != len(_TABLE_COLUMNS) + n_classes
+        or type(data) is not bytes
+        or len(data) != _PACKED_ITEMSIZE[dtype] * shape[0] * shape[1]
+    ):
+        raise ValueError(
+            f"a {dtype} node table of shape {shape!r} does not hold {n_classes} "
+            "classes in its bytes"
+        )
+    return packed
 
 
 class DecisionTree:
@@ -83,6 +131,10 @@ class DecisionTree:
         n_classes: int,
         resolution_bits: int = 4,
     ):
+        self._set_metadata(n_features, n_classes, resolution_bits)
+        self._set_nodes(nodes)
+
+    def _set_metadata(self, n_features: int, n_classes: int, resolution_bits: int) -> None:
         if n_features < 1:
             raise ValueError("a decision tree needs at least one input feature")
         if n_classes < 2:
@@ -92,6 +144,10 @@ class DecisionTree:
         self.n_features = n_features
         self.n_classes = n_classes
         self.resolution_bits = resolution_bits
+
+    def _set_nodes(self, nodes: dict[str, np.ndarray]) -> None:
+        import numpy as np
+
         # Read-only, so trees may share node arrays safely.
         for name in NODE_ARRAYS:
             array = np.asarray(nodes[name], dtype=np.int64)
@@ -99,20 +155,45 @@ class DecisionTree:
             setattr(self, name, array)
 
     def __getstate__(self) -> dict:
-        # One node table of the narrowest integer type that holds it keeps
-        # store entries and registry artifacts small.
-        state = {k: v for k, v in self.__dict__.items() if k not in NODE_ARRAYS}
-        table = np.column_stack(
-            [*(getattr(self, name) for name in _TABLE_COLUMNS), self.class_counts]
-        )
-        state["nodes"] = table.astype(np.min_scalar_type(-1 - int(table.max())))
+        state = {
+            k: v for k, v in self.__dict__.items() if k not in NODE_ARRAYS and k != "_packed"
+        }
+        packed = self.__dict__.get("_packed")
+        if packed is None:
+            import numpy as np
+
+            # One node table of the narrowest integer type that holds it keeps
+            # store entries and registry artifacts small.
+            table = np.column_stack(
+                [*(getattr(self, name) for name in _TABLE_COLUMNS), self.class_counts]
+            )
+            table = table.astype(np.min_scalar_type(-1 - int(table.max())))
+            packed = (table.dtype.str, table.shape, table.tobytes())
+        state["nodes"] = packed
         return state
 
     def __setstate__(self, state: dict) -> None:
-        self.__init__(_from_table(state.pop("nodes")), **state)
+        packed = state.pop("nodes")
+        self._set_metadata(**state)
+        self._packed = _checked_packed(packed, self.n_classes)
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute the instance does not hold: the node
+        # arrays of a tree unpickled with its table still packed.
+        packed = self.__dict__.get("_packed") if name in NODE_ARRAYS else None
+        if packed is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        import numpy as np
+
+        dtype, shape, data = packed
+        self._set_nodes(_from_table(np.frombuffer(data, dtype=dtype).reshape(shape)))
+        self.__dict__.pop("_packed", None)
+        return self.__dict__[name]
 
     def with_thresholds(self, threshold: np.ndarray) -> DecisionTree:
         """This tree with its ``threshold`` array replaced (other arrays shared)."""
+        import numpy as np
+
         threshold = np.array(threshold, dtype=np.int64)
         if threshold.shape != self.threshold.shape:
             raise ValueError(
@@ -128,6 +209,8 @@ class DecisionTree:
         ``0..n-1`` -- a breadth-first tree -- can be cut by slicing its
         arrays; anything else (a pre-order CART tree) raises ``ValueError``.
         """
+        import numpy as np
+
         if depth < 0:
             raise ValueError("depth must be >= 0")
         if depth >= self.depth:
@@ -151,6 +234,8 @@ class DecisionTree:
         ``CoDesignResult``) compare by value, e.g. when asserting that
         serial and parallel experiment runs produce identical results.
         """
+        import numpy as np
+
         if not isinstance(other, DecisionTree):
             return NotImplemented
         return (
@@ -172,6 +257,8 @@ class DecisionTree:
         Computed on each call and never stored on the tree, so it cannot
         change the tree's pickle.
         """
+        import numpy as np
+
         digest = hashlib.sha256(
             repr((self.n_features, self.n_classes, self.resolution_bits)).encode()
         )
@@ -192,6 +279,8 @@ class DecisionTree:
     @property
     def n_decision_nodes(self) -> int:
         """Number of comparison nodes (the ``#Comp.`` column of Table I)."""
+        import numpy as np
+
         return int(np.count_nonzero(self.feature != LEAF))
 
     @property
@@ -249,6 +338,8 @@ class DecisionTree:
 
     def used_features(self) -> list[int]:
         """Sorted indices of features referenced by at least one split."""
+        import numpy as np
+
         return np.unique(self.feature[self.feature != LEAF]).tolist()
 
     def required_levels(self) -> dict[int, tuple[int, ...]]:
@@ -267,6 +358,8 @@ class DecisionTree:
     # ------------------------------------------------------------------ #
     def predict_one_level(self, levels) -> int:
         """Predict the class of a single sample given as quantized levels."""
+        import numpy as np
+
         return int(self.predict_levels(np.asarray(levels)[np.newaxis])[0])
 
     def predict_levels(self, X_levels: np.ndarray) -> np.ndarray:
@@ -276,6 +369,8 @@ class DecisionTree:
         level; rows that reach a leaf early stay there (leaves are their own
         children).
         """
+        import numpy as np
+
         X_levels = np.asarray(X_levels)
         if X_levels.ndim != 2 or X_levels.shape[1] != self.n_features:
             raise ValueError(
@@ -291,6 +386,8 @@ class DecisionTree:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predict classes for raw, normalized samples in ``[0, 1]``."""
+        import numpy as np
+
         from repro.adc.thermometer import quantize_array_to_levels
 
         levels = quantize_array_to_levels(np.asarray(X, dtype=float), self.resolution_bits)

@@ -20,7 +20,7 @@ configuration, tree and label all come from that spec, and
 On-disk layout (see ``docs/SERVING.md``)::
 
     <registry>/
-      models/<digest>.pkl          # pickled ModelArtifact (tree included)
+      models/<name>/<digest>.pkl   # pickled ModelArtifact (tree included)
       manifests/<name>/v<N>.json   # light manifest: no tree, greppable
 
 All writes go through :func:`repro.core.store.atomic_write` (temp file +
@@ -162,9 +162,13 @@ class ModelRegistry:
     def manifests_dir(self) -> Path:
         return self.registry_dir / "manifests"
 
-    def model_path(self, digest: str) -> Path:
-        """Path of the pickled artifact with ``digest``."""
-        return self.models_dir / f"{digest}.pkl"
+    def model_path(self, name: str, digest: str) -> Path:
+        """Path of the pickled artifact of ``name`` with ``digest``.
+
+        Keyed by name too: each artifact pickles its own ``name`` and
+        ``version``, so equal content promoted under two names is two files.
+        """
+        return self.models_dir / name / f"{digest}.pkl"
 
     def manifest_path(self, name: str, version: int) -> Path:
         """Path of the manifest of ``name`` at ``version``."""
@@ -217,7 +221,7 @@ class ModelRegistry:
         """Load the full artifact of ``name`` at ``version`` (default latest)."""
         manifest = self.manifest(name, version)
         label = f"{manifest['name']}/v{manifest['version']}"
-        path = self.model_path(manifest["digest"])
+        path = self.model_path(name, manifest["digest"])
         try:
             with open(path, "rb") as handle:
                 artifact = pickle.load(handle)
@@ -244,7 +248,7 @@ class ModelRegistry:
     def _write(self, artifact: ModelArtifact) -> None:
         """Write ``artifact`` and its manifest, each atomically."""
         atomic_write(
-            self.model_path(artifact.digest),
+            self.model_path(artifact.name, artifact.digest),
             lambda handle: pickle.dump(artifact, handle, protocol=pickle.HIGHEST_PROTOCOL),
         )
         manifest = json.dumps(artifact.manifest(), sort_keys=True, indent=2)

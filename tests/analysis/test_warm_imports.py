@@ -8,6 +8,11 @@ it must not have imported the trainers, the split search, the unary
 translation, the circuits, the baselines, the serving stack or the dataset
 recipes (the table and figure commands not even the search).  Recipes are imported where they run,
 so a stray module-level import in a record module fails this test.
+
+The table, figure and surface commands must not import numpy either: record
+modules import it where they compute, and a stored tree keeps its node table
+packed until an array is read.  ``search`` is exempt, since its sampler
+scores candidates with numpy.
 """
 
 import io
@@ -41,13 +46,15 @@ NEVER = (
     "repro.datasets.base",
 )
 
-#: Runs ``repro.cli.main`` on argv, then reports the loaded ``repro`` modules.
+#: Runs ``repro.cli.main`` on argv, then reports the loaded ``repro`` modules
+#: and whether numpy is loaded.
 CHILD = """\
 import json, sys
 from repro.cli import main
 code = main(sys.argv[1:])
 sys.stdout.flush()
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("repro"))), file=sys.stderr)
+modules = sorted(m for m in sys.modules if m.startswith("repro") or m == "numpy")
+print(json.dumps(modules), file=sys.stderr)
 sys.exit(code)
 """
 
@@ -100,7 +107,14 @@ def test_warm_replay_prints_the_cold_render_and_imports_no_recipe(cold, label):
     modules = json.loads(done.stderr.strip().splitlines()[-1])
     assert _loaded(modules, NEVER) == []
     if label != "search":
-        assert _loaded(modules, ("repro.search",)) == []
+        assert _loaded(modules, ("repro.search", "numpy")) == []
+
+
+def test_store_entries_name_no_numpy(cold):
+    store, _ = cold
+    entries = list(Path(store).rglob("*.pkl"))
+    assert entries
+    assert [path.name for path in entries if b"numpy" in path.read_bytes()] == []
 
 
 def test_parser_choices_match_their_sources():

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles.tree_state import MALFORMED_CASES, pickle_malformed
 from repro.core.store import (
     ResultStore,
     atomic_write,
@@ -89,6 +90,20 @@ class TestSchemaVersion:
         assert store.get(spec.key()) is None
         assert (store.stats.hits, store.stats.misses) == (0, 1)
         assert legacy_key in store
+
+    @pytest.mark.parametrize("case", MALFORMED_CASES)
+    def test_an_entry_with_a_malformed_tree_is_a_miss_and_evicted(self, store, case):
+        """A schema-3 or damaged node table fails the load, not a later read."""
+        from repro.core.design import DesignSpec
+
+        spec = DesignSpec("seeds", 0, 2, 0.0)
+        point = spec.evaluate()
+        path = store.path_for(spec.key())
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(pickle_malformed(point, case))
+        assert store.get(spec.key()) is None
+        assert (store.stats.hits, store.stats.misses) == (0, 1)
+        assert spec.key() not in store
 
 
 class TestTouchOnGet:

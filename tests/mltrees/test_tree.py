@@ -1,12 +1,20 @@
 """Unit tests for the decision-tree data structures."""
 
+import copy
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
+from oracles.tree_state import MALFORMED_CASES, pickle_malformed, schema3_nodes
 from oracles.tree_walk import LinkedTree, TreeNode
-from repro.mltrees.tree import LEAF, DecisionTree
+from repro.core.design import DesignSpec
+from repro.mltrees.tree import LEAF, NODE_ARRAYS, DecisionTree
 
 #: Node arrays of the hand-built tree: root on feature 0 >= 8, right child
 #: (node 2) on feature 1 >= 4.
@@ -138,6 +146,97 @@ class TestArrayLayout:
                         feature=0, threshold_level=8, left=left, right=right)
         with pytest.raises(ValueError, match="node id"):
             LinkedTree(root, n_features=1, n_classes=2).to_tree()
+
+
+@pytest.fixture(scope="module")
+def pickled_trees(small_tree):
+    """A hand-built, a pre-order CART and a breadth-first ADC-aware tree."""
+    return {
+        "manual": _manual_tree(),
+        "cart": small_tree,
+        "adc_aware": DesignSpec("seeds", 0, 4, 0.01).train(),
+    }
+
+
+def _outcome(call):
+    """``call()``, or the type of the exception it raised."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("kind", ["manual", "cart", "adc_aware"])
+class TestPackedPickle:
+    """A tree pickles its node table packed and decodes it on first array access."""
+
+    def test_unpickled_tree_equals_the_original(self, pickled_trees, kind):
+        tree = pickled_trees[kind]
+        data = pickle.dumps(tree)
+        assert pickle.loads(data) == tree
+        assert tree == pickle.loads(data)
+        assert pickle.loads(data).digest() == tree.digest()
+        assert copy.deepcopy(pickle.loads(data)) == tree
+
+    def test_tree_views_agree_on_the_unpickled_tree(self, pickled_trees, kind):
+        tree = pickled_trees[kind]
+        data = pickle.dumps(tree)
+        assert pickle.loads(data).comparisons() == tree.comparisons()
+        rows = np.random.default_rng(0).integers(0, 16, size=(64, tree.n_features))
+        np.testing.assert_array_equal(
+            pickle.loads(data).predict_levels(rows), tree.predict_levels(rows)
+        )
+        moved = np.where(tree.feature != LEAF, np.clip(tree.threshold + 1, 1, 15), 0)
+        assert pickle.loads(data).with_thresholds(moved) == tree.with_thresholds(moved)
+        for depth in range(tree.depth + 1):
+            assert _outcome(lambda: pickle.loads(data).truncated(depth)) == _outcome(
+                lambda: tree.truncated(depth)
+            )
+
+    def test_repickling_keeps_the_bytes_and_the_packing(self, pickled_trees, kind):
+        data = pickle.dumps(pickled_trees[kind], protocol=pickle.HIGHEST_PROTOCOL)
+        clone = pickle.loads(data)
+        assert pickle.dumps(clone, protocol=pickle.HIGHEST_PROTOCOL) == data
+        assert not set(NODE_ARRAYS) & set(vars(clone))
+        assert not clone.feature.flags.writeable
+        assert set(NODE_ARRAYS) <= set(vars(clone))
+        assert pickle.dumps(clone, protocol=pickle.HIGHEST_PROTOCOL) == data
+
+    def test_packed_table_is_the_schema3_table(self, pickled_trees, kind):
+        tree = pickled_trees[kind]
+        table = schema3_nodes(tree)
+        assert tree.__getstate__()["nodes"] == (table.dtype.str, table.shape, table.tobytes())
+
+    @pytest.mark.parametrize("case", MALFORMED_CASES)
+    def test_a_malformed_node_table_fails_while_loading(self, pickled_trees, kind, case):
+        data = pickle_malformed(pickled_trees[kind], case)
+        with pytest.raises((TypeError, ValueError)):
+            pickle.loads(data)
+
+
+def test_unpickling_a_tree_imports_no_numpy(pickled_trees):
+    """numpy loads at the first node-array access, not at ``pickle.loads``."""
+    child = (
+        "import pickle, sys\n"
+        "tree = pickle.loads(sys.stdin.buffer.read())\n"
+        "assert 'numpy' not in sys.modules\n"
+        "assert tree.n_classes == 3 and 'numpy' not in sys.modules\n"
+        "assert tree.depth == 4 and 'numpy' in sys.modules\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", child],
+        input=pickle.dumps(pickled_trees["adc_aware"]), capture_output=True, env=env,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+
+
+def test_a_missing_attribute_is_an_attribute_error():
+    clone = pickle.loads(pickle.dumps(_manual_tree()))
+    with pytest.raises(AttributeError, match="no attribute 'missing'"):
+        clone.missing
+    assert not hasattr(DecisionTree.__new__(DecisionTree), "feature")
 
 
 class TestDecisionTreePrediction:

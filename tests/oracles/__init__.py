@@ -22,6 +22,9 @@ parent on ``sys.path``, so tests and benchmarks import them as
 * :mod:`oracles.tree_walk` -- the linked-node tree, its recursive walk and
   the deep-copy ``approximate_tree``, the reference of the node-array
   :class:`~repro.mltrees.tree.DecisionTree`;
+* :mod:`oracles.tree_state` -- the schema-3 pickle state of a tree (its
+  node table as a numpy array), the reference of the packed node table,
+  and pickles whose trees carry a node state the loader refuses;
 * :mod:`oracles.tpe_scalar` -- the per-candidate, per-axis Parzen scorer,
   the reference of :class:`~repro.search.optimizer.ParetoTPESampler`'s
   array scorer;

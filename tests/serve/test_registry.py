@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles.tree_state import MALFORMED_CASES, pickle_malformed
 from repro.adc.thermometer import WORD_BITS
 from repro.core.datasheet import generate_datasheet
 from repro.core.design import DesignSpec
@@ -107,6 +108,37 @@ class TestPromotion:
         b = promote(2, "name-b")
         assert a.digest == b.digest
         assert sorted(registry.list_models()) == ["name-a", "name-b"]
+
+    def test_each_name_loads_its_own_artifact(self, registry, promote):
+        """Equal content under two names is two model files, not one overwritten."""
+        promote(2, "name-a")
+        promote(3, "name-a")
+        promote(2, "name-b")
+        for name, version in (("name-a", 2), ("name-b", 1)):
+            loaded = registry.load(name)
+            assert (loaded.name, loaded.version) == (name, version)
+            assert f"{name} (seeds, depth={loaded.depth}, tau=0)" in loaded.datasheet
+        first = registry.load("name-a", 1)
+        assert (first.name, first.version, first.depth) == ("name-a", 1, 2)
+        assert "name-a (seeds, depth=2, tau=0)" in first.datasheet
+        assert registry.model_path("name-a", first.digest) != registry.model_path(
+            "name-b", first.digest
+        )
+
+    def test_an_old_layout_model_file_is_rewritten_on_re_promote(self, registry, promote):
+        """A model file at ``models/<digest>.pkl`` is missing to this code.
+
+        Re-promoting writes it under ``models/<name>/`` at the same version.
+        """
+        first = promote(2, "m")
+        new_path = registry.model_path("m", first.digest)
+        new_path.rename(registry.models_dir / f"{first.digest}.pkl")
+        with pytest.raises(KeyError, match="missing artifact"):
+            registry.load("m")
+        again = promote(2, "m")
+        assert (again.version, again.digest) == (first.version, first.digest)
+        assert registry.versions("m") == [1]
+        assert registry.load("m").tree == first.tree
 
     @pytest.mark.parametrize(
         "bad_name", ["", "UPPER", "-leading-dash", ".hidden", "with space", "a" * 65]
@@ -236,7 +268,7 @@ class TestUnreadableArtifacts:
     def _plant(self, registry, payload: bytes):
         """``payload`` as the model file of ``planted`` v1."""
         digest = "f" * 64
-        model = registry.model_path(digest)
+        model = registry.model_path("planted", digest)
         manifest = registry.manifest_path("planted", 1)
         for path in (model, manifest):
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -264,9 +296,19 @@ class TestUnreadableArtifacts:
         assert model.name in raised.value.args[0]
         assert "planted/v1" in raised.value.args[0]
 
+    @pytest.mark.parametrize("case", MALFORMED_CASES)
+    def test_a_malformed_tree_names_the_file(self, registry, promote, case):
+        artifact = promote(2, "m")
+        model = registry.model_path("m", artifact.digest)
+        model.write_bytes(pickle_malformed(artifact, case))
+        with pytest.raises(KeyError, match="re-promote") as raised:
+            registry.load("m")
+        assert model.name in raised.value.args[0]
+        assert "m/v1" in raised.value.args[0]
+
     def test_re_promoting_rewrites_an_unreadable_model_file(self, registry, promote):
         first = promote(2, "m")
-        model = registry.model_path(first.digest)
+        model = registry.model_path("m", first.digest)
         model.write_bytes(model.read_bytes()[:100])
         with pytest.raises(KeyError, match="re-promote"):
             registry.load("m")

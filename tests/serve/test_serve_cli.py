@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles.tree_state import MALFORMED_CASES, pickle_malformed
 from repro.cli import main
 from repro.serve.registry import ModelRegistry
 
@@ -117,10 +118,27 @@ class TestRegistryCli:
         """A model file this code cannot read is a usage error, not a traceback."""
         promote(registry_dir, cache_dir)
         registry = ModelRegistry(registry_dir)
-        model = registry.model_path(registry.manifest(f"{DATASET}-d2")["digest"])
+        name = f"{DATASET}-d2"
+        model = registry.model_path(name, registry.manifest(name)["digest"])
         model.write_bytes(LEGACY_ARTIFACT.read_bytes())
         capsys.readouterr()
         argv = ["registry", "show", f"{DATASET}-d2", "--datasheet", "--registry-dir", registry_dir]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("registry show: ")
+        assert model.name in err and "re-promote" in err
+
+    @pytest.mark.parametrize("case", MALFORMED_CASES)
+    def test_show_datasheet_of_a_malformed_tree_exits_2(
+        self, registry_dir, cache_dir, capsys, case
+    ):
+        promote(registry_dir, cache_dir)
+        registry = ModelRegistry(registry_dir)
+        name = f"{DATASET}-d2"
+        model = registry.model_path(name, registry.manifest(name)["digest"])
+        model.write_bytes(pickle_malformed(registry.load(name), case))
+        capsys.readouterr()
+        argv = ["registry", "show", name, "--datasheet", "--registry-dir", registry_dir]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("registry show: ")
