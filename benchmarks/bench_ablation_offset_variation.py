@@ -10,7 +10,7 @@ to the 1 V full scale, i.e. 1 LSB of the 4-bit ADC is 62.5 mV).
 
 from repro.analysis.render import render_table
 from repro.core.adc_aware_training import ADCAwareTrainer
-from repro.core.variation import offset_tolerance_sweep
+from repro.core.variation import simulate_offset_variation
 from repro.datasets.registry import load_dataset
 from repro.mltrees.evaluation import train_test_split
 from repro.mltrees.quantize import quantize_dataset
@@ -32,11 +32,11 @@ def _sweep(seed: int = 0):
         tree = ADCAwareTrainer(max_depth=4, gini_threshold=0.01, seed=seed).fit(
             quantize_dataset(X_train), y_train, dataset.n_classes
         )
-        analyses = offset_tolerance_sweep(
-            tree, X_test, y_test, sigmas_v=SIGMAS_V, n_trials=N_TRIALS,
-            technology=technology, seed=seed,
-        )
-        for analysis in analyses:
+        for sigma_v in SIGMAS_V:
+            analysis = simulate_offset_variation(
+                tree, X_test, y_test, sigma_v, n_trials=N_TRIALS,
+                technology=technology, seed=seed,
+            )
             rows.append(
                 {
                     "dataset": name,

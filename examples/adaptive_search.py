@@ -24,10 +24,10 @@ it; the studies deliberately run without a store (``store=None``).
 
 import os
 
-from repro.analysis.experiments import run_benchmark_suite, run_search_study
+from repro.analysis.experiments import run_benchmark_suite
 from repro.analysis.render import render_table
 from repro.core.store import ResultStore
-from repro.search import hypervolume
+from repro.search import Study, hypervolume
 
 DATASET = "cardio"
 SEED = 0
@@ -59,15 +59,13 @@ def main() -> None:
 
     print(f"budget sweep: studies at budgets {BUDGETS}, every trial trained\n")
     studies = [
-        run_search_study(
+        Study(
             DATASET,
-            budget=budget,
             objectives=("-accuracy", "power"),
             seed=SEED,
-            jobs=jobs,
             store=None,
             batch_size=3,
-        )
+        ).run(budget=budget, jobs=jobs)
         for budget in BUDGETS
     ]
 

@@ -22,7 +22,7 @@ from repro.analysis.render import render_table
 from repro.analysis.stats import run_multi_seed
 from repro.circuits.timing import estimate_timing
 from repro.core.adc_aware_training import ADCAwareTrainer
-from repro.core.variation import offset_tolerance_sweep
+from repro.core.variation import simulate_offset_variation
 from repro.mltrees.evaluation import train_test_split
 from repro.mltrees.quantize import quantize_dataset
 
@@ -44,13 +44,15 @@ def main() -> None:
     # 1. comparator-offset Monte Carlo
     # ------------------------------------------------------------------ #
     # The vectorized Monte-Carlo evaluates all trials as one offset matrix,
-    # so thousands of trials per sigma are cheap (add jobs=4 to fan trial
-    # batches over worker processes with bit-identical results).
-    sigmas = (0.0, 0.005, 0.01, 0.02, 0.04)
-    analyses = offset_tolerance_sweep(
-        unary, X_test, y_test, sigmas_v=sigmas, n_trials=1000,
-        technology=technology, seed=0,
-    )
+    # so thousands of trials per sigma are cheap.  (`repro.cli variation
+    # --jobs 4` fans a stored sigma sweep over worker processes.)
+    analyses = [
+        simulate_offset_variation(
+            unary, X_test, y_test, sigma_v, n_trials=1000,
+            technology=technology, seed=0,
+        )
+        for sigma_v in (0.0, 0.005, 0.01, 0.02, 0.04)
+    ]
     print(f"comparator-offset robustness on '{DATASET}' "
           f"(1000 trials/sigma; 1 LSB of the 4-bit ADC = 62.5 mV):")
     print(render_table(

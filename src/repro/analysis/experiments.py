@@ -30,9 +30,10 @@ benchmark -- are submitted through one
 :class:`~repro.core.executor.Executor` fan-out (:func:`_resolve_units`).
 Serial and parallel runs produce identical results (everything is seeded).
 
-:func:`run_variation_analysis` applies the same recipe to the Monte-Carlo
-comparator-offset robustness study: per-seed
-:class:`~repro.core.variation.VariationAnalysis` summaries are cached under
+:func:`run_variation_analysis` resolves the Monte-Carlo comparator-offset
+robustness study of one design point through the same fan-out: one
+variation unit per sigma, each a
+:class:`~repro.core.variation.VariationAnalysis` cached under
 :meth:`~repro.core.design.DesignSpec.variation_key` (``repro.cli
 variation``).
 
@@ -66,6 +67,7 @@ from repro.core.sharding import (
     WorkUnit,
     normalize_sigmas,
     plan_suite_units,
+    variation_work_unit,
 )
 from repro.core.store import ResultStore
 from repro.core.variation import (  # noqa: F401 (simulate_offset_variation: public re-export)
@@ -232,9 +234,6 @@ def run_benchmark_suite(
         resolved[name] = select_designs(reference, points)
         if store is not None and not cache_only:
             _memoize(memo_keys[name], resolved[name])
-
-    if store is not None:
-        store.flush_stats()
     return [resolved[name] for name in names]
 
 
@@ -315,7 +314,7 @@ def _resolve_units(
     ppa_backend=None,
     trees: dict | None = None,
 ) -> tuple[dict[str, object], tuple[str, ...]]:
-    """Resolve ``units`` against ``store``: the one design-point fan-out.
+    """Resolve ``units`` against ``store``: the one probe and fan-out loop.
 
     Probes every unit once.  Point and Table I reference misses are
     computed in one ``executor.map``; Table II reference and variation
@@ -327,8 +326,10 @@ def _resolve_units(
     ``key in store``, from the store -- with baseline [7] alone.  Computed
     values are written to ``store`` (when given); ``cache_only`` raises
     :class:`~repro.core.sharding.MissingResultsError` listing every miss
-    instead of computing.  Returns the values by store key and the keys
-    this call computed.
+    instead of computing.  Each call flushes the store's counters once
+    (:meth:`~repro.core.store.ResultStore.flush_stats`), before it returns
+    or raises, so no runner flushes on its own.  Returns the values by
+    store key and the keys this call computed.
 
     One job is one reference unit, one variation unit, or every point miss
     of one depth family (specs equal but for ``depth``).  ADC-aware trees
@@ -390,6 +391,8 @@ def _resolve_units(
         [[unit] for unit in second],
         lambda unit: twin(unit) if unit.kind == "suite" else trees.get(unit.spec),
     )
+    if store is not None:
+        store.flush_stats()
     return values, tuple(pending)
 
 
@@ -408,7 +411,7 @@ def _variation_classifier(spec: DesignSpec):
 
 def run_variation_analysis(
     dataset: str,
-    sigma_v: float,
+    sigmas,
     n_trials: int = 100,
     seed: int = 0,
     depth: int = 4,
@@ -419,18 +422,19 @@ def run_variation_analysis(
     test_size: float = 0.3,
     training_sigma: float = 0.0,
     robustness_weight: float = 1.0,
-) -> VariationAnalysis:
+) -> list[VariationAnalysis]:
     """Monte-Carlo comparator-offset robustness of one co-designed benchmark.
 
     Trains the ADC-aware tree (``depth`` x ``tau``) on the paper's 70/30
     split of ``dataset`` and Monte-Carlo-simulates its test accuracy under
-    Gaussian comparator offsets.  Per-seed summaries are cached in the
-    content-addressed :class:`~repro.core.store.ResultStore` under the
-    point's :meth:`~repro.core.design.DesignSpec.variation_key` -- the exact
-    entries that sharded suite runs, ``explore``, ``surface`` and search
-    studies read and write (``store=None`` simulates without a store).
-    Trial batches fan out across ``jobs`` worker processes with
-    bit-identical results.
+    Gaussian comparator offsets at every sigma of ``sigmas``, returning one
+    :class:`VariationAnalysis` per sigma in the order given.  Each sigma is
+    one variation unit of :func:`_resolve_units`, cached under the point's
+    :meth:`~repro.core.design.DesignSpec.variation_key` -- the exact entries
+    that sharded suite runs, ``explore``, ``surface`` and search studies
+    read and write (``store=None`` simulates without a store).  Missing
+    sigmas fan out across ``jobs`` worker processes with bit-identical
+    results.
     """
     spec = DesignSpec(
         dataset, seed, depth, tau, resolution_bits,
@@ -438,18 +442,10 @@ def run_variation_analysis(
         training_sigma=training_sigma,
         robustness_weight=robustness_weight,
     )
-    key = spec.variation_key(sigma_v, n_trials)
-    if store is not None:
-        cached = store.get(key)
-        if cached is not None:
-            store.flush_stats()
-            return cached
-
-    analysis = spec.simulate(sigma_v, n_trials, _variation_classifier(spec), jobs=jobs)
-    if store is not None:
-        store.put(key, analysis)
-        store.flush_stats()
-    return analysis
+    units = [variation_work_unit(spec, sigma_v, n_trials) for sigma_v in sigmas]
+    with get_executor(jobs) as executor:
+        analyses, _ = _resolve_units(units, store, executor)
+    return [analyses[unit.store_key] for unit in units]
 
 
 @dataclass(frozen=True)
@@ -588,8 +584,6 @@ def _robustness_pass(
             units, store, executor, cache_only=cache_only,
             trees={unit.spec: point.tree for unit, point in zip(points, result.exploration)},
         )
-    if store is not None:
-        store.flush_stats()
     return result, units, analyses
 
 
@@ -754,57 +748,6 @@ def run_robustness_surface(
 
 
 # ---------------------------------------------------------------------- #
-# budgeted design-space search (repro.cli search)
-# ---------------------------------------------------------------------- #
-def run_search_study(
-    dataset: str,
-    budget: int,
-    objectives=("-accuracy", "power"),
-    seed: int = 0,
-    space: str | object = "paper",
-    sigma_v: float | None = None,
-    variation_trials: int = 100,
-    jobs: int | None = None,
-    store: ResultStore | None = None,
-    batch_size: int = 4,
-    cache_only: bool = False,
-    ppa_backend=None,
-):
-    """Run one budgeted multi-objective study (see :mod:`repro.search`).
-
-    The orchestration-level entry point behind ``repro.cli search``:
-    resolves the named space (``"paper"`` or ``"wide"``, or a pre-built
-    :class:`~repro.search.space.SearchSpace`), wires the study into the
-    same store/cache plumbing as the suite runners -- a trial resolves from
-    the design-point entry any suite sweep wrote, robustness objectives
-    share the ``variation`` Monte-Carlo pool -- and returns the
-    :class:`~repro.search.study.StudyResult`.  Seeded studies are
-    bit-reproducible and independent of ``jobs``.  ``cache_only`` applies
-    the strict assemble discipline: a trial that would have to train
-    raises :class:`~repro.core.sharding.MissingResultsError` instead.
-    """
-    # Deferred: keeps repro.search out of module import time (layering:
-    # analysis orchestrates, search stays importable on its own).
-    from repro.search import Study, get_space
-
-    if isinstance(space, str):
-        space = get_space(space)
-    study = Study(
-        dataset,
-        space=space,
-        objectives=objectives,
-        seed=seed,
-        sigma_v=sigma_v,
-        variation_trials=variation_trials,
-        store=store,
-        batch_size=batch_size,
-        cache_only=cache_only,
-        ppa_backend=ppa_backend,
-    )
-    return study.run(budget=budget, jobs=jobs)
-
-
-# ---------------------------------------------------------------------- #
 # sharded execution (repro.cli suite / assemble)
 # ---------------------------------------------------------------------- #
 @dataclass(frozen=True)
@@ -840,8 +783,6 @@ def run_plan_shard(
     units = plan.shard(shard)
     with get_executor(jobs) as executor:
         _, computed = _resolve_units(units, store, executor)
-    if store is not None:
-        store.flush_stats()
     return ShardRunReport(
         shard=shard, n_units=len(units), reused=len(units) - len(computed)
     )

@@ -576,7 +576,6 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
         f"assembled {len(plan.units)} planned units from cache only: "
         f"{store.stats.hits} hits, {store.stats.misses} misses, 0 recomputed"
     )
-    store.flush_stats()
     return 0
 
 
@@ -751,34 +750,31 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
 
 def _cmd_variation(args: argparse.Namespace) -> int:
-    sigmas = tuple(args.sigmas) if args.sigmas else (0.0, 0.005, 0.01, 0.02, 0.04)
-    store = _store(args)
-    rows = []
-    for sigma_v in sigmas:
-        analysis = run_variation_analysis(
-            args.dataset,
-            sigma_v=sigma_v,
-            n_trials=args.trials,
-            seed=args.seed,
-            depth=args.depth,
-            tau=args.tau,
-            jobs=args.jobs,
-            store=store,
-            resolution_bits=args.resolution_bits,
-            test_size=args.test_size,
-            training_sigma=args.training_sigma,
-            robustness_weight=args.robustness_weight,
+    analyses = run_variation_analysis(
+        args.dataset,
+        tuple(args.sigmas) if args.sigmas else (0.0, 0.005, 0.01, 0.02, 0.04),
+        n_trials=args.trials,
+        seed=args.seed,
+        depth=args.depth,
+        tau=args.tau,
+        jobs=args.jobs,
+        store=_store(args),
+        resolution_bits=args.resolution_bits,
+        test_size=args.test_size,
+        training_sigma=args.training_sigma,
+        robustness_weight=args.robustness_weight,
+    )
+    rows = [
+        (
+            analysis.sigma_v * 1000.0,
+            analysis.nominal_accuracy * 100.0,
+            analysis.mean_accuracy * 100.0,
+            analysis.std_accuracy * 100.0,
+            analysis.min_accuracy * 100.0,
+            analysis.mean_accuracy_drop * 100.0,
         )
-        rows.append(
-            (
-                analysis.sigma_v * 1000.0,
-                analysis.nominal_accuracy * 100.0,
-                analysis.mean_accuracy * 100.0,
-                analysis.std_accuracy * 100.0,
-                analysis.min_accuracy * 100.0,
-                analysis.mean_accuracy_drop * 100.0,
-            )
-        )
+        for analysis in analyses
+    ]
     training = (
         "" if args.training_sigma == 0
         else f", {_training_label(args.training_sigma)}"
@@ -892,24 +888,22 @@ def _cmd_surface(args: argparse.Namespace) -> int:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     """Budgeted multi-objective search (see ``docs/SEARCH.md``)."""
-    from repro.analysis.experiments import run_search_study
+    from repro.search import Study, get_space
 
     objectives = tuple(args.objective) if args.objective else ("-accuracy", "power")
     try:
-        result = run_search_study(
+        result = Study(
             args.dataset,
-            budget=args.budget,
+            space=get_space(args.space),
             objectives=objectives,
             seed=args.seed,
-            space=args.space,
             sigma_v=args.sigma,
             variation_trials=args.trials,
-            jobs=args.jobs,
             store=_store(args),
             batch_size=args.batch_size,
             cache_only=args.cache_only,
             ppa_backend=args.ppa_backend,
-        )
+        ).run(budget=args.budget, jobs=args.jobs)
     except MissingResultsError as exc:
         # --cache-only: a trial would have had to train.  Same discipline
         # (and exit code) as an assemble over an incomplete store.

@@ -52,8 +52,7 @@ _EXPORTS = {
     "repro.core.pareto": ("accuracy_area_front", "accuracy_power_front", "pareto_front"),
     "repro.core.power_budget": ("SelfPowerAnalysis", "analyze_self_power"),
     "repro.core.variation": (
-        "ComparatorOffsetModel", "VariationAnalysis", "offset_tolerance_sweep",
-        "simulate_offset_variation",
+        "ComparatorOffsetModel", "VariationAnalysis", "simulate_offset_variation",
     ),
     "repro.core.datasheet": ("generate_datasheet",),
     "repro.core.codesign": ("CoDesignResult", "reference_designs", "select_designs"),

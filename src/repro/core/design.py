@@ -353,7 +353,6 @@ class DesignSpec:
         sigma_v: float,
         n_trials: int,
         tree: DecisionTree | None = None,
-        jobs: int | None = None,
     ) -> VariationAnalysis:
         """Monte-Carlo the point's test accuracy under comparator offsets.
 
@@ -370,7 +369,6 @@ class DesignSpec:
             n_trials=n_trials,
             technology=self.technology,
             seed=self.seed,
-            jobs=jobs,
         )
 
 

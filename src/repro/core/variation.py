@@ -17,9 +17,9 @@ compiled kernel.  It draws the ``(n_trials, n_comparators)`` offset matrix in
 one call, broadcasts it against the per-comparator thresholds, evaluates
 every trial and sample in one pass of the bit-parallel label-logic kernel
 (:class:`~repro.core.bitkernel.CompiledTreeKernel`) and scores all trials in
-one array pass.  Trial batches optionally fan out across worker processes
-through :class:`~repro.core.executor.Executor` -- results are bit-identical
-either way because all offsets are drawn up front from one seeded stream.
+one array pass.  One simulation is one job: the fan-out across worker
+processes happens one level up, one variation work unit per job
+(:func:`~repro.analysis.experiments._resolve_units`).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.core.executor import get_executor
 from repro.pdk.egfet import EGFETTechnology, default_technology
 
 if TYPE_CHECKING:
@@ -292,25 +291,6 @@ def _predict_with_offsets(
     return unary.predict_digit_matrix(flat).reshape(n_trials, n_samples)
 
 
-def _trial_batch_accuracies(
-    unary: UnaryDecisionTree,
-    X: np.ndarray,
-    y: np.ndarray,
-    offset_batch: np.ndarray,
-    vdd: float,
-) -> np.ndarray:
-    """Top-level (picklable) executor job: accuracies of one trial batch.
-
-    Every trial is scored in one pass.  A trial's accuracy is its count of
-    correct labels divided by ``y.size``, the same float
-    :func:`~repro.mltrees.evaluation.accuracy_score` returns for that row.
-    """
-    import numpy as np
-
-    predictions = _predict_with_offsets(unary, X, offset_batch, vdd)
-    return np.count_nonzero(predictions == y, axis=1) / y.size
-
-
 def simulate_offset_variation(
     model: UnaryDecisionTree | DecisionTree,
     X: np.ndarray,
@@ -319,7 +299,6 @@ def simulate_offset_variation(
     n_trials: int = 50,
     technology: EGFETTechnology | None = None,
     seed: int = 0,
-    jobs: int | None = None,
 ) -> VariationAnalysis:
     """Monte-Carlo accuracy under Gaussian comparator input offsets.
 
@@ -337,11 +316,11 @@ def simulate_offset_variation(
     technology:
         Supplies the supply voltage (full-scale range) of the ADCs.
     seed:
-        RNG seed; the analysis is reproducible and independent of ``jobs``.
-    jobs:
-        Worker processes to fan trial batches over (``None``/``1``: in
-        process, ``0``: one per CPU).  All offsets are drawn up front, so
-        parallel runs are bit-identical to serial ones.
+        RNG seed; the analysis is reproducible.
+
+    Every trial is scored in one pass: a trial's accuracy is its count of
+    correct labels divided by ``y.size``, the same float
+    :func:`~repro.mltrees.evaluation.accuracy_score` returns for that row.
     """
     import numpy as np
 
@@ -374,17 +353,8 @@ def simulate_offset_variation(
         )
 
     offsets = offset_model.sample_matrix(rng, n_trials, len(comparators))
-    with get_executor(jobs) as executor:
-        if executor.jobs > 1 and n_trials > 1:
-            batches = np.array_split(offsets, min(executor.jobs, n_trials))
-            tasks = [
-                (unary, X, y, batch, technology.vdd)
-                for batch in batches
-                if batch.shape[0]
-            ]
-            accuracies = np.concatenate(executor.map(_trial_batch_accuracies, tasks))
-        else:
-            accuracies = _trial_batch_accuracies(unary, X, y, offsets, technology.vdd)
+    predictions = _predict_with_offsets(unary, X, offsets, technology.vdd)
+    accuracies = np.count_nonzero(predictions == y, axis=1) / y.size
 
     return VariationAnalysis(
         nominal_accuracy=nominal,
@@ -394,23 +364,3 @@ def simulate_offset_variation(
         accuracies=tuple(accuracies.tolist()),
         sigma_v=sigma_v,
     )
-
-
-def offset_tolerance_sweep(
-    model: UnaryDecisionTree | DecisionTree,
-    X: np.ndarray,
-    y: np.ndarray,
-    sigmas_v: tuple[float, ...] = (0.0, 0.01, 0.02, 0.03, 0.05),
-    n_trials: int = 30,
-    technology: EGFETTechnology | None = None,
-    seed: int = 0,
-    jobs: int | None = None,
-) -> list[VariationAnalysis]:
-    """Run :func:`simulate_offset_variation` over a grid of offset sigmas."""
-    return [
-        simulate_offset_variation(
-            model, X, y, sigma_v, n_trials=n_trials, technology=technology,
-            seed=seed, jobs=jobs,
-        )
-        for sigma_v in sigmas_v
-    ]

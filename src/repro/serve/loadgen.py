@@ -162,9 +162,19 @@ async def run_open_loop(
 
     # Only in-flight requests stay referenced: holding every finished task
     # until the end would grow the heap, and the collector's pauses, with
-    # the length of the run.
+    # the length of the run.  So the tail is awaited through a future the
+    # last done callback resolves, not by gathering the tasks (a gather
+    # keeps every task it was given until the last one finishes).
     loop = asyncio.get_running_loop()
     in_flight: set[asyncio.Task] = set()
+    drained = loop.create_future()
+    sent = False
+
+    def release(task: asyncio.Task) -> None:
+        in_flight.discard(task)
+        if sent and not in_flight and not drained.done():
+            drained.set_result(None)
+
     start = time.perf_counter()
     for i in range(n_requests):
         scheduled = start + i * interval
@@ -174,9 +184,10 @@ async def run_open_loop(
             delay = scheduled - time.perf_counter()
         task = loop.create_task(fire(rows[i % len(rows)], scheduled))
         in_flight.add(task)
-        task.add_done_callback(in_flight.discard)
-    while in_flight:
-        await asyncio.gather(*in_flight)
+        task.add_done_callback(release)
+    sent = True
+    if in_flight:
+        await drained
     elapsed = time.perf_counter() - start
     return _report(latencies, errors, elapsed, rate_hz, scorer.stats)
 

@@ -1,6 +1,8 @@
 """Tests for the benchmark-suite orchestration and the CLI."""
 
 import argparse
+import hashlib
+import json
 import subprocess
 import sys
 import textwrap
@@ -396,20 +398,20 @@ class TestRunVariationAnalysis:
 
         store = ResultStore(cache_dir=tmp_path / "var-cache")
         kwargs = dict(
-            sigma_v=0.02, n_trials=5, seed=0, depth=3, tau=0.01, store=store
+            sigmas=(0.02,), n_trials=5, seed=0, depth=3, tau=0.01, store=store
         )
-        first = run_variation_analysis("vertebral_2c", **kwargs)
+        (first,) = run_variation_analysis("vertebral_2c", **kwargs)
         assert len(first.accuracies) == 5
         assert len(store) == 1
-        second = run_variation_analysis("vertebral_2c", **kwargs)
+        (second,) = run_variation_analysis("vertebral_2c", **kwargs)
         assert second.accuracies == first.accuracies
         assert store.lifetime_stats()["hits"] >= 1
 
     def test_no_cache_bypasses_store(self):
         from repro.analysis.experiments import run_variation_analysis
 
-        analysis = run_variation_analysis(
-            "vertebral_2c", sigma_v=0.01, n_trials=3, depth=3, store=None,
+        (analysis,) = run_variation_analysis(
+            "vertebral_2c", (0.01,), n_trials=3, depth=3, store=None,
         )
         assert len(analysis.accuracies) == 3
         assert len(ResultStore()) == 0  # not even the default location
@@ -418,10 +420,24 @@ class TestRunVariationAnalysis:
         from repro.analysis.experiments import run_variation_analysis
 
         store = ResultStore(cache_dir=tmp_path / "var-cache")
-        kwargs = dict(sigma_v=0.02, n_trials=4, depth=3, store=store)
+        kwargs = dict(sigmas=(0.02,), n_trials=4, depth=3, store=store)
         run_variation_analysis("vertebral_2c", **kwargs)
         run_variation_analysis("V2", **kwargs)
         assert len(store) == 1
+
+    def test_one_analysis_per_sigma_in_the_order_given(self, tmp_path):
+        from repro.analysis.experiments import run_variation_analysis
+
+        store = ResultStore(cache_dir=tmp_path / "var-cache")
+        kwargs = dict(n_trials=4, depth=3, store=store)
+        analyses = run_variation_analysis("vertebral_2c", (0.02, 0.0, 0.02), **kwargs)
+        assert [analysis.sigma_v for analysis in analyses] == [0.02, 0.0, 0.02]
+        assert analyses[0] == analyses[2]
+        assert len(store) == 2  # the repeated sigma is one unit
+        stores = store.stats.stores
+        again = run_variation_analysis("vertebral_2c", (0.02, 0.0, 0.02), **kwargs)
+        assert again == analyses
+        assert store.stats.stores == stores  # the second call stores nothing
 
 
 class TestVariationCommand:
@@ -438,6 +454,25 @@ class TestVariationCommand:
         assert "sigma (mV)" in captured.out
         assert "mean drop (%)" in captured.out
         assert len(ResultStore(cache_dir=tmp_path / "cli-var-cache")) == 2
+
+    def test_jobs_fan_out_across_sigmas_with_identical_results(self, capsys, tmp_path):
+        runs = []
+        for jobs in ("1", "2"):
+            cache_dir = tmp_path / f"jobs-{jobs}"
+            assert main(
+                [
+                    "variation", "--dataset", "vertebral_2c", "--sigmas", "0", "0.01",
+                    "0.02", "--trials", "5", "--depth", "3", "--jobs", jobs,
+                    "--cache-dir", str(cache_dir),
+                ]
+            ) == 0
+            entries = {
+                path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in cache_dir.glob("*.pkl")
+            }
+            runs.append((capsys.readouterr().out, entries))
+        assert len(runs[0][1]) == 3
+        assert runs[1] == runs[0]
 
     def test_variation_requires_dataset(self):
         with pytest.raises(SystemExit):
@@ -467,6 +502,31 @@ class TestCacheCommand:
         assert "removed 1 entries" in capsys.readouterr().out
         assert len(store) == 0
 
+    def test_lifetime_counters_of_a_command_sequence(self, capsys, tmp_path):
+        # Every runner's store traffic is flushed by the shared fan-out, the
+        # failing cache-only surface's included, so no probe goes uncounted.
+        from repro.analysis.experiments import clear_memo
+
+        clear_memo()  # a memo hit would skip the table1 probes
+        cache = ["--cache-dir", str(tmp_path / "sequence")]
+        exit_codes = [
+            main(argv + cache)
+            for argv in (
+                ["table1", "--datasets", "vertebral_2c"],
+                ["surface", "--datasets", "vertebral_2c", "--sigma", "0.02",
+                 "--trials", "5", "--cache-only"],
+                ["variation", "--dataset", "vertebral_2c", "--sigmas", "0", "0.02",
+                 "--trials", "5", "--depth", "3"],
+                ["suite", "--datasets", "vertebral_2c", "--sigma", "0.02",
+                 "--trials", "5"],
+            )
+        ]
+        assert exit_codes == [0, 1, 0, 0]  # the surface's Monte-Carlo is missing
+        capsys.readouterr()
+        assert main(["cache", "stats", "--json", *cache]) == 0
+        lifetime = json.loads(capsys.readouterr().out)["lifetime"]
+        assert lifetime == {"hits": 101, "misses": 150, "stores": 101}
+
     def test_cache_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main(["cache"])
@@ -480,12 +540,12 @@ class TestReadOnlyStoreHits:
 
         cache_dir = tmp_path / "ro-cache"
         store = ResultStore(cache_dir=cache_dir)
-        kwargs = dict(sigma_v=0.02, n_trials=4, depth=3)
-        first = run_variation_analysis("vertebral_2c", store=store, **kwargs)
+        kwargs = dict(sigmas=(0.02,), n_trials=4, depth=3)
+        (first,) = run_variation_analysis("vertebral_2c", store=store, **kwargs)
         os.chmod(cache_dir, 0o555)
         try:
             reader = ResultStore(cache_dir=cache_dir)
-            second = run_variation_analysis("vertebral_2c", store=reader, **kwargs)
+            (second,) = run_variation_analysis("vertebral_2c", store=reader, **kwargs)
             assert second.accuracies == first.accuracies
         finally:
             os.chmod(cache_dir, 0o755)
@@ -533,8 +593,8 @@ class TestRunRobustExploration:
         )
         stores_before = store.stats.stores
         # Same (dataset, seed, sigma, trials, depth, tau) => same entry.
-        analysis = run_variation_analysis(
-            "vertebral_2c", sigma_v=0.02, n_trials=5, seed=0, depth=3, tau=0.01,
+        (analysis,) = run_variation_analysis(
+            "vertebral_2c", (0.02,), n_trials=5, seed=0, depth=3, tau=0.01,
             store=store,
         )
         assert store.stats.stores == stores_before  # hit, not a recomputation
@@ -1151,8 +1211,8 @@ class TestVariationCacheKeyBugfix:
         from repro.core.design import DesignSpec
 
         store = ResultStore(cache_dir=tmp_path / "nominal")
-        analysis = run_variation_analysis(
-            "vertebral_2c", sigma_v=0.02, n_trials=4, seed=0, depth=3,
+        (analysis,) = run_variation_analysis(
+            "vertebral_2c", (0.02,), n_trials=4, seed=0, depth=3,
             tau=0.01, store=store,
         )
         key = DesignSpec("vertebral_2c", 0, 3, 0.01).variation_key(0.02, 4)
@@ -1162,17 +1222,17 @@ class TestVariationCacheKeyBugfix:
         from repro.analysis.experiments import run_variation_analysis
 
         store = ResultStore(cache_dir=tmp_path / "knobs")
-        kwargs = dict(sigma_v=0.02, n_trials=4, seed=0, depth=3, tau=0.01,
+        kwargs = dict(sigmas=(0.02,), n_trials=4, seed=0, depth=3, tau=0.01,
                       store=store)
-        nominal = run_variation_analysis("vertebral_2c", **kwargs)
+        (nominal,) = run_variation_analysis("vertebral_2c", **kwargs)
         assert len(store) == 1
-        aware = run_variation_analysis(
+        (aware,) = run_variation_analysis(
             "vertebral_2c", training_sigma=0.02, **kwargs
         )
         assert len(store) == 2  # no aliasing of the nominal entry
         assert aware != nominal
         # a rerun with the same knobs is a pure hit
-        again = run_variation_analysis(
+        (again,) = run_variation_analysis(
             "vertebral_2c", training_sigma=0.02, **kwargs
         )
         assert len(store) == 2
@@ -1190,8 +1250,8 @@ class TestVariationCacheKeyBugfix:
             depths=(3,), taus=(0.01,), training_sigma=0.02, store=store,
         )
         stores_before = store.stats.stores
-        analysis = run_variation_analysis(
-            "vertebral_2c", sigma_v=0.02, n_trials=4, seed=0, depth=3,
+        (analysis,) = run_variation_analysis(
+            "vertebral_2c", (0.02,), n_trials=4, seed=0, depth=3,
             tau=0.01, training_sigma=0.02, store=store,
         )
         assert store.stats.stores == stores_before  # hit, not recomputed
@@ -1200,10 +1260,10 @@ class TestVariationCacheKeyBugfix:
     def test_offset_aware_training_changes_the_classifier_under_test(self):
         from repro.analysis.experiments import run_variation_analysis
 
-        kwargs = dict(sigma_v=0.04, n_trials=4, seed=0, depth=3, tau=0.01,
+        kwargs = dict(sigmas=(0.04,), n_trials=4, seed=0, depth=3, tau=0.01,
                       store=None)
-        nominal = run_variation_analysis("vertebral_2c", **kwargs)
-        aware = run_variation_analysis(
+        (nominal,) = run_variation_analysis("vertebral_2c", **kwargs)
+        (aware,) = run_variation_analysis(
             "vertebral_2c", training_sigma=0.04, **kwargs
         )
         # different trained tree => different Monte-Carlo trajectory
@@ -1298,8 +1358,8 @@ class TestRunRobustnessSurface:
             **SMALL_GRID,
         )
         stores_before = store.stats.stores
-        analysis = run_variation_analysis(
-            "vertebral_2c", sigma_v=0.02, n_trials=3, seed=0, depth=2,
+        (analysis,) = run_variation_analysis(
+            "vertebral_2c", (0.02,), n_trials=3, seed=0, depth=2,
             tau=0.0, store=store,
         )
         assert store.stats.stores == stores_before  # same entries, pure hits

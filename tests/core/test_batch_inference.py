@@ -159,14 +159,3 @@ class TestSimulateOffsetVariationRegression:
             unary, X_raw, y_test, 0.03, 8, seed, technology.vdd
         )
         assert analysis.accuracies == reference
-
-    def test_parallel_jobs_bit_identical_to_serial(self, small_tree, small_split):
-        _, X_test_levels, _, y_test = small_split
-        X_raw = X_test_levels / 16.0
-        serial = simulate_offset_variation(
-            small_tree, X_raw, y_test, sigma_v=0.02, n_trials=6, seed=3
-        )
-        parallel = simulate_offset_variation(
-            small_tree, X_raw, y_test, sigma_v=0.02, n_trials=6, seed=3, jobs=2
-        )
-        assert serial.accuracies == parallel.accuracies

@@ -245,8 +245,7 @@ class TestKernelReusesTheUnaryLogic:
         assert pickle.dumps(tree) == before
 
     def test_unary_tree_pickles_with_its_kernel(self, trained):
-        # Monte-Carlo trial batches ship the unary tree, kernel included,
-        # to worker processes.
+        # A pickled unary tree (a worker-process copy) keeps its kernel.
         tree, X_levels, _ = trained
         unary = UnaryDecisionTree(tree)
         expected = unary.predict_levels(X_levels)

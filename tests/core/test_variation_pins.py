@@ -6,7 +6,8 @@ change to how it translates trees, draws offsets or scores trials must leave
 its numbers exactly as they were.  The digests below were recorded from the
 per-trial implementation (one offset row drawn per trial, one
 ``accuracy_score`` per trial) on trained ``seeds`` and ``cardio`` trees; the
-analyses must reproduce them bit for bit, serially and over two workers.
+analyses must reproduce them bit for bit, in-process and as jobs of two worker
+processes (the executor fan-out every variation work unit goes through).
 """
 
 import hashlib
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.design import DesignSpec
+from repro.core.executor import get_executor
 from repro.core.variation import ComparatorOffsetModel, simulate_offset_variation
 from repro.mltrees.cart import CARTTrainer
 
@@ -96,15 +98,17 @@ def cases():
 @pytest.mark.parametrize("depth", DEPTHS)
 def test_accuracies_are_pinned(cases, dataset, depth, jobs):
     tree, X, y = cases[dataset, depth]
-    for sigma in SIGMAS:
-        for seed in MC_SEEDS:
-            analysis = simulate_offset_variation(
-                tree, X, y, sigma, n_trials=N_TRIALS, seed=seed, jobs=jobs
-            )
-            assert analysis.nominal_accuracy == PINNED_NOMINAL[dataset, depth]
-            assert _digest(analysis.accuracies) == PINNED_ACCURACIES[
-                dataset, depth, sigma, seed
-            ], (dataset, depth, sigma, seed)
+    grid = [(sigma, seed) for sigma in SIGMAS for seed in MC_SEEDS]
+    with get_executor(jobs) as executor:
+        analyses = executor.map(
+            simulate_offset_variation,
+            [(tree, X, y, sigma, N_TRIALS, None, seed) for sigma, seed in grid],
+        )
+    for (sigma, seed), analysis in zip(grid, analyses):
+        assert analysis.nominal_accuracy == PINNED_NOMINAL[dataset, depth]
+        assert _digest(analysis.accuracies) == PINNED_ACCURACIES[
+            dataset, depth, sigma, seed
+        ], (dataset, depth, sigma, seed)
 
 
 def test_single_leaf_tree_scores_its_nominal_accuracy_every_trial():

@@ -11,7 +11,6 @@ import json
 
 import pytest
 
-from repro.analysis.experiments import run_search_study
 from repro.core.store import ResultStore
 from repro.search import Study, parse_objectives
 from repro.search.space import (
@@ -83,28 +82,26 @@ class TestStudyValidation:
 class TestStudyDeterminism:
     def test_same_seed_is_bit_reproducible(self, tmp_path):
         results = [
-            run_search_study(
+            Study(
                 "seeds",
-                budget=4,
                 seed=3,
                 space=small_space(),
                 store=ResultStore(tmp_path / f"store{i}"),
                 batch_size=2,
-            )
+            ).run(budget=4)
             for i in range(2)
         ]
         assert results[0].to_json() == results[1].to_json()
 
     def test_different_seeds_differ(self, tmp_path):
         records = [
-            run_search_study(
+            Study(
                 "seeds",
-                budget=4,
                 seed=seed,
                 space=small_space(),
                 store=ResultStore(tmp_path / f"seed{seed}"),
                 batch_size=2,
-            ).to_json_dict()
+            ).run(budget=4).to_json_dict()
             for seed in (0, 1)
         ]
         assert [t["config"] for t in records[0]["trials"]] != [
@@ -112,25 +109,23 @@ class TestStudyDeterminism:
         ]
 
     def test_serial_and_parallel_records_are_identical(self, tmp_path):
-        kwargs = dict(budget=4, seed=0, batch_size=2)
-        serial = run_search_study(
-            "seeds", space=small_space(),
-            store=ResultStore(tmp_path / "serial"), jobs=None, **kwargs,
-        )
-        parallel = run_search_study(
-            "seeds", space=small_space(),
-            store=ResultStore(tmp_path / "parallel"), jobs=2, **kwargs,
-        )
+        kwargs = dict(seed=0, space=small_space(), batch_size=2)
+        serial = Study(
+            "seeds", store=ResultStore(tmp_path / "serial"), **kwargs
+        ).run(budget=4, jobs=None)
+        parallel = Study(
+            "seeds", store=ResultStore(tmp_path / "parallel"), **kwargs
+        ).run(budget=4, jobs=2)
         assert serial.to_json() == parallel.to_json()
 
 
 class TestCacheLayers:
     def test_second_study_warm_starts_from_trial_keys(self, tmp_path):
         store = ResultStore(tmp_path)
-        kwargs = dict(budget=4, seed=0, space=small_space(), batch_size=2)
-        cold = run_search_study("seeds", store=store, **kwargs)
+        kwargs = dict(seed=0, space=small_space(), batch_size=2)
+        cold = Study("seeds", store=store, **kwargs).run(budget=4)
         assert cold.n_trained == 4 and cold.n_from_cache == 0
-        warm = run_search_study("seeds", store=store, **kwargs)
+        warm = Study("seeds", store=store, **kwargs).run(budget=4)
         assert warm.n_trained == 0 and warm.n_from_cache == 4
         # Identical measurements through either path.
         for a, b in zip(cold.trials, warm.trials):
@@ -140,22 +135,17 @@ class TestCacheLayers:
 
     def test_search_stats_recorded_on_the_store(self, tmp_path):
         store = ResultStore(tmp_path)
-        kwargs = dict(budget=3, seed=0, space=small_space(), batch_size=3)
-        run_search_study("seeds", store=store, **kwargs)
-        run_search_study("seeds", store=store, **kwargs)
+        kwargs = dict(seed=0, space=small_space(), batch_size=3)
+        Study("seeds", store=store, **kwargs).run(budget=3)
+        Study("seeds", store=store, **kwargs).run(budget=3)
         # Counters persist: a fresh instance reads them from _stats.json.
         stats = ResultStore(tmp_path).lifetime_search_stats()
         assert stats == {"from_cache": 3, "trained": 3}
 
     def test_no_cache_study_trains_everything_and_stores_nothing(self):
-        result = run_search_study(
-            "seeds",
-            budget=3,
-            seed=0,
-            space=small_space(),
-            store=None,
-            batch_size=3,
-        )
+        result = Study(
+            "seeds", seed=0, space=small_space(), store=None, batch_size=3
+        ).run(budget=3)
         assert result.n_trained == 3
         assert len(ResultStore()) == 0  # not even the default location
 
@@ -221,9 +211,9 @@ class TestCacheOnly:
 
     def test_warm_store_replays_without_training(self, tmp_path):
         store = ResultStore(tmp_path)
-        kwargs = dict(budget=4, seed=0, space=small_space(), batch_size=2)
-        cold = run_search_study("seeds", store=store, **kwargs)
-        warm = run_search_study("seeds", store=store, cache_only=True, **kwargs)
+        kwargs = dict(seed=0, space=small_space(), batch_size=2)
+        cold = Study("seeds", store=store, **kwargs).run(budget=4)
+        warm = Study("seeds", store=store, cache_only=True, **kwargs).run(budget=4)
         assert warm.n_trained == 0 and warm.n_from_cache == 4
         for a, b in zip(cold.trials, warm.trials):
             assert a.config == b.config
@@ -236,8 +226,8 @@ class TestCacheOnly:
         from repro.core.sharding import MissingResultsError
 
         store = ResultStore(tmp_path)
-        kwargs = dict(budget=3, seed=0, space=small_space(), batch_size=3)
-        run_search_study("seeds", store=store, **kwargs)  # trials only
+        kwargs = dict(seed=0, space=small_space(), batch_size=3)
+        Study("seeds", store=store, **kwargs).run(budget=3)  # trials only
         study = Study(
             "seeds",
             objectives=("-accuracy", "mean_accuracy_drop"),
@@ -260,19 +250,18 @@ class TestCacheOnly:
         """A trial whose point is cached but whose variation entry is not
         computes only the Monte-Carlo, bit-identical to a cold study."""
         kwargs = dict(
-            budget=3, seed=0, space=small_space(), batch_size=3,
+            seed=0, space=small_space(), batch_size=3,
             objectives=("-accuracy", "mean_accuracy_drop"),
             sigma_v=0.02, variation_trials=4,
         )
         store = ResultStore(tmp_path)
-        run_search_study(
-            "seeds", store=store, budget=3, seed=0, space=small_space(),
-            batch_size=3,
-        )  # points only
+        Study(
+            "seeds", store=store, seed=0, space=small_space(), batch_size=3
+        ).run(budget=3)  # points only
         stores_before = store.stats.stores
-        warm_points = run_search_study("seeds", store=store, **kwargs)
+        warm_points = Study("seeds", store=store, **kwargs).run(budget=3)
         assert store.stats.stores - stores_before == 3  # variation entries only
-        cold = run_search_study("seeds", store=None, **kwargs)
+        cold = Study("seeds", store=None, **kwargs).run(budget=3)
         assert warm_points.n_trained == 3
         assert [t.record() for t in warm_points.trials] == [
             t.record() for t in cold.trials
@@ -281,14 +270,13 @@ class TestCacheOnly:
 
 class TestStudyResultShape:
     def test_record_fields_and_front_property(self, tmp_path):
-        result = run_search_study(
+        result = Study(
             "seeds",
-            budget=4,
             seed=0,
             space=small_space(),
             store=ResultStore(tmp_path),
             batch_size=2,
-        )
+        ).run(budget=4)
         record = json.loads(result.to_json())
         assert record["schema_version"] == 1
         assert record["kind"] == "search_study"

@@ -2,6 +2,7 @@
 
 import asyncio
 import math
+import time
 import weakref
 
 import numpy as np
@@ -23,6 +24,42 @@ def run(coro):
 def rows():
     rng = np.random.default_rng(29)
     return rng.random((128, N_FEATURES))
+
+
+class _HoldCountingScorer:
+    """Stub scorer counting finished request tasks that are still alive.
+
+    Every 250th request looks up the tasks already finished when it began;
+    one loop pass later their done callbacks have run, so only a reference
+    held by the load generator keeps one alive.  Each request blocks the
+    loop for ``busy_s`` first, and every 100th one fails.
+    """
+
+    def __init__(self, busy_s: float = 0.0):
+        self.stats = BatcherStats()
+        self.busy_s = busy_s
+        self.tasks = []
+        self.max_held = 0
+
+    async def score(self, row):
+        if self.busy_s:
+            time.sleep(self.busy_s)
+        index = len(self.tasks)
+        self.tasks.append(weakref.ref(asyncio.current_task()))
+        done = []
+        if index % 250 == 0:
+            done = [ref for ref in self.tasks if _finished(ref)]
+        await asyncio.sleep(0)
+        held = sum(ref() is not None for ref in done)
+        self.max_held = max(self.max_held, held)
+        if index % 100 == 0:
+            raise RuntimeError("stub failure")
+        return 0
+
+
+def _finished(ref) -> bool:
+    task = ref()
+    return task is not None and task.done()
 
 
 class TestOpenLoop:
@@ -72,39 +109,24 @@ class TestOpenLoop:
 
     def test_finished_requests_are_not_held(self, rows):
         """A finished request's task is released while the run goes on."""
-
-        def finished(ref) -> bool:
-            task = ref()
-            return task is not None and task.done()
-
-        class StubScorer:
-            def __init__(self):
-                self.stats = BatcherStats()
-                self.tasks = []
-                self.max_held = 0
-
-            async def score(self, row):
-                index = len(self.tasks)
-                self.tasks.append(weakref.ref(asyncio.current_task()))
-                done = []
-                if index % 250 == 0:
-                    done = [ref for ref in self.tasks if finished(ref)]
-                await asyncio.sleep(0)
-                # One loop pass later, the done callbacks of every task that
-                # had finished have run: only a held reference keeps it alive.
-                held = sum(ref() is not None for ref in done)
-                self.max_held = max(self.max_held, held)
-                if index % 100 == 0:
-                    raise RuntimeError("stub failure")
-                return 0
-
-        scorer = StubScorer()
+        scorer = _HoldCountingScorer()
         report = run(
             run_open_loop(scorer, rows, rate_hz=20_000.0, n_requests=5000)
         )
         assert report.n_requests + report.n_errors == 5000
         assert report.n_errors == 50
         assert len(scorer.tasks) == 5000
+        assert scorer.max_held == 0
+
+    def test_finished_requests_are_not_held_behind_a_slow_scorer(self, rows):
+        """A scorer slower than the rate makes the generator send the tail
+        without yielding; the requests finishing after that are released
+        too, not held until the last one finishes."""
+        scorer = _HoldCountingScorer(busy_s=1e-4)
+        report = run(
+            run_open_loop(scorer, rows, rate_hz=20_000.0, n_requests=5000)
+        )
+        assert report.n_requests + report.n_errors == 5000
         assert scorer.max_held == 0
 
     def test_validation_errors(self, small_tree, rows):
