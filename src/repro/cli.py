@@ -1069,26 +1069,24 @@ def _cmd_cache_prune(args: argparse.Namespace) -> int:
     return 0
 
 
-def _registry(args: argparse.Namespace):
-    from repro.serve.registry import ModelRegistry
-
-    return ModelRegistry(args.registry_dir)
-
-
 def _cmd_registry_promote(args: argparse.Namespace) -> int:
-    from repro.serve.registry import promote_design
+    from repro.serve.registry import ModelRegistry, RegistryInputError, promote_design
 
-    artifact = promote_design(
-        _registry(args),
-        args.dataset,
-        args.depth,
-        args.tau,
-        name=args.name,
-        seed=args.seed,
-        training_sigma=args.training_sigma,
-        robustness_weight=args.robustness_weight,
-        cache_dir=args.cache_dir,
-    )
+    try:
+        artifact = promote_design(
+            ModelRegistry(args.registry_dir),
+            args.dataset,
+            args.depth,
+            args.tau,
+            name=args.name,
+            seed=args.seed,
+            training_sigma=args.training_sigma,
+            robustness_weight=args.robustness_weight,
+            cache_dir=args.cache_dir,
+        )
+    except RegistryInputError as exc:
+        print(f"repro registry promote: {exc}", file=sys.stderr)
+        return 2
     meta = artifact.kernel_meta
     print(
         f"promoted {artifact.name}/v{artifact.version} "
@@ -1101,7 +1099,13 @@ def _cmd_registry_promote(args: argparse.Namespace) -> int:
 
 
 def _cmd_registry_list(args: argparse.Namespace) -> int:
-    registry = _registry(args)
+    from repro.serve.registry import ModelRegistry, RegistryInputError
+
+    try:
+        registry = ModelRegistry(args.registry_dir)
+    except RegistryInputError as exc:
+        print(f"repro registry list: {exc}", file=sys.stderr)
+        return 2
     entries = [registry.manifest(name) for name in registry.list_models()]
     if args.json:
         print(json.dumps(entries, sort_keys=True))
@@ -1120,8 +1124,10 @@ def _cmd_registry_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_registry_show(args: argparse.Namespace) -> int:
-    registry = _registry(args)
+    from repro.serve.registry import ModelRegistry, RegistryInputError
+
     try:
+        registry = ModelRegistry(args.registry_dir)
         if args.datasheet:
             print(registry.load(args.name, args.version).datasheet)
         else:
@@ -1132,6 +1138,9 @@ def _cmd_registry_show(args: argparse.Namespace) -> int:
                     indent=2,
                 )
             )
+    except RegistryInputError as exc:
+        print(f"repro registry show: {exc}", file=sys.stderr)
+        return 2
     except KeyError as exc:
         print(f"registry show: {exc.args[0]}", file=sys.stderr)
         return 2
@@ -1159,12 +1168,16 @@ def _cmd_serve_smoke(args: argparse.Namespace) -> int:
     from repro.core.store import default_cache_dir
     from repro.serve.batching import BatchingConfig
     from repro.serve.loadgen import run_open_loop
-    from repro.serve.registry import ModelRegistry, promote_design
+    from repro.serve.registry import ModelRegistry, RegistryInputError, promote_design
     from repro.serve.scorer import AsyncScorer
 
     cache_dir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
     with tempfile.TemporaryDirectory() as scratch:
-        registry = ModelRegistry(args.registry_dir if args.registry_dir else scratch)
+        try:
+            registry = ModelRegistry(args.registry_dir if args.registry_dir else scratch)
+        except RegistryInputError as exc:
+            print(f"repro serve smoke: {exc}", file=sys.stderr)
+            return 2
         # Snapshot before the promote: its cache lookup is the serving stack's
         # only contact with the store and must be read-only too.
         before = _snapshot_dir(cache_dir)

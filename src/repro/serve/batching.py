@@ -1,41 +1,44 @@
 """Asyncio micro-batching: amortize per-call cost across concurrent requests.
 
 :class:`MicroBatcher` is the generic accumulation engine under the serving
-scorer (:mod:`repro.serve.scorer`).  Concurrent ``submit`` calls enqueue
-items into a bounded :class:`asyncio.Queue`; a single worker task collects
-them into batches that flush when either ``max_batch_size`` items have
-accumulated or ``max_wait_us`` has elapsed since the batch opened, whichever
-comes first.  One ``flush_fn(items)`` call services the whole batch and its
-results are demultiplexed back to the per-item futures in order.
+scorer (:mod:`repro.serve.scorer`).  ``submit(item)`` appends an
+``(item, future)`` pair to a bounded deque and hands the caller the future;
+a single worker task flushes the deque in batches, when either
+``max_batch_size`` items have accumulated or ``max_wait_us`` has elapsed
+since the batch opened, whichever comes first.  One ``flush_fn(items)``
+call services the whole batch and its results are demultiplexed back to the
+per-item futures in order.
 
 Design points worth knowing:
 
-* **No empty flushes.**  The worker blocks on the queue while idle; a batch
-  only opens when its first item arrives, and the deadline is measured from
-  that arrival.  An idle batcher performs zero work.
-* **Backpressure, not buffering.**  The queue is bounded
-  (``max_queue_size``); when it is full, ``submit`` suspends in
-  ``queue.put`` until the worker drains, so a slow flush function
-  back-pressures producers instead of growing memory without bound.
-* **Graceful shutdown.**  ``close()`` flushes everything already enqueued
-  (pending futures resolve with real results), then fails any stragglers
-  with :class:`ScorerClosedError`.  Submitting after close raises.
+* **One wake-up per batch.**  An accepted request costs one future and one
+  append.  The worker sleeps until the first item reaches an idle batcher,
+  a submission fills the batch, the window ends or ``close()`` is called,
+  and then takes up to ``max_batch_size`` items straight off the deque, so
+  a backlog forms full batches at once.  An idle batcher performs zero work.
+* **Backpressure, not buffering.**  The deque is bounded
+  (``max_queue_size``); when it is full, ``submit`` returns a coroutine that
+  suspends until a flush makes room, so a slow flush function back-pressures
+  producers instead of growing memory without bound.
+* **Graceful shutdown.**  ``close()`` flushes everything accepted before it
+  in ``max_batch_size`` "drain" batches (pending futures resolve with real
+  results), then stops the worker.  Submitting after close, or waiting on a
+  full queue when it lands, raises :class:`ScorerClosedError`.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import inspect
 import math
 import numbers
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Awaitable, Callable, Sequence, Union
 
 FlushFn = Callable[[list], Union[Sequence, Awaitable[Sequence]]]
-
-#: Queue sentinel instructing the worker to drain and exit.
-_CLOSE = object()
 
 #: The event loop hands each timer wait to its selector in whole
 #: milliseconds, rounded up (``math.ceil(timeout * 1e3)`` in
@@ -47,7 +50,7 @@ _TIMER_GRANULARITY_S = 1e-3
 
 
 class ScorerClosedError(RuntimeError):
-    """Raised by ``submit`` on a closed batcher and set on abandoned futures."""
+    """Raised where a submission to a closed batcher, or one refused by close, is awaited."""
 
 
 @dataclass(frozen=True)
@@ -67,8 +70,9 @@ class BatchingConfig:
         timer grid: the worker yields through the final millisecond, which
         keeps the loop thread busy for at most 1 ms per open batch.
     max_queue_size:
-        Bound of the submission queue (backpressure threshold).  0 means
-        unbounded.
+        Bound on accepted requests not yet handed to a flush (backpressure
+        threshold).  0 means unbounded.  A bound below ``max_batch_size``
+        also caps the batch: a full queue flushes as a full batch.
     """
 
     max_batch_size: int = 256
@@ -76,23 +80,18 @@ class BatchingConfig:
     max_queue_size: int = 4096
 
     def __post_init__(self) -> None:
-        for name in ("max_batch_size", "max_wait_us", "max_queue_size"):
+        for name, low in (("max_batch_size", 1), ("max_wait_us", 0), ("max_queue_size", 0)):
             value = getattr(self, name)
             if not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        for name in ("max_batch_size", "max_queue_size"):
-            value = getattr(self, name)
             # A fractional size would round up at the comparison; True is 1.
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            sized = name != "max_wait_us"
+            if sized and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.max_batch_size < 1:
-            raise ValueError("max_batch_size must be >= 1")
-        if self.max_wait_us < 0:
-            raise ValueError("max_wait_us must be >= 0")
-        if self.max_queue_size < 0:
-            raise ValueError("max_queue_size must be >= 0")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}")
 
 
 @dataclass
@@ -152,137 +151,119 @@ class MicroBatcher:
         self.flush_fn = flush_fn
         self.config = config if config is not None else BatchingConfig()
         self.stats = BatcherStats()
-        self._queue: asyncio.Queue = asyncio.Queue(maxsize=self.config.max_queue_size)
+        self._pending: deque[tuple[Any, asyncio.Future]] = deque()
+        # Items the fast path of ``submit`` admits: 0 before the worker runs
+        # and after close, so the slow path starts the worker or raises.
+        self._limit: float = 0
+        self._wake_at = 0  # the deque length a submission wakes the worker at
+        self._wake = asyncio.Event()
+        self._room = asyncio.Event()
+        self._loop: asyncio.AbstractEventLoop | None = None
         self._worker: asyncio.Task | None = None
         self._closed = False
 
     # ------------------------------------------------------------------ #
     # submission side
     # ------------------------------------------------------------------ #
-    async def submit(self, item: Any) -> Any:
-        """Enqueue ``item`` and await its result from the servicing flush.
+    def submit(self, item: Any) -> Awaitable[Any]:
+        """Accept ``item``; return an awaitable of its result from the servicing flush.
 
-        Suspends while the queue is full (backpressure).  Raises
-        :class:`ScorerClosedError` when the batcher is already closed.
+        While the queue has room this is the item's future itself: one
+        append, no coroutine.  Otherwise it is a coroutine that suspends
+        until a flush makes room (backpressure), or raises
+        :class:`ScorerClosedError` when the batcher is closed.  Either way
+        errors surface where the result is awaited.
         """
-        if self._closed:
-            raise ScorerClosedError("cannot submit to a closed MicroBatcher")
-        if self._worker is None:
+        pending = self._pending
+        if len(pending) < self._limit:
+            future = self._loop.create_future()
+            pending.append((item, future))
+            self.stats.n_requests += 1
+            if len(pending) == self._wake_at:
+                self._wake.set()
+            return future
+        return self._submit_when_room(item)
+
+    async def _submit_when_room(self, item: Any) -> Any:
+        if self._worker is None and not self._closed:
             # Lazy start binds the worker to the caller's running loop.
-            self._worker = asyncio.get_running_loop().create_task(self._run())
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        await self._queue.put((item, future))
-        self.stats.n_requests += 1
-        return await future
+            self._loop = asyncio.get_running_loop()
+            self._worker = self._loop.create_task(self._run())
+            self._limit = self.config.max_queue_size or math.inf
+        while len(self._pending) >= self._limit:
+            if self._closed:
+                raise ScorerClosedError("cannot submit to a closed MicroBatcher")
+            self._room.clear()
+            await self._room.wait()
+        return await self.submit(item)
 
     async def close(self) -> None:
-        """Flush all enqueued work, resolve every pending future, stop.
+        """Flush all accepted work, resolve every pending future, stop.
 
-        Requests enqueued before ``close`` resolve with real results (the
-        worker drains the queue in max-size batches); a racing ``submit``
-        that loses to the sentinel fails with :class:`ScorerClosedError`.
-        Idempotent.
+        Requests accepted before ``close`` resolve with real results (the
+        worker flushes them in max-size batches); producers still waiting
+        on a full queue, and later submissions, raise
+        :class:`ScorerClosedError`.  Idempotent.
         """
         if self._closed:
             return
         self._closed = True
-        if self._worker is None:
-            self._fail_pending()
-            return
-        await self._queue.put((_CLOSE, None))
-        await self._worker
-        self._fail_pending()
+        self._limit = 0
+        self._wake.set()
+        self._room.set()
+        if self._worker is not None:
+            await self._worker
 
     @property
     def closed(self) -> bool:
         """Whether :meth:`close` has begun (submissions now raise)."""
         return self._closed
 
-    def _fail_pending(self) -> None:
-        """Fail any futures still sitting in the queue after the drain."""
-        while True:
-            try:
-                item, future = self._queue.get_nowait()
-            except asyncio.QueueEmpty:
-                return
-            if item is _CLOSE or future is None:
-                continue
-            if not future.done():
-                future.set_exception(
-                    ScorerClosedError("MicroBatcher closed before this item flushed")
-                )
-
     # ------------------------------------------------------------------ #
     # worker side
     # ------------------------------------------------------------------ #
     async def _run(self) -> None:
         max_wait_s = self.config.max_wait_us / 1e6
-        max_size = self.config.max_batch_size
-        while True:
-            # Idle: block until a first item opens a batch (or close lands).
-            item, future = await self._queue.get()
-            if item is _CLOSE:
-                await self._drain()
-                return
-            batch = [(item, future)]
-            deadline = time.monotonic() + max_wait_s
-            kind = "timeout"
-            draining = False
-            while len(batch) < max_size:
-                # Greedy backlog drain first: items already queued join the
-                # batch at zero cost, so under load batches form from the
-                # backlog itself and the wait window only matters when the
-                # queue runs dry (adaptive micro-batching).
-                try:
-                    item, future = self._queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    if remaining <= _TIMER_GRANULARITY_S:
-                        # Inside the last millisecond a timer would overshoot
-                        # the deadline: yield to the producers and look again.
-                        await asyncio.sleep(0)
-                        continue
-                    try:
-                        item, future = await asyncio.wait_for(
-                            self._queue.get(),
-                            timeout=remaining - _TIMER_GRANULARITY_S,
-                        )
-                    except asyncio.TimeoutError:
-                        continue
-                if item is _CLOSE:
-                    draining = True
-                    kind = "drain"
-                    break
-                batch.append((item, future))
-            else:
-                kind = "full"
-            await self._flush(batch, kind)
-            if draining:
-                await self._drain()
-                return
-
-    async def _drain(self) -> None:
-        """Flush everything enqueued ahead of the close sentinel."""
-        batch: list[tuple[Any, asyncio.Future]] = []
-        while True:
-            try:
-                item, future = self._queue.get_nowait()
-            except asyncio.QueueEmpty:
-                break
-            if item is _CLOSE:
+        # A full queue is a full batch: no submission can grow it further.
+        full_at = min(self.config.max_batch_size, self.config.max_queue_size or math.inf)
+        pending = self._pending
+        while pending or not self._closed:
+            if not pending:
+                # Idle: sleep until a first item opens a batch (or close lands).
+                await self._sleep_until(1)
                 continue
-            batch.append((item, future))
-            if len(batch) >= self.config.max_batch_size:
-                await self._flush(batch, "drain")
-                batch = []
-        if batch:
-            await self._flush(batch, "drain")
+            # Items already queued are in the batch at zero cost, so under
+            # load batches form from the backlog itself and the window only
+            # matters when the queue runs dry (adaptive micro-batching).
+            deadline = time.monotonic() + max_wait_s
+            while len(pending) < full_at and not self._closed:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                if remaining <= _TIMER_GRANULARITY_S:
+                    # Inside the last millisecond a timer would overshoot
+                    # the deadline: yield to the producers and look again.
+                    await asyncio.sleep(0)
+                else:
+                    await self._sleep_until(full_at, remaining - _TIMER_GRANULARITY_S)
+            await self._flush(
+                "drain" if self._closed else "full" if len(pending) >= full_at else "timeout"
+            )
 
-    async def _flush(self, batch: list, kind: str) -> None:
-        if not batch:
-            return
+    async def _sleep_until(self, count: int, timeout: float | None = None) -> None:
+        """Sleep until ``count`` items are pending, ``close()``, or ``timeout`` s."""
+        self._wake_at = count
+        self._wake.clear()
+        woken = self._wake.wait()
+        with contextlib.suppress(asyncio.TimeoutError):
+            await (woken if timeout is None else asyncio.wait_for(woken, timeout=timeout))
+        self._wake_at = 0
+
+    async def _flush(self, kind: str) -> None:
+        """Flush up to ``max_batch_size`` items off the front of the deque."""
+        pending = self._pending
+        batch = [pending.popleft() for _ in range(min(len(pending), self.config.max_batch_size))]
+        self._room.set()
         items = [item for item, _ in batch]
         try:
             results = self.flush_fn(items)

@@ -58,6 +58,10 @@ from repro.pdk.egfet import EGFETTechnology, default_technology
 _NAME_RE = re.compile(r"[a-z0-9][a-z0-9._-]{0,63}")
 
 
+class RegistryInputError(ValueError):
+    """A registry directory or model name the registry refuses."""
+
+
 def default_registry_dir() -> Path:
     """Default location: ``$REPRO_REGISTRY_DIR`` or ``~/.cache/repro/registry``."""
     env = os.environ.get("REPRO_REGISTRY_DIR")
@@ -147,7 +151,7 @@ class ModelRegistry:
             Path(registry_dir) if registry_dir is not None else default_registry_dir()
         )
         if self.registry_dir.exists() and not self.registry_dir.is_dir():
-            raise ValueError(
+            raise RegistryInputError(
                 f"registry_dir {str(self.registry_dir)!r} exists and is not a directory"
             )
 
@@ -299,7 +303,7 @@ def promote_design(
     )
     name = name if name is not None else f"{spec.dataset}-d{spec.depth}"
     if not _NAME_RE.fullmatch(name):
-        raise ValueError(
+        raise RegistryInputError(
             f"invalid model name {name!r}: want lowercase "
             "[a-z0-9._-], max 64 chars, leading alphanumeric"
         )

@@ -21,6 +21,7 @@ alone, regardless of how requests interleave -- property-tested in
 from __future__ import annotations
 
 import math
+from typing import Awaitable
 
 import numpy as np
 
@@ -28,6 +29,10 @@ from repro.adc.thermometer import quantize_array_to_levels
 from repro.core.unary_tree import translate
 from repro.serve.batching import BatchingConfig, MicroBatcher
 from repro.serve.registry import ModelArtifact
+
+
+async def _raise(exc: Exception):
+    raise exc
 
 
 class AsyncScorer:
@@ -69,15 +74,20 @@ class AsyncScorer:
     # ------------------------------------------------------------------ #
     # request path
     # ------------------------------------------------------------------ #
-    async def score(self, sample) -> int:
-        """Score one normalized ``(n_features,)`` sample; returns its label.
+    def score(self, sample) -> Awaitable[int]:
+        """Score one normalized ``(n_features,)`` sample; await it for its label.
 
-        Suspends until the servicing flush completes: at low load a lone
-        request waits about ``max_wait_us`` (not rounded up to the event
-        loop's millisecond timer grid) plus one flush; at overload,
-        backpressure bounds it.
+        Returns the request's batcher future, so a request runs no coroutine
+        of its own.  It resolves after the servicing flush: at low load a
+        lone request waits about ``max_wait_us`` plus one flush; at overload,
+        backpressure bounds it.  Every error, a malformed sample included,
+        raises at the ``await``, so it never fails its neighbours in a gather.
         """
-        return await self._batcher.submit(self._as_row(sample))
+        try:
+            row = self._as_row(sample)
+        except (TypeError, ValueError) as exc:
+            return _raise(exc)
+        return self._batcher.submit(row)
 
     def score_one(self, sample) -> int:
         """Synchronous single-request reference path (no batching).

@@ -274,6 +274,38 @@ class TestBatchWindow:
         assert flushed == [["a"]]
 
 
+class TestOneTimerPerWindow:
+    def test_arrivals_inside_the_window_arm_no_new_timer(self, monkeypatch):
+        """Real clock: five arrivals 1 ms apart share one 50 ms window and one
+        timer; the worker does not wake (and re-arm) per arrival."""
+        armed = []
+        real_wait_for = asyncio.wait_for
+
+        def counting_wait_for(awaitable, timeout):
+            armed.append(timeout)
+            return real_wait_for(awaitable, timeout)
+
+        monkeypatch.setattr(asyncio, "wait_for", counting_wait_for)
+
+        async def scenario():
+            batcher = MicroBatcher(
+                lambda items: list(items),
+                BatchingConfig(max_batch_size=64, max_wait_us=50_000.0),
+            )
+            pending = []
+            for i in range(5):
+                pending.append(asyncio.ensure_future(batcher.submit(i)))
+                await asyncio.sleep(0.001)
+            results = await asyncio.gather(*pending)
+            await batcher.close()
+            return results, batcher.stats
+
+        results, stats = run(scenario())
+        assert results == list(range(5))
+        assert stats.n_flushes == stats.n_timeout_flushes == 1
+        assert len(armed) == 1
+
+
 class TestWindowLatency:
     def test_lone_request_pays_the_window_not_a_timer_tick(self):
         """A 200 us window must not round up to the loop's 1 ms timer."""
@@ -361,6 +393,49 @@ class TestBackpressure:
         assert n_requests == 3
 
 
+    def test_burst_never_holds_more_than_the_queue_bound(self):
+        """10x the bound submitted at once: accepted requests not yet handed
+        to a flush never exceed ``max_queue_size``, and all complete."""
+        bound = 8
+        held = []
+
+        async def scenario():
+            gate = asyncio.Event()
+            handed = 0
+
+            async def gated_flush(items):
+                nonlocal handed
+                handed += len(items)
+                await gate.wait()
+                return list(items)
+
+            batcher = MicroBatcher(
+                gated_flush,
+                BatchingConfig(max_batch_size=4, max_wait_us=0.0, max_queue_size=bound),
+            )
+            burst = [asyncio.ensure_future(batcher.submit(i)) for i in range(10 * bound)]
+
+            async def watch():
+                while not all(future.done() for future in burst):
+                    held.append(batcher.stats.n_requests - handed)
+                    await asyncio.sleep(0)
+
+            watcher = asyncio.ensure_future(watch())
+            await _spin()  # the first flush is held at the gate: the queue fills
+            saturated = held[-1]
+            gate.set()
+            results = await asyncio.gather(*burst)
+            await watcher
+            await batcher.close()
+            return saturated, results, batcher.stats.n_requests
+
+        saturated, results, n_requests = run(scenario())
+        assert saturated == bound
+        assert max(held) <= bound
+        assert results == list(range(10 * bound))
+        assert n_requests == 10 * bound
+
+
 class TestShutdown:
     def test_close_drains_pending_futures_with_real_results(self):
         async def scenario():
@@ -379,6 +454,37 @@ class TestShutdown:
         assert results == [i + 100 for i in range(9)]
         assert stats.n_requests == 9
         assert stats.n_drain_flushes >= 1
+
+    def test_close_under_backpressure_resolves_or_refuses_every_request(self):
+        """Producers suspended on a full queue when close lands raise
+        ScorerClosedError; accepted requests resolve; nothing hangs."""
+
+        async def scenario():
+            gate = asyncio.Event()
+
+            async def gated_flush(items):
+                await gate.wait()
+                return [item * 2 for item in items]
+
+            batcher = MicroBatcher(
+                gated_flush,
+                BatchingConfig(max_batch_size=2, max_wait_us=0.0, max_queue_size=2),
+            )
+            burst = [asyncio.ensure_future(batcher.submit(i)) for i in range(20)]
+            await _spin()  # one flush held at the gate, a full queue, waiters
+            closing = asyncio.ensure_future(batcher.close())
+            await _spin()
+            gate.set()
+            await closing
+            results = await asyncio.gather(*burst, return_exceptions=True)
+            return results, batcher.stats
+
+        results, stats = run(asyncio.wait_for(scenario(), 5))
+        for i, result in enumerate(results):
+            assert result == 2 * i or isinstance(result, ScorerClosedError)
+        served = [r for r in results if not isinstance(r, ScorerClosedError)]
+        assert served == [2 * i for i in range(stats.n_requests)]
+        assert len(served) < len(results)
 
     def test_submit_after_close_raises(self):
         async def scenario():

@@ -201,3 +201,33 @@ class TestServeSmokeCli:
         assert "exceeds" in capsys.readouterr().err
         payload = json.loads(out_json.read_text())
         assert payload["slo_failures"]
+
+
+class TestRejectedPathsAndNames:
+    """A refused path or name exits 2 with one ``repro <command>:`` line."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "smoke", "--dataset", DATASET],
+            ["registry", "promote", "--dataset", DATASET, "--depth", "2"],
+            ["registry", "list"],
+            ["registry", "show", f"{DATASET}-d2"],
+        ],
+        ids=lambda argv: "-".join(argv[:2]),
+    )
+    def test_a_file_as_registry_dir_exits_2(self, tmp_path, cache_dir, capsys, argv):
+        not_a_dir = tmp_path / "registry"
+        not_a_dir.write_text("")
+        extra = ["--cache-dir", cache_dir] if "--dataset" in argv else []
+        assert main([*argv, *extra, "--registry-dir", str(not_a_dir)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"repro {' '.join(argv[:2])}: registry_dir {str(not_a_dir)!r} "
+            "exists and is not a directory"
+        ]
+
+    def test_promote_refuses_a_path_as_name(self, registry_dir, cache_dir, capsys):
+        assert promote(registry_dir, cache_dir, "--name", "../x") == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("repro registry promote: invalid model name '../x'")
+        assert not Path(registry_dir).exists() and not Path(cache_dir).exists()
