@@ -28,7 +28,8 @@ from repro.adc.frontend import ConventionalFrontEnd
 from repro.circuits.area_power import estimate_netlist
 from repro.core.metrics import HardwareReport
 from repro.mltrees.cart import CARTTrainer
-from repro.mltrees.evaluation import accuracy_score
+from repro.mltrees.evaluation import PackedSplit
+from repro.mltrees.quantize import truncated_threshold
 from repro.mltrees.tree import LEAF, DecisionTree
 from repro.baselines.mubarik import build_comparator_tree_netlist
 from repro.pdk.egfet import EGFETTechnology, default_technology
@@ -38,22 +39,17 @@ def approximate_tree(tree: DecisionTree, per_feature_bits: dict[int, int]) -> De
     """Snap every threshold of ``tree`` onto the coarser grid of its feature.
 
     Reducing input ``f`` to ``b`` bits keeps only its ``b`` most significant
-    bits, so a full-resolution threshold ``k`` becomes
-    ``max(k >> (R - b), 1) << (R - b)`` -- the same truncation the hardware
-    comparator applies in :func:`build_comparator_tree_netlist`.  One
-    transform of the ``threshold`` array; the other node arrays are shared.
+    bits (:func:`~repro.mltrees.quantize.truncated_threshold`), the same
+    truncation the hardware comparator applies in
+    :func:`build_comparator_tree_netlist`.  One transform of the
+    ``threshold`` array; the other node arrays are shared.
     """
     resolution = tree.resolution_bits
-    shift_of = np.zeros(tree.n_features, dtype=np.int64)
-    for feature, bits in per_feature_bits.items():
-        if 0 <= feature < tree.n_features:
-            shift_of[feature] = resolution - min(max(int(bits), 1), resolution)
-    shift = shift_of[tree.feature]  # leaves (feature -1) are masked below
-    return tree.with_thresholds(np.where(
-        tree.feature != LEAF,
-        np.maximum(tree.threshold >> shift, 1) << shift,
-        tree.threshold,
-    ))
+    return tree.with_thresholds([
+        level if feature == LEAF or feature not in per_feature_bits
+        else truncated_threshold(level, per_feature_bits[feature], resolution)
+        for feature, level in zip(tree.feature.tolist(), tree.threshold.tolist())
+    ])
 
 
 @dataclass
@@ -105,8 +101,7 @@ class BalaskasApproximateDesign:
 
 def _greedy_precision_scaling(
     tree: DecisionTree,
-    X_test_levels: np.ndarray,
-    y_test: np.ndarray,
+    test_rows: PackedSplit,
     accuracy_floor: float,
     resolution_bits: int,
     accuracy: float,
@@ -115,25 +110,36 @@ def _greedy_precision_scaling(
 
     ``accuracy`` is the full-precision tree's test accuracy, the search's
     starting point: at full precision :func:`approximate_tree` keeps every
-    threshold (split levels are >= 1), so it is not scored again.  Returns
-    the accepted per-feature bit widths and the accuracy of the final
-    approximated tree.
+    threshold (split levels are >= 1), so it is not scored again.  A trial
+    narrows one input by a bit, which moves only the nodes splitting that
+    input: each takes the packed rows of its truncated threshold, and the
+    trial is one walk of ``test_rows`` with no approximated tree built.
+    Returns the accepted per-feature bit widths and the accuracy of the
+    final approximated tree.
     """
-    bits = {feature: resolution_bits for feature in tree.used_features()}
+    feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
+    walk = (feature, tree.left.tolist(), tree.right.tolist(), tree.prediction.tolist())
+    digits = test_rows.digits(feature, threshold)
+    nodes_of: dict[int, list[int]] = {}
+    for node, split in enumerate(feature):
+        if split != LEAF:
+            nodes_of.setdefault(split, []).append(node)
+    bits = dict.fromkeys(sorted(nodes_of), resolution_bits)
     improved = True
     while improved:
         improved = False
-        for feature in sorted(bits):
-            if bits[feature] <= 1:
+        for split in bits:
+            narrower = bits[split] - 1
+            if narrower < 1:
                 continue
-            trial = dict(bits)
-            trial[feature] = bits[feature] - 1
-            trial_accuracy = accuracy_score(
-                y_test, approximate_tree(tree, trial).predict_levels(X_test_levels)
-            )
+            trial = list(digits)
+            for node in nodes_of[split]:
+                trial[node] = test_rows.rows_at_least(split, truncated_threshold(
+                    threshold[node], narrower, tree.resolution_bits
+                ))
+            trial_accuracy = test_rows.score(*walk, trial)
             if trial_accuracy >= accuracy_floor:
-                bits = trial
-                accuracy = trial_accuracy
+                bits[split], digits, accuracy = narrower, trial, trial_accuracy
                 improved = True
     return bits, accuracy
 
@@ -152,6 +158,7 @@ def fit_balaskas_design(
     max_depth: int = 10,
     technology: EGFETTechnology | None = None,
     seed: int = 0,
+    test_rows: PackedSplit | None = None,
 ) -> BalaskasApproximateDesign:
     """Fit the approximate baseline [7] under an accuracy-loss budget.
 
@@ -173,8 +180,14 @@ def fit_balaskas_design(
         EGFET technology used for costing the candidates.
     seed:
         Training seed.
+    test_rows:
+        ``X_test_levels`` and ``y_test`` packed (:class:`PackedSplit`) when
+        the caller holds them; packed here otherwise.  Every candidate and
+        every precision trial is scored on it.
     """
     technology = technology if technology is not None else default_technology()
+    if test_rows is None:
+        test_rows = PackedSplit(X_test_levels, y_test)
     accuracy_floor = reference_accuracy - max_accuracy_loss
 
     candidate_depths = range(
@@ -191,11 +204,10 @@ def fit_balaskas_design(
             max_depth=depth, resolution_bits=resolution_bits, seed=seed
         )
         tree = trainer.fit(X_train_levels, y_train, n_classes)
-        exact_accuracy = accuracy_score(y_test, tree.predict_levels(X_test_levels))
+        exact_accuracy = test_rows.accuracy(tree)
 
         bits, accuracy = _greedy_precision_scaling(
-            tree, X_test_levels, y_test, accuracy_floor, resolution_bits,
-            exact_accuracy,
+            tree, test_rows, accuracy_floor, resolution_bits, exact_accuracy,
         )
         design = BalaskasApproximateDesign(
             tree=approximate_tree(tree, bits),

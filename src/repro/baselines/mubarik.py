@@ -21,6 +21,7 @@ from repro.circuits.netlist import Netlist
 from repro.circuits.synthesis import synthesize_constant_comparator, synthesize_sop
 from repro.circuits.two_level import tree_label_logic
 from repro.core.metrics import HardwareReport
+from repro.mltrees.quantize import truncated_threshold
 from repro.mltrees.tree import LEAF, DecisionTree
 from repro.pdk.egfet import EGFETTechnology, default_technology
 
@@ -84,8 +85,9 @@ def build_comparator_tree_netlist(
         if feature == LEAF:
             continue
         # Truncate the threshold onto the visible-bit grid (identity when the
-        # full resolution is kept).
-        constant = max(level >> (resolution - len(bit_nets[feature])), 1)
+        # full resolution is kept), as a constant over the visible bits.
+        visible = len(bit_nets[feature])
+        constant = truncated_threshold(level, visible, resolution) >> (resolution - visible)
         comparator_nets[node] = synthesize_constant_comparator(
             netlist, bit_nets[feature], constant, operation=">="
         )

@@ -37,7 +37,7 @@ from repro.core.sharding import (
     normalize_sigmas,
     plan_suite_units,
 )
-from repro.core.store import ResultStore
+from repro.core.store import CacheDirError, ResultStore
 from repro.datasets.registry import dataset_names, load_dataset
 
 #: ``search --space`` and ``cosim --simulator`` choices, named here so that
@@ -891,6 +891,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     from repro.search import Study, get_space
 
     objectives = tuple(args.objective) if args.objective else ("-accuracy", "power")
+    store = _store(args)
     try:
         result = Study(
             args.dataset,
@@ -899,7 +900,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             seed=args.seed,
             sigma_v=args.sigma,
             variation_trials=args.trials,
-            store=_store(args),
+            store=store,
             batch_size=args.batch_size,
             cache_only=args.cache_only,
             ppa_backend=args.ppa_backend,
@@ -1241,6 +1242,11 @@ def _cmd_serve_smoke(args: argparse.Namespace) -> int:
         "0 cache writes during serving"
     )
     return 0
+
+
+#: The parser's ``dest`` of each command level: ``cache stats`` sets ``command``
+#: to ``"cache"`` and ``cache_command`` to ``"stats"``.
+_COMMAND_DESTS = ("command", "cache_command", "registry_command", "serve_command")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1602,7 +1608,15 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except CacheDirError as exc:
+        # Every command that opens a store refuses a file as --cache-dir here.
+        command = " ".join(
+            getattr(args, dest) for dest in _COMMAND_DESTS if getattr(args, dest, None)
+        )
+        print(f"repro {command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

@@ -39,7 +39,9 @@ _EXPORTS = {
         "reduction_percent",
     ),
     "repro.core.executor": ("Executor", "ParallelExecutor", "SerialExecutor", "get_executor"),
-    "repro.core.store": ("MergeReport", "ResultStore", "StoreStats", "make_key"),
+    "repro.core.store": (
+        "CacheDirError", "MergeReport", "ResultStore", "StoreStats", "make_key",
+    ),
     "repro.core.sharding": (
         "MissingResultsError", "ShardSpec", "SuitePlan", "WorkUnit", "normalize_sigmas",
         "plan_suite_units", "point_work_unit", "suite_work_unit", "variation_work_unit",

@@ -140,7 +140,10 @@ def reference_designs(
     data = spec.data()
     technology = spec.technology
     levels = (data.X_train_levels, data.y_train, data.X_test_levels, data.y_test)
-    knobs = dict(n_classes=data.n_classes, resolution_bits=spec.resolution_bits, seed=spec.seed)
+    knobs = dict(
+        n_classes=data.n_classes, resolution_bits=spec.resolution_bits, seed=spec.seed,
+        test_rows=data.test_rows,
+    )
     if twin is None:
         name = data.dataset.name
         fit = fit_baseline_tree(*levels, **knobs)

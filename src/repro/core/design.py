@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 from repro.core.metrics import HardwareReport
@@ -45,6 +45,7 @@ if TYPE_CHECKING:
     from repro.core.adc_aware_training import ADCAwareTrainer
     from repro.core.unary_tree import UnaryDecisionTree
     from repro.datasets.base import Dataset
+    from repro.mltrees.evaluation import PackedSplit
     from repro.mltrees.tree import DecisionTree
 
 
@@ -163,6 +164,13 @@ class SplitData:
     @property
     def n_classes(self) -> int:
         return self.dataset.n_classes
+
+    @cached_property
+    def test_rows(self) -> PackedSplit:
+        """The test partition packed once for every tree scored on it."""
+        from repro.mltrees.evaluation import PackedSplit
+
+        return PackedSplit(self.X_test_levels, self.y_test)
 
 
 @lru_cache(maxsize=1)
@@ -395,7 +403,7 @@ def evaluate_family(specs: Sequence[DesignSpec], ppa_backend=None) -> list[Desig
             dataset=spec.dataset,
             depth=spec.depth,
             tau=spec.tau,
-            accuracy=evaluate_tree_accuracy(cut, data.X_test_levels, data.y_test),
+            accuracy=evaluate_tree_accuracy(cut, data.test_rows),
             hardware=proposed_hardware_report(
                 cut,
                 spec.technology,

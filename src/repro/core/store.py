@@ -230,6 +230,10 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro" / "results"
 
 
+class CacheDirError(ValueError):
+    """A ``cache_dir`` that exists and is not a directory."""
+
+
 class ResultStore:
     """Content-addressed pickle store on the local filesystem.
 
@@ -265,7 +269,7 @@ class ResultStore:
     ):
         self.cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
         if self.cache_dir.exists() and not self.cache_dir.is_dir():
-            raise ValueError(
+            raise CacheDirError(
                 f"cache_dir {str(self.cache_dir)!r} exists and is not a directory"
             )
         self.touch_on_get = touch_on_get

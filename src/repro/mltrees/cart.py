@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.mltrees.evaluation import accuracy_score
+from repro.mltrees.evaluation import PackedSplit, accuracy_score
 from repro.mltrees.split_search import (
     CandidateTable,
     SplitCandidate,
@@ -272,15 +272,20 @@ def fit_baseline_tree(
     max_depth: int = 8,
     resolution_bits: int = 4,
     seed: int = 0,
+    test_rows: PackedSplit | None = None,
 ) -> BaselineFitResult:
     """Baseline protocol of Section IV: minimum depth achieving maximum accuracy.
 
     Trains one conventional tree per depth in ``1 .. max_depth`` and returns
     the shallowest tree whose test accuracy equals the best observed test
-    accuracy (less hardware for the same quality).
+    accuracy (less hardware for the same quality).  Every depth is scored on
+    the packed test split, ``test_rows`` when the caller holds it (it must
+    pack ``X_test_levels`` and ``y_test``), else packed here.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
+    if test_rows is None:
+        test_rows = PackedSplit(X_test_levels, y_test)
     accuracy_by_depth: dict[int, float] = {}
     trees: dict[int, DecisionTree] = {}
     for depth in range(1, max_depth + 1):
@@ -289,9 +294,7 @@ def fit_baseline_tree(
         )
         tree = trainer.fit(X_train_levels, y_train, n_classes)
         trees[depth] = tree
-        accuracy_by_depth[depth] = accuracy_score(
-            y_test, tree.predict_levels(X_test_levels)
-        )
+        accuracy_by_depth[depth] = test_rows.accuracy(tree)
     best_accuracy = max(accuracy_by_depth.values())
     best_depth = min(
         depth

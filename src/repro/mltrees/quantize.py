@@ -37,6 +37,21 @@ def level_to_value(level: int | np.ndarray, resolution_bits: int = 4):
     return np.asarray(level, dtype=float) / n_levels if isinstance(level, np.ndarray) else level / n_levels
 
 
+def truncated_threshold(level: int, bits: int, resolution_bits: int) -> int:
+    """Threshold ``level`` of a ``resolution_bits`` input read at ``bits`` MSBs.
+
+    Keeping only the ``bits`` most significant bits of an input (``bits``
+    clamped to ``[1, resolution_bits]``) leaves its comparators the coarser
+    grid of step ``2**s``, ``s = resolution_bits - bits``, and snaps the
+    threshold to ``max(level >> s, 1) << s``: never below one step, so a
+    split never degenerates to always-true.  This is the one truncation
+    rule of baseline [7]'s precision scaling -- the approximated tree, its
+    comparator netlist and its precision search all apply it.
+    """
+    shift = resolution_bits - min(max(int(bits), 1), resolution_bits)
+    return max(level >> shift, 1) << shift
+
+
 def quantization_error(X: np.ndarray, resolution_bits: int = 4) -> float:
     """Mean absolute quantization error introduced by the ADC grid.
 

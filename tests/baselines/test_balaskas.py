@@ -131,43 +131,52 @@ class TestFitBalaskasDesign:
     def test_fit_scores_each_full_precision_tree_once(
         self, small_split, technology, monkeypatch
     ):
-        """The greedy search starts from the exact accuracy: no full-precision
-        approximation is scored, and each candidate tree is scored once."""
+        """The greedy search starts from the exact accuracy: each candidate
+        tree is scored once at full precision, every trial narrows an input
+        before it is scored (none is at full precision), and trials run."""
         import repro.baselines.balaskas as balaskas
-        from repro.mltrees.tree import DecisionTree
+        from repro.mltrees.evaluation import PackedSplit
 
-        approximated, full_precision, predicted = [], [], []
-        original_approximate = balaskas.approximate_tree
-        original_predict = DecisionTree.predict_levels
+        events = []
+        original_accuracy, original_score = PackedSplit.accuracy, PackedSplit.score
+        original_truncate = balaskas.truncated_threshold
 
-        def counting_approximate(tree, bits):
-            result = original_approximate(tree, bits)
-            approximated.append(result)
-            if all(b == tree.resolution_bits for b in bits.values()):
-                full_precision.append(result)
-            return result
+        def counting_accuracy(rows, tree):
+            events.append(("candidate", tree))
+            return original_accuracy(rows, tree)
 
-        def counting_predict(tree, X_levels):
-            predicted.append(tree)
-            return original_predict(tree, X_levels)
+        def counting_score(rows, *walk):
+            events.append(("score", None))
+            return original_score(rows, *walk)
 
-        monkeypatch.setattr(balaskas, "approximate_tree", counting_approximate)
-        monkeypatch.setattr(DecisionTree, "predict_levels", counting_predict)
+        def counting_truncate(level, bits, resolution):
+            events.append(("narrow", bits < resolution))
+            return original_truncate(level, bits, resolution)
+
+        monkeypatch.setattr(PackedSplit, "accuracy", counting_accuracy)
+        monkeypatch.setattr(PackedSplit, "score", counting_score)
+        monkeypatch.setattr(balaskas, "truncated_threshold", counting_truncate)
         X_train, X_test, y_train, y_test = small_split
         fit_balaskas_design(
             X_train, y_train, X_test, y_test, n_classes=3,
             reference_accuracy=0.9, reference_depth=3,
             technology=technology, seed=0,
         )
-        assert not any(
-            tree is full for tree in predicted for full in full_precision
-        )
-        candidates = [
-            tree for tree in predicted
-            if not any(tree is approx for approx in approximated)
-        ]
+        candidates = [tree for kind, tree in events if kind == "candidate"]
         assert len(candidates) == 3  # depths 3, 4 and 5, scored once each
-        assert len(predicted) > len(candidates)  # the trials
+        assert len({id(tree) for tree in candidates}) == 3
+        trials, narrowed, own_score = 0, False, False
+        for kind, value in events:
+            if kind == "candidate":
+                own_score = True
+            elif kind == "narrow":
+                narrowed = narrowed or value
+            elif own_score:  # the candidate's full-precision score
+                own_score = narrowed = False
+            else:
+                assert narrowed, "a trial was scored without narrowing an input"
+                trials, narrowed = trials + 1, False
+        assert trials >= 1
 
     def test_hardware_report_consistent(self, fitted):
         _, design = fitted
