@@ -76,6 +76,7 @@ from repro.core.variation import (  # noqa: F401 (simulate_offset_variation: pub
     simulate_offset_variation,
 )
 from repro.datasets.registry import canonical_name, dataset_names
+from repro.errors import InputError
 
 #: Smaller benchmarks used when a quick run is requested.
 FAST_DATASETS: tuple[str, ...] = ("balance_scale", "vertebral_3c", "vertebral_2c", "seeds")
@@ -253,13 +254,13 @@ def _backend_store(store: ResultStore | None, ppa_backend, cache_only: bool):
         backend = resolve_ppa_backend(ppa_backend)
     if backend is not None and not getattr(backend, "is_analytic", False):
         if cache_only:
-            raise ValueError(
+            raise InputError(
                 "cache_only requires the analytic PPA backend: cached entries "
                 "hold analytic costs, which a report backend would contradict"
             )
         store = None
     if cache_only and store is None:
-        raise ValueError("cache_only requires a store")
+        raise InputError("cache_only requires a store")
     return store, backend
 
 

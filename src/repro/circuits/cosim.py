@@ -38,6 +38,7 @@ import numpy as np
 from repro.circuits.netlist import Netlist
 from repro.circuits.testbench import generate_verilog_testbench
 from repro.circuits.verilog import netlist_to_verilog, sanitize_identifier
+from repro.errors import InputError
 
 #: Schema version of :meth:`CosimReport.to_json_dict`.
 COSIM_SCHEMA_VERSION = 1
@@ -56,11 +57,11 @@ _PASS_RE = re.compile(r"TESTBENCH PASSED: (\d+) vectors")
 _FAIL_RE = re.compile(r"TESTBENCH FAILED: (\d+) errors")
 
 
-class SimulatorNotFoundError(RuntimeError):
+class SimulatorNotFoundError(InputError, RuntimeError):
     """No usable Verilog simulator is installed (or the requested one isn't)."""
 
 
-class CosimError(RuntimeError):
+class CosimError(InputError, RuntimeError):
     """The simulator toolchain failed (compile error, unparsable output, ...)."""
 
 

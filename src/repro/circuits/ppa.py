@@ -35,6 +35,7 @@ from repro.circuits.area_power import AreaPowerReport, estimate_netlist
 from repro.circuits.netlist import Netlist
 from repro.circuits.timing import TimingReport, estimate_timing
 from repro.circuits.verilog import sanitize_identifier
+from repro.errors import InputError
 from repro.pdk.egfet import EGFETTechnology
 
 #: Schema version of the external PPA report JSON format.
@@ -44,7 +45,7 @@ PPA_REPORT_SCHEMA_VERSION = 1
 PPA_REPORT_WILDCARD = "*"
 
 
-class PPAReportError(ValueError):
+class PPAReportError(InputError):
     """A PPA report is malformed or is missing a requested module."""
 
 

@@ -37,8 +37,9 @@ from repro.core.sharding import (
     normalize_sigmas,
     plan_suite_units,
 )
-from repro.core.store import CacheDirError, ResultStore
+from repro.core.store import ResultStore
 from repro.datasets.registry import dataset_names, load_dataset
+from repro.errors import InputError
 
 #: ``search --space`` and ``cosim --simulator`` choices, named here so that
 #: building the parser imports neither ``repro.search`` nor ``repro.circuits``
@@ -431,12 +432,9 @@ def _cmd_table2(args: argparse.Namespace) -> int:
     if args.training_sigma > 0:
         # Without --sigma there is no robustness pass to select against, so
         # offset-aware training would silently render the nominal table.
-        print(
-            "table2: --training-sigma requires --sigma (the offset-aware "
-            "selection it trains for)",
-            file=sys.stderr,
+        raise InputError(
+            "--training-sigma requires --sigma (the offset-aware selection it trains for)"
         )
-        return 2
     print(_render_table2(_suite(args, include_approximate=True)))
     return 0
 
@@ -486,24 +484,12 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 def _cmd_assemble(args: argparse.Namespace) -> int:
     """Merge shard stores and render every table from cache hits only."""
     store = _store(args)
-    try:
-        for archive in args.from_archive or []:
-            report = store.import_archive(archive)
-            print(
-                f"imported {archive}: {report.merged} new entries, "
-                f"{report.skipped} already present"
-            )
-        for directory in args.from_store or []:
-            report = store.merge_from(ResultStore(directory))
-            print(
-                f"merged {directory}: {report.merged} new entries, "
-                f"{report.skipped} already present"
-            )
-    except (OSError, ValueError) as exc:
-        # A missing/unreadable shard artifact is a first-class assemble
-        # failure: diagnose on stderr instead of crashing with a traceback.
-        print(f"assemble: {exc}", file=sys.stderr)
-        return 2
+    for archive in args.from_archive or []:
+        report = store.import_archive(archive)
+        print(f"imported {archive}: {report.merged} new entries, {report.skipped} already present")
+    for directory in args.from_store or []:
+        report = store.merge_from(ResultStore(directory))
+        print(f"merged {directory}: {report.merged} new entries, {report.skipped} already present")
 
     plan = _plan_from_args(args)
     missing = plan.missing(store)
@@ -515,25 +501,18 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
         )
         for unit in missing:
             print(f"  {unit.label}  {unit.store_key}", file=sys.stderr)
-        print(
-            "run the missing shards (repro.cli suite --shard K/N) and retry",
-            file=sys.stderr,
-        )
+        print(_MISSING_HINT, file=sys.stderr)
         return 1
 
     names = plan.datasets
-    try:
-        table1_results = run_benchmark_suite(
-            datasets=names, seed=args.seed, include_approximate_baseline=False,
-            store=store, cache_only=True, training_sigma=args.training_sigma,
-        )
-        table2_results = run_benchmark_suite(
-            datasets=names, seed=args.seed, include_approximate_baseline=True,
-            store=store, cache_only=True, training_sigma=args.training_sigma,
-        )
-    except MissingResultsError as exc:
-        print(f"assemble: {exc}", file=sys.stderr)
-        return 1
+    table1_results = run_benchmark_suite(
+        datasets=names, seed=args.seed, include_approximate_baseline=False,
+        store=store, cache_only=True, training_sigma=args.training_sigma,
+    )
+    table2_results = run_benchmark_suite(
+        datasets=names, seed=args.seed, include_approximate_baseline=True,
+        store=store, cache_only=True, training_sigma=args.training_sigma,
+    )
 
     sections = [
         ("table1.txt", _render_table1(table1_results)),
@@ -613,7 +592,7 @@ def _cmd_cosim(args: argparse.Namespace) -> int:
     from repro.circuits.cosim import (
         DEFAULT_RANDOM_VECTORS,
         SIMULATORS,
-        CosimError,
+        SimulatorNotFoundError,
         find_simulator,
         run_cosim,
         write_cosim_sources,
@@ -637,11 +616,7 @@ def _cmd_cosim(args: argparse.Namespace) -> int:
     simulator = find_simulator(args.simulator)
     if simulator is None:
         if args.simulator != "auto":
-            print(
-                f"cosim: simulator {args.simulator!r} is not installed",
-                file=sys.stderr,
-            )
-            return 2
+            raise SimulatorNotFoundError(f"simulator {args.simulator!r} is not installed")
         # Generation-only degradation: bare containers can still produce and
         # inspect the sources; CI's nightly job installs iverilog to run them.
         message = (
@@ -660,13 +635,7 @@ def _cmd_cosim(args: argparse.Namespace) -> int:
             }
             _write(args.json, json.dumps(payload, indent=2) + "\n")
         return 0
-    try:
-        report = run_cosim(
-            netlist, simulator=simulator, seed=args.seed, n_random=n_random
-        )
-    except CosimError as exc:
-        print(f"cosim: {exc}", file=sys.stderr)
-        return 2
+    report = run_cosim(netlist, simulator=simulator, seed=args.seed, n_random=n_random)
     drive = "exhaustive" if report.exhaustive else "random"
     verdict = "PASSED" if report.passed else "FAILED"
     print(
@@ -845,34 +814,20 @@ def _cmd_surface(args: argparse.Namespace) -> int:
         tuple(args.datasets) if args.datasets else None, args.fast
     )
     store = _store(args)
-    surfaces = []
-    try:
-        for name in names:
-            surfaces.append(
-                run_robustness_surface(
-                    name,
-                    tuple(args.sigma),
-                    n_trials=args.trials,
-                    seed=args.seed,
-                    jobs=args.jobs,
-                    store=store,
-                    training_sigma=args.training_sigma,
-                    cache_only=args.cache_only,
-                    ppa_backend=args.ppa_backend,
-                )
-            )
-    except MissingResultsError as exc:
-        print(f"surface: {exc}", file=sys.stderr)
-        print(
-            "run the missing shards (repro.cli suite --shard K/N --sigma ...) "
-            "and retry",
-            file=sys.stderr,
+    surfaces = [
+        run_robustness_surface(
+            name,
+            tuple(args.sigma),
+            n_trials=args.trials,
+            seed=args.seed,
+            jobs=args.jobs,
+            store=store,
+            training_sigma=args.training_sigma,
+            cache_only=args.cache_only,
+            ppa_backend=args.ppa_backend,
         )
-        return 1
-    except ValueError as exc:
-        # Incompatible flags (e.g. --cache-only with a report PPA backend).
-        print(f"surface: {exc}", file=sys.stderr)
-        return 2
+        for name in names
+    ]
     print("\n\n".join(_render_surface_text(surface) for surface in surfaces))
     if args.json:
         from repro.analysis.export import robustness_surface_to_json
@@ -891,30 +846,18 @@ def _cmd_search(args: argparse.Namespace) -> int:
     from repro.search import Study, get_space
 
     objectives = tuple(args.objective) if args.objective else ("-accuracy", "power")
-    store = _store(args)
-    try:
-        result = Study(
-            args.dataset,
-            space=get_space(args.space),
-            objectives=objectives,
-            seed=args.seed,
-            sigma_v=args.sigma,
-            variation_trials=args.trials,
-            store=store,
-            batch_size=args.batch_size,
-            cache_only=args.cache_only,
-            ppa_backend=args.ppa_backend,
-        ).run(budget=args.budget, jobs=args.jobs)
-    except MissingResultsError as exc:
-        # --cache-only: a trial would have had to train.  Same discipline
-        # (and exit code) as an assemble over an incomplete store.
-        print(f"search: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        # Bad objective spellings / incompatible flags (e.g. the
-        # mean_accuracy_drop objective without --sigma) are usage errors.
-        print(f"search: {exc}", file=sys.stderr)
-        return 2
+    result = Study(
+        args.dataset,
+        space=get_space(args.space),
+        objectives=objectives,
+        seed=args.seed,
+        sigma_v=args.sigma,
+        variation_trials=args.trials,
+        store=_store(args),
+        batch_size=args.batch_size,
+        cache_only=args.cache_only,
+        ppa_backend=args.ppa_backend,
+    ).run(budget=args.budget, jobs=args.jobs)
     front_numbers = set(result.front_numbers)
     print(
         f"Budgeted search of {result.dataset} ({args.space} space, budget "
@@ -1021,11 +964,7 @@ def _cmd_cache_clear(args: argparse.Namespace) -> int:
 
 def _cmd_cache_export(args: argparse.Namespace) -> int:
     store = _store(args)
-    try:
-        path = store.export_archive(args.output)
-    except (OSError, ValueError) as exc:
-        print(f"cache export: {exc}", file=sys.stderr)
-        return 2
+    path = store.export_archive(args.output)
     disk = store.disk_stats()
     print(
         f"exported {disk.n_entries} entries ({disk.total_bytes / 1e6:.2f} MB) "
@@ -1037,22 +976,14 @@ def _cmd_cache_export(args: argparse.Namespace) -> int:
 def _cmd_cache_import(args: argparse.Namespace) -> int:
     store = _store(args)
     for archive in args.archives:
-        try:
-            report = store.import_archive(archive)
-        except (OSError, ValueError) as exc:
-            print(f"cache import: {exc}", file=sys.stderr)
-            return 2
-        print(
-            f"imported {archive}: {report.merged} new entries, "
-            f"{report.skipped} already present"
-        )
+        report = store.import_archive(archive)
+        print(f"imported {archive}: {report.merged} new entries, {report.skipped} already present")
     return 0
 
 
 def _cmd_cache_prune(args: argparse.Namespace) -> int:
     if args.older_than_days is None and args.max_bytes is None:
-        print("cache prune: pass --older-than-days and/or --max-bytes", file=sys.stderr)
-        return 2
+        raise InputError("pass --older-than-days and/or --max-bytes")
     store = _store(args)
     if args.older_than_days is not None:
         removed = store.prune_older_than(args.older_than_days * 86400.0)
@@ -1071,23 +1002,19 @@ def _cmd_cache_prune(args: argparse.Namespace) -> int:
 
 
 def _cmd_registry_promote(args: argparse.Namespace) -> int:
-    from repro.serve.registry import ModelRegistry, RegistryInputError, promote_design
+    from repro.serve.registry import ModelRegistry, promote_design
 
-    try:
-        artifact = promote_design(
-            ModelRegistry(args.registry_dir),
-            args.dataset,
-            args.depth,
-            args.tau,
-            name=args.name,
-            seed=args.seed,
-            training_sigma=args.training_sigma,
-            robustness_weight=args.robustness_weight,
-            cache_dir=args.cache_dir,
-        )
-    except RegistryInputError as exc:
-        print(f"repro registry promote: {exc}", file=sys.stderr)
-        return 2
+    artifact = promote_design(
+        ModelRegistry(args.registry_dir),
+        args.dataset,
+        args.depth,
+        args.tau,
+        name=args.name,
+        seed=args.seed,
+        training_sigma=args.training_sigma,
+        robustness_weight=args.robustness_weight,
+        cache_dir=args.cache_dir,
+    )
     meta = artifact.kernel_meta
     print(
         f"promoted {artifact.name}/v{artifact.version} "
@@ -1100,13 +1027,9 @@ def _cmd_registry_promote(args: argparse.Namespace) -> int:
 
 
 def _cmd_registry_list(args: argparse.Namespace) -> int:
-    from repro.serve.registry import ModelRegistry, RegistryInputError
+    from repro.serve.registry import ModelRegistry
 
-    try:
-        registry = ModelRegistry(args.registry_dir)
-    except RegistryInputError as exc:
-        print(f"repro registry list: {exc}", file=sys.stderr)
-        return 2
+    registry = ModelRegistry(args.registry_dir)
     entries = [registry.manifest(name) for name in registry.list_models()]
     if args.json:
         print(json.dumps(entries, sort_keys=True))
@@ -1125,26 +1048,13 @@ def _cmd_registry_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_registry_show(args: argparse.Namespace) -> int:
-    from repro.serve.registry import ModelRegistry, RegistryInputError
+    from repro.serve.registry import ModelRegistry
 
-    try:
-        registry = ModelRegistry(args.registry_dir)
-        if args.datasheet:
-            print(registry.load(args.name, args.version).datasheet)
-        else:
-            print(
-                json.dumps(
-                    registry.manifest(args.name, args.version),
-                    sort_keys=True,
-                    indent=2,
-                )
-            )
-    except RegistryInputError as exc:
-        print(f"repro registry show: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
-        print(f"registry show: {exc.args[0]}", file=sys.stderr)
-        return 2
+    registry = ModelRegistry(args.registry_dir)
+    if args.datasheet:
+        print(registry.load(args.name, args.version).datasheet)
+    else:
+        print(json.dumps(registry.manifest(args.name, args.version), sort_keys=True, indent=2))
     return 0
 
 
@@ -1169,16 +1079,12 @@ def _cmd_serve_smoke(args: argparse.Namespace) -> int:
     from repro.core.store import default_cache_dir
     from repro.serve.batching import BatchingConfig
     from repro.serve.loadgen import run_open_loop
-    from repro.serve.registry import ModelRegistry, RegistryInputError, promote_design
+    from repro.serve.registry import ModelRegistry, promote_design
     from repro.serve.scorer import AsyncScorer
 
     cache_dir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
     with tempfile.TemporaryDirectory() as scratch:
-        try:
-            registry = ModelRegistry(args.registry_dir if args.registry_dir else scratch)
-        except RegistryInputError as exc:
-            print(f"repro serve smoke: {exc}", file=sys.stderr)
-            return 2
+        registry = ModelRegistry(args.registry_dir if args.registry_dir else scratch)
         # Snapshot before the promote: its cache lookup is the serving stack's
         # only contact with the store and must be read-only too.
         before = _snapshot_dir(cache_dir)
@@ -1243,6 +1149,9 @@ def _cmd_serve_smoke(args: argparse.Namespace) -> int:
     )
     return 0
 
+
+#: What to do about planned units a cache-only run found missing.
+_MISSING_HINT = "run the missing shards (repro.cli suite --shard K/N) and retry"
 
 #: The parser's ``dest`` of each command level: ``cache stats`` sets ``command``
 #: to ``"cache"`` and ``cache_command`` to ``"stats"``.
@@ -1604,17 +1513,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_outputs(args: argparse.Namespace) -> None:
+    """Refuse an output path the command could not write, before it runs."""
+    for dest in ("json", "html"):
+        path = getattr(args, dest, None)
+        # ``--json`` is a switch on the commands that print JSON.
+        if isinstance(path, str) and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+            raise InputError(f"--{dest} {path!r} is not a file in an existing directory")
+    for dest in ("output_dir", "emit"):
+        path = getattr(args, dest, None)
+        if path and Path(path).exists() and not Path(path).is_dir():
+            raise InputError(f"--{dest.replace('_', '-')} {path!r} exists and is not a directory")
+
+
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """CLI entry point, and the one place an error becomes an exit code.
+
+    A refused input -- an :class:`~repro.errors.InputError`, or an
+    ``OSError`` on a store, registry, archive or output path the user gave
+    -- exits 2; a cache-only run that finds planned units missing exits 1.
+    Both print ``repro <command>: message`` on stderr.  Any other exception
+    is a bug and keeps its traceback.
+    """
+    args = build_parser().parse_args(argv)
+    command = " ".join(getattr(args, dest) for dest in _COMMAND_DESTS if getattr(args, dest, None))
     try:
+        _check_outputs(args)
         return args.handler(args)
-    except CacheDirError as exc:
-        # Every command that opens a store refuses a file as --cache-dir here.
-        command = " ".join(
-            getattr(args, dest) for dest in _COMMAND_DESTS if getattr(args, dest, None)
-        )
+    except MissingResultsError as exc:
+        print(f"repro {command}: {exc}", file=sys.stderr)
+        print(_MISSING_HINT, file=sys.stderr)
+        return 1
+    except (InputError, OSError) as exc:
         print(f"repro {command}: {exc}", file=sys.stderr)
         return 2
 

@@ -34,6 +34,8 @@ from contextlib import suppress
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
+from repro.errors import InputError
+
 #: Bump when the *stored payload* layout changes incompatibly (independent of
 #: the package version, which already participates in the key).  Schema 2:
 #: suites are stored as one reference entry plus one DesignPoint entry per
@@ -230,7 +232,7 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro" / "results"
 
 
-class CacheDirError(ValueError):
+class CacheDirError(InputError):
     """A ``cache_dir`` that exists and is not a directory."""
 
 
@@ -607,7 +609,7 @@ class ResultStore:
         """
         other_dir = Path(other.cache_dir)
         if other_dir.resolve() == self.cache_dir.resolve():
-            raise ValueError("cannot merge a result store into itself")
+            raise InputError("cannot merge a result store into itself")
         merged = skipped = 0
         for path in sorted(other_dir.glob("*.pkl")) if other_dir.is_dir() else ():
             dest = self.cache_dir / path.name
@@ -647,13 +649,13 @@ class ResultStore:
         store into another one.  Written atomically; entry order, modes and
         timestamps are normalized so equal stores produce equal archives.
         This is the transport format shard CI jobs upload as artifacts.
-        Raises :class:`ValueError` when the store directory does not exist
+        Raises :class:`~repro.errors.InputError` when the store directory does not exist
         (a mistyped ``--cache-dir``), before anything is written.
         """
         import tarfile  # only store transport needs it, not a replay
 
         if not self.cache_dir.is_dir():
-            raise ValueError(f"no result store at {str(self.cache_dir)!r} to export")
+            raise InputError(f"no result store at {str(self.cache_dir)!r} to export")
         self.flush_stats()  # persist this instance's counters for the trip
         store_id = self._persistent_store_id(create=True)
         stats = self._stats_bytes(self._load_stats())
@@ -697,26 +699,26 @@ class ResultStore:
         try:
             tar = tarfile.open(path, mode="r:gz")
         except tarfile.TarError as exc:
-            raise ValueError(f"{path}: not a result-store archive ({exc})") from exc
+            raise InputError(f"{path}: not a result-store archive ({exc})") from exc
         with tar, tempfile.TemporaryDirectory() as tmp_dir:
             members = {m.name: m for m in tar.getmembers() if m.isfile()}
             manifest_member = members.get("manifest.json")
             if manifest_member is None:
-                raise ValueError(
+                raise InputError(
                     f"{path}: not a result-store archive (no manifest.json)"
                 )
             try:
                 manifest = json.loads(tar.extractfile(manifest_member).read())
             except ValueError as exc:
-                raise ValueError(f"{path}: unreadable manifest.json") from exc
+                raise InputError(f"{path}: unreadable manifest.json") from exc
             if (
                 not isinstance(manifest, dict)
                 or manifest.get("format") != "repro-result-store"
             ):
-                raise ValueError(f"{path}: not a result-store archive")
+                raise InputError(f"{path}: not a result-store archive")
             schema = manifest.get("schema")
             if schema != STORE_SCHEMA_VERSION:
-                raise ValueError(
+                raise InputError(
                     f"{path}: archive payload schema {schema!r} does not match "
                     f"this code (schema {STORE_SCHEMA_VERSION})"
                 )

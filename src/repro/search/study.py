@@ -26,6 +26,7 @@ from repro.core.executor import get_executor
 from repro.core.pareto import non_dominated_indices
 from repro.core.sharding import point_work_unit, variation_work_unit
 from repro.core.store import ResultStore
+from repro.errors import InputError
 from repro.pdk.egfet import default_technology
 from repro.search.optimizer import ParetoTPESampler
 from repro.search.space import SearchSpace, paper_space
@@ -83,15 +84,15 @@ def parse_objectives(specs) -> tuple[Objective, ...]:
             (-1.0, spec[1:]) if spec.startswith("-") else (1.0, spec)
         )
         if metric not in OBJECTIVE_METRICS:
-            raise ValueError(
+            raise InputError(
                 f"unknown objective {spec!r}; metrics: {OBJECTIVE_METRICS} "
                 "(prefix with '-' to maximize)"
             )
         parsed.append(Objective(metric=metric, sign=sign, spec=spec))
     if len(parsed) < 2:
-        raise ValueError("a multi-objective study needs at least two objectives")
+        raise InputError("a multi-objective study needs at least two objectives")
     if len({o.metric for o in parsed}) != len(parsed):
-        raise ValueError("objectives must use distinct metrics")
+        raise InputError("objectives must use distinct metrics")
     return tuple(parsed)
 
 
@@ -178,7 +179,7 @@ def _resolve_technology(name: str):
     try:
         return _TECHNOLOGIES[name]()
     except KeyError:
-        raise ValueError(
+        raise InputError(
             f"unknown technology {name!r}; known: {tuple(sorted(_TECHNOLOGIES))}"
         ) from None
 
@@ -265,7 +266,7 @@ class Study:
         self.test_size = float(test_size)
         if any(o.metric == "mean_accuracy_drop" for o in self.objectives):
             if self.sigma_v is None:
-                raise ValueError(
+                raise InputError(
                     "the mean_accuracy_drop objective requires sigma_v"
                 )
         self.sampler = (

@@ -51,6 +51,7 @@ from repro.core.store import (
     default_cache_dir,
 )
 from repro.core.unary_tree import translate
+from repro.errors import InputError
 from repro.mltrees.tree import DecisionTree
 from repro.pdk.egfet import EGFETTechnology, default_technology
 
@@ -58,8 +59,25 @@ from repro.pdk.egfet import EGFETTechnology, default_technology
 _NAME_RE = re.compile(r"[a-z0-9][a-z0-9._-]{0,63}")
 
 
-class RegistryInputError(ValueError):
+class RegistryInputError(InputError):
     """A registry directory or model name the registry refuses."""
+
+
+class RegistryLookupError(RegistryInputError, KeyError):
+    """A model, version or model file the registry does not hold or cannot load."""
+
+    # KeyError's own str() is the repr of its argument; print the message.
+    __str__ = InputError.__str__
+
+
+def _check_name(name: str) -> str:
+    """``name``, refused unless it is a registry name (never a path)."""
+    if not _NAME_RE.fullmatch(name):
+        raise RegistryInputError(
+            f"invalid model name {name!r}: want lowercase "
+            "[a-z0-9._-], max 64 chars, leading alphanumeric"
+        )
+    return name
 
 
 def default_registry_dir() -> Path:
@@ -188,12 +206,16 @@ class ModelRegistry:
         return sorted(
             entry.name
             for entry in self.manifests_dir.iterdir()
-            if entry.is_dir() and self.versions(entry.name)
+            if entry.is_dir() and _NAME_RE.fullmatch(entry.name) and self.versions(entry.name)
         )
 
     def versions(self, name: str) -> list[int]:
-        """Ascending promoted versions of ``name`` (empty when unknown)."""
-        directory = self.manifests_dir / name
+        """Ascending promoted versions of ``name`` (empty when unknown).
+
+        Raises :class:`RegistryInputError` when ``name`` is not a registry
+        name, so no lookup resolves a path outside the registry.
+        """
+        directory = self.manifests_dir / _check_name(name)
         if not directory.is_dir():
             return []
         versions = []
@@ -208,11 +230,11 @@ class ModelRegistry:
         """``version`` validated, or the latest version of ``name``."""
         known = self.versions(name)
         if not known:
-            raise KeyError(f"no model named {name!r} in {self.registry_dir}")
+            raise RegistryLookupError(f"no model named {name!r} in {self.registry_dir}")
         if version is None:
             return known[-1]
         if version not in known:
-            raise KeyError(
+            raise RegistryLookupError(
                 f"model {name!r} has no version {version} (known: {known})"
             )
         return version
@@ -230,7 +252,9 @@ class ModelRegistry:
             with open(path, "rb") as handle:
                 artifact = pickle.load(handle)
         except FileNotFoundError as exc:
-            raise KeyError(f"manifest {label} points at missing artifact {path.name}") from exc
+            raise RegistryLookupError(
+                f"manifest {label} points at missing artifact {path.name}"
+            ) from exc
         except (pickle.UnpicklingError, EOFError, AttributeError, ImportError,
                 IndexError, TypeError, ValueError) as exc:
             # Truncated, foreign, or holding a tree layout this code no longer
@@ -240,7 +264,9 @@ class ModelRegistry:
             if isinstance(artifact, ModelArtifact):
                 return artifact
             reason = f"it holds a {type(artifact).__name__}"
-        raise KeyError(f"artifact {path} of {label} cannot be loaded ({reason}); re-promote it")
+        raise RegistryLookupError(
+            f"artifact {path} of {label} cannot be loaded ({reason}); re-promote it"
+        )
 
     # ------------------------------------------------------------------ #
     # internals
@@ -302,11 +328,7 @@ def promote_design(
         robustness_weight=robustness_weight,
     )
     name = name if name is not None else f"{spec.dataset}-d{spec.depth}"
-    if not _NAME_RE.fullmatch(name):
-        raise RegistryInputError(
-            f"invalid model name {name!r}: want lowercase "
-            "[a-z0-9._-], max 64 chars, leading alphanumeric"
-        )
+    _check_name(name)
     store = ResultStore(
         cache_dir if cache_dir is not None else default_cache_dir(),
         touch_on_get=False,
@@ -320,7 +342,7 @@ def promote_design(
     if same:
         try:
             return registry.load(name, same[0])
-        except KeyError:  # its model file is missing or unreadable: write it again
+        except RegistryLookupError:  # its model file is missing or unreadable: write it again
             version = same[0]
     else:
         version = versions[-1] + 1 if versions else 1

@@ -1146,7 +1146,7 @@ class TestCacheExportImportCli:
             ["cache", "export", "--cache-dir", str(typo), "--output", str(archive)]
         ) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("cache export: ")
+        assert captured.err.startswith("repro cache export: ")
         assert str(typo) in captured.err
         assert "exported" not in captured.out
         assert not typo.exists()
@@ -1198,7 +1198,7 @@ class TestAssembleArchiveErrors:
              "--from-archive", str(tmp_path / "never-uploaded.tar.gz")]
         ) == 2
         err = capsys.readouterr().err
-        assert err.startswith("assemble: ")
+        assert err.startswith("repro assemble: ")
         assert "never-uploaded.tar.gz" in err
 
 

@@ -18,6 +18,8 @@ from repro.mltrees.quantize import quantize_dataset
 from repro.pdk.egfet import default_technology
 from repro.serve.registry import (
     ModelRegistry,
+    RegistryInputError,
+    RegistryLookupError,
     artifact_digest,
     default_registry_dir,
     promote_design,
@@ -331,6 +333,25 @@ class TestLookupErrors:
         promote(2, "m")
         with pytest.raises(KeyError, match="version"):
             registry.load("m", 7)
+
+    def test_a_lookup_error_prints_its_message(self, registry):
+        with pytest.raises(RegistryLookupError) as raised:
+            registry.manifest("ghost")
+        assert str(raised.value) == f"no model named 'ghost' in {registry.registry_dir}"
+
+    @pytest.mark.parametrize("lookup", ["versions", "manifest", "load"])
+    def test_a_path_is_not_a_model_name(self, registry, promote, lookup):
+        """``manifests/../m`` would resolve outside ``manifests/``: refuse it."""
+        promote(2, "m")
+        with pytest.raises(RegistryInputError, match="invalid model name '../m'"):
+            getattr(registry, lookup)("../m")
+
+    def test_list_skips_a_directory_that_is_not_a_model_name(self, registry, promote):
+        promote(2, "m")
+        stray = registry.manifests_dir / "Not A Name"
+        stray.mkdir()
+        (stray / "v1.json").write_text("{}")
+        assert registry.list_models() == ["m"]
 
     def test_registry_dir_must_be_a_directory(self, tmp_path):
         clash = tmp_path / "not-a-dir"

@@ -125,7 +125,7 @@ class TestRegistryCli:
         argv = ["registry", "show", f"{DATASET}-d2", "--datasheet", "--registry-dir", registry_dir]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("registry show: ")
+        assert err.startswith("repro registry show: ")
         assert model.name in err and "re-promote" in err
 
     @pytest.mark.parametrize("case", MALFORMED_CASES)
@@ -141,7 +141,7 @@ class TestRegistryCli:
         argv = ["registry", "show", name, "--datasheet", "--registry-dir", registry_dir]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("registry show: ")
+        assert err.startswith("repro registry show: ")
         assert model.name in err and "re-promote" in err
 
 
